@@ -46,7 +46,7 @@ fn is_report_path(path: &str) -> bool {
 fn is_runtime_path(path: &str) -> bool {
     let p = path.replace('\\', "/");
     p.contains("crates/astore/src/server.rs")
-        || p.contains("crates/pagestore/src/server.rs")
+        || p.contains("crates/pagestore/src/server")
         || p.contains("crates/pagestore/src/redo.rs")
         || p.contains("crates/blobstore/src/")
         || p.contains("crates/core/src/db.rs")

@@ -1,0 +1,451 @@
+//! Checkpoint, checkpoint install, crash-restart and point-in-time restore
+//! of a replica's segments.
+
+use std::collections::BTreeMap;
+
+use vedb_astore::Lsn;
+use vedb_sim::SimCtx;
+
+use super::replica::{absorb_parked, PageStoreServer};
+use super::PsSegmentKey;
+use crate::page::{Page, PAGE_SIZE};
+use crate::redo::RedoRecord;
+use crate::{PageStoreError, Result};
+
+/// A durable segment snapshot: every page image as of `lsn`. Restores and
+/// behind-the-horizon gossip peers start from here instead of LSN 0.
+#[derive(Clone)]
+pub(super) struct SegCheckpoint {
+    pub(super) lsn: Lsn,
+    pub(super) pages: BTreeMap<u32, Page>,
+}
+
+impl PageStoreServer {
+    /// Background checkpoint of one segment: materialize its pages (apply
+    /// everything pending — this is what keeps hot pages ahead of reads),
+    /// snapshot the page images durably, and truncate retained redo below
+    /// the **previous** checkpoint. The previous checkpoint's window stays
+    /// served so gossip peers lagging between the two checkpoints can
+    /// still pull records; peers behind the truncation horizon install the
+    /// snapshot itself ([`Self::handle_get_checkpoint`]).
+    pub fn checkpoint_segment(&self, ctx: &mut SimCtx, key: PsSegmentKey) -> Result<()> {
+        self.apply_pending(ctx, key)?;
+        let snap = {
+            let mut segs = self.segs.lock();
+            let Some(seg) = segs.get_mut(&key) else {
+                return Ok(());
+            };
+            let prev_lsn = seg.checkpoint.as_ref().map(|c| c.lsn).unwrap_or(0);
+            if seg.applied_lsn == 0 || seg.applied_lsn <= prev_lsn {
+                None
+            } else {
+                let pages: BTreeMap<u32, Page> =
+                    seg.pages.iter().map(|(k, v)| (*k, v.clone())).collect();
+                let n_pages = pages.len();
+                seg.checkpoint = Some(SegCheckpoint {
+                    lsn: seg.applied_lsn,
+                    pages,
+                });
+                seg.accepted_since_ckpt = 0;
+                let truncated = if prev_lsn > 0 {
+                    let keep = seg.retained.split_off(&(prev_lsn + 1));
+                    let n = seg.retained.len();
+                    seg.retained = keep;
+                    n
+                } else {
+                    0
+                };
+                Some((n_pages, truncated))
+            }
+        };
+        let Some((n_pages, truncated)) = snap else {
+            return Ok(());
+        };
+        let sp = self.stats.trace.span(ctx, "pagestore", "checkpoint");
+        self.stats.checkpoints.inc();
+        self.stats.checkpoint_pages.add(n_pages as u64);
+        self.stats.log_truncated_records.add(truncated as u64);
+        if let Some(ssd) = &self.res.ssd {
+            // Sequential snapshot stream, same amortization as apply's
+            // page flush.
+            let done = ssd.acquire(
+                ctx.now(),
+                self.model.ssd_write_svc(n_pages.max(1) * PAGE_SIZE) / 4,
+            );
+            ctx.wait_until(done);
+        }
+        sp.finish(ctx);
+        Ok(())
+    }
+
+    /// Handler: checkpoint lsn + page count for `key`, if one exists
+    /// (cheap gossip probe before fetching the snapshot itself).
+    pub fn handle_checkpoint_meta(&self, key: PsSegmentKey) -> Option<(Lsn, usize)> {
+        let segs = self.segs.lock();
+        let ckpt = segs.get(&key)?.checkpoint.as_ref()?;
+        Some((ckpt.lsn, ckpt.pages.len()))
+    }
+
+    /// Handler: serve the segment's checkpoint to a gossip peer whose
+    /// stream tail `after` predates it. `None` when there is no newer
+    /// snapshot to offer.
+    pub fn handle_get_checkpoint(
+        &self,
+        key: PsSegmentKey,
+        after: Lsn,
+    ) -> Option<(Lsn, Vec<(u32, Page)>)> {
+        let segs = self.segs.lock();
+        let ckpt = segs.get(&key)?.checkpoint.as_ref()?;
+        if ckpt.lsn <= after {
+            return None;
+        }
+        Some((
+            ckpt.lsn,
+            ckpt.pages.iter().map(|(k, v)| (*k, v.clone())).collect(),
+        ))
+    }
+
+    /// Install a peer's checkpoint over this replica's segment state: the
+    /// snapshot supersedes local page images, the queued tail, and parked
+    /// records at or below its LSN (they were accepted but never applied
+    /// here — counted as `records_superseded`). Parked records just beyond
+    /// the snapshot chain back on. Returns `false` when the snapshot is
+    /// not newer than the local stream tail.
+    pub fn install_checkpoint(&self, key: PsSegmentKey, lsn: Lsn, pages: Vec<(u32, Page)>) -> bool {
+        let mut segs = self.segs.lock();
+        let seg = segs.entry(key).or_default();
+        if lsn <= seg.last_lsn {
+            return false;
+        }
+        // Every queued record has lsn <= last_lsn < lsn: superseded.
+        let stale_q = seg.queue.len();
+        seg.queue.clear();
+        self.stats.queued.sub(stale_q as i64);
+        self.stats.apply_lag.sub(stale_q as i64);
+        seg.pages = pages.into_iter().collect();
+        seg.checkpoint = Some(SegCheckpoint {
+            lsn,
+            pages: seg.pages.iter().map(|(k, v)| (*k, v.clone())).collect(),
+        });
+        seg.applied_lsn = lsn;
+        seg.last_lsn = lsn;
+        seg.accepted_since_ckpt = 0;
+        let covered: Vec<Lsn> = seg.out_of_order.range(..=lsn).map(|(l, _)| *l).collect();
+        for l in &covered {
+            seg.out_of_order.remove(l);
+        }
+        self.stats.parked.sub(covered.len() as i64);
+        self.stats.apply_lag.sub(covered.len() as i64);
+        self.stats
+            .records_superseded
+            .add((stale_q + covered.len()) as u64);
+        absorb_parked(seg, &self.stats, lsn);
+        true
+    }
+
+    /// Crash-restart this server: volatile state (page images, apply
+    /// queue, apply watermark) is lost; the durable redo log, parked
+    /// records and checkpoints survive. Every segment is rebuilt from
+    /// checkpoint + log replay through the worker pool. Returns the number
+    /// of records replayed; the caller's virtual-time delta across this
+    /// call is the node's recovery time.
+    pub fn restart(&self, ctx: &mut SimCtx) -> Result<usize> {
+        self.restore_all(ctx, Lsn::MAX)
+    }
+
+    /// Point-in-time restore of this server: rebuild every segment from
+    /// checkpoint + log replay to exactly `target`, durably discarding
+    /// redo beyond it. A checkpoint ahead of `target` is discarded too;
+    /// if the retained log then cannot chain from the remaining base up
+    /// to `target` (truncated below the restore point), the segment is
+    /// left untouched and [`PageStoreError::NotYetApplied`] is returned.
+    pub fn restore_to_lsn(&self, ctx: &mut SimCtx, target: Lsn) -> Result<usize> {
+        self.restore_all(ctx, target)
+    }
+
+    fn restore_all(&self, ctx: &mut SimCtx, target: Lsn) -> Result<usize> {
+        let mut keys: Vec<PsSegmentKey> = self.segs.lock().keys().copied().collect();
+        keys.sort_unstable();
+        let sp = self.stats.trace.span(ctx, "pagestore", "restore");
+        let mut replayed = 0;
+        for key in keys {
+            replayed += self.restore_segment(ctx, key, target)?;
+        }
+        self.stats.restores.inc();
+        sp.finish(ctx);
+        Ok(replayed)
+    }
+
+    /// Rebuild one segment to `target` (`Lsn::MAX` = crash-restart, keep
+    /// everything durable). See [`Self::restore_to_lsn`].
+    pub fn restore_segment(
+        &self,
+        ctx: &mut SimCtx,
+        key: PsSegmentKey,
+        target: Lsn,
+    ) -> Result<usize> {
+        let (base_pages, replay) = {
+            let mut segs = self.segs.lock();
+            let Some(seg) = segs.get_mut(&key) else {
+                return Ok(0);
+            };
+            // Pick the base image: the checkpoint, unless it is ahead of
+            // the restore point (then only a full-log replay can work).
+            let base_lsn = match seg.checkpoint.as_ref() {
+                Some(c) if c.lsn <= target => c.lsn,
+                _ => 0,
+            };
+            // Coverage check *before* mutating anything: replay needs an
+            // unbroken back-link chain from the base up to `target`. A
+            // broken chain (e.g. redo truncated below the restore point)
+            // fails the restore and leaves the segment untouched.
+            let mut prev = base_lsn;
+            let mut replay: Vec<RedoRecord> = Vec::new();
+            for (l, r) in seg.retained.range(base_lsn + 1..) {
+                if *l > target {
+                    break;
+                }
+                let chains = r.prev_same_segment == prev
+                    || (prev == base_lsn && r.prev_same_segment <= base_lsn);
+                if !chains {
+                    return Err(PageStoreError::NotYetApplied {
+                        need: *l,
+                        applied: prev,
+                    });
+                }
+                replay.push(r.clone());
+                prev = *l;
+            }
+            // The walk stopping at `target` proves nothing by itself: if
+            // redo between the base and `target` was truncated, the range
+            // is simply empty. The first durable record *beyond* the
+            // target must chain onto the walk tail, or records at or
+            // below the target are missing and state-at-`target` is not
+            // reconstructible.
+            if target < Lsn::MAX {
+                if let Some((_, r)) = seg.retained.range(target + 1..).next() {
+                    let chains = r.prev_same_segment == prev
+                        || (prev == base_lsn && r.prev_same_segment <= base_lsn);
+                    if !chains {
+                        return Err(PageStoreError::NotYetApplied {
+                            need: target,
+                            applied: prev,
+                        });
+                    }
+                }
+            }
+            // PITR: the future beyond `target` is discarded durably.
+            if target < Lsn::MAX {
+                let dropped_r = seg.retained.split_off(&(target + 1)).len();
+                let dropped_p: Vec<Lsn> = seg
+                    .out_of_order
+                    .range(target + 1..)
+                    .map(|(l, _)| *l)
+                    .collect();
+                for l in &dropped_p {
+                    seg.out_of_order.remove(l);
+                }
+                self.stats.parked.sub(dropped_p.len() as i64);
+                self.stats.apply_lag.sub(dropped_p.len() as i64);
+                self.stats
+                    .records_superseded
+                    .add((dropped_r + dropped_p.len()) as u64);
+                if seg.checkpoint.as_ref().is_some_and(|c| c.lsn > target) {
+                    seg.checkpoint = None;
+                }
+            }
+            // Volatile state dies with the old incarnation.
+            let stale_q = seg.queue.len();
+            seg.queue.clear();
+            self.stats.queued.sub(stale_q as i64);
+            self.stats.apply_lag.sub(stale_q as i64);
+            let base = seg.checkpoint.clone();
+            let n_base = base.as_ref().map(|c| c.pages.len()).unwrap_or(0);
+            seg.pages = base
+                .map(|c| c.pages.into_iter().collect())
+                .unwrap_or_default();
+            seg.applied_lsn = base_lsn;
+            seg.last_lsn = replay.last().map(|r| r.lsn).unwrap_or(base_lsn);
+            self.stats.queued.add(replay.len() as i64);
+            self.stats.apply_lag.add(replay.len() as i64);
+            seg.queue = replay.clone();
+            (n_base, replay.len())
+        };
+        if base_pages > 0 {
+            if let Some(ssd) = &self.res.ssd {
+                // Stream the checkpoint image back in (sequential read).
+                let done = ssd.acquire(
+                    ctx.now(),
+                    self.model.ssd_read_svc(base_pages * PAGE_SIZE) / 4,
+                );
+                ctx.wait_until(done);
+            }
+        }
+        let to_apply: Vec<RedoRecord> = {
+            let mut segs = self.segs.lock();
+            match segs.get_mut(&key) {
+                Some(seg) => std::mem::take(&mut seg.queue),
+                None => Vec::new(),
+            }
+        };
+        if !to_apply.is_empty() {
+            self.apply_batch(ctx, key, to_apply, true)?;
+        }
+        Ok(replay)
+    }
+
+    /// LSN of this segment's checkpoint, 0 if none (tests / monitoring).
+    pub fn checkpoint_lsn(&self, key: PsSegmentKey) -> Lsn {
+        self.segs
+            .lock()
+            .get(&key)
+            .and_then(|s| s.checkpoint.as_ref().map(|c| c.lsn))
+            .unwrap_or(0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use vedb_astore::PageId;
+    use vedb_rdma::RpcFabric;
+    use vedb_sim::SimCtx;
+
+    use super::super::testutil::{make_records, more_inserts, setup, setup_with};
+    use super::super::ApplyConfig;
+    use crate::page::Page;
+    use crate::PageStoreError;
+
+    #[test]
+    fn background_checkpoint_truncates_replayed_log() {
+        let (_env, ps) = setup_with(ApplyConfig {
+            workers: 4,
+            checkpoint_every_records: 8,
+        });
+        let mut ctx = SimCtx::new(1, 7);
+        let page = PageId::new(1, 21);
+        let key = ps.cfg().segment_of(page);
+        // Batch 1 (10 records) triggers checkpoint #1; batch 2 (9 records)
+        // triggers checkpoint #2, which truncates redo below #1.
+        ps.ship(&mut ctx, &make_records(page, 100, 9)).unwrap();
+        ps.ship(&mut ctx, &more_inserts(page, 300, 9, 9)).unwrap();
+        for r in ps.replicas_of(key) {
+            assert_eq!(r.checkpoint_lsn(key), 380, "second checkpoint at tail");
+            assert!(
+                r.retained_count(key) < 19,
+                "replayed redo below the previous checkpoint must be truncated, \
+                 still retaining {}",
+                r.retained_count(key)
+            );
+        }
+        // The truncated log still serves the latest image.
+        let bytes = ps.read_page(&mut ctx, page, 380).unwrap();
+        assert_eq!(Page::from_bytes(&bytes).unwrap().n_slots(), 18);
+    }
+
+    #[test]
+    fn restart_rebuilds_pages_from_durable_log() {
+        let (_env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let page = PageId::new(1, 23);
+        let key = ps.cfg().segment_of(page);
+        let recs = make_records(page, 100, 5);
+        let tail = recs.last().unwrap().lsn;
+        ps.ship(&mut ctx, &recs).unwrap();
+        let before = ps.read_page(&mut ctx, page, tail).unwrap();
+        for r in ps.replicas_of(key) {
+            let replayed = r.restart(&mut ctx).unwrap();
+            assert_eq!(replayed, 6, "all durable records replay on restart");
+            assert_eq!(r.applied_lsn(key), tail);
+        }
+        let after = ps.read_page(&mut ctx, page, tail).unwrap();
+        assert_eq!(before, after, "restart must rebuild byte-identical pages");
+    }
+
+    #[test]
+    fn restore_to_lsn_is_point_in_time() {
+        let (_env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let page = PageId::new(1, 25);
+        let key = ps.cfg().segment_of(page);
+        // Format @100, inserts @110..150.
+        ps.ship(&mut ctx, &make_records(page, 100, 5)).unwrap();
+        ps.restore_to_lsn(&mut ctx, 120).unwrap();
+        for r in ps.replicas_of(key) {
+            assert_eq!(r.applied_lsn(key), 120);
+            assert_eq!(r.retained_count(key), 3, "redo beyond 120 is discarded");
+        }
+        let bytes = ps.read_page(&mut ctx, page, 120).unwrap();
+        assert_eq!(Page::from_bytes(&bytes).unwrap().n_slots(), 2);
+        // The ship chain re-anchors at the restored tail: new writes land.
+        ps.ship(&mut ctx, &more_inserts(page, 500, 1, 2)).unwrap();
+        let bytes = ps.read_page(&mut ctx, page, 500).unwrap();
+        assert_eq!(Page::from_bytes(&bytes).unwrap().n_slots(), 3);
+    }
+
+    #[test]
+    fn restore_below_truncation_horizon_fails_cleanly() {
+        let (_env, ps) = setup_with(ApplyConfig {
+            workers: 4,
+            checkpoint_every_records: 8,
+        });
+        let mut ctx = SimCtx::new(1, 7);
+        let page = PageId::new(1, 27);
+        let key = ps.cfg().segment_of(page);
+        ps.ship(&mut ctx, &make_records(page, 100, 9)).unwrap();
+        ps.ship(&mut ctx, &more_inserts(page, 300, 9, 9)).unwrap();
+        // Redo below checkpoint #1 (lsn 190) is truncated; a restore point
+        // inside the truncated range cannot be reached any more.
+        let server = &ps.replicas_of(key)[0];
+        assert!(matches!(
+            server.restore_to_lsn(&mut ctx, 150),
+            Err(PageStoreError::NotYetApplied { .. })
+        ));
+        // The failed restore must leave the segment untouched.
+        assert_eq!(server.applied_lsn(key), 380);
+        let bytes = ps.read_page(&mut ctx, page, 380).unwrap();
+        assert_eq!(Page::from_bytes(&bytes).unwrap().n_slots(), 18);
+    }
+
+    #[test]
+    fn gossip_installs_checkpoint_beyond_truncation_horizon() {
+        let (env, ps) = setup_with(ApplyConfig {
+            workers: 4,
+            checkpoint_every_records: 4,
+        });
+        let mut ctx = SimCtx::new(1, 7);
+        let page = PageId::new(1, 31);
+        let key = ps.cfg().segment_of(page);
+        let replicas = ps.replicas_of(key);
+
+        ps.ship(&mut ctx, &make_records(page, 100, 4)).unwrap(); // ckpt #1 @140
+        env.faults.crash(replicas[0].node());
+        // Two more checkpoints on the peers truncate every record replica 0
+        // could pull: its hole now predates the truncation horizon.
+        ps.ship(&mut ctx, &more_inserts(page, 300, 5, 4)).unwrap(); // ckpt #2 @340
+        ps.ship(&mut ctx, &more_inserts(page, 500, 5, 9)).unwrap(); // ckpt #3 @540
+        env.faults.restore(replicas[0].node());
+        ps.ship(&mut ctx, &more_inserts(page, 700, 1, 14)).unwrap();
+        assert!(
+            replicas[0].gap_count(key) > 0,
+            "replica 0 must park the gap"
+        );
+
+        let rpc = RpcFabric::new(env.model.clone(), Arc::clone(&env.faults));
+        let peers: Vec<_> = replicas.clone();
+        let recovered = replicas[0].gossip_fill_until(&mut ctx, &rpc, key, &peers, 700);
+        assert!(recovered > 0, "checkpoint install must make progress");
+        assert_eq!(
+            replicas[0].checkpoint_lsn(key),
+            540,
+            "peer snapshot installed wholesale"
+        );
+        replicas[0].apply_pending(&mut ctx, key).unwrap();
+        assert_eq!(replicas[0].applied_lsn(key), 700);
+        let p = replicas[0]
+            .local_page(&mut ctx, ps.cfg(), page, 700)
+            .unwrap();
+        assert_eq!(p.n_slots(), 15);
+    }
+}

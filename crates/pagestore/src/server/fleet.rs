@@ -1,0 +1,348 @@
+//! The client-side fleet facade: replica layout, quorum ship, fail-over
+//! reads, deployment-wide restore and the WAL-truncation watermark.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+use vedb_astore::{Lsn, PageId};
+use vedb_rdma::RpcFabric;
+use vedb_sim::trace::TraceLog;
+use vedb_sim::SimCtx;
+
+use super::replica::PageStoreServer;
+use super::{PageStoreConfig, PsSegmentKey};
+use crate::page::PAGE_SIZE;
+use crate::redo::RedoRecord;
+use crate::{PageStoreError, Result};
+
+/// Client-side facade: knows the replica layout, ships with quorum, reads
+/// with replica fail-over. This is the part of the storage SDK that talks
+/// to PageStore (§III).
+pub struct PageStore {
+    cfg: PageStoreConfig,
+    rpc: Arc<RpcFabric>,
+    servers: Vec<Arc<PageStoreServer>>,
+    /// Last LSN shipped per segment — the source of each record's back-link.
+    ship_state: Mutex<HashMap<PsSegmentKey, Lsn>>,
+    /// Shared deployment trace (all servers register into one registry).
+    trace: Arc<TraceLog>,
+}
+
+impl PageStore {
+    /// Create the facade over a set of servers.
+    pub fn new(
+        cfg: PageStoreConfig,
+        rpc: Arc<RpcFabric>,
+        servers: Vec<Arc<PageStoreServer>>,
+    ) -> Arc<Self> {
+        assert!(
+            servers.len() >= cfg.replication,
+            "need >= {} PageStore servers",
+            cfg.replication
+        );
+        assert!(cfg.quorum <= cfg.replication && cfg.quorum >= 1);
+        let trace = Arc::clone(servers[0].res().metrics.trace());
+        Arc::new(PageStore {
+            cfg,
+            rpc,
+            servers,
+            ship_state: Mutex::new(HashMap::new()),
+            trace,
+        })
+    }
+
+    /// Configuration (segment mapping).
+    pub fn cfg(&self) -> &PageStoreConfig {
+        &self.cfg
+    }
+
+    /// The replica servers of a segment.
+    pub fn replicas_of(&self, key: PsSegmentKey) -> Vec<Arc<PageStoreServer>> {
+        let n = self.servers.len();
+        let h = (key.space_no as usize)
+            .wrapping_mul(31)
+            .wrapping_add(key.index as usize);
+        (0..self.cfg.replication)
+            .map(|i| Arc::clone(&self.servers[(h + i) % n]))
+            .collect()
+    }
+
+    /// All servers (push-down task dispatch).
+    pub fn servers(&self) -> &[Arc<PageStoreServer>] {
+        &self.servers
+    }
+
+    /// Ship records (in LSN order, possibly spanning pages/segments):
+    /// grouped per segment, back-links attached, delivered to all replicas,
+    /// durable at quorum.
+    pub fn ship(&self, ctx: &mut SimCtx, records: &[RedoRecord]) -> Result<()> {
+        if records.is_empty() {
+            return Ok(());
+        }
+        // Quorum-failure paths drop the guard → abandoned span.
+        let sp = self.trace.span(ctx, "pagestore", "ship");
+        // Group by segment, preserving order, and attach back-links.
+        // The `ship_state` lock is held across the whole send: back-link
+        // assignment and delivery must be one atomic step, or two
+        // concurrent ships could chain from the same tail / arrive in
+        // inverted LSN order. Crucially, a segment's tail only *commits*
+        // after its group reaches quorum — a failed batch must not advance
+        // the chain, or the re-shipped records would carry a dangling
+        // `prev_same_segment` and park on the replicas forever.
+        let mut ship_state = self.ship_state.lock();
+        let mut groups: Vec<(PsSegmentKey, Vec<RedoRecord>)> = Vec::new();
+        for rec in records {
+            let key = self.cfg.segment_of(rec.page);
+            let tail = match groups.iter().rev().find(|(k, _)| *k == key) {
+                Some((_, v)) => v.last().map(|r| r.lsn).unwrap_or(0),
+                None => ship_state.get(&key).copied().unwrap_or(0),
+            };
+            let mut rec = rec.clone();
+            rec.prev_same_segment = tail;
+            match groups.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, v)) => v.push(rec),
+                None => groups.push((key, vec![rec])),
+            }
+        }
+        let bytes: usize = records.len() * 64;
+        let mut max_done = ctx.now();
+        for (key, group) in &groups {
+            let mut acked = 0;
+            let mut group_done = ctx.now();
+            for server in self.replicas_of(*key) {
+                let mut rep_ctx = ctx.fork();
+                let ok = self
+                    .rpc
+                    .call(&mut rep_ctx, server.node(), server.res(), bytes, 16, |c| {
+                        server.handle_ship(c, *key, group);
+                    })
+                    .is_ok();
+                if ok {
+                    acked += 1;
+                    group_done = group_done.max(rep_ctx.now());
+                }
+            }
+            if acked < self.cfg.quorum {
+                return Err(PageStoreError::QuorumFailed {
+                    acked,
+                    quorum: self.cfg.quorum,
+                });
+            }
+            // Quorum reached: this segment's chain tail is now durable.
+            if let Some(last) = group.last() {
+                ship_state.insert(*key, last.lsn);
+            }
+            max_done = max_done.max(group_done);
+        }
+        ctx.wait_until(max_done);
+        sp.finish(ctx);
+        Ok(())
+    }
+
+    /// Point-in-time restore of the whole deployment: rebuild every
+    /// replica of every segment from checkpoint + log replay to exactly
+    /// `target`, durably discarding redo beyond it, then re-anchor the
+    /// facade's ship chain at the restored tails so the next ship's
+    /// back-links chain on cleanly. Returns the total records replayed
+    /// across replicas. See [`PageStoreServer::restore_to_lsn`].
+    pub fn restore_to_lsn(&self, ctx: &mut SimCtx, target: Lsn) -> Result<usize> {
+        let sp = self.trace.span(ctx, "pagestore", "restore");
+        let mut total = 0;
+        for server in &self.servers {
+            total += server.restore_to_lsn(ctx, target)?;
+        }
+        let mut ship_state = self.ship_state.lock();
+        let keys: Vec<PsSegmentKey> = ship_state.keys().copied().collect();
+        for key in keys {
+            let tail = self
+                .replicas_of(key)
+                .iter()
+                .map(|s| s.segment_watermark(key))
+                .max()
+                .unwrap_or(0);
+            ship_state.insert(key, tail);
+        }
+        drop(ship_state);
+        sp.finish(ctx);
+        Ok(total)
+    }
+
+    /// AStore log-truncation watermark RPC: the highest LSN such that for
+    /// every segment, all records at or below it are durable at a quorum
+    /// of that segment's replicas. The engine may recycle WAL slots below
+    /// `min(shipped, watermark)` — PageStore can rebuild every page
+    /// without a re-ship. A segment whose quorum-th best replica already
+    /// holds the full shipped tail does not bound the watermark, so in
+    /// steady state this returns [`Lsn::MAX`] and the shipped LSN governs.
+    pub fn truncation_watermark(&self, ctx: &mut SimCtx) -> Lsn {
+        let mut entries: Vec<(PsSegmentKey, Lsn)> = self
+            .ship_state
+            .lock()
+            .iter()
+            .map(|(k, v)| (*k, *v))
+            .collect();
+        entries.sort_unstable();
+        let mut wm = Lsn::MAX;
+        for (key, tail) in entries {
+            let mut acks: Vec<Lsn> = Vec::new();
+            for server in self.replicas_of(key) {
+                let got = self
+                    .rpc
+                    .call(ctx, server.node(), server.res(), 32, 32, |_c| {
+                        server.segment_watermark(key)
+                    });
+                acks.push(got.unwrap_or(0));
+            }
+            acks.sort_unstable();
+            acks.reverse();
+            let quorum_wm = acks.get(self.cfg.quorum - 1).copied().unwrap_or(0);
+            if quorum_wm < tail {
+                wm = wm.min(quorum_wm);
+            }
+        }
+        wm
+    }
+
+    /// Read the latest image of `page` at or beyond `min_lsn`, trying
+    /// replicas in order.
+    pub fn read_page(&self, ctx: &mut SimCtx, page: PageId, min_lsn: Lsn) -> Result<Vec<u8>> {
+        // All-replicas-failed paths drop the guard → abandoned span.
+        let sp = self.trace.span(ctx, "pagestore", "read");
+        let key = self.cfg.segment_of(page);
+        let replicas = self.replicas_of(key);
+        let mut last_err = PageStoreError::UnknownPage(page);
+        // An unreachable replica says nothing about the data; a replica
+        // that answered (even with an error such as UnknownPage, which
+        // callers treat as authoritative for fresh pages) must win over a
+        // dead node tried later in the fail-over order.
+        let mut saw_server_err = false;
+        for server in &replicas {
+            let peers: Vec<Arc<PageStoreServer>> = replicas
+                .iter()
+                .filter(|p| p.node() != server.node())
+                .cloned()
+                .collect();
+            let rpc = Arc::clone(&self.rpc);
+            let result = self
+                .rpc
+                .call(ctx, server.node(), server.res(), 64, PAGE_SIZE, |c| {
+                    server.handle_read_page(c, &rpc, key, page, min_lsn, &peers)
+                });
+            match result {
+                Ok(Ok(bytes)) => {
+                    sp.finish(ctx);
+                    return Ok(bytes);
+                }
+                Ok(Err(e)) => {
+                    last_err = e;
+                    saw_server_err = true;
+                }
+                Err(e) => {
+                    if !saw_server_err {
+                        last_err = PageStoreError::Network(e);
+                    }
+                }
+            }
+        }
+        Err(last_err)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use vedb_astore::{Lsn, PageId};
+    use vedb_sim::SimCtx;
+
+    use super::super::testutil::{make_records, more_inserts, setup};
+    use crate::page::Page;
+    use crate::PageStoreError;
+
+    #[test]
+    fn ship_apply_read_roundtrip() {
+        let (_env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let page = PageId::new(1, 42);
+        let recs = make_records(page, 100, 5);
+        let last_lsn = recs.last().unwrap().lsn;
+        ps.ship(&mut ctx, &recs).unwrap();
+        let bytes = ps.read_page(&mut ctx, page, last_lsn).unwrap();
+        let p = Page::from_bytes(&bytes).unwrap();
+        assert_eq!(p.lsn(), last_lsn);
+        assert_eq!(p.n_slots(), 5);
+        assert_eq!(p.get(2).unwrap(), b"row-002");
+    }
+
+    #[test]
+    fn cold_page_read_costs_about_a_millisecond() {
+        let (_env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let page = PageId::new(1, 1);
+        let recs = make_records(page, 100, 3);
+        ps.ship(&mut ctx, &recs).unwrap();
+        let t0 = ctx.now();
+        ps.read_page(&mut ctx, page, recs.last().unwrap().lsn)
+            .unwrap();
+        let ms = (ctx.now() - t0).as_millis_f64();
+        assert!(
+            (0.4..=2.0).contains(&ms),
+            "remote page read should be ~1ms, got {ms:.2}ms"
+        );
+    }
+
+    #[test]
+    fn quorum_tolerates_one_dead_replica() {
+        let (env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let page = PageId::new(1, 7);
+        let key = ps.cfg().segment_of(page);
+        let replicas = ps.replicas_of(key);
+        env.faults.crash(replicas[0].node());
+        let recs = make_records(page, 100, 3);
+        ps.ship(&mut ctx, &recs).unwrap(); // 2/3 acks = quorum
+        env.faults.restore(replicas[0].node());
+        // Read from any replica; the one that missed everything gossips.
+        let bytes = ps
+            .read_page(&mut ctx, page, recs.last().unwrap().lsn)
+            .unwrap();
+        assert_eq!(Page::from_bytes(&bytes).unwrap().n_slots(), 3);
+    }
+
+    #[test]
+    fn two_dead_replicas_fail_quorum() {
+        let (env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let page = PageId::new(1, 9);
+        let key = ps.cfg().segment_of(page);
+        let replicas = ps.replicas_of(key);
+        env.faults.crash(replicas[0].node());
+        env.faults.crash(replicas[1].node());
+        assert!(matches!(
+            ps.ship(&mut ctx, &make_records(page, 100, 1)),
+            Err(PageStoreError::QuorumFailed {
+                acked: 1,
+                quorum: 2
+            })
+        ));
+    }
+
+    #[test]
+    fn watermark_bounds_wal_truncation_to_lagging_quorum() {
+        let (env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let page = PageId::new(1, 29);
+        let key = ps.cfg().segment_of(page);
+        let replicas = ps.replicas_of(key);
+        ps.ship(&mut ctx, &make_records(page, 100, 2)).unwrap(); // tail 120
+        env.faults.crash(replicas[0].node());
+        ps.ship(&mut ctx, &more_inserts(page, 300, 3, 2)).unwrap(); // tail 320
+        env.faults.restore(replicas[0].node());
+        // Quorum (2 of 3) holds the full tail: nothing bounds truncation.
+        assert_eq!(ps.truncation_watermark(&mut ctx), Lsn::MAX);
+        // Losing one up-to-date replica degrades the quorum watermark to
+        // the straggler's durable point.
+        env.faults.crash(replicas[1].node());
+        assert_eq!(ps.truncation_watermark(&mut ctx), 120);
+        env.faults.restore(replicas[1].node());
+    }
+}

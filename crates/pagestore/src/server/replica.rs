@@ -1,0 +1,698 @@
+//! One replica's state machine: accept shipped redo (in order or parked
+//! behind a back-link gap), gossip holes closed, apply through the worker
+//! pool, and serve page reads.
+
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+use vedb_astore::{Lsn, PageId};
+use vedb_rdma::RpcFabric;
+use vedb_sim::cluster::NodeRes;
+use vedb_sim::fault::NodeId;
+use vedb_sim::trace::TraceLog;
+use vedb_sim::{
+    Counter, Gauge, LatencyModel, LatencyRecorder, SimCtx, Timeline, VTime, WorkerPool,
+};
+
+use super::checkpoint::SegCheckpoint;
+use super::{ApplyConfig, PageStoreConfig, PsSegmentKey};
+use crate::page::{Page, PAGE_SIZE};
+use crate::redo::RedoRecord;
+use crate::{PageStoreError, Result};
+
+/// One replica's state for one segment.
+///
+/// Durability model: `retained`, `out_of_order` and `checkpoint` are this
+/// replica's **durable** per-segment redo log and snapshot (a quorum ack
+/// means durable append); `pages`, `applied_lsn` and `queue` are volatile
+/// and rebuilt on [`PageStoreServer::restart`].
+#[derive(Default)]
+pub(super) struct ReplicaSeg {
+    pub(super) pages: HashMap<u32, Page>,
+    /// LSN replay has reached.
+    pub(super) applied_lsn: Lsn,
+    /// LSN of the last record received *in order*.
+    pub(super) last_lsn: Lsn,
+    /// In-order records not yet applied.
+    pub(super) queue: Vec<RedoRecord>,
+    /// Records whose back-link did not match (a gap precedes them).
+    pub(super) out_of_order: BTreeMap<Lsn, RedoRecord>,
+    /// Everything received in order, retained for gossip peers until the
+    /// checkpointer truncates below the previous checkpoint.
+    pub(super) retained: BTreeMap<Lsn, RedoRecord>,
+    /// Latest durable page-image snapshot, if the checkpointer ran.
+    pub(super) checkpoint: Option<SegCheckpoint>,
+    /// Accepted records since the last checkpoint (trigger counter).
+    pub(super) accepted_since_ckpt: u64,
+}
+
+/// Replay/read metric handles (component `"pagestore"`), registered into the
+/// node's deployment registry and shared by every server (same registry key
+/// → same instance), so each reads cluster-wide.
+///
+/// Lag accounting distinguishes *where* an accepted record waits:
+/// `queued_records` counts records queued behind an apply worker (in-order,
+/// waiting for CPU), `parked_records` counts records parked out-of-order
+/// behind a back-link gap. `apply_lag_records` is their sum. In fault-free
+/// runs the books balance exactly:
+/// `records_accepted == records_applied + queued_records + parked_records`
+/// (asserted by `metrics_accuracy`); crashes and checkpoint installs retire
+/// records without applying them, counted by `records_superseded` /
+/// `restore_replayed_records` instead.
+pub(super) struct PsStats {
+    pub(super) ships: Arc<Counter>,
+    pub(super) records_accepted: Arc<Counter>,
+    pub(super) records_applied: Arc<Counter>,
+    pub(super) page_materializations: Arc<Counter>,
+    pub(super) page_reads: Arc<Counter>,
+    pub(super) gossip_recoveries: Arc<Counter>,
+    pub(super) checkpoints: Arc<Counter>,
+    pub(super) checkpoint_pages: Arc<Counter>,
+    pub(super) log_truncated_records: Arc<Counter>,
+    pub(super) restores: Arc<Counter>,
+    pub(super) restore_replayed: Arc<Counter>,
+    pub(super) records_superseded: Arc<Counter>,
+    pub(super) apply_lag: Arc<Gauge>,
+    pub(super) queued: Arc<Gauge>,
+    pub(super) parked: Arc<Gauge>,
+    /// Virtual-time-bucketed samples of `apply_lag_records`, recorded on
+    /// every accept/apply transition — the replication-lag timeline in the
+    /// bench report's `profile` section.
+    pub(super) apply_lag_tl: Arc<Timeline>,
+    pub(super) read_lat: Arc<LatencyRecorder>,
+    pub(super) trace: Arc<TraceLog>,
+}
+
+impl PsStats {
+    fn register(res: &NodeRes) -> Self {
+        let reg = &res.metrics;
+        PsStats {
+            ships: reg.counter("pagestore", "ships"),
+            records_accepted: reg.counter("pagestore", "records_accepted"),
+            records_applied: reg.counter("pagestore", "records_applied"),
+            page_materializations: reg.counter("pagestore", "page_materializations"),
+            page_reads: reg.counter("pagestore", "page_reads"),
+            gossip_recoveries: reg.counter("pagestore", "gossip_recoveries"),
+            checkpoints: reg.counter("pagestore", "checkpoints"),
+            checkpoint_pages: reg.counter("pagestore", "checkpoint_pages"),
+            log_truncated_records: reg.counter("pagestore", "log_truncated_records"),
+            restores: reg.counter("pagestore", "restores"),
+            restore_replayed: reg.counter("pagestore", "restore_replayed_records"),
+            records_superseded: reg.counter("pagestore", "records_superseded"),
+            apply_lag: reg.gauge("pagestore", "apply_lag_records"),
+            queued: reg.gauge("pagestore", "queued_records"),
+            parked: reg.gauge("pagestore", "parked_records"),
+            apply_lag_tl: reg.timeline("pagestore", "apply_lag_records"),
+            read_lat: reg.latency("pagestore", "read_page"),
+            trace: Arc::clone(reg.trace()),
+        }
+    }
+}
+
+/// Absorb parked records that now chain onto the in-order stream: either
+/// their back-link matches the stream tail exactly, or (after a checkpoint
+/// install) their predecessor sits at or below `floor`, which the snapshot
+/// is known to cover. Parked→queued gauge transition per record.
+pub(super) fn absorb_parked(seg: &mut ReplicaSeg, stats: &PsStats, floor: Lsn) {
+    while let Some((&lsn, parked)) = seg.out_of_order.iter().next() {
+        let chains = parked.prev_same_segment == seg.last_lsn
+            || (lsn > seg.last_lsn && parked.prev_same_segment <= floor);
+        if !chains {
+            break;
+        }
+        // vedb-lint: allow(no-panic-in-runtime, "key was just witnessed by iter().next() under the same segs lock")
+        let parked = seg.out_of_order.remove(&lsn).expect("present");
+        stats.parked.sub(1);
+        stats.queued.add(1);
+        seg.last_lsn = parked.lsn;
+        seg.retained.insert(parked.lsn, parked.clone());
+        seg.queue.push(parked);
+    }
+}
+
+/// One PageStore server process (one per storage node).
+pub struct PageStoreServer {
+    node: NodeId,
+    pub(super) res: Arc<NodeRes>,
+    pub(super) model: LatencyModel,
+    apply: ApplyConfig,
+    /// Apply workers over this node's CPU — parallel redo apply and
+    /// restore replay both price their CPU through the pool.
+    pool: WorkerPool,
+    /// At most one background checkpoint in flight per server.
+    ckpt_inflight: AtomicBool,
+    pub(super) segs: Mutex<HashMap<PsSegmentKey, ReplicaSeg>>,
+    pub(super) stats: PsStats,
+}
+
+impl PageStoreServer {
+    /// Create a server on a storage node with the default apply pipeline
+    /// (parallel workers + background checkpointer, [`ApplyConfig`]).
+    pub fn new(node: NodeId, res: Arc<NodeRes>, model: LatencyModel) -> Arc<Self> {
+        Self::with_apply(node, res, model, ApplyConfig::default())
+    }
+
+    /// Create a server with an explicit apply-pipeline configuration.
+    pub fn with_apply(
+        node: NodeId,
+        res: Arc<NodeRes>,
+        model: LatencyModel,
+        apply: ApplyConfig,
+    ) -> Arc<Self> {
+        let stats = PsStats::register(&res);
+        let pool = WorkerPool::with_metrics(
+            &format!("{}.apply", res.name),
+            apply.workers.max(1),
+            Arc::clone(&res.cpu),
+            &res.metrics,
+        );
+        Arc::new(PageStoreServer {
+            node,
+            res,
+            model,
+            apply,
+            pool,
+            ckpt_inflight: AtomicBool::new(false),
+            segs: Mutex::new(HashMap::new()),
+            stats,
+        })
+    }
+
+    /// Node id.
+    pub fn node(&self) -> NodeId {
+        self.node
+    }
+
+    /// Node resources (RPC dispatch + push-down CPU accounting).
+    pub fn res(&self) -> &Arc<NodeRes> {
+        &self.res
+    }
+
+    /// Handler: ingest a batch of records for `key`. Records whose
+    /// back-link matches extend the in-order stream; the rest wait in the
+    /// out-of-order buffer. Charges per-record CPU, and kicks the
+    /// background checkpointer once enough new records accumulated.
+    pub fn handle_ship(&self, ctx: &mut SimCtx, key: PsSegmentKey, records: &[RedoRecord]) {
+        let sp = self.stats.trace.span(ctx, "pagestore", "redo_accept");
+        let cpu = self
+            .res
+            .cpu
+            .acquire(ctx.now(), VTime::from_nanos(records.len() as u64 * 800));
+        ctx.wait_until(cpu);
+        self.stats.ships.inc();
+        let ckpt_due = {
+            let mut segs = self.segs.lock();
+            let seg = segs.entry(key).or_default();
+            for rec in records {
+                if rec.lsn <= seg.last_lsn {
+                    continue; // duplicate delivery
+                }
+                if rec.prev_same_segment == seg.last_lsn {
+                    self.stats.records_accepted.inc();
+                    self.stats.queued.add(1);
+                    self.stats.apply_lag.add(1);
+                    seg.accepted_since_ckpt += 1;
+                    seg.last_lsn = rec.lsn;
+                    seg.retained.insert(rec.lsn, rec.clone());
+                    seg.queue.push(rec.clone());
+                    absorb_parked(seg, &self.stats, 0);
+                } else if seg.out_of_order.insert(rec.lsn, rec.clone()).is_none() {
+                    // A re-delivered record already parked here (e.g. the
+                    // same hole pulled from two gossip peers) must not be
+                    // double-counted as accepted.
+                    self.stats.records_accepted.inc();
+                    self.stats.parked.add(1);
+                    self.stats.apply_lag.add(1);
+                    seg.accepted_since_ckpt += 1;
+                }
+            }
+            self.apply.checkpoint_every_records > 0
+                && seg.accepted_since_ckpt >= self.apply.checkpoint_every_records
+        };
+        self.stats
+            .apply_lag_tl
+            .record(ctx.now(), self.stats.apply_lag.get());
+        if ckpt_due && !self.ckpt_inflight.swap(true, Ordering::AcqRel) {
+            // Background work: a forked clock keeps it off the shipper's
+            // critical path; resource charges still land on this node.
+            let mut bg = ctx.fork();
+            let _ = self.checkpoint_segment(&mut bg, key);
+            self.ckpt_inflight.store(false, Ordering::Release);
+        }
+        sp.finish(ctx);
+    }
+
+    /// Handler: serve records after `from_lsn` (gossip peer side). Serves
+    /// the in-order retained stream *and* parked out-of-order records — a
+    /// record every quorum member parked would otherwise be unreachable;
+    /// the puller's back-link check decides what actually chains on.
+    pub fn handle_get_records(
+        &self,
+        key: PsSegmentKey,
+        from_lsn: Lsn,
+        max: usize,
+    ) -> Vec<RedoRecord> {
+        let segs = self.segs.lock();
+        match segs.get(&key) {
+            Some(seg) => {
+                let mut have: BTreeMap<Lsn, RedoRecord> = BTreeMap::new();
+                for (l, r) in seg.retained.range(from_lsn + 1..) {
+                    have.insert(*l, r.clone());
+                }
+                for (l, r) in seg.out_of_order.range(from_lsn + 1..) {
+                    have.insert(*l, r.clone());
+                }
+                have.into_values().take(max).collect()
+            }
+            None => Vec::new(),
+        }
+    }
+
+    /// Fill back-link gaps for `key` by gossiping with `peers` (§III:
+    /// "with the back-link mechanism a PageStore instance can detect
+    /// missing logs and gossip with other instances to retrieve them").
+    /// Returns how many records were recovered.
+    pub fn gossip_fill(
+        &self,
+        ctx: &mut SimCtx,
+        rpc: &RpcFabric,
+        key: PsSegmentKey,
+        peers: &[Arc<PageStoreServer>],
+    ) -> usize {
+        self.gossip_fill_until(ctx, rpc, key, peers, 0)
+    }
+
+    /// [`gossip_fill`](Self::gossip_fill), additionally pulling the *tail*
+    /// of the stream until `need` is covered. Back-links only reveal holes
+    /// once a later record arrives; a replica that missed the end of the
+    /// stream has no gap evidence, so a reader demanding `need` passes it
+    /// here as the target to chase.
+    pub fn gossip_fill_until(
+        &self,
+        ctx: &mut SimCtx,
+        rpc: &RpcFabric,
+        key: PsSegmentKey,
+        peers: &[Arc<PageStoreServer>],
+        need: Lsn,
+    ) -> usize {
+        let mut recovered = 0;
+        loop {
+            let (last, has_gap) = {
+                let segs = self.segs.lock();
+                match segs.get(&key) {
+                    Some(seg) => (seg.last_lsn, !seg.out_of_order.is_empty()),
+                    None => (0, false),
+                }
+            };
+            if !has_gap && last >= need {
+                break;
+            }
+            let mut progressed = false;
+            for peer in peers {
+                if peer.node() == self.node {
+                    continue;
+                }
+                let got = rpc.call(ctx, peer.node(), peer.res(), 64, 4096, |_c| {
+                    peer.handle_get_records(key, last, 64)
+                });
+                if let Ok(records) = got {
+                    if !records.is_empty() {
+                        let before = self.segs.lock().get(&key).map(|s| s.last_lsn).unwrap_or(0);
+                        self.handle_ship(ctx, key, &records);
+                        let after = self.segs.lock().get(&key).map(|s| s.last_lsn).unwrap_or(0);
+                        if after > before {
+                            recovered += 1;
+                            progressed = true;
+                            break;
+                        }
+                    }
+                }
+            }
+            if !progressed {
+                // Record pulls cannot help — either the gap predates the
+                // peers' truncation horizon or the records are truly
+                // lost. A peer's checkpoint can still leap this replica
+                // over the hole wholesale.
+                for peer in peers {
+                    if peer.node() == self.node {
+                        continue;
+                    }
+                    let meta = rpc.call(ctx, peer.node(), peer.res(), 32, 32, |_c| {
+                        peer.handle_checkpoint_meta(key)
+                    });
+                    let Ok(Some((ck_lsn, n_pages))) = meta else {
+                        continue;
+                    };
+                    if ck_lsn <= last {
+                        continue;
+                    }
+                    let resp_bytes = n_pages.max(1) * PAGE_SIZE;
+                    let got = rpc.call(ctx, peer.node(), peer.res(), 64, resp_bytes, |_c| {
+                        peer.handle_get_checkpoint(key, last)
+                    });
+                    if let Ok(Some((lsn, pages))) = got {
+                        if self.install_checkpoint(key, lsn, pages) {
+                            recovered += 1;
+                            progressed = true;
+                            break;
+                        }
+                    }
+                }
+            }
+            if !progressed {
+                break; // peers cannot help (records truly lost)
+            }
+        }
+        self.stats.gossip_recoveries.add(recovered as u64);
+        recovered
+    }
+
+    /// Apply all in-order records (the "constantly replays" background
+    /// work, charged to this node's CPU — through the worker pool — and
+    /// SSD).
+    pub fn apply_pending(&self, ctx: &mut SimCtx, key: PsSegmentKey) -> Result<()> {
+        let to_apply: Vec<RedoRecord> = {
+            let mut segs = self.segs.lock();
+            match segs.get_mut(&key) {
+                Some(seg) => std::mem::take(&mut seg.queue),
+                None => return Ok(()),
+            }
+        };
+        if to_apply.is_empty() {
+            return Ok(());
+        }
+        // Span opens only when there is work: an idle replay poll is free.
+        let sp = self.stats.trace.span(ctx, "pagestore", "apply");
+        self.apply_batch(ctx, key, to_apply, false)?;
+        sp.finish(ctx);
+        Ok(())
+    }
+
+    /// Apply a drained batch through the worker pool. Records partition by
+    /// page id ([`RedoRecord::apply_partition`]) so a page's records stay
+    /// on one worker in LSN order while distinct pages apply concurrently;
+    /// page mutation itself happens under the segment lock in worker-index
+    /// order, so the resulting images are identical to a serial apply.
+    /// With `recovery` set, applied records count as
+    /// `restore_replayed_records` instead of `records_applied`.
+    pub(super) fn apply_batch(
+        &self,
+        ctx: &mut SimCtx,
+        key: PsSegmentKey,
+        to_apply: Vec<RedoRecord>,
+        recovery: bool,
+    ) -> Result<usize> {
+        let nparts = self.pool.workers();
+        let mut parts: Vec<Vec<RedoRecord>> = vec![Vec::new(); nparts];
+        for rec in to_apply {
+            let p = rec.apply_partition(nparts);
+            parts[p].push(rec);
+        }
+        let demands: Vec<VTime> = parts
+            .iter()
+            .map(|p| VTime::from_nanos(p.len() as u64 * 600))
+            .collect();
+        self.pool.dispatch(ctx, &demands);
+        let mut touched = 0usize;
+        let mut first_err: Option<PageStoreError> = None;
+        {
+            let mut segs = self.segs.lock();
+            // vedb-lint: allow(no-panic-in-runtime, "apply_batch only runs for keys handle_ship inserted under this same lock")
+            let seg = segs.get_mut(&key).expect("created by ship");
+            let mut applied_max: Lsn = 0;
+            let mut stuck_min: Option<Lsn> = None;
+            let mut requeue: Vec<RedoRecord> = Vec::new();
+            for part in &parts {
+                for (i, rec) in part.iter().enumerate() {
+                    if !seg.pages.contains_key(&rec.page.page_no) {
+                        self.stats.page_materializations.inc();
+                    }
+                    let page = seg.pages.entry(rec.page.page_no).or_default();
+                    match rec.apply(page) {
+                        Ok(()) => {
+                            applied_max = applied_max.max(rec.lsn);
+                            touched += 1;
+                        }
+                        Err(e) => {
+                            // Keep this worker's unapplied tail; other
+                            // workers' pages are independent and keep
+                            // applying. Dropping the tail would freeze
+                            // `applied_lsn` below these records forever
+                            // (permanent `NotYetApplied` on later reads).
+                            stuck_min = Some(stuck_min.map_or(rec.lsn, |s: Lsn| s.min(rec.lsn)));
+                            if first_err.is_none() {
+                                first_err = Some(e);
+                            }
+                            requeue.extend_from_slice(&part[i..]);
+                            break;
+                        }
+                    }
+                }
+            }
+            // The apply watermark promises "everything at or below is
+            // applied": with a stuck record at LSN s, records beyond s on
+            // *other* workers may be applied but cannot be advertised.
+            let watermark = match stuck_min {
+                None => applied_max,
+                Some(s) => applied_max.min(s.saturating_sub(1)),
+            };
+            seg.applied_lsn = seg.applied_lsn.max(watermark);
+            if !requeue.is_empty() {
+                requeue.sort_by_key(|r| r.lsn);
+                requeue.extend(std::mem::take(&mut seg.queue));
+                seg.queue = requeue;
+            }
+        }
+        if recovery {
+            self.stats.restore_replayed.add(touched as u64);
+        } else {
+            self.stats.records_applied.add(touched as u64);
+        }
+        self.stats.queued.sub(touched as i64);
+        self.stats.apply_lag.sub(touched as i64);
+        if touched > 0 {
+            if let Some(ssd) = &self.res.ssd {
+                let batches = touched.div_ceil(16).max(1);
+                let done =
+                    ssd.acquire(ctx.now(), self.model.ssd_write_svc(batches * PAGE_SIZE) / 4);
+                ctx.wait_until(done);
+            }
+        }
+        self.stats
+            .apply_lag_tl
+            .record(ctx.now(), self.stats.apply_lag.get());
+        match first_err {
+            None => Ok(touched),
+            Some(e) => Err(e),
+        }
+    }
+
+    /// Durable watermark of one segment (the log-truncation RPC handler):
+    /// every record at or below it is held in this replica's durable redo
+    /// log or captured by its checkpoint.
+    pub fn segment_watermark(&self, key: PsSegmentKey) -> Lsn {
+        self.segs.lock().get(&key).map(|s| s.last_lsn).unwrap_or(0)
+    }
+
+    /// Records currently retained for gossip (tests / monitoring).
+    pub fn retained_count(&self, key: PsSegmentKey) -> usize {
+        self.segs
+            .lock()
+            .get(&key)
+            .map(|s| s.retained.len())
+            .unwrap_or(0)
+    }
+
+    /// LSN replay has reached for `key`.
+    pub fn applied_lsn(&self, key: PsSegmentKey) -> Lsn {
+        self.segs
+            .lock()
+            .get(&key)
+            .map(|s| s.applied_lsn)
+            .unwrap_or(0)
+    }
+
+    /// Handler: read the latest image of `page`, replaying (and gossiping
+    /// via `peers` if records are missing) until `min_lsn` is covered.
+    pub fn handle_read_page(
+        &self,
+        ctx: &mut SimCtx,
+        rpc: &RpcFabric,
+        key: PsSegmentKey,
+        page: PageId,
+        min_lsn: Lsn,
+        peers: &[Arc<PageStoreServer>],
+    ) -> Result<Vec<u8>> {
+        let t0 = ctx.now();
+        // Error paths drop the guard → the span records as abandoned.
+        let sp = self.stats.trace.span(ctx, "pagestore", "read_page");
+        self.apply_pending(ctx, key)?;
+        if self.applied_lsn(key) < min_lsn {
+            self.gossip_fill_until(ctx, rpc, key, peers, min_lsn);
+            self.apply_pending(ctx, key)?;
+        }
+        let applied = self.applied_lsn(key);
+        if applied < min_lsn {
+            return Err(PageStoreError::NotYetApplied {
+                need: min_lsn,
+                applied,
+            });
+        }
+        // Charge the 16KB media read.
+        if let Some(ssd) = &self.res.ssd {
+            let done = ssd.acquire(ctx.now(), self.model.ssd_read_svc(PAGE_SIZE));
+            ctx.wait_until(done);
+        }
+        let segs = self.segs.lock();
+        let seg = segs.get(&key).ok_or(PageStoreError::UnknownPage(page))?;
+        let p = seg
+            .pages
+            .get(&page.page_no)
+            .ok_or(PageStoreError::UnknownPage(page))?;
+        self.stats.page_reads.inc();
+        self.stats.read_lat.record(ctx.now() - t0);
+        let bytes = p.as_bytes().to_vec();
+        drop(segs);
+        sp.finish(ctx);
+        Ok(bytes)
+    }
+
+    /// Local (no-RPC) page access for push-down execution on this server;
+    /// charges the SSD read but no network. Replays pending records first.
+    pub fn local_page(
+        &self,
+        ctx: &mut SimCtx,
+        cfg: &PageStoreConfig,
+        page: PageId,
+        min_lsn: Lsn,
+    ) -> Result<Page> {
+        let key = cfg.segment_of(page);
+        self.apply_pending(ctx, key)?;
+        let applied = self.applied_lsn(key);
+        if applied < min_lsn {
+            return Err(PageStoreError::NotYetApplied {
+                need: min_lsn,
+                applied,
+            });
+        }
+        if let Some(ssd) = &self.res.ssd {
+            let done = ssd.acquire(ctx.now(), self.model.ssd_read_svc(PAGE_SIZE));
+            ctx.wait_until(done);
+        }
+        let segs = self.segs.lock();
+        let seg = segs.get(&key).ok_or(PageStoreError::UnknownPage(page))?;
+        seg.pages
+            .get(&page.page_no)
+            .cloned()
+            .ok_or(PageStoreError::UnknownPage(page))
+    }
+
+    /// Number of distinct pages materialized for a segment (tests).
+    pub fn page_count(&self, key: PsSegmentKey) -> usize {
+        self.segs
+            .lock()
+            .get(&key)
+            .map(|s| s.pages.len())
+            .unwrap_or(0)
+    }
+
+    /// Records parked out-of-order for a segment (tests / monitoring).
+    pub fn gap_count(&self, key: PsSegmentKey) -> usize {
+        self.segs
+            .lock()
+            .get(&key)
+            .map(|s| s.out_of_order.len())
+            .unwrap_or(0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use vedb_astore::PageId;
+    use vedb_rdma::RpcFabric;
+    use vedb_sim::SimCtx;
+
+    use super::super::testutil::{make_records, setup};
+    use crate::redo::{PageOp, RedoRecord};
+    use crate::PageStoreError;
+
+    #[test]
+    fn backlink_gap_detected_and_gossip_fills() {
+        let (env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let page = PageId::new(1, 11);
+        let key = ps.cfg().segment_of(page);
+        let replicas = ps.replicas_of(key);
+
+        // First batch reaches everyone.
+        let batch1 = make_records(page, 100, 2);
+        ps.ship(&mut ctx, &batch1).unwrap();
+        // Second batch misses replica 0 (it is down).
+        env.faults.crash(replicas[0].node());
+        let batch2 = vec![RedoRecord {
+            lsn: 500,
+            prev_same_segment: 0, // facade fills it in
+            txn_id: 2,
+            page,
+            op: PageOp::InsertAt {
+                slot: 2,
+                cell: b"late".to_vec(),
+            },
+        }];
+        ps.ship(&mut ctx, &batch2).unwrap();
+        env.faults.restore(replicas[0].node());
+        // Third batch reaches everyone — replica 0 sees a back-link gap.
+        let batch3 = vec![RedoRecord {
+            lsn: 600,
+            prev_same_segment: 0,
+            txn_id: 2,
+            page,
+            op: PageOp::InsertAt {
+                slot: 3,
+                cell: b"even-later".to_vec(),
+            },
+        }];
+        ps.ship(&mut ctx, &batch3).unwrap();
+        assert_eq!(
+            replicas[0].gap_count(key),
+            1,
+            "replica 0 must park the gapped record"
+        );
+
+        // Gossip heals it.
+        let peers: Vec<_> = replicas[1..].to_vec();
+        let rpc = RpcFabric::new(env.model.clone(), Arc::clone(&env.faults));
+        replicas[0].gossip_fill(&mut ctx, &rpc, key, &peers);
+        assert_eq!(replicas[0].gap_count(key), 0);
+        replicas[0].apply_pending(&mut ctx, key).unwrap();
+        assert_eq!(replicas[0].applied_lsn(key), 600);
+    }
+
+    #[test]
+    fn read_requires_min_lsn() {
+        let (_env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let page = PageId::new(1, 13);
+        let recs = make_records(page, 100, 1);
+        ps.ship(&mut ctx, &recs).unwrap();
+        // Asking for a future LSN fails cleanly.
+        assert!(matches!(
+            ps.read_page(&mut ctx, page, 10_000),
+            Err(PageStoreError::NotYetApplied { .. })
+        ));
+    }
+
+    #[test]
+    fn unknown_page_reported() {
+        let (_env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        assert!(matches!(
+            ps.read_page(&mut ctx, PageId::new(9, 9), 0),
+            Err(PageStoreError::UnknownPage(_))
+        ));
+    }
+}
