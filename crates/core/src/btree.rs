@@ -249,7 +249,7 @@ impl BTree {
                     self.pid(leaf_no),
                     PageOp::InsertAt {
                         slot: slot as u16,
-                        cell: cell.clone(),
+                        cell,
                     },
                     undo,
                     &mut page,
@@ -329,14 +329,14 @@ impl BTree {
         let sep_key = parse_leaf_cell(&moved[0]).0.to_vec();
         {
             let mut np = new_frame.page.write();
-            for (i, cell) in moved.iter().enumerate() {
+            for (i, cell) in moved.into_iter().enumerate() {
                 access.log_and_apply(
                     ctx,
                     txn,
                     new_pid,
                     PageOp::InsertAt {
                         slot: i as u16,
-                        cell: cell.clone(),
+                        cell,
                     },
                     None,
                     &mut np,

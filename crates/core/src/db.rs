@@ -1065,13 +1065,8 @@ impl Db {
             }
             let mut records = std::mem::take(&mut *buf);
             records.sort_by_key(|r| r.lsn);
-            let keep: Vec<RedoRecord> = records
-                .iter()
-                .filter(|r| r.lsn >= durable)
-                .cloned()
-                .collect();
-            records.retain(|r| r.lsn < durable);
-            *buf = keep;
+            // The not-yet-durable tail stays buffered.
+            *buf = records.split_off(records.partition_point(|r| r.lsn < durable));
             records
         };
         if records.is_empty() {
@@ -1263,7 +1258,7 @@ impl TreeAccess for Db {
             let mut attempt = 0u32;
             loop {
                 match self.pagestore.read_page(ctx, pid, min_lsn) {
-                    Ok(bytes) => return Ok(Page::from_bytes(&bytes)?),
+                    Ok(bytes) => return Ok(Page::from_vec(bytes)?),
                     Err(PageStoreError::UnknownPage(_)) if min_lsn == 0 => {
                         // Freshly allocated page: starts blank.
                         return Ok(Page::new());

@@ -447,7 +447,7 @@ impl Ebp {
             return None;
         };
         match self.client.read(ctx, e.seg, e.offset, e.len as usize) {
-            Ok(bytes) => match Page::from_bytes(&bytes) {
+            Ok(bytes) => match Page::from_vec(bytes) {
                 Ok(p) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     self.stats.hits.inc();
@@ -513,7 +513,11 @@ impl Ebp {
     }
 
     fn compact_locked(&self, ctx: &mut SimCtx) -> Result<usize> {
-        let candidates: Vec<(SegmentId, SegmentHandle)> = {
+        // `segs.info` and `shard.entries` are `RandomState` maps: the order
+        // segments are released in and pages are re-admitted in reaches the
+        // AStore (appends, deletes, evictions), so both are sorted — the
+        // same seed must do the same work.
+        let mut candidates: Vec<(SegmentId, SegmentHandle)> = {
             let segs = self.segs.lock();
             segs.info
                 .iter()
@@ -526,11 +530,12 @@ impl Ebp {
                 .map(|(id, info)| (*id, info.handle))
                 .collect()
         };
+        candidates.sort_unstable_by_key(|(id, _)| *id);
         let mut processed = 0;
         for (seg_id, handle) in candidates {
             if self.cfg.compaction {
                 // Move live records into the active segment.
-                let live: Vec<(PageId, Entry)> = self
+                let mut live: Vec<(PageId, Entry)> = self
                     .shards
                     .iter()
                     .flat_map(|s| {
@@ -542,6 +547,7 @@ impl Ebp {
                             .collect::<Vec<_>>()
                     })
                     .collect();
+                live.sort_unstable_by_key(|(pid, _)| *pid);
                 for (pid, e) in live {
                     if let Ok(bytes) = self.client.read(ctx, e.seg, e.offset, e.len as usize) {
                         if let Ok(page) = Page::from_bytes(&bytes) {
@@ -914,6 +920,43 @@ mod tests {
             n_segs <= 3,
             "compaction should bound segments, have {n_segs}"
         );
+    }
+
+    /// ROADMAP item 2(a): compaction walked `RandomState` maps, so no two
+    /// runs re-admitted pages or released segments in the same order.
+    #[test]
+    fn compaction_does_the_same_work_for_the_same_seed() {
+        type Counters = std::collections::BTreeMap<String, u64>;
+        fn run() -> (Counters, Counters, VTime) {
+            let mut ctx = SimCtx::new(1, 7);
+            let (env, client) = harness(&mut ctx, 256); // ~15 pages per segment
+            let cfg = EbpConfig {
+                capacity_bytes: 40 * 16 * 1024,
+                shards: 4,
+                compaction: true,
+                compaction_garbage_ratio: 0.4,
+                ..Default::default()
+            };
+            let ebp = Ebp::new(Arc::clone(&client), cfg);
+            // Scattered overwrites over more pages than fit: a frozen
+            // segment crosses the garbage ratio with several live pages
+            // left, and the order they are re-admitted in decides which
+            // pages later share a segment and which the LRU evicts.
+            let mut x = 7u32;
+            for v in 0..600u64 {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let pid = PageId::new(1 + (x >> 8) % 3, (x >> 16) % 20);
+                ebp.write_page(&mut ctx, pid, &page_with(v as u8), 100 + v)
+                    .unwrap();
+            }
+            assert!(ebp.stats.compactions.get() > 5, "compaction must run");
+            (
+                client.metrics().counter_values(),
+                env.metrics.counter_values(),
+                ctx.now(),
+            )
+        }
+        assert_eq!(run(), run());
     }
 
     #[test]

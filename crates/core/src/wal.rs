@@ -151,20 +151,23 @@ fn decode_undo(buf: &[u8]) -> Result<(UndoInfo, usize)> {
     ))
 }
 
+/// Encode a [`WalRecord::Page`] body from its borrowed halves.
+fn encode_page_record(redo: &RedoRecord, undo: Option<&UndoInfo>, out: &mut Vec<u8>) {
+    out.push(0);
+    match undo {
+        Some(u) => {
+            out.push(1);
+            encode_undo(u, out);
+        }
+        None => out.push(0),
+    }
+    encode_record(redo, out);
+}
+
 /// Encode a record body (without framing).
 pub fn encode_wal_record(rec: &WalRecord, out: &mut Vec<u8>) {
     match rec {
-        WalRecord::Page { redo, undo } => {
-            out.push(0);
-            match undo {
-                Some(u) => {
-                    out.push(1);
-                    encode_undo(u, out);
-                }
-                None => out.push(0),
-            }
-            encode_record(redo, out);
-        }
+        WalRecord::Page { redo, undo } => encode_page_record(redo, undo.as_ref(), out),
         WalRecord::Commit { txn_id } => {
             out.push(1);
             out.extend_from_slice(&txn_id.to_le_bytes());
@@ -587,13 +590,7 @@ impl Wal {
         let mut state = self.state.lock();
         redo.lsn = state.next_lsn;
         let mut body = Vec::with_capacity(128);
-        encode_wal_record(
-            &WalRecord::Page {
-                redo: redo.clone(),
-                undo,
-            },
-            &mut body,
-        );
+        encode_page_record(&redo, undo.as_ref(), &mut body);
         let lsn = Self::buffer_frame_locked(&mut state, &body);
         let backlog = state.buf.len() as i64;
         drop(state);

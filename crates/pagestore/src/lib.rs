@@ -26,6 +26,10 @@
 //! hot pages ahead of reads, snapshots each segment's images durably, and
 //! truncates replayed redo below the previous checkpoint; gossip peers
 //! that fell behind the truncation horizon install the snapshot itself.
+//! Page images are `Arc<Page>` shared by the live map, the checkpoint and
+//! readers and copied only when replay touches a shared one, so a
+//! checkpoint costs memory in proportion to the pages dirtied since it was
+//! taken; shipped records are `Arc<RedoRecord>` shared by every replica.
 //!
 //! Recovery is first-class: [`PageStoreServer::restart`] rebuilds a
 //! crashed node from checkpoint + log replay (volatile page images, apply

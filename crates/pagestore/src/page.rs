@@ -99,8 +99,15 @@ impl Page {
         self.put_u16(OFF_DATA_TAIL, PAGE_SIZE as u16);
     }
 
-    /// Wrap raw bytes (must be exactly [`PAGE_SIZE`]).
+    /// Copy raw bytes (must be exactly [`PAGE_SIZE`]) into a page.
     pub fn from_bytes(bytes: &[u8]) -> Result<Page> {
+        Self::from_vec(bytes.to_vec())
+    }
+
+    /// Take ownership of a raw image (must be exactly [`PAGE_SIZE`]) — the
+    /// no-copy form of [`from_bytes`](Self::from_bytes) for a caller that
+    /// already owns the buffer (a read reply).
+    pub fn from_vec(bytes: Vec<u8>) -> Result<Page> {
         if bytes.len() != PAGE_SIZE {
             return Err(PageStoreError::BadPageImage {
                 expected: PAGE_SIZE,
@@ -108,7 +115,7 @@ impl Page {
             });
         }
         Ok(Page {
-            buf: bytes.to_vec().into_boxed_slice(),
+            buf: bytes.into_boxed_slice(),
         })
     }
 

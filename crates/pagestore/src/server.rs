@@ -22,6 +22,7 @@ mod checkpoint;
 mod fleet;
 mod replica;
 
+pub use checkpoint::PageImages;
 pub use fleet::PageStore;
 pub use replica::PageStoreServer;
 

@@ -1,7 +1,8 @@
 //! Checkpoint, checkpoint install, crash-restart and point-in-time restore
 //! of a replica's segments.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use vedb_astore::Lsn;
 use vedb_sim::SimCtx;
@@ -12,12 +13,20 @@ use crate::page::{Page, PAGE_SIZE};
 use crate::redo::RedoRecord;
 use crate::{PageStoreError, Result};
 
+/// A snapshot's page images by page number, as served to and installed from
+/// a gossip peer — pointers to the donor's images, not copies.
+pub type PageImages = Vec<(u32, Arc<Page>)>;
+
 /// A durable segment snapshot: every page image as of `lsn`. Restores and
 /// behind-the-horizon gossip peers start from here instead of LSN 0.
-#[derive(Clone)]
+///
+/// The images are shared with the live map, not copied: taking a snapshot
+/// clones one pointer per page, and a page costs the checkpoint memory of
+/// its own only once replay has moved the live image on (see
+/// [`ReplicaSeg`](super::replica::ReplicaSeg)).
 pub(super) struct SegCheckpoint {
     pub(super) lsn: Lsn,
-    pub(super) pages: BTreeMap<u32, Page>,
+    pub(super) pages: BTreeMap<u32, Arc<Page>>,
 }
 
 impl PageStoreServer {
@@ -39,8 +48,8 @@ impl PageStoreServer {
             if seg.applied_lsn == 0 || seg.applied_lsn <= prev_lsn {
                 None
             } else {
-                let pages: BTreeMap<u32, Page> =
-                    seg.pages.iter().map(|(k, v)| (*k, v.clone())).collect();
+                let pages: BTreeMap<u32, Arc<Page>> =
+                    seg.pages.iter().map(|(k, v)| (*k, Arc::clone(v))).collect();
                 let n_pages = pages.len();
                 seg.checkpoint = Some(SegCheckpoint {
                     lsn: seg.applied_lsn,
@@ -93,7 +102,7 @@ impl PageStoreServer {
         &self,
         key: PsSegmentKey,
         after: Lsn,
-    ) -> Option<(Lsn, Vec<(u32, Page)>)> {
+    ) -> Option<(Lsn, PageImages)> {
         let segs = self.segs.lock();
         let ckpt = segs.get(&key)?.checkpoint.as_ref()?;
         if ckpt.lsn <= after {
@@ -101,7 +110,10 @@ impl PageStoreServer {
         }
         Some((
             ckpt.lsn,
-            ckpt.pages.iter().map(|(k, v)| (*k, v.clone())).collect(),
+            ckpt.pages
+                .iter()
+                .map(|(k, v)| (*k, Arc::clone(v)))
+                .collect(),
         ))
     }
 
@@ -111,7 +123,7 @@ impl PageStoreServer {
     /// here — counted as `records_superseded`). Parked records just beyond
     /// the snapshot chain back on. Returns `false` when the snapshot is
     /// not newer than the local stream tail.
-    pub fn install_checkpoint(&self, key: PsSegmentKey, lsn: Lsn, pages: Vec<(u32, Page)>) -> bool {
+    pub fn install_checkpoint(&self, key: PsSegmentKey, lsn: Lsn, pages: PageImages) -> bool {
         let mut segs = self.segs.lock();
         let seg = segs.entry(key).or_default();
         if lsn <= seg.last_lsn {
@@ -122,10 +134,11 @@ impl PageStoreServer {
         seg.queue.clear();
         self.stats.queued.sub(stale_q as i64);
         self.stats.apply_lag.sub(stale_q as i64);
-        seg.pages = pages.into_iter().collect();
+        // Live map and checkpoint (and the serving peer) share every image.
+        seg.pages = pages.iter().cloned().collect();
         seg.checkpoint = Some(SegCheckpoint {
             lsn,
-            pages: seg.pages.iter().map(|(k, v)| (*k, v.clone())).collect(),
+            pages: pages.into_iter().collect(),
         });
         seg.applied_lsn = lsn;
         seg.last_lsn = lsn;
@@ -200,7 +213,7 @@ impl PageStoreServer {
             // broken chain (e.g. redo truncated below the restore point)
             // fails the restore and leaves the segment untouched.
             let mut prev = base_lsn;
-            let mut replay: Vec<RedoRecord> = Vec::new();
+            let mut replay: Vec<Arc<RedoRecord>> = Vec::new();
             for (l, r) in seg.retained.range(base_lsn + 1..) {
                 if *l > target {
                     break;
@@ -213,7 +226,7 @@ impl PageStoreServer {
                         applied: prev,
                     });
                 }
-                replay.push(r.clone());
+                replay.push(Arc::clone(r));
                 prev = *l;
             }
             // The walk stopping at `target` proves nothing by itself: if
@@ -259,17 +272,19 @@ impl PageStoreServer {
             seg.queue.clear();
             self.stats.queued.sub(stale_q as i64);
             self.stats.apply_lag.sub(stale_q as i64);
-            let base = seg.checkpoint.clone();
-            let n_base = base.as_ref().map(|c| c.pages.len()).unwrap_or(0);
-            seg.pages = base
-                .map(|c| c.pages.into_iter().collect())
-                .unwrap_or_default();
+            // The base install shares the checkpoint's images; replay
+            // copies the ones it touches.
+            seg.pages = match &seg.checkpoint {
+                Some(c) => c.pages.iter().map(|(k, v)| (*k, Arc::clone(v))).collect(),
+                None => HashMap::new(),
+            };
             seg.applied_lsn = base_lsn;
             seg.last_lsn = replay.last().map(|r| r.lsn).unwrap_or(base_lsn);
-            self.stats.queued.add(replay.len() as i64);
-            self.stats.apply_lag.add(replay.len() as i64);
-            seg.queue = replay.clone();
-            (n_base, replay.len())
+            let n_replay = replay.len();
+            self.stats.queued.add(n_replay as i64);
+            self.stats.apply_lag.add(n_replay as i64);
+            seg.queue = replay;
+            (seg.pages.len(), n_replay)
         };
         if base_pages > 0 {
             if let Some(ssd) = &self.res.ssd {
@@ -281,7 +296,7 @@ impl PageStoreServer {
                 ctx.wait_until(done);
             }
         }
-        let to_apply: Vec<RedoRecord> = {
+        let to_apply: Vec<Arc<RedoRecord>> = {
             let mut segs = self.segs.lock();
             match segs.get_mut(&key) {
                 Some(seg) => std::mem::take(&mut seg.queue),
@@ -313,7 +328,7 @@ mod tests {
     use vedb_sim::SimCtx;
 
     use super::super::testutil::{make_records, more_inserts, setup, setup_with};
-    use super::super::ApplyConfig;
+    use super::super::{ApplyConfig, PageStoreServer, PsSegmentKey};
     use crate::page::Page;
     use crate::PageStoreError;
 
@@ -447,5 +462,116 @@ mod tests {
             .local_page(&mut ctx, ps.cfg(), page, 700)
             .unwrap();
         assert_eq!(p.n_slots(), 15);
+    }
+
+    /// Which pages the live map and the checkpoint share (same allocation).
+    fn shared_with_checkpoint(server: &PageStoreServer, key: PsSegmentKey) -> Vec<(u32, bool)> {
+        let segs = server.segs.lock();
+        let seg = &segs[&key];
+        let ckpt = seg.checkpoint.as_ref().expect("checkpoint taken");
+        assert_eq!(ckpt.pages.len(), seg.pages.len());
+        ckpt.pages
+            .iter()
+            .map(|(no, img)| (*no, Arc::ptr_eq(img, &seg.pages[no])))
+            .collect()
+    }
+
+    #[test]
+    fn checkpoint_is_copy_on_write() {
+        let (_env, ps) = setup_with(ApplyConfig {
+            workers: 4,
+            checkpoint_every_records: 0, // checkpoints taken by hand below
+        });
+        let mut ctx = SimCtx::new(1, 7);
+        let (hot, cold) = (PageId::new(1, 40), PageId::new(1, 41));
+        let key = ps.cfg().segment_of(hot);
+        assert_eq!(key, ps.cfg().segment_of(cold));
+        ps.ship(&mut ctx, &make_records(hot, 100, 3)).unwrap();
+        ps.ship(&mut ctx, &make_records(cold, 200, 3)).unwrap();
+        let at = 230; // checkpoint LSN: the tail of the second ship
+        let server = &ps.replicas_of(key)[0];
+        server.checkpoint_segment(&mut ctx, key).unwrap();
+        assert_eq!(server.checkpoint_lsn(key), at);
+        let images_at = |s: &PageStoreServer| -> Vec<(u32, Vec<u8>)> {
+            let (lsn, pages) = s.handle_get_checkpoint(key, 0).expect("checkpoint served");
+            assert_eq!(lsn, at);
+            pages
+                .iter()
+                .map(|(no, p)| (*no, p.as_bytes().to_vec()))
+                .collect()
+        };
+        let snapshot = images_at(server);
+        assert_eq!(
+            shared_with_checkpoint(server, key),
+            vec![(40, true), (41, true)],
+            "a fresh checkpoint copies no page image"
+        );
+
+        // Replay moves the hot page on; the checkpoint must not move.
+        ps.ship(&mut ctx, &more_inserts(hot, 300, 4, 3)).unwrap();
+        server.apply_pending(&mut ctx, key).unwrap();
+        assert_eq!(
+            shared_with_checkpoint(server, key),
+            vec![(40, false), (41, true)],
+            "only the touched page gets an image of its own"
+        );
+        assert_eq!(
+            server
+                .local_page(&mut ctx, ps.cfg(), hot, 330)
+                .unwrap()
+                .n_slots(),
+            7
+        );
+        assert_eq!(
+            images_at(server),
+            snapshot,
+            "served checkpoint is still as of {at}"
+        );
+
+        // PITR to the checkpoint LSN lands on exactly those images.
+        server.restore_to_lsn(&mut ctx, at).unwrap();
+        assert_eq!(server.applied_lsn(key), at);
+        for (no, bytes) in &snapshot {
+            let live = server
+                .local_page(&mut ctx, ps.cfg(), PageId::new(1, *no), at)
+                .unwrap();
+            assert_eq!(live.as_bytes(), &bytes[..], "page {no} restored to {at}");
+        }
+    }
+
+    #[test]
+    fn installed_checkpoint_shares_every_page() {
+        let (env, ps) = setup_with(ApplyConfig {
+            workers: 4,
+            checkpoint_every_records: 0,
+        });
+        let mut ctx = SimCtx::new(1, 7);
+        let pages = [PageId::new(1, 50), PageId::new(1, 51), PageId::new(1, 52)];
+        let key = ps.cfg().segment_of(pages[0]);
+        for (i, page) in pages.iter().enumerate() {
+            ps.ship(&mut ctx, &make_records(*page, 100 * (i as u64 + 1), 2))
+                .unwrap();
+        }
+        let donor = &ps.replicas_of(key)[0];
+        donor.checkpoint_segment(&mut ctx, key).unwrap();
+        let (lsn, images) = donor.handle_get_checkpoint(key, 0).unwrap();
+
+        let fresh = PageStoreServer::with_apply(
+            999,
+            Arc::clone(&env.storage_nodes[0]),
+            env.model.clone(),
+            ApplyConfig::default(),
+        );
+        assert!(fresh.install_checkpoint(key, lsn, images));
+        assert_eq!(fresh.applied_lsn(key), lsn);
+        assert_eq!(
+            shared_with_checkpoint(&fresh, key),
+            vec![(50, true), (51, true), (52, true)]
+        );
+        for page in pages {
+            let theirs = donor.local_page(&mut ctx, ps.cfg(), page, lsn).unwrap();
+            let ours = fresh.local_page(&mut ctx, ps.cfg(), page, lsn).unwrap();
+            assert!(Arc::ptr_eq(&theirs, &ours), "install copies no image");
+        }
     }
 }

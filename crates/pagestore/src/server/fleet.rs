@@ -91,15 +91,20 @@ impl PageStore {
         // the chain, or the re-shipped records would carry a dangling
         // `prev_same_segment` and park on the replicas forever.
         let mut ship_state = self.ship_state.lock();
-        let mut groups: Vec<(PsSegmentKey, Vec<RedoRecord>)> = Vec::new();
+        let mut groups: Vec<(PsSegmentKey, Vec<Arc<RedoRecord>>)> = Vec::new();
         for rec in records {
             let key = self.cfg.segment_of(rec.page);
             let tail = match groups.iter().rev().find(|(k, _)| *k == key) {
                 Some((_, v)) => v.last().map(|r| r.lsn).unwrap_or(0),
                 None => ship_state.get(&key).copied().unwrap_or(0),
             };
-            let mut rec = rec.clone();
-            rec.prev_same_segment = tail;
+            // The one deep copy a shipped record takes: from here on the
+            // replicas' queues, retained logs and gossip replies all hold
+            // this allocation.
+            let rec = Arc::new(RedoRecord {
+                prev_same_segment: tail,
+                ..rec.clone()
+            });
             match groups.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, v)) => v.push(rec),
                 None => groups.push((key, vec![rec])),
@@ -251,11 +256,14 @@ impl PageStore {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use vedb_astore::{Lsn, PageId};
     use vedb_sim::SimCtx;
 
     use super::super::testutil::{make_records, more_inserts, setup};
     use crate::page::Page;
+    use crate::redo::RedoRecord;
     use crate::PageStoreError;
 
     #[test]
@@ -271,6 +279,36 @@ mod tests {
         assert_eq!(p.lsn(), last_lsn);
         assert_eq!(p.n_slots(), 5);
         assert_eq!(p.get(2).unwrap(), b"row-002");
+    }
+
+    #[test]
+    fn replicas_share_one_allocation_per_shipped_record() {
+        let (_env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let page = PageId::new(1, 43);
+        let key = ps.cfg().segment_of(page);
+        ps.ship(&mut ctx, &make_records(page, 100, 3)).unwrap();
+        let replicas = ps.replicas_of(key);
+        let retained = |i: usize| -> Vec<Arc<RedoRecord>> {
+            replicas[i].segs.lock()[&key]
+                .retained
+                .values()
+                .cloned()
+                .collect()
+        };
+        let first = retained(0);
+        assert_eq!(first.len(), 4);
+        for i in 1..replicas.len() {
+            for (a, b) in first.iter().zip(retained(i)) {
+                assert!(Arc::ptr_eq(a, &b), "replica {i} holds a private copy");
+            }
+        }
+        // Queue and gossip replies hand out the same allocation too.
+        let queued = replicas[0].segs.lock()[&key].queue.clone();
+        let served = replicas[1].handle_get_records(key, 0, 64);
+        for ((a, q), g) in first.iter().zip(&queued).zip(&served) {
+            assert!(Arc::ptr_eq(a, q) && Arc::ptr_eq(a, g));
+        }
     }
 
     #[test]

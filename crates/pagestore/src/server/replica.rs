@@ -28,20 +28,28 @@ use crate::{PageStoreError, Result};
 /// replica's **durable** per-segment redo log and snapshot (a quorum ack
 /// means durable append); `pages`, `applied_lsn` and `queue` are volatile
 /// and rebuilt on [`PageStoreServer::restart`].
+///
+/// Ownership: a page image is an `Arc<Page>` that the live map, the
+/// checkpoint and any reader holding it share until replay next touches the
+/// page — [`PageStoreServer::apply_batch`] mutates through `Arc::make_mut`,
+/// which copies the 16 KiB only when someone else still holds the old
+/// image. Records are `Arc<RedoRecord>`, immutable once shipped, so the
+/// queue, the retained log and every replica of the segment hold the same
+/// allocation.
 #[derive(Default)]
 pub(super) struct ReplicaSeg {
-    pub(super) pages: HashMap<u32, Page>,
+    pub(super) pages: HashMap<u32, Arc<Page>>,
     /// LSN replay has reached.
     pub(super) applied_lsn: Lsn,
     /// LSN of the last record received *in order*.
     pub(super) last_lsn: Lsn,
     /// In-order records not yet applied.
-    pub(super) queue: Vec<RedoRecord>,
+    pub(super) queue: Vec<Arc<RedoRecord>>,
     /// Records whose back-link did not match (a gap precedes them).
-    pub(super) out_of_order: BTreeMap<Lsn, RedoRecord>,
+    pub(super) out_of_order: BTreeMap<Lsn, Arc<RedoRecord>>,
     /// Everything received in order, retained for gossip peers until the
     /// checkpointer truncates below the previous checkpoint.
-    pub(super) retained: BTreeMap<Lsn, RedoRecord>,
+    pub(super) retained: BTreeMap<Lsn, Arc<RedoRecord>>,
     /// Latest durable page-image snapshot, if the checkpointer ran.
     pub(super) checkpoint: Option<SegCheckpoint>,
     /// Accepted records since the last checkpoint (trigger counter).
@@ -127,7 +135,7 @@ pub(super) fn absorb_parked(seg: &mut ReplicaSeg, stats: &PsStats, floor: Lsn) {
         stats.parked.sub(1);
         stats.queued.add(1);
         seg.last_lsn = parked.lsn;
-        seg.retained.insert(parked.lsn, parked.clone());
+        seg.retained.insert(parked.lsn, Arc::clone(&parked));
         seg.queue.push(parked);
     }
 }
@@ -194,12 +202,12 @@ impl PageStoreServer {
     /// back-link matches extend the in-order stream; the rest wait in the
     /// out-of-order buffer. Charges per-record CPU, and kicks the
     /// background checkpointer once enough new records accumulated.
-    pub fn handle_ship(&self, ctx: &mut SimCtx, key: PsSegmentKey, records: &[RedoRecord]) {
+    pub fn handle_ship(&self, ctx: &mut SimCtx, key: PsSegmentKey, records: &[Arc<RedoRecord>]) {
         let sp = self.stats.trace.span(ctx, "pagestore", "redo_accept");
-        let cpu = self
-            .res
-            .cpu
-            .acquire(ctx.now(), VTime::from_nanos(records.len() as u64 * 800));
+        let cpu = self.res.cpu.acquire(
+            ctx.now(),
+            VTime::from_nanos(records.len() as u64 * self.model.cpu_redo_accept_ns),
+        );
         ctx.wait_until(cpu);
         self.stats.ships.inc();
         let ckpt_due = {
@@ -215,10 +223,10 @@ impl PageStoreServer {
                     self.stats.apply_lag.add(1);
                     seg.accepted_since_ckpt += 1;
                     seg.last_lsn = rec.lsn;
-                    seg.retained.insert(rec.lsn, rec.clone());
-                    seg.queue.push(rec.clone());
+                    seg.retained.insert(rec.lsn, Arc::clone(rec));
+                    seg.queue.push(Arc::clone(rec));
                     absorb_parked(seg, &self.stats, 0);
-                } else if seg.out_of_order.insert(rec.lsn, rec.clone()).is_none() {
+                } else if seg.out_of_order.insert(rec.lsn, Arc::clone(rec)).is_none() {
                     // A re-delivered record already parked here (e.g. the
                     // same hole pulled from two gossip peers) must not be
                     // double-counted as accepted.
@@ -253,16 +261,16 @@ impl PageStoreServer {
         key: PsSegmentKey,
         from_lsn: Lsn,
         max: usize,
-    ) -> Vec<RedoRecord> {
+    ) -> Vec<Arc<RedoRecord>> {
         let segs = self.segs.lock();
         match segs.get(&key) {
             Some(seg) => {
-                let mut have: BTreeMap<Lsn, RedoRecord> = BTreeMap::new();
+                let mut have: BTreeMap<Lsn, Arc<RedoRecord>> = BTreeMap::new();
                 for (l, r) in seg.retained.range(from_lsn + 1..) {
-                    have.insert(*l, r.clone());
+                    have.insert(*l, Arc::clone(r));
                 }
                 for (l, r) in seg.out_of_order.range(from_lsn + 1..) {
-                    have.insert(*l, r.clone());
+                    have.insert(*l, Arc::clone(r));
                 }
                 have.into_values().take(max).collect()
             }
@@ -373,7 +381,7 @@ impl PageStoreServer {
     /// work, charged to this node's CPU — through the worker pool — and
     /// SSD).
     pub fn apply_pending(&self, ctx: &mut SimCtx, key: PsSegmentKey) -> Result<()> {
-        let to_apply: Vec<RedoRecord> = {
+        let to_apply: Vec<Arc<RedoRecord>> = {
             let mut segs = self.segs.lock();
             match segs.get_mut(&key) {
                 Some(seg) => std::mem::take(&mut seg.queue),
@@ -401,18 +409,18 @@ impl PageStoreServer {
         &self,
         ctx: &mut SimCtx,
         key: PsSegmentKey,
-        to_apply: Vec<RedoRecord>,
+        to_apply: Vec<Arc<RedoRecord>>,
         recovery: bool,
     ) -> Result<usize> {
         let nparts = self.pool.workers();
-        let mut parts: Vec<Vec<RedoRecord>> = vec![Vec::new(); nparts];
+        let mut parts: Vec<Vec<Arc<RedoRecord>>> = vec![Vec::new(); nparts];
         for rec in to_apply {
             let p = rec.apply_partition(nparts);
             parts[p].push(rec);
         }
         let demands: Vec<VTime> = parts
             .iter()
-            .map(|p| VTime::from_nanos(p.len() as u64 * 600))
+            .map(|p| VTime::from_nanos(p.len() as u64 * self.model.cpu_redo_apply_ns))
             .collect();
         self.pool.dispatch(ctx, &demands);
         let mut touched = 0usize;
@@ -423,14 +431,16 @@ impl PageStoreServer {
             let seg = segs.get_mut(&key).expect("created by ship");
             let mut applied_max: Lsn = 0;
             let mut stuck_min: Option<Lsn> = None;
-            let mut requeue: Vec<RedoRecord> = Vec::new();
+            let mut requeue: Vec<Arc<RedoRecord>> = Vec::new();
             for part in &parts {
                 for (i, rec) in part.iter().enumerate() {
                     if !seg.pages.contains_key(&rec.page.page_no) {
                         self.stats.page_materializations.inc();
                     }
                     let page = seg.pages.entry(rec.page.page_no).or_default();
-                    match rec.apply(page) {
+                    // Copy-on-write: the image is copied here only if the
+                    // checkpoint (or a reader) still shares it.
+                    match rec.apply(Arc::make_mut(page)) {
                         Ok(()) => {
                             applied_max = applied_max.max(rec.lsn);
                             touched += 1;
@@ -553,10 +563,11 @@ impl PageStoreServer {
             .ok_or(PageStoreError::UnknownPage(page))?;
         self.stats.page_reads.inc();
         self.stats.read_lat.record(ctx.now() - t0);
-        let bytes = p.as_bytes().to_vec();
+        let p = Arc::clone(p);
         drop(segs);
         sp.finish(ctx);
-        Ok(bytes)
+        // The reply's wire image: the one copy, made outside the lock.
+        Ok(p.as_bytes().to_vec())
     }
 
     /// Local (no-RPC) page access for push-down execution on this server;
@@ -567,7 +578,7 @@ impl PageStoreServer {
         cfg: &PageStoreConfig,
         page: PageId,
         min_lsn: Lsn,
-    ) -> Result<Page> {
+    ) -> Result<Arc<Page>> {
         let key = cfg.segment_of(page);
         self.apply_pending(ctx, key)?;
         let applied = self.applied_lsn(key);

@@ -155,7 +155,7 @@ fn all_images(ctx: &mut SimCtx, ps: &PageStore, touched: &[PageId]) -> Vec<(Page
             let img = server
                 .local_page(ctx, ps.cfg(), *page, 0)
                 .unwrap_or_else(|e| panic!("replica {ri} lost page {page}: {e}"));
-            out.push((*page, ri, img));
+            out.push((*page, ri, Page::clone(&img)));
         }
     }
     out

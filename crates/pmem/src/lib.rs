@@ -24,6 +24,14 @@
 //! contents, which is what lets the higher layers (AStore recovery, EBP
 //! rebuild, SegmentRing recovery) be tested against *real* crash semantics.
 //!
+//! The device holds **one** byte image — what a read observes — plus an
+//! undo list: each write not yet in the persistence domain (places 1 and
+//! 2) keeps the bytes it overwrote. A flush with DDIO disabled drops the
+//! list (the image *is* the media now), a crash plays it back newest-first,
+//! and the durable contents of a range are that range of the image with
+//! the list played back over it. Place 3 is therefore "the image, minus
+//! the undo list", never a second copy.
+//!
 //! Timing: every access charges service time from the shared
 //! [`LatencyModel`] on the device's [`Resource`] (a small number of lanes —
 //! Optane's limited internal parallelism), so concurrency collapse emerges
@@ -77,20 +85,54 @@ enum Stage {
     Cache,
 }
 
+/// A write that has not reached the persistence domain.
 #[derive(Debug, Clone)]
 struct PendingRange {
     offset: u64,
-    data: Vec<u8>,
+    /// The bytes this write replaced (what a crash puts back).
+    overwritten: Vec<u8>,
     stage: Stage,
 }
 
 struct Inner {
-    /// Live view: what any read observes.
+    /// The one image: what any read observes.
     live: Vec<u8>,
-    /// Durable view: what survives a crash (the ADR persistence domain).
-    durable: Vec<u8>,
-    /// Ranges present in `live` but not yet in `durable`.
+    /// Writes in `live` a crash would lose, oldest first. Ranges may
+    /// overlap; undoing them newest-first restores the durable contents.
     pending: Vec<PendingRange>,
+}
+
+impl Inner {
+    /// Overwrite `live[offset..]` with `data`, remembering what was there.
+    fn write(&mut self, offset: u64, data: &[u8]) {
+        let at = offset as usize;
+        let target = &mut self.live[at..at + data.len()];
+        self.pending.push(PendingRange {
+            offset,
+            overwritten: target.to_vec(),
+            stage: Stage::InFlight,
+        });
+        target.copy_from_slice(data);
+    }
+
+    fn pending_bytes(&self) -> usize {
+        self.pending.iter().map(|p| p.overwritten.len()).sum()
+    }
+}
+
+/// Undo `pending` (oldest first) newest-first over `image`, which holds the
+/// live bytes of `[base, base + image.len())`: what is left is that range's
+/// durable contents.
+fn roll_back(pending: &[PendingRange], base: usize, image: &mut [u8]) {
+    let end = base + image.len();
+    for p in pending.iter().rev() {
+        let start = p.offset as usize;
+        let lo = start.max(base);
+        let hi = (start + p.overwritten.len()).min(end);
+        if lo < hi {
+            image[lo - base..hi - base].copy_from_slice(&p.overwritten[lo - start..hi - start]);
+        }
+    }
 }
 
 /// Cached handles into the deployment's [`MetricsRegistry`] (component
@@ -179,7 +221,6 @@ impl PmemDevice {
             ddio_enabled,
             inner: RwLock::new(Inner {
                 live: vec![0; capacity],
-                durable: vec![0; capacity],
                 pending: Vec::new(),
             }),
             resource,
@@ -230,13 +271,7 @@ impl PmemDevice {
         let done = self
             .resource
             .acquire(now, self.model.pmem_write_svc(data.len()));
-        let mut inner = self.inner.write();
-        inner.live[offset as usize..offset as usize + data.len()].copy_from_slice(data);
-        inner.pending.push(PendingRange {
-            offset,
-            data: data.to_vec(),
-            stage: Stage::InFlight,
-        });
+        self.inner.write().write(offset, data);
         self.stats.writes.inc();
         self.stats.bytes_written.add(data.len() as u64);
         self.stats.unpersisted_bytes.add(data.len() as i64);
@@ -272,12 +307,10 @@ impl PmemDevice {
                 }
             }
         } else {
-            let pending = std::mem::take(&mut inner.pending);
-            let persisted: usize = pending.iter().map(|p| p.data.len()).sum();
-            for p in pending {
-                let start = p.offset as usize;
-                inner.durable[start..start + p.data.len()].copy_from_slice(&p.data);
-            }
+            // The image already holds the bytes; persisting them is
+            // forgetting how to undo them.
+            let persisted = inner.pending_bytes();
+            inner.pending.clear();
             self.stats.bytes_persisted.add(persisted as u64);
             self.stats.unpersisted_bytes.sub(persisted as i64);
         }
@@ -297,13 +330,7 @@ impl PmemDevice {
         let at = offset as usize;
         let cur = u64::from_le_bytes(inner.live[at..at + 8].try_into().unwrap());
         if cur == expected {
-            let bytes = new.to_le_bytes();
-            inner.live[at..at + 8].copy_from_slice(&bytes);
-            inner.pending.push(PendingRange {
-                offset,
-                data: bytes.to_vec(),
-                stage: Stage::InFlight,
-            });
+            inner.write(offset, &new.to_le_bytes());
             self.stats.writes.inc();
             self.stats.bytes_written.add(8);
             self.stats.unpersisted_bytes.add(8);
@@ -313,17 +340,16 @@ impl PmemDevice {
 
     /// Bytes written but not yet crash-durable (in flight or in cache).
     pub fn unpersisted_bytes(&self) -> usize {
-        self.inner.read().pending.iter().map(|p| p.data.len()).sum()
+        self.inner.read().pending_bytes()
     }
 
     /// Power-fail the device: the live view reverts to the durable
     /// (ADR-protected) contents; everything in flight or in cache is lost.
     pub fn crash(&self) {
         let mut inner = self.inner.write();
-        let lost: usize = inner.pending.iter().map(|p| p.data.len()).sum();
-        inner.pending.clear();
-        let durable = inner.durable.clone();
-        inner.live = durable;
+        let lost = inner.pending_bytes();
+        let pending = std::mem::take(&mut inner.pending);
+        roll_back(&pending, 0, &mut inner.live);
         self.stats.crashes.inc();
         self.stats.bytes_lost_on_crash.add(lost as u64);
         self.stats.unpersisted_bytes.sub(lost as i64);
@@ -341,7 +367,9 @@ impl PmemDevice {
     pub fn durable_snapshot(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
         self.check(offset, len)?;
         let inner = self.inner.read();
-        Ok(inner.durable[offset as usize..offset as usize + len].to_vec())
+        let mut image = inner.live[offset as usize..offset as usize + len].to_vec();
+        roll_back(&inner.pending, offset as usize, &mut image);
+        Ok(image)
     }
 }
 

@@ -95,6 +95,14 @@ pub struct LatencyModel {
     pub cpu_logstore_sdk_ns: u64,
     /// Cost to serialize/deserialize one push-down plan fragment.
     pub cpu_fragment_codec_ns: u64,
+
+    // ---- PageStore server CPU costs ----
+    /// Per-record cost of accepting shipped redo (back-link check, durable
+    /// log append bookkeeping).
+    pub cpu_redo_accept_ns: u64,
+    /// Per-record cost of applying redo to a page image, charged on the
+    /// apply worker that owns the page.
+    pub cpu_redo_apply_ns: u64,
 }
 
 impl LatencyModel {
@@ -129,6 +137,9 @@ impl LatencyModel {
             cpu_astore_sdk_ns: us(30),
             cpu_logstore_sdk_ns: us(8),
             cpu_fragment_codec_ns: us(20),
+
+            cpu_redo_accept_ns: 800,
+            cpu_redo_apply_ns: 600,
         }
     }
 
