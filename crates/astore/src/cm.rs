@@ -11,8 +11,13 @@
 //! milliseconds (paper: "the entire process of Create takes a few
 //! milliseconds"), modelled as RPC round-trips plus a fixed CM processing
 //! delay.
+//!
+//! The CM also drives the space lifecycle (allocate → release → delayed
+//! cleanup → reuse): before it consumes free capacity it has every
+//! reachable server retire its due cleanups and report what is really
+//! free ([`ClusterManager::create_segment`]).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -57,7 +62,9 @@ struct NodeInfo {
 }
 
 struct CmState {
-    nodes: HashMap<NodeId, NodeInfo>,
+    /// Ordered: the allocation path walks it, and that order reaches the
+    /// servers' devices.
+    nodes: BTreeMap<NodeId, NodeInfo>,
     routes: HashMap<SegmentId, Route>,
     next_segment: SegmentId,
     /// client id -> (current epoch, lease expiry)
@@ -114,7 +121,7 @@ impl ClusterManager {
             lease_ttl,
             heartbeat_timeout,
             state: Mutex::new(CmState {
-                nodes: HashMap::new(),
+                nodes: BTreeMap::new(),
                 routes: HashMap::new(),
                 next_segment: 1,
                 leases: HashMap::new(),
@@ -253,8 +260,45 @@ impl ClusterManager {
         self.validate_locked(&self.state.lock(), lease, now)
     }
 
-    /// Create a segment: pick the `replication` live nodes with the most
-    /// free slots, allocate a slot on each, and record the route.
+    /// Whether the CM may talk to `node` right now: it believes it alive
+    /// and no injected fault stands in the way.
+    fn reachable(&self, node: NodeId, info: &NodeInfo) -> bool {
+        info.alive && !self.faults.is_crashed(node) && !self.faults.is_partitioned(node)
+    }
+
+    /// §IV-C delayed cleanup, driven from the allocation path — the only
+    /// consumer of free capacity, so the only place a freed slot is needed.
+    /// Every reachable server retires the cleanups due at `now` on its own
+    /// background clock and piggy-backs its true free-slot count (§IV-A
+    /// capacity report; liveness is left to [`heartbeat`](Self::heartbeat)).
+    /// The state lock is not held across the server calls.
+    fn reclaim_due(&self, now: VTime) {
+        let servers: Vec<Arc<AStoreServer>> = {
+            let st = self.state.lock();
+            st.nodes
+                .iter()
+                .filter(|(id, n)| self.reachable(**id, n))
+                .map(|(_, n)| Arc::clone(&n.server))
+                .collect()
+        };
+        let free: Vec<(NodeId, usize)> = servers
+            .iter()
+            .map(|s| {
+                s.run_cleanup(now);
+                (s.node(), s.free_slots())
+            })
+            .collect();
+        let mut st = self.state.lock();
+        for (node, free_slots) in free {
+            if let Some(n) = st.nodes.get_mut(&node) {
+                n.free_slots = free_slots;
+            }
+        }
+    }
+
+    /// Create a segment: reclaim what is due, pick the `replication` live
+    /// nodes with the most free slots, allocate a slot on each, and record
+    /// the route.
     pub fn create_segment(
         &self,
         ctx: &mut SimCtx,
@@ -264,15 +308,14 @@ impl ClusterManager {
     ) -> Result<(SegmentId, Route)> {
         ctx.advance(CM_PROC);
         self.metrics.lock().segment_creates.inc();
+        self.reclaim_due(ctx.now());
         let (seg, targets) = {
             let mut st = self.state.lock();
             self.validate_locked(&st, lease, ctx.now())?;
             let mut live: Vec<(&NodeId, &NodeInfo)> = st
                 .nodes
                 .iter()
-                .filter(|(id, n)| {
-                    n.alive && !self.faults.is_crashed(**id) && !self.faults.is_partitioned(**id)
-                })
+                .filter(|(id, n)| self.reachable(**id, n))
                 .collect();
             if live.len() < replication {
                 return Err(AStoreError::NotEnoughServers {
@@ -296,7 +339,16 @@ impl ClusterManager {
         // Allocate on each replica (RPC-ish: server-side alloc work).
         let mut replicas = Vec::with_capacity(replication);
         for server in &targets {
-            let offset = server.handle_alloc(ctx, seg, class)?;
+            let offset = match server.handle_alloc(ctx, seg, class) {
+                Ok(offset) => offset,
+                Err(e) => {
+                    // No route will ever name the slots already taken.
+                    for done in &targets[..replicas.len()] {
+                        done.handle_enqueue_cleanup(ctx.now(), seg);
+                    }
+                    return Err(e);
+                }
+            };
             replicas.push(SegmentLoc {
                 node: server.node(),
                 offset,
@@ -433,6 +485,7 @@ impl ClusterManager {
     /// segments from a surviving replica (shared by [`ClusterManager::tick`]
     /// and [`ClusterManager::report_failure`]).
     fn repair_after_death(&self, ctx: &mut SimCtx, dead: &[NodeId]) -> Vec<SegmentId> {
+        self.reclaim_due(ctx.now());
         let mut changed = Vec::new();
         let affected: Vec<SegmentId> = {
             let st = self.state.lock();
@@ -471,13 +524,9 @@ impl ClusterManager {
                     let st = self.state.lock();
                     let mut candidates: Vec<&NodeInfo> = st
                         .nodes
-                        .values()
-                        .filter(|n| {
-                            n.alive
-                                && !self.faults.is_crashed(n.server.node())
-                                && !self.faults.is_partitioned(n.server.node())
-                                && !n.server.hosts_segment(seg)
-                        })
+                        .iter()
+                        .filter(|(id, n)| self.reachable(**id, n) && !n.server.hosts_segment(seg))
+                        .map(|(_, n)| n)
                         .collect();
                     candidates.sort_by_key(|n| std::cmp::Reverse(n.free_slots));
                     candidates.first().map(|n| Arc::clone(&n.server))
@@ -537,8 +586,11 @@ impl ClusterManager {
         changed
     }
 
-    /// A failed node has returned (§IV-C): its local segments that are no
-    /// longer part of any current route are stale — enqueue their cleanup.
+    /// A failed node has returned (§IV-C): every segment it still holds a
+    /// slot for that no current route places on it is stale — repaired
+    /// elsewhere, dropped (EBP), or deleted before the crash wiped the
+    /// server's pending list. Enqueue their cleanup; returns how many were
+    /// newly enqueued.
     pub fn reintegrate_server(&self, ctx: &mut SimCtx, node: NodeId) -> usize {
         let (server, stale): (Arc<AStoreServer>, Vec<SegmentId>) = {
             let mut st = self.state.lock();
@@ -548,23 +600,33 @@ impl ClusterManager {
             n.alive = true;
             n.last_heartbeat = ctx.now();
             let server = Arc::clone(&n.server);
-            let stale = st
-                .routes
-                .iter()
-                .filter(|(seg, r)| {
-                    server.hosts_segment(**seg) && !r.replicas.iter().any(|l| l.node == node)
+            let stale = server
+                .hosted_segments()
+                .into_iter()
+                .filter(|seg| {
+                    !st.routes
+                        .get(seg)
+                        .is_some_and(|r| r.replicas.iter().any(|l| l.node == node))
                 })
-                .map(|(s, _)| *s)
                 .collect();
             (server, stale)
         };
-        // Segments hosted locally but absent from every route are also stale.
-        let mut count = 0;
-        for seg in stale {
-            server.handle_enqueue_cleanup(ctx.now(), seg);
-            count += 1;
-        }
-        count
+        stale
+            .into_iter()
+            .filter(|seg| server.handle_enqueue_cleanup(ctx.now(), *seg))
+            .count()
+    }
+
+    /// Replicas current routes place on `node` (tests and monitoring:
+    /// a server's allocated slots are these plus its pending cleanups).
+    pub fn routed_on(&self, node: NodeId) -> usize {
+        self.state
+            .lock()
+            .routes
+            .values()
+            .flat_map(|r| &r.replicas)
+            .filter(|l| l.node == node)
+            .count()
     }
 
     /// Number of known routes (tests).

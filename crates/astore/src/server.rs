@@ -13,8 +13,13 @@
 //! it and frees it only after `cleanup_delay` of virtual time has passed.
 //! Clients refresh their routes on a much shorter period, so no client can
 //! still be holding a one-sided route to a slot when it gets reused.
+//!
+//! Nothing here runs on a timer: the CM calls [`AStoreServer::run_cleanup`]
+//! on its allocation path with the allocating client's `now`, and the work
+//! is charged to the server's own background clock (see DESIGN.md §2,
+//! "AStore space lifecycle").
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -50,8 +55,10 @@ struct ServerState {
     bitmap: SlotBitmap,
     /// segment id -> (slot index, class)
     segments: HashMap<SegmentId, (usize, SegmentClass)>,
-    /// Deallocated segments awaiting delayed cleanup: (segment, enqueue time).
-    pending_cleanup: Vec<(SegmentId, VTime)>,
+    /// Deallocated segments awaiting delayed cleanup, with the time they
+    /// were first enqueued. Ordered, so a pass frees slots in the same
+    /// order for the same seed.
+    pending_cleanup: BTreeMap<SegmentId, VTime>,
 }
 
 /// One storage node's AStore server.
@@ -63,6 +70,11 @@ pub struct AStoreServer {
     model: LatencyModel,
     cleanup_delay: VTime,
     state: Mutex<ServerState>,
+    /// Clock of the server's background task. Cleanup is triggered from a
+    /// client's allocation but is the server's own work: it runs here, so
+    /// the client's clock and RNG never see it. Held for a whole cleanup
+    /// pass, which also makes passes on one server mutually exclusive.
+    background: Mutex<SimCtx>,
     /// page -> latest LSN, shipped in batches by the DBEngine (§V-E); used
     /// to prune stale cached pages during EBP recovery. DRAM-resident.
     page_lsns: Mutex<HashMap<PageId, Lsn>>,
@@ -111,8 +123,9 @@ impl AStoreServer {
             state: Mutex::new(ServerState {
                 bitmap: SlotBitmap::new(geo.slots),
                 segments: HashMap::new(),
-                pending_cleanup: Vec::new(),
+                pending_cleanup: BTreeMap::new(),
             }),
+            background: Mutex::new(SimCtx::new(u64::MAX - u64::from(node), 0)),
             page_lsns: Mutex::new(HashMap::new()),
         })
     }
@@ -135,6 +148,11 @@ impl AStoreServer {
     /// Free slots (reported in heartbeats for CM placement).
     pub fn free_slots(&self) -> usize {
         self.state.lock().bitmap.free()
+    }
+
+    /// Allocated slots: live segments plus those pending cleanup.
+    pub fn allocated_slots(&self) -> usize {
+        self.state.lock().bitmap.allocated()
     }
 
     /// The backing device (crash injection in tests; local reads in
@@ -222,43 +240,50 @@ impl AStoreServer {
 
     /// Handler: the CM requests cleanup of a deallocated segment. The slot
     /// is *enqueued*, not freed (§IV-C) — see [`run_cleanup`](Self::run_cleanup).
-    pub fn handle_enqueue_cleanup(&self, now: VTime, segment_id: SegmentId) {
+    /// Returns whether the segment was newly enqueued (it is hosted here and
+    /// was not already pending; a repeat keeps the first enqueue time).
+    pub fn handle_enqueue_cleanup(&self, now: VTime, segment_id: SegmentId) -> bool {
         let mut st = self.state.lock();
-        if st.segments.contains_key(&segment_id) {
-            st.pending_cleanup.push((segment_id, now));
+        if !st.segments.contains_key(&segment_id) || st.pending_cleanup.contains_key(&segment_id) {
+            return false;
         }
+        st.pending_cleanup.insert(segment_id, now);
+        true
     }
 
-    /// Background task: free slots whose cleanup was enqueued at least
-    /// `cleanup_delay` ago. Returns the segments actually freed.
-    pub fn run_cleanup(&self, ctx: &mut SimCtx) -> Vec<SegmentId> {
-        let due: Vec<(SegmentId, VTime)> = {
-            let mut st = self.state.lock();
-            let now = ctx.now();
-            let delay = self.cleanup_delay;
-            let (due, keep): (Vec<_>, Vec<_>) = st
-                .pending_cleanup
-                .drain(..)
-                .partition(|(_, t)| now.saturating_sub(*t) >= delay);
-            st.pending_cleanup = keep;
-            due
+    /// Background task: free the slots whose cleanup was enqueued at least
+    /// `cleanup_delay` before `now`, the clock of whoever is about to
+    /// allocate — so no slot is handed out before `enqueue + cleanup_delay`.
+    /// The freed slot meta is persisted on the server's background clock
+    /// (never earlier than `now`), and only then does the slot return to
+    /// the allocator. Returns the segments actually freed.
+    pub fn run_cleanup(&self, now: VTime) -> Vec<SegmentId> {
+        let mut bg = self.background.lock();
+        let due: Vec<(SegmentId, usize)> = {
+            let st = self.state.lock();
+            st.pending_cleanup
+                .iter()
+                .filter(|(_, enqueued)| now.saturating_sub(**enqueued) >= self.cleanup_delay)
+                .filter_map(|(seg, _)| st.segments.get(seg).map(|(slot, _)| (*seg, *slot)))
+                .collect()
         };
-        let mut freed = Vec::with_capacity(due.len());
-        for (seg, _) in due {
-            let slot = {
-                let mut st = self.state.lock();
-                match st.segments.remove(&seg) {
-                    Some((slot, _)) => {
-                        st.bitmap.release(slot);
-                        slot
-                    }
-                    None => continue,
-                }
-            };
-            self.persist_slot_meta(ctx, slot, SlotState::Free, SegmentClass::Log, 0);
-            freed.push(seg);
+        if due.is_empty() {
+            return Vec::new();
         }
-        freed
+        bg.wait_until(now);
+        for (_, slot) in &due {
+            self.persist_slot_meta(&mut bg, *slot, SlotState::Free, SegmentClass::Log, 0);
+        }
+        let mut st = self.state.lock();
+        due.into_iter()
+            .filter_map(|(seg, slot)| {
+                st.pending_cleanup.remove(&seg);
+                // A crash in between emptied the table; nothing to release.
+                st.segments.remove(&seg)?;
+                st.bitmap.release(slot);
+                Some(seg)
+            })
+            .collect()
     }
 
     /// Segments still awaiting delayed cleanup (visible for tests and the
@@ -271,6 +296,13 @@ impl AStoreServer {
     /// pending cleanup but is still intact until `run_cleanup` frees it).
     pub fn hosts_segment(&self, segment_id: SegmentId) -> bool {
         self.state.lock().segments.contains_key(&segment_id)
+    }
+
+    /// Every segment occupying a slot here, pending cleanup or not, sorted.
+    pub fn hosted_segments(&self) -> Vec<SegmentId> {
+        let mut segs: Vec<SegmentId> = self.state.lock().segments.keys().copied().collect();
+        segs.sort_unstable();
+        segs
     }
 
     /// Offset of a hosted segment within the data-area MR.
@@ -453,16 +485,23 @@ mod tests {
         let mut ctx = SimCtx::new(1, 7);
         s.handle_alloc(&mut ctx, 7, SegmentClass::Log).unwrap();
         let free_before = s.free_slots();
-        s.handle_enqueue_cleanup(ctx.now(), 7);
+        let enqueued = ctx.now();
+        assert!(s.handle_enqueue_cleanup(enqueued, 7));
+        // A repeat neither doubles the entry nor restarts the delay.
+        assert!(!s.handle_enqueue_cleanup(enqueued + VTime::from_millis(100), 7));
         assert_eq!(s.pending_cleanup_len(), 1);
-        // Too early: nothing freed.
-        assert!(s.run_cleanup(&mut ctx).is_empty());
+        // One nanosecond early: nothing freed.
+        let due = enqueued + VTime::from_millis(500);
+        assert!(s.run_cleanup(due - VTime::from_nanos(1)).is_empty());
         assert!(s.hosts_segment(7));
-        // After the delay, the slot is reclaimed.
-        ctx.advance(VTime::from_millis(600));
-        assert_eq!(s.run_cleanup(&mut ctx), vec![7]);
+        // At the delay, the slot is reclaimed and its meta persisted Free.
+        assert_eq!(s.run_cleanup(due), vec![7]);
         assert!(!s.hosts_segment(7));
         assert_eq!(s.free_slots(), free_before + 1);
+        assert_eq!(s.pending_cleanup_len(), 0);
+        s.crash();
+        s.restart(&mut ctx).unwrap();
+        assert_eq!(s.free_slots(), free_before + 1, "the release is durable");
     }
 
     #[test]
