@@ -27,7 +27,7 @@ use vedb_pmem::PmemDevice;
 use vedb_rdma::RemoteMr;
 use vedb_sim::cluster::NodeRes;
 use vedb_sim::fault::NodeId;
-use vedb_sim::{LatencyModel, SimCtx, VTime};
+use vedb_sim::{Counter, Gauge, LatencyModel, MetricsRegistry, SimCtx, VTime};
 
 use crate::ebp_format::{decode_header, RECORD_HDR_SIZE};
 use crate::layout::{
@@ -59,6 +59,32 @@ struct ServerState {
     /// were first enqueued. Ordered, so a pass frees slots in the same
     /// order for the same seed.
     pending_cleanup: BTreeMap<SegmentId, VTime>,
+    /// `(free slots, pending cleanups)` as last added into the gauges.
+    published: (i64, i64),
+}
+
+/// Space-lifecycle metric handles (component `"astore"`). The servers of a
+/// deployment share them, so the registry reports cluster totals and
+/// `slots − slots_free == routed replicas + cleanup_pending` can be checked
+/// from a report alone.
+struct SpaceStats {
+    /// Allocations refused with [`AStoreError::NoSpace`].
+    alloc_no_space: Arc<Counter>,
+    /// Slots returned to the allocator by delayed cleanup.
+    slots_reclaimed: Arc<Counter>,
+    slots_free: Arc<Gauge>,
+    cleanup_pending: Arc<Gauge>,
+}
+
+impl SpaceStats {
+    fn register(registry: &MetricsRegistry) -> Self {
+        SpaceStats {
+            alloc_no_space: registry.counter("astore", "alloc_no_space"),
+            slots_reclaimed: registry.counter("astore", "slots_reclaimed"),
+            slots_free: registry.gauge("astore", "slots_free"),
+            cleanup_pending: registry.gauge("astore", "cleanup_pending"),
+        }
+    }
 }
 
 /// One storage node's AStore server.
@@ -75,6 +101,7 @@ pub struct AStoreServer {
     /// the client's clock and RNG never see it. Held for a whole cleanup
     /// pass, which also makes passes on one server mutually exclusive.
     background: Mutex<SimCtx>,
+    stats: SpaceStats,
     /// page -> latest LSN, shipped in batches by the DBEngine (§V-E); used
     /// to prune stale cached pages during EBP recovery. DRAM-resident.
     page_lsns: Mutex<HashMap<PageId, Lsn>>,
@@ -113,7 +140,8 @@ impl AStoreServer {
         // vedb-lint: allow(no-panic-in-runtime, "format-time write at offset 0; Geometry::for_capacity guarantees the superblock fits")
         device.write(VTime::ZERO, 0, &sb).expect("superblock fits");
         device.flush(VTime::ZERO);
-        Arc::new(AStoreServer {
+        let stats = SpaceStats::register(&res.metrics);
+        let server = Arc::new(AStoreServer {
             node,
             res,
             device,
@@ -124,10 +152,24 @@ impl AStoreServer {
                 bitmap: SlotBitmap::new(geo.slots),
                 segments: HashMap::new(),
                 pending_cleanup: BTreeMap::new(),
+                published: (0, 0),
             }),
             background: Mutex::new(SimCtx::new(u64::MAX - u64::from(node), 0)),
+            stats,
             page_lsns: Mutex::new(HashMap::new()),
-        })
+        });
+        server.publish_gauges(&mut server.state.lock());
+        server
+    }
+
+    /// Move this server's share of the cluster-wide gauges to its current
+    /// state. Called before the state lock is dropped wherever the bitmap
+    /// or the pending list changed.
+    fn publish_gauges(&self, st: &mut ServerState) {
+        let now = (st.bitmap.free() as i64, st.pending_cleanup.len() as i64);
+        self.stats.slots_free.add(now.0 - st.published.0);
+        self.stats.cleanup_pending.add(now.1 - st.published.1);
+        st.published = now;
     }
 
     /// Node id.
@@ -221,8 +263,12 @@ impl AStoreServer {
                 let (slot, _) = st.segments[&segment_id];
                 return Ok(self.geo.slot_offset(slot));
             }
-            let slot = st.bitmap.alloc().ok_or(AStoreError::NoSpace)?;
+            let Some(slot) = st.bitmap.alloc() else {
+                self.stats.alloc_no_space.inc();
+                return Err(AStoreError::NoSpace);
+            };
             st.segments.insert(segment_id, (slot, class));
+            self.publish_gauges(&mut st);
             slot
         };
         self.persist_slot_meta(ctx, slot, SlotState::Allocated, class, segment_id);
@@ -248,6 +294,7 @@ impl AStoreServer {
             return false;
         }
         st.pending_cleanup.insert(segment_id, now);
+        self.publish_gauges(&mut st);
         true
     }
 
@@ -275,7 +322,8 @@ impl AStoreServer {
             self.persist_slot_meta(&mut bg, *slot, SlotState::Free, SegmentClass::Log, 0);
         }
         let mut st = self.state.lock();
-        due.into_iter()
+        let freed: Vec<SegmentId> = due
+            .into_iter()
             .filter_map(|(seg, slot)| {
                 st.pending_cleanup.remove(&seg);
                 // A crash in between emptied the table; nothing to release.
@@ -283,7 +331,10 @@ impl AStoreServer {
                 st.bitmap.release(slot);
                 Some(seg)
             })
-            .collect()
+            .collect();
+        self.stats.slots_reclaimed.add(freed.len() as u64);
+        self.publish_gauges(&mut st);
+        freed
     }
 
     /// Segments still awaiting delayed cleanup (visible for tests and the
@@ -323,6 +374,7 @@ impl AStoreServer {
         st.segments.clear();
         st.pending_cleanup.clear();
         st.bitmap = SlotBitmap::new(self.geo.slots);
+        self.publish_gauges(&mut st);
         self.page_lsns.lock().clear();
     }
 
@@ -360,6 +412,7 @@ impl AStoreServer {
                 st.segments.insert(id, (slot, class));
             }
         }
+        self.publish_gauges(&mut st);
         Ok(())
     }
 

@@ -427,6 +427,9 @@ fn decode_meta(buf: &[u8]) -> Result<MetaState> {
 struct DbStats {
     commits: Arc<Counter>,
     aborts: Arc<Counter>,
+    /// Evicted pages the EBP failed to take (AStore out of slots, lost
+    /// server): the page is still in PageStore, only the cache missed it.
+    ebp_write_errors: Arc<Counter>,
     commit_lat: Arc<LatencyRecorder>,
     trace: Arc<TraceLog>,
 }
@@ -436,6 +439,7 @@ impl DbStats {
         DbStats {
             commits: registry.counter("core", "txn_commits"),
             aborts: registry.counter("core", "txn_aborts"),
+            ebp_write_errors: registry.counter("core", "ebp_write_errors"),
             commit_lat: registry.latency("core", "txn_commit"),
             trace: Arc::clone(registry.trace()),
         }
@@ -1228,7 +1232,9 @@ impl EvictionSink for DbEvictionSink<'_> {
             self.0.env().metrics.counter("core", "ebp_skips").inc();
             return;
         }
-        let _ = ebp.write_page(ctx, page_id, page, lsn);
+        if ebp.write_page(ctx, page_id, page, lsn).is_err() {
+            self.0.stats.ebp_write_errors.inc();
+        }
     }
 }
 

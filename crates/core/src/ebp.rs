@@ -923,7 +923,9 @@ mod tests {
     }
 
     /// ROADMAP item 2(a): compaction walked `RandomState` maps, so no two
-    /// runs re-admitted pages or released segments in the same order.
+    /// runs re-admitted pages or released segments in the same order. The
+    /// run is paced past the servers' cleanup delay, so released slots are
+    /// reclaimed and handed out again along the way — in the same order too.
     #[test]
     fn compaction_does_the_same_work_for_the_same_seed() {
         type Counters = std::collections::BTreeMap<String, u64>;
@@ -948,8 +950,11 @@ mod tests {
                 let pid = PageId::new(1 + (x >> 8) % 3, (x >> 16) % 20);
                 ebp.write_page(&mut ctx, pid, &page_with(v as u8), 100 + v)
                     .unwrap();
+                ctx.advance(VTime::from_millis(2));
             }
             assert!(ebp.stats.compactions.get() > 5, "compaction must run");
+            let reclaimed = env.metrics.counter_values()["astore.slots_reclaimed"];
+            assert!(reclaimed > 5, "cleanups must fire, {reclaimed} did");
             (
                 client.metrics().counter_values(),
                 env.metrics.counter_values(),

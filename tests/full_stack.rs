@@ -310,3 +310,109 @@ fn pushdown_equivalence_after_churn() {
         assert_eq!(a, b, "Q{n} diverged after churn");
     }
 }
+
+/// The AStore space lifecycle under the engine: far more page images go
+/// through a small EBP than the AStore has room for, so every slot is
+/// released, cleaned up after the §IV-C delay and handed out again many
+/// times over — driven by nothing but the EBP asking for segments.
+#[test]
+fn ebp_churn_recycles_astore_slots() {
+    const SLOT: u64 = 256 << 10;
+    const ROWS: i64 = 2400;
+    for compaction in [true, false] {
+        let f = StorageFabric::build(ClusterSpec::paper_default(), 5 << 20, SLOT);
+        let slots: usize = f.astore_servers.iter().map(|s| s.free_slots()).sum();
+        let mut ctx = SimCtx::new(0, 7);
+        // BlobStore log: the EBP is the AStore's only tenant.
+        let db = Db::open(
+            &mut ctx,
+            &f,
+            DbConfig::builder()
+                .bp_pages(16)
+                .log(LogBackendKind::BlobStore)
+                .ebp(EbpConfig {
+                    capacity_bytes: 2 << 20,
+                    compaction,
+                    ..Default::default()
+                })
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        db.define_schema(|cat| {
+            cat.define("big")
+                .col("id", ColumnType::Int)
+                .col("pad", ColumnType::Str)
+                .pk(&["id"])
+                .build();
+        });
+        db.create_tables(&mut ctx).unwrap();
+        let mut txn = db.begin();
+        for i in 0..ROWS {
+            db.insert(
+                &mut ctx,
+                &mut txn,
+                "big",
+                vec![Value::Int(i), Value::Str("p".repeat(2000))],
+            )
+            .unwrap();
+        }
+        db.commit(&mut ctx, &mut txn).unwrap();
+
+        let counter = |name: &str| f.env.metrics.counter_values()[name];
+        let gauge = |name: &str| f.env.metrics.gauge_values()[name] as usize;
+        let target = 3 * slots as u64 * SLOT / (16 << 10);
+        let mut least_free = slots;
+        // Cycle through a table twenty times the BP and well over the EBP:
+        // every page read evicts one, and the EBP has long since dropped it.
+        // The pause keeps release rate x cleanup delay under the capacity.
+        while counter("core.ebp_writes") < target {
+            for i in (0..ROWS).step_by(4) {
+                let row = db.get_by_pk(&mut ctx, None, "big", &[Value::Int(i)]);
+                assert_eq!(row.unwrap().unwrap()[0], Value::Int(i));
+                ctx.advance(VTime::from_millis(2));
+            }
+            least_free = least_free.min(gauge("astore.slots_free"));
+        }
+
+        let what = format!("compaction {compaction}");
+        assert_eq!(counter("core.ebp_write_errors"), 0, "{what}");
+        assert_eq!(counter("astore.alloc_no_space"), 0, "{what}");
+        assert!(
+            counter("astore.slots_reclaimed") > 2 * slots as u64,
+            "{what}: {} slots reclaimed of {slots}",
+            counter("astore.slots_reclaimed")
+        );
+        assert!(
+            least_free >= slots / 4,
+            "{what}: only {least_free} of {slots} slots free"
+        );
+        // The registry's books balance against the servers' and the CM's.
+        let free: usize = f.astore_servers.iter().map(|s| s.free_slots()).sum();
+        let routed: usize = f
+            .astore_servers
+            .iter()
+            .map(|s| f.cm.routed_on(s.node()))
+            .sum();
+        assert_eq!(gauge("astore.slots_free"), free, "{what}");
+        assert_eq!(
+            slots - free,
+            routed + gauge("astore.cleanup_pending"),
+            "{what}"
+        );
+
+        // And the cache still works: a hot set read twice hits the second time.
+        let ebp = db.ebp().unwrap();
+        for pass in 0..2 {
+            ebp.reset_stats();
+            for i in (0..ROWS / 8).step_by(4) {
+                db.get_by_pk(&mut ctx, None, "big", &[Value::Int(i)])
+                    .unwrap()
+                    .unwrap();
+            }
+            if pass == 1 {
+                assert!(ebp.hits() > 20, "{what}: {} EBP hits", ebp.hits());
+            }
+        }
+    }
+}
