@@ -5,6 +5,7 @@
 //! in its own space. Space 0 is reserved for the engine's meta page.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::{EngineError, Result};
 
@@ -71,9 +72,12 @@ impl TableDef {
 /// again after a crash — schema is code, not data, in this reproduction;
 /// the *roots and allocation state* of the trees are what recovery
 /// restores, via the persistent meta page).
+///
+/// Definitions are immutable once registered and handed out as `Arc`s, so a
+/// statement takes a pointer, not a copy of every column and index name.
 #[derive(Default)]
 pub struct Catalog {
-    tables: Vec<TableDef>,
+    tables: Vec<Arc<TableDef>>,
     by_name: HashMap<String, usize>,
     next_space: u32,
 }
@@ -100,7 +104,7 @@ impl Catalog {
     }
 
     /// Look up a table by name.
-    pub fn table(&self, name: &str) -> Result<&TableDef> {
+    pub fn table(&self, name: &str) -> Result<&Arc<TableDef>> {
         self.by_name
             .get(name)
             .map(|i| &self.tables[*i])
@@ -109,13 +113,16 @@ impl Catalog {
 
     /// Look up a table by its space number.
     pub fn table_by_space(&self, space_no: u32) -> Option<&TableDef> {
-        self.tables.iter().find(|t| t.space_no == space_no)
+        self.tables
+            .iter()
+            .find(|t| t.space_no == space_no)
+            .map(|t| &**t)
     }
 
     /// Find the table owning an index space (clustered or secondary),
     /// along with the index definition if secondary.
     pub fn index_owner(&self, space_no: u32) -> Option<(&TableDef, Option<&IndexDef>)> {
-        for t in &self.tables {
+        for t in self.tables.iter().map(|t| &**t) {
             if t.space_no == space_no {
                 return Some((t, None));
             }
@@ -127,7 +134,7 @@ impl Catalog {
     }
 
     /// All tables.
-    pub fn tables(&self) -> &[TableDef] {
+    pub fn tables(&self) -> &[Arc<TableDef>] {
         &self.tables
     }
 }
@@ -223,7 +230,7 @@ impl TableBuilder<'_> {
         self.catalog
             .by_name
             .insert(self.name, self.catalog.tables.len());
-        self.catalog.tables.push(def);
+        self.catalog.tables.push(Arc::new(def));
         space_no
     }
 }

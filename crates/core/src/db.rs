@@ -731,7 +731,7 @@ impl Db {
         }
         // Error paths drop the guard → the span records as abandoned.
         let sp = self.stats.trace.span(ctx, "core", "insert");
-        let t = self.catalog.read().table(table)?.clone();
+        let t = Arc::clone(self.catalog.read().table(table)?);
         let key = Self::pk_key(&t, &row);
         self.lock_row(ctx, txn, t.space_no, key.clone(), LockMode::Exclusive)?;
         let mut payload = Vec::with_capacity(64);
@@ -772,7 +772,7 @@ impl Db {
         key_vals: &[Value],
     ) -> Result<Option<Row>> {
         let sp = self.stats.trace.span(ctx, "core", "get");
-        let t = self.catalog.read().table(table)?.clone();
+        let t = Arc::clone(self.catalog.read().table(table)?);
         let key = encode_key(key_vals);
         if let Some(txn) = txn {
             self.lock_row(ctx, txn, t.space_no, key.clone(), LockMode::Shared)?;
@@ -798,7 +798,7 @@ impl Db {
             return Err(EngineError::TxnFinished);
         }
         let sp = self.stats.trace.span(ctx, "core", "update");
-        let t = self.catalog.read().table(table)?.clone();
+        let t = Arc::clone(self.catalog.read().table(table)?);
         let key = encode_key(key_vals);
         self.lock_row(ctx, txn, t.space_no, key.clone(), LockMode::Exclusive)?;
         let tree = BTree::new(t.space_no);
@@ -862,7 +862,7 @@ impl Db {
             return Err(EngineError::TxnFinished);
         }
         let sp = self.stats.trace.span(ctx, "core", "delete");
-        let t = self.catalog.read().table(table)?.clone();
+        let t = Arc::clone(self.catalog.read().table(table)?);
         let key = encode_key(key_vals);
         self.lock_row(ctx, txn, t.space_no, key.clone(), LockMode::Exclusive)?;
         let tree = BTree::new(t.space_no);
@@ -903,7 +903,7 @@ impl Db {
         limit: usize,
     ) -> Result<Vec<Row>> {
         let sp = self.stats.trace.span(ctx, "core", "index_lookup");
-        let t = self.catalog.read().table(table)?.clone();
+        let t = Arc::clone(self.catalog.read().table(table)?);
         let ix = t
             .secondary
             .iter()
@@ -937,7 +937,7 @@ impl Db {
         table: &str,
         mut f: impl FnMut(&Row) -> bool,
     ) -> Result<()> {
-        let t = self.catalog.read().table(table)?.clone();
+        let t = Arc::clone(self.catalog.read().table(table)?);
         let mut err = None;
         BTree::new(t.space_no).scan(ctx, self, None, None, |_k, v| match decode_row(v) {
             Ok(row) => f(&row),

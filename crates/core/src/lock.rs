@@ -50,8 +50,16 @@ struct LockState {
     last_x_release: VTime,
 }
 
+#[derive(Default)]
+struct ShardTable {
+    locks: HashMap<LockKey, LockState>,
+    /// Threads blocked on the shard's condvar. A release with nobody
+    /// waiting skips the notify, which is a futex syscall per key.
+    waiters: usize,
+}
+
 struct Shard {
-    table: Mutex<HashMap<LockKey, LockState>>,
+    table: Mutex<ShardTable>,
     cv: Condvar,
 }
 
@@ -87,7 +95,7 @@ impl LockManager {
             shards: (0..shards.max(1))
                 .map(|_| {
                     Arc::new(Shard {
-                        table: Mutex::new(HashMap::new()),
+                        table: Mutex::new(ShardTable::default()),
                         cv: Condvar::new(),
                     })
                 })
@@ -136,11 +144,11 @@ impl LockManager {
         // Timeout (deadlock-victim) paths drop the guard → abandoned span.
         let sp = self.trace.span(ctx, "lock", "wait");
         let shard = Arc::clone(self.shard_of(&key));
-        // vedb-lint: allow(no-wall-clock, "real-time budget bounding how long a live OS thread may spin-wait on a row lock; it decides victim selection, never enters reported latencies (those come from the trace span virtual clock)")
-        let deadline = std::time::Instant::now() + self.timeout;
+        // Taken on the first wait: the uncontended path reads no clock.
+        let mut deadline = None;
         let mut table = shard.table.lock();
         loop {
-            let state = table.entry(key.clone()).or_default();
+            let state = table.locks.entry(key.clone()).or_default();
             if Self::compatible(state, txn, mode) {
                 let release = match mode {
                     LockMode::Shared => state.last_x_release,
@@ -173,7 +181,14 @@ impl LockManager {
                 sp.finish(ctx);
                 return Ok(());
             }
-            if shard.cv.wait_until(&mut table, deadline).timed_out() {
+            let deadline = *deadline.get_or_insert_with(|| {
+                // vedb-lint: allow(no-wall-clock, "real-time budget bounding how long a live OS thread may spin-wait on a row lock; it decides victim selection, never enters reported latencies (those come from the trace span virtual clock)")
+                std::time::Instant::now() + self.timeout
+            });
+            table.waiters += 1;
+            let timed_out = shard.cv.wait_until(&mut table, deadline).timed_out();
+            table.waiters -= 1;
+            if timed_out {
                 self.timeouts.inc();
                 return Err(EngineError::LockTimeout {
                     context: format!("space {} key {:02x?}", key.0, &key.1[..key.1.len().min(8)]),
@@ -188,7 +203,7 @@ impl LockManager {
         let shard = self.shard_of(key);
         let mut table = shard.table.lock();
         let mut held = None;
-        if let Some(state) = table.get_mut(key) {
+        if let Some(state) = table.locks.get_mut(key) {
             held = state
                 .holders
                 .iter()
@@ -200,7 +215,9 @@ impl LockManager {
                 state.last_x_release = state.last_x_release.max(now);
             }
         }
-        shard.cv.notify_all();
+        if table.waiters > 0 {
+            shard.cv.notify_all();
+        }
         drop(table);
         if let Some((_, grant)) = held {
             let hold = if now > grant {
@@ -226,6 +243,7 @@ impl LockManager {
             .map(|s| {
                 s.table
                     .lock()
+                    .locks
                     .values()
                     .filter(|st| !st.holders.is_empty())
                     .count()
