@@ -281,16 +281,10 @@ impl ClusterManager {
                 .map(|(_, n)| Arc::clone(&n.server))
                 .collect()
         };
-        let free: Vec<(NodeId, usize)> = servers
-            .iter()
-            .map(|s| {
-                s.run_cleanup(now);
-                (s.node(), s.free_slots())
-            })
-            .collect();
-        let mut st = self.state.lock();
-        for (node, free_slots) in free {
-            if let Some(n) = st.nodes.get_mut(&node) {
+        for server in servers {
+            server.run_cleanup(now);
+            let free_slots = server.free_slots();
+            if let Some(n) = self.state.lock().nodes.get_mut(&server.node()) {
                 n.free_slots = free_slots;
             }
         }

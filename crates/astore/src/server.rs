@@ -16,7 +16,7 @@
 //!
 //! Nothing here runs on a timer: the CM calls [`AStoreServer::run_cleanup`]
 //! on its allocation path with the allocating client's `now`, and the work
-//! is charged to the server's own background clock (see DESIGN.md §2,
+//! is charged to the server's own background clock (see DESIGN.md §3,
 //! "AStore space lifecycle").
 
 use std::collections::{BTreeMap, HashMap};
@@ -166,10 +166,10 @@ impl AStoreServer {
     /// state. Called before the state lock is dropped wherever the bitmap
     /// or the pending list changed.
     fn publish_gauges(&self, st: &mut ServerState) {
-        let now = (st.bitmap.free() as i64, st.pending_cleanup.len() as i64);
-        self.stats.slots_free.add(now.0 - st.published.0);
-        self.stats.cleanup_pending.add(now.1 - st.published.1);
-        st.published = now;
+        let current = (st.bitmap.free() as i64, st.pending_cleanup.len() as i64);
+        self.stats.slots_free.add(current.0 - st.published.0);
+        self.stats.cleanup_pending.add(current.1 - st.published.1);
+        st.published = current;
     }
 
     /// Node id.

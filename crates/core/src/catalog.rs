@@ -115,14 +115,14 @@ impl Catalog {
     pub fn table_by_space(&self, space_no: u32) -> Option<&TableDef> {
         self.tables
             .iter()
+            .map(Arc::as_ref)
             .find(|t| t.space_no == space_no)
-            .map(|t| &**t)
     }
 
     /// Find the table owning an index space (clustered or secondary),
     /// along with the index definition if secondary.
     pub fn index_owner(&self, space_no: u32) -> Option<(&TableDef, Option<&IndexDef>)> {
-        for t in self.tables.iter().map(|t| &**t) {
+        for t in self.tables.iter().map(Arc::as_ref) {
             if t.space_no == space_no {
                 return Some((t, None));
             }
