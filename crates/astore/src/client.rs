@@ -150,8 +150,7 @@ impl AStoreClient {
         )
     }
 
-    /// Connect with an explicit [`RetryPolicy`] (the DBEngine passes
-    /// `DbConfig::retry` through here).
+    /// Connect with an explicit [`RetryPolicy`].
     #[allow(clippy::too_many_arguments)]
     pub fn connect_with_policy(
         ctx: &mut SimCtx,
@@ -324,25 +323,6 @@ impl AStoreClient {
             },
         );
         Ok(SegmentHandle { id, class })
-    }
-
-    /// Create a segment of the class's default replication.
-    #[deprecated(note = "use `create_segment_with(ctx, SegmentOpts::new(class))`")]
-    pub fn create_segment(&self, ctx: &mut SimCtx, class: SegmentClass) -> Result<SegmentHandle> {
-        self.create_segment_with(ctx, SegmentOpts::new(class))
-    }
-
-    /// Create a segment with an explicit replication factor.
-    #[deprecated(
-        note = "use `create_segment_with(ctx, SegmentOpts::new(class).with_replication(n))`"
-    )]
-    pub fn create_segment_with_replication(
-        &self,
-        ctx: &mut SimCtx,
-        class: SegmentClass,
-        replication: usize,
-    ) -> Result<SegmentHandle> {
-        self.create_segment_with(ctx, SegmentOpts::new(class).with_replication(replication))
     }
 
     /// Delete a segment (CM route removal + delayed server cleanup).
@@ -701,31 +681,6 @@ impl AStoreClient {
         Ok(self.append_records(ctx, handle, &[data], tail)?[0])
     }
 
-    /// Append `data` to the segment — single-record wrapper over
-    /// [`append_batch`](Self::append_batch).
-    #[deprecated(note = "use `append_with(ctx, handle, data, AppendOpts::new())`")]
-    pub fn append(&self, ctx: &mut SimCtx, handle: SegmentHandle, data: &[u8]) -> Result<u64> {
-        self.append_with(ctx, handle, data, AppendOpts::new())
-    }
-
-    /// Append `data` followed by a speculative `tail` write —
-    /// single-record wrapper over [`append_batch`](Self::append_batch).
-    #[deprecated(note = "use `append_with(ctx, handle, data, AppendOpts::new().with_tail(tail))`")]
-    pub fn append_with_tail(
-        &self,
-        ctx: &mut SimCtx,
-        handle: SegmentHandle,
-        data: &[u8],
-        tail: &[u8],
-    ) -> Result<u64> {
-        let opts = if tail.is_empty() {
-            AppendOpts::new()
-        } else {
-            AppendOpts::new().with_tail(tail)
-        };
-        self.append_with(ctx, handle, data, opts)
-    }
-
     /// Positioned write that does **not** change the segment length —
     /// used for in-segment headers (SegmentRing status/LSN updates).
     pub fn write_at(
@@ -987,27 +942,6 @@ pub(crate) mod tests {
             b"first-recordsecond"
         );
         assert_eq!(tc.client.read(&mut ctx, seg, 12, 6).unwrap(), b"second");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
-        let mut ctx = SimCtx::new(1, 7);
-        let tc = test_cluster(&mut ctx);
-        let seg = tc
-            .client
-            .create_segment(&mut ctx, SegmentClass::Log)
-            .unwrap();
-        let seg2 = tc
-            .client
-            .create_segment_with_replication(&mut ctx, SegmentClass::Log, 2)
-            .unwrap();
-        assert_eq!(tc.client.cached_route(seg2.id).unwrap().replicas.len(), 2);
-        tc.client.append(&mut ctx, seg, b"old-api").unwrap();
-        tc.client
-            .append_with_tail(&mut ctx, seg, b"x", &[0u8; 4])
-            .unwrap();
-        assert_eq!(tc.client.read(&mut ctx, seg, 0, 7).unwrap(), b"old-api");
     }
 
     #[test]

@@ -622,11 +622,6 @@ impl ClusterManager {
             .filter(|l| l.node == node)
             .count()
     }
-
-    /// Number of known routes (tests).
-    pub fn route_count(&self) -> usize {
-        self.state.lock().routes.len()
-    }
 }
 
 #[cfg(test)]

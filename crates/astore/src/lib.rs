@@ -161,13 +161,6 @@ impl AStoreError {
             _ => None,
         }
     }
-
-    /// Terminal for the current operation: not transient, not fencing, and
-    /// not cleared by rolling to another segment (e.g. corruption, unknown
-    /// segment, cluster-wide capacity exhaustion).
-    pub fn is_terminal(&self) -> bool {
-        !self.is_retryable() && !self.is_fencing() && !self.is_segment_unwritable()
-    }
 }
 
 impl From<RdmaError> for AStoreError {

@@ -52,24 +52,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Builder-style override of the retry count.
-    pub fn with_max_retries(mut self, n: u32) -> Self {
-        self.max_retries = n;
-        self
-    }
-
-    /// Builder-style override of the base backoff.
-    pub fn with_base_backoff(mut self, t: VTime) -> Self {
-        self.base_backoff = t;
-        self
-    }
-
-    /// Builder-style override of the backoff cap.
-    pub fn with_max_backoff(mut self, t: VTime) -> Self {
-        self.max_backoff = t;
-        self
-    }
-
     /// Backoff to sleep before retry number `retry` (0-based), i.e.
     /// `base * 2^retry` capped at `max_backoff`.
     pub fn backoff(&self, retry: u32) -> VTime {

@@ -224,5 +224,4 @@ fn main() {
 
     let report = gr_dep.report("group_commit", None);
     write_bench_report(&report).expect("write BENCH_group_commit.json");
-    print!("{}", report.top_summary());
 }

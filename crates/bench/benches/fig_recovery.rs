@@ -297,5 +297,4 @@ fn main() {
 
     let report = pdep.report("recovery", None);
     write_bench_report(&report).expect("write BENCH_recovery.json");
-    print!("{}", report.top_summary());
 }

@@ -126,5 +126,4 @@ fn main() {
     );
 
     write_bench_report(&report).expect("write BENCH_tpcc_smoke.json");
-    print!("{}", report.top_summary());
 }

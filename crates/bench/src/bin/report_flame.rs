@@ -53,7 +53,7 @@ fn main() -> ExitCode {
         }
     };
     let rendered = if top {
-        top_summary(&doc)
+        Ok(top_summary(&doc))
     } else {
         folded_lines(&doc)
     };

@@ -1,11 +1,11 @@
-//! Flamegraph export and `vedb-top` rendering from a **committed** bench
-//! report.
+//! Flamegraph export and `vedb-top` rendering from a serialized bench
+//! report — the only renderer of either.
 //!
-//! A live run renders these straight off the in-memory
-//! [`vedb_sim::RunReport`] (`folded_stacks()` / `top_summary()`); this
-//! module re-derives both from the serialized `BENCH_<figure>.json` so the
-//! `report_flame` binary can inspect artifacts long after the run — the
-//! committed baseline, a CI download — without re-running anything.
+//! Both are derived from the `BENCH_<figure>.json` text, so one code path
+//! serves a live run ([`crate::write_bench_report`] renders the bytes it
+//! just wrote) and the `report_flame` binary inspecting artifacts long
+//! after the run — the committed baseline, a CI download — without
+//! re-running anything.
 //!
 //! The folded output is the classic `stack weight` line format consumed by
 //! inferno / flamegraph.pl: frames are `component/op` joined by `;`,
@@ -51,7 +51,7 @@ fn ns(v: f64) -> String {
 /// Re-render a `vedb-top`-style one-screen summary from a parsed report:
 /// resources by steady-state utilization, hottest spans by self-time, most
 /// contended locks, and any fault injections.
-pub fn top_summary(doc: &Json) -> Result<String, String> {
+pub fn top_summary(doc: &Json) -> String {
     let name = doc.get("name").and_then(Json::as_str).unwrap_or("?");
     let tput = doc
         .get("throughput_per_s")
@@ -157,7 +157,7 @@ pub fn top_summary(doc: &Json) -> Result<String, String> {
             );
         }
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
@@ -191,11 +191,38 @@ mod tests {
   }
 }"#;
 
+    /// A live traced run's report, serialized: one resource busier than
+    /// another, a contended lock, one span, one fault injection.
+    fn live_doc() -> Json {
+        use vedb_sim::{MetricsRegistry, Resource, RunReport, SimCtx, TrialResult, VTime};
+        let reg = MetricsRegistry::new();
+        Resource::with_metrics("engine.cpu", 1, &reg).acquire(VTime::ZERO, VTime::from_micros(50));
+        Resource::with_metrics("engine.nic", 1, &reg).acquire(VTime::ZERO, VTime::from_micros(5));
+        let c = reg.lock_contention();
+        c.set_label(3, "warehouse");
+        c.note_acquire(3);
+        c.note_wait(3, b"\x01", VTime::from_micros(9));
+        reg.trace().enable();
+        let mut ctx = SimCtx::new(1, 7);
+        let sp = reg.trace().span(&ctx, "core", "commit");
+        ctx.advance(VTime::from_micros(4));
+        sp.finish(&ctx);
+        reg.trace()
+            .instant(VTime::from_micros(2), "fault", "crash", 1);
+        let mut trial = TrialResult::new(VTime::from_millis(10));
+        trial.committed = 42;
+        let json = RunReport::collect("smoke", Some(&trial), &reg).to_json();
+        parse_json(&json).unwrap()
+    }
+
     #[test]
     fn folded_lines_match_inferno_contract() {
         let doc = parse_json(DOC).unwrap();
         let folded = folded_lines(&doc).unwrap();
         assert_eq!(folded, "core/commit 4000\ncore/commit;wal/flush 5000\n");
+        // Straight off a live run: each line ends with the integer
+        // self-weight of the span.
+        assert_eq!(folded_lines(&live_doc()).unwrap(), "core/commit 4000\n");
     }
 
     #[test]
@@ -206,20 +233,40 @@ mod tests {
 
     #[test]
     fn top_summary_covers_every_section() {
-        let doc = parse_json(DOC).unwrap();
-        let top = top_summary(&doc).unwrap();
-        assert!(
-            top.contains("vedb-top: unit (1234 op/s over 2.00ms)"),
-            "{top}"
-        );
-        // Sorted by utilization: pmem (42%) before nic (3%).
-        let pmem = top.find("astore-0.pmem").unwrap();
-        let nic = top.find("engine.nic").unwrap();
-        assert!(pmem < nic, "{top}");
-        assert!(top.contains("42.17%"));
-        assert!(top.contains("top spans by self time"));
-        assert!(top.contains("wal/flush"));
-        assert!(top.contains("orders[03] waits=1"));
-        assert!(top.contains("fault injections: 1 (first at 1.50us)"));
+        // (report, title, busier resource, idler resource, util, span, lock, faults)
+        let cases = [
+            (
+                parse_json(DOC).unwrap(),
+                "vedb-top: unit (1234 op/s over 2.00ms)",
+                "astore-0.pmem",
+                "engine.nic",
+                "42.17%",
+                "wal/flush",
+                "orders[03] waits=1",
+                "fault injections: 1 (first at 1.50us)",
+            ),
+            (
+                live_doc(),
+                "vedb-top: smoke (4200 op/s over 10.00ms)",
+                "engine.cpu",
+                "engine.nic",
+                "5.00%",
+                "core/commit",
+                "warehouse[01] waits=1",
+                "fault injections: 1 (first at 2.00us)",
+            ),
+        ];
+        for (doc, title, busy, idle, util, span, lock, faults) in cases {
+            let top = top_summary(&doc);
+            assert!(top.contains(title), "{top}");
+            // Sorted by utilization, busiest first.
+            assert!(top.find(busy).unwrap() < top.find(idle).unwrap(), "{top}");
+            assert!(top.contains(util), "{top}");
+            assert!(top.contains("top spans by self time"), "{top}");
+            assert!(top.contains(span), "{top}");
+            assert!(top.contains(lock), "{top}");
+            assert!(top.contains(faults), "{top}");
+            assert!(top.lines().count() <= 24, "one screen: {top}");
+        }
     }
 }

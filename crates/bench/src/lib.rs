@@ -124,12 +124,17 @@ pub fn bench_report_dir() -> PathBuf {
     }
 }
 
-/// Write `report` as `BENCH_<name>.json` into [`bench_report_dir`];
-/// returns the path written. Errors are returned, not panicked, so a
+/// Print `report`'s `vedb-top` summary and write it as `BENCH_<name>.json`
+/// into [`bench_report_dir`]; returns the path written. The summary is
+/// rendered from the serialized bytes, so it is what `report_flame --top`
+/// shows for the file later. Errors are returned, not panicked, so a
 /// read-only checkout degrades to console-only output.
 pub fn write_bench_report(report: &RunReport) -> std::io::Result<PathBuf> {
     let path = bench_report_dir().join(format!("BENCH_{}.json", report.name));
-    std::fs::write(&path, report.to_json())?;
+    let json = report.to_json();
+    let doc = diff::parse_json(&json).expect("RunReport::to_json emits well-formed JSON");
+    print!("{}", flame::top_summary(&doc));
+    std::fs::write(&path, json)?;
     println!("  wrote {}", path.display());
     Ok(path)
 }
@@ -175,11 +180,6 @@ pub fn fmt_tps(v: f64) -> String {
 /// Format a virtual time as milliseconds.
 pub fn fmt_ms(t: VTime) -> String {
     format!("{:.2}", t.as_millis_f64())
-}
-
-/// Standard client sweep used by the throughput figures.
-pub fn client_sweep() -> Vec<usize> {
-    vec![1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
 }
 
 /// A header that states what the paper reported, so the printed table can

@@ -68,8 +68,6 @@ pub struct BufferPool {
     touch: AtomicU64,
     engine_cpu: Arc<Resource>,
     model: LatencyModel,
-    hits: AtomicU64,
-    misses: AtomicU64,
     m_hits: Arc<Counter>,
     m_misses: Arc<Counter>,
     m_evictions: Arc<Counter>,
@@ -117,8 +115,6 @@ impl BufferPool {
             touch: AtomicU64::new(1),
             engine_cpu,
             model,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             m_hits: registry.counter("core", "bp_hits"),
             m_misses: registry.counter("core", "bp_misses"),
             m_evictions: registry.counter("core", "bp_evictions"),
@@ -132,14 +128,14 @@ impl BufferPool {
         (h % self.shards.len() as u64) as usize
     }
 
-    /// Cache hits so far.
+    /// Cache hits so far (`core.bp_hits`).
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.m_hits.get()
     }
 
-    /// Cache misses so far.
+    /// Cache misses so far (`core.bp_misses`).
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.m_misses.get()
     }
 
     /// Pages currently cached.
@@ -181,12 +177,10 @@ impl BufferPool {
                 shard.recency.remove(&old_touch);
                 shard.recency.insert(t, page_id);
                 shard.frames.insert(page_id, (Arc::clone(&frame), t));
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 self.m_hits.inc();
                 return Ok(frame);
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         self.m_misses.inc();
         // Load outside the shard lock (the loader does remote I/O).
         let page = loader(ctx)?;
@@ -238,12 +232,6 @@ impl BufferPool {
             s.frames.clear();
             s.recency.clear();
         }
-    }
-
-    /// Reset hit/miss counters (between benchmark phases).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
     }
 }
 

@@ -29,7 +29,8 @@ pub struct ColumnDef {
     pub ty: ColumnType,
 }
 
-/// A secondary index definition.
+/// A secondary index definition. Secondary indexes are non-unique: the
+/// stored key is the key columns with the PK appended to disambiguate.
 #[derive(Debug, Clone)]
 pub struct IndexDef {
     /// Index id == its tablespace number.
@@ -38,9 +39,6 @@ pub struct IndexDef {
     pub name: String,
     /// Key column positions (into the table's column list).
     pub key_cols: Vec<usize>,
-    /// Whether keys are unique (non-unique indexes append the PK to the
-    /// stored key to disambiguate).
-    pub unique: bool,
 }
 
 /// A table definition.
@@ -145,7 +143,7 @@ pub struct TableBuilder<'a> {
     name: String,
     columns: Vec<ColumnDef>,
     pk: Vec<String>,
-    secondary: Vec<(String, Vec<String>, bool)>,
+    secondary: Vec<(String, Vec<String>)>,
 }
 
 impl TableBuilder<'_> {
@@ -164,22 +162,11 @@ impl TableBuilder<'_> {
         self
     }
 
-    /// Add a non-unique secondary index.
+    /// Add a (non-unique) secondary index.
     pub fn index(mut self, name: &str, cols: &[&str]) -> Self {
         self.secondary.push((
             name.to_string(),
             cols.iter().map(|c| c.to_string()).collect(),
-            false,
-        ));
-        self
-    }
-
-    /// Add a unique secondary index.
-    pub fn unique_index(mut self, name: &str, cols: &[&str]) -> Self {
-        self.secondary.push((
-            name.to_string(),
-            cols.iter().map(|c| c.to_string()).collect(),
-            true,
         ));
         self
     }
@@ -209,7 +196,7 @@ impl TableBuilder<'_> {
         let space_no = self.catalog.next_space;
         self.catalog.next_space += 1;
         let mut secondary = Vec::new();
-        for (name, cols, unique) in &self.secondary {
+        for (name, cols) in &self.secondary {
             let key_cols: Vec<usize> = cols.iter().map(|c| col_pos(c)).collect();
             let ix_space = self.catalog.next_space;
             self.catalog.next_space += 1;
@@ -217,7 +204,6 @@ impl TableBuilder<'_> {
                 space_no: ix_space,
                 name: name.clone(),
                 key_cols,
-                unique: *unique,
             });
         }
         let def = TableDef {

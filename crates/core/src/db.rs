@@ -25,7 +25,7 @@ use std::time::Duration;
 use parking_lot::{Mutex, RwLock};
 use vedb_astore::client::AStoreClient;
 use vedb_astore::cm::ClusterManager;
-use vedb_astore::{AStoreServer, Lsn, PageId, RetryPolicy, SegmentId, SegmentRing};
+use vedb_astore::{AStoreServer, Lsn, PageId, SegmentId, SegmentRing};
 use vedb_blobstore::{BlobGroup, BlobGroupConfig, BlobServer};
 use vedb_pagestore::page::{Page, PageType};
 use vedb_pagestore::redo::{PageOp, RedoRecord};
@@ -77,17 +77,6 @@ pub struct DbConfig {
     pub ring_segments: usize,
     /// Extended Buffer Pool (None = disabled).
     pub ebp: Option<EbpConfig>,
-    /// Real-time lock wait budget (deadlock breaker).
-    pub lock_timeout: Duration,
-    /// Checkpoint (ship + truncate the log) automatically once this many
-    /// log bytes have accumulated since the last truncation. veDB's
-    /// storage layer applies REDO continuously, so the log's working
-    /// window stays small (§IV: "the capacity reserved for REDO logs in
-    /// AStore for each database instance is ... limited to GB level").
-    pub auto_checkpoint_bytes: u64,
-    /// Fault-recovery policy for the engine's AStore client: retries,
-    /// backoff, lease renewal and replica failover all run under this.
-    pub retry: RetryPolicy,
     /// Commit-path flush policy: per-commit flushes (default) or
     /// group-commit consolidation (see [`FlushPolicy`]).
     pub flush: FlushPolicy,
@@ -101,9 +90,6 @@ impl Default for DbConfig {
             log: LogBackendKind::AStore,
             ring_segments: 8,
             ebp: None,
-            lock_timeout: Duration::from_millis(200),
-            auto_checkpoint_bytes: 2 << 20,
-            retry: RetryPolicy::default(),
             flush: FlushPolicy::PerCommit,
         }
     }
@@ -156,24 +142,6 @@ impl DbConfigBuilder {
         self
     }
 
-    /// Real-time lock wait budget.
-    pub fn lock_timeout(mut self, t: Duration) -> Self {
-        self.cfg.lock_timeout = t;
-        self
-    }
-
-    /// Auto-checkpoint threshold in log bytes.
-    pub fn auto_checkpoint_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.auto_checkpoint_bytes = bytes;
-        self
-    }
-
-    /// Fault-recovery policy for the AStore client.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.cfg.retry = policy;
-        self
-    }
-
     /// Commit-path flush policy (per-commit or group-commit consolidation).
     pub fn flush_policy(mut self, policy: FlushPolicy) -> Self {
         self.cfg.flush = policy;
@@ -200,9 +168,6 @@ impl DbConfigBuilder {
                 "ring_segments must be at least 2, got {}",
                 c.ring_segments
             )));
-        }
-        if c.lock_timeout.is_zero() {
-            return Err(EngineError::Config("lock_timeout must be non-zero".into()));
         }
         if let Some(ebp) = &c.ebp {
             if ebp.capacity_bytes == 0 {
@@ -356,6 +321,16 @@ struct MetaState {
 /// Bounded retries for transient stale-replica page reads (`get_frame`).
 const PAGE_READ_RETRIES: u32 = 3;
 
+/// Real-time lock wait budget (deadlock breaker).
+const LOCK_TIMEOUT: Duration = Duration::from_millis(200);
+
+/// Checkpoint (ship + truncate the log) automatically once this many log
+/// bytes have accumulated since the last truncation. veDB's storage layer
+/// applies REDO continuously, so the log's working window stays small
+/// (§IV: "the capacity reserved for REDO logs in AStore for each database
+/// instance is ... limited to GB level").
+const AUTO_CHECKPOINT_BYTES: u64 = 2 << 20;
+
 /// The meta page's identity.
 pub const META_PAGE: PageId = PageId {
     space_no: 0,
@@ -446,6 +421,31 @@ impl DbStats {
     }
 }
 
+/// The engine's AStore client: a fresh lease for this incarnation
+/// (`ctx.client_id`; a recovering engine thereby fences the dead one),
+/// one-sided access through the engine NIC, the default [`RetryPolicy`]
+/// and a 50 ms route refresh period. Fresh open and crash recovery both
+/// connect through here.
+///
+/// [`RetryPolicy`]: vedb_astore::RetryPolicy
+pub(crate) fn connect_astore(ctx: &mut SimCtx, fabric: &StorageFabric) -> Arc<AStoreClient> {
+    let ep = RdmaEndpoint::with_metrics(
+        fabric.env.model.clone(),
+        Arc::clone(&fabric.env.faults),
+        Arc::clone(&fabric.env.engine_nic),
+        &fabric.env.metrics,
+    );
+    AStoreClient::connect(
+        ctx,
+        Arc::clone(&fabric.cm),
+        ep,
+        Arc::clone(&fabric.env.engine_cpu),
+        fabric.env.model.clone(),
+        ctx.client_id,
+        VTime::from_millis(50),
+    )
+}
+
 /// The engine.
 pub struct Db {
     cfg: DbConfig,
@@ -477,26 +477,7 @@ impl Db {
     /// Open a fresh engine against `fabric` and bootstrap the meta page.
     pub fn open(ctx: &mut SimCtx, fabric: &StorageFabric, cfg: DbConfig) -> Result<Arc<Db>> {
         let needs_astore = cfg.log == LogBackendKind::AStore || cfg.ebp.is_some();
-        let astore_client = if needs_astore {
-            let ep = RdmaEndpoint::with_metrics(
-                fabric.env.model.clone(),
-                Arc::clone(&fabric.env.faults),
-                Arc::clone(&fabric.env.engine_nic),
-                &fabric.env.metrics,
-            );
-            Some(AStoreClient::connect_with_policy(
-                ctx,
-                Arc::clone(&fabric.cm),
-                ep,
-                Arc::clone(&fabric.env.engine_cpu),
-                fabric.env.model.clone(),
-                ctx.client_id,
-                VTime::from_millis(50),
-                cfg.retry,
-            ))
-        } else {
-            None
-        };
+        let astore_client = needs_astore.then(|| connect_astore(ctx, fabric));
         let mut log_segments = Vec::new();
         let backend: Box<dyn LogBackend> = match cfg.log {
             LogBackendKind::AStore => {
@@ -565,7 +546,7 @@ impl Db {
             ebp,
             wal,
             pagestore: Arc::clone(&fabric.pagestore),
-            locks: LockManager::with_metrics(64, cfg.lock_timeout, &fabric.env.metrics),
+            locks: LockManager::with_metrics(64, LOCK_TIMEOUT, &fabric.env.metrics),
             stats: DbStats::register(&fabric.env.metrics),
             astore_client,
             catalog: RwLock::new(Catalog::new()),
@@ -709,12 +690,12 @@ impl Db {
     }
 
     fn sec_key(table: &TableDef, ix: &crate::catalog::IndexDef, row: &Row) -> Vec<u8> {
-        let mut vals: Vec<Value> = ix.key_cols.iter().map(|i| row[*i].clone()).collect();
-        if !ix.unique {
-            for i in &table.pk_cols {
-                vals.push(row[*i].clone());
-            }
-        }
+        let vals: Vec<Value> = ix
+            .key_cols
+            .iter()
+            .chain(&table.pk_cols)
+            .map(|i| row[*i].clone())
+            .collect();
         encode_key(&vals)
     }
 
@@ -1125,7 +1106,7 @@ impl Db {
             .wal
             .next_lsn()
             .saturating_sub(self.last_truncate.load(Ordering::Acquire));
-        if used > self.cfg.auto_checkpoint_bytes {
+        if used > AUTO_CHECKPOINT_BYTES {
             self.checkpoint(ctx)?;
         }
         Ok(())
@@ -1134,14 +1115,6 @@ impl Db {
     /// Known latest LSN of a page (0 when never touched by this engine).
     pub fn page_lsn(&self, pid: PageId) -> Lsn {
         *self.page_lsns.lock().get(&pid).unwrap_or(&0)
-    }
-
-    /// Read a page image for push-down planning / remote execution support
-    /// — follows BP → EBP → PageStore without caching the result.
-    pub fn load_page_for_pushdown(&self, ctx: &mut SimCtx, pid: PageId) -> Result<Page> {
-        let frame = self.get_frame(ctx, pid)?;
-        let page = frame.page.read();
-        Ok(page.clone())
     }
 
     /// The shared RPC fabric (push-down task dispatch).

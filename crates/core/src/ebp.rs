@@ -59,14 +59,16 @@ pub struct EbpConfig {
     pub shards: usize,
     /// Whether background compaction is enabled.
     pub compaction: bool,
-    /// Garbage ratio above which a frozen segment is compacted/released.
-    pub compaction_garbage_ratio: f64,
     /// Per-space priority (Priority policy; default 0).
     pub space_priority: HashMap<u32, u8>,
-    /// Page→LSN mappings buffered before a batch is shipped to the
-    /// AStore servers.
-    pub lsn_batch_size: usize,
 }
+
+/// Garbage ratio above which a frozen segment is compacted/released.
+const COMPACTION_GARBAGE_RATIO: f64 = 0.5;
+
+/// Page→LSN mappings buffered before a batch is shipped to the AStore
+/// servers.
+const LSN_BATCH_SIZE: usize = 64;
 
 impl Default for EbpConfig {
     fn default() -> Self {
@@ -75,9 +77,7 @@ impl Default for EbpConfig {
             policy: EbpPolicy::Flat,
             shards: 8,
             compaction: true,
-            compaction_garbage_ratio: 0.5,
             space_priority: HashMap::new(),
-            lsn_batch_size: 64,
         }
     }
 }
@@ -158,8 +158,6 @@ pub struct Ebp {
     segs: Mutex<SegTable>,
     live_bytes: AtomicU64,
     touch: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
     lsn_batch: Mutex<Vec<(PageId, Lsn)>>,
     /// Set while a compaction pass runs: re-admission writes go through
     /// [`Ebp::write_page`], whose trailing `maybe_compact` must not recurse
@@ -192,8 +190,6 @@ impl Ebp {
             }),
             live_bytes: AtomicU64::new(0),
             touch: AtomicU64::new(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             lsn_batch: Mutex::new(Vec::new()),
             compacting: AtomicBool::new(false),
             stats,
@@ -214,20 +210,14 @@ impl Ebp {
         }
     }
 
-    /// EBP hits so far.
+    /// EBP hits so far (`core.ebp_hits` in the client's registry).
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.stats.hits.get()
     }
 
-    /// EBP misses so far.
+    /// EBP misses so far (`core.ebp_misses`).
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Reset the hit/miss counters.
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+        self.stats.misses.get()
     }
 
     /// Live cached bytes.
@@ -442,14 +432,12 @@ impl Ebp {
             }
         };
         let Some(e) = entry else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
             self.stats.misses.inc();
             return None;
         };
         match self.client.read(ctx, e.seg, e.offset, e.len as usize) {
             Ok(bytes) => match Page::from_vec(bytes) {
                 Ok(p) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
                     self.stats.hits.inc();
                     Some(p)
                 }
@@ -463,7 +451,6 @@ impl Ebp {
                     shard.recency.remove(&e.touch);
                     self.drop_entry(pid, &e);
                 }
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 self.stats.misses.inc();
                 None
             }
@@ -477,7 +464,7 @@ impl Ebp {
         let flush = {
             let mut batch = self.lsn_batch.lock();
             batch.push((pid, lsn));
-            batch.len() >= self.cfg.lsn_batch_size
+            batch.len() >= LSN_BATCH_SIZE
         };
         if flush {
             self.flush_lsn_batch(ctx);
@@ -524,8 +511,7 @@ impl Ebp {
                 .filter(|(_id, info)| {
                     Some(info.handle) != segs.active
                         && info.used > 0
-                        && info.garbage as f64 / info.used as f64
-                            >= self.cfg.compaction_garbage_ratio
+                        && info.garbage as f64 / info.used as f64 >= COMPACTION_GARBAGE_RATIO
                 })
                 .map(|(id, info)| (*id, info.handle))
                 .collect()
@@ -581,16 +567,6 @@ impl Ebp {
             processed += 1;
         }
         Ok(processed)
-    }
-
-    /// Per-segment `(used, garbage)` bytes, active segment first absent —
-    /// the compaction pressure view (tests / monitoring).
-    pub fn segment_stats(&self) -> Vec<(u64, u64)> {
-        let segs = self.segs.lock();
-        segs.info
-            .values()
-            .map(|info| (info.used, info.garbage))
-            .collect()
     }
 
     /// The first `limit` cached page ids (buffer-pool warm-up, §VIII).
@@ -900,7 +876,6 @@ mod tests {
             capacity_bytes: 4 * 16 * 1024,
             shards: 1,
             compaction: true,
-            compaction_garbage_ratio: 0.4,
             ..Default::default()
         };
         let ebp = Ebp::new(client, cfg);
@@ -936,7 +911,6 @@ mod tests {
                 capacity_bytes: 40 * 16 * 1024,
                 shards: 4,
                 compaction: true,
-                compaction_garbage_ratio: 0.4,
                 ..Default::default()
             };
             let ebp = Ebp::new(Arc::clone(&client), cfg);

@@ -23,13 +23,13 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use vedb_astore::client::AStoreClient;
 use vedb_astore::{Lsn, PageId, SegmentId, SegmentRing};
-use vedb_rdma::RdmaEndpoint;
-use vedb_sim::{SimCtx, VTime};
+use vedb_sim::SimCtx;
 
 use crate::catalog::Catalog;
-use crate::db::{decode_meta_blob, Db, DbConfig, LogBackendKind, StorageFabric, META_PAGE};
+use crate::db::{
+    connect_astore, decode_meta_blob, Db, DbConfig, LogBackendKind, StorageFabric, META_PAGE,
+};
 use crate::ebp::Ebp;
 use crate::wal::{RingLog, UndoInfo, Wal, WalRecord};
 use crate::{EngineError, Result};
@@ -67,22 +67,7 @@ pub fn recover(
 
     // 1. New incarnation: fresh lease (fences the dead engine), ring
     //    recovery from segment headers + io-meta.
-    let ep = RdmaEndpoint::with_metrics(
-        fabric.env.model.clone(),
-        Arc::clone(&fabric.env.faults),
-        Arc::clone(&fabric.env.engine_nic),
-        &fabric.env.metrics,
-    );
-    let client = AStoreClient::connect_with_policy(
-        ctx,
-        Arc::clone(&fabric.cm),
-        ep,
-        Arc::clone(&fabric.env.engine_cpu),
-        fabric.env.model.clone(),
-        ctx.client_id,
-        VTime::from_millis(50),
-        cfg.retry,
-    );
+    let client = connect_astore(ctx, fabric);
     let ring = SegmentRing::recover(ctx, Arc::clone(&client), ring_segment_ids)?;
     let log_segments = ring.segment_ids();
     let wal = Wal::with_metrics(Box::new(RingLog::new(ring)), cfg.flush, &fabric.env.metrics);

@@ -261,7 +261,7 @@ fn eviction_through_ebp_and_pagestore_roundtrip() {
 
     // The pool holds 16 pages; the table is much bigger, so reads of cold
     // keys must come from the EBP or PageStore.
-    db.ebp().unwrap().reset_stats();
+    let (hits0, misses0) = (db.ebp().unwrap().hits(), db.ebp().unwrap().misses());
     for i in (0..3000).step_by(97) {
         let r = db
             .get_by_pk(&mut ctx, None, "accounts", &[Value::Int(i)])
@@ -269,11 +269,11 @@ fn eviction_through_ebp_and_pagestore_roundtrip() {
             .unwrap();
         assert_eq!(r[0], Value::Int(i));
     }
+    let hits = db.ebp().unwrap().hits() - hits0;
+    let misses = db.ebp().unwrap().misses() - misses0;
     assert!(
-        db.ebp().unwrap().hits() > 0,
-        "cold reads should be served by the EBP (hits={}, misses={})",
-        db.ebp().unwrap().hits(),
-        db.ebp().unwrap().misses()
+        hits > 0,
+        "cold reads should be served by the EBP (hits={hits}, misses={misses})"
     );
 }
 

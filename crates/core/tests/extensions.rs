@@ -117,7 +117,6 @@ fn warmup_from_ebp_restores_hit_rate() {
 
     // Simulate a restart of the local pool only.
     db.buffer_pool().clear();
-    db.buffer_pool().reset_stats();
 
     let loaded = db.warmup_from_ebp(&mut ctx, 32);
     assert!(loaded > 0, "warm-up must load pages from the EBP");

@@ -600,15 +600,6 @@ impl PageStoreServer {
             .ok_or(PageStoreError::UnknownPage(page))
     }
 
-    /// Number of distinct pages materialized for a segment (tests).
-    pub fn page_count(&self, key: PsSegmentKey) -> usize {
-        self.segs
-            .lock()
-            .get(&key)
-            .map(|s| s.pages.len())
-            .unwrap_or(0)
-    }
-
     /// Records parked out-of-order for a segment (tests / monitoring).
     pub fn gap_count(&self, key: PsSegmentKey) -> usize {
         self.segs

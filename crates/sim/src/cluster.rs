@@ -11,7 +11,6 @@ use crate::fault::FaultPlan;
 use crate::latency::LatencyModel;
 use crate::metrics::MetricsRegistry;
 use crate::resource::Resource;
-use crate::time::VTime;
 
 /// Per-node bundle of contended resources.
 pub struct NodeRes {
@@ -194,16 +193,12 @@ impl SimEnv {
             }
         }
     }
-
-    /// Total engine CPU busy time (for utilization reports).
-    pub fn engine_cpu_busy(&self) -> VTime {
-        self.engine_cpu.total_busy()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::VTime;
 
     #[test]
     fn paper_default_matches_table1() {

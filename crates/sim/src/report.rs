@@ -286,102 +286,6 @@ impl RunReport {
     }
 }
 
-impl RunReport {
-    /// One-screen `vedb-top`-style text summary: per-resource utilization
-    /// (busiest first), the top spans by self time, the top contended
-    /// locks, and any fault injections — what a bench run prints at the
-    /// end so saturation is visible without opening the JSON.
-    pub fn top_summary(&self) -> String {
-        use crate::time::VTime;
-        let ns = |v: u64| format!("{}", VTime::from_nanos(v));
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "== vedb-top: {} ({:.0} op/s over {}) ==",
-            self.name,
-            self.throughput(),
-            VTime::from_nanos(self.window_ns),
-        );
-
-        let mut res: Vec<(&String, &ResourceSummary)> = self.resources.iter().collect();
-        res.sort_by(|a, b| {
-            b.1.steady_util_x100
-                .cmp(&a.1.steady_util_x100)
-                .then(a.0.cmp(b.0))
-        });
-        let _ = writeln!(
-            out,
-            "  {:<16} {:>5} {:>8} {:>7} {:>10} {:>10}",
-            "resource", "lanes", "ops", "util%", "wait p99", "svc p99"
-        );
-        for (name, r) in &res {
-            let _ = writeln!(
-                out,
-                "  {:<16} {:>5} {:>8} {:>4}.{:02} {:>10} {:>10}",
-                name,
-                r.lanes,
-                r.ops,
-                r.steady_util_x100 / 100,
-                r.steady_util_x100 % 100,
-                ns(r.wait.p99_ns),
-                ns(r.service.p99_ns),
-            );
-        }
-
-        let mut spans: Vec<(&String, &crate::profile::OpStat)> = self.profile.ops.iter().collect();
-        spans.sort_by(|a, b| b.1.self_ns.cmp(&a.1.self_ns).then(a.0.cmp(b.0)));
-        if !spans.is_empty() {
-            let _ = writeln!(out, "  top spans by self time:");
-            for (k, s) in spans.iter().take(8) {
-                let _ = writeln!(
-                    out,
-                    "    {:<28} count {:>8}  self {:>10}  incl {:>10}",
-                    k,
-                    s.count,
-                    ns(s.self_ns),
-                    ns(s.total_ns)
-                );
-            }
-        }
-
-        if !self.profile.locks.top.is_empty() {
-            let _ = writeln!(out, "  top contended locks:");
-            for l in self.profile.locks.top.iter().take(5) {
-                let _ = writeln!(
-                    out,
-                    "    {:<16} key {:<16} waits {:>6}  total {:>10}  max {:>10}",
-                    l.table,
-                    l.key_hex,
-                    l.waits,
-                    ns(l.wait_total_ns),
-                    ns(l.wait_max_ns)
-                );
-            }
-        }
-
-        if !self.profile.fault_events.is_empty() {
-            let _ = writeln!(
-                out,
-                "  fault injections: {} (first at {})",
-                self.profile.fault_events.len(),
-                ns(self.profile.fault_events[0].at_ns)
-            );
-        }
-        out
-    }
-
-    /// The profile's folded flamegraph stacks rendered as inferno-style
-    /// lines: `frame;frame;frame weight\n`, in deterministic (BTreeMap)
-    /// order. Empty string when tracing was off.
-    pub fn folded_stacks(&self) -> String {
-        let mut out = String::new();
-        for (stack, w) in &self.profile.folded {
-            let _ = writeln!(out, "{stack} {w}");
-        }
-        out
-    }
-}
-
 /// Minimal JSON string escape; metric keys are `[a-z0-9._-]` but report names
 /// are caller-supplied.
 fn escape(s: &str) -> String {
@@ -481,44 +385,6 @@ mod tests {
         let json = rep.to_json();
         assert!(json.contains("\"astore-0.pmem\": {\"lanes\": 2"));
         assert!(json.contains("\"steady_util_pct\""));
-    }
-
-    #[test]
-    fn top_summary_is_one_screen_and_covers_sections() {
-        use crate::resource::Resource;
-        let reg = sample_registry();
-        let r = Resource::with_metrics("engine.cpu", 1, &reg);
-        r.acquire(VTime::ZERO, VTime::from_micros(50));
-        let c = reg.lock_contention();
-        c.set_label(3, "warehouse");
-        c.note_acquire(3);
-        c.note_wait(3, b"\x01", VTime::from_micros(9));
-        reg.trace().enable();
-        {
-            use crate::time::SimCtx;
-            let mut ctx = SimCtx::new(1, 7);
-            let sp = reg.trace().span(&ctx, "core", "commit");
-            ctx.advance(VTime::from_micros(4));
-            sp.finish(&ctx);
-        }
-        reg.trace()
-            .instant(VTime::from_micros(2), "fault", "crash", 1);
-        let mut trial = TrialResult::new(VTime::from_millis(10));
-        trial.committed = 42;
-        let rep = RunReport::collect("smoke", Some(&trial), &reg);
-        let top = rep.top_summary();
-        assert!(top.contains("vedb-top: smoke"));
-        assert!(top.contains("engine.cpu"));
-        assert!(top.contains("top spans by self time"));
-        assert!(top.contains("core/commit"));
-        assert!(top.contains("top contended locks"));
-        assert!(top.contains("warehouse"));
-        assert!(top.contains("fault injections: 1"));
-        // Folded export matches the profile and ends each line with the
-        // integer self-weight — the inferno folded-line contract.
-        let folded = rep.folded_stacks();
-        assert_eq!(folded, "core/commit 4000\n");
-        reg.trace().disable();
     }
 
     #[test]
