@@ -36,7 +36,10 @@
 //! Only when the policy is exhausted does a write surface
 //! [`AStoreError::ReplicaFailed`] — at which point the segment is frozen
 //! and the ring layer rolls to a fresh one. All recovery activity is
-//! published through [`RecoveryCounters`] (see `vedb_sim::metrics`).
+//! counted in the deployment registry: `astore.retries`,
+//! `astore.backoff_ns`, `astore.read_failovers`, `astore.route_refreshes`,
+//! `astore.segments_replaced` by the client, `astore.lease_renewals` and
+//! `astore.cm_repairs` by the CM.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -45,10 +48,7 @@ use parking_lot::Mutex;
 use vedb_rdma::{RdmaEndpoint, RemoteMr};
 use vedb_sim::fault::NodeId;
 use vedb_sim::trace::TraceLog;
-use vedb_sim::{
-    Counter, LatencyModel, LatencyRecorder, MetricsRegistry, RecoveryCounters, Resource, SimCtx,
-    VTime,
-};
+use vedb_sim::{Counter, LatencyModel, LatencyRecorder, MetricsRegistry, Resource, SimCtx, VTime};
 
 use crate::cm::{ClusterManager, Lease, Route};
 use crate::layout::SegmentClass;
@@ -76,8 +76,9 @@ struct SegMeta {
     frozen: bool,
 }
 
-/// Data-path metric handles (component `"astore"`), cached at connect time
-/// from the CM's registry.
+/// Data-path and fault-recovery metric handles (component `"astore"`),
+/// cached at connect time from the CM's registry. Every client of one CM
+/// shares them, so the counts are deployment totals.
 struct ClientStats {
     registry: Arc<MetricsRegistry>,
     appends: Arc<Counter>,
@@ -89,6 +90,16 @@ struct ClientStats {
     read_bytes: Arc<Counter>,
     append_lat: Arc<LatencyRecorder>,
     read_lat: Arc<LatencyRecorder>,
+    /// Retried operations (any path: read, write, CM call).
+    retries: Arc<Counter>,
+    /// Virtual time slept in backoff before those retries.
+    backoff_ns: Arc<Counter>,
+    /// Reads served by a replica other than the first routed one.
+    read_failovers: Arc<Counter>,
+    /// Forced route re-resolutions (stale/failed route).
+    route_refreshes: Arc<Counter>,
+    /// Ring segments rolled to a fresh replacement.
+    segments_replaced: Arc<Counter>,
     trace: Arc<TraceLog>,
 }
 
@@ -102,6 +113,11 @@ impl ClientStats {
             read_bytes: registry.counter("astore", "read_bytes"),
             append_lat: registry.latency("astore", "append"),
             read_lat: registry.latency("astore", "read"),
+            retries: registry.counter("astore", "retries"),
+            backoff_ns: registry.counter("astore", "backoff_ns"),
+            read_failovers: registry.counter("astore", "read_failovers"),
+            route_refreshes: registry.counter("astore", "route_refreshes"),
+            segments_replaced: registry.counter("astore", "segments_replaced"),
             trace: Arc::clone(registry.trace()),
             registry,
         }
@@ -117,7 +133,6 @@ pub struct AStoreClient {
     client_id: u64,
     refresh_period: VTime,
     policy: RetryPolicy,
-    counters: Arc<RecoveryCounters>,
     stats: ClientStats,
     lease: Mutex<Lease>,
     /// Per-node connection state: registered MR + server reference.
@@ -168,8 +183,6 @@ impl AStoreClient {
             .into_iter()
             .map(|s| (s.node(), (s.mr(), s)))
             .collect();
-        let counters = Arc::new(RecoveryCounters::new());
-        cm.attach_recovery_counters(Arc::clone(&counters));
         let stats = ClientStats::register(cm.metrics());
         Arc::new(AStoreClient {
             cm,
@@ -179,7 +192,6 @@ impl AStoreClient {
             client_id,
             refresh_period,
             policy,
-            counters,
             stats,
             lease: Mutex::new(lease),
             nodes: Mutex::new(nodes),
@@ -208,14 +220,10 @@ impl AStoreClient {
         self.policy
     }
 
-    /// Recovery telemetry: retries, failovers, renewals, repairs.
-    pub fn recovery_counters(&self) -> &Arc<RecoveryCounters> {
-        &self.counters
-    }
-
     /// The deployment metric registry this client publishes into (inherited
-    /// from the CM at connect time); engine-side layers built on top of the
-    /// client (EBP) register their own metrics here.
+    /// from the CM at connect time), recovery counts included; engine-side
+    /// layers built on top of the client (EBP) register their own metrics
+    /// here.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.stats.registry
     }
@@ -231,8 +239,8 @@ impl AStoreClient {
     fn sleep_backoff(&self, ctx: &mut SimCtx, retry: u32) {
         let slept = self.policy.backoff(retry);
         ctx.advance(slept);
-        self.counters.note_retry();
-        self.counters.note_backoff(slept);
+        self.stats.retries.inc();
+        self.stats.backoff_ns.add(slept.as_nanos());
     }
 
     /// Run a lease-bearing CM operation under the retry policy. A fencing
@@ -259,7 +267,6 @@ impl AStoreClient {
                     // Renew the *same* epoch; never re-acquire (that would
                     // mint a new epoch and bypass the §IV-C fence).
                     self.cm.renew_lease(ctx, lease)?;
-                    self.counters.note_lease_renewal();
                     renewed = true;
                 }
                 Err(e) if e.is_retryable() && self.policy.allows(retry) => {
@@ -372,7 +379,7 @@ impl AStoreClient {
                 fetched_at: ctx.now(),
             },
         );
-        self.counters.note_route_refresh();
+        self.stats.route_refreshes.inc();
         Ok(route)
     }
 
@@ -425,6 +432,11 @@ impl AStoreClient {
             .get(&handle.id)
             .map(|m| m.frozen)
             .unwrap_or(true)
+    }
+
+    /// Count one ring segment rolled to a replacement (`ring` layer).
+    pub(crate) fn note_segment_replaced(&self) {
+        self.stats.segments_replaced.inc();
     }
 
     /// Mark a segment frozen (also done automatically on replica failure).
@@ -757,7 +769,7 @@ impl AStoreClient {
                 match self.ep.read(ctx, &mr, loc.offset + offset, len) {
                     Ok(data) => {
                         if i > 0 {
-                            self.counters.note_read_failover();
+                            self.stats.read_failovers.inc();
                         }
                         self.stats.reads.inc();
                         self.stats.read_bytes.add(len as u64);
@@ -915,6 +927,11 @@ pub(crate) mod tests {
         }
     }
 
+    /// Value of the `astore.<name>` counter in the cluster's registry.
+    pub(crate) fn astore_count(tc: &TestCluster, name: &'static str) -> u64 {
+        tc.client.metrics().counter("astore", name).get()
+    }
+
     fn log_seg(ctx: &mut SimCtx, tc: &TestCluster) -> SegmentHandle {
         tc.client
             .create_segment_with(ctx, SegmentOpts::new(SegmentClass::Log))
@@ -1042,11 +1059,13 @@ pub(crate) mod tests {
             .unwrap();
         assert_eq!(off, 6);
         assert!(!tc.client.is_frozen(seg));
-        let c = tc.client.recovery_counters();
-        assert!(c.retries() >= 1, "recovery must have retried: {c:?}");
         assert!(
-            c.route_refreshes() >= 1,
-            "recovery must have re-resolved the route: {c:?}"
+            astore_count(&tc, "retries") >= 1,
+            "recovery must have retried"
+        );
+        assert!(
+            astore_count(&tc, "route_refreshes") >= 1,
+            "recovery must have re-resolved the route"
         );
         let new_route = tc.client.cached_route(seg.id).unwrap();
         assert_eq!(new_route.replicas.len(), 2, "route shrunk to the survivors");
@@ -1070,9 +1089,11 @@ pub(crate) mod tests {
         }
         tc.env.faults.set_drop_prob(0.0);
         assert_eq!(tc.client.segment_len(seg), 20 * 128);
-        let c = tc.client.recovery_counters();
-        assert!(c.retries() >= 1, "20% drop rate must force retries: {c:?}");
-        assert!(c.backoff() > VTime::ZERO);
+        assert!(
+            astore_count(&tc, "retries") >= 1,
+            "20% drop rate must force retries"
+        );
+        assert!(astore_count(&tc, "backoff_ns") > 0);
         // Every byte of every acked append is readable.
         let all = tc.client.read(&mut ctx, seg, 0, 20 * 128).unwrap();
         for i in 0..20usize {
@@ -1122,7 +1143,7 @@ pub(crate) mod tests {
         let route = tc.client.cached_route(seg.id).unwrap();
         tc.env.faults.crash(route.replicas[0].node);
         assert_eq!(tc.client.read(&mut ctx, seg, 0, 10).unwrap(), b"replicated");
-        assert!(tc.client.recovery_counters().read_failovers() >= 1);
+        assert!(astore_count(&tc, "read_failovers") >= 1);
     }
 
     #[test]
@@ -1144,13 +1165,13 @@ pub(crate) mod tests {
         for loc in &route.replicas {
             tc.env.faults.partition(loc.node);
         }
-        let before = tc.client.recovery_counters().retries();
+        let before = astore_count(&tc, "retries");
         let err = tc.client.read(&mut ctx, seg, 0, 15).unwrap_err();
         assert!(
             err.is_retryable(),
             "a fully-partitioned read surfaces as transient: {err}"
         );
-        let spent = tc.client.recovery_counters().retries() - before;
+        let spent = astore_count(&tc, "retries") - before;
         assert_eq!(
             spent as u32,
             tc.client.retry_policy().max_retries,
@@ -1315,7 +1336,7 @@ pub(crate) mod tests {
             epoch_before,
             "no re-acquire, same epoch"
         );
-        assert!(tc.client.recovery_counters().lease_renewals() >= 1);
+        assert!(astore_count(&tc, "lease_renewals") >= 1);
         tc.client
             .append_with(&mut ctx, seg, b"renewed", AppendOpts::new())
             .unwrap();

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use vedb_sim::fault::NodeId;
-use vedb_sim::{Counter, FaultPlan, MetricsRegistry, RecoveryCounters, SimCtx, VTime};
+use vedb_sim::{Counter, FaultPlan, MetricsRegistry, SimCtx, VTime};
 
 use crate::layout::SegmentClass;
 use crate::server::AStoreServer;
@@ -104,10 +104,8 @@ pub struct ClusterManager {
     lease_ttl: VTime,
     heartbeat_timeout: VTime,
     state: Mutex<CmState>,
-    /// Optional recovery telemetry sink (shared with the client SDK).
-    counters: Mutex<Option<Arc<RecoveryCounters>>>,
     /// Deployment metric registry; detached until the assembler attaches the
-    /// cluster-wide one (mirrors `attach_recovery_counters`).
+    /// cluster-wide one.
     metrics: Mutex<CmMetrics>,
 }
 
@@ -127,16 +125,8 @@ impl ClusterManager {
                 leases: HashMap::new(),
                 next_epoch: 1,
             }),
-            counters: Mutex::new(None),
             metrics: Mutex::new(CmMetrics::register(MetricsRegistry::detached())),
         })
-    }
-
-    /// Attach a [`RecoveryCounters`] sink: repair actions (re-replication)
-    /// are counted there so tests and operators can observe failover
-    /// activity alongside the client SDK's retry counters.
-    pub fn attach_recovery_counters(&self, counters: Arc<RecoveryCounters>) {
-        *self.counters.lock() = Some(counters);
     }
 
     /// Attach the deployment-wide [`MetricsRegistry`]. Control-plane
@@ -570,9 +560,6 @@ impl ClusterManager {
                         n.free_slots = n.free_slots.saturating_sub(1);
                     }
                     drop(st);
-                    if let Some(c) = self.counters.lock().as_ref() {
-                        c.note_replica_repaired();
-                    }
                     self.metrics.lock().repairs.inc();
                 }
             }

@@ -237,7 +237,7 @@ impl SegmentRing {
         let new_handle = self
             .client
             .create_segment_with(ctx, SegmentOpts::new(SegmentClass::Log))?;
-        self.client.recovery_counters().note_segment_replaced();
+        self.client.note_segment_replaced();
         {
             let mut st = self.state.lock();
             let old = st.slots[idx].handle;
@@ -530,7 +530,7 @@ impl SegmentRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::tests::{test_cluster, test_cluster_with_policy};
+    use crate::client::tests::{astore_count, test_cluster, test_cluster_with_policy};
     use crate::retry::RetryPolicy;
     use vedb_sim::VTime;
 
@@ -701,7 +701,7 @@ mod tests {
         // Retry now succeeds via the replacement path (slot was frozen).
         let lsn = ring.append(&mut ctx, b"after-restore").unwrap();
         assert_eq!(lsn, 14, "LSN continuity across segment replacement");
-        assert!(tc.client.recovery_counters().segments_replaced() >= 1);
+        assert!(astore_count(&tc, "segments_replaced") >= 1);
         let (_, bytes) = ring.read_from(&mut ctx, 14).unwrap();
         assert_eq!(&bytes, b"after-restore");
     }
@@ -723,8 +723,8 @@ mod tests {
         let lsn = ring.append(&mut ctx, b"during-failure").unwrap();
         assert_eq!(lsn, 14, "append must succeed despite the crashed replica");
         assert_eq!(ring.segment_ids(), ids_before, "no slot replacement needed");
-        assert_eq!(tc.client.recovery_counters().segments_replaced(), 0);
-        assert!(tc.client.recovery_counters().retries() >= 1);
+        assert_eq!(astore_count(&tc, "segments_replaced"), 0);
+        assert!(astore_count(&tc, "retries") >= 1);
         let (_, bytes) = ring.read_from(&mut ctx, 0).unwrap();
         assert_eq!(&bytes, b"before-failureduring-failure");
     }

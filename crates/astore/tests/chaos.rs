@@ -11,8 +11,8 @@
 //!   survivor — the retry layer absorbs crashes by reporting the dead node
 //!   to the CM and re-resolving the shrunk/repaired route.
 //! * **Bounded retries** — the capped-backoff policy never spins; retry
-//!   counts stay within `max_retries` per operation and are visible through
-//!   `vedb_sim::metrics::RecoveryCounters`.
+//!   counts stay within `max_retries` per operation and are visible as
+//!   `astore.*` counters in the registry, hence in every `RunReport`.
 
 use std::sync::Arc;
 
@@ -22,7 +22,7 @@ use vedb_astore::layout::SegmentClass;
 use vedb_astore::{AStoreServer, AppendOpts, RetryPolicy, SegmentOpts, SegmentRing};
 use vedb_rdma::RdmaEndpoint;
 use vedb_sim::fault::NodeId;
-use vedb_sim::{ClusterSpec, SimCtx, SimEnv, VTime};
+use vedb_sim::{ClusterSpec, RunReport, SimCtx, SimEnv, VTime};
 
 struct Cluster {
     env: Arc<SimEnv>,
@@ -72,6 +72,12 @@ fn connect(c: &Cluster, ctx: &mut SimCtx, id: u64, policy: RetryPolicy) -> Arc<A
         VTime::from_millis(50),
         policy,
     )
+}
+
+/// Value of the `astore.<name>` counter in the registry `client` publishes
+/// into (the CM's: detached unless the test attached the cluster's).
+fn astore_count(client: &AStoreClient, name: &'static str) -> u64 {
+    client.metrics().counter("astore", name).get()
 }
 
 /// TPC-C-ish record: NewOrder/Payment-sized REDO payloads, 64–700 bytes,
@@ -133,20 +139,134 @@ fn crash_one_replica_with_drops_loses_nothing() {
     assert!(!client.is_frozen(seg));
 
     // Recovery telemetry: retries happened, are bounded, and are visible.
-    let counters = client.recovery_counters();
+    let retries = astore_count(&client, "retries");
     assert!(
-        counters.retries() >= 1,
-        "crash + 1% drops must force retries: {counters:?}"
+        retries >= 1,
+        "crash + 1% drops must force retries: {retries}"
     );
     assert!(
-        counters.retries() <= (n as u64) * RetryPolicy::default().max_retries as u64,
-        "retry counts must stay within the policy budget: {counters:?}"
+        retries <= (n as u64) * RetryPolicy::default().max_retries as u64,
+        "retry counts must stay within the policy budget: {retries}"
     );
     assert!(
-        counters.route_refreshes() >= 1,
+        astore_count(&client, "route_refreshes") >= 1,
         "crash must force a route re-resolution"
     );
-    assert!(counters.backoff() > VTime::ZERO);
+    assert!(astore_count(&client, "backoff_ns") > 0);
+}
+
+/// Recovery numbers reach the report, once. Two clients share one CM (the
+/// second connected after the first, as `recovery::recover` does) and the
+/// crash-plus-drops scenario runs through one of them. Whichever of the two
+/// drives, the report carries the client-side recovery counts, and
+/// `astore.cm_repairs` is the number of re-replications the CM performed —
+/// including the other client's segments. The fault-free twin reports every
+/// name at zero.
+#[test]
+fn recovery_counts_reach_the_report_once() {
+    /// Runs the scenario; returns the report and how many segments the CM
+    /// re-replicated, read off its routes.
+    fn run(faults: bool, second_drives: bool) -> (RunReport, u64) {
+        let c = cluster(VTime::from_secs(3600));
+        c.cm.attach_metrics(Arc::clone(&c.env.metrics));
+        let mut ctx = SimCtx::new(1, 0xC0FFEE);
+        let first = connect(&c, &mut ctx, 1, RetryPolicy::default());
+        let second = connect(&c, &mut ctx, 2, RetryPolicy::default());
+        let (driver, other) = if second_drives {
+            (&second, &first)
+        } else {
+            (&first, &second)
+        };
+        // Two-way segments on three nodes: a spare exists, so a dead
+        // replica is re-replicated rather than dropped from the route.
+        let two_way = SegmentOpts::new(SegmentClass::Log).with_replication(2);
+        let seg = driver.create_segment_with(&mut ctx, two_way).unwrap();
+        let victim = driver.cached_route(seg.id).unwrap().replicas[0].node;
+        let mut on_victim = vec![seg.id];
+        for _ in 0..2 {
+            let s = other.create_segment_with(&mut ctx, two_way).unwrap();
+            let route = other.cached_route(s.id).unwrap();
+            if route.replicas.iter().any(|l| l.node == victim) {
+                on_victim.push(s.id);
+            }
+        }
+        assert!(on_victim.len() >= 2, "the victim must host both clients");
+
+        if faults {
+            c.env.faults.set_drop_prob_at(ctx.now(), 0.01);
+        }
+        let n = 200;
+        let mut committed: Vec<(u64, Vec<u8>)> = Vec::new();
+        for i in 0..n {
+            if faults && i == n / 2 {
+                c.env.faults.crash_at(ctx.now(), victim);
+            }
+            let data = record(i);
+            let off = driver
+                .append_with(&mut ctx, seg, &data, AppendOpts::new())
+                .unwrap_or_else(|e| panic!("append {i} must not surface an error, got {e}"));
+            committed.push((off, data));
+        }
+        c.env.faults.set_drop_prob_at(ctx.now(), 0.0);
+
+        // Read everything back with the first routed replica cut off:
+        // every read is served by the second one.
+        let primary = driver.cached_route(seg.id).unwrap().replicas[0].node;
+        if faults {
+            c.env.faults.partition_at(ctx.now(), primary);
+        }
+        for (off, data) in &committed {
+            let got = driver.read(&mut ctx, seg, *off, data.len()).unwrap();
+            assert_eq!(&got, data, "committed write at offset {off} lost");
+        }
+        c.env.faults.heal_at(ctx.now(), primary);
+
+        let repaired = on_victim
+            .iter()
+            .filter(|id| {
+                let route = c.cm.get_route(&mut ctx, **id).unwrap();
+                route.replicas.len() == 2 && route.replicas.iter().all(|l| l.node != victim)
+            })
+            .count() as u64;
+        (RunReport::collect("chaos", None, &c.env.metrics), repaired)
+    }
+
+    for second_drives in [false, true] {
+        let (report, repaired) = run(true, second_drives);
+        let json = report.to_json();
+        for name in ["retries", "backoff_ns", "read_failovers", "route_refreshes"] {
+            let key = format!("astore.{name}");
+            let v = report.counter(&key);
+            assert!(
+                v > 0,
+                "{key} must count the recovery (driver {second_drives})"
+            );
+            assert!(json.contains(&format!("\"{key}\": {v}")), "{key} in JSON");
+        }
+        assert_eq!(report.counter("astore.read_failovers"), 200);
+        assert!(repaired >= 2, "both clients' segments are re-replicated");
+        assert_eq!(
+            report.counter("astore.cm_repairs"),
+            repaired,
+            "repairs are counted once, whoever connected last"
+        );
+    }
+
+    let (report, repaired) = run(false, true);
+    let json = report.to_json();
+    for name in [
+        "retries",
+        "backoff_ns",
+        "read_failovers",
+        "route_refreshes",
+        "segments_replaced",
+    ] {
+        let key = format!("astore.{name}");
+        assert_eq!(report.counters.get(&key), Some(&0), "{key} present at 0");
+        assert!(json.contains(&format!("\"{key}\": 0")), "{key} in JSON");
+    }
+    assert_eq!(repaired, 0);
+    assert_eq!(report.counter("astore.cm_repairs"), 0);
 }
 
 /// Replica crash while a SegmentRing (the WAL's container) is mid-stream:
@@ -179,7 +299,7 @@ fn ring_traffic_rides_through_replica_crash() {
         bytes, expected,
         "REDO stream must be intact after the crash"
     );
-    assert!(client.recovery_counters().retries() >= 1);
+    assert!(astore_count(&client, "retries") >= 1);
 }
 
 /// ISSUE 8 group-commit scenario: the segment leader (first replica of
@@ -237,7 +357,7 @@ fn leader_crash_mid_group_flush_keeps_every_acked_batch() {
         bytes, expected,
         "every acked batch must survive the leader crash, in submission order"
     );
-    assert!(client.recovery_counters().retries() >= 1);
+    assert!(astore_count(&client, "retries") >= 1);
 }
 
 /// Sustained 1% message loss over a long append+read workload: every
@@ -266,13 +386,10 @@ fn one_percent_drops_bounded_retries() {
         assert_eq!(got, record(i));
     }
     c.env.faults.set_drop_prob_at(ctx.now(), 0.0);
-    let counters = client.recovery_counters();
+    let retries = astore_count(&client, "retries");
     // ~1% of ~900 one-sided messages + ~300 reads → a handful of retries;
     // 10× the expectation still catches a retry storm.
-    assert!(
-        counters.retries() <= 120,
-        "retry storm under 1% drops: {counters:?}"
-    );
+    assert!(retries <= 120, "retry storm under 1% drops: {retries}");
 }
 
 /// A partitioned replica (alive but unreachable) serves no reads; the read
@@ -297,7 +414,7 @@ fn reads_survive_partition_of_primary_replica() {
         let got = client.read(&mut ctx, seg, off, data.len()).unwrap();
         assert_eq!(got, data);
     }
-    assert!(client.recovery_counters().read_failovers() >= 10);
+    assert!(astore_count(&client, "read_failovers") >= 10);
     c.env.faults.heal_at(ctx.now(), route.replicas[0].node);
     // Timestamped injections land in the deployment trace, so the chaos
     // window is reconstructable from the exported report.
@@ -345,7 +462,7 @@ fn lease_expiry_mid_traffic_renews_same_epoch() {
         epoch,
         "renewal must never mint a new epoch"
     );
-    assert!(client.recovery_counters().lease_renewals() >= 4);
+    assert!(astore_count(&client, "lease_renewals") >= 4);
 }
 
 /// Fencing regression: the retry layer renews leases but must never let a
@@ -525,8 +642,8 @@ fn fault_free_rdma_counts_match_ground_truth() {
 
     // Nothing was dropped and the recovery layer never engaged.
     assert_eq!(drops.get(), 0, "fault-free run must not drop");
-    assert_eq!(client.recovery_counters().retries(), 0);
-    assert_eq!(client.recovery_counters().read_failovers(), 0);
+    assert_eq!(astore_count(&client, "retries"), 0);
+    assert_eq!(astore_count(&client, "read_failovers"), 0);
 
     // The per-op latency histograms saw exactly the ops that ran.
     assert_eq!(c.env.metrics.latency("astore", "append").count(), n);

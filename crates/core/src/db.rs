@@ -405,6 +405,9 @@ struct DbStats {
     /// Evicted pages the EBP failed to take (AStore out of slots, lost
     /// server): the page is still in PageStore, only the cache missed it.
     ebp_write_errors: Arc<Counter>,
+    /// Evicted pages never offered to the EBP: the meta page, or a page
+    /// whose log could not be forced first (WAL rule).
+    ebp_skips: Arc<Counter>,
     commit_lat: Arc<LatencyRecorder>,
     trace: Arc<TraceLog>,
 }
@@ -415,6 +418,7 @@ impl DbStats {
             commits: registry.counter("core", "txn_commits"),
             aborts: registry.counter("core", "txn_aborts"),
             ebp_write_errors: registry.counter("core", "ebp_write_errors"),
+            ebp_skips: registry.counter("core", "ebp_skips"),
             commit_lat: registry.latency("core", "txn_commit"),
             trace: Arc::clone(registry.trace()),
         }
@@ -1197,12 +1201,12 @@ impl EvictionSink for DbEvictionSink<'_> {
     fn on_evict(&self, ctx: &mut SimCtx, page_id: PageId, page: &Page, lsn: Lsn) {
         // Never cache the meta page (recovery reads it from PageStore).
         if page_id == META_PAGE {
-            self.0.env().metrics.counter("core", "ebp_skips").inc();
+            self.0.stats.ebp_skips.inc();
             return;
         }
         let Some(ebp) = &self.0.ebp else { return };
         if lsn > self.0.wal.flushed_lsn() && self.0.wal.flush(ctx, lsn).is_err() {
-            self.0.env().metrics.counter("core", "ebp_skips").inc();
+            self.0.stats.ebp_skips.inc();
             return;
         }
         if ebp.write_page(ctx, page_id, page, lsn).is_err() {

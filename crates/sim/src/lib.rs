@@ -40,9 +40,7 @@ pub use cluster::{ClusterSpec, SimEnv};
 pub use contention::{HotKeyStat, LockContention, LockProfile, TableLockStat};
 pub use fault::FaultPlan;
 pub use latency::LatencyModel;
-pub use metrics::{
-    Counter, Gauge, LatencyRecorder, MetricsRegistry, RecoveryCounters, Timeline, TrialResult,
-};
+pub use metrics::{Counter, Gauge, LatencyRecorder, MetricsRegistry, Timeline, TrialResult};
 pub use profile::{FaultEvent, OpStat, PhaseStat, Profile, TimelineSnapshot};
 pub use report::{LatencySummary, ResourceSummary, RunReport};
 pub use resource::Resource;

@@ -572,187 +572,6 @@ impl MetricsRegistry {
     }
 }
 
-/// Counters published by fault-recovery layers (AStore client retries,
-/// replica failover, lease renewal, CM-driven repair). One instance is
-/// shared per client/component via `Arc`; tests and benchmark reports read
-/// the totals to assert that recovery happened and stayed bounded.
-#[derive(Default)]
-pub struct RecoveryCounters {
-    retries: AtomicU64,
-    backoff_ns: AtomicU64,
-    read_failovers: AtomicU64,
-    lease_renewals: AtomicU64,
-    route_refreshes: AtomicU64,
-    segments_replaced: AtomicU64,
-    replicas_repaired: AtomicU64,
-}
-
-impl RecoveryCounters {
-    /// Fresh, all-zero counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one retried operation (any path: read, write, CM call).
-    pub fn note_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record virtual time spent sleeping in backoff before a retry.
-    pub fn note_backoff(&self, slept: VTime) {
-        self.backoff_ns
-            .fetch_add(slept.as_nanos(), Ordering::Relaxed);
-    }
-
-    /// Record a read served by a replica other than the first routed one.
-    pub fn note_read_failover(&self) {
-        self.read_failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an automatic lease renewal performed by the recovery layer.
-    pub fn note_lease_renewal(&self) {
-        self.lease_renewals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a forced route re-resolution (stale/failed route).
-    pub fn note_route_refresh(&self) {
-        self.route_refreshes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a segment rolled to a fresh replacement (ring rollover).
-    pub fn note_segment_replaced(&self) {
-        self.segments_replaced.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one replica re-replicated/pruned by the cluster manager.
-    pub fn note_replica_repaired(&self) {
-        self.replicas_repaired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total retried operations.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    /// Total virtual time spent in retry backoff.
-    pub fn backoff(&self) -> VTime {
-        VTime::from_nanos(self.backoff_ns.load(Ordering::Relaxed))
-    }
-
-    /// Total reads served by a non-primary replica.
-    pub fn read_failovers(&self) -> u64 {
-        self.read_failovers.load(Ordering::Relaxed)
-    }
-
-    /// Total automatic lease renewals.
-    pub fn lease_renewals(&self) -> u64 {
-        self.lease_renewals.load(Ordering::Relaxed)
-    }
-
-    /// Total forced route refreshes.
-    pub fn route_refreshes(&self) -> u64 {
-        self.route_refreshes.load(Ordering::Relaxed)
-    }
-
-    /// Total segments rolled to replacements.
-    pub fn segments_replaced(&self) -> u64 {
-        self.segments_replaced.load(Ordering::Relaxed)
-    }
-
-    /// Total replicas repaired by the CM.
-    pub fn replicas_repaired(&self) -> u64 {
-        self.replicas_repaired.load(Ordering::Relaxed)
-    }
-
-    /// Drop all counts (between benchmark phases).
-    pub fn reset(&self) {
-        self.retries.store(0, Ordering::Relaxed);
-        self.backoff_ns.store(0, Ordering::Relaxed);
-        self.read_failovers.store(0, Ordering::Relaxed);
-        self.lease_renewals.store(0, Ordering::Relaxed);
-        self.route_refreshes.store(0, Ordering::Relaxed);
-        self.segments_replaced.store(0, Ordering::Relaxed);
-        self.replicas_repaired.store(0, Ordering::Relaxed);
-    }
-
-    /// Add `other`'s totals into this instance (aggregating per-client
-    /// counters into a deployment-wide view). `other` is left untouched; use
-    /// [`drain_into`](Self::drain_into) when `other` keeps receiving writes.
-    pub fn merge(&self, other: &RecoveryCounters) {
-        self.retries
-            .fetch_add(other.retries.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.backoff_ns
-            .fetch_add(other.backoff_ns.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.read_failovers.fetch_add(
-            other.read_failovers.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        self.lease_renewals.fetch_add(
-            other.lease_renewals.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        self.route_refreshes.fetch_add(
-            other.route_refreshes.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        self.segments_replaced.fetch_add(
-            other.segments_replaced.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        self.replicas_repaired.fetch_add(
-            other.replicas_repaired.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Atomically move this instance's totals into `dst`, zeroing this one.
-    /// Each field is transferred with `swap(0)`, so increments racing with
-    /// the drain land in exactly one of (dst, residue) — `merge` followed by
-    /// `reset` would silently drop them.
-    pub fn drain_into(&self, dst: &RecoveryCounters) {
-        dst.retries
-            .fetch_add(self.retries.swap(0, Ordering::Relaxed), Ordering::Relaxed);
-        dst.backoff_ns.fetch_add(
-            self.backoff_ns.swap(0, Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        dst.read_failovers.fetch_add(
-            self.read_failovers.swap(0, Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        dst.lease_renewals.fetch_add(
-            self.lease_renewals.swap(0, Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        dst.route_refreshes.fetch_add(
-            self.route_refreshes.swap(0, Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        dst.segments_replaced.fetch_add(
-            self.segments_replaced.swap(0, Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        dst.replicas_repaired.fetch_add(
-            self.replicas_repaired.swap(0, Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-    }
-}
-
-impl std::fmt::Debug for RecoveryCounters {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecoveryCounters")
-            .field("retries", &self.retries())
-            .field("backoff", &self.backoff())
-            .field("read_failovers", &self.read_failovers())
-            .field("lease_renewals", &self.lease_renewals())
-            .field("route_refreshes", &self.route_refreshes())
-            .field("segments_replaced", &self.segments_replaced())
-            .field("replicas_repaired", &self.replicas_repaired())
-            .finish()
-    }
-}
-
 /// Outcome of one benchmark trial: operation counts over a virtual-time
 /// window plus the latency distribution.
 pub struct TrialResult {

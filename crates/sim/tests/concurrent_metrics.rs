@@ -2,8 +2,8 @@
 //! against drains/merges must never lose or double-count an increment.
 //!
 //! The invariant under test is conservation: with writers pumping a known
-//! total into a source (`Counter`, `LatencyRecorder`, `RecoveryCounters`,
-//! or a whole `MetricsRegistry`) while another thread repeatedly drains it
+//! total into a source (`Counter`, `LatencyRecorder`, or a whole
+//! `MetricsRegistry`) while another thread repeatedly drains it
 //! into a destination, `drained + residue == written` must hold exactly
 //! once the writers are done. Everything here runs under plain
 //! `cargo test` and is ThreadSanitizer-clean (atomics only, no data races
@@ -11,7 +11,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use vedb_sim::{LatencyRecorder, MetricsRegistry, RecoveryCounters, VTime};
+use vedb_sim::{LatencyRecorder, MetricsRegistry, VTime};
 
 const WRITERS: usize = 8;
 const INCS_PER_WRITER: u64 = 50_000;
@@ -103,54 +103,6 @@ fn latency_drain_conserves_samples() {
     // The bucket totals must add up to the sample count too (no sample
     // stranded half-transferred).
     assert!(dst.p50() <= dst.max());
-}
-
-#[test]
-fn recovery_counters_drain_conserves_totals() {
-    let src = RecoveryCounters::new();
-    let dst = RecoveryCounters::new();
-
-    race(
-        |_| {
-            for _ in 0..INCS_PER_WRITER {
-                src.note_retry();
-                src.note_backoff(VTime::from_nanos(3));
-                src.note_read_failover();
-            }
-        },
-        || src.drain_into(&dst),
-    );
-
-    let n = WRITERS as u64 * INCS_PER_WRITER;
-    assert_eq!(src.retries(), 0);
-    assert_eq!(dst.retries(), n);
-    assert_eq!(dst.backoff(), VTime::from_nanos(3 * n));
-    assert_eq!(dst.read_failovers(), n);
-}
-
-#[test]
-fn merge_after_quiesce_matches_parallel_totals() {
-    // Per-thread private recorders merged once at the end (the pattern the
-    // trial driver uses): totals must equal the sum of the parts.
-    let parts: Vec<RecoveryCounters> = (0..WRITERS).map(|_| RecoveryCounters::new()).collect();
-    std::thread::scope(|s| {
-        for part in &parts {
-            s.spawn(move || {
-                for _ in 0..INCS_PER_WRITER {
-                    part.note_retry();
-                    part.note_lease_renewal();
-                }
-            });
-        }
-    });
-    let total = RecoveryCounters::new();
-    for part in &parts {
-        total.merge(part);
-    }
-    assert_eq!(total.retries(), WRITERS as u64 * INCS_PER_WRITER);
-    assert_eq!(total.lease_renewals(), WRITERS as u64 * INCS_PER_WRITER);
-    // merge leaves sources untouched.
-    assert_eq!(parts[0].retries(), INCS_PER_WRITER);
 }
 
 #[test]
