@@ -497,7 +497,12 @@ impl AStoreServer {
             .expect("astore node has pmem")
             .acquire(ctx.now(), self.model.pmem_read_svc(scanned_bytes.max(64)));
         ctx.wait_until(done);
-        best.into_values().collect()
+        // `best` is a `RandomState` map and the order of this list becomes
+        // the recovered EBP index's recency order — which pages it evicts
+        // first — so it is sorted: the same seed must do the same work.
+        let mut found: Vec<EbpScanEntry> = best.into_values().collect();
+        found.sort_unstable_by_key(|e| e.page);
+        found
     }
 }
 

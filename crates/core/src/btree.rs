@@ -8,58 +8,26 @@
 //! trees have unique keys — non-unique secondary indexes append the
 //! primary key to the index key before reaching this layer.
 //!
-//! Every mutation is logged through [`TreeAccess::log_and_apply`] *before*
+//! Every mutation is logged through `Db::log_and_apply` *before*
 //! the page change becomes visible (the WAL rule), and splits decompose
 //! into plain page-level REDO ops (`Format`, `InsertAt`, `Delete`,
 //! `SetNextPage`), so PageStore replays structure changes with the same
 //! code path as row changes.
 //!
-//! Concurrency: a per-space `RwLock` (supplied by [`TreeAccess`])
+//! Concurrency: a per-space `RwLock` (`Db::space_latch`)
 //! serializes structural writers against readers in *real* time; virtual
 //! time is unaffected (contended virtual resources are charged
 //! explicitly), so this latch protects memory safety without distorting
 //! the simulation.
 
-use std::sync::Arc;
-
-use vedb_astore::{Lsn, PageId};
+use vedb_astore::PageId;
 use vedb_pagestore::page::{Page, PageType};
 use vedb_pagestore::redo::PageOp;
 use vedb_sim::SimCtx;
 
-use crate::buffer::Frame;
+use crate::db::Db;
 use crate::wal::UndoInfo;
 use crate::{EngineError, Result};
-
-/// Services the tree needs from the engine.
-pub trait TreeAccess {
-    /// Fetch a page through the cache hierarchy.
-    fn get_frame(&self, ctx: &mut SimCtx, pid: PageId) -> Result<Arc<Frame>>;
-    /// Allocate a fresh page number in `space` (persisted via the meta
-    /// page).
-    fn alloc_page(&self, ctx: &mut SimCtx, txn: u64, space: u32) -> Result<u32>;
-    /// Current root of `space`: `(page_no, level)`; `(0, _)` = empty tree.
-    fn root_of(&self, space: u32) -> (u32, u8);
-    /// Persist a root change.
-    fn set_root(&self, ctx: &mut SimCtx, txn: u64, space: u32, root: u32, level: u8) -> Result<()>;
-    /// WAL-log `op` against `pid` and apply it to `page` (held exclusively
-    /// by the caller). Returns the record's LSN.
-    fn log_and_apply(
-        &self,
-        ctx: &mut SimCtx,
-        txn: u64,
-        pid: PageId,
-        op: PageOp,
-        undo: Option<UndoInfo>,
-        page: &mut Page,
-    ) -> Result<Lsn>;
-    /// Charge engine CPU (per-row/level costs).
-    fn charge_cpu(&self, ctx: &mut SimCtx, ns: u64);
-    /// Number of allocated pages in `space` (read-ahead bound).
-    fn space_pages(&self, space: u32) -> u32;
-    /// The per-space structural latch.
-    fn space_latch(&self, space: u32) -> Arc<parking_lot::RwLock<()>>;
-}
 
 /// Build a leaf cell.
 pub fn leaf_cell(key: &[u8], payload: &[u8]) -> Vec<u8> {
@@ -136,7 +104,7 @@ impl BTree {
     }
 
     /// Create the (empty) tree: allocates and formats the root leaf.
-    pub fn create(&self, ctx: &mut SimCtx, access: &dyn TreeAccess, txn: u64) -> Result<()> {
+    pub fn create(&self, ctx: &mut SimCtx, access: &Db, txn: u64) -> Result<()> {
         let latch = access.space_latch(self.space);
         let _g = latch.write();
         let (root, _) = access.root_of(self.space);
@@ -164,12 +132,7 @@ impl BTree {
 
     /// Descend to the leaf that should hold `key`; returns the path of
     /// page numbers from root (exclusive of leaf) and the leaf page no.
-    fn descend(
-        &self,
-        ctx: &mut SimCtx,
-        access: &dyn TreeAccess,
-        key: &[u8],
-    ) -> Result<(Vec<u32>, u32)> {
+    fn descend(&self, ctx: &mut SimCtx, access: &Db, key: &[u8]) -> Result<(Vec<u32>, u32)> {
         let (root, mut level) = access.root_of(self.space);
         if root == 0 {
             return Err(EngineError::Query(format!(
@@ -192,12 +155,7 @@ impl BTree {
     }
 
     /// Point lookup: the payload stored under `key`.
-    pub fn get(
-        &self,
-        ctx: &mut SimCtx,
-        access: &dyn TreeAccess,
-        key: &[u8],
-    ) -> Result<Option<Vec<u8>>> {
+    pub fn get(&self, ctx: &mut SimCtx, access: &Db, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let latch = access.space_latch(self.space);
         let _g = latch.read();
         let (root, _) = access.root_of(self.space);
@@ -221,7 +179,7 @@ impl BTree {
     pub fn insert(
         &self,
         ctx: &mut SimCtx,
-        access: &dyn TreeAccess,
+        access: &Db,
         txn: u64,
         key: &[u8],
         payload: &[u8],
@@ -269,7 +227,7 @@ impl BTree {
     fn split(
         &self,
         ctx: &mut SimCtx,
-        access: &dyn TreeAccess,
+        access: &Db,
         txn: u64,
         path: &[u32],
         target_no: u32,
@@ -455,7 +413,7 @@ impl BTree {
     fn insert_separator(
         &self,
         ctx: &mut SimCtx,
-        access: &dyn TreeAccess,
+        access: &Db,
         txn: u64,
         sep_key: &[u8],
         child: u32,
@@ -498,7 +456,7 @@ impl BTree {
     pub fn update(
         &self,
         ctx: &mut SimCtx,
-        access: &dyn TreeAccess,
+        access: &Db,
         txn: u64,
         key: &[u8],
         payload: &[u8],
@@ -553,7 +511,7 @@ impl BTree {
     pub fn delete(
         &self,
         ctx: &mut SimCtx,
-        access: &dyn TreeAccess,
+        access: &Db,
         txn: u64,
         key: &[u8],
         undo: Option<UndoInfo>,
@@ -586,7 +544,7 @@ impl BTree {
     pub fn scan(
         &self,
         ctx: &mut SimCtx,
-        access: &dyn TreeAccess,
+        access: &Db,
         start: Option<&[u8]>,
         end: Option<&[u8]>,
         mut f: impl FnMut(&[u8], &[u8]) -> bool,
@@ -639,7 +597,7 @@ impl BTree {
     fn scan_rest(
         &self,
         ctx: &mut SimCtx,
-        access: &dyn TreeAccess,
+        access: &Db,
         mut leaf_no: u32,
         end: Option<&[u8]>,
         f: &mut impl FnMut(&[u8], &[u8]) -> bool,

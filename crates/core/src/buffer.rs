@@ -1,8 +1,8 @@
 //! The DBEngine's local buffer pool.
 //!
-//! A sharded page cache: page ids hash to one of several shards, each with
-//! its own LRU ordering and mutex (the paper uses the same trick for the
-//! EBP's LRU lists, §V-D; the local pool shares the implementation).
+//! A sharded page cache: page ids hash to one of several shards, each an
+//! [`LruShard`] behind its own mutex (the paper uses the same trick for the
+//! EBP's LRU lists, §V-D; the EBP index is built from the same shard type).
 //! Frames are `Arc`-pinned — eviction skips any frame still referenced by
 //! an operation in flight.
 //!
@@ -11,8 +11,7 @@
 //! Extended Buffer Pool, when attached) and then dropped — PageStore can
 //! always reconstruct them from shipped REDO.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -21,6 +20,7 @@ use vedb_pagestore::Page;
 use vedb_sim::metrics::Counter;
 use vedb_sim::{LatencyModel, MetricsRegistry, Resource, SimCtx, VTime};
 
+use crate::lru::LruShard;
 use crate::Result;
 
 /// Receives pages as they fall out of the buffer pool.
@@ -55,17 +55,10 @@ impl Frame {
     }
 }
 
-struct Shard {
-    frames: HashMap<PageId, (Arc<Frame>, u64)>,
-    /// recency index: touch counter -> page id
-    recency: BTreeMap<u64, PageId>,
-}
-
 /// The sharded buffer pool.
 pub struct BufferPool {
-    shards: Vec<Mutex<Shard>>,
-    capacity_per_shard: usize,
-    touch: AtomicU64,
+    shards: Vec<Mutex<LruShard<Arc<Frame>>>>,
+    capacity_per_shard: u64,
     engine_cpu: Arc<Resource>,
     model: LatencyModel,
     m_hits: Arc<Counter>,
@@ -75,25 +68,8 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// A pool holding at most `capacity_pages` pages across `shards`
-    /// shards.
-    pub fn new(
-        capacity_pages: usize,
-        shards: usize,
-        engine_cpu: Arc<Resource>,
-        model: LatencyModel,
-    ) -> BufferPool {
-        Self::with_metrics(
-            capacity_pages,
-            shards,
-            engine_cpu,
-            model,
-            &MetricsRegistry::detached(),
-        )
-    }
-
-    /// Like [`new`](Self::new), mirroring hit/miss/eviction counts into
-    /// `registry` (component `core`: `bp_hits`, `bp_misses`,
-    /// `bp_evictions`).
+    /// shards, counting hits, misses and evictions in `registry`
+    /// (component `core`: `bp_hits`, `bp_misses`, `bp_evictions`).
     pub fn with_metrics(
         capacity_pages: usize,
         shards: usize,
@@ -103,16 +79,8 @@ impl BufferPool {
     ) -> BufferPool {
         assert!(shards > 0 && capacity_pages >= shards);
         BufferPool {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        frames: HashMap::new(),
-                        recency: BTreeMap::new(),
-                    })
-                })
-                .collect(),
-            capacity_per_shard: capacity_pages / shards,
-            touch: AtomicU64::new(1),
+            shards: (0..shards).map(|_| Mutex::new(LruShard::new())).collect(),
+            capacity_per_shard: (capacity_pages / shards) as u64,
             engine_cpu,
             model,
             m_hits: registry.counter("core", "bp_hits"),
@@ -140,7 +108,7 @@ impl BufferPool {
 
     /// Pages currently cached.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().frames.len()).sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Is the pool empty?
@@ -150,8 +118,10 @@ impl BufferPool {
 
     /// Look up a page without loading (tests / pushdown planning).
     pub fn peek(&self, page_id: PageId) -> Option<Arc<Frame>> {
-        let shard = self.shards[self.shard_of(page_id)].lock();
-        shard.frames.get(&page_id).map(|(f, _)| Arc::clone(f))
+        self.shards[self.shard_of(page_id)]
+            .lock()
+            .peek(page_id)
+            .cloned()
     }
 
     /// Get a page, loading it with `loader` on a miss. Evicts the shard's
@@ -170,16 +140,10 @@ impl BufferPool {
         ctx.wait_until(done);
 
         let idx = self.shard_of(page_id);
-        {
-            let mut shard = self.shards[idx].lock();
-            if let Some((frame, old_touch)) = shard.frames.get(&page_id).cloned() {
-                let t = self.touch.fetch_add(1, Ordering::Relaxed);
-                shard.recency.remove(&old_touch);
-                shard.recency.insert(t, page_id);
-                shard.frames.insert(page_id, (Arc::clone(&frame), t));
-                self.m_hits.inc();
-                return Ok(frame);
-            }
+        let hit = self.shards[idx].lock().touch(page_id).cloned();
+        if let Some(frame) = hit {
+            self.m_hits.inc();
+            return Ok(frame);
         }
         self.m_misses.inc();
         // Load outside the shard lock (the loader does remote I/O).
@@ -189,27 +153,16 @@ impl BufferPool {
         {
             let mut shard = self.shards[idx].lock();
             // Double-check: another thread may have loaded it meanwhile.
-            if let Some((existing, _)) = shard.frames.get(&page_id) {
+            if let Some(existing) = shard.peek(page_id) {
                 return Ok(Arc::clone(existing));
             }
-            let t = self.touch.fetch_add(1, Ordering::Relaxed);
-            shard.frames.insert(page_id, (Arc::clone(&frame), t));
-            shard.recency.insert(t, page_id);
-            while shard.frames.len() > self.capacity_per_shard {
+            shard.insert(page_id, Arc::clone(&frame), 1);
+            while shard.weight() > self.capacity_per_shard {
                 // Oldest unpinned frame.
-                let victim = shard.recency.iter().map(|(t, p)| (*t, *p)).find(|(_, p)| {
-                    shard
-                        .frames
-                        .get(p)
-                        .map(|(f, _)| Arc::strong_count(f) == 1)
-                        .unwrap_or(false)
-                });
-                match victim {
-                    Some((vt, vp)) => {
-                        shard.recency.remove(&vt);
-                        let (vf, _) = shard.frames.remove(&vp).expect("present");
+                match shard.pop_lru_where(|f| Arc::strong_count(f) == 1) {
+                    Some(victim) => {
                         self.m_evictions.inc();
-                        evicted.push((vp, vf));
+                        evicted.push(victim);
                     }
                     None => break, // everything pinned; allow temporary overflow
                 }
@@ -228,9 +181,7 @@ impl BufferPool {
     /// Drop every cached page (simulating an engine restart).
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut s = shard.lock();
-            s.frames.clear();
-            s.recency.clear();
+            *shard.lock() = LruShard::new();
         }
     }
 }
@@ -240,12 +191,17 @@ mod tests {
     use super::*;
     use vedb_sim::ClusterSpec;
 
-    fn pool(cap: usize) -> (BufferPool, SimCtx) {
+    fn pool_with(cap: usize, shards: usize) -> (BufferPool, SimCtx) {
         let env = ClusterSpec::tiny().build();
+        let cpu = Arc::clone(&env.engine_cpu);
         (
-            BufferPool::new(cap, 2, Arc::clone(&env.engine_cpu), env.model.clone()),
+            BufferPool::with_metrics(cap, shards, cpu, env.model.clone(), &env.metrics),
             SimCtx::new(1, 7),
         )
+    }
+
+    fn pool(cap: usize) -> (BufferPool, SimCtx) {
+        pool_with(cap, 2)
     }
 
     fn loader(marker: u8) -> impl FnOnce(&mut SimCtx) -> Result<Page> {
@@ -303,14 +259,15 @@ mod tests {
         drop(pinned);
     }
 
+    struct Sink(Mutex<Vec<PageId>>);
+    impl EvictionSink for Sink {
+        fn on_evict(&self, _ctx: &mut SimCtx, page_id: PageId, _page: &Page, _lsn: Lsn) {
+            self.0.lock().push(page_id);
+        }
+    }
+
     #[test]
     fn eviction_sink_sees_evicted_pages() {
-        struct Sink(Mutex<Vec<PageId>>);
-        impl EvictionSink for Sink {
-            fn on_evict(&self, _ctx: &mut SimCtx, page_id: PageId, _page: &Page, _lsn: Lsn) {
-                self.0.lock().push(page_id);
-            }
-        }
         let (bp, mut ctx) = pool(4);
         let sink = Sink(Mutex::new(Vec::new()));
         for i in 0..12 {
@@ -322,6 +279,25 @@ mod tests {
         let evicted = sink.0.lock();
         assert!(!evicted.is_empty());
         assert_eq!(evicted.len() + bp.len(), 12);
+    }
+
+    #[test]
+    fn victims_are_the_least_recently_touched_unpinned_pages_in_order() {
+        let (bp, mut ctx) = pool_with(3, 1);
+        let sink = Sink(Mutex::new(Vec::new()));
+        let page = |i| PageId::new(1, i);
+        let mut get = |i| bp.get(&mut ctx, page(i), Some(&sink), loader(0)).unwrap();
+        let pinned = get(0);
+        drop(get(1));
+        drop(get(2));
+        drop(get(1)); // re-touch: page 2 is now the least recent unpinned
+        drop(get(3)); // evicts 2 — not 0 (older, but pinned), not 1
+        drop(get(4)); // evicts 1
+        assert_eq!(*sink.0.lock(), [page(2), page(1)]);
+        assert!(bp.peek(page(0)).is_some() && bp.peek(page(3)).is_some());
+        drop(pinned);
+        drop(get(5)); // unpinned, page 0 is the oldest of all
+        assert_eq!(*sink.0.lock(), [page(2), page(1), page(0)]);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use vedb_sim::metrics::{Counter, LatencyRecorder};
 use vedb_sim::trace::TraceLog;
 use vedb_sim::{ClusterSpec, MetricsRegistry, SimCtx, SimEnv, VTime};
 
-use crate::btree::{BTree, TreeAccess};
+use crate::btree::BTree;
 use crate::buffer::{BufferPool, EvictionSink, Frame};
 use crate::catalog::{Catalog, TableDef};
 use crate::ebp::{Ebp, EbpConfig};
@@ -1167,7 +1167,8 @@ impl Db {
         *self.page_lsns.lock() = lsns;
     }
 
-    /// Allocated page count of a space (push-down page enumeration).
+    /// Allocated page count of a space (push-down page enumeration, scan
+    /// read-ahead bound).
     pub fn space_pages(&self, space: u32) -> u32 {
         self.meta.lock().next_page.get(&space).copied().unwrap_or(0)
     }
@@ -1215,13 +1216,16 @@ impl EvictionSink for DbEvictionSink<'_> {
     }
 }
 
-impl TreeAccess for Db {
-    fn get_frame(&self, ctx: &mut SimCtx, pid: PageId) -> Result<Arc<Frame>> {
+/// Services the B+Trees need from the engine.
+impl Db {
+    /// Fetch a page through the cache hierarchy.
+    pub(crate) fn get_frame(&self, ctx: &mut SimCtx, pid: PageId) -> Result<Arc<Frame>> {
         let sink_impl = DbEvictionSink(self);
         let sink: Option<&dyn EvictionSink> =
             self.ebp.as_ref().map(|_| &sink_impl as &dyn EvictionSink);
-        let min_lsn = self.page_lsn(pid);
         self.bp.get(ctx, pid, sink, |ctx| {
+            // Only a miss needs to know how fresh the image must be.
+            let min_lsn = self.page_lsn(pid);
             // EBP first (§V-C), then PageStore.
             if let Some(ebp) = &self.ebp {
                 if let Some(page) = ebp.read_page(ctx, pid, min_lsn) {
@@ -1258,7 +1262,9 @@ impl TreeAccess for Db {
         })
     }
 
-    fn alloc_page(&self, ctx: &mut SimCtx, txn: u64, space: u32) -> Result<u32> {
+    /// Allocate a fresh page number in `space` (persisted via the meta
+    /// page).
+    pub(crate) fn alloc_page(&self, ctx: &mut SimCtx, txn: u64, space: u32) -> Result<u32> {
         let page_no = {
             let mut m = self.meta.lock();
             let next = m.next_page.entry(space).or_insert(0);
@@ -1269,7 +1275,8 @@ impl TreeAccess for Db {
         Ok(page_no)
     }
 
-    fn root_of(&self, space: u32) -> (u32, u8) {
+    /// Current root of `space`: `(page_no, level)`; `(0, _)` = empty tree.
+    pub(crate) fn root_of(&self, space: u32) -> (u32, u8) {
         self.meta
             .lock()
             .roots
@@ -1278,12 +1285,22 @@ impl TreeAccess for Db {
             .unwrap_or((0, 0))
     }
 
-    fn set_root(&self, ctx: &mut SimCtx, txn: u64, space: u32, root: u32, level: u8) -> Result<()> {
+    /// Persist a root change.
+    pub(crate) fn set_root(
+        &self,
+        ctx: &mut SimCtx,
+        txn: u64,
+        space: u32,
+        root: u32,
+        level: u8,
+    ) -> Result<()> {
         self.meta.lock().roots.insert(space, (root, level));
         self.persist_meta(ctx, txn)
     }
 
-    fn log_and_apply(
+    /// WAL-log `op` against `pid` and apply it to `page` (held exclusively
+    /// by the caller). Returns the record's LSN.
+    pub(crate) fn log_and_apply(
         &self,
         ctx: &mut SimCtx,
         txn: u64,
@@ -1311,11 +1328,8 @@ impl TreeAccess for Db {
         Ok(lsn)
     }
 
-    fn space_pages(&self, space: u32) -> u32 {
-        Db::space_pages(self, space)
-    }
-
-    fn charge_cpu(&self, ctx: &mut SimCtx, ns: u64) {
+    /// Charge engine CPU (per-row/level costs).
+    pub(crate) fn charge_cpu(&self, ctx: &mut SimCtx, ns: u64) {
         let done = self
             .env
             .engine_cpu
@@ -1323,7 +1337,8 @@ impl TreeAccess for Db {
         ctx.wait_until(done);
     }
 
-    fn space_latch(&self, space: u32) -> Arc<RwLock<()>> {
+    /// The per-space structural latch.
+    pub(crate) fn space_latch(&self, space: u32) -> Arc<RwLock<()>> {
         let mut latches = self.space_latches.lock();
         Arc::clone(
             latches

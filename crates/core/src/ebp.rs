@@ -3,8 +3,10 @@
 //! Pages evicted from the local buffer pool are cached in AStore (PMem,
 //! replication factor 1 — losing an EBP page only lowers the hit ratio).
 //! The engine keeps the **EBP Index**: `{(space_no, page_no) → lsn +
-//! segment + offset}` in sharded maps, each shard with its own LRU order
-//! (the paper's "multiple LRU lists" for contention relief, §V-D).
+//! segment + offset}` in sharded maps, each shard an [`LruShard`] — the
+//! shard type the local buffer pool is built from — weighing entries by
+//! image bytes (the paper's "multiple LRU lists" for contention relief,
+//! §V-D).
 //!
 //! Writes are append-only records in EBP segments; overwriting a page makes
 //! the previous image *garbage*, tracked per segment. Segments whose
@@ -22,8 +24,8 @@
 //! their local PMem, prune stale images, and return the valid entries from
 //! which [`Ebp::recover`] rebuilds the index.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -36,6 +38,7 @@ use vedb_sim::fault::NodeId;
 use vedb_sim::metrics::Counter;
 use vedb_sim::{MetricsRegistry, SimCtx, VTime};
 
+use crate::lru::LruShard;
 use crate::Result;
 
 /// EBP capacity management policy (§V-C).
@@ -89,12 +92,6 @@ struct Entry {
     offset: u64,
     len: u32,
     prio: u8,
-    touch: u64,
-}
-
-struct Shard {
-    entries: HashMap<PageId, Entry>,
-    recency: BTreeMap<u64, PageId>,
 }
 
 struct SegInfo {
@@ -154,10 +151,8 @@ impl EbpStats {
 pub struct Ebp {
     client: Arc<AStoreClient>,
     cfg: EbpConfig,
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Mutex<LruShard<Entry>>>,
     segs: Mutex<SegTable>,
-    live_bytes: AtomicU64,
-    touch: AtomicU64,
     lsn_batch: Mutex<Vec<(PageId, Lsn)>>,
     /// Set while a compaction pass runs: re-admission writes go through
     /// [`Ebp::write_page`], whose trailing `maybe_compact` must not recurse
@@ -172,12 +167,7 @@ impl Ebp {
     pub fn new(client: Arc<AStoreClient>, cfg: EbpConfig) -> Ebp {
         assert!(cfg.shards > 0);
         let shards = (0..cfg.shards)
-            .map(|_| {
-                Mutex::new(Shard {
-                    entries: HashMap::new(),
-                    recency: BTreeMap::new(),
-                })
-            })
+            .map(|_| Mutex::new(LruShard::new()))
             .collect();
         let stats = EbpStats::register(client.metrics());
         Ebp {
@@ -188,8 +178,6 @@ impl Ebp {
                 active: None,
                 info: HashMap::new(),
             }),
-            live_bytes: AtomicU64::new(0),
-            touch: AtomicU64::new(1),
             lsn_batch: Mutex::new(Vec::new()),
             compacting: AtomicBool::new(false),
             stats,
@@ -222,12 +210,12 @@ impl Ebp {
 
     /// Live cached bytes.
     pub fn live_bytes(&self) -> u64 {
-        self.live_bytes.load(Ordering::Relaxed)
+        self.shards.iter().map(|s| s.lock().weight()).sum()
     }
 
     /// Number of cached pages.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().entries.len()).sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Is the cache empty?
@@ -237,15 +225,12 @@ impl Ebp {
 
     /// Is a page currently cached (any version)?
     pub fn contains(&self, pid: PageId) -> bool {
-        self.shards[self.shard_of(pid)]
-            .lock()
-            .entries
-            .contains_key(&pid)
+        self.shards[self.shard_of(pid)].lock().peek(pid).is_some()
     }
 
     /// Physical location of a cached page (push-down routing).
     pub fn locate(&self, pid: PageId) -> Option<EbpLoc> {
-        let e = *self.shards[self.shard_of(pid)].lock().entries.get(&pid)?;
+        let e = *self.shards[self.shard_of(pid)].lock().peek(pid)?;
         let node = self.client.cached_route(e.seg.id)?.replicas.first()?.node;
         Some(EbpLoc {
             node,
@@ -281,13 +266,19 @@ impl Ebp {
         Ok(h)
     }
 
-    fn drop_entry(&self, pid: PageId, e: &Entry) {
-        self.live_bytes.fetch_sub(e.len as u64, Ordering::Relaxed);
+    /// An entry left the index: its record is garbage in its segment.
+    fn note_garbage(&self, e: &Entry) {
         let mut segs = self.segs.lock();
         if let Some(info) = segs.info.get_mut(&e.seg.id) {
             info.garbage += e.len as u64 + RECORD_HDR_SIZE as u64;
         }
-        let _ = pid;
+    }
+
+    /// Drop `pid` from its (locked) shard, if cached.
+    fn discard(&self, shard: &mut LruShard<Entry>, pid: PageId) {
+        if let Some(e) = shard.remove(pid) {
+            self.note_garbage(&e);
+        }
     }
 
     /// Cache a page image. Applies the admission/eviction policy; may
@@ -301,55 +292,33 @@ impl Ebp {
         // compaction churn. Compaction passes are exempt: their
         // re-admissions must move the record out of the dying segment even
         // at an unchanged LSN.
+        let shard_idx = self.shard_of(pid);
         if !self.compacting.load(Ordering::Relaxed) {
-            let mut shard = self.shards[self.shard_of(pid)].lock();
-            if let Some(e) = shard.entries.get(&pid).copied() {
-                if e.lsn >= lsn {
-                    let t = self.touch.fetch_add(1, Ordering::Relaxed);
-                    shard.recency.remove(&e.touch);
-                    shard.recency.insert(t, pid);
-                    shard.entries.get_mut(&pid).expect("present").touch = t;
-                    self.stats.dedups.inc();
-                    return Ok(());
-                }
+            // An older image is touched too, which changes nothing: the
+            // overwrite below removes it.
+            let cached_lsn = self.shards[shard_idx].lock().touch(pid).map(|e| e.lsn);
+            if cached_lsn.is_some_and(|cached| cached >= lsn) {
+                self.stats.dedups.inc();
+                return Ok(());
             }
         }
         let bytes = page.as_bytes();
         let prio = self.prio_of(pid);
-        let shard_idx = self.shard_of(pid);
         let shard_cap = self.cfg.capacity_bytes / self.shards.len() as u64;
 
         // Admission + eviction decision under the shard lock.
         {
             let mut shard = self.shards[shard_idx].lock();
             // Overwrite: old image becomes garbage.
-            if let Some(old) = shard.entries.remove(&pid) {
-                shard.recency.remove(&old.touch);
-                self.drop_entry(pid, &old);
-            }
-            let shard_bytes = |s: &Shard| s.entries.values().map(|e| e.len as u64).sum::<u64>();
-            let mut freed_enough = shard_bytes(&shard) + bytes.len() as u64 <= shard_cap;
-            while !freed_enough {
-                let victim = shard.recency.iter().map(|(t, p)| (*t, *p)).find(|(_, p)| {
-                    shard
-                        .entries
-                        .get(p)
-                        .map(|e| e.prio <= prio)
-                        .unwrap_or(false)
-                });
-                match victim {
-                    Some((t, p)) => {
-                        shard.recency.remove(&t);
-                        if let Some(e) = shard.entries.remove(&p) {
-                            self.drop_entry(p, &e);
-                            self.stats.evictions.inc();
-                        }
-                        freed_enough = shard_bytes(&shard) + bytes.len() as u64 <= shard_cap;
+            self.discard(&mut shard, pid);
+            while shard.weight() + bytes.len() as u64 > shard_cap {
+                match shard.pop_lru_where(|e| e.prio <= prio) {
+                    Some((_, victim)) => {
+                        self.note_garbage(&victim);
+                        self.stats.evictions.inc();
                     }
-                    None => {
-                        // Priority policy: nothing evictable — skip caching.
-                        return Ok(());
-                    }
+                    // Priority policy: nothing evictable — skip caching.
+                    None => return Ok(()),
                 }
             }
         }
@@ -383,24 +352,16 @@ impl Ebp {
                 info.used += need;
             }
         }
-        let t = self.touch.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut shard = self.shards[shard_idx].lock();
-            shard.entries.insert(
-                pid,
-                Entry {
-                    lsn,
-                    seg,
-                    offset: offset + RECORD_HDR_SIZE as u64,
-                    len: bytes.len() as u32,
-                    prio,
-                    touch: t,
-                },
-            );
-            shard.recency.insert(t, pid);
-        }
-        self.live_bytes
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        let entry = Entry {
+            lsn,
+            seg,
+            offset: offset + RECORD_HDR_SIZE as u64,
+            len: bytes.len() as u32,
+            prio,
+        };
+        self.shards[shard_idx]
+            .lock()
+            .insert(pid, entry, bytes.len() as u64);
         self.stats.writes.inc();
         self.maybe_compact(ctx)?;
         Ok(())
@@ -412,20 +373,11 @@ impl Ebp {
         let shard_idx = self.shard_of(pid);
         let entry = {
             let mut shard = self.shards[shard_idx].lock();
-            match shard.entries.get(&pid).copied() {
-                Some(e) if e.lsn >= min_lsn => {
-                    // Touch.
-                    let t = self.touch.fetch_add(1, Ordering::Relaxed);
-                    shard.recency.remove(&e.touch);
-                    shard.recency.insert(t, pid);
-                    shard.entries.get_mut(&pid).expect("present").touch = t;
-                    Some(e)
-                }
-                Some(e) => {
+            match shard.touch(pid).copied() {
+                Some(e) if e.lsn >= min_lsn => Some(e),
+                Some(_) => {
                     // Stale image: drop it.
-                    shard.recency.remove(&e.touch);
-                    shard.entries.remove(&pid);
-                    self.drop_entry(pid, &e);
+                    self.discard(&mut shard, pid);
                     None
                 }
                 None => None,
@@ -446,11 +398,7 @@ impl Ebp {
             Err(_) => {
                 // Server lost: remove the entry; hit ratio drops, nothing
                 // else (§V-E).
-                let mut shard = self.shards[shard_idx].lock();
-                if let Some(e) = shard.entries.remove(&pid) {
-                    shard.recency.remove(&e.touch);
-                    self.drop_entry(pid, &e);
-                }
+                self.discard(&mut self.shards[shard_idx].lock(), pid);
                 self.stats.misses.inc();
                 None
             }
@@ -500,10 +448,10 @@ impl Ebp {
     }
 
     fn compact_locked(&self, ctx: &mut SimCtx) -> Result<usize> {
-        // `segs.info` and `shard.entries` are `RandomState` maps: the order
-        // segments are released in and pages are re-admitted in reaches the
-        // AStore (appends, deletes, evictions), so both are sorted — the
-        // same seed must do the same work.
+        // `segs.info` is a `RandomState` map and the index is sharded: the
+        // order segments are released in and pages are re-admitted in
+        // reaches the AStore (appends, deletes, evictions), so both are
+        // sorted — the same seed must do the same work.
         let mut candidates: Vec<(SegmentId, SegmentHandle)> = {
             let segs = self.segs.lock();
             segs.info
@@ -526,10 +474,9 @@ impl Ebp {
                     .iter()
                     .flat_map(|s| {
                         s.lock()
-                            .entries
                             .iter()
                             .filter(|(_, e)| e.seg.id == seg_id)
-                            .map(|(p, e)| (*p, *e))
+                            .map(|(p, e)| (p, *e))
                             .collect::<Vec<_>>()
                     })
                     .collect();
@@ -547,18 +494,7 @@ impl Ebp {
                 // Release directly, dropping live pages with it (§V-D).
                 for s in &self.shards {
                     let mut shard = s.lock();
-                    let dead: Vec<PageId> = shard
-                        .entries
-                        .iter()
-                        .filter(|(_, e)| e.seg.id == seg_id)
-                        .map(|(p, _)| *p)
-                        .collect();
-                    for p in dead {
-                        if let Some(e) = shard.entries.remove(&p) {
-                            shard.recency.remove(&e.touch);
-                            self.live_bytes.fetch_sub(e.len as u64, Ordering::Relaxed);
-                        }
-                    }
+                    while shard.pop_lru_where(|e| e.seg.id == seg_id).is_some() {}
                 }
             }
             let _ = self.client.delete_segment(ctx, handle);
@@ -573,77 +509,68 @@ impl Ebp {
     pub fn cached_pages(&self, limit: usize) -> Vec<PageId> {
         let mut out = Vec::with_capacity(limit.min(64));
         for shard in &self.shards {
-            let s = shard.lock();
             // Most recently used first.
-            for (_, pid) in s.recency.iter().rev() {
+            for (pid, _) in shard.lock().iter() {
                 if out.len() >= limit {
                     return out;
                 }
-                out.push(*pid);
+                out.push(pid);
             }
         }
         out
     }
 
-    /// §VIII extension: an AStore server that crashed and restarted still
-    /// holds its EBP segments in PMem ("leverage PMem persistency to
-    /// recover EBP data pages locally once the AStore server is
-    /// restarted"). Re-scan that server and re-adopt its valid pages into
-    /// the index. Returns the number of pages re-attached.
+    /// Index the valid EBP pages `server` holds in PMem: the server scans
+    /// its segments (§V-E), every segment the CM still routes is adopted,
+    /// and each page image found enters the index unless the index already
+    /// holds that page at the same or a newer LSN. Returns the number of
+    /// pages attached.
+    ///
+    /// Crash recovery runs this against every live server
+    /// ([`recover`](Self::recover)); the §VIII extension runs it against one
+    /// server that crashed and restarted ("leverage PMem persistency to
+    /// recover EBP data pages locally once the AStore server is restarted").
     pub fn reattach_server(
         &self,
         ctx: &mut SimCtx,
         server: &Arc<vedb_astore::AStoreServer>,
     ) -> Result<usize> {
         let mut attached = 0;
-        ctx.advance(VTime::from_micros(120)); // recovery RPC
+        let mut adopted: HashMap<SegmentId, SegmentHandle> = HashMap::new();
+        // The recovery request is an RPC; the scan charges PMem time.
+        ctx.advance(VTime::from_micros(120));
         for found in server.ebp_recovery_scan(ctx) {
-            // Only re-adopt segments the CM still routes (stale ones are
-            // pending cleanup).
-            let Ok(handle) = self
-                .client
-                .adopt_segment(ctx, found.segment, SegmentClass::Ebp)
-            else {
-                continue;
-            };
-            {
-                let mut segs = self.segs.lock();
-                segs.info.entry(handle.id).or_insert(SegInfo {
-                    handle,
-                    used: self.client.segment_len(handle),
-                    garbage: 0,
-                });
-            }
-            let shard_idx = self.shard_of(found.page);
-            let prio = self.prio_of(found.page);
-            let t = self.touch.fetch_add(1, Ordering::Relaxed);
-            let mut shard = self.shards[shard_idx].lock();
-            let newer_exists = shard
-                .entries
-                .get(&found.page)
-                .map(|e| e.lsn >= found.lsn)
-                .unwrap_or(false);
-            if !newer_exists {
-                if let Some(old) = shard.entries.remove(&found.page) {
-                    shard.recency.remove(&old.touch);
-                    self.live_bytes.fetch_sub(old.len as u64, Ordering::Relaxed);
+            let seg = match adopted.get(&found.segment) {
+                Some(h) => *h,
+                None => {
+                    let Ok(h) = self
+                        .client
+                        .adopt_segment(ctx, found.segment, SegmentClass::Ebp)
+                    else {
+                        continue; // stale segment: its route is gone
+                    };
+                    self.segs.lock().info.entry(h.id).or_insert(SegInfo {
+                        handle: h,
+                        used: self.client.segment_len(h),
+                        garbage: 0,
+                    });
+                    adopted.insert(found.segment, h);
+                    h
                 }
-                shard.entries.insert(
-                    found.page,
-                    Entry {
-                        lsn: found.lsn,
-                        seg: handle,
-                        offset: found.offset,
-                        len: found.len,
-                        prio,
-                        touch: t,
-                    },
-                );
-                shard.recency.insert(t, found.page);
-                self.live_bytes
-                    .fetch_add(found.len as u64, Ordering::Relaxed);
-                attached += 1;
+            };
+            let mut shard = self.shards[self.shard_of(found.page)].lock();
+            if shard.peek(found.page).is_some_and(|e| e.lsn >= found.lsn) {
+                continue;
             }
+            let entry = Entry {
+                lsn: found.lsn,
+                seg,
+                offset: found.offset,
+                len: found.len,
+                prio: self.prio_of(found.page),
+            };
+            shard.insert(found.page, entry, found.len as u64);
+            attached += 1;
         }
         Ok(attached)
     }
@@ -651,61 +578,9 @@ impl Ebp {
     /// Rebuild the EBP after a DBEngine crash from server-side scans
     /// (§V-E). `client` is the *new* engine incarnation's AStore client.
     pub fn recover(ctx: &mut SimCtx, client: Arc<AStoreClient>, cfg: EbpConfig) -> Result<Ebp> {
-        let ebp = Ebp::new(Arc::clone(&client), cfg);
-        let mut adopted: HashMap<SegmentId, SegmentHandle> = HashMap::new();
-        for server in client.cm().live_servers() {
-            // Recovery request is an RPC; the scan charges PMem time.
-            ctx.advance(VTime::from_micros(120));
-            for found in server.ebp_recovery_scan(ctx) {
-                let handle = match adopted.get(&found.segment) {
-                    Some(h) => *h,
-                    None => {
-                        let Ok(h) = client.adopt_segment(ctx, found.segment, SegmentClass::Ebp)
-                        else {
-                            continue; // segment's route is gone
-                        };
-                        ebp.segs.lock().info.insert(
-                            h.id,
-                            SegInfo {
-                                handle: h,
-                                used: client.segment_len(h),
-                                garbage: 0,
-                            },
-                        );
-                        adopted.insert(found.segment, h);
-                        h
-                    }
-                };
-                let prio = ebp.prio_of(found.page);
-                let t = ebp.touch.fetch_add(1, Ordering::Relaxed);
-                let shard_idx = ebp.shard_of(found.page);
-                let mut shard = ebp.shards[shard_idx].lock();
-                let newer = shard
-                    .entries
-                    .get(&found.page)
-                    .map(|e| e.lsn >= found.lsn)
-                    .unwrap_or(false);
-                if !newer {
-                    if let Some(old) = shard.entries.remove(&found.page) {
-                        shard.recency.remove(&old.touch);
-                        ebp.live_bytes.fetch_sub(old.len as u64, Ordering::Relaxed);
-                    }
-                    shard.entries.insert(
-                        found.page,
-                        Entry {
-                            lsn: found.lsn,
-                            seg: handle,
-                            offset: found.offset,
-                            len: found.len,
-                            prio,
-                            touch: t,
-                        },
-                    );
-                    shard.recency.insert(t, found.page);
-                    ebp.live_bytes
-                        .fetch_add(found.len as u64, Ordering::Relaxed);
-                }
-            }
+        let ebp = Ebp::new(client, cfg);
+        for server in ebp.client.cm().live_servers() {
+            ebp.reattach_server(ctx, &server)?;
         }
         Ok(ebp)
     }
@@ -743,12 +618,22 @@ mod tests {
             cm.register_server(Arc::clone(&s));
             cm.heartbeat(VTime::ZERO, s.node(), s.free_slots());
         }
+        let client = connect(ctx, &env, cm);
+        (env, client)
+    }
+
+    /// A (new incarnation of the) engine's AStore client.
+    fn connect(
+        ctx: &mut SimCtx,
+        env: &vedb_sim::SimEnv,
+        cm: Arc<ClusterManager>,
+    ) -> Arc<AStoreClient> {
         let ep = RdmaEndpoint::new(
             env.model.clone(),
             Arc::clone(&env.faults),
             Arc::clone(&env.engine_nic),
         );
-        let client = AStoreClient::connect(
+        AStoreClient::connect(
             ctx,
             cm,
             ep,
@@ -756,8 +641,7 @@ mod tests {
             env.model.clone(),
             1,
             VTime::from_millis(50),
-        );
-        (env, client)
+        )
     }
 
     fn page_with(marker: u8) -> Page {
@@ -832,6 +716,57 @@ mod tests {
         // Most recent pages survived.
         assert!(ebp.contains(PageId::new(1, 29)));
         assert!(!ebp.contains(PageId::new(1, 0)));
+    }
+
+    #[test]
+    fn victims_are_the_least_recently_touched_in_order() {
+        let mut ctx = SimCtx::new(1, 7);
+        let (_env, client) = harness(&mut ctx, 1024);
+        let ebp = Ebp::new(client, small_cfg()); // Flat, 8 pages, one shard
+        let p = |i| PageId::new(1, i);
+        for i in 0..8 {
+            ebp.write_page(&mut ctx, p(i), &page_with(i as u8), 10)
+                .unwrap();
+        }
+        // A read hit and a write offer at an unchanged LSN both refresh.
+        ebp.read_page(&mut ctx, p(0), 10).unwrap();
+        ebp.write_page(&mut ctx, p(1), &page_with(1), 10).unwrap();
+        // Two more pages displace the two least recent: 2, then 3.
+        ebp.write_page(&mut ctx, p(8), &page_with(8), 10).unwrap();
+        assert!(!ebp.contains(p(2)) && ebp.contains(p(3)));
+        ebp.write_page(&mut ctx, p(9), &page_with(9), 10).unwrap();
+        assert!(!ebp.contains(p(3)));
+        let newest_first = [9, 8, 1, 0, 7, 6, 5, 4].map(p);
+        assert_eq!(ebp.cached_pages(8), newest_first);
+        assert_eq!(ebp.live_bytes(), 8 * 16 * 1024);
+    }
+
+    #[test]
+    fn low_priority_victim_is_chosen_past_an_older_high_priority_page() {
+        let mut ctx = SimCtx::new(1, 7);
+        let (_env, client) = harness(&mut ctx, 1024);
+        let mut cfg = small_cfg();
+        cfg.policy = EbpPolicy::Priority;
+        cfg.space_priority.insert(7, 10);
+        let ebp = Ebp::new(client, cfg);
+        let precious = PageId::new(7, 0);
+        ebp.write_page(&mut ctx, precious, &page_with(0), 10)
+            .unwrap();
+        for i in 0..7 {
+            ebp.write_page(&mut ctx, PageId::new(1, i), &page_with(1), 10)
+                .unwrap();
+        }
+        // Full. A low-priority page skips the oldest entry (high priority)
+        // and displaces the oldest of its own kind.
+        ebp.write_page(&mut ctx, PageId::new(1, 7), &page_with(1), 10)
+            .unwrap();
+        assert!(ebp.contains(precious) && ebp.contains(PageId::new(1, 7)));
+        assert!(!ebp.contains(PageId::new(1, 0)));
+        // Being skipped did not refresh it: it is still the oldest, and a
+        // page of its own priority displaces it first.
+        ebp.write_page(&mut ctx, PageId::new(7, 1), &page_with(2), 10)
+            .unwrap();
+        assert!(!ebp.contains(precious) && ebp.contains(PageId::new(1, 1)));
     }
 
     #[test]
@@ -955,25 +890,68 @@ mod tests {
 
         // DBEngine crashes: a new incarnation recovers the EBP.
         drop(ebp);
-        let ep = RdmaEndpoint::new(
-            env.model.clone(),
-            Arc::clone(&env.faults),
-            Arc::clone(&env.engine_nic),
-        );
-        let client2 = AStoreClient::connect(
-            &mut ctx,
-            Arc::clone(client.cm()),
-            ep,
-            Arc::clone(&env.engine_cpu),
-            env.model.clone(),
-            1,
-            VTime::from_millis(50),
-        );
+        let client2 = connect(&mut ctx, &env, Arc::clone(client.cm()));
         let recovered = Ebp::recover(&mut ctx, client2, small_cfg()).unwrap();
         assert!(recovered.contains(keep), "fresh page must survive recovery");
         assert!(!recovered.contains(stale), "stale page must be pruned");
         let got = recovered.read_page(&mut ctx, keep, 100).unwrap();
         assert_eq!(got.get(0).unwrap(), &[0x11; 64]);
+    }
+
+    #[test]
+    fn reattach_and_recover_build_the_same_index_and_keep_what_is_newer() {
+        let mut ctx = SimCtx::new(1, 7);
+        let (env, client) = harness(&mut ctx, 256);
+        let cfg = EbpConfig {
+            shards: 2,
+            ..small_cfg()
+        };
+        let ebp = Ebp::new(Arc::clone(&client), cfg.clone());
+        for i in 0..6 {
+            ebp.write_page(&mut ctx, PageId::new(1, i), &page_with(i as u8), 100)
+                .unwrap();
+        }
+        // Two images of one page in PMem: the newer one is the valid one.
+        let twice = PageId::new(1, 2);
+        ebp.write_page(&mut ctx, twice, &page_with(0xEE), 200)
+            .unwrap();
+        drop(ebp);
+
+        type Row = (PageId, Lsn, SegmentId, u64, u32, u8);
+        let index = |ebp: &Ebp| -> Vec<Vec<Row>> {
+            let row = |(p, e): (PageId, &Entry)| (p, e.lsn, e.seg.id, e.offset, e.len, e.prio);
+            ebp.shards
+                .iter()
+                .map(|s| s.lock().iter().map(row).collect())
+                .collect()
+        };
+        let cm = client.cm();
+        let reattach_all = |ctx: &mut SimCtx, ebp: &Ebp| -> usize {
+            let servers = cm.live_servers();
+            servers
+                .iter()
+                .map(|s| ebp.reattach_server(ctx, s).unwrap())
+                .sum()
+        };
+        let client2 = connect(&mut ctx, &env, Arc::clone(cm));
+        let recovered = Ebp::recover(&mut ctx, client2, cfg.clone()).unwrap();
+        let reattached = Ebp::new(connect(&mut ctx, &env, Arc::clone(cm)), cfg);
+        assert_eq!(reattach_all(&mut ctx, &reattached), 6);
+        assert_eq!(index(&recovered), index(&reattached));
+        assert_eq!(recovered.locate(twice).unwrap().lsn, 200);
+        assert_eq!(recovered.live_bytes(), 6 * 16 * 1024);
+
+        // The index now holds every image at the scanned LSN or newer: a
+        // second pass adopts nothing and reorders nothing. (`reattached`
+        // holds the live lease; connecting it fenced `recovered`.)
+        let newer = PageId::new(1, 4);
+        reattached
+            .write_page(&mut ctx, newer, &page_with(0xDD), 300)
+            .unwrap();
+        let before = index(&reattached);
+        assert_eq!(reattach_all(&mut ctx, &reattached), 0);
+        assert_eq!(index(&reattached), before);
+        assert_eq!(reattached.locate(newer).unwrap().lsn, 300);
     }
 
     #[test]

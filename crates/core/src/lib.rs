@@ -22,6 +22,7 @@ pub mod catalog;
 pub mod db;
 pub mod ebp;
 pub mod lock;
+mod lru;
 pub mod query;
 pub mod recovery;
 pub mod row;

@@ -390,9 +390,14 @@ struct WalBuffer {
     frames: Vec<usize>,
     /// LSN the next record will receive.
     next_lsn: Lsn,
-    /// `Commit` frames buffered since the last flush took the buffer —
-    /// the group size of the next flush.
-    pending_commits: u64,
+}
+
+/// What a flush took out of the [`WalBuffer`]: every buffered byte, the
+/// frame-start offsets within them, and the LSN just past the last byte.
+struct Taken {
+    bytes: Vec<u8>,
+    frames: Vec<usize>,
+    end: Lsn,
 }
 
 struct GroupState {
@@ -457,18 +462,10 @@ impl GroupCommitConsolidator {
         }
     }
 
-    /// Record a completed flush and release leadership.
-    fn finish(&self, end: Lsn, durable_at: VTime) {
-        self.record(end, durable_at);
-        let mut st = self.state.lock();
-        st.leader = false;
-        drop(st);
-        self.cv.notify_all();
-    }
-
-    /// Release leadership without a completed flush (error path or empty
-    /// buffer), waking parked committers to retry.
-    fn abdicate(&self) {
+    /// Release leadership, waking parked committers: to ack if the flush
+    /// covered them, to lead the next one if not (failed flush, or frames
+    /// logged after the take).
+    fn release(&self) {
         self.state.lock().leader = false;
         self.cv.notify_all();
     }
@@ -544,7 +541,6 @@ impl Wal {
                 buf: Vec::new(),
                 frames: Vec::new(),
                 next_lsn: next,
-                pending_commits: 0,
             }),
             flushed: AtomicU64::new(next),
             flush_lock: Mutex::new(()),
@@ -569,13 +565,7 @@ impl Wal {
 
     /// Log a non-page record (commit/abort). Buffered; not yet durable.
     pub fn log(&self, ctx: &mut SimCtx, rec: &WalRecord) -> Result<Lsn> {
-        let sp = self.trace.span(ctx, "wal", "serialize");
-        let mut body = Vec::with_capacity(64);
-        encode_wal_record(rec, &mut body);
-        let is_commit = matches!(rec, WalRecord::Commit { .. });
-        let lsn = self.buffer_frame(ctx, &body, is_commit);
-        sp.finish(ctx);
-        Ok(lsn)
+        Ok(self.write_frame(ctx, |_, out| encode_wal_record(rec, out)))
     }
 
     /// Log a page mutation: assigns the record's LSN (fixing up the REDO
@@ -586,44 +576,34 @@ impl Wal {
         mut redo: RedoRecord,
         undo: Option<UndoInfo>,
     ) -> Result<(Lsn, RedoRecord)> {
-        let sp = self.trace.span(ctx, "wal", "serialize");
-        let mut state = self.state.lock();
-        redo.lsn = state.next_lsn;
-        let mut body = Vec::with_capacity(128);
-        encode_page_record(&redo, undo.as_ref(), &mut body);
-        let lsn = Self::buffer_frame_locked(&mut state, &body);
-        let backlog = state.buf.len() as i64;
-        drop(state);
-        self.bytes_logged.add(4 + body.len() as u64);
-        self.backlog.record(ctx.now(), backlog);
-        // Log-buffer memcpy cost.
-        ctx.advance(VTime::from_nanos(200 + body.len() as u64 / 16));
-        sp.finish(ctx);
+        let lsn = self.write_frame(ctx, |lsn, out| {
+            redo.lsn = lsn;
+            encode_page_record(&redo, undo.as_ref(), out);
+        });
         Ok((lsn, redo))
     }
 
-    fn buffer_frame(&self, ctx: &mut SimCtx, body: &[u8], is_commit: bool) -> Lsn {
+    /// The one frame writer: reserve the 4-byte length, let `encode` (told
+    /// the record's LSN) write the body straight into the log buffer under
+    /// the state lock, back-patch the length. Returns the record's LSN.
+    fn write_frame(&self, ctx: &mut SimCtx, encode: impl FnOnce(Lsn, &mut Vec<u8>)) -> Lsn {
+        let sp = self.trace.span(ctx, "wal", "serialize");
         let mut state = self.state.lock();
-        let lsn = Self::buffer_frame_locked(&mut state, body);
-        if is_commit {
-            state.pending_commits += 1;
-        }
+        let lsn = state.next_lsn;
+        let at = state.buf.len();
+        state.frames.push(at);
+        state.buf.extend_from_slice(&[0; 4]);
+        encode(lsn, &mut state.buf);
+        let body = state.buf.len() - at - 4;
+        state.buf[at..at + 4].copy_from_slice(&(body as u32).to_le_bytes());
+        state.next_lsn += 4 + body as u64;
         let backlog = state.buf.len() as i64;
         drop(state);
-        self.bytes_logged.add(4 + body.len() as u64);
+        self.bytes_logged.add(4 + body as u64);
         self.backlog.record(ctx.now(), backlog);
-        ctx.advance(VTime::from_nanos(200 + body.len() as u64 / 16));
-        lsn
-    }
-
-    fn buffer_frame_locked(state: &mut WalBuffer, body: &[u8]) -> Lsn {
-        let lsn = state.next_lsn;
-        state.frames.push(state.buf.len());
-        state
-            .buf
-            .extend_from_slice(&(body.len() as u32).to_le_bytes());
-        state.buf.extend_from_slice(body);
-        state.next_lsn += 4 + body.len() as u64;
+        // Log-buffer memcpy cost.
+        ctx.advance(VTime::from_nanos(200 + body as u64 / 16));
+        sp.finish(ctx);
         lsn
     }
 
@@ -659,25 +639,18 @@ impl Wal {
             sp.finish(ctx);
             return Ok(());
         }
-        let (bytes, end) = match self.take_buffer() {
-            Some(taken) => taken,
-            None => {
-                sp.finish(ctx);
-                return Ok(());
-            }
+        let Some(taken) = self.take_buffer() else {
+            sp.finish(ctx);
+            return Ok(());
         };
         let t0 = ctx.now();
-        for chunk in bytes.0.chunks(self.max_io) {
-            self.backend.append(ctx, chunk)?;
+        for chunk in taken.bytes.chunks(self.max_io) {
+            if let Err(e) = self.backend.append(ctx, chunk) {
+                self.flush_failed(ctx, taken);
+                return Err(e);
+            }
         }
-        let durable_at = ctx.now();
-        self.flushed.fetch_max(end, Ordering::AcqRel);
-        self.flushes.inc();
-        self.bytes_flushed.add(bytes.0.len() as u64);
-        self.flush_lat.record(durable_at - t0);
-        // The group commit drained the buffer at take time.
-        self.backlog.record(t0, 0);
-        self.group.record(end, durable_at);
+        self.flush_completed(ctx, &taken, t0);
         sp.finish(ctx);
         Ok(())
     }
@@ -761,12 +734,9 @@ impl Wal {
             ctx.advance(step);
         }
         let _serialize = self.flush_lock.lock();
-        let ((bytes, frames), end) = match self.take_buffer() {
-            Some(taken) => taken,
-            None => {
-                self.group.abdicate();
-                return Ok(());
-            }
+        let Some(taken) = self.take_buffer() else {
+            self.group.release();
+            return Ok(());
         };
         let carried = {
             // Everyone parked right now rides this batch.
@@ -774,53 +744,104 @@ impl Wal {
             g.waiters as u64
         };
         let t0 = ctx.now();
-        let records = Self::split_records(&bytes, &frames, self.max_io);
+        let records = Self::split_records(&taken.bytes, &taken.frames, self.max_io);
         let outcome = self.backend.append_batch(ctx, &records);
         if let Err(e) = outcome {
-            // The batch may be partially durable; `flushed` stays put so
-            // affected committers retry (and fail loudly if the backend is
-            // truly gone) rather than ack on a guess.
-            self.group.abdicate();
+            // Affected committers wake, retry as leaders, and fail loudly
+            // if the backend is truly gone — none acks on a guess.
+            self.flush_failed(ctx, taken);
+            self.group.release();
             return Err(e);
         }
-        let durable_at = ctx.now();
-        self.flushed.fetch_max(end, Ordering::AcqRel);
-        self.flushes.inc();
         self.group_flushes.inc();
         self.carried_commits.add(carried);
-        self.bytes_flushed.add(bytes.len() as u64);
-        self.flush_lat.record(durable_at - t0);
-        self.backlog.record(t0, 0);
-        self.group.finish(end, durable_at);
+        self.flush_completed(ctx, &taken, t0);
+        self.group.release();
         Ok(())
     }
 
-    /// Take the whole buffer; `None` if it is empty. Returns the bytes,
-    /// the frame-start offsets within them, and the end LSN.
-    #[allow(clippy::type_complexity)]
-    fn take_buffer(&self) -> Option<((Vec<u8>, Vec<usize>), Lsn)> {
+    /// Take the whole buffer; `None` if it is empty.
+    fn take_buffer(&self) -> Option<Taken> {
         let mut state = self.state.lock();
         if state.buf.is_empty() {
             return None;
         }
-        state.pending_commits = 0;
-        Some((
-            (
-                std::mem::take(&mut state.buf),
-                std::mem::take(&mut state.frames),
-            ),
-            state.next_lsn,
-        ))
+        Some(Taken {
+            bytes: std::mem::take(&mut state.buf),
+            frames: std::mem::take(&mut state.frames),
+            end: state.next_lsn,
+        })
+    }
+
+    /// The backend holds everything `taken` held: move the watermark and
+    /// publish the durable point carried and late committers ack at.
+    fn flush_completed(&self, ctx: &SimCtx, taken: &Taken, t0: VTime) {
+        let durable_at = ctx.now();
+        self.flushed.fetch_max(taken.end, Ordering::AcqRel);
+        self.flushes.inc();
+        self.bytes_flushed.add(taken.bytes.len() as u64);
+        self.flush_lat.record(durable_at - t0);
+        // The flush drained the buffer at take time.
+        self.backlog.record(t0, 0);
+        self.group.record(taken.end, durable_at);
+    }
+
+    /// A backend append failed part-way through `taken`. Whatever the
+    /// backend did not take — its own `next_lsn()` says how much it did —
+    /// goes back to the head of the buffer, in front of anything logged
+    /// since, so the next flush resumes at the byte the backend stopped at:
+    /// no later `flush` can ack an LSN whose bytes were dropped, and no
+    /// later record lands at an offset that disagrees with its LSN. The
+    /// watermark moves over the whole frames the backend took and no
+    /// further (a torn frame is not durable).
+    fn flush_failed(&self, ctx: &SimCtx, taken: Taken) {
+        let Taken {
+            mut bytes,
+            frames,
+            end,
+        } = taken;
+        let start = end - bytes.len() as u64;
+        let kept = (self.backend.next_lsn().saturating_sub(start) as usize).min(bytes.len());
+        let whole_frames_end = if kept == bytes.len() {
+            Some(kept)
+        } else {
+            frames.iter().copied().rfind(|&f| f <= kept)
+        };
+        bytes.drain(..kept);
+        let backlog = {
+            let mut state = self.state.lock();
+            let mut restored: Vec<usize> = frames
+                .into_iter()
+                .filter(|&f| f >= kept)
+                .map(|f| f - kept)
+                .collect();
+            restored.extend(state.frames.iter().map(|&f| f + bytes.len()));
+            bytes.extend_from_slice(&state.buf);
+            state.buf = bytes;
+            state.frames = restored;
+            state.buf.len() as i64
+        };
+        self.bytes_flushed.add(kept as u64);
+        self.backlog.record(ctx.now(), backlog);
+        if let Some(whole) = whole_frames_end.filter(|&w| w > 0) {
+            let durable = start + whole as u64;
+            self.flushed.fetch_max(durable, Ordering::AcqRel);
+            self.group.record(durable, ctx.now());
+        }
     }
 
     /// Split the taken buffer into batch records: whole frames, merged up
     /// to `max_io` bytes per record (an oversized frame falls back to raw
-    /// chunking — it cannot ride in one backend write anyway).
+    /// chunking — it cannot ride in one backend write anyway). Walks the
+    /// frame *ends*, so the remainder of a torn frame that
+    /// [`flush_failed`](Self::flush_failed) put back at the head, which has
+    /// no start of its own in `frames`, rides like a frame.
     fn split_records<'a>(bytes: &'a [u8], frames: &[usize], max_io: usize) -> Vec<&'a [u8]> {
         let mut records = Vec::new();
         let mut start = 0usize;
-        for (i, &frame_start) in frames.iter().enumerate() {
-            let frame_end = frames.get(i + 1).copied().unwrap_or(bytes.len());
+        let mut frame_start = 0usize;
+        let ends = frames.iter().copied().filter(|&f| f > 0);
+        for frame_end in ends.chain([bytes.len()]) {
             if frame_end - start > max_io && frame_start > start {
                 records.push(&bytes[start..frame_start]);
                 start = frame_start;
@@ -832,6 +853,7 @@ impl Wal {
                 }
                 start = frame_end;
             }
+            frame_start = frame_end;
         }
         if start < bytes.len() {
             records.push(&bytes[start..]);

@@ -177,24 +177,6 @@ pub struct SimEnv {
     pub metrics: Arc<MetricsRegistry>,
 }
 
-impl SimEnv {
-    /// Reset all resource timelines and counters (between benchmark phases).
-    pub fn reset_resources(&self) {
-        self.engine_cpu.reset();
-        self.engine_nic.reset();
-        for n in self.astore_nodes.iter().chain(self.storage_nodes.iter()) {
-            n.cpu.reset();
-            n.nic.reset();
-            if let Some(p) = &n.pmem {
-                p.reset();
-            }
-            if let Some(s) = &n.ssd {
-                s.reset();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,19 +230,5 @@ mod tests {
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].component, "fault");
         env.metrics.trace().disable();
-    }
-
-    #[test]
-    fn reset_clears_all() {
-        let env = ClusterSpec::tiny().build();
-        env.engine_cpu.acquire(VTime::ZERO, VTime::from_micros(5));
-        env.astore_nodes[0]
-            .pmem
-            .as_ref()
-            .unwrap()
-            .acquire(VTime::ZERO, VTime::from_micros(5));
-        env.reset_resources();
-        assert_eq!(env.engine_cpu.total_busy(), VTime::ZERO);
-        assert_eq!(env.astore_nodes[0].pmem.as_ref().unwrap().ops(), 0);
     }
 }

@@ -123,18 +123,6 @@ impl LockContention {
         self.space(space).note_hold(hold);
     }
 
-    /// Whether anything was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.spaces.read().is_empty()
-    }
-
-    /// Drop all accumulated state (between benchmark phases). Labels are
-    /// schema facts, not measurements — they survive.
-    pub fn reset(&self) {
-        self.spaces.write().clear();
-        self.hot.lock().clear();
-    }
-
     /// Fold the live state into a deterministic [`LockProfile`] with at
     /// most `top_k` hot keys.
     pub fn snapshot(&self, top_k: usize) -> LockProfile {
@@ -311,17 +299,6 @@ mod tests {
         assert_eq!(p.top[1].space, 1);
         assert_eq!(p.top[1].key_hex, "02");
         assert_eq!(p.top[1].table, "district");
-    }
-
-    #[test]
-    fn reset_clears_measurements_but_keeps_labels() {
-        let c = LockContention::new();
-        c.set_label(1, "orders");
-        c.note_wait(1, b"k", VTime::from_micros(1));
-        c.reset();
-        assert!(c.is_empty());
-        c.note_acquire(1);
-        assert!(c.snapshot(1).tables.contains_key("orders"));
     }
 
     #[test]

@@ -157,42 +157,6 @@ impl LatencyRecorder {
         self.max_ns
             .fetch_max(other.max_ns.load(Ordering::Relaxed), Ordering::Relaxed);
     }
-
-    /// Drop all samples.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_ns.store(0, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
-    }
-
-    /// Atomically move this recorder's samples into `dst`, leaving this
-    /// recorder empty. Unlike [`merge`](Self::merge)` + `[`reset`](Self::reset)
-    /// (which loses increments that race between the read and the store),
-    /// every field is transferred with `swap(0)`, so the *total* across
-    /// source + destination is conserved even under concurrent `record`s.
-    ///
-    /// A sample caught mid-`record` (bucket already bumped, `count` not yet)
-    /// may be split across one drain, but the straggler fields land on the
-    /// source and are picked up by the next drain — nothing is lost or
-    /// double-counted. `max` is transferred with `fetch_max`, which is the
-    /// correct merge for a running maximum.
-    pub fn drain_into(&self, dst: &LatencyRecorder) {
-        for (src, d) in self.buckets.iter().zip(dst.buckets.iter()) {
-            let v = src.swap(0, Ordering::Relaxed);
-            if v > 0 {
-                d.fetch_add(v, Ordering::Relaxed);
-            }
-        }
-        dst.count
-            .fetch_add(self.count.swap(0, Ordering::Relaxed), Ordering::Relaxed);
-        dst.sum_ns
-            .fetch_add(self.sum_ns.swap(0, Ordering::Relaxed), Ordering::Relaxed);
-        dst.max_ns
-            .fetch_max(self.max_ns.swap(0, Ordering::Relaxed), Ordering::Relaxed);
-    }
 }
 
 /// A monotonically increasing event counter. Handles are shared via `Arc`
@@ -226,14 +190,6 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.v.load(Ordering::Relaxed)
-    }
-
-    /// Atomically read the value and reset it to zero. Racing `add`s land
-    /// either in the returned value or in the post-take counter, never both
-    /// and never neither.
-    #[inline]
-    pub fn take(&self) -> u64 {
-        self.v.swap(0, Ordering::Relaxed)
     }
 }
 
@@ -312,22 +268,10 @@ impl Timeline {
             .insert(at.as_nanos() / self.bucket_ns, value);
     }
 
-    /// Accumulate `delta` into the bucket containing `at`. Unlike
-    /// [`record`](Self::record) (last-write-wins, for gauge trends), `add`
-    /// sums contributions — the semantics a busy-time-per-bucket utilization
-    /// series needs, where every reservation deposits its overlap with each
-    /// bucket it spans.
-    pub fn add(&self, at: VTime, delta: i64) {
-        *self
-            .samples
-            .lock()
-            .entry(at.as_nanos() / self.bucket_ns)
-            .or_insert(0) += delta;
-    }
-
     /// Accumulate a busy interval `[start_ns, end_ns)` into every bucket it
-    /// overlaps, `add`ing the per-bucket overlap in nanoseconds. This is the
-    /// primitive behind per-resource utilization timelines: dividing a
+    /// overlaps, summing the per-bucket overlap in nanoseconds — unlike
+    /// [`record`](Self::record) (last-write-wins, for gauge trends). This is
+    /// the primitive behind per-resource utilization timelines: dividing a
     /// bucket's sum by `bucket_ns * lanes` yields that bucket's utilization.
     pub fn add_busy(&self, start_ns: u64, end_ns: u64) {
         if end_ns <= start_ns {
@@ -347,16 +291,6 @@ impl Timeline {
     /// Copy of the samples, keyed by bucket index, in time order.
     pub fn snapshot(&self) -> BTreeMap<u64, i64> {
         self.samples.lock().clone()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.lock().is_empty()
-    }
-
-    /// Drop all samples (between benchmark phases).
-    pub fn reset(&self) {
-        self.samples.lock().clear();
     }
 }
 
@@ -515,61 +449,6 @@ impl MetricsRegistry {
             .map(|((c, n), v)| (format!("{c}.{n}"), Arc::clone(v)))
             .collect()
     }
-
-    /// Atomically drain every metric into `dst`, registering missing keys
-    /// there on the fly. Values are moved with `swap(0)` (see
-    /// [`Counter::take`] / [`LatencyRecorder::drain_into`]), so concurrent
-    /// writers lose nothing: each increment ends up in exactly one of
-    /// (drained total, source residue). Gauges are instantaneous values, not
-    /// totals — they are copied, not moved.
-    pub fn drain_into(&self, dst: &MetricsRegistry) {
-        let counters: Vec<(MetricKey, Arc<Counter>)> = self
-            .counters
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(v)))
-            .collect();
-        for ((c, n), src) in counters {
-            dst.counter(c, n).add(src.take());
-        }
-        let gauges: Vec<(MetricKey, Arc<Gauge>)> = self
-            .gauges
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(v)))
-            .collect();
-        for ((c, n), src) in gauges {
-            dst.gauge(c, n).set(src.get());
-        }
-        let lats: Vec<(MetricKey, Arc<LatencyRecorder>)> = self
-            .latencies
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(v)))
-            .collect();
-        for ((c, n), src) in lats {
-            src.drain_into(&dst.latency(c, n));
-        }
-    }
-
-    /// Zero every registered metric (between benchmark phases). Handles stay
-    /// registered and cached `Arc`s remain valid.
-    pub fn reset(&self) {
-        for v in self.counters.lock().values() {
-            v.take();
-        }
-        for v in self.gauges.lock().values() {
-            v.set(0);
-        }
-        for v in self.latencies.lock().values() {
-            v.reset();
-        }
-        for v in self.timelines.lock().values() {
-            v.reset();
-        }
-        self.trace.clear();
-        self.contention.reset();
-    }
 }
 
 /// Outcome of one benchmark trial: operation counts over a virtual-time
@@ -670,15 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears() {
-        let r = LatencyRecorder::new();
-        r.record(VTime::from_micros(5));
-        r.reset();
-        assert_eq!(r.count(), 0);
-        assert_eq!(r.max(), VTime::ZERO);
-    }
-
-    #[test]
     fn trial_throughput() {
         let mut t = TrialResult::new(VTime::from_secs(2));
         t.committed = 1000;
@@ -697,19 +567,6 @@ mod tests {
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[&0], 5);
         assert_eq!(snap[&2], -1);
-        tl.reset();
-        assert!(tl.is_empty());
-    }
-
-    #[test]
-    fn timeline_add_accumulates_within_bucket() {
-        let tl = Timeline::new(1_000); // 1us buckets
-        tl.add(VTime::from_nanos(100), 3);
-        tl.add(VTime::from_nanos(900), 5); // same bucket, sums
-        tl.add(VTime::from_micros(2), 2);
-        let snap = tl.snapshot();
-        assert_eq!(snap[&0], 8);
-        assert_eq!(snap[&2], 2);
     }
 
     #[test]
@@ -750,7 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_timelines_register_and_reset() {
+    fn registry_timelines_register() {
         let reg = MetricsRegistry::new();
         reg.timeline("pagestore", "apply_lag_records")
             .record(VTime::from_millis(3), 7);
@@ -758,8 +615,6 @@ mod tests {
         assert_eq!(handles.len(), 1);
         assert_eq!(handles[0].0, "pagestore.apply_lag_records");
         assert_eq!(handles[0].1.snapshot()[&3], 7);
-        reg.reset();
-        assert!(handles[0].1.is_empty());
     }
 
     #[test]

@@ -84,13 +84,11 @@ impl Lane {
 struct State {
     lanes: Vec<Lane>,
     max_seen_now: u64,
-    total_busy_ns: u64,
-    ops: u64,
 }
 
-/// Metric handles a resource publishes into when built with
-/// [`Resource::with_metrics`]: the wait/service split, total busy time and
-/// op counts, plus a busy-ns-per-bucket utilization [`Timeline`].
+/// Metric handles a resource publishes into: the wait/service split, total
+/// busy time and op counts, plus a busy-ns-per-bucket utilization
+/// [`Timeline`].
 struct ResourceMetrics {
     wait: Arc<LatencyRecorder>,
     service: Arc<LatencyRecorder>,
@@ -104,31 +102,22 @@ pub struct Resource {
     name: String,
     state: Mutex<State>,
     n_lanes: usize,
-    metrics: Option<ResourceMetrics>,
+    metrics: ResourceMetrics,
 }
 
 impl Resource {
-    /// Create a resource with `lanes` parallel servers.
+    /// Create a resource with `lanes` parallel servers, publishing into a
+    /// [detached](MetricsRegistry::detached) registry.
     ///
     /// # Panics
     /// Panics if `lanes == 0`.
     pub fn new(name: impl Into<String>, lanes: usize) -> Self {
-        assert!(lanes > 0, "a resource needs at least one lane");
-        Resource {
-            name: name.into(),
-            state: Mutex::new(State {
-                lanes: (0..lanes).map(|_| Lane::default()).collect(),
-                max_seen_now: 0,
-                total_busy_ns: 0,
-                ops: 0,
-            }),
-            n_lanes: lanes,
-            metrics: None,
-        }
+        Self::with_metrics(name, lanes, &MetricsRegistry::detached())
     }
 
-    /// Like [`new`](Self::new), publishing this resource's saturation
-    /// metrics into `registry` under its own name as the component:
+    /// Create a resource with `lanes` parallel servers, publishing its
+    /// saturation metrics into `registry` under its own name as the
+    /// component:
     ///
     /// * `<name>.wait` / `<name>.service` latency histograms — every
     ///   acquisition split into queueing delay (`start - now`) and service
@@ -139,7 +128,11 @@ impl Resource {
     ///   report discovery and carries the parallelism for utilization math;
     /// * `<name>.util_busy_ns` timeline — per-bucket busy nanoseconds
     ///   (bucket utilization = value / (bucket_ns × lanes)).
+    ///
+    /// # Panics
+    /// Panics if `lanes == 0`.
     pub fn with_metrics(name: impl Into<String>, lanes: usize, registry: &MetricsRegistry) -> Self {
+        assert!(lanes > 0, "a resource needs at least one lane");
         let name = name.into();
         registry.gauge(name.clone(), "lanes").set(lanes as i64);
         let metrics = ResourceMetrics {
@@ -149,9 +142,15 @@ impl Resource {
             ops: registry.counter(name.clone(), "ops"),
             util: registry.timeline(name.clone(), "util_busy_ns"),
         };
-        let mut r = Self::new(name, lanes);
-        r.metrics = Some(metrics);
-        r
+        Resource {
+            name,
+            state: Mutex::new(State {
+                lanes: (0..lanes).map(|_| Lane::default()).collect(),
+                max_seen_now: 0,
+            }),
+            n_lanes: lanes,
+            metrics,
+        }
     }
 
     /// Name given at construction (for reports).
@@ -172,10 +171,12 @@ impl Resource {
         }
         let now_ns = now.as_nanos();
         let svc = service.as_nanos();
+        let m = &self.metrics;
         let mut st = self.state.lock();
         st.max_seen_now = st.max_seen_now.max(now_ns);
-        // Periodic pruning of ancient reservations.
-        if st.ops.is_multiple_of(64) {
+        // Periodic pruning of ancient reservations: every 64th acquire
+        // (`ops` only moves under the state lock).
+        if m.ops.get().is_multiple_of(64) {
             let horizon = st.max_seen_now.saturating_sub(HISTORY_NS);
             for lane in &mut st.lanes {
                 lane.prune(horizon);
@@ -193,30 +194,26 @@ impl Resource {
         }
         let (start, end, li, idx) = best.expect("at least one lane");
         st.lanes[li].reserve(start, end, idx);
-        st.total_busy_ns += svc;
-        st.ops += 1;
+        m.ops.inc();
         drop(st);
-        if let Some(m) = &self.metrics {
-            // By construction start >= now and end == start + svc, so
-            // wait + service == end - now exactly (the conservation the
-            // attribution proptest pins).
-            m.wait.record(VTime::from_nanos(start - now_ns));
-            m.service.record(service);
-            m.busy_ns.add(svc);
-            m.ops.inc();
-            m.util.add_busy(start, end);
-        }
+        // By construction start >= now and end == start + svc, so
+        // wait + service == end - now exactly (the conservation the
+        // attribution proptest pins).
+        m.wait.record(VTime::from_nanos(start - now_ns));
+        m.service.record(service);
+        m.busy_ns.add(svc);
+        m.util.add_busy(start, end);
         VTime::from_nanos(end)
     }
 
-    /// Total service time ever charged (utilization accounting).
+    /// Total service time ever charged (`<name>.busy_ns`).
     pub fn total_busy(&self) -> VTime {
-        VTime::from_nanos(self.state.lock().total_busy_ns)
+        VTime::from_nanos(self.metrics.busy_ns.get())
     }
 
-    /// Number of operations ever served.
+    /// Number of operations ever served (`<name>.ops`).
     pub fn ops(&self) -> u64 {
-        self.state.lock().ops
+        self.metrics.ops.get()
     }
 
     /// Utilization over a window of virtual time (1.0 = all lanes busy the
@@ -227,17 +224,6 @@ impl Resource {
             return 0.0;
         }
         self.total_busy().as_nanos() as f64 / (window.as_nanos() as f64 * self.n_lanes as f64)
-    }
-
-    /// Reset lane timelines and counters (between benchmark phases).
-    pub fn reset(&self) {
-        let mut st = self.state.lock();
-        for lane in &mut st.lanes {
-            lane.slots.clear();
-        }
-        st.max_seen_now = 0;
-        st.total_busy_ns = 0;
-        st.ops = 0;
     }
 }
 
@@ -336,9 +322,6 @@ mod tests {
         // 40us busy across 2 lanes over a 20us window -> 1.0
         assert!((r.utilization(VTime::from_micros(20)) - 1.0).abs() < 1e-9);
         assert_eq!(r.ops(), 2);
-        r.reset();
-        assert_eq!(r.ops(), 0);
-        assert_eq!(r.total_busy(), VTime::ZERO);
     }
 
     #[test]
@@ -391,7 +374,7 @@ mod tests {
     fn history_pruning_never_undercounts_total_busy() {
         // Regression guard for the utilization accounting: `HISTORY_NS`
         // pruning drains old lane *reservations* (calendar slots) but must
-        // never touch `total_busy_ns`, which accumulates independently per
+        // never touch `busy_ns`, which accumulates independently per
         // acquire. Drive a long-lived single-lane resource far past the
         // 50ms history horizon (pruning runs every 64 ops) and check every
         // charged nanosecond is still accounted.
@@ -445,12 +428,5 @@ mod tests {
         let tl = &reg.timeline_handles()[0];
         assert_eq!(tl.0, "disk.util_busy_ns");
         assert_eq!(tl.1.snapshot()[&0], 20_000);
-    }
-
-    #[test]
-    fn detached_resource_records_nothing() {
-        let r = Resource::new("disk", 1);
-        r.acquire(VTime::ZERO, VTime::from_micros(10));
-        assert!(r.metrics.is_none());
     }
 }

@@ -226,12 +226,6 @@ impl SimCtx {
         self.trace_client
     }
 
-    /// Reset the clock to zero (used between benchmark phases so warm-up time
-    /// does not pollute measurement windows).
-    pub fn reset_clock(&mut self) {
-        self.now = VTime::ZERO;
-    }
-
     /// Fork a child context that starts at this context's current time, for
     /// operations issued *in parallel* (replica fan-out, BlobGroup chunk
     /// striping, push-down task scatter). The child gets a fresh RNG stream
@@ -293,8 +287,6 @@ mod tests {
         assert_eq!(ctx.now(), VTime::from_micros(5));
         ctx.wait_until(VTime::from_micros(9));
         assert_eq!(ctx.now(), VTime::from_micros(9));
-        ctx.reset_clock();
-        assert_eq!(ctx.now(), VTime::ZERO);
     }
 
     #[test]
