@@ -385,8 +385,10 @@ impl AStoreClient {
 
     /// Force-refresh all cached routes (background task).
     pub fn refresh_all_routes(&self, ctx: &mut SimCtx) {
-        let segs: Vec<SegmentId> = self.routes.lock().keys().copied().collect();
-        for seg in segs {
+        // One CM RPC per id: ascending, not `RandomState`, order.
+        let mut ids: Vec<SegmentId> = self.routes.lock().keys().copied().collect();
+        ids.sort_unstable();
+        for seg in ids {
             match self.cm.get_route(ctx, seg) {
                 Ok(route) => {
                     self.routes.lock().insert(

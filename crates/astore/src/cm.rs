@@ -471,7 +471,8 @@ impl ClusterManager {
     fn repair_after_death(&self, ctx: &mut SimCtx, dead: &[NodeId]) -> Vec<SegmentId> {
         self.reclaim_due(ctx.now());
         let mut changed = Vec::new();
-        let affected: Vec<SegmentId> = {
+        // Ascending segment id: each repair below allocates and copies.
+        let mut affected: Vec<SegmentId> = {
             let st = self.state.lock();
             st.routes
                 .iter()
@@ -479,6 +480,7 @@ impl ClusterManager {
                 .map(|(s, _)| *s)
                 .collect()
         };
+        affected.sort_unstable();
         for seg in affected {
             let (class, survivors, lost_count) = {
                 let mut st = self.state.lock();
@@ -604,6 +606,7 @@ impl ClusterManager {
         self.state
             .lock()
             .routes
+            // vedb-lint: allow(ordered-serialization, "a count: the order the routes are visited in cannot change it")
             .values()
             .flat_map(|r| &r.replicas)
             .filter(|l| l.node == node)

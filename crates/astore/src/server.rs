@@ -437,7 +437,9 @@ impl AStoreServer {
     /// images older than the freshest known LSN for that page, and return
     /// the newest valid image per page with its position.
     pub fn ebp_recovery_scan(&self, ctx: &mut SimCtx) -> Vec<EbpScanEntry> {
-        let slots: Vec<(SegmentId, usize)> = {
+        // Ascending segment id: of two images of one page at one LSN the
+        // first scanned wins, and that choice is where the page is read from.
+        let mut slots: Vec<(SegmentId, usize)> = {
             let st = self.state.lock();
             st.segments
                 .iter()
@@ -445,6 +447,7 @@ impl AStoreServer {
                 .map(|(id, (slot, _))| (*id, *slot))
                 .collect()
         };
+        slots.sort_unstable();
         let lsn_map = self.page_lsns.lock().clone();
         let mut best: HashMap<PageId, EbpScanEntry> = HashMap::new();
         let mut scanned_bytes = 0usize;

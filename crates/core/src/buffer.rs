@@ -1,7 +1,7 @@
 //! The DBEngine's local buffer pool.
 //!
 //! A sharded page cache: page ids hash to one of several shards, each an
-//! [`LruShard`] behind its own mutex (the paper uses the same trick for the
+//! `LruShard` behind its own mutex (the paper uses the same trick for the
 //! EBP's LRU lists, §V-D; the EBP index is built from the same shard type).
 //! Frames are `Arc`-pinned — eviction skips any frame still referenced by
 //! an operation in flight.

@@ -17,7 +17,7 @@
 //!    commit path →
 //! 5. commit = one more WAL record, then locks release.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -313,9 +313,10 @@ impl StorageFabric {
 #[derive(Default, Clone, Debug, PartialEq, Eq)]
 struct MetaState {
     /// Next page number per space (1-based; 0 means none allocated).
-    next_page: HashMap<u32, u32>,
+    /// Ordered, as `roots` is: the meta page's bytes are these maps in order.
+    next_page: BTreeMap<u32, u32>,
     /// Index roots: space -> (root page, level).
-    roots: HashMap<u32, (u32, u8)>,
+    roots: BTreeMap<u32, (u32, u8)>,
 }
 
 /// Bounded retries for transient stale-replica page reads (`get_frame`).
@@ -339,31 +340,18 @@ pub const META_PAGE: PageId = PageId {
 
 fn encode_meta(m: &MetaState) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + m.next_page.len() * 8 + m.roots.len() * 9);
-    let mut np: Vec<(u32, u32)> = m.next_page.iter().map(|(k, v)| (*k, *v)).collect();
-    np.sort_unstable();
-    out.extend_from_slice(&(np.len() as u32).to_le_bytes());
-    for (s, n) in np {
+    out.extend_from_slice(&(m.next_page.len() as u32).to_le_bytes());
+    for (s, n) in &m.next_page {
         out.extend_from_slice(&s.to_le_bytes());
         out.extend_from_slice(&n.to_le_bytes());
     }
-    let mut roots: Vec<(u32, (u32, u8))> = m.roots.iter().map(|(k, v)| (*k, *v)).collect();
-    roots.sort_unstable();
-    out.extend_from_slice(&(roots.len() as u32).to_le_bytes());
-    for (s, (r, l)) in roots {
+    out.extend_from_slice(&(m.roots.len() as u32).to_le_bytes());
+    for (s, (r, l)) in &m.roots {
         out.extend_from_slice(&s.to_le_bytes());
         out.extend_from_slice(&r.to_le_bytes());
-        out.push(l);
+        out.push(*l);
     }
     out
-}
-
-/// Decoded meta page: per-space next-page allocation marks and per-space
-/// `(root page, height)` entries.
-pub(crate) type MetaBlob = (HashMap<u32, u32>, HashMap<u32, (u32, u8)>);
-
-pub(crate) fn decode_meta_blob(buf: &[u8]) -> Result<MetaBlob> {
-    let m = decode_meta(buf)?;
-    Ok((m.next_page, m.roots))
 }
 
 /// Bounds-checked little-endian u32 read; truncation is a codec error, not
@@ -1153,14 +1141,11 @@ impl Db {
         self.ship_buf.lock().push(redo);
     }
 
-    pub(crate) fn install_meta(
-        &self,
-        next_page: HashMap<u32, u32>,
-        roots: HashMap<u32, (u32, u8)>,
-    ) {
-        let mut m = self.meta.lock();
-        m.next_page = next_page;
-        m.roots = roots;
+    /// Recovery-only: replace the in-memory meta state by a decoded meta
+    /// page blob.
+    pub(crate) fn install_meta(&self, blob: &[u8]) -> Result<()> {
+        *self.meta.lock() = decode_meta(blob)?;
+        Ok(())
     }
 
     pub(crate) fn install_page_lsns(&self, lsns: HashMap<PageId, Lsn>) {

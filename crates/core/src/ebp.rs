@@ -3,7 +3,7 @@
 //! Pages evicted from the local buffer pool are cached in AStore (PMem,
 //! replication factor 1 — losing an EBP page only lowers the hit ratio).
 //! The engine keeps the **EBP Index**: `{(space_no, page_no) → lsn +
-//! segment + offset}` in sharded maps, each shard an [`LruShard`] — the
+//! segment + offset}` in sharded maps, each shard an `LruShard` — the
 //! shard type the local buffer pool is built from — weighing entries by
 //! image bytes (the paper's "multiple LRU lists" for contention relief,
 //! §V-D).

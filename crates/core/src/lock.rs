@@ -198,7 +198,7 @@ impl LockManager {
     }
 
     /// Release one lock held by `txn`, stamping the release virtual time
-    /// (per mode: see [`LockState`]).
+    /// (per mode: see `LockState`).
     pub fn release(&self, now: VTime, txn: u64, key: &LockKey) {
         let shard = self.shard_of(key);
         let mut table = shard.table.lock();
@@ -244,6 +244,7 @@ impl LockManager {
                 s.table
                     .lock()
                     .locks
+                    // vedb-lint: allow(ordered-serialization, "a count: the order the lock states are visited in cannot change it")
                     .values()
                     .filter(|st| !st.holders.is_empty())
                     .count()

@@ -7,15 +7,16 @@
 //! of `SeqScan`/`HashAgg`-over-`SeqScan` shapes is delegated to the
 //! storage layer (see [`super::pushdown`]).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use vedb_sim::{SimCtx, VTime};
 
 use crate::db::Db;
-use crate::query::expr::Expr;
-use crate::query::plan::{AggFunc, Plan};
+use crate::query::pipeline::Pipeline;
+use crate::query::plan::Plan;
 use crate::query::pushdown;
-use crate::row::{encode_row, Row, Value};
+use crate::row::{encode_value, Row};
 use crate::Result;
 
 /// Per-session query settings (the paper's "session variable enabling the
@@ -62,115 +63,12 @@ impl QuerySession {
     }
 }
 
-/// Running aggregate state.
-#[derive(Debug, Clone)]
-pub(crate) enum AggState {
-    Count(i64),
-    Sum(f64, bool),
-    Avg(f64, i64),
-    Min(Option<Value>),
-    Max(Option<Value>),
-}
-
-impl AggState {
-    pub(crate) fn new(func: AggFunc) -> AggState {
-        match func {
-            AggFunc::CountStar | AggFunc::Count => AggState::Count(0),
-            AggFunc::Sum => AggState::Sum(0.0, false),
-            AggFunc::Avg => AggState::Avg(0.0, 0),
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
-        }
+/// Canonical bytes of `row`'s `cols` (hashable join key).
+fn key_of(row: &Row, cols: &[usize]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(cols.len() * 9);
+    for i in cols {
+        encode_value(&row[*i], &mut buf);
     }
-
-    pub(crate) fn update(&mut self, func: AggFunc, v: Value) {
-        match self {
-            AggState::Count(c) => {
-                if func == AggFunc::CountStar || !v.is_null() {
-                    *c += 1;
-                }
-            }
-            AggState::Sum(s, any) => {
-                if !v.is_null() {
-                    *s += v.as_f64();
-                    *any = true;
-                }
-            }
-            AggState::Avg(s, c) => {
-                if !v.is_null() {
-                    *s += v.as_f64();
-                    *c += 1;
-                }
-            }
-            AggState::Min(m) => {
-                if !v.is_null() && m.as_ref().map(|cur| v < *cur).unwrap_or(true) {
-                    *m = Some(v);
-                }
-            }
-            AggState::Max(m) => {
-                if !v.is_null() && m.as_ref().map(|cur| v > *cur).unwrap_or(true) {
-                    *m = Some(v);
-                }
-            }
-        }
-    }
-
-    /// Merge a partial state produced by a push-down executor.
-    pub(crate) fn merge(&mut self, other: &AggState) {
-        match (self, other) {
-            (AggState::Count(a), AggState::Count(b)) => *a += *b,
-            (AggState::Sum(a, any_a), AggState::Sum(b, any_b)) => {
-                *a += *b;
-                *any_a |= *any_b;
-            }
-            (AggState::Avg(sa, ca), AggState::Avg(sb, cb)) => {
-                *sa += *sb;
-                *ca += *cb;
-            }
-            (AggState::Min(a), AggState::Min(b)) => {
-                if let Some(vb) = b {
-                    if a.as_ref().map(|va| vb < va).unwrap_or(true) {
-                        *a = Some(vb.clone());
-                    }
-                }
-            }
-            (AggState::Max(a), AggState::Max(b)) => {
-                if let Some(vb) = b {
-                    if a.as_ref().map(|va| vb > va).unwrap_or(true) {
-                        *a = Some(vb.clone());
-                    }
-                }
-            }
-            _ => unreachable!("mismatched aggregate states"),
-        }
-    }
-
-    pub(crate) fn finalize(self) -> Value {
-        match self {
-            AggState::Count(c) => Value::Int(c),
-            AggState::Sum(s, any) => {
-                if any {
-                    Value::Double(s)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::Avg(s, c) => {
-                if c > 0 {
-                    Value::Double(s / c as f64)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::Min(m) | AggState::Max(m) => m.unwrap_or(Value::Null),
-        }
-    }
-}
-
-/// Canonical group-key bytes (hashable Value vectors).
-pub(crate) fn group_key(vals: &[Value]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(vals.len() * 8);
-    encode_row(&vals.to_vec(), &mut buf);
     buf
 }
 
@@ -183,32 +81,6 @@ fn charge_rows(ctx: &mut SimCtx, db: &Db, rows: usize, per_row_ns: u64) {
         .engine_cpu
         .acquire(ctx.now(), VTime::from_nanos(rows as u64 * per_row_ns));
     ctx.wait_until(done);
-}
-
-fn apply_filter_project(
-    rows: Vec<Row>,
-    filter: &Option<Expr>,
-    project: &Option<Vec<Expr>>,
-) -> Result<Vec<Row>> {
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        if let Some(f) = filter {
-            if !f.eval_bool(&row)? {
-                continue;
-            }
-        }
-        match project {
-            Some(exprs) => {
-                let mut projected = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    projected.push(e.eval(&row)?);
-                }
-                out.push(projected);
-            }
-            None => out.push(row),
-        }
-    }
-    Ok(out)
 }
 
 /// Execute `plan` and materialize its result rows.
@@ -228,13 +100,15 @@ pub fn execute(ctx: &mut SimCtx, db: &Db, session: &QuerySession, plan: &Plan) -
             )? {
                 return pushdown::pushdown_scan(ctx, db, table, filter, project, None);
             }
-            let mut rows = Vec::new();
+            let mut pipe = Pipeline::new(filter, project, None);
+            let mut pushed = Ok(());
             db.scan_table(ctx, table, |row| {
-                rows.push(row.clone());
-                true
+                pushed = pipe.push(Cow::Borrowed(row));
+                pushed.is_ok()
             })?;
-            charge_rows(ctx, db, rows.len(), 50);
-            apply_filter_project(rows, filter, project)
+            pushed?;
+            charge_rows(ctx, db, pipe.seen(), 50);
+            Ok(pipe.finish())
         }
         Plan::IndexLookup {
             table,
@@ -245,7 +119,7 @@ pub fn execute(ctx: &mut SimCtx, db: &Db, session: &QuerySession, plan: &Plan) -
         } => {
             let rows = db.index_lookup(ctx, table, index, prefix, usize::MAX)?;
             charge_rows(ctx, db, rows.len(), 100);
-            apply_filter_project(rows, filter, project)
+            Pipeline::new(filter, project, None).run(rows)
         }
         Plan::HashAgg {
             input,
@@ -272,30 +146,7 @@ pub fn execute(ctx: &mut SimCtx, db: &Db, session: &QuerySession, plan: &Plan) -
             }
             let rows = execute(ctx, db, session, input)?;
             charge_rows(ctx, db, rows.len(), 100);
-            let mut groups: HashMap<Vec<u8>, (Vec<Value>, Vec<AggState>)> = HashMap::new();
-            for row in &rows {
-                let key_vals: Vec<Value> = group_by.iter().map(|i| row[*i].clone()).collect();
-                let key = group_key(&key_vals);
-                let entry = groups.entry(key).or_insert_with(|| {
-                    (
-                        key_vals.clone(),
-                        aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                    )
-                });
-                for (state, agg) in entry.1.iter_mut().zip(aggs) {
-                    state.update(agg.func, agg.expr.eval(row)?);
-                }
-            }
-            let mut out: Vec<Row> = groups
-                .into_values()
-                .map(|(mut key_vals, states)| {
-                    key_vals.extend(states.into_iter().map(AggState::finalize));
-                    key_vals
-                })
-                .collect();
-            // Deterministic output order for tests.
-            out.sort_by_key(|r| group_key(r));
-            Ok(out)
+            Pipeline::new(&None, &None, Some((group_by, aggs))).run(rows)
         }
         Plan::HashJoin {
             left,
@@ -310,22 +161,20 @@ pub fn execute(ctx: &mut SimCtx, db: &Db, session: &QuerySession, plan: &Plan) -
             charge_rows(ctx, db, lrows.len() + rrows.len(), 100);
             let mut build: HashMap<Vec<u8>, Vec<&Row>> = HashMap::new();
             for row in &lrows {
-                let key_vals: Vec<Value> = left_keys.iter().map(|i| row[*i].clone()).collect();
-                build.entry(group_key(&key_vals)).or_default().push(row);
+                build.entry(key_of(row, left_keys)).or_default().push(row);
             }
-            let mut out = Vec::new();
+            let mut pipe = Pipeline::new(filter, project, None);
             for rrow in &rrows {
-                let key_vals: Vec<Value> = right_keys.iter().map(|i| rrow[*i].clone()).collect();
-                if let Some(matches) = build.get(&group_key(&key_vals)) {
+                if let Some(matches) = build.get(&key_of(rrow, right_keys)) {
                     for lrow in matches {
                         let mut joined: Row = (*lrow).clone();
                         joined.extend(rrow.iter().cloned());
-                        out.push(joined);
+                        pipe.push(Cow::Owned(joined))?;
                     }
                 }
             }
-            charge_rows(ctx, db, out.len(), 50);
-            apply_filter_project(out, filter, project)
+            charge_rows(ctx, db, pipe.seen(), 50);
+            Ok(pipe.finish())
         }
         Plan::NestLoopJoin {
             left,
@@ -336,17 +185,17 @@ pub fn execute(ctx: &mut SimCtx, db: &Db, session: &QuerySession, plan: &Plan) -
             let lrows = execute(ctx, db, session, left)?;
             let rrows = execute(ctx, db, session, right)?;
             charge_rows(ctx, db, lrows.len() * rrows.len().max(1), 20);
-            let mut out = Vec::new();
+            let mut pipe = Pipeline::new(&None, project, None);
             for lrow in &lrows {
                 for rrow in &rrows {
                     let mut joined: Row = lrow.clone();
                     joined.extend(rrow.iter().cloned());
                     if on.eval_bool(&joined)? {
-                        out.push(joined);
+                        pipe.push(Cow::Owned(joined))?;
                     }
                 }
             }
-            apply_filter_project(out, &None, project)
+            Ok(pipe.finish())
         }
         Plan::Sort { input, by, limit } => {
             let mut rows = execute(ctx, db, session, input)?;
@@ -381,7 +230,7 @@ pub fn execute(ctx: &mut SimCtx, db: &Db, session: &QuerySession, plan: &Plan) -
         } => {
             let rows = execute(ctx, db, session, input)?;
             charge_rows(ctx, db, rows.len(), 50);
-            apply_filter_project(rows, filter, project)
+            Pipeline::new(filter, project, None).run(rows)
         }
     }
 }

@@ -209,14 +209,30 @@ fn encode_value(v: &Value, out: &mut Vec<u8>) {
     out.extend_from_slice(&row_buf);
 }
 
+/// Bounds-checked read of the next byte of a fragment's wire bytes.
+pub(super) fn take_u8(buf: &[u8], pos: &mut usize) -> Result<u8> {
+    Ok(take(buf, pos, 1)?[0])
+}
+
+/// Bounds-checked read of the next little-endian `u32`.
+pub(super) fn take_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
+    let b = take(buf, pos, 4)?;
+    Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
+}
+
+fn take<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8]> {
+    let end = pos.checked_add(len).filter(|end| *end <= buf.len());
+    let end = end.ok_or_else(|| EngineError::Codec("fragment truncated".into()))?;
+    let bytes = &buf[*pos..end];
+    *pos = end;
+    Ok(bytes)
+}
+
 fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
-    let err = || EngineError::Codec("expr value truncated".into());
-    let len =
-        u32::from_le_bytes(buf.get(*pos..*pos + 4).ok_or_else(err)?.try_into().unwrap()) as usize;
-    *pos += 4;
-    let row = crate::row::decode_row(buf.get(*pos..*pos + len).ok_or_else(err)?)?;
-    *pos += len;
-    row.into_iter().next().ok_or_else(err)
+    let len = take_u32(buf, pos)? as usize;
+    let row = crate::row::decode_row(take(buf, pos, len)?)?;
+    let first = row.into_iter().next();
+    first.ok_or_else(|| EngineError::Codec("empty literal".into()))
 }
 
 /// Encode an expression (push-down fragment wire format).
@@ -267,19 +283,12 @@ pub fn encode_expr(e: &Expr, out: &mut Vec<u8>) {
 
 /// Decode an expression.
 pub fn decode_expr(buf: &[u8], pos: &mut usize) -> Result<Expr> {
-    let err = || EngineError::Codec("expr truncated".into());
-    let tag = *buf.get(*pos).ok_or_else(err)?;
-    *pos += 1;
-    Ok(match tag {
-        0 => {
-            let i =
-                u32::from_le_bytes(buf.get(*pos..*pos + 4).ok_or_else(err)?.try_into().unwrap());
-            *pos += 4;
-            Expr::Col(i as usize)
-        }
+    let operand = |pos: &mut usize| decode_expr(buf, pos).map(Box::new);
+    Ok(match take_u8(buf, pos)? {
+        0 => Expr::Col(take_u32(buf, pos)? as usize),
         1 => Expr::Lit(decode_value(buf, pos)?),
         2 => {
-            let op = match *buf.get(*pos).ok_or_else(err)? {
+            let op = match take_u8(buf, pos)? {
                 0 => CmpOp::Eq,
                 1 => CmpOp::Ne,
                 2 => CmpOp::Lt,
@@ -288,45 +297,27 @@ pub fn decode_expr(buf: &[u8], pos: &mut usize) -> Result<Expr> {
                 5 => CmpOp::Ge,
                 t => return Err(EngineError::Codec(format!("bad cmp op {t}"))),
             };
-            *pos += 1;
-            let a = decode_expr(buf, pos)?;
-            let b = decode_expr(buf, pos)?;
-            Expr::Cmp(op, Box::new(a), Box::new(b))
+            Expr::Cmp(op, operand(pos)?, operand(pos)?)
         }
-        3 => {
-            let a = decode_expr(buf, pos)?;
-            let b = decode_expr(buf, pos)?;
-            Expr::And(Box::new(a), Box::new(b))
-        }
-        4 => {
-            let a = decode_expr(buf, pos)?;
-            let b = decode_expr(buf, pos)?;
-            Expr::Or(Box::new(a), Box::new(b))
-        }
-        5 => Expr::Not(Box::new(decode_expr(buf, pos)?)),
+        3 => Expr::And(operand(pos)?, operand(pos)?),
+        4 => Expr::Or(operand(pos)?, operand(pos)?),
+        5 => Expr::Not(operand(pos)?),
         6 => {
-            let op = match *buf.get(*pos).ok_or_else(err)? {
+            let op = match take_u8(buf, pos)? {
                 0 => ArithOp::Add,
                 1 => ArithOp::Sub,
                 2 => ArithOp::Mul,
                 3 => ArithOp::Div,
                 t => return Err(EngineError::Codec(format!("bad arith op {t}"))),
             };
-            *pos += 1;
-            let a = decode_expr(buf, pos)?;
-            let b = decode_expr(buf, pos)?;
-            Expr::Arith(op, Box::new(a), Box::new(b))
+            Expr::Arith(op, operand(pos)?, operand(pos)?)
         }
         7 => {
-            let a = decode_expr(buf, pos)?;
-            let len =
-                u32::from_le_bytes(buf.get(*pos..*pos + 4).ok_or_else(err)?.try_into().unwrap())
-                    as usize;
-            *pos += 4;
-            let p = String::from_utf8(buf.get(*pos..*pos + len).ok_or_else(err)?.to_vec())
+            let a = operand(pos)?;
+            let len = take_u32(buf, pos)? as usize;
+            let p = String::from_utf8(take(buf, pos, len)?.to_vec())
                 .map_err(|_| EngineError::Codec("bad utf8 in LIKE".into()))?;
-            *pos += len;
-            Expr::Like(Box::new(a), p)
+            Expr::Like(a, p)
         }
         t => return Err(EngineError::Codec(format!("bad expr tag {t}"))),
     })

@@ -1,8 +1,10 @@
 //! Query processing: expressions, plans, the local executor, and the
-//! push-down framework (§VI).
+//! push-down framework (§VI). Filter, projection and aggregation exist
+//! once, in the private `pipeline` module both executors feed.
 
 pub mod exec;
 pub mod expr;
+mod pipeline;
 pub mod plan;
 pub mod pushdown;
 

@@ -1,0 +1,429 @@
+//! The one row pipeline: filter → project → (emit | group and aggregate).
+//!
+//! The push-down framework runs *the same* scan fragment where the pages
+//! live and finishes with a secondary aggregation in the engine (§VI), so
+//! the operators exist once, here, and every consumer feeds this type one
+//! row at a time: the local executor's operators, the storage-side task
+//! (which ends in [`Pipeline::partials`]) and the engine-side merge of those
+//! partials ([`Pipeline::absorb`]). Nothing outside this module evaluates a
+//! plan filter or projection over a row, touches an [`AggState`], or knows
+//! how a partial state is laid out in a transferable row.
+
+use std::borrow::Cow;
+use std::collections::btree_map::{BTreeMap, Entry};
+
+use crate::query::expr::Expr;
+use crate::query::plan::{AggExpr, AggFunc};
+use crate::row::{encode_value, Row, Value};
+use crate::Result;
+
+/// Running aggregate state.
+#[derive(Debug, Clone)]
+enum AggState {
+    Count(i64),
+    Sum(f64, bool),
+    Avg(f64, i64),
+    Min(Option<Value>),
+    Max(Option<Value>),
+}
+
+impl AggState {
+    fn new(func: AggFunc) -> AggState {
+        match func {
+            AggFunc::CountStar | AggFunc::Count => AggState::Count(0),
+            AggFunc::Sum => AggState::Sum(0.0, false),
+            AggFunc::Avg => AggState::Avg(0.0, 0),
+            AggFunc::Min => AggState::Min(None),
+            AggFunc::Max => AggState::Max(None),
+        }
+    }
+
+    fn update(&mut self, func: AggFunc, v: Value) {
+        match self {
+            AggState::Count(c) => {
+                if func == AggFunc::CountStar || !v.is_null() {
+                    *c += 1;
+                }
+            }
+            AggState::Sum(s, any) => {
+                if !v.is_null() {
+                    *s += v.as_f64();
+                    *any = true;
+                }
+            }
+            AggState::Avg(s, c) => {
+                if !v.is_null() {
+                    *s += v.as_f64();
+                    *c += 1;
+                }
+            }
+            AggState::Min(m) => {
+                if !v.is_null() && m.as_ref().map(|cur| v < *cur).unwrap_or(true) {
+                    *m = Some(v);
+                }
+            }
+            AggState::Max(m) => {
+                if !v.is_null() && m.as_ref().map(|cur| v > *cur).unwrap_or(true) {
+                    *m = Some(v);
+                }
+            }
+        }
+    }
+
+    /// Merge a partial state produced by a push-down executor.
+    fn merge(&mut self, other: AggState) {
+        match (self, other) {
+            (AggState::Count(a), AggState::Count(b)) => *a += b,
+            (AggState::Sum(a, any_a), AggState::Sum(b, any_b)) => {
+                *a += b;
+                *any_a |= any_b;
+            }
+            (AggState::Avg(sa, ca), AggState::Avg(sb, cb)) => {
+                *sa += sb;
+                *ca += cb;
+            }
+            (AggState::Min(a), AggState::Min(Some(vb))) => {
+                if a.as_ref().map(|va| vb < *va).unwrap_or(true) {
+                    *a = Some(vb);
+                }
+            }
+            (AggState::Max(a), AggState::Max(Some(vb))) => {
+                if a.as_ref().map(|va| vb > *va).unwrap_or(true) {
+                    *a = Some(vb);
+                }
+            }
+            (AggState::Min(_), AggState::Min(None)) | (AggState::Max(_), AggState::Max(None)) => {}
+            _ => unreachable!("mismatched aggregate states"),
+        }
+    }
+
+    fn finalize(self) -> Value {
+        match self {
+            AggState::Count(c) => Value::Int(c),
+            AggState::Sum(s, any) => {
+                if any {
+                    Value::Double(s)
+                } else {
+                    Value::Null
+                }
+            }
+            AggState::Avg(s, c) => {
+                if c > 0 {
+                    Value::Double(s / c as f64)
+                } else {
+                    Value::Null
+                }
+            }
+            AggState::Min(m) | AggState::Max(m) => m.unwrap_or(Value::Null),
+        }
+    }
+
+    /// Append this state's transferable columns to a partial row: one for
+    /// a count, a minimum or a maximum, two for a sum or an average.
+    fn write_partial(self, out: &mut Row) {
+        match self {
+            AggState::Count(c) => out.push(Value::Int(c)),
+            AggState::Sum(s, any) => out.extend([Value::Double(s), Value::Int(any as i64)]),
+            AggState::Avg(s, c) => out.extend([Value::Double(s), Value::Int(c)]),
+            AggState::Min(m) | AggState::Max(m) => out.push(m.unwrap_or(Value::Null)),
+        }
+    }
+
+    /// Inverse of [`AggState::write_partial`]: take `func`'s columns off a
+    /// partial row.
+    fn read_partial(func: AggFunc, cols: &mut impl Iterator<Item = Value>) -> AggState {
+        let mut col = || cols.next().expect("partial row holds every state column");
+        match func {
+            AggFunc::CountStar | AggFunc::Count => AggState::Count(col().as_int()),
+            AggFunc::Sum => AggState::Sum(col().as_f64(), col().as_int() != 0),
+            AggFunc::Avg => AggState::Avg(col().as_f64(), col().as_int()),
+            AggFunc::Min => AggState::Min(Some(col()).filter(|v| !v.is_null())),
+            AggFunc::Max => AggState::Max(Some(col()).filter(|v| !v.is_null())),
+        }
+    }
+}
+
+/// Groups in group-key order: encoded group columns → (group values, one
+/// state per aggregate). The encoding is prefix-free, so byte order of the
+/// keys is the byte order of the encoded output rows.
+type Groups = BTreeMap<Vec<u8>, (Vec<Value>, Vec<AggState>)>;
+
+/// One fragment's operators over a stream of rows; see the module docs.
+pub(super) struct Pipeline<'a> {
+    filter: Option<&'a Expr>,
+    project: Option<&'a [Expr]>,
+    agg: Option<(&'a [usize], &'a [AggExpr])>,
+    seen: usize,
+    rows: Vec<Row>,
+    groups: Groups,
+    /// Scratch for the group key of the row at hand.
+    key: Vec<u8>,
+}
+
+impl<'a> Pipeline<'a> {
+    pub(super) fn new(
+        filter: &'a Option<Expr>,
+        project: &'a Option<Vec<Expr>>,
+        agg: Option<(&'a [usize], &'a [AggExpr])>,
+    ) -> Pipeline<'a> {
+        Pipeline {
+            filter: filter.as_ref(),
+            project: project.as_deref(),
+            agg,
+            seen: 0,
+            rows: Vec::new(),
+            groups: Groups::new(),
+            key: Vec::new(),
+        }
+    }
+
+    /// Rows pushed so far, whether or not the filter kept them.
+    pub(super) fn seen(&self) -> usize {
+        self.seen
+    }
+
+    /// Run one input row through filter, projection and the sink.
+    pub(super) fn push(&mut self, row: Cow<'_, Row>) -> Result<()> {
+        self.seen += 1;
+        if let Some(f) = self.filter {
+            if !f.eval_bool(&row)? {
+                return Ok(());
+            }
+        }
+        let row = match self.project {
+            Some(exprs) => Cow::Owned(exprs.iter().map(|e| e.eval(&row)).collect::<Result<_>>()?),
+            None => row,
+        };
+        let Some((group_by, aggs)) = self.agg else {
+            self.rows.push(row.into_owned());
+            return Ok(());
+        };
+        self.key.clear();
+        for i in group_by {
+            encode_value(&row[*i], &mut self.key);
+        }
+        // The group's values are built once per group, not once per row.
+        let states = match self.groups.get_mut(&self.key) {
+            Some((_, states)) => states,
+            None => {
+                let vals = group_by.iter().map(|i| row[*i].clone()).collect();
+                let fresh = aggs.iter().map(|a| AggState::new(a.func)).collect();
+                &mut self
+                    .groups
+                    .entry(self.key.clone())
+                    .or_insert((vals, fresh))
+                    .1
+            }
+        };
+        for (state, agg) in states.iter_mut().zip(aggs) {
+            state.update(agg.func, agg.expr.eval(&row)?);
+        }
+        Ok(())
+    }
+
+    /// Push every row of a materialized operator output, then
+    /// [`finish`](Pipeline::finish).
+    pub(super) fn run(mut self, rows: Vec<Row>) -> Result<Vec<Row>> {
+        for row in rows {
+            self.push(Cow::Owned(row))?;
+        }
+        Ok(self.finish())
+    }
+
+    /// Secondary aggregation: take in one row of another pipeline's
+    /// [`partials`](Pipeline::partials) (same fragment).
+    pub(super) fn absorb(&mut self, partial: Row) {
+        let Some((group_by, aggs)) = self.agg else {
+            self.rows.push(partial);
+            return;
+        };
+        let mut cols = partial.into_iter();
+        let vals: Vec<Value> = cols.by_ref().take(group_by.len()).collect();
+        let mut key = Vec::new();
+        for v in &vals {
+            encode_value(v, &mut key);
+        }
+        let states = aggs
+            .iter()
+            .map(|a| AggState::read_partial(a.func, &mut cols));
+        match self.groups.entry(key) {
+            Entry::Occupied(mut e) => {
+                for (mine, theirs) in e.get_mut().1.iter_mut().zip(states) {
+                    mine.merge(theirs);
+                }
+            }
+            Entry::Vacant(e) => {
+                e.insert((vals, states.collect()));
+            }
+        }
+    }
+
+    fn drain(self, mut emit: impl FnMut(AggState, &mut Row)) -> Vec<Row> {
+        if self.agg.is_none() {
+            return self.rows;
+        }
+        self.groups
+            .into_values()
+            .map(|(mut row, states)| {
+                for s in states {
+                    emit(s, &mut row);
+                }
+                row
+            })
+            .collect()
+    }
+
+    /// End in final rows: the emitted rows in input order, or one row per
+    /// group — group values, then each aggregate's value — in group-key
+    /// order. No input row, no group.
+    pub(super) fn finish(self) -> Vec<Row> {
+        self.drain(|s, row| row.push(s.finalize()))
+    }
+
+    /// End in transferable rows (storage side): the emitted rows, or one
+    /// row per group — group values, then each aggregate's partial state.
+    pub(super) fn partials(self) -> Vec<Row> {
+        self.drain(AggState::write_partial)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cmp::Ordering;
+
+    use super::*;
+    use crate::query::expr::CmpOp;
+    use crate::row::encode_row;
+    use proptest::prelude::*;
+
+    /// `(g1, g2, v, w)` → `[g1, g2, v, w]`: `g1` NULL or an int, `g2` a
+    /// string, `v` NULL, an int (odd) or an integer-valued double (even) —
+    /// so sums are exact in any order and equal values are equal `Value`s —
+    /// and `w` an int to filter on.
+    fn row((g1, g2, v, w): (i64, usize, i64, i64)) -> Row {
+        vec![
+            Some(g1).filter(|g| *g != 0).map_or(Value::Null, Value::Int),
+            Value::Str(["a", "b", "c"][g2].into()),
+            match v {
+                0 => Value::Null,
+                v if v % 2 == 0 => Value::Double(v as f64),
+                v => Value::Int(v),
+            },
+            Value::Int(w),
+        ]
+    }
+
+    /// The naive reference: filter, group in a `Vec`-based table, finalize
+    /// all six functions over column 2, order by the encoded output row.
+    fn reference(rows: &[Row], keep_below: Option<i64>, group_by: &[usize]) -> Vec<Row> {
+        let mut table: Vec<(Vec<Value>, Vec<&Value>)> = Vec::new();
+        for r in rows {
+            if keep_below.is_some_and(|t| r[3].as_int() >= t) {
+                continue;
+            }
+            let key: Vec<Value> = group_by.iter().map(|i| r[*i].clone()).collect();
+            match table.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, all)) => all.push(&r[2]),
+                None => table.push((key, vec![&r[2]])),
+            }
+        }
+        let finalize = |(mut out, all): (Vec<Value>, Vec<&Value>)| {
+            let vals: Vec<&Value> = all.iter().copied().filter(|v| !v.is_null()).collect();
+            let sum: f64 = vals.iter().map(|v| v.as_f64()).sum();
+            let or_null = |v: Value| if vals.is_empty() { Value::Null } else { v };
+            let extreme = |want: Ordering| {
+                let first = vals.iter().copied();
+                let best = first.reduce(|b, v| if v.partial_cmp(b) == Some(want) { v } else { b });
+                best.cloned().unwrap_or(Value::Null)
+            };
+            out.extend([
+                Value::Int(all.len() as i64),
+                Value::Int(vals.len() as i64),
+                or_null(Value::Double(sum)),
+                or_null(Value::Double(sum / vals.len() as f64)),
+                extreme(Ordering::Less),
+                extreme(Ordering::Greater),
+            ]);
+            out
+        };
+        let mut out: Vec<Row> = table.into_iter().map(finalize).collect();
+        out.sort_by_key(|r| {
+            let mut bytes = Vec::new();
+            encode_row(r, &mut bytes);
+            bytes
+        });
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn matches_the_naive_reference_and_merges_partials_in_any_order(
+            raw in proptest::collection::vec((0i64..4, 0usize..3, -6i64..7, 0i64..10), 0..60),
+            n_groups in 0usize..3,
+            keep_below in 0i64..13, // 10 and up: no filter
+            swap in 0u8..2,
+            parts in proptest::collection::vec((0usize..4, 0u32..1000), 60..61),
+            k in 1usize..5,
+        ) {
+            let rows: Vec<Row> = raw.into_iter().map(row).collect();
+            let keep_below = Some(keep_below).filter(|t| *t < 10);
+            let filter = keep_below.map(|t| Expr::cmp(CmpOp::Lt, Expr::col(3), Expr::int(t)));
+            // Group by (g2, g1), directly or through a projection that
+            // swaps the two columns.
+            let cols = |order: [usize; 4]| order.map(Expr::col).to_vec();
+            let project = (swap == 1).then(|| cols([1, 0, 2, 3]));
+            let group_by = if swap == 1 { [0, 1] } else { [1, 0] };
+            let group_by = &group_by[..n_groups];
+            let funcs = [
+                AggFunc::CountStar,
+                AggFunc::Count,
+                AggFunc::Sum,
+                AggFunc::Avg,
+                AggFunc::Min,
+                AggFunc::Max,
+            ];
+            let aggs = funcs.map(|func| AggExpr { func, expr: Expr::col(2) });
+            let agg = Some((group_by, &aggs[..]));
+
+            // Single pass: the reference's rows, in group-key order.
+            let expect = reference(&rows, keep_below, &[1, 0][..n_groups]);
+            let single = Pipeline::new(&filter, &project, agg).run(rows.clone()).unwrap();
+            prop_assert_eq!(&single, &expect);
+
+            // Without aggregation: the kept rows, projected, in input order.
+            let kept = rows.iter().filter(|r| keep_below.is_none_or(|t| r[3].as_int() < t));
+            let plain: Vec<Row> = kept
+                .map(|r| match &project {
+                    Some(_) => vec![r[1].clone(), r[0].clone(), r[2].clone(), r[3].clone()],
+                    None => r.clone(),
+                })
+                .collect();
+            let mut pipe = Pipeline::new(&filter, &project, None);
+            for r in &rows {
+                pipe.push(Cow::Borrowed(r)).unwrap();
+            }
+            prop_assert_eq!(pipe.seen(), rows.len());
+            prop_assert_eq!(pipe.finish(), plain);
+
+            // k partitions, each ending in partials, absorbed in a random
+            // order: the single-pass answer.
+            let mut partials: Vec<(u32, Vec<Row>)> = (0..k)
+                .map(|p| {
+                    let mut pipe = Pipeline::new(&filter, &project, agg);
+                    for (r, (part, _)) in rows.iter().zip(&parts) {
+                        if part % k == p {
+                            pipe.push(Cow::Borrowed(r)).unwrap();
+                        }
+                    }
+                    (parts[p].1, pipe.partials())
+                })
+                .collect();
+            partials.sort_by_key(|(order, _)| *order);
+            let mut merged = Pipeline::new(&None, &None, agg);
+            for partial in partials.into_iter().flat_map(|(_, rows)| rows) {
+                merged.absorb(partial);
+            }
+            prop_assert_eq!(merged.finish(), single);
+        }
+    }
+}

@@ -15,20 +15,24 @@
 //! down is a page-count threshold plus a session flag, exactly as in the
 //! paper (cost-based selection is listed as future work).
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use vedb_astore::{Lsn, PageId};
+use vedb_astore::{AStoreServer, Lsn, PageId};
 use vedb_pagestore::page::{Page, PageType};
+use vedb_pagestore::{PageStoreError, PageStoreServer};
 use vedb_sim::fault::NodeId;
 use vedb_sim::{SimCtx, VTime};
 
 use crate::btree::parse_leaf_cell;
 use crate::db::Db;
 use crate::ebp::EbpLoc;
-use crate::query::exec::{group_key, AggState, QuerySession};
-use crate::query::expr::{decode_expr, encode_expr, Expr};
+use crate::query::exec::QuerySession;
+use crate::query::expr::{decode_expr, encode_expr, take_u32, take_u8, Expr};
+use crate::query::pipeline::Pipeline;
 use crate::query::plan::{AggExpr, AggFunc};
-use crate::row::{decode_row, Row, Value};
+use crate::row::{decode_row, Row};
 use crate::{EngineError, Result};
 
 /// Aggregation part of a fragment.
@@ -85,64 +89,45 @@ pub fn encode_fragment(f: &Fragment, out: &mut Vec<u8>) {
     }
 }
 
-/// Decode a fragment.
+/// Decode a fragment. Truncated or malformed bytes are a codec error, not
+/// a panic: the storage-side task runs what it decodes from the request.
 pub fn decode_fragment(buf: &[u8]) -> Result<Fragment> {
-    let err = || EngineError::Codec("fragment truncated".into());
-    let space = u32::from_le_bytes(buf.get(0..4).ok_or_else(err)?.try_into().unwrap());
-    let mut pos = 4;
-    let take_u8 = |pos: &mut usize| -> Result<u8> {
-        let b = *buf.get(*pos).ok_or_else(err)?;
-        *pos += 1;
-        Ok(b)
+    let mut pos = 0;
+    let space = take_u32(buf, &mut pos)?;
+    let filter = match take_u8(buf, &mut pos)? {
+        1 => Some(decode_expr(buf, &mut pos)?),
+        _ => None,
     };
-    let filter = if take_u8(&mut pos)? == 1 {
-        Some(decode_expr(buf, &mut pos)?)
-    } else {
-        None
-    };
-    let project = if take_u8(&mut pos)? == 1 {
-        let n = u32::from_le_bytes(buf.get(pos..pos + 4).ok_or_else(err)?.try_into().unwrap());
-        pos += 4;
-        let mut exprs = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            exprs.push(decode_expr(buf, &mut pos)?);
+    let project = match take_u8(buf, &mut pos)? {
+        1 => {
+            let n = take_u32(buf, &mut pos)?;
+            let exprs = (0..n).map(|_| decode_expr(buf, &mut pos));
+            Some(exprs.collect::<Result<_>>()?)
         }
-        Some(exprs)
-    } else {
-        None
+        _ => None,
     };
-    let agg = if take_u8(&mut pos)? == 1 {
-        let n = u32::from_le_bytes(buf.get(pos..pos + 4).ok_or_else(err)?.try_into().unwrap());
-        pos += 4;
-        let mut group_by = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            group_by.push(u32::from_le_bytes(
-                buf.get(pos..pos + 4).ok_or_else(err)?.try_into().unwrap(),
-            ) as usize);
-            pos += 4;
-        }
-        let m = u32::from_le_bytes(buf.get(pos..pos + 4).ok_or_else(err)?.try_into().unwrap());
-        pos += 4;
-        let mut aggs = Vec::with_capacity(m as usize);
-        for _ in 0..m {
-            let func = match *buf.get(pos).ok_or_else(err)? {
-                0 => AggFunc::CountStar,
-                1 => AggFunc::Count,
-                2 => AggFunc::Sum,
-                3 => AggFunc::Avg,
-                4 => AggFunc::Min,
-                5 => AggFunc::Max,
-                t => return Err(EngineError::Codec(format!("bad agg func {t}"))),
-            };
-            pos += 1;
-            aggs.push(AggExpr {
-                func,
-                expr: decode_expr(buf, &mut pos)?,
+    let agg = match take_u8(buf, &mut pos)? {
+        1 => {
+            let n = take_u32(buf, &mut pos)?;
+            let group_by = (0..n).map(|_| take_u32(buf, &mut pos).map(|g| g as usize));
+            let group_by = group_by.collect::<Result<_>>()?;
+            let m = take_u32(buf, &mut pos)?;
+            let aggs = (0..m).map(|_| {
+                let func = match take_u8(buf, &mut pos)? {
+                    0 => AggFunc::CountStar,
+                    1 => AggFunc::Count,
+                    2 => AggFunc::Sum,
+                    3 => AggFunc::Avg,
+                    4 => AggFunc::Min,
+                    5 => AggFunc::Max,
+                    t => return Err(EngineError::Codec(format!("bad agg func {t}"))),
+                };
+                let expr = decode_expr(buf, &mut pos)?;
+                Ok(AggExpr { func, expr })
             });
+            Some((group_by, aggs.collect::<Result<_>>()?))
         }
-        Some((group_by, aggs))
-    } else {
-        None
+        _ => None,
     };
     Ok(Fragment {
         space,
@@ -150,19 +135,6 @@ pub fn decode_fragment(buf: &[u8]) -> Result<Fragment> {
         project,
         agg,
     })
-}
-
-/// Which server a task runs on and which pages it covers.
-enum TaskPages {
-    /// Pages cached in the EBP on an AStore node.
-    Ebp(Vec<EbpLoc>),
-    /// Pages served by a PageStore node: (page, required LSN).
-    PageStore(Vec<(PageId, Lsn)>),
-}
-
-struct Task {
-    node: NodeId,
-    pages: TaskPages,
 }
 
 /// Is this table's scan worth pushing down under the session settings?
@@ -235,14 +207,25 @@ pub fn cost_decision(db: &Db, space: u32, pages: u32, reduces_rows: bool, has_ag
     pq_ns < local_ns
 }
 
+/// One server's share of a fragment: the pages it holds, with the handle
+/// that reads them where they live.
+enum Task {
+    /// Pages cached in the EBP on an AStore node (local PMem).
+    Ebp(Arc<AStoreServer>, Vec<EbpLoc>),
+    /// Pages of a PageStore node (local SSD): (page, required LSN).
+    PageStore(Arc<PageStoreServer>, Vec<(PageId, Lsn)>),
+}
+
 /// Split a fragment into per-server tasks by page location (§VI-B: "the
 /// original request gets split up into parallel tasks by looking up the
-/// requested pages in the EBP index").
-fn split_tasks(db: &Db, space: u32) -> Vec<Task> {
-    let n_pages = db.space_pages(space);
-    let mut ebp_groups: HashMap<NodeId, Vec<EbpLoc>> = HashMap::new();
-    let mut ps_groups: HashMap<NodeId, Vec<(PageId, Lsn)>> = HashMap::new();
-    for page_no in 1..=n_pages {
+/// requested pages in the EBP index"). Task order is a function of the
+/// data — EBP tasks by ascending node, then PageStore tasks by ascending
+/// node, pages in page order inside each — because it is the order RPCs
+/// are issued, partial sums are merged and plain rows come back in.
+fn split_tasks(db: &Db, space: u32) -> Result<Vec<Task>> {
+    let mut ebp_groups: BTreeMap<NodeId, Vec<EbpLoc>> = BTreeMap::new();
+    let mut ps_groups = BTreeMap::new(); // node → (its server, pages)
+    for page_no in 1..=db.space_pages(space) {
         let pid = PageId::new(space, page_no);
         let need_lsn = db.page_lsn(pid);
         let ebp_hit = db
@@ -253,257 +236,98 @@ fn split_tasks(db: &Db, space: u32) -> Vec<Task> {
             Some(loc) => ebp_groups.entry(loc.node).or_default().push(loc),
             None => {
                 let key = db.pagestore().cfg().segment_of(pid);
-                let node = db.pagestore().replicas_of(key)[0].node();
-                ps_groups.entry(node).or_default().push((pid, need_lsn));
+                let server = db.pagestore().replicas_of(key).swap_remove(0);
+                let node = server.node();
+                let (_, pages) = ps_groups.entry(node).or_insert((server, Vec::new()));
+                pages.push((pid, need_lsn));
             }
         }
     }
-    let mut tasks: Vec<Task> = ebp_groups
-        .into_iter()
-        .map(|(node, pages)| Task {
-            node,
-            pages: TaskPages::Ebp(pages),
-        })
-        .collect();
-    tasks.extend(ps_groups.into_iter().map(|(node, pages)| Task {
-        node,
-        pages: TaskPages::PageStore(pages),
-    }));
-    tasks
+    let mut tasks = Vec::with_capacity(ebp_groups.len() + ps_groups.len());
+    for (node, locs) in ebp_groups {
+        let server = db
+            .astore_client()
+            .and_then(|c| c.server(node))
+            .ok_or_else(|| EngineError::Query(format!("no AStore server {node}")))?;
+        tasks.push(Task::Ebp(server, locs));
+    }
+    tasks.extend(
+        ps_groups
+            .into_values()
+            .map(|(s, pages)| Task::PageStore(s, pages)),
+    );
+    Ok(tasks)
 }
 
-/// Run the fragment over one page image, updating rows/groups.
-fn process_page(
-    page: &Page,
-    frag: &Fragment,
-    rows_out: &mut Vec<Row>,
-    groups: &mut HashMap<Vec<u8>, (Vec<Value>, Vec<AggState>)>,
-    rows_scanned: &mut usize,
-) -> Result<()> {
-    if page.page_type() != PageType::BTreeLeaf {
-        return Ok(()); // internal node: no rows
-    }
-    for cell in page.iter() {
-        let (_key, payload) = parse_leaf_cell(cell);
-        let row = decode_row(payload)?;
-        *rows_scanned += 1;
-        if let Some(f) = &frag.filter {
-            if !f.eval_bool(&row)? {
-                continue;
+impl Task {
+    /// Read this task's `i`-th page where it lives: when the read is done,
+    /// and the image — `None` if the server no longer has it.
+    fn read_page(&self, c: &mut SimCtx, db: &Db, i: usize) -> Result<(VTime, Option<Arc<Page>>)> {
+        match self {
+            Task::Ebp(server, locs) => {
+                let loc = &locs[i];
+                let Some(seg_off) = server.segment_offset(loc.seg.id) else {
+                    return Ok((c.now(), None));
+                };
+                // Local PMem read (no network). Nothing advances `c` before
+                // an EBP task's final wait, so every read is booked at the
+                // task's issue time: they stream across the PMem lanes and
+                // the device queue models the parallelism.
+                let pmem = server.res().pmem.as_ref().expect("astore node pmem");
+                let done = pmem.acquire(c.now(), db.env().model.pmem_read_svc(loc.len as usize));
+                let image = server.device().peek(seg_off + loc.offset, loc.len as usize);
+                let page = image.ok().and_then(|bytes| Page::from_vec(bytes).ok());
+                Ok((done, page.map(Arc::new)))
             }
-        }
-        match &frag.agg {
-            Some((group_by, aggs)) => {
-                let key_vals: Vec<Value> = group_by.iter().map(|i| row[*i].clone()).collect();
-                let key = group_key(&key_vals);
-                let entry = groups.entry(key).or_insert_with(|| {
-                    (
-                        key_vals.clone(),
-                        aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                    )
-                });
-                for (state, agg) in entry.1.iter_mut().zip(aggs) {
-                    state.update(agg.func, agg.expr.eval(&row)?);
+            Task::PageStore(server, pages) => {
+                let (pid, min_lsn) = pages[i];
+                match server.local_page(c, db.pagestore().cfg(), pid, min_lsn) {
+                    Ok(page) => Ok((c.now(), Some(page))),
+                    Err(PageStoreError::UnknownPage(_)) => Ok((c.now(), None)),
+                    Err(e) => Err(e.into()),
                 }
             }
-            None => match &frag.project {
-                Some(exprs) => {
-                    let mut projected = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        projected.push(e.eval(&row)?);
-                    }
-                    rows_out.push(projected);
-                }
-                None => rows_out.push(row),
-            },
         }
     }
-    Ok(())
 }
 
-/// Encode partial aggregate states as transferable rows:
-/// `[group vals..., per-agg state columns...]`.
-fn states_to_rows(groups: HashMap<Vec<u8>, (Vec<Value>, Vec<AggState>)>) -> Vec<Row> {
-    groups
-        .into_values()
-        .map(|(mut vals, states)| {
-            for s in states {
-                match s {
-                    AggState::Count(c) => vals.push(Value::Int(c)),
-                    AggState::Sum(s, any) => {
-                        vals.push(Value::Double(s));
-                        vals.push(Value::Int(any as i64));
-                    }
-                    AggState::Avg(s, c) => {
-                        vals.push(Value::Double(s));
-                        vals.push(Value::Int(c));
-                    }
-                    AggState::Min(m) | AggState::Max(m) => vals.push(m.unwrap_or(Value::Null)),
-                }
-            }
-            vals
-        })
-        .collect()
-}
-
-fn state_arity(func: AggFunc) -> usize {
-    match func {
-        AggFunc::CountStar | AggFunc::Count | AggFunc::Min | AggFunc::Max => 1,
-        AggFunc::Sum | AggFunc::Avg => 2,
-    }
-}
-
-/// Rebuild states from a partial row (inverse of [`states_to_rows`]).
-fn row_to_states(row: &Row, n_groups: usize, aggs: &[AggExpr]) -> (Vec<Value>, Vec<AggState>) {
-    let key_vals = row[..n_groups].to_vec();
-    let mut pos = n_groups;
-    let mut states = Vec::with_capacity(aggs.len());
-    for a in aggs {
-        let s = match a.func {
-            AggFunc::CountStar | AggFunc::Count => AggState::Count(row[pos].as_int()),
-            AggFunc::Sum => AggState::Sum(row[pos].as_f64(), row[pos + 1].as_int() != 0),
-            AggFunc::Avg => AggState::Avg(row[pos].as_f64(), row[pos + 1].as_int()),
-            AggFunc::Min => AggState::Min(match &row[pos] {
-                Value::Null => None,
-                v => Some(v.clone()),
-            }),
-            AggFunc::Max => AggState::Max(match &row[pos] {
-                Value::Null => None,
-                v => Some(v.clone()),
-            }),
-        };
-        pos += state_arity(a.func);
-        states.push(s);
-    }
-    (key_vals, states)
-}
-
-/// Execute one task on its server, charging that server's resources.
-fn run_task(
-    ctx: &mut SimCtx,
-    db: &Db,
-    frag: &Fragment,
-    frag_bytes: usize,
-    task: &Task,
-) -> Result<Vec<Row>> {
-    let mut rows_out = Vec::new();
-    let mut groups = HashMap::new();
-    let mut rows_scanned = 0usize;
-    match &task.pages {
-        TaskPages::Ebp(locs) => {
-            let client = db
-                .astore_client()
-                .ok_or_else(|| EngineError::Query("EBP task without AStore".into()))?;
-            let server = client
-                .server(task.node)
-                .ok_or_else(|| EngineError::Query(format!("no AStore server {}", task.node)))?;
-            let result: Result<()> = db.rpc().call(
-                ctx,
-                task.node,
-                server.res(),
-                frag_bytes + locs.len() * 16,
-                0,
-                |c| {
-                    // The storage-side scan pipelines: reads stream across
-                    // the PMem lanes (issued back-to-back, the device queue
-                    // models the parallelism) while the idle cores process
-                    // pages as they arrive (§VI-B). The task finishes when
-                    // both the last read and the operator work complete.
-                    let pmem = server.res().pmem.as_ref().expect("astore node pmem");
-                    let issue = c.now();
-                    let mut io_done = issue;
-                    let mut cpu_done = issue;
-                    for loc in locs {
-                        let Some(seg_off) = server.segment_offset(loc.seg.id) else {
-                            continue;
-                        };
-                        // Local PMem read (no network).
-                        let done =
-                            pmem.acquire(issue, db.env().model.pmem_read_svc(loc.len as usize));
-                        io_done = io_done.max(done);
-                        let Ok(bytes) =
-                            server.device().peek(seg_off + loc.offset, loc.len as usize)
-                        else {
-                            continue;
-                        };
-                        let Ok(page) = Page::from_bytes(&bytes) else {
-                            continue;
-                        };
-                        let before = rows_scanned;
-                        process_page(&page, frag, &mut rows_out, &mut groups, &mut rows_scanned)?;
-                        // Operator work on the idle cores: each page is
-                        // handed to a core as its read completes.
-                        let page_rows = (rows_scanned - before) as u64;
-                        if page_rows > 0 {
-                            let cpu = server
-                                .res()
-                                .cpu
-                                .acquire(done, VTime::from_nanos(page_rows * 200));
-                            cpu_done = cpu_done.max(cpu);
-                        }
-                    }
-                    c.wait_until(io_done.max(cpu_done));
-                    Ok(())
-                },
-            )?;
-            result?;
-        }
-        TaskPages::PageStore(pages) => {
-            let server = db
-                .pagestore()
-                .servers()
-                .iter()
-                .find(|s| s.node() == task.node)
-                .cloned()
-                .ok_or_else(|| EngineError::Query(format!("no PageStore server {}", task.node)))?;
-            let cfg = db.pagestore().cfg().clone();
-            let result: Result<()> = db.rpc().call(
-                ctx,
-                task.node,
-                server.res(),
-                frag_bytes + pages.len() * 12,
-                0,
-                |c| {
-                    let mut cpu_done = c.now();
-                    for (pid, min_lsn) in pages {
-                        match server.local_page(c, &cfg, *pid, *min_lsn) {
-                            Ok(page) => {
-                                let before = rows_scanned;
-                                process_page(
-                                    &page,
-                                    frag,
-                                    &mut rows_out,
-                                    &mut groups,
-                                    &mut rows_scanned,
-                                )?;
-                                // Pages are handed to idle cores as they
-                                // come off the SSD, overlapping the
-                                // remaining reads.
-                                let page_rows = (rows_scanned - before) as u64;
-                                if page_rows > 0 {
-                                    let cpu = server
-                                        .res()
-                                        .cpu
-                                        .acquire(c.now(), VTime::from_nanos(page_rows * 250));
-                                    cpu_done = cpu_done.max(cpu);
-                                }
-                            }
-                            Err(vedb_pagestore::PageStoreError::UnknownPage(_)) => continue,
-                            Err(e) => return Err(e.into()),
-                        }
-                    }
-                    c.wait_until(cpu_done);
-                    Ok(())
-                },
-            )?;
-            result?;
-        }
-    }
-    let mut partials = if frag.agg.is_some() {
-        states_to_rows(groups)
-    } else {
-        rows_out
+/// Execute one task on its server, charging that server's resources: the
+/// server decodes the shipped fragment and runs it over its pages.
+fn run_task(ctx: &mut SimCtx, db: &Db, frag_bytes: &[u8], task: &Task) -> Result<Vec<Row>> {
+    // Request bytes per page and operator cost per scanned row.
+    let (node, res, n_pages, page_ref_bytes, per_row_ns) = match task {
+        Task::Ebp(server, locs) => (server.node(), server.res(), locs.len(), 16, 200),
+        Task::PageStore(server, pages) => (server.node(), server.res(), pages.len(), 12, 250),
     };
+    let req_bytes = frag_bytes.len() + n_pages * page_ref_bytes;
+    let mut partials = db.rpc().call(ctx, node, res, req_bytes, 0, |c| {
+        let frag = decode_fragment(frag_bytes)?;
+        let mut pipe = Pipeline::new(&frag.filter, &frag.project, agg_of(&frag));
+        // The storage-side scan pipelines: pages are handed to idle cores
+        // as their reads complete, overlapping the remaining reads (§VI-B).
+        // The task finishes when both the last read and the operator work
+        // are done.
+        let (mut io_done, mut cpu_done) = (c.now(), c.now());
+        for i in 0..n_pages {
+            let (ready_at, page) = task.read_page(c, db, i)?;
+            io_done = io_done.max(ready_at);
+            // Only leaves hold rows.
+            let Some(page) = page.filter(|p| p.page_type() == PageType::BTreeLeaf) else {
+                continue;
+            };
+            for cell in page.iter() {
+                let (_key, payload) = parse_leaf_cell(cell);
+                pipe.push(Cow::Owned(decode_row(payload)?))?;
+            }
+            let page_rows = page.n_slots() as u64;
+            if page_rows > 0 {
+                let cost = VTime::from_nanos(page_rows * per_row_ns);
+                cpu_done = cpu_done.max(res.cpu.acquire(ready_at, cost));
+            }
+        }
+        c.wait_until(io_done.max(cpu_done));
+        Ok::<_, EngineError>(pipe.partials())
+    })??;
     // Response streaming back to the engine: charge the transfer size.
     let resp_bytes: usize = partials.len() * 48;
     ctx.advance(VTime::from_nanos(
@@ -511,6 +335,10 @@ fn run_task(
     ));
     partials.shrink_to_fit();
     Ok(partials)
+}
+
+fn agg_of(frag: &Fragment) -> Option<(&[usize], &[AggExpr])> {
+    frag.agg.as_ref().map(|(g, a)| (&g[..], &a[..]))
 }
 
 /// Orchestrate a pushed-down scan (optionally with partial aggregation):
@@ -528,12 +356,12 @@ pub fn pushdown_scan(
     db.flush_ship(ctx, true);
     let frag = Fragment {
         space,
-        filter: clone_opt(filter),
-        project: clone_opt_vec(project),
+        filter: filter.clone(),
+        project: project.clone(),
         agg,
     };
-    let mut frag_buf = Vec::with_capacity(128);
-    encode_fragment(&frag, &mut frag_buf);
+    let mut frag_bytes = Vec::with_capacity(128);
+    encode_fragment(&frag, &mut frag_bytes);
     // Serialization cost on the engine.
     let done = db.env().engine_cpu.acquire(
         ctx.now(),
@@ -541,56 +369,18 @@ pub fn pushdown_scan(
     );
     ctx.wait_until(done);
 
-    let tasks = split_tasks(db, space);
-    let mut partial_sets = Vec::with_capacity(tasks.len());
+    // Secondary aggregation over the tasks' partials, in task order.
+    let mut merged = Pipeline::new(&None, &None, agg_of(&frag));
     let mut done_max = ctx.now();
-    for task in &tasks {
+    for task in &split_tasks(db, space)? {
         let mut task_ctx = ctx.fork();
-        partial_sets.push(run_task(&mut task_ctx, db, &frag, frag_buf.len(), task)?);
+        for partial in run_task(&mut task_ctx, db, &frag_bytes, task)? {
+            merged.absorb(partial);
+        }
         done_max = done_max.max(task_ctx.now());
     }
     ctx.wait_until(done_max);
-
-    match &frag.agg {
-        Some((group_by, aggs)) => {
-            // Secondary aggregation over the partial states.
-            let mut merged: HashMap<Vec<u8>, (Vec<Value>, Vec<AggState>)> = HashMap::new();
-            for rows in partial_sets {
-                for row in &rows {
-                    let (key_vals, states) = row_to_states(row, group_by.len(), aggs);
-                    let key = group_key(&key_vals);
-                    match merged.get_mut(&key) {
-                        Some((_, existing)) => {
-                            for (e, s) in existing.iter_mut().zip(&states) {
-                                e.merge(s);
-                            }
-                        }
-                        None => {
-                            merged.insert(key, (key_vals, states));
-                        }
-                    }
-                }
-            }
-            let mut out: Vec<Row> = merged
-                .into_values()
-                .map(|(mut vals, states)| {
-                    vals.extend(states.into_iter().map(AggState::finalize));
-                    vals
-                })
-                .collect();
-            out.sort_by_key(|r| group_key(r));
-            Ok(out)
-        }
-        None => Ok(partial_sets.into_iter().flatten().collect()),
-    }
-}
-
-fn clone_opt(e: &Option<Expr>) -> Option<Expr> {
-    e.clone()
-}
-
-fn clone_opt_vec(e: &Option<Vec<Expr>>) -> Option<Vec<Expr>> {
-    e.clone()
+    Ok(merged.finish())
 }
 
 #[cfg(test)]
@@ -618,6 +408,12 @@ mod tests {
         let mut buf = Vec::new();
         encode_fragment(&frag, &mut buf);
         assert_eq!(decode_fragment(&buf).unwrap(), frag);
+        // The decoder runs on a request path: a cut-off request is a codec
+        // error at every length, never a panic.
+        for cut in 0..buf.len() {
+            let got = decode_fragment(&buf[..cut]);
+            assert!(matches!(got, Err(EngineError::Codec(_))), "{cut}: {got:?}");
+        }
 
         let bare = Fragment {
             space: 1,
@@ -628,34 +424,5 @@ mod tests {
         let mut buf2 = Vec::new();
         encode_fragment(&bare, &mut buf2);
         assert_eq!(decode_fragment(&buf2).unwrap(), bare);
-    }
-
-    #[test]
-    fn partial_state_rows_roundtrip() {
-        let aggs = vec![
-            AggExpr::count_star(),
-            AggExpr::sum(Expr::col(1)),
-            AggExpr::avg(Expr::col(1)),
-            AggExpr::min(Expr::col(1)),
-        ];
-        let mut groups = HashMap::new();
-        let key_vals = vec![Value::Int(5)];
-        let mut states: Vec<AggState> = aggs.iter().map(|a| AggState::new(a.func)).collect();
-        for v in [10i64, 20, 30] {
-            states[0].update(AggFunc::CountStar, Value::Int(0));
-            states[1].update(AggFunc::Sum, Value::Int(v));
-            states[2].update(AggFunc::Avg, Value::Int(v));
-            states[3].update(AggFunc::Min, Value::Int(v));
-        }
-        groups.insert(group_key(&key_vals), (key_vals.clone(), states));
-        let rows = states_to_rows(groups);
-        assert_eq!(rows.len(), 1);
-        let (kv, states2) = row_to_states(&rows[0], 1, &aggs);
-        assert_eq!(kv, key_vals);
-        let finals: Vec<Value> = states2.into_iter().map(AggState::finalize).collect();
-        assert_eq!(finals[0], Value::Int(3));
-        assert_eq!(finals[1], Value::Double(60.0));
-        assert_eq!(finals[2], Value::Double(20.0));
-        assert_eq!(finals[3], Value::Int(10));
     }
 }

@@ -27,9 +27,7 @@ use vedb_astore::{Lsn, PageId, SegmentId, SegmentRing};
 use vedb_sim::SimCtx;
 
 use crate::catalog::Catalog;
-use crate::db::{
-    connect_astore, decode_meta_blob, Db, DbConfig, LogBackendKind, StorageFabric, META_PAGE,
-};
+use crate::db::{connect_astore, Db, DbConfig, LogBackendKind, StorageFabric, META_PAGE};
 use crate::ebp::Ebp;
 use crate::wal::{RingLog, UndoInfo, Wal, WalRecord};
 use crate::{EngineError, Result};
@@ -148,8 +146,7 @@ pub fn recover(
         .map_err(|_| EngineError::PageUnavailable(META_PAGE))?;
     let page = vedb_pagestore::Page::from_bytes(&bytes)?;
     let blob = page.get(0)?;
-    let (next_page, roots) = decode_meta_blob(blob)?;
-    db.install_meta(next_page, roots);
+    db.install_meta(blob)?;
 
     // 4. Undo the losers (reverse LSN order), then mark them aborted.
     for loser in &losers {

@@ -82,21 +82,28 @@ pub type Row = Vec<Value>;
 pub fn encode_row(row: &Row, out: &mut Vec<u8>) {
     out.extend_from_slice(&(row.len() as u16).to_le_bytes());
     for v in row {
-        match v {
-            Value::Null => out.push(0),
-            Value::Int(i) => {
-                out.push(1);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            Value::Double(d) => {
-                out.push(2);
-                out.extend_from_slice(&d.to_le_bytes());
-            }
-            Value::Str(s) => {
-                out.push(3);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
+        encode_value(v, out);
+    }
+}
+
+/// Encode one value as [`encode_row`] does: a tag, then the payload. The
+/// encoding is prefix-free, so concatenated values make a canonical
+/// (hashable, byte-comparable) key.
+pub(crate) fn encode_value(v: &Value, out: &mut Vec<u8>) {
+    match v {
+        Value::Null => out.push(0),
+        Value::Int(i) => {
+            out.push(1);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        Value::Double(d) => {
+            out.push(2);
+            out.extend_from_slice(&d.to_le_bytes());
+        }
+        Value::Str(s) => {
+            out.push(3);
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
         }
     }
 }

@@ -294,3 +294,84 @@ fn index_lookup_plan() {
         .iter()
         .all(|r| r[1] == Value::Int(3) && r[0].as_int() > 50));
 }
+
+/// Task order is a function of the data, not of `RandomState`: one seed on
+/// freshly built deployments returns the same rows in the same order with
+/// the same `f64` bits, at the same virtual time, having done the same
+/// work. With three or more tasks, hash-ordered dispatch fails this — rows
+/// of a plain scan come back task by task, and `SUM`/`AVG` add the tasks'
+/// partial sums in dispatch order.
+#[test]
+fn pushed_results_repeat_bit_for_bit_across_deployments() {
+    let run = || {
+        // Small AStore slots spread the EBP's segments over the AStore
+        // nodes, so the fragment splits into one task per node.
+        let f = fabric();
+        let mut ctx = SimCtx::new(1, 7);
+        let cfg = DbConfig::builder()
+            .bp_pages(16)
+            .ebp(EbpConfig {
+                capacity_bytes: 64 << 20,
+                ..Default::default()
+            })
+            .build()
+            .unwrap();
+        let db = setup(&mut ctx, &f, cfg, 6000);
+        // More orders than one EBP segment holds, so the EBP's segments —
+        // and with them the fragment's tasks — spread over the AStore nodes.
+        for batch in (6000..20000i64).step_by(100) {
+            let mut txn = db.begin();
+            for i in batch..batch + 100 {
+                let amount = Value::Double((i % 997) as f64 * 1.5);
+                let row = vec![
+                    Value::Int(i),
+                    Value::Int(i % 50),
+                    amount,
+                    Value::Str("north".into()),
+                ];
+                db.insert(&mut ctx, &mut txn, "orders", row).unwrap();
+            }
+            db.commit(&mut ctx, &mut txn).unwrap();
+        }
+        db.checkpoint(&mut ctx).unwrap();
+        // Warm-up: a local scan through the tiny pool fills the EBP.
+        execute(
+            &mut ctx,
+            &db,
+            &QuerySession::default(),
+            &Plan::scan("orders"),
+        )
+        .unwrap();
+
+        let pq = QuerySession::with_pushdown();
+        let rpcs = db.env().metrics.counter("rdma", "rpc_calls");
+        let rpcs_before = rpcs.get();
+        let scan = Plan::SeqScan {
+            table: "orders".into(),
+            filter: Some(Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::int(5))),
+            project: Some(vec![Expr::col(0)]),
+        };
+        let scanned = execute(&mut ctx, &db, &pq, &scan).unwrap();
+        let tasks = rpcs.get() - rpcs_before;
+        // Inexact addends: the sum depends on the order they are added in.
+        let tenth = Expr::mul(Expr::col(2), Expr::dbl(0.1));
+        let sums = Plan::scan("orders").agg(
+            vec![3],
+            vec![AggExpr::sum(tenth.clone()), AggExpr::avg(tenth)],
+        );
+        let summed = execute(&mut ctx, &db, &pq, &sums).unwrap();
+        // `{:?}` of an `f64` is the shortest text that reads back to the
+        // same bits, so equal text is equal bits.
+        let answers = format!("{scanned:?} {summed:?}");
+        (tasks, answers, ctx.now(), db.env().metrics.counter_values())
+    };
+    let first = run();
+    assert!(
+        first.0 >= 3,
+        "the scan must split into >= 3 tasks, got {}",
+        first.0
+    );
+    for _ in 0..3 {
+        assert_eq!(run(), first);
+    }
+}

@@ -3,7 +3,7 @@
 //!
 //! The simulator's headline property is *byte-determinism*: one seed, one
 //! report. That property is easy to break with one stray `Instant::now()`
-//! or an iterated `HashMap` on the report path, and such regressions are
+//! or an iterated `HashMap` in product code, and such regressions are
 //! invisible to `cargo test` (the test may pass 99 runs out of 100). This
 //! crate turns the determinism rules — and two crash-safety rules that are
 //! equally invisible to tests — into a CI gate:
@@ -12,7 +12,7 @@
 //! |------|-----------|
 //! | `no-wall-clock` | all runtime timing flows from the virtual clock |
 //! | `no-unseeded-rng` | all randomness flows from the seeded `SimCtx` RNG |
-//! | `ordered-serialization` | report-path iteration is order-stable |
+//! | `ordered-serialization` | hash iteration in `crates/*/src` is order-stable |
 //! | `no-panic-in-runtime` | server request paths return typed errors |
 //! | `lock-order` | the lock-acquisition graph is acyclic and reviewed |
 //!

@@ -29,16 +29,11 @@ fn is_clock_internal(path: &str) -> bool {
     path.contains("crates/sim/src/time.rs")
 }
 
-/// Modules that feed `RunReport` / metrics / trace export: any unordered
-/// iteration here can change report bytes between runs.
-fn is_report_path(path: &str) -> bool {
+/// Product modules (`crates/*/src`): unordered iteration here can reach a
+/// device, an RPC, an eviction choice, an LSN, a result row or a report byte.
+fn is_product_path(path: &str) -> bool {
     let p = path.replace('\\', "/");
-    p.contains("crates/sim/src/metrics.rs")
-        || p.contains("crates/sim/src/profile.rs")
-        || p.contains("crates/sim/src/trace.rs")
-        || p.contains("crates/sim/src/report.rs")
-        || p.contains("crates/sim/src/contention.rs")
-        || p.contains("crates/bench/")
+    p.contains("crates/") && p.contains("/src/")
 }
 
 /// Server-side request paths where a panic kills a storage node (or the
@@ -192,66 +187,100 @@ pub fn no_unseeded_rng(s: &Scanned, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Lint 3 — **ordered-serialization**: in report-path modules, iterating a
-/// `HashMap`/`HashSet` is flagged unless the statement shows an ordering
-/// step (`sort`/`BTreeMap` collect). Hash iteration order is arbitrary
-/// and changes across runs — on the report path that breaks
-/// byte-determinism of `BENCH_*.json`.
+/// Lint 3 — **ordered-serialization**: in every non-test module under
+/// `crates/*/src`, iterating a `HashMap`/`HashSet` is flagged unless the
+/// statement shows an ordering step (`sort`/`BTreeMap` collect). Hash
+/// iteration order is arbitrary and changes across runs: it breaks
+/// byte-determinism of `BENCH_*.json` on the report path, and on a runtime
+/// path it decides which RPC goes first, which page is evicted, which
+/// partial sum is added first.
 pub fn ordered_serialization(s: &Scanned, out: &mut Vec<Diagnostic>) {
-    if !is_report_path(&s.path) {
+    if !is_product_path(&s.path) {
         return;
     }
+    const ITER_METHODS: [&str; 9] = [
+        ".iter()",
+        ".iter_mut()",
+        ".keys()",
+        ".into_keys()",
+        ".values()",
+        ".values_mut()",
+        ".into_values()",
+        ".drain(",
+        ".into_iter()",
+    ];
     let hash_vars = collect_hash_idents(&s.code);
     let lines: Vec<&str> = s.code.lines().collect();
     for (i, line_text) in lines.iter().enumerate() {
-        let line_no = i + 1;
-        // Statement context: this line plus up to two continuation lines,
-        // so `.iter()\n.map(..)\n.sorted..` chains are seen together.
-        let stmt: String = lines[i..(i + 3).min(lines.len())].join(" ");
+        let is_for = line_text.contains("for ") && line_text.contains(" in ");
+        // The nearest code above (comments are blank lines by now).
+        let prev = lines[..i]
+            .iter()
+            .rev()
+            .map(|l| l.trim())
+            .find(|l| !l.is_empty());
+        let prev = prev.unwrap_or("");
+        let iterated = hash_vars.iter().find(|var| {
+            let direct_iter = ITER_METHODS.iter().any(|m| {
+                line_text.contains(&format!("{var}{m}"))
+                    // Receiver on the previous line: `map⏎.into_iter()`.
+                    || (line_text.trim_start().starts_with(m) && ends_with_ident(prev, var))
+            });
+            let for_loop = is_for && {
+                // `for x in map` / `for (k, v) in &map` / `in map {`
+                line_text
+                    .split(" in ")
+                    .nth(1)
+                    .map(|rhs| {
+                        let rhs = rhs.trim_start_matches(['&', ' ']);
+                        let rhs = rhs.strip_prefix("mut ").unwrap_or(rhs);
+                        rhs == **var
+                            || rhs.starts_with(&format!("{var} "))
+                            || rhs.starts_with(&format!("{var} {{"))
+                            || rhs.starts_with(&format!("{var}."))
+                            || rhs.starts_with(&format!("self.{var}"))
+                    })
+                    .unwrap_or(false)
+            };
+            direct_iter || for_loop
+        });
+        let Some(var) = iterated else {
+            continue;
+        };
+        // Statement context: everything up to the statement's `;` (a `for`
+        // header is its own statement) plus the two lines after it, so both
+        // `.iter()\n.map(..)\n.sorted..` chains and collect-then-`sort()`
+        // are seen together.
+        let stmt_len = lines[i..]
+            .iter()
+            .position(|l| l.contains(';'))
+            .filter(|_| !is_for)
+            .unwrap_or(0);
+        let stmt: String = lines[i..(i + stmt_len + 3).min(lines.len())].join(" ");
         let ordered = stmt.contains(".sort")
             || stmt.contains("BTreeMap")
             || stmt.contains("BTreeSet")
             || stmt.contains("sorted");
-        if ordered {
-            continue;
-        }
-        for var in &hash_vars {
-            let direct_iter = [".iter()", ".keys()", ".values()", ".drain(", ".into_iter()"]
-                .iter()
-                .any(|m| line_text.contains(&format!("{var}{m}")));
-            let for_loop = {
-                // `for x in map` / `for (k, v) in &map` / `in map {`
-                line_text.contains("for ")
-                    && line_text.contains(" in ")
-                    && line_text
-                        .split(" in ")
-                        .nth(1)
-                        .map(|rhs| {
-                            let rhs = rhs.trim_start_matches(['&', ' ']);
-                            rhs == *var
-                                || rhs.starts_with(&format!("{var} "))
-                                || rhs.starts_with(&format!("{var} {{"))
-                                || rhs.starts_with(&format!("{var}."))
-                                || rhs.starts_with(&format!("self.{var}"))
-                        })
-                        .unwrap_or(false)
-            };
-            if direct_iter || for_loop {
-                diag(
-                    s,
-                    ORDERED_SERIALIZATION,
-                    line_no,
-                    format!(
-                        "iteration over hash collection `{var}` in a report-path \
-                         module; hash order is nondeterministic — sort the result, \
-                         or hold the data in a `BTreeMap`"
-                    ),
-                    out,
-                );
-                break; // one diagnostic per line is enough
-            }
+        if !ordered {
+            diag(
+                s,
+                ORDERED_SERIALIZATION,
+                i + 1,
+                format!(
+                    "iteration over hash collection `{var}`; hash order is \
+                     nondeterministic — sort the result, or hold the data in a \
+                     `BTreeMap`"
+                ),
+                out,
+            );
         }
     }
+}
+
+/// Does `text` end with the identifier `ident` (not a longer one)?
+fn ends_with_ident(text: &str, ident: &str) -> bool {
+    text.strip_suffix(ident)
+        .is_some_and(|head| !head.ends_with(|c: char| c.is_alphanumeric() || c == '_'))
 }
 
 /// Identifiers declared (let-binding, struct field, or fn param) with a
@@ -277,18 +306,23 @@ fn collect_hash_idents(code: &str) -> Vec<String> {
                 continue;
             }
         }
-        // `name: HashMap<..>` field / param declaration.
-        if let Some(colon) = t.find(':') {
-            if t[colon..].contains("HashMap") || t[colon..].contains("HashSet") {
-                let name: String = t[..colon]
-                    .trim()
-                    .trim_start_matches("pub ")
-                    .trim_start_matches("pub(crate) ")
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect();
-                if !name.is_empty() && name != "impl" && name != "fn" {
-                    vars.push(name);
+        // `name: HashMap<..>` field / param declarations — several on one
+        // line in a short `fn` signature. A declaration's type runs up to
+        // the next declaration's colon.
+        let colons: Vec<usize> = t
+            .match_indices(':')
+            .map(|(at, _)| at)
+            .filter(|&at| !t[..at].ends_with(':') && !t[at + 1..].starts_with(':'))
+            .collect();
+        for (n, &colon) in colons.iter().enumerate() {
+            let ty = &t[colon..colons.get(n + 1).copied().unwrap_or(t.len())];
+            if ty.contains("HashMap") || ty.contains("HashSet") {
+                let head = t[..colon].trim_end();
+                let name = head
+                    .rfind(|c: char| !(c.is_alphanumeric() || c == '_'))
+                    .map_or(head, |at| &head[at + 1..]);
+                if !name.is_empty() {
+                    vars.push(name.to_string());
                 }
             }
         }
@@ -343,9 +377,10 @@ mod tests {
     fn hash_ident_collection() {
         let code = "let mut dur_of: HashMap<u64, u64> = HashMap::new();\n\
                     open: HashMap<u64, Vec<u64>>,\n\
+                    fn f(groups: HashMap<u64, u64>, n: usize, mut tails: &HashSet<u64>) {\n\
                     let plain = 3;\n";
         let vars = collect_hash_idents(code);
-        assert_eq!(vars, vec!["dur_of".to_string(), "open".to_string()]);
+        assert_eq!(vars, ["dur_of", "groups", "open", "tails"]);
     }
 
     #[test]

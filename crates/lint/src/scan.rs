@@ -11,7 +11,7 @@
 //! The sanitizer also erases `#[cfg(test)]` items (a `mod tests { .. }`
 //! block, a test-only `fn`, or a test-only `use`): test code may use wall
 //! clocks, panics and unordered iteration freely — determinism invariants
-//! protect the *runtime* and the *report path*.
+//! protect the product code.
 
 /// One `// vedb-lint: allow(<lint>, "<reason>")` directive.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -10,3 +10,24 @@ fn export(rows: &mut Vec<String>) {
     let drained: Vec<(u64, u64)> = dur_of.drain().collect();
     let _ = (keys, drained);
 }
+
+// The consuming and mutating forms, a receiver on the line above the call,
+// and a chain whose statement ends without an ordering step.
+fn dispatch(groups: HashMap<u64, Vec<u64>>, mut tails: HashMap<u64, u64>) {
+    for tail in tails.values_mut() {
+        *tail += 1;
+    }
+    for (_, tail) in tails.iter_mut() {
+        *tail += 1;
+    }
+    let nodes: Vec<u64> = tails.into_keys().collect();
+    let tasks: Vec<Vec<u64>> = groups
+        .into_iter()
+        .map(|(_, pages)| pages)
+        .filter(|pages| !pages.is_empty())
+        .collect();
+    let mut partials: HashMap<u64, u64> = HashMap::new();
+    partials.insert(1, 2);
+    let rows: Vec<u64> = partials.into_values().collect();
+    let _ = (nodes, tasks, rows);
+}

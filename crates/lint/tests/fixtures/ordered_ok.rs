@@ -16,3 +16,26 @@ fn export(rows: &mut Vec<String>) {
         .collect::<Vec<_>>();
     pairs.sort();
 }
+
+// The consuming and mutating forms, each with its ordering step: a sort
+// right after the statement, or a `BTree*` anywhere before its `;` —
+// however long the chain.
+fn dispatch(groups: HashMap<u64, Vec<u64>>, mut tails: HashMap<u64, u64>) {
+    let mut bumped: Vec<&mut u64> = tails.values_mut().collect();
+    bumped.sort();
+    let mut pairs: Vec<(&u64, &mut u64)> = tails.iter_mut().collect();
+    pairs.sort();
+    let mut nodes: Vec<u64> = tails.into_keys().collect();
+    nodes.sort_unstable();
+    let tasks = groups
+        .into_iter()
+        .map(|(node, pages)| (node, pages))
+        .filter(|(_, pages)| !pages.is_empty())
+        .map(|(node, pages)| (node, pages.len()))
+        .collect::<BTreeMap<u64, usize>>();
+    let mut partials: HashMap<u64, u64> = HashMap::new();
+    partials.insert(1, 2);
+    let mut rows: Vec<u64> = partials.into_values().collect();
+    rows.sort_unstable();
+    let _ = (nodes, tasks, rows);
+}

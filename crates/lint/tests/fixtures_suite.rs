@@ -22,10 +22,9 @@ const BAD_SUPPRESSION: &str = include_str!("fixtures/bad_suppression.rs");
 const LOCK_OK: &str = include_str!("fixtures/lock_order_ok.rs");
 const LOCK_CYCLE: &str = include_str!("fixtures/lock_order_cycle.rs");
 
-/// A path inside every lint's scope (runtime path; not a report path, but
-/// wall-clock and rng apply everywhere outside their own exemptions).
+/// A path inside every lint's scope (a server-side request path).
 const RUNTIME: &str = "crates/core/src/db.rs";
-/// A report-path module (ordered-serialization scope).
+/// A report-path module (outside the no-panic scope).
 const REPORT: &str = "crates/sim/src/metrics.rs";
 
 fn lines_of(diags: &[vedb_lint::Diagnostic], lint: &str) -> Vec<usize> {
@@ -72,20 +71,34 @@ fn rng_quiet_on_seeded_ctx_rng() {
 // ---------------------------------------------------------------- lint 3
 
 #[test]
-fn ordered_serialization_fires_on_hash_iteration_in_report_path() {
-    let diags = analyze_source(REPORT, ORDERED_BAD);
-    assert_eq!(lines_of(&diags, "ordered-serialization"), vec![6, 9, 10]);
+fn ordered_serialization_fires_on_every_hash_iteration_form() {
+    // Lines 17-31: `.values_mut()`, `.iter_mut()`, `.into_keys()`, a
+    // receiver on the previous line (`groups⏎.into_iter()`) whose chain
+    // runs past the old three-line window, and `.into_values()`.
+    for path in [REPORT, RUNTIME, "crates/core/src/query/pushdown.rs"] {
+        let diags = analyze_source(path, ORDERED_BAD);
+        assert_eq!(
+            lines_of(&diags, "ordered-serialization"),
+            vec![6, 9, 10, 17, 20, 23, 25, 31],
+            "{path}"
+        );
+    }
 }
 
 #[test]
 fn ordered_serialization_quiet_when_sorted_or_btree() {
     assert!(analyze_source(REPORT, ORDERED_OK).is_empty());
+    assert!(analyze_source(RUNTIME, ORDERED_OK).is_empty());
 }
 
 #[test]
-fn ordered_serialization_scoped_to_report_paths_only() {
-    // Hash iteration elsewhere is fine — only report bytes must be stable.
-    assert!(analyze_source(RUNTIME, ORDERED_BAD).is_empty());
+fn ordered_serialization_scoped_to_product_modules() {
+    // Every non-test module under `crates/*/src` is in scope; the facade,
+    // the examples and `#[cfg(test)]` code are not.
+    assert!(analyze_source("examples/quickstart.rs", ORDERED_BAD).is_empty());
+    assert!(analyze_source("src/lib.rs", ORDERED_BAD).is_empty());
+    let in_tests = format!("#[cfg(test)]\nmod tests {{\n{ORDERED_BAD}}}\n");
+    assert!(analyze_source(RUNTIME, &in_tests).is_empty());
 }
 
 // ---------------------------------------------------------------- lint 4

@@ -12,9 +12,9 @@
 //! from its peers before applying.
 
 //!
-//! The code is split by role: [`replica`] is one server's accept / park /
-//! apply state machine, [`checkpoint`] is checkpointing, checkpoint install
-//! and restore, [`fleet`] is the client-side [`PageStore`] facade.
+//! The code is split by role: `replica` is one server's accept / park /
+//! apply state machine, `checkpoint` is checkpointing, checkpoint install
+//! and restore, `fleet` is the client-side [`PageStore`] facade.
 
 use vedb_astore::PageId;
 
@@ -70,7 +70,7 @@ impl PageStoreConfig {
 #[derive(Debug, Clone)]
 pub struct ApplyConfig {
     /// Apply workers per server. Redo is partitioned by page id across the
-    /// pool ([`RedoRecord::apply_partition`]), so independent pages apply
+    /// pool ([`crate::redo::RedoRecord::apply_partition`]), so independent pages apply
     /// concurrently on the node's CPU lanes while per-page LSN order is
     /// preserved. `1` restores the serial applier.
     pub workers: usize,

@@ -1,7 +1,7 @@
 //! The client-side fleet facade: replica layout, quorum ship, fail-over
 //! reads, deployment-wide restore and the WAL-truncation watermark.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -24,7 +24,9 @@ pub struct PageStore {
     rpc: Arc<RpcFabric>,
     servers: Vec<Arc<PageStoreServer>>,
     /// Last LSN shipped per segment — the source of each record's back-link.
-    ship_state: Mutex<HashMap<PsSegmentKey, Lsn>>,
+    /// Ordered: restore and the truncation watermark walk it, one RPC round
+    /// per segment.
+    ship_state: Mutex<BTreeMap<PsSegmentKey, Lsn>>,
     /// Shared deployment trace (all servers register into one registry).
     trace: Arc<TraceLog>,
 }
@@ -47,7 +49,7 @@ impl PageStore {
             cfg,
             rpc,
             servers,
-            ship_state: Mutex::new(HashMap::new()),
+            ship_state: Mutex::new(BTreeMap::new()),
             trace,
         })
     }
@@ -157,18 +159,14 @@ impl PageStore {
         for server in &self.servers {
             total += server.restore_to_lsn(ctx, target)?;
         }
-        let mut ship_state = self.ship_state.lock();
-        let keys: Vec<PsSegmentKey> = ship_state.keys().copied().collect();
-        for key in keys {
-            let tail = self
-                .replicas_of(key)
+        for (key, tail) in self.ship_state.lock().iter_mut() {
+            *tail = self
+                .replicas_of(*key)
                 .iter()
-                .map(|s| s.segment_watermark(key))
+                .map(|s| s.segment_watermark(*key))
                 .max()
                 .unwrap_or(0);
-            ship_state.insert(key, tail);
         }
-        drop(ship_state);
         sp.finish(ctx);
         Ok(total)
     }
@@ -181,13 +179,8 @@ impl PageStore {
     /// holds the full shipped tail does not bound the watermark, so in
     /// steady state this returns [`Lsn::MAX`] and the shipped LSN governs.
     pub fn truncation_watermark(&self, ctx: &mut SimCtx) -> Lsn {
-        let mut entries: Vec<(PsSegmentKey, Lsn)> = self
-            .ship_state
-            .lock()
-            .iter()
-            .map(|(k, v)| (*k, *v))
-            .collect();
-        entries.sort_unstable();
+        // A copy: the RPCs below must not run under the ship lock.
+        let entries = self.ship_state.lock().clone();
         let mut wm = Lsn::MAX;
         for (key, tail) in entries {
             let mut acks: Vec<Lsn> = Vec::new();

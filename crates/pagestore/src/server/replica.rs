@@ -524,62 +524,15 @@ impl PageStoreServer {
             .unwrap_or(0)
     }
 
-    /// Handler: read the latest image of `page`, replaying (and gossiping
-    /// via `peers` if records are missing) until `min_lsn` is covered.
-    pub fn handle_read_page(
+    /// The one page-materialisation body: replay pending records, require
+    /// `min_lsn`, charge the 16KB media read, look the image up.
+    fn materialize(
         &self,
         ctx: &mut SimCtx,
-        rpc: &RpcFabric,
         key: PsSegmentKey,
         page: PageId,
         min_lsn: Lsn,
-        peers: &[Arc<PageStoreServer>],
-    ) -> Result<Vec<u8>> {
-        let t0 = ctx.now();
-        // Error paths drop the guard → the span records as abandoned.
-        let sp = self.stats.trace.span(ctx, "pagestore", "read_page");
-        self.apply_pending(ctx, key)?;
-        if self.applied_lsn(key) < min_lsn {
-            self.gossip_fill_until(ctx, rpc, key, peers, min_lsn);
-            self.apply_pending(ctx, key)?;
-        }
-        let applied = self.applied_lsn(key);
-        if applied < min_lsn {
-            return Err(PageStoreError::NotYetApplied {
-                need: min_lsn,
-                applied,
-            });
-        }
-        // Charge the 16KB media read.
-        if let Some(ssd) = &self.res.ssd {
-            let done = ssd.acquire(ctx.now(), self.model.ssd_read_svc(PAGE_SIZE));
-            ctx.wait_until(done);
-        }
-        let segs = self.segs.lock();
-        let seg = segs.get(&key).ok_or(PageStoreError::UnknownPage(page))?;
-        let p = seg
-            .pages
-            .get(&page.page_no)
-            .ok_or(PageStoreError::UnknownPage(page))?;
-        self.stats.page_reads.inc();
-        self.stats.read_lat.record(ctx.now() - t0);
-        let p = Arc::clone(p);
-        drop(segs);
-        sp.finish(ctx);
-        // The reply's wire image: the one copy, made outside the lock.
-        Ok(p.as_bytes().to_vec())
-    }
-
-    /// Local (no-RPC) page access for push-down execution on this server;
-    /// charges the SSD read but no network. Replays pending records first.
-    pub fn local_page(
-        &self,
-        ctx: &mut SimCtx,
-        cfg: &PageStoreConfig,
-        page: PageId,
-        min_lsn: Lsn,
     ) -> Result<Arc<Page>> {
-        let key = cfg.segment_of(page);
         self.apply_pending(ctx, key)?;
         let applied = self.applied_lsn(key);
         if applied < min_lsn {
@@ -598,6 +551,46 @@ impl PageStoreServer {
             .get(&page.page_no)
             .cloned()
             .ok_or(PageStoreError::UnknownPage(page))
+    }
+
+    /// Handler: read the latest image of `page`, replaying (and gossiping
+    /// via `peers` if records are missing) until `min_lsn` is covered.
+    pub fn handle_read_page(
+        &self,
+        ctx: &mut SimCtx,
+        rpc: &RpcFabric,
+        key: PsSegmentKey,
+        page: PageId,
+        min_lsn: Lsn,
+        peers: &[Arc<PageStoreServer>],
+    ) -> Result<Vec<u8>> {
+        let t0 = ctx.now();
+        // Error paths drop the guard → the span records as abandoned.
+        let sp = self.stats.trace.span(ctx, "pagestore", "read_page");
+        let p = match self.materialize(ctx, key, page, min_lsn) {
+            Err(PageStoreError::NotYetApplied { .. }) => {
+                self.gossip_fill_until(ctx, rpc, key, peers, min_lsn);
+                self.materialize(ctx, key, page, min_lsn)
+            }
+            found => found,
+        }?;
+        self.stats.page_reads.inc();
+        self.stats.read_lat.record(ctx.now() - t0);
+        sp.finish(ctx);
+        // The reply's wire image: the one copy, made outside the lock.
+        Ok(p.as_bytes().to_vec())
+    }
+
+    /// Local (no-RPC) page access for push-down execution on this server;
+    /// charges the SSD read but no network. Replays pending records first.
+    pub fn local_page(
+        &self,
+        ctx: &mut SimCtx,
+        cfg: &PageStoreConfig,
+        page: PageId,
+        min_lsn: Lsn,
+    ) -> Result<Arc<Page>> {
+        self.materialize(ctx, cfg.segment_of(page), page, min_lsn)
     }
 
     /// Records parked out-of-order for a segment (tests / monitoring).

@@ -19,7 +19,7 @@
 //! * [`ClusterSpec`] — the Table I cluster encoded as resources,
 //! * [`FaultPlan`] — failure-injection switches shared across components,
 //! * [`MetricsRegistry`] — per-subsystem counters/gauges/histograms plus the
-//!   causal [`TraceLog`](trace::TraceLog) of [`span!`]-recorded operations,
+//!   causal [`TraceLog`] of [`span!`]-recorded operations,
 //! * [`RunReport`] — deterministic JSON snapshots written by the bench
 //!   harness as `BENCH_<figure>.json`.
 

@@ -1,4 +1,4 @@
-//! Deterministic latency attribution: fold the [`TraceLog`] into a
+//! Deterministic latency attribution: fold the [`TraceLog`](crate::trace::TraceLog) into a
 //! component/op profile.
 //!
 //! A raw span dump answers "what happened"; this module answers "where did
