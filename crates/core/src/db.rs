@@ -41,7 +41,7 @@ use crate::buffer::{BufferPool, EvictionSink, Frame};
 use crate::catalog::{Catalog, TableDef};
 use crate::ebp::{Ebp, EbpConfig};
 use crate::lock::{LockManager, LockMode};
-use crate::row::{decode_row, encode_key, encode_row, Row, Value};
+use crate::row::{decode_cols, decode_row, encode_key, encode_row, ColSet, Row, Value};
 use crate::txn::{TxnHandle, TxnStatus};
 use crate::wal::{
     BlobGroupLog, FlushPolicy, LogBackend, RingLog, UndoInfo, UndoOp, Wal, WalRecord,
@@ -908,15 +908,30 @@ impl Db {
         &self,
         ctx: &mut SimCtx,
         table: &str,
+        f: impl FnMut(&Row) -> bool,
+    ) -> Result<()> {
+        self.scan_table_cols(ctx, table, &ColSet::all(), f)
+    }
+
+    /// [`scan_table`](Db::scan_table) for a reader of the columns in `need`
+    /// only: the others are placeholder NULLs (see [`decode_cols`]). The row
+    /// handed to `f` is one buffer, overwritten by the next.
+    pub(crate) fn scan_table_cols(
+        &self,
+        ctx: &mut SimCtx,
+        table: &str,
+        need: &ColSet,
         mut f: impl FnMut(&Row) -> bool,
     ) -> Result<()> {
         let t = Arc::clone(self.catalog.read().table(table)?);
-        let mut err = None;
-        BTree::new(t.space_no).scan(ctx, self, None, None, |_k, v| match decode_row(v) {
-            Ok(row) => f(&row),
-            Err(e) => {
-                err = Some(e);
-                false
+        let (mut row, mut err) = (Row::new(), None);
+        BTree::new(t.space_no).scan(ctx, self, None, None, |_k, v| {
+            match decode_cols(v, need, &mut row) {
+                Ok(()) => f(&row),
+                Err(e) => {
+                    err = Some(e);
+                    false
+                }
             }
         })?;
         match err {

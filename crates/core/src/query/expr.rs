@@ -6,7 +6,7 @@
 //! binary codec exists because push-down plan fragments are *serialized*
 //! and sent to storage servers (§VI-A), and we reproduce that faithfully.
 
-use crate::row::{Row, Value};
+use crate::row::{ColSet, Row, Value};
 use crate::{EngineError, Result};
 
 /// Comparison operators.
@@ -119,6 +119,19 @@ impl Expr {
         Expr::Arith(ArithOp::Mul, Box::new(a), Box::new(b))
     }
 
+    /// Add every column this expression reads to `into`.
+    pub fn cols(&self, into: &mut ColSet) {
+        match self {
+            Expr::Col(i) => into.insert(*i),
+            Expr::Lit(_) => {}
+            Expr::Not(a) | Expr::Like(a, _) => a.cols(into),
+            Expr::Cmp(_, a, b) | Expr::And(a, b) | Expr::Or(a, b) | Expr::Arith(_, a, b) => {
+                a.cols(into);
+                b.cols(into);
+            }
+        }
+    }
+
     /// Evaluate against `row`.
     pub fn eval(&self, row: &Row) -> Result<Value> {
         Ok(match self {
@@ -220,7 +233,8 @@ pub(super) fn take_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
     Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
 }
 
-fn take<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8]> {
+/// Bounds-checked read of the next `len` bytes.
+pub(super) fn take<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8]> {
     let end = pos.checked_add(len).filter(|end| *end <= buf.len());
     let end = end.ok_or_else(|| EngineError::Codec("fragment truncated".into()))?;
     let bytes = &buf[*pos..end];

@@ -8,13 +8,17 @@
 //! partials ([`Pipeline::absorb`]). Nothing outside this module evaluates a
 //! plan filter or projection over a row, touches an [`AggState`], or knows
 //! how a partial state is laid out in a transferable row.
+//!
+//! A pipeline buffers no row: [`Pipeline::push`] hands back what it emits
+//! and only the group table is kept. [`Pipeline::demand`] names the input
+//! columns the operators read, which is all a producer has to build.
 
 use std::borrow::Cow;
 use std::collections::btree_map::{BTreeMap, Entry};
 
 use crate::query::expr::Expr;
 use crate::query::plan::{AggExpr, AggFunc};
-use crate::row::{encode_value, Row, Value};
+use crate::row::{encode_value, ColSet, Row, Value};
 use crate::Result;
 
 /// Running aggregate state.
@@ -154,7 +158,6 @@ pub(super) struct Pipeline<'a> {
     project: Option<&'a [Expr]>,
     agg: Option<(&'a [usize], &'a [AggExpr])>,
     seen: usize,
-    rows: Vec<Row>,
     groups: Groups,
     /// Scratch for the group key of the row at hand.
     key: Vec<u8>,
@@ -171,7 +174,6 @@ impl<'a> Pipeline<'a> {
             project: project.as_deref(),
             agg,
             seen: 0,
-            rows: Vec::new(),
             groups: Groups::new(),
             key: Vec::new(),
         }
@@ -182,12 +184,34 @@ impl<'a> Pipeline<'a> {
         self.seen
     }
 
-    /// Run one input row through filter, projection and the sink.
-    pub(super) fn push(&mut self, row: Cow<'_, Row>) -> Result<()> {
+    /// The input columns the operators read when the consumer of the
+    /// emitted rows reads `need` of them: the filter's, then the
+    /// projection's — or, with none, the group key's and the aggregates'
+    /// inputs, or, with no aggregation either, `need` itself.
+    pub(super) fn demand(&self, need: &ColSet) -> ColSet {
+        let mut cols = ColSet::none();
+        match (self.project, self.agg) {
+            (Some(exprs), _) => exprs.iter().for_each(|e| e.cols(&mut cols)),
+            (None, Some((group_by, aggs))) => {
+                cols = cols.with(group_by.iter().copied());
+                aggs.iter().for_each(|a| a.expr.cols(&mut cols));
+            }
+            (None, None) => cols = need.clone(),
+        }
+        if let Some(f) = self.filter {
+            f.cols(&mut cols);
+        }
+        cols
+    }
+
+    /// Run one input row through filter and projection, then into the group
+    /// table — or, with no aggregation, back to the caller: `Some` is the
+    /// emitted row, the input itself when there is no projection.
+    pub(super) fn push<'r>(&mut self, row: Cow<'r, Row>) -> Result<Option<Cow<'r, Row>>> {
         self.seen += 1;
         if let Some(f) = self.filter {
             if !f.eval_bool(&row)? {
-                return Ok(());
+                return Ok(None);
             }
         }
         let row = match self.project {
@@ -195,8 +219,7 @@ impl<'a> Pipeline<'a> {
             None => row,
         };
         let Some((group_by, aggs)) = self.agg else {
-            self.rows.push(row.into_owned());
-            return Ok(());
+            return Ok(Some(row));
         };
         self.key.clear();
         for i in group_by {
@@ -218,25 +241,13 @@ impl<'a> Pipeline<'a> {
         for (state, agg) in states.iter_mut().zip(aggs) {
             state.update(agg.func, agg.expr.eval(&row)?);
         }
-        Ok(())
+        Ok(None)
     }
 
-    /// Push every row of a materialized operator output, then
-    /// [`finish`](Pipeline::finish).
-    pub(super) fn run(mut self, rows: Vec<Row>) -> Result<Vec<Row>> {
-        for row in rows {
-            self.push(Cow::Owned(row))?;
-        }
-        Ok(self.finish())
-    }
-
-    /// Secondary aggregation: take in one row of another pipeline's
-    /// [`partials`](Pipeline::partials) (same fragment).
+    /// Secondary aggregation: take in one row of another aggregating
+    /// pipeline's [`partials`](Pipeline::partials) (same fragment).
     pub(super) fn absorb(&mut self, partial: Row) {
-        let Some((group_by, aggs)) = self.agg else {
-            self.rows.push(partial);
-            return;
-        };
+        let (group_by, aggs) = self.agg.expect("only an aggregation has partials");
         let mut cols = partial.into_iter();
         let vals: Vec<Value> = cols.by_ref().take(group_by.len()).collect();
         let mut key = Vec::new();
@@ -259,9 +270,6 @@ impl<'a> Pipeline<'a> {
     }
 
     fn drain(self, mut emit: impl FnMut(AggState, &mut Row)) -> Vec<Row> {
-        if self.agg.is_none() {
-            return self.rows;
-        }
         self.groups
             .into_values()
             .map(|(mut row, states)| {
@@ -273,15 +281,14 @@ impl<'a> Pipeline<'a> {
             .collect()
     }
 
-    /// End in final rows: the emitted rows in input order, or one row per
-    /// group — group values, then each aggregate's value — in group-key
-    /// order. No input row, no group.
+    /// End in final rows: one per group — group values, then each
+    /// aggregate's value — in group-key order. No input row, no group.
     pub(super) fn finish(self) -> Vec<Row> {
         self.drain(|s, row| row.push(s.finalize()))
     }
 
-    /// End in transferable rows (storage side): the emitted rows, or one
-    /// row per group — group values, then each aggregate's partial state.
+    /// End in transferable rows (storage side): one per group — group
+    /// values, then each aggregate's partial state.
     pub(super) fn partials(self) -> Vec<Row> {
         self.drain(AggState::write_partial)
     }
@@ -387,7 +394,11 @@ mod tests {
 
             // Single pass: the reference's rows, in group-key order.
             let expect = reference(&rows, keep_below, &[1, 0][..n_groups]);
-            let single = Pipeline::new(&filter, &project, agg).run(rows.clone()).unwrap();
+            let mut pipe = Pipeline::new(&filter, &project, agg);
+            for r in &rows {
+                prop_assert_eq!(pipe.push(Cow::Borrowed(r)).unwrap(), None);
+            }
+            let single = pipe.finish();
             prop_assert_eq!(&single, &expect);
 
             // Without aggregation: the kept rows, projected, in input order.
@@ -399,11 +410,13 @@ mod tests {
                 })
                 .collect();
             let mut pipe = Pipeline::new(&filter, &project, None);
+            let mut emitted = Vec::new();
             for r in &rows {
-                pipe.push(Cow::Borrowed(r)).unwrap();
+                emitted.extend(pipe.push(Cow::Borrowed(r)).unwrap().map(Cow::into_owned));
             }
             prop_assert_eq!(pipe.seen(), rows.len());
-            prop_assert_eq!(pipe.finish(), plain);
+            prop_assert_eq!(emitted, plain);
+            prop_assert_eq!(pipe.finish(), Vec::<Row>::new());
 
             // k partitions, each ending in partials, absorbed in a random
             // order: the single-pass answer.

@@ -1,7 +1,8 @@
 //! Physical query plans.
 //!
 //! veDB processes each query single-threaded in the engine (§VI); plans are
-//! small Volcano-style trees that the executor materializes bottom-up.
+//! small Volcano-style trees whose operators the executor streams into one
+//! another.
 //! Plans are built programmatically (the reproduction has no SQL parser —
 //! workload queries are constructed by the workloads crate).
 

@@ -28,11 +28,11 @@ use vedb_sim::{SimCtx, VTime};
 use crate::btree::parse_leaf_cell;
 use crate::db::Db;
 use crate::ebp::EbpLoc;
-use crate::query::exec::QuerySession;
-use crate::query::expr::{decode_expr, encode_expr, take_u32, take_u8, Expr};
+use crate::query::exec::{QuerySession, Sink};
+use crate::query::expr::{decode_expr, encode_expr, take, take_u32, take_u8, Expr};
 use crate::query::pipeline::Pipeline;
 use crate::query::plan::{AggExpr, AggFunc};
-use crate::row::{decode_row, Row};
+use crate::row::{decode_cols, ColSet, Row};
 use crate::{EngineError, Result};
 
 /// Aggregation part of a fragment.
@@ -50,6 +50,35 @@ pub struct Fragment {
     pub project: Option<Vec<Expr>>,
     /// Partial aggregation: (group-by column indexes, aggregates).
     pub agg: Option<FragAgg>,
+    /// What the engine reads of the returned rows. It decides what the scan
+    /// decodes only when nothing above does: with a projection or an
+    /// aggregation the operators' own inputs are what is read, and
+    /// [`Fragment::scan`] leaves this at every column (one byte on the wire).
+    pub need: ColSet,
+}
+
+impl Fragment {
+    /// The fragment scanning `table` for a consumer that reads `need`.
+    pub fn scan(
+        db: &Db,
+        table: &str,
+        filter: &Option<Expr>,
+        project: &Option<Vec<Expr>>,
+        agg: Option<FragAgg>,
+        need: &ColSet,
+    ) -> Result<Fragment> {
+        let need = match (project, &agg) {
+            (None, None) => need.clone(),
+            _ => ColSet::all(),
+        };
+        Ok(Fragment {
+            space: db.with_table(table, |t| t.space_no)?,
+            filter: filter.clone(),
+            project: project.clone(),
+            agg,
+            need,
+        })
+    }
 }
 
 /// Encode a fragment for shipping.
@@ -84,6 +113,15 @@ pub fn encode_fragment(f: &Fragment, out: &mut Vec<u8>) {
                 out.push(a.func as u8);
                 encode_expr(&a.expr, out);
             }
+        }
+        None => out.push(0),
+    }
+    // Demanded columns: presence, bitmask length, bitmask.
+    match f.need.mask() {
+        Some(mask) => {
+            out.push(1);
+            out.extend_from_slice(&(mask.len() as u32).to_le_bytes());
+            out.extend_from_slice(mask);
         }
         None => out.push(0),
     }
@@ -129,11 +167,19 @@ pub fn decode_fragment(buf: &[u8]) -> Result<Fragment> {
         }
         _ => None,
     };
+    let need = match take_u8(buf, &mut pos)? {
+        1 => {
+            let len = take_u32(buf, &mut pos)? as usize;
+            ColSet::from_mask(take(buf, &mut pos, len)?)
+        }
+        _ => ColSet::all(),
+    };
     Ok(Fragment {
         space,
         filter,
         project,
         agg,
+        need,
     })
 }
 
@@ -303,6 +349,9 @@ fn run_task(ctx: &mut SimCtx, db: &Db, frag_bytes: &[u8], task: &Task) -> Result
     let mut partials = db.rpc().call(ctx, node, res, req_bytes, 0, |c| {
         let frag = decode_fragment(frag_bytes)?;
         let mut pipe = Pipeline::new(&frag.filter, &frag.project, agg_of(&frag));
+        // Only what the fragment reads of a row is built, in one buffer.
+        let reads = pipe.demand(&frag.need);
+        let (mut row, mut emitted) = (Row::new(), Vec::new());
         // The storage-side scan pipelines: pages are handed to idle cores
         // as their reads complete, overlapping the remaining reads (§VI-B).
         // The task finishes when both the last read and the operator work
@@ -317,7 +366,10 @@ fn run_task(ctx: &mut SimCtx, db: &Db, frag_bytes: &[u8], task: &Task) -> Result
             };
             for cell in page.iter() {
                 let (_key, payload) = parse_leaf_cell(cell);
-                pipe.push(Cow::Owned(decode_row(payload)?))?;
+                decode_cols(payload, &reads, &mut row)?;
+                if let Some(out) = pipe.push(Cow::Borrowed(&row))? {
+                    emitted.push(out.into_owned());
+                }
             }
             let page_rows = page.n_slots() as u64;
             if page_rows > 0 {
@@ -326,7 +378,10 @@ fn run_task(ctx: &mut SimCtx, db: &Db, frag_bytes: &[u8], task: &Task) -> Result
             }
         }
         c.wait_until(io_done.max(cpu_done));
-        Ok::<_, EngineError>(pipe.partials())
+        Ok::<_, EngineError>(match frag.agg {
+            Some(_) => pipe.partials(),
+            None => emitted,
+        })
     })??;
     // Response streaming back to the engine: charge the transfer size.
     let resp_bytes: usize = partials.len() * 48;
@@ -343,25 +398,17 @@ fn agg_of(frag: &Fragment) -> Option<(&[usize], &[AggExpr])> {
 
 /// Orchestrate a pushed-down scan (optionally with partial aggregation):
 /// split → parallel dispatch → collect → secondary aggregation (§VI-B).
-pub fn pushdown_scan(
+/// The rows go to `sink`: the tasks' in task order, or the merged groups.
+pub(super) fn pushdown_scan(
     ctx: &mut SimCtx,
     db: &Db,
-    table: &str,
-    filter: &Option<Expr>,
-    project: &Option<Vec<Expr>>,
-    agg: Option<FragAgg>,
-) -> Result<Vec<Row>> {
-    let space = db.with_table(table, |t| t.space_no)?;
+    frag: &Fragment,
+    sink: Sink<'_>,
+) -> Result<()> {
     // PageStore must be able to serve every logged page version.
     db.flush_ship(ctx, true);
-    let frag = Fragment {
-        space,
-        filter: filter.clone(),
-        project: project.clone(),
-        agg,
-    };
     let mut frag_bytes = Vec::with_capacity(128);
-    encode_fragment(&frag, &mut frag_bytes);
+    encode_fragment(frag, &mut frag_bytes);
     // Serialization cost on the engine.
     let done = db.env().engine_cpu.acquire(
         ctx.now(),
@@ -370,17 +417,23 @@ pub fn pushdown_scan(
     ctx.wait_until(done);
 
     // Secondary aggregation over the tasks' partials, in task order.
-    let mut merged = Pipeline::new(&None, &None, agg_of(&frag));
+    let mut merged = Pipeline::new(&None, &None, agg_of(frag));
     let mut done_max = ctx.now();
-    for task in &split_tasks(db, space)? {
+    for task in &split_tasks(db, frag.space)? {
         let mut task_ctx = ctx.fork();
-        for partial in run_task(&mut task_ctx, db, &frag_bytes, task)? {
-            merged.absorb(partial);
+        for row in run_task(&mut task_ctx, db, &frag_bytes, task)? {
+            match frag.agg {
+                Some(_) => merged.absorb(row),
+                None => sink(Cow::Owned(row))?,
+            }
         }
         done_max = done_max.max(task_ctx.now());
     }
     ctx.wait_until(done_max);
-    Ok(merged.finish())
+    for row in merged.finish() {
+        sink(Cow::Owned(row))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -404,6 +457,8 @@ mod tests {
                     AggExpr::max(Expr::col(4)),
                 ],
             )),
+            // Two mask bytes, the first of them zero.
+            need: ColSet::none().with([9, 12]),
         };
         let mut buf = Vec::new();
         encode_fragment(&frag, &mut buf);
@@ -414,15 +469,28 @@ mod tests {
             let got = decode_fragment(&buf[..cut]);
             assert!(matches!(got, Err(EngineError::Codec(_))), "{cut}: {got:?}");
         }
+        // The demanded columns are the last field: 1 + 4 + 2 bytes.
+        assert_eq!(buf[buf.len() - 7..], [1, 2, 0, 0, 0, 0, 0b0001_0010]);
 
         let bare = Fragment {
             space: 1,
             filter: None,
             project: None,
             agg: None,
+            need: ColSet::all(),
         };
         let mut buf2 = Vec::new();
         encode_fragment(&bare, &mut buf2);
         assert_eq!(decode_fragment(&buf2).unwrap(), bare);
+        assert_eq!(buf2.len(), 4 + 4, "absent fields are one byte each");
+        // Demanding nothing is not demanding everything.
+        let nothing = Fragment {
+            need: ColSet::none(),
+            ..bare
+        };
+        buf2.clear();
+        encode_fragment(&nothing, &mut buf2);
+        assert_eq!(buf2.len(), 4 + 3 + 5);
+        assert_eq!(decode_fragment(&buf2).unwrap(), nothing);
     }
 }

@@ -108,45 +108,157 @@ pub(crate) fn encode_value(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
+/// The columns of a row that somebody reads: every column, or the indexes
+/// in a bitmask. Operators hand the set to whatever produces their input, so
+/// a decoder builds only what is read (see [`decode_cols`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColSet {
+    /// Bit `i % 8` of byte `i / 8` is column `i`, no trailing zero byte;
+    /// `None` is every column, whatever the row's width.
+    bits: Option<Vec<u8>>,
+}
+
+impl ColSet {
+    /// Every column.
+    pub fn all() -> ColSet {
+        ColSet { bits: None }
+    }
+
+    /// No column.
+    pub fn none() -> ColSet {
+        ColSet {
+            bits: Some(Vec::new()),
+        }
+    }
+
+    /// Is column `i` in the set?
+    pub fn contains(&self, i: usize) -> bool {
+        match &self.bits {
+            None => true,
+            Some(bits) => bits.get(i / 8).is_some_and(|b| b >> (i % 8) & 1 == 1),
+        }
+    }
+
+    /// Add column `i`.
+    pub fn insert(&mut self, i: usize) {
+        if let Some(bits) = &mut self.bits {
+            if bits.len() <= i / 8 {
+                bits.resize(i / 8 + 1, 0);
+            }
+            bits[i / 8] |= 1 << (i % 8);
+        }
+    }
+
+    /// This set with `cols` added.
+    pub fn with(mut self, cols: impl IntoIterator<Item = usize>) -> ColSet {
+        for i in cols {
+            self.insert(i);
+        }
+        self
+    }
+
+    /// The set's columns from `from` up, renumbered from zero: what a row
+    /// appended at offset `from` contributes to the columns read.
+    pub fn from_offset(&self, from: usize) -> ColSet {
+        match &self.bits {
+            None => ColSet::all(),
+            Some(bits) => {
+                let upper = (from..bits.len() * 8).filter(|i| self.contains(*i));
+                ColSet::none().with(upper.map(|i| i - from))
+            }
+        }
+    }
+
+    /// The bitmask (see the field), `None` for every column.
+    pub(crate) fn mask(&self) -> Option<&[u8]> {
+        self.bits.as_deref()
+    }
+
+    /// The set a [`mask`](ColSet::mask) describes.
+    pub(crate) fn from_mask(mask: &[u8]) -> ColSet {
+        let keep = mask
+            .iter()
+            .rposition(|b| *b != 0)
+            .map_or(0, |last| last + 1);
+        ColSet {
+            bits: Some(mask[..keep].to_vec()),
+        }
+    }
+}
+
 /// Decode a row from `buf` (must contain exactly one row).
 pub fn decode_row(buf: &[u8]) -> Result<Row> {
+    let mut row = Vec::new();
+    decode_cols(buf, &ColSet::all(), &mut row)?;
+    Ok(row)
+}
+
+/// Decode the one row in `buf` into the caller's `row`, building only the
+/// columns in `need`: the row keeps its width and every other column is a
+/// placeholder [`Value::Null`] that, by the demanded-columns contract, nobody
+/// reads. The whole buffer is validated whatever `need` is — tags, lengths,
+/// UTF-8 and the absence of a tail — so the outcome (`Ok` or
+/// [`EngineError::Codec`]) never depends on it. `row`'s buffers are reused.
+pub fn decode_cols(buf: &[u8], need: &ColSet, row: &mut Row) -> Result<()> {
+    match need.mask() {
+        None => decode_with(buf, row, |_| true),
+        Some(_) => decode_with(buf, row, |i| need.contains(i)),
+    }
+}
+
+#[inline]
+fn decode_with(buf: &[u8], row: &mut Row, need: impl Fn(usize) -> bool) -> Result<()> {
     let err = || EngineError::Codec("row truncated".into());
     if buf.len() < 2 {
         return Err(err());
     }
     let n = u16::from_le_bytes([buf[0], buf[1]]) as usize;
     let mut pos = 2;
-    let mut row = Vec::with_capacity(n);
-    for _ in 0..n {
+    row.reserve_exact(n.saturating_sub(row.len()));
+    row.resize(n, Value::Null);
+    for (i, slot) in row.iter_mut().enumerate() {
+        let wanted = need(i);
         let tag = *buf.get(pos).ok_or_else(err)?;
         pos += 1;
-        match tag {
-            0 => row.push(Value::Null),
+        let value = match tag {
+            0 => Value::Null,
             1 => {
                 let b = buf.get(pos..pos + 8).ok_or_else(err)?;
-                row.push(Value::Int(i64::from_le_bytes(b.try_into().unwrap())));
                 pos += 8;
+                Value::Int(i64::from_le_bytes(b.try_into().unwrap()))
             }
             2 => {
                 let b = buf.get(pos..pos + 8).ok_or_else(err)?;
-                row.push(Value::Double(f64::from_le_bytes(b.try_into().unwrap())));
                 pos += 8;
+                Value::Double(f64::from_le_bytes(b.try_into().unwrap()))
             }
             3 => {
                 let b = buf.get(pos..pos + 4).ok_or_else(err)?;
                 let len = u32::from_le_bytes(b.try_into().unwrap()) as usize;
                 pos += 4;
                 let s = buf.get(pos..pos + len).ok_or_else(err)?;
-                row.push(Value::Str(
-                    String::from_utf8(s.to_vec())
-                        .map_err(|_| EngineError::Codec("bad utf8".into()))?,
-                ));
                 pos += len;
+                let s =
+                    std::str::from_utf8(s).map_err(|_| EngineError::Codec("bad utf8".into()))?;
+                match slot {
+                    // The previous row's string buffer takes this row's text.
+                    Value::Str(old) if wanted => {
+                        old.clear();
+                        old.push_str(s);
+                        continue;
+                    }
+                    _ if wanted => Value::Str(s.to_owned()),
+                    _ => Value::Null,
+                }
             }
             t => return Err(EngineError::Codec(format!("bad value tag {t}"))),
-        }
+        };
+        *slot = if wanted { value } else { Value::Null };
     }
-    Ok(row)
+    if pos != buf.len() {
+        return Err(EngineError::Codec("bytes after the row".into()));
+    }
+    Ok(())
 }
 
 /// Memcomparable encoding of a (composite) key.
@@ -185,6 +297,7 @@ pub fn encode_key(parts: &[Value]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn row_roundtrip() {
@@ -207,6 +320,92 @@ mod tests {
         encode_row(&row, &mut buf);
         assert!(decode_row(&buf[..buf.len() - 1]).is_err());
         assert!(decode_row(&[]).is_err());
+    }
+
+    #[test]
+    fn row_with_a_tail_rejected() {
+        let mut buf = Vec::new();
+        encode_row(&vec![Value::Int(5), Value::Str("x".into())], &mut buf);
+        buf.push(0);
+        for need in [ColSet::all(), ColSet::none(), ColSet::none().with([1])] {
+            let got = decode_cols(&buf, &need, &mut Row::new());
+            assert!(matches!(got, Err(EngineError::Codec(_))), "{got:?}");
+        }
+    }
+
+    #[test]
+    fn bad_utf8_in_a_column_nobody_reads_is_still_a_codec_error() {
+        let mut buf = Vec::new();
+        encode_row(&vec![Value::Int(5), Value::Str("xy".into())], &mut buf);
+        let last = buf.len() - 1;
+        buf[last] = 0xFF;
+        let got = decode_cols(&buf, &ColSet::none().with([0]), &mut Row::new());
+        assert!(matches!(got, Err(EngineError::Codec(_))), "{got:?}");
+    }
+
+    #[test]
+    fn col_set_algebra() {
+        let set = ColSet::none().with([1, 9, 12]);
+        assert!([1, 9, 12].iter().all(|i| set.contains(*i)));
+        assert!([0, 8, 13, 500].iter().all(|i| !set.contains(*i)));
+        assert_eq!(set.from_offset(9), ColSet::none().with([0, 3]));
+        assert_eq!(set.from_offset(13), ColSet::none());
+        assert_eq!(ColSet::from_mask(set.mask().unwrap()), set);
+        assert_eq!(ColSet::from_mask(&[0b10, 0, 0]), ColSet::none().with([1]));
+        let all = ColSet::all().with([3]);
+        assert!(all.contains(70_000) && all.from_offset(4) == ColSet::all());
+    }
+
+    /// Bytes of a row: equal bytes are equal values, NaN bits included.
+    fn bytes(row: &Row) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_row(row, &mut buf);
+        buf
+    }
+
+    proptest! {
+        #[test]
+        fn any_demanded_set_decodes_like_the_full_row(
+            cols in proptest::collection::vec((0u8..4, any::<u64>(), 0usize..4), 0..12),
+            mask in any::<u16>(),
+            everything in 0u8..4,
+        ) {
+            let text = ["", "a", "h\u{e9}llo w\u{f6}rld \u{2713}", "nul\0inside"];
+            let row: Row = cols
+                .into_iter()
+                .map(|(kind, bits, s)| match kind {
+                    0 => Value::Null,
+                    1 => Value::Int(bits as i64),
+                    2 => Value::Double(f64::from_bits(bits)),
+                    _ => Value::Str(text[s].into()),
+                })
+                .collect();
+            let need = match everything {
+                0 => ColSet::all(),
+                _ => ColSet::none().with((0..16).filter(|i| mask >> i & 1 == 1)),
+            };
+            let buf = bytes(&row);
+            prop_assert_eq!(bytes(&decode_row(&buf).unwrap()), buf.clone());
+
+            // Into a buffer that held another row: demanded columns are the
+            // full decode's, the rest NULL, the width kept.
+            let mut got = vec![Value::Str("stale".into()); 5];
+            decode_cols(&buf, &need, &mut got).unwrap();
+            let masked = row.iter().enumerate().map(|(i, v)| match need.contains(i) {
+                true => v.clone(),
+                false => Value::Null,
+            });
+            prop_assert_eq!(bytes(&got), bytes(&masked.collect()));
+
+            // A cut buffer is a codec error under every demanded set, as it
+            // is for the full decode.
+            for cut in 0..buf.len() {
+                let full = decode_row(&buf[..cut]);
+                let pruned = decode_cols(&buf[..cut], &need, &mut got);
+                prop_assert!(matches!(full, Err(EngineError::Codec(_))), "{cut}: {full:?}");
+                prop_assert!(matches!(pruned, Err(EngineError::Codec(_))), "{cut}: {pruned:?}");
+            }
+        }
     }
 
     #[test]

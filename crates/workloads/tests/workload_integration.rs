@@ -114,6 +114,66 @@ fn all_22_ch_queries_execute_and_agree_with_pushdown() {
     }
 }
 
+/// The query shape of "one seed, one answer": the 22 CH queries with
+/// push-down on, over fresh deployments of the benchmark's configuration —
+/// a small pool over an EBP, so fragments split into EBP and PageStore
+/// tasks — return the same rows in the same order with the same `f64` bits,
+/// end at the same virtual time and leave every counter at the same value.
+#[test]
+fn all_22_ch_queries_repeat_bit_for_bit_across_deployments() {
+    let run = || {
+        let f = fabric();
+        let mut ctx = SimCtx::new(0, 7);
+        let cfg = DbConfig::builder()
+            .bp_pages(96)
+            .log(LogBackendKind::AStore)
+            .ebp(EbpConfig {
+                capacity_bytes: 64 << 20,
+                ..Default::default()
+            })
+            .build()
+            .unwrap();
+        let db = open(&mut ctx, &f, cfg);
+        db.define_schema(|cat| {
+            tpcc::define_schema(cat);
+            chbench::extend_schema(cat);
+        });
+        db.create_tables(&mut ctx).unwrap();
+        tpcc::load(&mut ctx, &db, &tpcc::TpccScale::bench()).unwrap();
+        chbench::load_extra(&mut ctx, &db).unwrap();
+        let pq = QuerySession::with_pushdown();
+        let rpcs = db.env().metrics.counter("rdma", "rpc_calls");
+        let rpcs_before = rpcs.get();
+        // `{:?}` of an `f64` is the shortest text that reads back to the
+        // same bits, so equal text is equal bits.
+        let answers: Vec<String> = chbench::all_queries()
+            .iter()
+            .map(|(n, plan)| {
+                let rows = execute(&mut ctx, &db, &pq, plan)
+                    .unwrap_or_else(|e| panic!("Q{n} failed with pushdown: {e}"));
+                format!("Q{n}: {rows:?}")
+            })
+            .collect();
+        let tasks = rpcs.get() - rpcs_before;
+        (tasks, answers, ctx.now(), db.env().metrics.counter_values())
+    };
+    let first = run();
+    assert!(
+        first.0 > 2 * 22,
+        "fragments must split into tasks, got {} for 22 queries",
+        first.0
+    );
+    for _ in 0..2 {
+        let again = run();
+        // Per query first: a differing answer names itself.
+        for (a, b) in again.1.iter().zip(&first.1) {
+            assert_eq!(a, b);
+        }
+        assert_eq!((again.0, again.2), (first.0, first.2));
+        assert_eq!(again.3, first.3);
+    }
+}
+
 #[test]
 fn order_processing_hot_rows_serialize() {
     let f = fabric();
