@@ -1206,7 +1206,9 @@ impl EvictionSink for DbEvictionSink<'_> {
             return;
         }
         let Some(ebp) = &self.0.ebp else { return };
-        if lsn > self.0.wal.flushed_lsn() && self.0.wal.flush(ctx, lsn).is_err() {
+        // The watermark is exclusive: a record that *starts at* it is not
+        // durable yet.
+        if lsn >= self.0.wal.flushed_lsn() && self.0.wal.flush(ctx, lsn).is_err() {
             self.0.stats.ebp_skips.inc();
             return;
         }

@@ -361,6 +361,88 @@ fn crash_recovery_replays_committed_and_undoes_losers() {
         .is_some());
 }
 
+/// WAL rule at the boundary: the durable watermark is exclusive, so a page
+/// whose newest record *starts at* it is not covered. Evict such a page,
+/// power-fail every PMem device, recover: no EBP image may be ahead of the
+/// recovered log, and the never-logged update must not be readable.
+#[test]
+fn page_evicted_at_the_watermark_is_not_persisted_ahead_of_its_log() {
+    let f = fabric();
+    let mut ctx = SimCtx::new(1, 42);
+    let cfg = DbConfig::builder()
+        .bp_pages(16)
+        .bp_shards(1)
+        .ebp(EbpConfig::default())
+        .build()
+        .unwrap();
+    let db = open_db(&mut ctx, &f, cfg.clone());
+    for batch in 0..20 {
+        let mut load = db.begin();
+        for i in batch * 100..(batch + 1) * 100 {
+            // Wide rows: the table must outgrow the pool.
+            let owner = format!("{i:0>300}");
+            db.insert(&mut ctx, &mut load, "accounts", row(i, &owner, i))
+                .unwrap();
+        }
+        db.commit(&mut ctx, &mut load).unwrap();
+        // The fabric's ring is 256 KB segments: keep it truncated.
+        db.checkpoint(&mut ctx).unwrap();
+    }
+    assert_eq!(db.wal().flushed_lsn(), db.wal().next_lsn());
+
+    // One update of an unindexed column: one page record, and it starts
+    // exactly at the watermark. The transaction never commits.
+    let watermark = db.wal().flushed_lsn();
+    let mut open_txn = db.begin();
+    db.update_by_pk(&mut ctx, &mut open_txn, "accounts", &[Value::Int(3)], |r| {
+        r[2] = Value::Int(-777)
+    })
+    .unwrap();
+    // Push the updated leaf out of the 16-page pool, into the EBP.
+    for i in (1000..2000).rev() {
+        db.get_by_pk(&mut ctx, None, "accounts", &[Value::Int(i)])
+            .unwrap()
+            .unwrap();
+    }
+    let ebp = db.ebp().unwrap();
+    let at_watermark = ebp
+        .cached_pages(usize::MAX)
+        .into_iter()
+        .filter(|p| ebp.locate(*p).is_some_and(|l| l.lsn == watermark))
+        .count();
+    assert_eq!(at_watermark, 1, "the updated leaf was evicted to the EBP");
+
+    let ring_ids = db.log_segment_ids();
+    drop(open_txn);
+    drop(db);
+    for s in &f.astore_servers {
+        s.crash();
+        s.restart(&mut ctx).unwrap();
+    }
+
+    let mut ctx2 = SimCtx::new(1, 43);
+    ctx2.wait_until(ctx.now());
+    let (db2, _) = recovery::recover(&mut ctx2, &f, cfg, schema, &ring_ids).unwrap();
+    let log_end = db2.wal().next_lsn();
+    let ebp2 = db2.ebp().unwrap();
+    for pid in ebp2.cached_pages(usize::MAX) {
+        let lsn = ebp2.locate(pid).unwrap().lsn;
+        assert!(
+            lsn < log_end,
+            "EBP image of {pid:?} at lsn {lsn} is ahead of the recovered log end {log_end}"
+        );
+    }
+    let r3 = db2
+        .get_by_pk(&mut ctx2, None, "accounts", &[Value::Int(3)])
+        .unwrap()
+        .unwrap();
+    assert_eq!(
+        r3[2],
+        Value::Int(3),
+        "an uncommitted update survived a crash"
+    );
+}
+
 #[test]
 fn astore_commit_latency_beats_blobstore() {
     let f = fabric();
