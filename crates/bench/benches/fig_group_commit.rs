@@ -86,10 +86,6 @@ fn sweep(policy: FlushPolicy, clients: &[usize]) -> (Deployment, Vec<Cell>) {
         192 << 20,
         1 << 20,
     );
-    // A couple of commit-latencies of skew, so a client cannot bank a
-    // scheduler-slice worth of cheap commits before paying for the log
-    // device queue it built up (same bound for both policies).
-    dep.sync_window = VTime::from_micros(250);
     dep.db.define_schema(define_schema);
     dep.db.create_tables(&mut dep.ctx).unwrap();
 

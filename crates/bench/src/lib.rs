@@ -27,12 +27,6 @@ pub struct Deployment {
     /// Load-phase context; its final clock is the earliest valid trial
     /// start.
     pub ctx: SimCtx,
-    /// Virtual-time skew bound handed to the trial driver
-    /// ([`vedb_workloads::driver::DEFAULT_SYNC_WINDOW`] by default).
-    /// Benches that measure a saturated device at the median narrow it to
-    /// a few operation-latencies so clients cannot bank cheap operations
-    /// ahead of the queue they created.
-    pub sync_window: VTime,
 }
 
 impl Deployment {
@@ -71,12 +65,7 @@ impl Deployment {
         let fabric = StorageFabric::build_with_apply(spec, astore_capacity, slot_bytes, apply);
         let mut ctx = SimCtx::new(0, 0xBEEF);
         let db = Db::open(&mut ctx, &fabric, cfg).expect("open engine");
-        Deployment {
-            fabric,
-            db,
-            ctx,
-            sync_window: vedb_workloads::driver::DEFAULT_SYNC_WINDOW,
-        }
+        Deployment { fabric, db, ctx }
     }
 
     /// Run one trial starting at the current timeline position, then
@@ -94,7 +83,6 @@ impl Deployment {
             measure,
             seed: 7,
             start: self.ctx.now(),
-            sync_window: self.sync_window,
         };
         let r = run_trial(&cfg, op);
         self.ctx.wait_until(cfg.start + warmup + measure);

@@ -20,7 +20,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 use vedb_astore::client::AStoreClient;
@@ -322,9 +321,6 @@ struct MetaState {
 /// Bounded retries for transient stale-replica page reads (`get_frame`).
 const PAGE_READ_RETRIES: u32 = 3;
 
-/// Real-time lock wait budget (deadlock breaker).
-const LOCK_TIMEOUT: Duration = Duration::from_millis(200);
-
 /// Checkpoint (ship + truncate the log) automatically once this many log
 /// bytes have accumulated since the last truncation. veDB's storage layer
 /// applies REDO continuously, so the log's working window stays small
@@ -513,7 +509,7 @@ impl Db {
             log_segments,
         );
         db.bootstrap_meta(ctx)?;
-        db.wal.flush(ctx, db.wal.next_lsn())?;
+        db.wal.force(ctx, db.wal.next_lsn())?;
         Ok(db)
     }
 
@@ -538,7 +534,7 @@ impl Db {
             ebp,
             wal,
             pagestore: Arc::clone(&fabric.pagestore),
-            locks: LockManager::with_metrics(64, LOCK_TIMEOUT, &fabric.env.metrics),
+            locks: LockManager::with_metrics(64, &fabric.env.metrics),
             stats: DbStats::register(&fabric.env.metrics),
             astore_client,
             catalog: RwLock::new(Catalog::new()),
@@ -660,7 +656,7 @@ impl Db {
         for space in spaces {
             BTree::new(space).create(ctx, self, 0)?;
         }
-        self.wal.flush(ctx, self.wal.next_lsn())?;
+        self.wal.force(ctx, self.wal.next_lsn())?;
         self.flush_ship(ctx, false);
         Ok(())
     }
@@ -1090,7 +1086,7 @@ impl Db {
     /// clock: a slow storage node must not stall the commit path).
     pub fn checkpoint(&self, ctx: &mut SimCtx) -> Result<()> {
         let _g = self.checkpoint_lock.lock();
-        self.wal.flush(ctx, self.wal.next_lsn())?;
+        self.wal.force(ctx, self.wal.next_lsn())?;
         self.flush_ship(ctx, true);
         let shipped = self.shipped_lsn.load(Ordering::Acquire);
         let mut bg = ctx.fork();
@@ -1208,7 +1204,7 @@ impl EvictionSink for DbEvictionSink<'_> {
         let Some(ebp) = &self.0.ebp else { return };
         // The watermark is exclusive: a record that *starts at* it is not
         // durable yet.
-        if lsn >= self.0.wal.flushed_lsn() && self.0.wal.flush(ctx, lsn).is_err() {
+        if lsn >= self.0.wal.flushed_lsn() && self.0.wal.force(ctx, lsn).is_err() {
             self.0.stats.ebp_skips.inc();
             return;
         }
@@ -1237,7 +1233,7 @@ impl Db {
             // Make sure PageStore has everything we logged for this page:
             // force the log (WAL rule), then ship.
             if min_lsn > self.shipped_lsn.load(Ordering::Acquire) {
-                self.wal.flush(ctx, min_lsn)?;
+                self.wal.force(ctx, min_lsn)?;
                 self.flush_ship(ctx, true);
             }
             // Stale-replica reads are transient: a replica whose apply
@@ -1254,7 +1250,7 @@ impl Db {
                     }
                     Err(e) if e.is_retryable() && attempt < PAGE_READ_RETRIES => {
                         attempt += 1;
-                        self.wal.flush(ctx, min_lsn)?;
+                        self.wal.force(ctx, min_lsn)?;
                         self.flush_ship(ctx, true);
                         ctx.advance(VTime::from_micros(50u64 << attempt));
                     }

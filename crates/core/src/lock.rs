@@ -1,27 +1,32 @@
 //! Row-level two-phase locking, aware of virtual time.
 //!
-//! Locks are keyed by `(index space, encoded primary key)`. Mutual
-//! exclusion is enforced in real time (threads block on a condvar), and the
-//! *virtual* cost of waiting is accounted by stamping each key with the
-//! virtual time of its last conflicting release: a waiter that is granted
-//! the lock advances its clock to that stamp. Hot-row contention therefore
-//! serializes transactions in virtual time exactly as it would on the real
-//! system — which is what the order-processing experiment (Fig. 8) is
-//! about.
+//! Locks are keyed by `(index space, encoded primary key)`. A client that
+//! finds an incompatible holder parks ([`SimCtx::park`]) and `release`
+//! wakes it, and the *virtual* cost of waiting is accounted by stamping
+//! each key with the virtual time of its last conflicting release: a waiter
+//! that is granted the lock advances its clock to that stamp. Hot-row
+//! contention therefore serializes transactions in virtual time exactly as
+//! it would on the real system — which is what the order-processing
+//! experiment (Fig. 8) is about.
 //!
-//! Deadlocks are broken by a real-time wait timeout; the victim aborts and
-//! the workload retries (the behaviour MySQL-family engines exhibit).
+//! Deadlocks are broken by a virtual wait budget ([`LOCK_WAIT_BUDGET`]): the
+//! victim is the waiter whose deadline is the lowest time on the board — a
+//! function of the clocks. It aborts and the workload retries (the
+//! behaviour MySQL-family engines exhibit).
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use vedb_sim::metrics::{Counter, LatencyRecorder};
 use vedb_sim::trace::TraceLog;
-use vedb_sim::{LockContention, MetricsRegistry, SimCtx, VTime};
+use vedb_sim::{LockContention, MetricsRegistry, SimCtx, VTime, Waker};
 
 use crate::{EngineError, Result};
+
+/// Longest virtual time a client waits for a row lock before it is declared
+/// the deadlock victim.
+pub const LOCK_WAIT_BUDGET: VTime = VTime::from_millis(200);
 
 /// Lock key: (index space, encoded row key).
 pub type LockKey = (u32, Vec<u8>);
@@ -53,21 +58,14 @@ struct LockState {
 #[derive(Default)]
 struct ShardTable {
     locks: HashMap<LockKey, LockState>,
-    /// Threads blocked on the shard's condvar. A release with nobody
-    /// waiting skips the notify, which is a futex syscall per key.
-    waiters: usize,
-}
-
-struct Shard {
-    table: Mutex<ShardTable>,
-    cv: Condvar,
+    /// Clients parked on a key of this shard; every release wakes them all
+    /// to look again.
+    waiters: Vec<Waker>,
 }
 
 /// The lock manager.
 pub struct LockManager {
-    shards: Vec<Arc<Shard>>,
-    /// Real-time wait budget before declaring a deadlock victim.
-    timeout: Duration,
+    shards: Vec<Mutex<ShardTable>>,
     acquires: Arc<Counter>,
     waits: Arc<Counter>,
     timeouts: Arc<Counter>,
@@ -79,28 +77,15 @@ pub struct LockManager {
 }
 
 impl LockManager {
-    /// Create a manager with `shards` hash shards and the given deadlock
-    /// timeout (real time).
-    pub fn new(shards: usize, timeout: Duration) -> LockManager {
-        Self::with_metrics(shards, timeout, &MetricsRegistry::detached())
+    /// Create a manager with `shards` hash shards.
+    pub fn new(shards: usize) -> LockManager {
+        Self::with_metrics(shards, &MetricsRegistry::detached())
     }
 
     /// Like [`new`](Self::new), publishing lock counters into `registry`.
-    pub fn with_metrics(
-        shards: usize,
-        timeout: Duration,
-        registry: &MetricsRegistry,
-    ) -> LockManager {
+    pub fn with_metrics(shards: usize, registry: &MetricsRegistry) -> LockManager {
         LockManager {
-            shards: (0..shards.max(1))
-                .map(|_| {
-                    Arc::new(Shard {
-                        table: Mutex::new(ShardTable::default()),
-                        cv: Condvar::new(),
-                    })
-                })
-                .collect(),
-            timeout,
+            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
             acquires: registry.counter("core", "lock_acquires"),
             waits: registry.counter("core", "lock_waits"),
             timeouts: registry.counter("core", "lock_timeouts"),
@@ -117,7 +102,7 @@ impl LockManager {
         self.contention.set_label(space, label);
     }
 
-    fn shard_of(&self, key: &LockKey) -> &Arc<Shard> {
+    fn shard_of(&self, key: &LockKey) -> &Mutex<ShardTable> {
         let mut h = key.0 as u64;
         for &b in &key.1 {
             h = h.wrapping_mul(0x100_0000_01b3) ^ b as u64;
@@ -136,18 +121,17 @@ impl LockManager {
         mode == LockMode::Shared && state.holders.iter().all(|(_, m, _)| *m == LockMode::Shared)
     }
 
-    /// Acquire `key` in `mode` for `txn`. Blocks (real time) until granted;
-    /// the caller's virtual clock is advanced past the conflicting
-    /// release. Returns `LockTimeout` if the wait exceeds the deadlock
-    /// budget.
+    /// Acquire `key` in `mode` for `txn`. Parks until granted, so the
+    /// caller must hold no host lock and no page latch; its virtual clock
+    /// is advanced past the conflicting release. Returns `LockTimeout` once
+    /// the wait has used up [`LOCK_WAIT_BUDGET`].
     pub fn acquire(&self, ctx: &mut SimCtx, txn: u64, key: LockKey, mode: LockMode) -> Result<()> {
         // Timeout (deadlock-victim) paths drop the guard → abandoned span.
         let sp = self.trace.span(ctx, "lock", "wait");
-        let shard = Arc::clone(self.shard_of(&key));
-        // Taken on the first wait: the uncontended path reads no clock.
-        let mut deadline = None;
-        let mut table = shard.table.lock();
+        let shard = self.shard_of(&key);
+        let deadline = ctx.now() + LOCK_WAIT_BUDGET;
         loop {
+            let mut table = shard.lock();
             let state = table.locks.entry(key.clone()).or_default();
             if Self::compatible(state, txn, mode) {
                 let release = match mode {
@@ -181,14 +165,9 @@ impl LockManager {
                 sp.finish(ctx);
                 return Ok(());
             }
-            let deadline = *deadline.get_or_insert_with(|| {
-                // vedb-lint: allow(no-wall-clock, "real-time budget bounding how long a live OS thread may spin-wait on a row lock; it decides victim selection, never enters reported latencies (those come from the trace span virtual clock)")
-                std::time::Instant::now() + self.timeout
-            });
-            table.waiters += 1;
-            let timed_out = shard.cv.wait_until(&mut table, deadline).timed_out();
-            table.waiters -= 1;
-            if timed_out {
+            table.waiters.push(ctx.waker());
+            drop(table);
+            if ctx.park(Some(deadline)) {
                 self.timeouts.inc();
                 return Err(EngineError::LockTimeout {
                     context: format!("space {} key {:02x?}", key.0, &key.1[..key.1.len().min(8)]),
@@ -200,8 +179,7 @@ impl LockManager {
     /// Release one lock held by `txn`, stamping the release virtual time
     /// (per mode: see `LockState`).
     pub fn release(&self, now: VTime, txn: u64, key: &LockKey) {
-        let shard = self.shard_of(key);
-        let mut table = shard.table.lock();
+        let mut table = self.shard_of(key).lock();
         let mut held = None;
         if let Some(state) = table.locks.get_mut(key) {
             held = state
@@ -215,10 +193,9 @@ impl LockManager {
                 state.last_x_release = state.last_x_release.max(now);
             }
         }
-        if table.waiters > 0 {
-            shard.cv.notify_all();
-        }
+        let waiters = std::mem::take(&mut table.waiters);
         drop(table);
+        waiters.iter().for_each(Waker::wake);
         if let Some((_, grant)) = held {
             let hold = if now > grant {
                 now - grant
@@ -241,8 +218,7 @@ impl LockManager {
         self.shards
             .iter()
             .map(|s| {
-                s.table
-                    .lock()
+                s.lock()
                     .locks
                     // vedb-lint: allow(ordered-serialization, "a count: the order the lock states are visited in cannot change it")
                     .values()
@@ -256,7 +232,6 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn key(k: u8) -> LockKey {
         (1, vec![k])
@@ -264,7 +239,7 @@ mod tests {
 
     #[test]
     fn shared_locks_coexist() {
-        let lm = LockManager::new(4, Duration::from_millis(100));
+        let lm = LockManager::new(4);
         let mut c1 = SimCtx::new(1, 7);
         let mut c2 = SimCtx::new(2, 7);
         lm.acquire(&mut c1, 1, key(1), LockMode::Shared).unwrap();
@@ -274,17 +249,19 @@ mod tests {
 
     #[test]
     fn exclusive_conflicts_and_timeout() {
-        let lm = LockManager::new(4, Duration::from_millis(50));
+        let lm = LockManager::new(4);
         let mut c1 = SimCtx::new(1, 7);
         let mut c2 = SimCtx::new(2, 7);
         lm.acquire(&mut c1, 1, key(1), LockMode::Exclusive).unwrap();
         let err = lm.acquire(&mut c2, 2, key(1), LockMode::Exclusive);
         assert!(matches!(err, Err(EngineError::LockTimeout { .. })));
+        // The victim paid the whole budget, in virtual time only.
+        assert_eq!(c2.now(), LOCK_WAIT_BUDGET);
     }
 
     #[test]
     fn reentrant_and_upgrade() {
-        let lm = LockManager::new(4, Duration::from_millis(100));
+        let lm = LockManager::new(4);
         let mut c1 = SimCtx::new(1, 7);
         lm.acquire(&mut c1, 1, key(1), LockMode::Shared).unwrap();
         lm.acquire(&mut c1, 1, key(1), LockMode::Shared).unwrap();
@@ -296,22 +273,22 @@ mod tests {
 
     #[test]
     fn waiter_inherits_release_vtime() {
-        let lm = Arc::new(LockManager::new(4, Duration::from_secs(5)));
-        let lm2 = Arc::clone(&lm);
-        let mut c1 = SimCtx::new(1, 7);
-        lm.acquire(&mut c1, 1, key(9), LockMode::Exclusive).unwrap();
-
-        let waiter = std::thread::spawn(move || {
-            let mut c2 = SimCtx::new(2, 7);
-            c2.advance(VTime::from_micros(10)); // waiter is "early" in vtime
-            lm2.acquire(&mut c2, 2, key(9), LockMode::Exclusive)
-                .unwrap();
-            c2.now()
+        let lm = LockManager::new(4);
+        let clocks = vedb_sim::run_clients(2, 7, VTime::ZERO, |ctx, client| {
+            if client == 0 {
+                lm.acquire(ctx, 1, key(9), LockMode::Exclusive).unwrap();
+                // Let the waiter, "early" in vtime, reach the lock and park.
+                ctx.advance(VTime::from_millis(1));
+                ctx.yield_now();
+                // Holder releases at a much later virtual time.
+                lm.release(VTime::from_millis(5), 1, &key(9));
+            } else {
+                ctx.advance(VTime::from_micros(10));
+                lm.acquire(ctx, 2, key(9), LockMode::Exclusive).unwrap();
+            }
+            ctx.now()
         });
-        std::thread::sleep(Duration::from_millis(20));
-        // Holder releases at a much later virtual time.
-        lm.release(VTime::from_millis(5), 1, &key(9));
-        let waiter_now = waiter.join().unwrap();
+        let waiter_now = clocks[1];
         assert!(
             waiter_now >= VTime::from_millis(5),
             "waiter must be pushed past the release vtime, got {waiter_now}"
@@ -321,7 +298,7 @@ mod tests {
     #[test]
     fn contention_profile_records_waits_and_holds() {
         let reg = MetricsRegistry::new();
-        let lm = LockManager::with_metrics(4, Duration::from_secs(5), &reg);
+        let lm = LockManager::with_metrics(4, &reg);
         lm.set_space_label(1, "orders");
         let mut c1 = SimCtx::new(1, 7);
         lm.acquire(&mut c1, 1, key(3), LockMode::Exclusive).unwrap();
@@ -349,7 +326,7 @@ mod tests {
 
     #[test]
     fn release_all_clears() {
-        let lm = LockManager::new(4, Duration::from_millis(100));
+        let lm = LockManager::new(4);
         let mut c1 = SimCtx::new(1, 7);
         let keys: Vec<LockKey> = (0..5).map(key).collect();
         for k in &keys {

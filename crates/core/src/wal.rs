@@ -20,15 +20,14 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use vedb_astore::{Lsn, SegmentRing};
 use vedb_blobstore::BlobGroup;
 use vedb_pagestore::redo::{decode_record, encode_record, RedoRecord};
 use vedb_sim::metrics::{Counter, LatencyRecorder, Timeline};
 use vedb_sim::trace::TraceLog;
-use vedb_sim::{LatencyModel, MetricsRegistry, Resource, SimCtx, VTime};
+use vedb_sim::{LatencyModel, MetricsRegistry, Resource, SimCtx, VTime, Waker};
 
 use crate::{EngineError, Result};
 
@@ -360,10 +359,10 @@ impl LogBackend for BlobGroupLog {
 /// must have non-zero `max_batch_bytes` and `max_wait`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FlushPolicy {
-    /// Every committer issues its own backend flush — the pre-consolidator
-    /// behavior, byte-compatible with it. A racing committer's buffered
-    /// bytes still ride along (the flush takes the whole buffer), but in
-    /// practice every commit pays a full one-sided flush.
+    /// Every committer issues its own backend flush: the `Group` path with
+    /// no election and no dwell. Whatever else is buffered rides along (the
+    /// flush takes the whole buffer), but committers do not wait for each
+    /// other, so every commit pays a full one-sided flush.
     #[default]
     PerCommit,
     /// Group-commit consolidation: the first committer to reach the WAL
@@ -404,7 +403,7 @@ struct GroupState {
     /// A leader is currently dwelling or flushing.
     leader: bool,
     /// Committers parked waiting for the leader's batch.
-    waiters: usize,
+    waiters: Vec<Waker>,
     /// Completed flushes: `(end_lsn, virtual time the batch was durable)`.
     /// A carried committer acks at the durable time of the first batch
     /// covering its LSN, never earlier.
@@ -415,14 +414,13 @@ struct GroupState {
 ///
 /// Committers enqueue their frames in the WAL buffer and call
 /// [`Wal::flush`]; the first one in becomes the leader, everyone else
-/// parks here. The leader dwells (real time, so sibling committer threads
-/// actually get to run; virtual time advances in step), takes the buffer,
-/// issues a single [`LogBackend::append_batch`], records the batch's
-/// durable point, and wakes the carried committers — whose clocks are
-/// moved to that durable point before they ack (§V-B ack-after-persist).
+/// parks here. The leader dwells (advancing its clock and yielding, so
+/// committers behind it in virtual time reach the buffer), takes the
+/// buffer, issues a single [`LogBackend::append_batch`], records the
+/// batch's durable point, and wakes the carried committers — whose clocks
+/// are moved to that durable point before they ack (§V-B ack-after-persist).
 struct GroupCommitConsolidator {
     state: Mutex<GroupState>,
-    cv: Condvar,
 }
 
 /// Completed-flush history entries kept for late acks. A committer only
@@ -435,10 +433,9 @@ impl GroupCommitConsolidator {
         GroupCommitConsolidator {
             state: Mutex::new(GroupState {
                 leader: false,
-                waiters: 0,
+                waiters: Vec::new(),
                 history: VecDeque::new(),
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -452,8 +449,8 @@ impl GroupCommitConsolidator {
             .map(|&(_, t)| t)
     }
 
-    /// Record a completed flush's durable point (used by both policies, so
-    /// late acks always have a covering entry).
+    /// Record a completed flush's durable point (every flush does, so late
+    /// acks always have a covering entry).
     fn record(&self, end: Lsn, durable_at: VTime) {
         let mut st = self.state.lock();
         st.history.push_back((end, durable_at));
@@ -466,8 +463,12 @@ impl GroupCommitConsolidator {
     /// covered them, to lead the next one if not (failed flush, or frames
     /// logged after the take).
     fn release(&self) {
-        self.state.lock().leader = false;
-        self.cv.notify_all();
+        let waiters = {
+            let mut st = self.state.lock();
+            st.leader = false;
+            std::mem::take(&mut st.waiters)
+        };
+        waiters.iter().for_each(Waker::wake);
     }
 }
 
@@ -479,17 +480,19 @@ impl GroupCommitConsolidator {
 /// NIC and writes it out with one-sided verbs). *When* the buffer hits the
 /// backend is the [`FlushPolicy`]:
 ///
-/// * [`FlushPolicy::PerCommit`] — every committer flushes immediately.
-///   Despite the whole buffer being taken per flush, committers on
-///   instant virtual clocks almost never overlap, so flushes ≈ commits
-///   (the metrics prove it: `core.wal_flushes` ≈ `core.txn_commits`).
-///   Acks are after-persist under both policies: a committer whose bytes
-///   rode someone else's flush waits until that flush's durable point.
+/// * [`FlushPolicy::PerCommit`] — every committer flushes immediately:
+///   a committer runs its whole flush inside one turn, so flushes =
+///   commits (`core.wal_flushes` = `core.txn_commits`). Acks are
+///   after-persist under both policies: a committer whose bytes rode
+///   someone else's flush waits until that flush's durable point.
 /// * [`FlushPolicy::Group`] — the `GroupCommitConsolidator` elects the
 ///   first committer as leader; it dwells up to `max_wait` (or until
 ///   `max_batch_bytes` accumulate) while concurrent committers are
 ///   *carried*: they park, their frames ride the leader's single batched
 ///   append, and they are acked only once the batch end-LSN is durable.
+///
+/// Both are one body ([`flush`](Self::flush)); [`force`](Self::force) is
+/// that body for callers that must not wait for anyone.
 pub struct Wal {
     backend: Box<dyn LogBackend>,
     state: Mutex<WalBuffer>,
@@ -611,66 +614,41 @@ impl Wal {
     /// configured [`FlushPolicy`]. Returns once the covering backend
     /// write(s) complete — under `Group`, a carried committer returns at
     /// the virtual time its batch became durable, never before.
+    ///
+    /// Under `Group` this yields and parks ([`SimCtx::park`]), so the
+    /// caller must hold no host lock and no page latch: it is the commit
+    /// path's call. Everyone else calls [`force`](Self::force).
     pub fn flush(&self, ctx: &mut SimCtx, upto: Lsn) -> Result<()> {
-        match self.policy {
-            FlushPolicy::PerCommit => self.flush_per_commit(ctx, upto),
-            FlushPolicy::Group {
-                max_batch_bytes,
-                max_wait,
-            } => self.flush_grouped(ctx, upto, max_batch_bytes, max_wait),
-        }
+        self.write_out(ctx, upto, self.policy)
     }
 
-    /// Pre-consolidator flush path, byte-compatible on the wire: every
-    /// caller that finds undurable bytes takes the whole buffer and writes
-    /// it in `max_io` chunks itself. Acks are still after-persist: a
-    /// committer whose bytes rode a racing flush waits until that flush's
-    /// durable point before returning (same history mechanism as the
-    /// grouped path — without it a carried committer would ack at a
-    /// virtual time *before* its bytes hit the backend).
-    fn flush_per_commit(&self, ctx: &mut SimCtx, upto: Lsn) -> Result<()> {
+    /// [`flush`](Self::flush) for a caller that holds latches or locks (an
+    /// eviction, a page miss, a checkpoint, engine open): writes the buffer
+    /// out itself at once — no election, no dwell, never parks — whatever
+    /// the policy. A dwelling leader that then finds the buffer taken acks
+    /// from the flush history, as its followers do.
+    pub fn force(&self, ctx: &mut SimCtx, upto: Lsn) -> Result<()> {
+        self.write_out(ctx, upto, FlushPolicy::PerCommit)
+    }
+
+    /// The one flush body: ack if already durable → (`Group` only: become
+    /// the leader or park behind one; the leader dwells) → under
+    /// `flush_lock`, take the buffer and write it as one batched append →
+    /// publish the durable point → (`Group` only) release leadership.
+    fn write_out(&self, ctx: &mut SimCtx, upto: Lsn, policy: FlushPolicy) -> Result<()> {
         if self.ack_if_durable(ctx, upto) {
             return Ok(());
         }
         let sp = self.trace.span(ctx, "wal", "flush");
-        let _serialize = self.flush_lock.lock();
-        // A racing flush may have carried our bytes while we waited.
-        if self.ack_if_durable(ctx, upto) {
-            sp.finish(ctx);
-            return Ok(());
-        }
-        let Some(taken) = self.take_buffer() else {
-            sp.finish(ctx);
-            return Ok(());
-        };
-        let t0 = ctx.now();
-        for chunk in taken.bytes.chunks(self.max_io) {
-            if let Err(e) = self.backend.append(ctx, chunk) {
-                self.flush_failed(ctx, taken);
-                return Err(e);
-            }
-        }
-        self.flush_completed(ctx, &taken, t0);
-        sp.finish(ctx);
-        Ok(())
-    }
-
-    /// Group-commit flush: lead or be carried.
-    fn flush_grouped(
-        &self,
-        ctx: &mut SimCtx,
-        upto: Lsn,
-        max_batch_bytes: usize,
-        max_wait: VTime,
-    ) -> Result<()> {
-        if self.ack_if_durable(ctx, upto) {
-            return Ok(());
-        }
-        let sp = self.trace.span(ctx, "wal", "flush");
-        // Lead, or park until the current leader's batch lands.
+        let leading = matches!(policy, FlushPolicy::Group { .. });
+        if let FlushPolicy::Group {
+            max_batch_bytes,
+            max_wait,
+        } = policy
         {
-            let mut g = self.group.state.lock();
+            // Lead, or park until the current leader's batch lands.
             loop {
+                let mut g = self.group.state.lock();
                 if self.flushed.load(Ordering::Acquire) > upto {
                     drop(g);
                     self.ack_if_durable(ctx, upto);
@@ -681,12 +659,16 @@ impl Wal {
                     g.leader = true;
                     break;
                 }
-                g.waiters += 1;
-                self.group.cv.wait(&mut g);
-                g.waiters -= 1;
+                g.waiters.push(ctx.waker());
+                drop(g);
+                ctx.park(None);
             }
+            self.dwell(ctx, max_batch_bytes, max_wait);
         }
-        let result = self.lead_group_flush(ctx, max_batch_bytes, max_wait);
+        let result = self.take_and_append(ctx, upto, leading);
+        if leading {
+            self.group.release();
+        }
         sp.finish(ctx);
         result
     }
@@ -705,18 +687,9 @@ impl Wal {
         true
     }
 
-    /// The leader half of the consolidator: dwell, take, batch-append,
-    /// publish the durable point, wake the carried committers.
-    fn lead_group_flush(
-        &self,
-        ctx: &mut SimCtx,
-        max_batch_bytes: usize,
-        max_wait: VTime,
-    ) -> Result<()> {
-        // Dwell so concurrent committers can enqueue. Virtual clocks
-        // advance in zero real time, so the dwell must burn *real* time
-        // for sibling committer threads to actually reach the buffer; the
-        // virtual clock advances in step to keep the latency honest.
+    /// The leader's dwell: let committers behind it in virtual time reach
+    /// the buffer, one `max_wait / 4` step at a time.
+    fn dwell(&self, ctx: &mut SimCtx, max_batch_bytes: usize, max_wait: VTime) {
         const DWELL_STEPS: u64 = 4;
         let step = VTime::from_nanos((max_wait.as_nanos() / DWELL_STEPS).max(1));
         for i in 0..DWELL_STEPS {
@@ -726,37 +699,42 @@ impl Wal {
             // Solo fast path: after one arrival window with nobody parked
             // behind us, stop dwelling — a lone committer pays at most one
             // step of extra latency.
-            if i > 0 && self.group.state.lock().waiters == 0 {
+            if i > 0 && self.group.state.lock().waiters.is_empty() {
                 break;
             }
-            // vedb-lint: allow(no-wall-clock, "group-commit leader dwell burns real CPU time so sibling committer OS threads can enqueue; the virtual clock charges the flush separately, so reports are unaffected")
-            std::thread::sleep(Duration::from_micros(60));
             ctx.advance(step);
+            ctx.yield_now();
         }
+    }
+
+    /// Take the buffer and write it out as one batched append, under
+    /// `flush_lock`. `leading`: the caller is the elected leader, and the
+    /// committers parked behind it are carried by this batch.
+    fn take_and_append(&self, ctx: &mut SimCtx, upto: Lsn, leading: bool) -> Result<()> {
         let _serialize = self.flush_lock.lock();
+        // Another flush may have carried our bytes while we dwelt or
+        // waited for the lock.
+        if self.ack_if_durable(ctx, upto) {
+            return Ok(());
+        }
         let Some(taken) = self.take_buffer() else {
-            self.group.release();
             return Ok(());
         };
-        let carried = {
-            // Everyone parked right now rides this batch.
-            let g = self.group.state.lock();
-            g.waiters as u64
-        };
+        // Everyone parked behind a leader right now rides this batch.
+        let carried = leading.then(|| self.group.state.lock().waiters.len() as u64);
         let t0 = ctx.now();
         let records = Self::split_records(&taken.bytes, &taken.frames, self.max_io);
-        let outcome = self.backend.append_batch(ctx, &records);
-        if let Err(e) = outcome {
+        if let Err(e) = self.backend.append_batch(ctx, &records) {
             // Affected committers wake, retry as leaders, and fail loudly
             // if the backend is truly gone — none acks on a guess.
             self.flush_failed(ctx, taken);
-            self.group.release();
             return Err(e);
         }
-        self.group_flushes.inc();
-        self.carried_commits.add(carried);
+        if let Some(carried) = carried {
+            self.group_flushes.inc();
+            self.carried_commits.add(carried);
+        }
         self.flush_completed(ctx, &taken, t0);
-        self.group.release();
         Ok(())
     }
 

@@ -8,7 +8,7 @@ use vedb_core::db::{Db, DbConfig, LogBackendKind, StorageFabric};
 use vedb_core::ebp::EbpConfig;
 use vedb_core::recovery;
 use vedb_core::{EngineError, Value};
-use vedb_sim::{ClusterSpec, SimCtx, VTime};
+use vedb_sim::{run_clients, ClusterSpec, SimCtx, VTime};
 
 fn fabric() -> StorageFabric {
     StorageFabric::build(ClusterSpec::paper_default(), 32 << 20, 256 * 1024)
@@ -521,24 +521,19 @@ fn concurrent_commits_produce_a_parseable_log() {
     let db = open_db(&mut ctx, &f, DbConfig::builder().build().unwrap());
     let base = ctx.now();
 
-    std::thread::scope(|scope| {
-        for t in 0..8i64 {
-            let db = &db;
-            scope.spawn(move || {
-                let mut ctx = SimCtx::new(100 + t as u64, 42);
-                ctx.wait_until(base);
-                for i in 0..40 {
-                    let mut txn = db.begin();
-                    db.insert(
-                        &mut ctx,
-                        &mut txn,
-                        "accounts",
-                        row(t * 1000 + i, &format!("t{t}"), i),
-                    )
-                    .unwrap();
-                    db.commit(&mut ctx, &mut txn).unwrap();
-                }
-            });
+    run_clients(8, 42, base, |ctx, t| {
+        let t = t as i64;
+        for i in 0..40 {
+            ctx.yield_now();
+            let mut txn = db.begin();
+            db.insert(
+                ctx,
+                &mut txn,
+                "accounts",
+                row(t * 1000 + i, &format!("t{t}"), i),
+            )
+            .unwrap();
+            db.commit(ctx, &mut txn).unwrap();
         }
     });
 
@@ -582,24 +577,19 @@ fn group_commit_policy_consolidates_flushes_without_losing_commits() {
     let db = open_db(&mut ctx, &f, cfg);
     let base = ctx.now();
 
-    std::thread::scope(|scope| {
-        for t in 0..8i64 {
-            let db = &db;
-            scope.spawn(move || {
-                let mut ctx = SimCtx::new(100 + t as u64, 42);
-                ctx.wait_until(base);
-                for i in 0..40 {
-                    let mut txn = db.begin();
-                    db.insert(
-                        &mut ctx,
-                        &mut txn,
-                        "accounts",
-                        row(t * 1000 + i, &format!("t{t}"), i),
-                    )
-                    .unwrap();
-                    db.commit(&mut ctx, &mut txn).unwrap();
-                }
-            });
+    run_clients(8, 42, base, |ctx, t| {
+        let t = t as i64;
+        for i in 0..40 {
+            ctx.yield_now();
+            let mut txn = db.begin();
+            db.insert(
+                ctx,
+                &mut txn,
+                "accounts",
+                row(t * 1000 + i, &format!("t{t}"), i),
+            )
+            .unwrap();
+            db.commit(ctx, &mut txn).unwrap();
         }
     });
 

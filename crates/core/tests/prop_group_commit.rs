@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use vedb_astore::Lsn;
 use vedb_core::wal::{FlushPolicy, LogBackend, Wal, WalRecord};
 use vedb_core::Result;
-use vedb_sim::{MetricsRegistry, SimCtx, VTime};
+use vedb_sim::{run_clients, MetricsRegistry, SimCtx, VTime};
 
 /// In-memory log backend: durable the instant `append` returns, with a
 /// small virtual-time cost so flush latency is non-zero. Counts physical
@@ -85,30 +85,24 @@ fn run_interleaving(policy: FlushPolicy, schedules: &[Vec<u64>]) {
     let bytes_logged = reg.counter("core", "wal_bytes_logged");
     let bytes_flushed = reg.counter("core", "wal_bytes_flushed");
 
-    std::thread::scope(|s| {
-        for (id, schedule) in schedules.iter().enumerate() {
-            let wal = Arc::clone(&wal);
-            s.spawn(move || {
-                let mut ctx = SimCtx::new(id as u64 + 1, 0x9E0 + id as u64);
-                for (op, think_ns) in schedule.iter().enumerate() {
-                    ctx.advance(VTime::from_nanos(*think_ns));
-                    // txn_id encodes (committer, op) so stream order per
-                    // committer is checkable after the fact.
-                    let txn_id = (id as u64) << 32 | op as u64;
-                    let lsn = wal
-                        .log(&mut ctx, &WalRecord::Commit { txn_id })
-                        .expect("log");
-                    wal.flush(&mut ctx, lsn).expect("flush");
-                    // Ack-after-persist: our commit is durable the moment
-                    // flush returns, led or carried.
-                    assert!(
-                        wal.flushed_lsn() > lsn,
-                        "committer {id} op {op}: acked at lsn {lsn} but \
-                         watermark is {}",
-                        wal.flushed_lsn()
-                    );
-                }
-            });
+    run_clients(schedules.len(), 0x9E0, VTime::ZERO, |ctx, id| {
+        for (op, think_ns) in schedules[id].iter().enumerate() {
+            // The think times decide who reaches the log first.
+            ctx.advance(VTime::from_nanos(*think_ns));
+            ctx.yield_now();
+            // txn_id encodes (committer, op) so stream order per
+            // committer is checkable after the fact.
+            let txn_id = (id as u64) << 32 | op as u64;
+            let lsn = wal.log(ctx, &WalRecord::Commit { txn_id }).expect("log");
+            wal.flush(ctx, lsn).expect("flush");
+            // Ack-after-persist: our commit is durable the moment
+            // flush returns, led or carried.
+            assert!(
+                wal.flushed_lsn() > lsn,
+                "committer {id} op {op}: acked at lsn {lsn} but \
+                 watermark is {}",
+                wal.flushed_lsn()
+            );
         }
     });
 
@@ -162,7 +156,7 @@ impl LogBackend for ArcLog {
 }
 
 proptest! {
-    // Each case spawns real threads; keep the case count modest.
+    // Each case starts a thread per committer; keep the case count modest.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]

@@ -14,6 +14,8 @@
 //!
 //! * [`VTime`] / [`SimCtx`] — virtual timestamps and per-client clocks,
 //! * [`Resource`] — contended k-lane resources,
+//! * [`run_clients`] — concurrent clients under one baton, interleaved by
+//!   virtual clock ([`sched`]),
 //! * [`LatencyModel`] — calibrated device/network service times,
 //! * [`LatencyRecorder`] — log-bucketed latency histograms (P50/P95/P99/max),
 //! * [`ClusterSpec`] — the Table I cluster encoded as resources,
@@ -32,6 +34,7 @@ pub mod profile;
 pub mod report;
 pub mod resource;
 pub mod rng;
+pub mod sched;
 pub mod time;
 pub mod trace;
 pub mod workers;
@@ -45,6 +48,7 @@ pub use profile::{FaultEvent, OpStat, PhaseStat, Profile, TimelineSnapshot};
 pub use report::{LatencySummary, ResourceSummary, RunReport};
 pub use resource::Resource;
 pub use rng::SimRng;
+pub use sched::{run_clients, Waker};
 pub use time::{SimCtx, VTime};
 pub use trace::{SpanGuard, TraceEvent, TraceLog};
 pub use workers::WorkerPool;

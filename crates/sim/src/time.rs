@@ -13,7 +13,10 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
+use std::sync::Arc;
+
 use crate::rng::SimRng;
+use crate::sched::Seat;
 
 /// A point in (or span of) virtual time, in nanoseconds.
 ///
@@ -179,6 +182,9 @@ pub struct SimCtx {
     /// fan-out, async REDO shipping) never interleave with — and never
     /// falsely parent under — the forking client's open span stack.
     trace_client: u64,
+    /// This client's place under a [`run_clients`](crate::sched::run_clients)
+    /// baton; `None` for a lone context (see [`sched`](crate::sched)).
+    pub(crate) seat: Option<Arc<Seat>>,
 }
 
 impl SimCtx {
@@ -190,6 +196,7 @@ impl SimCtx {
             rng: SimRng::new(seed ^ client_id.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             client_id,
             trace_client: client_id,
+            seat: None,
         }
     }
 
@@ -231,7 +238,8 @@ impl SimCtx {
     /// striping, push-down task scatter). The child gets a fresh RNG stream
     /// derived from the parent. Re-join with
     /// [`wait_until`](Self::wait_until)`(child.now())` — typically the max
-    /// over all children.
+    /// over all children. The child is a lone context: it runs inside its
+    /// parent's turn and never yields.
     pub fn fork(&mut self) -> SimCtx {
         let seed = self.rng.next_u64();
         SimCtx {
@@ -242,6 +250,7 @@ impl SimCtx {
             // that already individualizes the child); the high bit keeps it
             // clear of the small integers real client ids use.
             trace_client: seed | (1 << 63),
+            seat: None,
         }
     }
 }

@@ -1,27 +1,19 @@
 //! The multi-client virtual-time trial driver.
 //!
-//! Each simulated client runs on its own OS thread with its own virtual
-//! clock. A trial has a warm-up phase (operations run, nothing recorded)
-//! and a measurement window; throughput is committed operations per
-//! virtual second of the window, and the latency histogram collects
-//! per-operation virtual durations. Resource contention (engine CPU, PMem
-//! lanes, SSD channels, NIC links) and lock contention are shared across
-//! clients, so throughput saturates and collapses exactly where the
-//! simulated hardware says it should.
+//! Each simulated client has its own virtual clock and runs under the
+//! [`run_clients`] baton: between operations a client yields, so the next
+//! operation always belongs to the client with the lowest clock and a
+//! trial's interleaving is a function of its seed. A trial has a warm-up
+//! phase (operations run, nothing recorded) and a measurement window;
+//! throughput is committed operations per virtual second of the window, and
+//! the latency histogram collects per-operation virtual durations. Resource
+//! contention (engine CPU, PMem lanes, SSD channels, NIC links) and lock
+//! contention are shared across clients, so throughput saturates and
+//! collapses exactly where the simulated hardware says it should.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use vedb_sim::{LatencyRecorder, SimCtx, TrialResult, VTime};
-
-/// Default synchronization window (see [`DriverConfig::sync_window`]): a
-/// client may run at most this far ahead (in virtual time) of the slowest
-/// active client. Without the bound, client clocks diverge (one unlucky
-/// tail-latency operation), and a client "in the future" reserves resource
-/// lanes that artificially delay clients "in the past" — a causality
-/// violation that inflates queueing. Throttling happens only *between*
-/// operations, when a client holds no locks, so it cannot deadlock; the
-/// globally slowest client never throttles, so progress is guaranteed.
-pub const DEFAULT_SYNC_WINDOW: VTime = VTime::from_millis(10);
+use vedb_sim::{run_clients, LatencyRecorder, SimCtx, TrialResult, VTime};
 
 /// Trial shape.
 #[derive(Debug, Clone)]
@@ -39,14 +31,6 @@ pub struct DriverConfig {
     /// monotonic in virtual time, so clients starting "in the past" would
     /// instantly be catapulted forward and measure nothing.
     pub start: VTime,
-    /// How far (in virtual time) a client may run ahead of the slowest
-    /// active client before throttling ([`DEFAULT_SYNC_WINDOW`] unless a
-    /// bench narrows it). A wide window lets a client bank many cheap
-    /// operations before it realizes queueing it caused for others, which
-    /// smears contention into the latency tail; benches that study a
-    /// contended device at the *median* want a window of only a few
-    /// operation-latencies.
-    pub sync_window: VTime,
 }
 
 impl DriverConfig {
@@ -58,7 +42,6 @@ impl DriverConfig {
             measure: VTime::from_millis(100),
             seed: 42,
             start: VTime::ZERO,
-            sync_window: DEFAULT_SYNC_WINDOW,
         }
     }
 
@@ -92,76 +75,35 @@ where
     let end = cfg.start + cfg.warmup + cfg.measure;
     let record_from = cfg.start + cfg.warmup;
 
-    // Per-client clock board for the conservative sync window.
-    let clocks: Vec<AtomicU64> = (0..cfg.clients)
-        .map(|_| AtomicU64::new(cfg.start.as_nanos()))
-        .collect();
-
-    std::thread::scope(|scope| {
-        for client in 0..cfg.clients {
-            let op = &op;
-            let committed = &committed;
-            let aborted = &aborted;
-            let latency = &latency;
-            let clocks = &clocks;
-            scope.spawn(move || {
-                // Publish MAX on every exit path, including a panicking
-                // `op`: a client that dies with a stale clock would pin the
-                // fleet minimum and leave every survivor throttling forever.
-                struct ClockOut<'a>(&'a AtomicU64);
-                impl Drop for ClockOut<'_> {
-                    fn drop(&mut self) {
-                        self.0.store(u64::MAX, Ordering::Release);
-                    }
+    run_clients(cfg.clients, cfg.seed, cfg.start, |ctx, client| {
+        while ctx.now() < end {
+            // Whoever is furthest behind in virtual time goes next.
+            ctx.yield_now();
+            let t0 = ctx.now();
+            let outcome = op(ctx, client);
+            // Guard against operations that charge nothing (would
+            // spin forever in virtual time).
+            if ctx.now() == t0 {
+                ctx.advance(VTime::from_nanos(100));
+            }
+            // Steady-state accounting: count an operation in the
+            // window its *completion* falls into, so a flood of
+            // first-operations from a large client fleet cannot
+            // inflate the measured window.
+            let done = ctx.now();
+            if done < record_from || done > end {
+                continue;
+            }
+            match outcome {
+                OpOutcome::Committed => {
+                    committed.fetch_add(1, Ordering::Relaxed);
+                    latency.record(ctx.now() - t0);
                 }
-                let _clock_out = ClockOut(&clocks[client]);
-                let mut ctx = SimCtx::new(client as u64 + 1, cfg.seed);
-                ctx.wait_until(cfg.start);
-                while ctx.now() < end {
-                    clocks[client].store(ctx.now().as_nanos(), Ordering::Release);
-                    // Throttle until we are within the window of the
-                    // slowest active client (finished clients read as MAX).
-                    loop {
-                        let min = clocks
-                            .iter()
-                            .map(|c| c.load(Ordering::Acquire))
-                            .min()
-                            .unwrap_or(0);
-                        if ctx.now().as_nanos() <= min + cfg.sync_window.as_nanos() {
-                            break;
-                        }
-                        // Cheap real-time wait; large fleets must not
-                        // spin-burn the host's cores.
-                        // vedb-lint: allow(no-wall-clock, "sync-window throttle for live OS worker threads waiting on the slowest member; pure real-time pacing, reported timings all come from SimCtx")
-                        std::thread::sleep(std::time::Duration::from_micros(200));
-                    }
-                    let t0 = ctx.now();
-                    let outcome = op(&mut ctx, client);
-                    // Guard against operations that charge nothing (would
-                    // spin forever in virtual time).
-                    if ctx.now() == t0 {
-                        ctx.advance(VTime::from_nanos(100));
-                    }
-                    // Steady-state accounting: count an operation in the
-                    // window its *completion* falls into, so a flood of
-                    // first-operations from a large client fleet cannot
-                    // inflate the measured window.
-                    let done = ctx.now();
-                    if done < record_from || done > end {
-                        continue;
-                    }
-                    match outcome {
-                        OpOutcome::Committed => {
-                            committed.fetch_add(1, Ordering::Relaxed);
-                            latency.record(ctx.now() - t0);
-                        }
-                        OpOutcome::Aborted => {
-                            aborted.fetch_add(1, Ordering::Relaxed);
-                        }
-                        OpOutcome::Skip => {}
-                    }
+                OpOutcome::Aborted => {
+                    aborted.fetch_add(1, Ordering::Relaxed);
                 }
-            });
+                OpOutcome::Skip => {}
+            }
         }
     });
 
@@ -184,7 +126,6 @@ mod tests {
             measure: VTime::from_millis(100),
             seed: 1,
             start: VTime::ZERO,
-            sync_window: DEFAULT_SYNC_WINDOW,
         };
         // Every op takes exactly 1ms of virtual time.
         let result = run_trial(&cfg, |ctx, _| {
@@ -232,9 +173,9 @@ mod tests {
 
     #[test]
     fn panicking_client_does_not_hang_the_fleet() {
-        // A client whose op panics must not strand the survivors in the
-        // sync-window throttle: its clock reads MAX, the fleet drains, and
-        // the panic resurfaces from the scope join instead of a deadlock.
+        // A client whose op panics must not strand the survivors waiting
+        // for the baton: it passes it on, the fleet drains, and the panic
+        // resurfaces from `run_clients` instead of a deadlock.
         let cfg = DriverConfig::quick(4);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_trial(&cfg, |ctx, client| {

@@ -267,7 +267,6 @@ fn driver_latency_under_contention_grows_with_clients() {
             measure: VTime::from_millis(60),
             seed: 5,
             start: cursor,
-            sync_window: vedb_workloads::driver::DEFAULT_SYNC_WINDOW,
         };
         cursor = cursor + cfg.warmup + cfg.measure;
         let r = run_trial(&cfg, |ctx, _| orders::order_batch(ctx, &db));

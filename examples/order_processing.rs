@@ -54,7 +54,6 @@ fn main() {
                 measure: VTime::from_millis(120),
                 seed: 11,
                 start,
-                sync_window: vedb_workloads::driver::DEFAULT_SYNC_WINDOW,
             };
             start = start + cfg.warmup + cfg.measure;
             let db2 = Arc::clone(&db);
