@@ -102,26 +102,33 @@ impl Deployment {
     }
 }
 
-/// Directory `BENCH_<name>.json` artifacts are written to: the
-/// `VEDB_BENCH_DIR` environment variable when set, otherwise the workspace
-/// root (bench binaries run from arbitrary cwds under `cargo bench`).
+/// Directory `BENCH_<name>.json` artifacts are written to: the workspace
+/// root, or the `VEDB_BENCH_DIR` environment variable when set — a relative
+/// value is taken from the workspace root too, because `cargo bench` runs a
+/// bench target from its package directory, not from where it was typed.
 pub fn bench_report_dir() -> PathBuf {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     match std::env::var_os("VEDB_BENCH_DIR") {
-        Some(d) => PathBuf::from(d),
-        None => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
+        Some(d) => root.join(d),
+        None => root,
     }
 }
 
 /// Print `report`'s `vedb-top` summary and write it as `BENCH_<name>.json`
-/// into [`bench_report_dir`]; returns the path written. The summary is
-/// rendered from the serialized bytes, so it is what `report_flame --top`
-/// shows for the file later. Errors are returned, not panicked, so a
-/// read-only checkout degrades to console-only output.
+/// into [`bench_report_dir`] (created if missing); returns the absolute
+/// path written. The summary is rendered from the serialized bytes, so it
+/// is what `report_flame --top` shows for the file later. Errors are
+/// returned, not panicked, so a read-only checkout degrades to console-only
+/// output.
 pub fn write_bench_report(report: &RunReport) -> std::io::Result<PathBuf> {
-    let path = bench_report_dir().join(format!("BENCH_{}.json", report.name));
     let json = report.to_json();
     let doc = diff::parse_json(&json).expect("RunReport::to_json emits well-formed JSON");
     print!("{}", flame::top_summary(&doc));
+    let dir = bench_report_dir();
+    std::fs::create_dir_all(&dir)?;
+    let path = dir
+        .canonicalize()?
+        .join(format!("BENCH_{}.json", report.name));
     std::fs::write(&path, json)?;
     println!("  wrote {}", path.display());
     Ok(path)
