@@ -1,33 +1,200 @@
-//! Determinism regression: two fresh, identically-seeded single-client
-//! simulation runs must produce **byte-identical** `RunReport` snapshots.
+//! Determinism regression: two fresh, identically-seeded simulation runs
+//! must produce **byte-identical** `RunReport` snapshots — at one client
+//! and at 64, under either flush policy.
 //!
 //! This is the property the whole virtual-time methodology rests on — if
 //! two same-seed runs diverge in any counter, latency bucket, or the JSON
 //! encoding itself, figures stop being reproducible and CI artifact diffs
-//! become noise. One client keeps the run single-threaded; multi-client
-//! trials interleave on wall-clock thread scheduling and are exempt from
-//! bit-level reproducibility.
+//! become noise. Clients run under the `run_clients` baton, so which of
+//! them runs next is a function of their virtual clocks and a multi-client
+//! trial is as repeatable as a single-client one.
 
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vedb_bench::Deployment;
 use vedb_core::db::{DbConfig, LogBackendKind};
+use vedb_core::ebp::EbpConfig;
+use vedb_core::query::{execute, QuerySession};
+use vedb_core::FlushPolicy;
 use vedb_pagestore::ApplyConfig;
 use vedb_sim::{ClusterSpec, RunReport, VTime};
+use vedb_workloads::driver::OpOutcome;
+use vedb_workloads::lookup::{self, LookupScale};
 use vedb_workloads::tpcc::{self, TpccScale};
+use vedb_workloads::{chbench, orders};
+
+const TPCC_TINY: TpccScale = TpccScale {
+    warehouses: 2,
+    districts: 2,
+    customers: 20,
+    items: 60,
+    initial_orders: 5,
+};
+
+#[derive(Debug, Clone, Copy)]
+enum Workload {
+    Tpcc,
+    SingleInsert,
+    Lookup,
+    /// The 22 CH queries with push-down, round-robin from the client's index.
+    ChQueries,
+}
+
+/// Everything a repeat of the same case must reproduce.
+#[derive(PartialEq)]
+struct Outcome {
+    json: String,
+    /// Latest clock any client's operation ended at.
+    final_clock: u64,
+    counters: BTreeMap<String, u64>,
+}
+
+/// A fresh deployment, `workload` loaded, one traced trial of `clients`.
+fn run_case(workload: Workload, clients: usize, policy: FlushPolicy) -> (RunReport, Outcome) {
+    let mut dep = Deployment::open(
+        DbConfig::builder()
+            .bp_pages(64)
+            .bp_shards(4)
+            .log(LogBackendKind::AStore)
+            .ring_segments(8)
+            .ebp(EbpConfig::default())
+            .flush_policy(policy)
+            .build()
+            .unwrap(),
+    );
+    let (ctx, db) = (&mut dep.ctx, Arc::clone(&dep.db));
+    let lookups = LookupScale::tiny();
+    match workload {
+        Workload::Tpcc => {
+            db.define_schema(tpcc::define_schema);
+            db.create_tables(ctx).unwrap();
+            tpcc::load(ctx, &db, &TPCC_TINY).unwrap();
+        }
+        Workload::SingleInsert => {
+            db.define_schema(orders::define_schema);
+            db.create_tables(ctx).unwrap();
+            orders::load(ctx, &db).unwrap();
+        }
+        Workload::Lookup => {
+            db.define_schema(lookup::define_schema);
+            db.create_tables(ctx).unwrap();
+            lookup::load(ctx, &db, lookups).unwrap();
+        }
+        Workload::ChQueries => {
+            db.define_schema(|cat| {
+                tpcc::define_schema(cat);
+                chbench::extend_schema(cat);
+            });
+            db.create_tables(ctx).unwrap();
+            tpcc::load(ctx, &db, &TPCC_TINY).unwrap();
+            chbench::load_extra(ctx, &db).unwrap();
+            db.flush_ship(ctx, true);
+        }
+    }
+    dep.metrics().trace().set_capacity(1 << 18);
+    dep.metrics().trace().enable();
+
+    let plans = chbench::all_queries();
+    let pushdown = QuerySession::with_pushdown();
+    let turns: Vec<AtomicU64> = (0..clients).map(|_| AtomicU64::new(0)).collect();
+    let final_clock = AtomicU64::new(0);
+    let trial = dep.trial(
+        clients,
+        VTime::from_millis(2),
+        VTime::from_millis(10),
+        |ctx, client| {
+            let outcome = match workload {
+                Workload::Tpcc => tpcc::run_transaction(ctx, &db, &TPCC_TINY),
+                Workload::SingleInsert => orders::single_insert(ctx, &db),
+                Workload::Lookup => lookup::lookup_op(ctx, &db, lookups),
+                Workload::ChQueries => {
+                    let turn = turns[client].fetch_add(1, Ordering::Relaxed) as usize;
+                    let (n, plan) = &plans[(client + turn) % plans.len()];
+                    execute(ctx, &db, &pushdown, plan)
+                        .unwrap_or_else(|e| panic!("Q{n} failed with pushdown: {e}"));
+                    OpOutcome::Committed
+                }
+            };
+            final_clock.fetch_max(ctx.now().as_nanos(), Ordering::Relaxed);
+            outcome
+        },
+    );
+    let report = dep.report("det", Some(&trial));
+    let outcome = Outcome {
+        json: report.to_json(),
+        final_clock: final_clock.into_inner(),
+        counters: dep.metrics().counter_values(),
+    };
+    (report, outcome)
+}
+
+/// Byte-level mismatch: show the first differing line for triage.
+fn assert_same_json(ja: &str, jb: &str) {
+    if ja != jb {
+        for (la, lb) in ja.lines().zip(jb.lines()) {
+            if la != lb {
+                panic!("reports diverge:\n  run A: {la}\n  run B: {lb}");
+            }
+        }
+        panic!(
+            "reports differ in length: {} vs {} bytes",
+            ja.len(),
+            jb.len()
+        );
+    }
+}
+
+/// The table: four workload shapes × {1, 64} clients × both flush policies,
+/// each run twice in this process. The report, the final clock and every
+/// registry counter repeat.
+#[test]
+fn seeded_runs_are_byte_identical_at_1_and_64_clients_under_both_policies() {
+    let group = FlushPolicy::Group {
+        max_batch_bytes: 64 * 1024,
+        max_wait: VTime::from_micros(100),
+    };
+    for workload in [
+        Workload::Tpcc,
+        Workload::SingleInsert,
+        Workload::Lookup,
+        Workload::ChQueries,
+    ] {
+        for clients in [1, 64] {
+            for policy in [FlushPolicy::PerCommit, group] {
+                let case = format!("{workload:?} x {clients} clients, {policy:?}");
+                let (report, a) = run_case(workload, clients, policy);
+                let (_, b) = run_case(workload, clients, policy);
+
+                // Sanity: the run actually did work — an empty report being
+                // equal to another empty report would prove nothing.
+                assert!(report.throughput() > 0.0, "{case}: committed nothing");
+                assert!(report.counter("pmem.writes") > 0, "{case}");
+                assert!(report.counter("rdma.chain_writes") > 0, "{case}");
+                // ... and at 64 clients through the waits the baton orders:
+                // parked row-lock waiters, committers carried by a leader.
+                if clients == 64 && matches!(workload, Workload::Tpcc) {
+                    assert!(report.counter("core.lock_waits") > 0, "{case}");
+                }
+                if clients == 64 && policy == group && matches!(workload, Workload::SingleInsert) {
+                    assert!(report.counter("core.wal_carried_commits") > 0, "{case}");
+                }
+
+                assert_same_json(&a.json, &b.json);
+                assert_eq!(a.final_clock, b.final_clock, "{case}: final clock");
+                assert_eq!(a.counters, b.counters, "{case}: counters");
+            }
+        }
+    }
+}
 
 fn run_once(name: &str) -> RunReport {
     run_once_with(name, ApplyConfig::default())
 }
 
 fn run_once_with(name: &str, apply: ApplyConfig) -> RunReport {
-    let scale = TpccScale {
-        warehouses: 2,
-        districts: 2,
-        customers: 20,
-        items: 60,
-        initial_orders: 5,
-    };
+    let scale = TPCC_TINY;
     let mut dep = Deployment::open_with_apply(
         DbConfig::builder()
             .bp_pages(512)
@@ -60,35 +227,6 @@ fn run_once_with(name: &str, apply: ApplyConfig) -> RunReport {
     dep.report(name, Some(&r))
 }
 
-#[test]
-fn seeded_single_client_runs_are_byte_identical() {
-    let a = run_once("det");
-    let b = run_once("det");
-
-    // Sanity: the run actually did work — an empty report being equal to
-    // another empty report would prove nothing.
-    assert!(a.throughput() > 0.0, "trial committed nothing");
-    assert!(a.counter("core.txn_commits") > 0);
-    assert!(a.counter("pmem.writes") > 0);
-    assert!(a.counter("rdma.chain_writes") > 0);
-
-    let ja = a.to_json();
-    let jb = b.to_json();
-    if ja != jb {
-        // Byte-level mismatch: show the first differing line for triage.
-        for (la, lb) in ja.lines().zip(jb.lines()) {
-            if la != lb {
-                panic!("reports diverge:\n  run A: {la}\n  run B: {lb}");
-            }
-        }
-        panic!(
-            "reports differ in length: {} vs {} bytes",
-            ja.len(),
-            jb.len()
-        );
-    }
-}
-
 /// Same property with the apply pipeline cranked: an 8-worker parallel
 /// applier plus an aggressive background checkpointer must not introduce
 /// any scheduling nondeterminism — the worker pool folds partitions onto
@@ -113,20 +251,7 @@ fn parallel_apply_and_checkpointer_runs_are_byte_identical() {
         "checkpoints must truncate replayed log"
     );
 
-    let ja = a.to_json();
-    let jb = b.to_json();
-    if ja != jb {
-        for (la, lb) in ja.lines().zip(jb.lines()) {
-            if la != lb {
-                panic!("reports diverge:\n  run A: {la}\n  run B: {lb}");
-            }
-        }
-        panic!(
-            "reports differ in length: {} vs {} bytes",
-            ja.len(),
-            jb.len()
-        );
-    }
+    assert_same_json(&a.to_json(), &b.to_json());
 }
 
 #[test]

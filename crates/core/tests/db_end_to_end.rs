@@ -361,6 +361,38 @@ fn crash_recovery_replays_committed_and_undoes_losers() {
         .is_some());
 }
 
+/// 2000 rows wide enough that `accounts` outgrows a 16-page pool.
+fn load_wide_accounts(ctx: &mut SimCtx, db: &Db) {
+    for batch in 0..20 {
+        let mut load = db.begin();
+        for i in batch * 100..(batch + 1) * 100 {
+            let owner = format!("{i:0>300}");
+            db.insert(ctx, &mut load, "accounts", row(i, &owner, i))
+                .unwrap();
+        }
+        db.commit(ctx, &mut load).unwrap();
+        // The fabric's ring is 256 KB segments: keep it truncated.
+        db.checkpoint(ctx).unwrap();
+    }
+}
+
+/// Update an unindexed column of row 3 (one page record) in a transaction
+/// that stays open, then push the updated leaf out of the 16-page pool into
+/// the EBP by reading the other end of the table.
+fn update_then_evict_the_leaf(ctx: &mut SimCtx, db: &Db) -> vedb_core::TxnHandle {
+    let mut open_txn = db.begin();
+    db.update_by_pk(ctx, &mut open_txn, "accounts", &[Value::Int(3)], |r| {
+        r[2] = Value::Int(-777)
+    })
+    .unwrap();
+    for i in (1000..2000).rev() {
+        db.get_by_pk(ctx, None, "accounts", &[Value::Int(i)])
+            .unwrap()
+            .unwrap();
+    }
+    open_txn
+}
+
 /// WAL rule at the boundary: the durable watermark is exclusive, so a page
 /// whose newest record *starts at* it is not covered. Evict such a page,
 /// power-fail every PMem device, recover: no EBP image may be ahead of the
@@ -376,34 +408,12 @@ fn page_evicted_at_the_watermark_is_not_persisted_ahead_of_its_log() {
         .build()
         .unwrap();
     let db = open_db(&mut ctx, &f, cfg.clone());
-    for batch in 0..20 {
-        let mut load = db.begin();
-        for i in batch * 100..(batch + 1) * 100 {
-            // Wide rows: the table must outgrow the pool.
-            let owner = format!("{i:0>300}");
-            db.insert(&mut ctx, &mut load, "accounts", row(i, &owner, i))
-                .unwrap();
-        }
-        db.commit(&mut ctx, &mut load).unwrap();
-        // The fabric's ring is 256 KB segments: keep it truncated.
-        db.checkpoint(&mut ctx).unwrap();
-    }
+    load_wide_accounts(&mut ctx, &db);
     assert_eq!(db.wal().flushed_lsn(), db.wal().next_lsn());
 
-    // One update of an unindexed column: one page record, and it starts
-    // exactly at the watermark. The transaction never commits.
+    // The one page record of the update starts exactly at the watermark.
     let watermark = db.wal().flushed_lsn();
-    let mut open_txn = db.begin();
-    db.update_by_pk(&mut ctx, &mut open_txn, "accounts", &[Value::Int(3)], |r| {
-        r[2] = Value::Int(-777)
-    })
-    .unwrap();
-    // Push the updated leaf out of the 16-page pool, into the EBP.
-    for i in (1000..2000).rev() {
-        db.get_by_pk(&mut ctx, None, "accounts", &[Value::Int(i)])
-            .unwrap()
-            .unwrap();
-    }
+    let open_txn = update_then_evict_the_leaf(&mut ctx, &db);
     let ebp = db.ebp().unwrap();
     let at_watermark = ebp
         .cached_pages(usize::MAX)
@@ -441,6 +451,53 @@ fn page_evicted_at_the_watermark_is_not_persisted_ahead_of_its_log() {
         Value::Int(3),
         "an uncommitted update survived a crash"
     );
+}
+
+/// An eviction and a page miss force the log; under `Group` they used to
+/// lead a group flush and pay its dwell. With a 100 ms dwell step, a
+/// thousand point reads and two forced flushes cost far less than one step.
+#[test]
+fn group_policy_eviction_and_page_miss_do_not_dwell() {
+    let f = fabric();
+    let mut ctx = SimCtx::new(1, 42);
+    let cfg = DbConfig::builder()
+        .bp_pages(16)
+        .bp_shards(1)
+        .ebp(EbpConfig::default())
+        .flush_policy(vedb_core::FlushPolicy::Group {
+            max_batch_bytes: 1 << 20,
+            max_wait: VTime::from_millis(400),
+        })
+        .build()
+        .unwrap();
+    let db = open_db(&mut ctx, &f, cfg);
+    load_wide_accounts(&mut ctx, &db);
+    let flushes = f.env.metrics.counter("core", "wal_flushes");
+    let (t0, flushes0) = (ctx.now(), flushes.get());
+
+    // The eviction forces the leaf's record ...
+    let mut open_txn = update_then_evict_the_leaf(&mut ctx, &db);
+    assert_eq!(flushes.get(), flushes0 + 1, "the eviction forced the log");
+    // ... and a second update dirties the leaf again, so reading it back
+    // after another eviction is a miss that must force and ship first.
+    db.update_by_pk(&mut ctx, &mut open_txn, "accounts", &[Value::Int(3)], |r| {
+        r[2] = Value::Int(-778)
+    })
+    .unwrap();
+    db.buffer_pool().clear();
+    let r3 = db
+        .get_by_pk(&mut ctx, None, "accounts", &[Value::Int(3)])
+        .unwrap()
+        .unwrap();
+    assert_eq!(r3[2], Value::Int(-778));
+    assert_eq!(flushes.get(), flushes0 + 2, "the page miss forced the log");
+
+    assert!(
+        ctx.now() - t0 < VTime::from_millis(100),
+        "two forced flushes took {}: somebody dwelt",
+        ctx.now() - t0
+    );
+    db.abort(&mut ctx, &mut open_txn).unwrap();
 }
 
 #[test]

@@ -15,11 +15,12 @@ use vedb_core::query::expr::{ArithOp, CmpOp};
 use vedb_core::query::{execute, AggExpr, AggFunc, Expr, Plan, QuerySession};
 use vedb_core::row::encode_row;
 use vedb_core::{Row, Value};
-use vedb_sim::{ClusterSpec, SimCtx, VTime};
+use vedb_sim::{run_clients, ClusterSpec, SimCtx, VTime};
 
 /// One deployment per test (each runs on its own thread): with one client
 /// the page locations a pushed scan's row order follows stay put between a
-/// query and its reference.
+/// query and its reference. Clients that share a `Db` share it under
+/// `run_clients` (`clients_sharing_one_db_each_scan_every_row`).
 fn deployment() -> (Arc<Db>, VTime) {
     thread_local! {
         static DEPLOYMENT: OnceCell<(Arc<Db>, VTime)> = const { OnceCell::new() };
@@ -467,6 +468,33 @@ proptest! {
 }
 
 // ------------------------------------------------------ the two bug fixes
+
+/// Three clients scan one `Db` through its 16-page pool, one of them pushing
+/// down. On raw threads a scan that raced another client's evictions lost
+/// rows or failed with `NotYetApplied`; under the baton a scan runs inside
+/// one turn, whichever client the clocks pick next.
+#[test]
+fn clients_sharing_one_db_each_scan_every_row() {
+    for seed in 0..10 {
+        let (db, loaded_at) = load();
+        run_clients(3, seed, loaded_at, |ctx, client| {
+            let session = match client {
+                0 => QuerySession::with_pushdown(),
+                _ => QuerySession::default(),
+            };
+            for round in 0..4 {
+                ctx.yield_now();
+                let table = ["t1", "t2"][(client + round) % 2];
+                let rows = execute(ctx, &db, &session, &Plan::scan(table))
+                    .unwrap_or_else(|e| panic!("seed {seed} client {client} {table}: {e}"));
+                let mut keys: Vec<i64> = rows.iter().map(|r| r[0].as_int()).collect();
+                keys.sort_unstable();
+                let all: Vec<i64> = (0..if table == "t1" { 120 } else { 100 }).collect();
+                assert_eq!(keys, all, "seed {seed} client {client} {table}");
+            }
+        });
+    }
+}
 
 #[test]
 fn a_null_key_joins_nothing() {
