@@ -640,31 +640,33 @@ impl Wal {
             return Ok(());
         }
         let sp = self.trace.span(ctx, "wal", "flush");
-        let leading = matches!(policy, FlushPolicy::Group { .. });
-        if let FlushPolicy::Group {
-            max_batch_bytes,
-            max_wait,
-        } = policy
-        {
-            // Lead, or park until the current leader's batch lands.
-            loop {
-                let mut g = self.group.state.lock();
-                if self.flushed.load(Ordering::Acquire) > upto {
+        let leading = match policy {
+            FlushPolicy::PerCommit => false,
+            FlushPolicy::Group {
+                max_batch_bytes,
+                max_wait,
+            } => {
+                // Lead, or park until the current leader's batch lands.
+                loop {
+                    let mut g = self.group.state.lock();
+                    if self.flushed.load(Ordering::Acquire) > upto {
+                        drop(g);
+                        self.ack_if_durable(ctx, upto);
+                        sp.finish(ctx);
+                        return Ok(());
+                    }
+                    if !g.leader {
+                        g.leader = true;
+                        break;
+                    }
+                    g.waiters.push(ctx.waker());
                     drop(g);
-                    self.ack_if_durable(ctx, upto);
-                    sp.finish(ctx);
-                    return Ok(());
+                    ctx.park(None);
                 }
-                if !g.leader {
-                    g.leader = true;
-                    break;
-                }
-                g.waiters.push(ctx.waker());
-                drop(g);
-                ctx.park(None);
+                self.dwell(ctx, max_batch_bytes, max_wait);
+                true
             }
-            self.dwell(ctx, max_batch_bytes, max_wait);
-        }
+        };
         let result = self.take_and_append(ctx, upto, leading);
         if leading {
             self.group.release();

@@ -571,13 +571,9 @@ fn checkpoint_truncates_and_ring_survives_wraparound() {
     }
 }
 
-#[test]
-fn concurrent_commits_produce_a_parseable_log() {
-    let f = fabric();
-    let mut ctx = SimCtx::new(1, 42);
-    let db = open_db(&mut ctx, &f, DbConfig::builder().build().unwrap());
-    let base = ctx.now();
-
+/// Eight clients under one baton, each committing 40 single-row
+/// transactions (rows `t * 1000 + i`), yielding between them.
+fn commit_320_rows_from_8_clients(db: &Db, base: VTime) {
     run_clients(8, 42, base, |ctx, t| {
         let t = t as i64;
         for i in 0..40 {
@@ -593,6 +589,16 @@ fn concurrent_commits_produce_a_parseable_log() {
             db.commit(ctx, &mut txn).unwrap();
         }
     });
+}
+
+#[test]
+fn concurrent_commits_produce_a_parseable_log() {
+    let f = fabric();
+    let mut ctx = SimCtx::new(1, 42);
+    let db = open_db(&mut ctx, &f, DbConfig::builder().build().unwrap());
+    let base = ctx.now();
+
+    commit_320_rows_from_8_clients(&db, base);
 
     // The durable log must parse as a dense, gap-free frame sequence up to
     // the flushed LSN (concurrent group commits must not interleave bytes).
@@ -634,21 +640,7 @@ fn group_commit_policy_consolidates_flushes_without_losing_commits() {
     let db = open_db(&mut ctx, &f, cfg);
     let base = ctx.now();
 
-    run_clients(8, 42, base, |ctx, t| {
-        let t = t as i64;
-        for i in 0..40 {
-            ctx.yield_now();
-            let mut txn = db.begin();
-            db.insert(
-                ctx,
-                &mut txn,
-                "accounts",
-                row(t * 1000 + i, &format!("t{t}"), i),
-            )
-            .unwrap();
-            db.commit(ctx, &mut txn).unwrap();
-        }
-    });
+    commit_320_rows_from_8_clients(&db, base);
 
     // Ack-after-persist: every commit that returned is durable in the log.
     let mut ctx2 = SimCtx::new(2, 43);

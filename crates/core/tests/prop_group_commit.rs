@@ -77,11 +77,7 @@ fn committer_strategy() -> impl Strategy<Value = Vec<u64>> {
 fn run_interleaving(policy: FlushPolicy, schedules: &[Vec<u64>]) {
     let reg = MetricsRegistry::new();
     let backend = Arc::new(MemLog::new());
-    let wal = Arc::new(Wal::with_metrics(
-        Box::new(ArcLog(Arc::clone(&backend))),
-        policy,
-        &reg,
-    ));
+    let wal = Wal::with_metrics(Box::new(ArcLog(Arc::clone(&backend))), policy, &reg);
     let bytes_logged = reg.counter("core", "wal_bytes_logged");
     let bytes_flushed = reg.counter("core", "wal_bytes_flushed");
 

@@ -89,9 +89,12 @@ impl Board {
             slot.timed_out = true;
             slot.state = State::Runnable;
         }
-        self.holder = next;
-        if let Some(t) = &slot.thread {
-            t.unpark();
+        // A holder that stays the holder is running: it made this call.
+        if next != self.holder {
+            self.holder = next;
+            if let Some(t) = &slot.thread {
+                t.unpark();
+            }
         }
     }
 }

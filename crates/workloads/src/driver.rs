@@ -11,8 +11,6 @@
 //! contention are shared across clients, so throughput saturates and
 //! collapses exactly where the simulated hardware says it should.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use vedb_sim::{run_clients, LatencyRecorder, SimCtx, TrialResult, VTime};
 
 /// Trial shape.
@@ -69,13 +67,12 @@ pub fn run_trial<F>(cfg: &DriverConfig, op: F) -> TrialResult
 where
     F: Fn(&mut SimCtx, usize) -> OpOutcome + Sync,
 {
-    let committed = AtomicU64::new(0);
-    let aborted = AtomicU64::new(0);
     let latency = LatencyRecorder::new();
     let end = cfg.start + cfg.warmup + cfg.measure;
     let record_from = cfg.start + cfg.warmup;
 
-    run_clients(cfg.clients, cfg.seed, cfg.start, |ctx, client| {
+    let counts = run_clients(cfg.clients, cfg.seed, cfg.start, |ctx, client| {
+        let (mut committed, mut aborted) = (0u64, 0u64);
         while ctx.now() < end {
             // Whoever is furthest behind in virtual time goes next.
             ctx.yield_now();
@@ -96,20 +93,19 @@ where
             }
             match outcome {
                 OpOutcome::Committed => {
-                    committed.fetch_add(1, Ordering::Relaxed);
+                    committed += 1;
                     latency.record(ctx.now() - t0);
                 }
-                OpOutcome::Aborted => {
-                    aborted.fetch_add(1, Ordering::Relaxed);
-                }
+                OpOutcome::Aborted => aborted += 1,
                 OpOutcome::Skip => {}
             }
         }
+        (committed, aborted)
     });
 
     let mut result = TrialResult::new(cfg.measure);
-    result.committed = committed.load(Ordering::Relaxed);
-    result.aborted = aborted.load(Ordering::Relaxed);
+    result.committed = counts.iter().map(|c| c.0).sum();
+    result.aborted = counts.iter().map(|c| c.1).sum();
     result.latency.merge(&latency);
     result
 }
