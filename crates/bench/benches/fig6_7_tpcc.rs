@@ -7,9 +7,9 @@
 //! clients), and the gap narrows beyond 64 clients as the workload turns
 //! CPU-bound.
 
-use vedb_bench::{fmt_ms, fmt_tps, paper_note, print_table, write_bench_report, Deployment};
+use vedb_bench::{fmt_tps, paper_note, print_table, write_bench_report, Deployment};
 use vedb_core::db::{DbConfig, LogBackendKind};
-use vedb_sim::VTime;
+use vedb_sim::{Trial, VTime};
 use vedb_workloads::tpcc::{self, TpccScale};
 
 fn main() {
@@ -24,11 +24,12 @@ fn main() {
         initial_orders: 15,
     };
     let clients = vec![1usize, 2, 4, 8, 16, 32, 64, 128, 256];
-    let mut series: Vec<(String, Vec<(f64, VTime)>)> = Vec::new();
+    // Per deployment, one trial per client count.
+    let mut series: Vec<Vec<Trial>> = Vec::new();
 
-    for (name, slug, log) in [
-        ("veDB", "fig6_7_tpcc_vedb", LogBackendKind::BlobStore),
-        ("veDB+AStore", "fig6_7_tpcc_astore", LogBackendKind::AStore),
+    for (slug, log) in [
+        ("fig6_7_tpcc_vedb", LogBackendKind::BlobStore),
+        ("fig6_7_tpcc_astore", LogBackendKind::AStore),
     ] {
         let mut dep = Deployment::open(
             DbConfig::builder()
@@ -43,8 +44,7 @@ fn main() {
         dep.db.create_tables(&mut dep.ctx).unwrap();
         tpcc::load(&mut dep.ctx, &dep.db, &scale).unwrap();
 
-        let mut points = Vec::new();
-        let mut peak_trial = None;
+        let mut trials = Vec::new();
         for &n in &clients {
             let db = std::sync::Arc::clone(&dep.db);
             let r = dep.trial(
@@ -53,20 +53,17 @@ fn main() {
                 VTime::from_millis(150),
                 |ctx, _| tpcc::run_transaction(ctx, &db, &scale),
             );
-            points.push((r.throughput(), r.latency.p95()));
-            if peak_trial
-                .as_ref()
-                .map(|t: &vedb_sim::TrialResult| r.throughput() > t.throughput())
-                .unwrap_or(true)
-            {
-                peak_trial = Some(r);
-            }
+            trials.push(Trial::measured(&r).with_param("clients", n as f64));
         }
-        // Export the run's observability snapshot (counters accumulate over
-        // the full sweep; the trial section reflects the peak point).
-        let _ = write_bench_report(&dep.report(slug, peak_trial.as_ref()));
-        series.push((name.to_string(), points));
+        // Export the run's observability snapshot: one trial per point, the
+        // registry sections accumulated over the full sweep.
+        let mut report = dep.report(slug, None);
+        report.trials = trials;
+        let _ = write_bench_report(&report);
+        series.push(report.trials);
     }
+    let tps = |s: usize, i: usize| series[s][i].result["throughput_per_s"];
+    let p95 = |s: usize, i: usize| series[s][i].result["p95_ns"];
 
     let rows: Vec<Vec<String>> = clients
         .iter()
@@ -74,12 +71,9 @@ fn main() {
         .map(|(i, n)| {
             vec![
                 n.to_string(),
-                fmt_tps(series[0].1[i].0),
-                fmt_tps(series[1].1[i].0),
-                format!(
-                    "{:+.0}%",
-                    (series[1].1[i].0 / series[0].1[i].0 - 1.0) * 100.0
-                ),
+                fmt_tps(tps(0, i)),
+                fmt_tps(tps(1, i)),
+                format!("{:+.0}%", (tps(1, i) / tps(0, i) - 1.0) * 100.0),
             ]
         })
         .collect();
@@ -96,14 +90,9 @@ fn main() {
         .map(|(i, n)| {
             vec![
                 n.to_string(),
-                fmt_ms(series[0].1[i].1),
-                fmt_ms(series[1].1[i].1),
-                format!(
-                    "{:.0}%",
-                    (1.0 - series[1].1[i].1.as_nanos() as f64
-                        / series[0].1[i].1.as_nanos().max(1) as f64)
-                        * 100.0
-                ),
+                format!("{:.2}", p95(0, i) / 1e6),
+                format!("{:.2}", p95(1, i) / 1e6),
+                format!("{:.0}%", (1.0 - p95(1, i) / p95(0, i).max(1.0)) * 100.0),
             ]
         })
         .collect();
@@ -115,16 +104,16 @@ fn main() {
     paper_note("AStore consistently lower; ~50% reduction at 32 clients; gap narrows past 64");
 
     // Shape assertions.
-    let peak = |s: &[(f64, VTime)]| s.iter().map(|p| p.0).fold(0.0f64, f64::max);
-    let peak_vedb = peak(&series[0].1);
-    let peak_astore = peak(&series[1].1);
+    let peak = |s: usize| (0..clients.len()).map(|i| tps(s, i)).fold(0.0f64, f64::max);
+    let peak_vedb = peak(0);
+    let peak_astore = peak(1);
     assert!(
         peak_astore > peak_vedb * 1.1,
         "AStore peak TPS ({peak_astore:.0}) must exceed baseline ({peak_vedb:.0}) by >10%"
     );
     let mid = 5; // 32 clients
     assert!(
-        series[1].1[mid].1 < series[0].1[mid].1,
+        p95(1, mid) < p95(0, mid),
         "AStore P95 must be lower at 32 clients"
     );
     println!(

@@ -14,6 +14,13 @@
 //! p50 grows with concurrency; under `Group` the ratio falls well below
 //! 1, the log device stays unsaturated, and carried committers pay only
 //! the bounded dwell + one batched append.
+//!
+//! The artifact's `trials` are the 2 policies × 7 client counts, each with
+//! its own `wal_flushes` / `txn_commits` deltas (so flushes-per-commit is
+//! derivable exactly). Its registry sections (`counters`, `gauges`,
+//! `op_latencies`, `resources`, `profile`) describe the **Group**
+//! deployment over its whole sweep; the PerCommit deployment is in the
+//! trials only.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,7 +29,7 @@ use vedb_bench::{fmt_tps, print_table, write_bench_report, Deployment};
 use vedb_core::catalog::ColumnType;
 use vedb_core::db::{Db, DbConfig, LogBackendKind};
 use vedb_core::{FlushPolicy, Value};
-use vedb_sim::{ClusterSpec, SimCtx, VTime};
+use vedb_sim::{ClusterSpec, SimCtx, Trial, VTime};
 use vedb_workloads::driver::OpOutcome;
 
 fn define_schema(cat: &mut vedb_core::Catalog) {
@@ -57,13 +64,6 @@ fn commit_op(ctx: &mut SimCtx, db: &Arc<Db>, client: usize, seqs: &[AtomicU64]) 
     }
 }
 
-struct Cell {
-    tput: f64,
-    p50: VTime,
-    p99: VTime,
-    flushes_per_commit: f64,
-}
-
 /// Table I cluster, except each AStore server's PMem is one log DIMM
 /// lane — flushes serialize at the device, as on a real WAL device.
 fn log_bound_spec() -> ClusterSpec {
@@ -72,7 +72,12 @@ fn log_bound_spec() -> ClusterSpec {
     spec
 }
 
-fn sweep(policy: FlushPolicy, clients: &[usize]) -> (Deployment, Vec<Cell>) {
+/// One deployment under `policy`, one trial per client count.
+fn sweep(policy: FlushPolicy, clients: &[usize]) -> (Deployment, Vec<Trial>) {
+    let policy_name = match policy {
+        FlushPolicy::PerCommit => "percommit",
+        FlushPolicy::Group { .. } => "group",
+    };
     let mut dep = Deployment::open_with(
         DbConfig::builder()
             .bp_pages(4096)
@@ -95,7 +100,7 @@ fn sweep(policy: FlushPolicy, clients: &[usize]) -> (Deployment, Vec<Cell>) {
         .map(|_| AtomicU64::new(0))
         .collect();
 
-    let mut cells = Vec::new();
+    let mut trials = Vec::new();
     for &n in clients {
         let db = Arc::clone(&dep.db);
         let seqs = &seqs;
@@ -106,15 +111,21 @@ fn sweep(policy: FlushPolicy, clients: &[usize]) -> (Deployment, Vec<Cell>) {
             VTime::from_millis(60),
             |ctx, client| commit_op(ctx, &db, client, seqs),
         );
-        let (df, dc) = (flushes.get() - f0, (commits.get() - c0).max(1));
-        cells.push(Cell {
-            tput: r.throughput(),
-            p50: r.latency.p50(),
-            p99: r.latency.p99(),
-            flushes_per_commit: df as f64 / dc as f64,
-        });
+        trials.push(
+            Trial::measured(&r)
+                .with_param("policy", policy_name)
+                .with_param("clients", n as f64)
+                .with_result("wal_flushes", (flushes.get() - f0) as f64)
+                .with_result("txn_commits", (commits.get() - c0) as f64),
+        );
     }
-    (dep, cells)
+    (dep, trials)
+}
+
+/// Backend flushes per commit over one trial, warm-up included (both
+/// counters run through it).
+fn flushes_per_commit(t: &Trial) -> f64 {
+    t.result["wal_flushes"] / t.result["txn_commits"].max(1.0)
 }
 
 fn main() {
@@ -127,20 +138,21 @@ fn main() {
     let (_pc_dep, pc) = sweep(FlushPolicy::PerCommit, &clients);
     let (gr_dep, gr) = sweep(group_policy, &clients);
 
+    let us = |t: &Trial, key: &str| format!("{:.0}us", t.result[key] / 1e3);
     let rows: Vec<Vec<String>> = clients
         .iter()
         .enumerate()
         .map(|(i, n)| {
             vec![
                 n.to_string(),
-                fmt_tps(pc[i].tput),
-                fmt_tps(gr[i].tput),
-                format!("{:.2}", pc[i].flushes_per_commit),
-                format!("{:.2}", gr[i].flushes_per_commit),
-                format!("{:.0}us", pc[i].p50.as_micros_f64()),
-                format!("{:.0}us", gr[i].p50.as_micros_f64()),
-                format!("{:.0}us", pc[i].p99.as_micros_f64()),
-                format!("{:.0}us", gr[i].p99.as_micros_f64()),
+                fmt_tps(pc[i].result["throughput_per_s"]),
+                fmt_tps(gr[i].result["throughput_per_s"]),
+                format!("{:.2}", flushes_per_commit(&pc[i])),
+                format!("{:.2}", flushes_per_commit(&gr[i])),
+                us(&pc[i], "p50_ns"),
+                us(&gr[i], "p50_ns"),
+                us(&pc[i], "p99_ns"),
+                us(&gr[i], "p99_ns"),
             ]
         })
         .collect();
@@ -153,46 +165,18 @@ fn main() {
         &rows,
     );
 
-    // Publish the sweep into the Group deployment's registry so the
-    // exported JSON carries the cross-policy comparison (gauges are the
-    // report's vehicle for bench-computed series). Times in ns, ratios
-    // scaled ×1000.
-    let g = gr_dep.metrics();
-    for (i, &n) in clients.iter().enumerate() {
-        g.gauge("bench", format!("tps_percommit_{n}"))
-            .set(pc[i].tput as i64);
-        g.gauge("bench", format!("tps_group_{n}"))
-            .set(gr[i].tput as i64);
-        g.gauge("bench", format!("p50ns_percommit_{n}"))
-            .set(pc[i].p50.as_nanos() as i64);
-        g.gauge("bench", format!("p50ns_group_{n}"))
-            .set(gr[i].p50.as_nanos() as i64);
-        g.gauge("bench", format!("p99ns_percommit_{n}"))
-            .set(pc[i].p99.as_nanos() as i64);
-        g.gauge("bench", format!("p99ns_group_{n}"))
-            .set(gr[i].p99.as_nanos() as i64);
-        g.gauge("bench", format!("fpc1000_percommit_{n}"))
-            .set((pc[i].flushes_per_commit * 1000.0) as i64);
-        g.gauge("bench", format!("fpc1000_group_{n}"))
-            .set((gr[i].flushes_per_commit * 1000.0) as i64);
-    }
-
-    // The acceptance assertions (also enforced on the exported JSON by
-    // CI's report_diff gate).
-    let flushes = gr_dep
-        .report("group_commit", None)
-        .counter("core.wal_flushes");
-    let commits = gr_dep
-        .report("group_commit", None)
-        .counter("core.txn_commits");
+    // The acceptance assertions, on the values the artifact carries.
+    let mut report = gr_dep.report("group_commit", None);
+    report.trials = pc.into_iter().chain(gr).collect();
+    let (pc, gr) = report.trials.split_at(clients.len());
+    let flushes = report.counter("core.wal_flushes");
+    let commits = report.counter("core.txn_commits");
     assert!(
         (flushes as f64) < commits as f64 * 0.5,
         "group sweep must consolidate: {flushes} flushes / {commits} commits"
     );
-    let doorbells = gr_dep
-        .report("group_commit", None)
-        .counter("rdma.doorbells");
-    let wrs = gr_dep.report("group_commit", None).counter("rdma.wrs");
+    let doorbells = report.counter("rdma.doorbells");
+    let wrs = report.counter("rdma.wrs");
     assert!(
         doorbells > 0 && doorbells < wrs,
         "doorbell batching must show: {doorbells} doorbells / {wrs} WRs"
@@ -200,15 +184,15 @@ fn main() {
     for (i, &n) in clients.iter().enumerate() {
         if n >= 8 {
             assert!(
-                gr[i].p50 < pc[i].p50,
-                "group p50 must beat per-commit at {n} clients: {:?} vs {:?}",
-                gr[i].p50,
-                pc[i].p50
+                gr[i].result["p50_ns"] < pc[i].result["p50_ns"],
+                "group p50 must beat per-commit at {n} clients: {}ns vs {}ns",
+                gr[i].result["p50_ns"],
+                pc[i].result["p50_ns"]
             );
             assert!(
-                gr[i].flushes_per_commit < 0.5,
+                flushes_per_commit(&gr[i]) < 0.5,
                 "flushes-per-commit must fall below 0.5 at {n} clients, got {:.2}",
-                gr[i].flushes_per_commit
+                flushes_per_commit(&gr[i])
             );
         }
     }
@@ -218,6 +202,5 @@ fn main() {
         flushes as f64 / commits as f64
     );
 
-    let report = gr_dep.report("group_commit", None);
     write_bench_report(&report).expect("write BENCH_group_commit.json");
 }

@@ -23,11 +23,11 @@
 //!   checkpointer keeps the parallel store's `apply_lag_records` bounded
 //!   by the checkpoint cadence.
 //!
-//! The cross-configuration numbers are published as counters under the
-//! `recovery` component of the parallel deployment's registry, so CI can
-//! gate the exported JSON with `report_diff --assert-counter-lt
-//! recovery.parallel_us_24000 recovery.serial_us_24000` and
-//! `--assert-counter-lt recovery.lag_parallel recovery.lag_serial`.
+//! The artifact's `trials` are the 2 configurations × 3 log lengths of
+//! phase A (`restart_ns`, `replayed_records`) and the two TPC-C rows of
+//! phase B (the driver's numbers plus `apply_lag_records`). Its registry
+//! sections describe phase B's **parallel** deployment; the shape
+//! assertions below read the trials.
 
 use std::sync::Arc;
 
@@ -38,7 +38,7 @@ use vedb_pagestore::page::PageType;
 use vedb_pagestore::redo::{PageOp, RedoRecord};
 use vedb_pagestore::{ApplyConfig, PageStore, PageStoreConfig, PageStoreServer};
 use vedb_rdma::RpcFabric;
-use vedb_sim::{ClusterSpec, SimCtx, VTime};
+use vedb_sim::{ClusterSpec, SimCtx, Trial, VTime};
 use vedb_workloads::tpcc::{self, TpccScale};
 
 /// Serial baseline: one apply worker, no background checkpoints — crash
@@ -141,17 +141,11 @@ fn make_log(n: usize) -> Vec<RedoRecord> {
     records
 }
 
-struct RestartCell {
-    /// Virtual restart latency of one replica.
-    time: VTime,
-    /// Records replayed by that restart (checkpoints shrink this).
-    replayed: usize,
-}
-
 /// Ship an `n`-record log in commit-sized batches (so the background
 /// checkpointer sees its trigger repeatedly), then crash-restart one
-/// replica and measure the rebuild.
-fn restart_after(apply: ApplyConfig, n: usize) -> RestartCell {
+/// replica and measure the rebuild: its virtual latency and the records it
+/// replayed (checkpoints shrink this).
+fn restart_after(config: &str, apply: ApplyConfig, n: usize) -> Trial {
     let ps = store_with(apply);
     let mut ctx = SimCtx::new(1, 2024);
     let log = make_log(n);
@@ -164,15 +158,17 @@ fn restart_after(apply: ApplyConfig, n: usize) -> RestartCell {
     let victim = Arc::clone(&ps.servers()[0]);
     let t0 = ctx.now();
     let replayed = victim.restart(&mut ctx).expect("restart");
-    RestartCell {
-        time: ctx.now().saturating_sub(t0),
-        replayed,
-    }
+    Trial::default()
+        .with_param("workload", "crash_restart")
+        .with_param("config", config)
+        .with_param("log_records", n as f64)
+        .with_result("restart_ns", ctx.now().saturating_sub(t0).as_nanos() as f64)
+        .with_result("replayed_records", replayed as f64)
 }
 
-/// Phase B: run the write-heavy TPC-C trial on a deployment with `apply`
-/// and return (throughput, apply_lag_records at end of trial).
-fn tpcc_lag(apply: ApplyConfig) -> (Deployment, f64, i64) {
+/// Phase B: run the write-heavy TPC-C trial on a deployment with `apply`;
+/// the trial carries `apply_lag_records` as it stood at the end.
+fn tpcc_lag(config: &str, apply: ApplyConfig) -> (Deployment, Trial) {
     let scale = TpccScale::bench();
     let mut dep = Deployment::open_with_apply(
         DbConfig::builder()
@@ -199,33 +195,40 @@ fn tpcc_lag(apply: ApplyConfig) -> (Deployment, f64, i64) {
         |ctx, _| tpcc::run_transaction(ctx, &db, &scale),
     );
     let lag = dep.metrics().gauge("pagestore", "apply_lag_records").get();
-    (dep, r.throughput(), lag)
+    let trial = Trial::measured(&r)
+        .with_param("workload", "tpcc")
+        .with_param("config", config)
+        .with_param("clients", 8.0)
+        .with_result("apply_lag_records", lag as f64);
+    (dep, trial)
 }
 
 fn main() {
     // ---- Phase A: crash-restart sweep ------------------------------------
     let sweep = [2_000usize, 8_000, 24_000];
-    let mut serial_cells = Vec::new();
-    let mut parallel_cells = Vec::new();
-    for &n in &sweep {
-        serial_cells.push(restart_after(serial_cfg(), n));
-        parallel_cells.push(restart_after(parallel_cfg(), n));
-    }
+    let serial: Vec<Trial> = sweep
+        .iter()
+        .map(|&n| restart_after("serial", serial_cfg(), n))
+        .collect();
+    let parallel: Vec<Trial> = sweep
+        .iter()
+        .map(|&n| restart_after("parallel", parallel_cfg(), n))
+        .collect();
 
+    let us = |t: &Trial| format!("{:.0}us", t.result["restart_ns"] / 1e3);
     let rows: Vec<Vec<String>> = sweep
         .iter()
         .enumerate()
         .map(|(i, n)| {
             vec![
                 n.to_string(),
-                format!("{:.0}us", serial_cells[i].time.as_micros_f64()),
-                format!("{:.0}us", parallel_cells[i].time.as_micros_f64()),
-                serial_cells[i].replayed.to_string(),
-                parallel_cells[i].replayed.to_string(),
+                us(&serial[i]),
+                us(&parallel[i]),
+                serial[i].result["replayed_records"].to_string(),
+                parallel[i].result["replayed_records"].to_string(),
                 format!(
                     "{:.1}x",
-                    serial_cells[i].time.as_nanos() as f64
-                        / parallel_cells[i].time.as_nanos().max(1) as f64
+                    serial[i].result["restart_ns"] / parallel[i].result["restart_ns"].max(1.0)
                 ),
             ]
         })
@@ -244,44 +247,39 @@ fn main() {
     );
 
     // ---- Phase B: steady-state apply lag under write-heavy TPC-C ---------
-    let (_sdep, stps, slag) = tpcc_lag(serial_cfg());
-    let (pdep, ptps, plag) = tpcc_lag(parallel_cfg());
+    let (_sdep, stpcc) = tpcc_lag("serial", serial_cfg());
+    let (pdep, ptpcc) = tpcc_lag("parallel", parallel_cfg());
+    let (slag, plag) = (
+        stpcc.result["apply_lag_records"],
+        ptpcc.result["apply_lag_records"],
+    );
     print_table(
         "TPC-C (8 clients): steady-state apply lag",
         &["config", "tps", "apply_lag_records"],
         &[
-            vec!["serial/no-ckpt".into(), fmt_tps(stps), slag.to_string()],
-            vec!["parallel+ckpt".into(), fmt_tps(ptps), plag.to_string()],
+            vec![
+                "serial/no-ckpt".into(),
+                fmt_tps(stpcc.result["throughput_per_s"]),
+                slag.to_string(),
+            ],
+            vec![
+                "parallel+ckpt".into(),
+                fmt_tps(ptpcc.result["throughput_per_s"]),
+                plag.to_string(),
+            ],
         ],
     );
 
-    // ---- Publish the cross-config numbers on the exported registry -------
-    let reg = pdep.metrics();
-    for (i, &n) in sweep.iter().enumerate() {
-        reg.counter("recovery", format!("serial_us_{n}"))
-            .add(serial_cells[i].time.as_nanos() / 1_000);
-        reg.counter("recovery", format!("parallel_us_{n}"))
-            .add(parallel_cells[i].time.as_nanos() / 1_000);
-        reg.counter("recovery", format!("serial_replayed_{n}"))
-            .add(serial_cells[i].replayed as u64);
-        reg.counter("recovery", format!("parallel_replayed_{n}"))
-            .add(parallel_cells[i].replayed as u64);
-    }
-    reg.counter("recovery", "lag_serial")
-        .add(slag.max(0) as u64);
-    reg.counter("recovery", "lag_parallel")
-        .add(plag.max(0) as u64);
-
-    // ---- The acceptance assertions (also enforced by CI's report_diff) ---
+    // ---- The acceptance assertions, on the values the artifact carries ---
     for (i, &n) in sweep.iter().enumerate() {
         assert!(
-            parallel_cells[i].time < serial_cells[i].time,
-            "parallel recovery must beat serial at {n} records: {:?} vs {:?}",
-            parallel_cells[i].time,
-            serial_cells[i].time
+            parallel[i].result["restart_ns"] < serial[i].result["restart_ns"],
+            "parallel recovery must beat serial at {n} records: {} vs {}",
+            us(&parallel[i]),
+            us(&serial[i])
         );
         assert!(
-            parallel_cells[i].replayed < serial_cells[i].replayed,
+            parallel[i].result["replayed_records"] < serial[i].result["replayed_records"],
             "checkpoints must shrink the replayed tail at {n} records"
         );
     }
@@ -290,11 +288,16 @@ fn main() {
         "background checkpointer must bound steady-state lag: parallel {plag} vs serial {slag}"
     );
     println!(
-        "\nshape-check: OK (24k-record restart {:.0}us -> {:.0}us; lag {slag} -> {plag})",
-        serial_cells[2].time.as_micros_f64(),
-        parallel_cells[2].time.as_micros_f64()
+        "\nshape-check: OK (24k-record restart {} -> {}; lag {slag} -> {plag})",
+        us(&serial[2]),
+        us(&parallel[2])
     );
 
-    let report = pdep.report("recovery", None);
+    let mut report = pdep.report("recovery", None);
+    report.trials = serial
+        .into_iter()
+        .chain(parallel)
+        .chain([stpcc, ptpcc])
+        .collect();
     write_bench_report(&report).expect("write BENCH_recovery.json");
 }

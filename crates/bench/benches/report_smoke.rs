@@ -75,7 +75,10 @@ fn main() {
             "expected non-zero counter {key} in smoke report"
         );
     }
-    assert!(report.throughput() > 0.0, "smoke run committed nothing");
+    assert!(
+        report.trials[0].result["throughput_per_s"] > 0.0,
+        "smoke run committed nothing"
+    );
 
     // Phase accounting must close the loop: the commit_phases breakdown
     // sums to the end-to-end commit time (within 1% for ring-eviction
@@ -95,7 +98,7 @@ fn main() {
         "commit path must attribute a wal/flush phase"
     );
 
-    // Saturation attribution (schema v3): every cluster device must have
+    // Saturation attribution: every cluster device must have
     // been discovered via its `.lanes` gauge and seen traffic, lock
     // acquisition must attribute to labelled tables, and the traced window
     // must fold into flamegraph stacks.

@@ -1,132 +1,44 @@
-//! Perf-regression gate: compare two `BENCH_<figure>.json` reports.
+//! What moved between two `BENCH_<figure>.json` reports.
 //!
 //! ```text
-//! report_diff <baseline.json> <new.json> [options]
-//!
-//!   --max-tput-drop <frac>      throughput drop budget   (default 0.10)
-//!   --max-p50-rise <frac>       p50 latency rise budget  (default 0.20)
-//!   --max-p99-rise <frac>       p99 latency rise budget  (default 0.20)
-//!   --max-phase-shift-pp <pp>   gate commit-phase share drift (default: report only)
-//!   --max-util-drift <pp>       gate steady-state resource-utilization drift,
-//!                               percentage points either direction
-//!                               (default: report only)
-//!   --assert-counter-ratio-lt <num/den> <x>
-//!                               gate the NEW report on counters[num]/counters[den] < x
-//!                               (repeatable; missing/zero denominator fails)
-//!   --assert-counter-lt <a> <b> gate the NEW report on counters[a] < counters[b]
-//!                               (repeatable)
+//! report_diff <old.json> <new.json>
 //! ```
 //!
-//! Exit codes: 0 clean, 1 a gated metric regressed, 2 usage/parse error.
+//! The gate on a committed artifact is `cmp`; this explains a failed one.
+//! Prints one line per path whose value differs (old, new, relative change
+//! for numbers) — see [`vedb_bench::diff::walk`]. Exit codes: 0 the two
+//! documents are the same tree, 1 something differs, 2 usage/parse error.
 
 use std::process::ExitCode;
 
-use vedb_bench::diff::{diff, parse_json, ReportSummary, Thresholds};
+use vedb_bench::diff::{parse_json, walk, Json};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: report_diff <baseline.json> <new.json> \
-         [--max-tput-drop F] [--max-p50-rise F] [--max-p99-rise F] \
-         [--max-phase-shift-pp PP] [--max-util-drift PP] \
-         [--assert-counter-ratio-lt NUM/DEN X]... [--assert-counter-lt A B]..."
-    );
-    ExitCode::from(2)
-}
-
-fn load(path: &str) -> Result<ReportSummary, String> {
+fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = parse_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    ReportSummary::from_json(&doc).map_err(|e| format!("{path}: {e}"))
+    parse_json(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths = Vec::new();
-    let mut th = Thresholds::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut frac = |dst: &mut f64| -> bool {
-            match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v >= 0.0 => {
-                    *dst = v;
-                    true
-                }
-                _ => false,
-            }
-        };
-        match arg.as_str() {
-            "--max-tput-drop" => {
-                if !frac(&mut th.max_tput_drop) {
-                    return usage();
-                }
-            }
-            "--max-p50-rise" => {
-                if !frac(&mut th.max_p50_rise) {
-                    return usage();
-                }
-            }
-            "--max-p99-rise" => {
-                if !frac(&mut th.max_p99_rise) {
-                    return usage();
-                }
-            }
-            "--max-phase-shift-pp" => {
-                let mut pp = 0.0;
-                if !frac(&mut pp) {
-                    return usage();
-                }
-                th.max_phase_shift_pp = Some(pp);
-            }
-            "--max-util-drift" => {
-                let mut pp = 0.0;
-                if !frac(&mut pp) {
-                    return usage();
-                }
-                th.max_util_drift_pp = Some(pp);
-            }
-            "--assert-counter-ratio-lt" => {
-                let pair = it.next();
-                let limit = it.next().and_then(|v| v.parse::<f64>().ok());
-                match (pair.and_then(|p| p.split_once('/')), limit) {
-                    (Some((num, den)), Some(x))
-                        if !num.is_empty() && !den.is_empty() && x > 0.0 =>
-                    {
-                        th.counter_ratio_lt.push((num.into(), den.into(), x));
-                    }
-                    _ => return usage(),
-                }
-            }
-            "--assert-counter-lt" => match (it.next(), it.next()) {
-                (Some(a), Some(b)) if !a.starts_with('-') && !b.starts_with('-') => {
-                    th.counter_lt.push((a.clone(), b.clone()));
-                }
-                _ => return usage(),
-            },
-            "--help" | "-h" => return usage(),
-            p if !p.starts_with('-') => paths.push(p.to_string()),
-            _ => return usage(),
-        }
-    }
-    if paths.len() != 2 {
-        return usage();
-    }
-    let (base, new) = match (load(&paths[0]), load(&paths[1])) {
-        (Ok(b), Ok(n)) => (b, n),
+    let [old, new] = args.as_slice() else {
+        eprintln!("usage: report_diff <old.json> <new.json>");
+        return ExitCode::from(2);
+    };
+    let (old_doc, new_doc) = match (load(old), load(new)) {
+        (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("report_diff: {e}");
             return ExitCode::from(2);
         }
     };
-    let out = diff(&base, &new, &th);
-    print!("{}", out.table);
-    if out.regressed() {
-        eprintln!("\nperf regression gate FAILED:");
-        for r in &out.regressions {
-            eprintln!("  - {r}");
-        }
-        ExitCode::from(1)
-    } else {
-        println!("\nperf regression gate passed.");
+    let lines = walk(&old_doc, &new_doc);
+    for line in &lines {
+        println!("{line}");
+    }
+    println!("report_diff: {old} -> {new}: {} paths differ", lines.len());
+    if lines.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }

@@ -9,7 +9,7 @@
 //! The folded lines feed any flamegraph renderer that understands the
 //! `stack weight` format (`inferno-flamegraph`, `flamegraph.pl`); weights
 //! are span self-times in virtual nanoseconds. Exit codes: 0 clean, 2
-//! usage/parse error (including a pre-v3 report with no folded section).
+//! usage/parse error (including a document with no folded section).
 
 use std::process::ExitCode;
 

@@ -1,835 +1,207 @@
-//! Perf-regression diffing of two `BENCH_<figure>.json` reports.
+//! What moved between two `BENCH_<figure>.json` reports.
 //!
-//! The bench reports are byte-deterministic JSON written by
-//! [`vedb_sim::RunReport::to_json`]; this module reads two of them (a
-//! committed baseline and a freshly generated artifact), compares
-//! throughput, latency percentiles, key counters and commit-phase shares
-//! against relative thresholds, and renders a readable table. The
-//! `report_diff` binary wires this into CI: exit 1 when a gated metric
-//! regressed beyond its threshold.
-//!
-//! The workspace deliberately has no serde; the parser below is a minimal
-//! recursive-descent JSON reader sufficient for the report schema (objects,
-//! arrays, strings with the escapes our writer emits, f64 numbers).
+//! The bench reports are functions of their seeds, so the gate on a
+//! committed artifact is `cmp`: any byte that moves is a model change.
+//! [`walk`] is what explains a failed `cmp` — it compares two parsed
+//! documents member by member, knowing nothing of the report schema, and
+//! lists every path whose value differs. The `report_diff` binary prints
+//! that list; re-base commits quote it.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (the report only emits integers and fixed-decimal floats,
-    /// all exactly representable in f64).
-    Num(f64),
-    /// String
-    Str(String),
-    /// Array
-    Arr(Vec<Json>),
-    /// Object, key-sorted (insertion order is irrelevant for diffing).
-    Obj(BTreeMap<String, Json>),
+use vedb_sim::json::render;
+pub use vedb_sim::json::{parse_json, Json};
+
+/// A member's place in its container.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Key<'a> {
+    Index(usize),
+    Name(&'a str),
 }
 
-impl Json {
-    /// Member lookup on an object, `None` otherwise.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// Numeric value, `None` otherwise.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// String value, `None` otherwise.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Object map, `None` otherwise.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
+/// One line per path whose value differs between `old` and `new`:
+/// `path: old -> new`, with the relative change for two numbers and
+/// `(absent)` for a member only one side has. Object members are joined
+/// with `.`, array elements are `[i]`; containers are compared member by
+/// member, so an added or removed subtree lists each of its leaves.
+pub fn walk(old: &Json, new: &Json) -> Vec<String> {
+    let mut lines = Vec::new();
+    walk_at("", Some(old), Some(new), &mut lines);
+    lines
 }
 
-/// Parse a JSON document. Errors carry a byte offset for context.
-pub fn parse_json(src: &str) -> Result<Json, String> {
-    let bytes = src.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
+fn walk_at(path: &str, old: Option<&Json>, new: Option<&Json>, lines: &mut Vec<String>) {
+    if old == new {
+        return;
     }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut map = BTreeMap::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(map));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let val = parse_value(b, pos)?;
-                map.insert(key, val);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(map));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+    let mut members: BTreeMap<Key<'_>, [Option<&Json>; 2]> = BTreeMap::new();
+    let mut scalars = [None, None];
+    for (side, value) in [old, new].into_iter().enumerate() {
+        match value {
+            Some(Json::Obj(m)) => {
+                for (name, member) in m {
+                    members.entry(Key::Name(name)).or_default()[side] = Some(member);
                 }
             }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut arr = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(arr));
-            }
-            loop {
-                arr.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(arr));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
+            Some(Json::Arr(a)) => {
+                for (i, member) in a.iter().enumerate() {
+                    members.entry(Key::Index(i)).or_default()[side] = Some(member);
                 }
             }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => parse_number(b, pos),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected '\"' at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = b.get(*pos).copied().ok_or("truncated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .ok_or("truncated \\u escape")
-                            .and_then(|h| std::str::from_utf8(h).map_err(|_| "bad \\u escape"))?;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        *pos += 4;
-                        out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(format!("unsupported escape at byte {pos}")),
-                }
-            }
-            c => {
-                // Multi-byte UTF-8 passes through unchanged.
-                let start = *pos - 1;
-                let len = match c {
-                    0x00..=0x7f => 1,
-                    0xc0..=0xdf => 2,
-                    0xe0..=0xef => 3,
-                    _ => 4,
-                };
-                let chunk = b.get(start..start + len).ok_or("truncated utf-8")?;
-                out.push_str(std::str::from_utf8(chunk).map_err(|_| "bad utf-8")?);
-                *pos = start + len;
-            }
+            scalar => scalars[side] = scalar,
         }
     }
-    Err("unterminated string".into())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while let Some(&c) = b.get(*pos) {
-        if matches!(c, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-            *pos += 1;
-        } else {
-            break;
-        }
+    if members.is_empty() {
+        // Two scalars, or an empty container against anything else.
+        lines.push(line(path, old, new));
+    } else if scalars != [None, None] {
+        // A scalar on one side, a container's members (below) on the other.
+        lines.push(line(path, scalars[0], scalars[1]));
     }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
-
-/// The comparable slice of one bench report.
-#[derive(Debug, Clone)]
-pub struct ReportSummary {
-    /// Report name (the `<figure>` of `BENCH_<figure>.json`).
-    pub name: String,
-    /// Committed operations per virtual second.
-    pub throughput_per_s: f64,
-    /// Committed-op latency median, ns.
-    pub p50_ns: f64,
-    /// Committed-op latency 99th percentile, ns.
-    pub p99_ns: f64,
-    /// Every counter, keyed `"component.name"`.
-    pub counters: BTreeMap<String, f64>,
-    /// Commit-phase share of total commit time, keyed phase name, in
-    /// percent. Empty when the run was not traced.
-    pub phase_share_pct: BTreeMap<String, f64>,
-    /// Steady-state utilization per resource, keyed `"node.device"`, in
-    /// percent. Empty for pre-v3 reports (no `resources` section).
-    pub resource_util_pct: BTreeMap<String, f64>,
-}
-
-impl ReportSummary {
-    /// Extract the comparable fields from a parsed report.
-    pub fn from_json(doc: &Json) -> Result<ReportSummary, String> {
-        let need = |k: &str| doc.get(k).ok_or_else(|| format!("report missing `{k}`"));
-        let num = |k: &str| {
-            need(k)?
-                .as_f64()
-                .ok_or_else(|| format!("`{k}` is not a number"))
+    for (key, [a, b]) in members {
+        let child = match key {
+            Key::Index(i) => format!("{path}[{i}]"),
+            Key::Name(name) if path.is_empty() => name.to_string(),
+            Key::Name(name) => format!("{path}.{name}"),
         };
-        let schema = need("schema")?.as_str().unwrap_or("");
-        if !schema.starts_with("vedb-bench-report/") {
-            return Err(format!("not a vedb bench report (schema `{schema}`)"));
-        }
-        let latency = need("latency")?;
-        let counters = need("counters")?
-            .as_obj()
-            .ok_or("`counters` is not an object")?
-            .iter()
-            .filter_map(|(k, v)| v.as_f64().map(|n| (k.clone(), n)))
-            .collect();
-        // Phase shares recomputed from integer totals rather than trusting
-        // the serialized fixed-point strings.
-        let mut phase_share_pct = BTreeMap::new();
-        if let Some(phases) = doc.get("profile").and_then(|p| p.get("commit_phases")) {
-            if let Some(m) = phases.as_obj() {
-                let total: f64 = m
-                    .values()
-                    .filter_map(|v| v.get("total_ns").and_then(Json::as_f64))
-                    .sum();
-                if total > 0.0 {
-                    for (k, v) in m {
-                        if let Some(ns) = v.get("total_ns").and_then(Json::as_f64) {
-                            phase_share_pct.insert(k.clone(), ns * 100.0 / total);
-                        }
-                    }
-                }
-            }
-        }
-        // Steady-state utilization per resource (schema v3+). Older
-        // baselines simply have no section; the diff then reports every
-        // resource as "new" without gating, so a v2 baseline still works.
-        let mut resource_util_pct = BTreeMap::new();
-        if let Some(m) = doc.get("resources").and_then(Json::as_obj) {
-            for (k, v) in m {
-                if let Some(u) = v.get("steady_util_pct").and_then(Json::as_f64) {
-                    resource_util_pct.insert(k.clone(), u);
-                }
-            }
-        }
-        Ok(ReportSummary {
-            name: need("name")?.as_str().unwrap_or("?").to_string(),
-            throughput_per_s: num("throughput_per_s")?,
-            p50_ns: latency
-                .get("p50_ns")
-                .and_then(Json::as_f64)
-                .ok_or("`latency.p50_ns` missing")?,
-            p99_ns: latency
-                .get("p99_ns")
-                .and_then(Json::as_f64)
-                .ok_or("`latency.p99_ns` missing")?,
-            counters,
-            phase_share_pct,
-            resource_util_pct,
-        })
+        walk_at(&child, a, b, lines);
     }
 }
 
-/// Relative regression thresholds. A metric regresses when it moves in its
-/// bad direction by more than the given fraction of the baseline.
-#[derive(Debug, Clone)]
-pub struct Thresholds {
-    /// Max tolerated throughput drop (fraction; 0.10 = -10%).
-    pub max_tput_drop: f64,
-    /// Max tolerated p50 latency rise (fraction).
-    pub max_p50_rise: f64,
-    /// Max tolerated p99 latency rise (fraction).
-    pub max_p99_rise: f64,
-    /// Max tolerated commit-phase share drift, percentage points; `None`
-    /// reports the drift without gating on it.
-    pub max_phase_shift_pp: Option<f64>,
-    /// Max tolerated steady-state resource-utilization drift, percentage
-    /// points (either direction — a device suddenly idling flags a broken
-    /// path as surely as one saturating); `None` reports without gating.
-    pub max_util_drift_pp: Option<f64>,
-    /// Absolute gates on the *new* report: each `(num, den, limit)` asserts
-    /// `counters[num] / counters[den] < limit`. Used for invariants that
-    /// hold regardless of the baseline — e.g. the group-commit gate
-    /// `core.wal_flushes / core.txn_commits < 0.5`. A missing or zero
-    /// denominator fails the gate (the invariant is unverifiable).
-    pub counter_ratio_lt: Vec<(String, String, f64)>,
-    /// Absolute gates on the *new* report: each `(a, b)` asserts
-    /// `counters[a] < counters[b]` — e.g. `rdma.doorbells < rdma.wrs`
-    /// proves multi-WR chains actually share doorbells.
-    pub counter_lt: Vec<(String, String)>,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            max_tput_drop: 0.10,
-            max_p50_rise: 0.20,
-            max_p99_rise: 0.20,
-            max_phase_shift_pp: None,
-            max_util_drift_pp: None,
-            counter_ratio_lt: Vec::new(),
-            counter_lt: Vec::new(),
-        }
-    }
-}
-
-/// Outcome of one diff: the rendered table plus the regressions found.
-#[derive(Debug)]
-pub struct DiffOutcome {
-    /// Human-readable comparison table.
-    pub table: String,
-    /// One line per gated metric that exceeded its threshold.
-    pub regressions: Vec<String>,
-}
-
-impl DiffOutcome {
-    /// Whether any gated metric regressed.
-    pub fn regressed(&self) -> bool {
-        !self.regressions.is_empty()
-    }
-}
-
-fn rel_delta(base: f64, new: f64) -> f64 {
-    if base == 0.0 {
-        if new == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        (new - base) / base
-    }
-}
-
-fn fmt_delta(d: f64) -> String {
-    if d.is_infinite() {
-        "new".to_string()
-    } else {
-        format!("{:+.1}%", d * 100.0)
-    }
-}
-
-/// Compare `new` against `base` under `th`.
-pub fn diff(base: &ReportSummary, new: &ReportSummary, th: &Thresholds) -> DiffOutcome {
-    let mut table = String::new();
-    let mut regressions = Vec::new();
-    let _ = writeln!(
-        table,
-        "report_diff: {} (baseline) vs {} (new)",
-        base.name, new.name
-    );
-    let _ = writeln!(
-        table,
-        "{:<28} {:>14} {:>14} {:>9}  gate",
-        "metric", "baseline", "new", "delta"
-    );
-
-    let mut row = |name: &str, b: f64, n: f64, gate: Option<(f64, bool)>| {
-        let d = rel_delta(b, n);
-        // `worse_when_up`: latency-style metrics regress on a rise.
-        let (verdict, is_reg) = match gate {
-            None => ("", false),
-            Some((limit, worse_when_up)) => {
-                let bad = if worse_when_up { d } else { -d };
-                if bad > limit {
-                    ("REGRESSED", true)
-                } else {
-                    ("ok", false)
-                }
-            }
-        };
-        let _ = writeln!(
-            table,
-            "{:<28} {:>14.1} {:>14.1} {:>9}  {}",
-            name,
-            b,
-            n,
-            fmt_delta(d),
-            verdict
-        );
-        if is_reg {
-            regressions.push(format!(
-                "{name}: {b:.1} -> {n:.1} ({}) exceeds threshold {:.0}%",
-                fmt_delta(d),
-                gate.unwrap().0 * 100.0
-            ));
-        }
+fn line(path: &str, old: Option<&Json>, new: Option<&Json>) -> String {
+    let show = |v: Option<&Json>| match v {
+        Some(v) => render(v).trim_end().to_string(),
+        None => "(absent)".to_string(),
     };
-
-    row(
-        "throughput_per_s",
-        base.throughput_per_s,
-        new.throughput_per_s,
-        Some((th.max_tput_drop, false)),
-    );
-    row(
-        "latency.p50_ns",
-        base.p50_ns,
-        new.p50_ns,
-        Some((th.max_p50_rise, true)),
-    );
-    row(
-        "latency.p99_ns",
-        base.p99_ns,
-        new.p99_ns,
-        Some((th.max_p99_rise, true)),
-    );
-
-    // Key counters: informational (the virtual-time smoke run is seeded, so
-    // any drift here is a behaviour change worth seeing, not gating).
-    for key in [
-        "core.txn_commits",
-        "core.txn_aborts",
-        "astore.appends",
-        "pagestore.records_applied",
-        "rdma.chain_writes",
-    ] {
-        let b = base.counters.get(key).copied().unwrap_or(0.0);
-        let n = new.counters.get(key).copied().unwrap_or(0.0);
-        if b != 0.0 || n != 0.0 {
-            row(key, b, n, None);
+    let delta = match (old, new) {
+        (Some(Json::Num(a)), Some(Json::Num(b))) if *a != 0.0 => {
+            format!(" ({:+.2}%)", (b - a) / a * 100.0)
         }
-    }
-
-    // Commit-phase shares: drift in percentage points.
-    let mut phases: Vec<&String> = base
-        .phase_share_pct
-        .keys()
-        .chain(new.phase_share_pct.keys())
-        .collect();
-    phases.sort();
-    phases.dedup();
-    for phase in phases {
-        let b = base.phase_share_pct.get(phase).copied().unwrap_or(0.0);
-        let n = new.phase_share_pct.get(phase).copied().unwrap_or(0.0);
-        let drift = n - b;
-        let gated = th
-            .max_phase_shift_pp
-            .map(|limit| drift.abs() > limit)
-            .unwrap_or(false);
-        let _ = writeln!(
-            table,
-            "{:<28} {:>13.2}% {:>13.2}% {:>+8.2}pp  {}",
-            format!("phase.{phase}"),
-            b,
-            n,
-            drift,
-            if gated {
-                "REGRESSED"
-            } else if th.max_phase_shift_pp.is_some() {
-                "ok"
-            } else {
-                ""
-            }
-        );
-        if gated {
-            regressions.push(format!(
-                "phase.{phase}: share {b:.2}% -> {n:.2}% drifts {:+.2}pp beyond {:.1}pp",
-                drift,
-                th.max_phase_shift_pp.unwrap()
-            ));
-        }
-    }
-
-    // Resource steady-state utilization: drift in percentage points. A
-    // baseline with no `resources` section (pre-v3) cannot anchor a drift,
-    // so those rows render as informational and the gate stays quiet until
-    // the baseline is regenerated.
-    let anchored = !base.resource_util_pct.is_empty();
-    let mut resources: Vec<&String> = base
-        .resource_util_pct
-        .keys()
-        .chain(new.resource_util_pct.keys())
-        .collect();
-    resources.sort();
-    resources.dedup();
-    for res in resources {
-        let b = base.resource_util_pct.get(res).copied().unwrap_or(0.0);
-        let n = new.resource_util_pct.get(res).copied().unwrap_or(0.0);
-        let drift = n - b;
-        let gate = th.max_util_drift_pp.filter(|_| anchored);
-        let gated = gate.map(|limit| drift.abs() > limit).unwrap_or(false);
-        let _ = writeln!(
-            table,
-            "{:<28} {:>13.2}% {:>13.2}% {:>+8.2}pp  {}",
-            format!("util.{res}"),
-            b,
-            n,
-            drift,
-            if gated {
-                "REGRESSED"
-            } else if gate.is_some() {
-                "ok"
-            } else {
-                ""
-            }
-        );
-        if gated {
-            regressions.push(format!(
-                "util.{res}: {b:.2}% -> {n:.2}% drifts {:+.2}pp beyond {:.1}pp",
-                drift,
-                th.max_util_drift_pp.unwrap()
-            ));
-        }
-    }
-
-    // Absolute counter gates, evaluated against the new report only.
-    for (num, den, limit) in &th.counter_ratio_lt {
-        let n = new.counters.get(num).copied().unwrap_or(0.0);
-        let d = new.counters.get(den).copied().unwrap_or(0.0);
-        let (shown, ok) = if d > 0.0 {
-            (n / d, n / d < *limit)
-        } else {
-            (f64::NAN, false)
-        };
-        let _ = writeln!(
-            table,
-            "{:<28} {:>14} {:>14.3} {:>9}  {}",
-            format!("assert {num}/{den}"),
-            format!("< {limit}"),
-            shown,
-            "",
-            if ok { "ok" } else { "REGRESSED" }
-        );
-        if !ok {
-            regressions.push(if d > 0.0 {
-                format!("{num}/{den}: {n:.0}/{d:.0} = {shown:.3} not below {limit}")
-            } else {
-                format!("{num}/{den}: denominator `{den}` missing or zero")
-            });
-        }
-    }
-    for (a, b) in &th.counter_lt {
-        let av = new.counters.get(a).copied().unwrap_or(0.0);
-        let bv = new.counters.get(b).copied().unwrap_or(0.0);
-        let ok = av < bv;
-        let _ = writeln!(
-            table,
-            "{:<28} {:>14.0} {:>14.0} {:>9}  {}",
-            format!("assert {a} < {b}"),
-            av,
-            bv,
-            "",
-            if ok { "ok" } else { "REGRESSED" }
-        );
-        if !ok {
-            regressions.push(format!("{a} ({av:.0}) not below {b} ({bv:.0})"));
-        }
-    }
-
-    DiffOutcome { table, regressions }
+        _ => String::new(),
+    };
+    format!("{path}: {} -> {}{delta}", show(old), show(new))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn report_json(tput: f64, p50: u64, p99: u64, flush_ns: u64, self_ns: u64) -> String {
-        report_json_util(tput, p50, p99, flush_ns, self_ns, 42.17)
+    fn doc(text: &str) -> Json {
+        parse_json(text).unwrap()
     }
 
-    fn report_json_util(
-        tput: f64,
-        p50: u64,
-        p99: u64,
-        flush_ns: u64,
-        self_ns: u64,
-        util_pct: f64,
-    ) -> String {
-        format!(
-            r#"{{
-  "schema": "vedb-bench-report/v3",
-  "name": "unit",
-  "committed": 100,
-  "aborted": 1,
-  "window_ns": 1000000,
-  "throughput_per_s": {tput},
-  "latency": {{"count": 100, "mean_ns": 10, "p50_ns": {p50}, "p95_ns": 50, "p99_ns": {p99}, "max_ns": 99}},
-  "counters": {{"core.commits": 100, "astore.appends": 40}},
-  "gauges": {{}},
-  "op_latencies": {{}},
-  "resources": {{
-    "astore-0.pmem": {{"lanes": 4, "ops": 40, "busy_ns": 400, "steady_util_pct": {util_pct}, "wait": {{"count": 40, "mean_ns": 5, "p50_ns": 4, "p95_ns": 9, "p99_ns": 9, "max_ns": 9}}, "service": {{"count": 40, "mean_ns": 10, "p50_ns": 10, "p95_ns": 10, "p99_ns": 10, "max_ns": 10}}}}
-  }},
-  "profile": {{
-    "spans": 3, "abandoned": 0, "orphans": 0, "root_total_ns": 100,
-    "ops": {{}},
-    "commit_phases": {{
-      "wal/flush": {{"count": 1, "total_ns": {flush_ns}, "share_pct": 0.00}},
-      "self": {{"count": 1, "total_ns": {self_ns}, "share_pct": 0.00}}
-    }},
-    "timelines": {{}}
-  }}
-}}"#
-        )
-    }
-
-    fn summary(tput: f64, p50: u64, p99: u64, flush_ns: u64, self_ns: u64) -> ReportSummary {
-        let doc = parse_json(&report_json(tput, p50, p99, flush_ns, self_ns)).unwrap();
-        ReportSummary::from_json(&doc).unwrap()
-    }
-
-    fn summary_util(util_pct: f64) -> ReportSummary {
-        let doc = parse_json(&report_json_util(5000.0, 20, 80, 40, 60, util_pct)).unwrap();
-        ReportSummary::from_json(&doc).unwrap()
-    }
-
-    #[test]
-    fn parser_handles_report_shapes() {
-        let doc = parse_json(&report_json(5000.0, 20, 80, 40, 60)).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some("vedb-bench-report/v3")
-        );
-        assert_eq!(
-            doc.get("latency")
-                .and_then(|l| l.get("p99_ns"))
-                .and_then(Json::as_f64),
-            Some(80.0)
-        );
-        let esc = parse_json(r#"{"a": "x\"y\n", "b": [1, -2.5e1, true, null]}"#).unwrap();
-        assert_eq!(esc.get("a").and_then(Json::as_str), Some("x\"y\n"));
-        assert_eq!(
-            esc.get("b"),
-            Some(&Json::Arr(vec![
-                Json::Num(1.0),
-                Json::Num(-25.0),
-                Json::Bool(true),
-                Json::Null
-            ]))
-        );
-        assert!(parse_json("{\"unterminated\": ").is_err());
-        assert!(parse_json("{} trailing").is_err());
-    }
-
-    #[test]
-    fn summary_recomputes_phase_shares() {
-        let s = summary(5000.0, 20, 80, 40, 60);
-        assert!((s.phase_share_pct["wal/flush"] - 40.0).abs() < 1e-9);
-        assert!((s.phase_share_pct["self"] - 60.0).abs() < 1e-9);
-    }
+    const BASE: &str = r#"{
+      "schema": "vedb-bench-report/v4",
+      "name": "unit",
+      "trials": [
+        {"params": {"clients": 1}, "result": {"p50_ns": 200, "throughput_per_s": 5000}},
+        {"params": {"clients": 64}, "result": {"p50_ns": 400, "throughput_per_s": 9000}}
+      ],
+      "counters": {"astore.appends": 40, "core.txn_commits": 100},
+      "profile": {"locks": {"top": []}}
+    }"#;
 
     #[test]
     fn identical_reports_pass() {
-        let s = summary(5000.0, 20, 80, 40, 60);
-        let out = diff(&s, &s, &Thresholds::default());
-        assert!(!out.regressed(), "{}", out.table);
+        assert!(walk(&doc(BASE), &doc(BASE)).is_empty());
+        // Layout is not content: a re-indented copy is the same tree.
+        assert!(walk(&doc(BASE), &doc(&BASE.replace("\n      ", "\n"))).is_empty());
     }
 
     #[test]
-    fn throughput_drop_beyond_threshold_regresses() {
-        let base = summary(5000.0, 20, 80, 40, 60);
-        let new = summary(4000.0, 20, 80, 40, 60); // -20% < -10% budget
-        let out = diff(&base, &new, &Thresholds::default());
-        assert!(out.regressed());
-        assert!(out.regressions[0].contains("throughput_per_s"));
-        // A drop within budget passes.
-        let ok = summary(4600.0, 20, 80, 40, 60); // -8%
-        assert!(!diff(&base, &ok, &Thresholds::default()).regressed());
+    fn a_moved_leaf_is_one_line_with_its_relative_change() {
+        let new = BASE.replace("\"p50_ns\": 400", "\"p50_ns\": 450");
+        assert_eq!(
+            walk(&doc(BASE), &doc(&new)),
+            ["trials[1].result.p50_ns: 400 -> 450 (+12.50%)"]
+        );
+        let renamed = BASE.replace("\"name\": \"unit\"", "\"name\": \"other\"");
+        assert_eq!(
+            walk(&doc(BASE), &doc(&renamed)),
+            ["name: \"unit\" -> \"other\""]
+        );
     }
 
     #[test]
-    fn p99_rise_beyond_threshold_regresses() {
-        let base = summary(5000.0, 20, 80, 40, 60);
-        let new = summary(5000.0, 20, 120, 40, 60); // +50% > +20% budget
-        let out = diff(&base, &new, &Thresholds::default());
-        assert!(out.regressed());
-        assert!(out.regressions.iter().any(|r| r.contains("p99_ns")));
-        // Throughput *gains* never regress.
-        let faster = summary(9000.0, 10, 40, 40, 60);
-        assert!(!diff(&base, &faster, &Thresholds::default()).regressed());
+    fn added_and_removed_keys_show_the_absent_side() {
+        let added = BASE.replace(
+            "\"astore.appends\": 40",
+            "\"astore.appends\": 40, \"astore.reads\": 0",
+        );
+        assert_eq!(
+            walk(&doc(BASE), &doc(&added)),
+            ["counters.astore.reads: (absent) -> 0"]
+        );
+        assert_eq!(
+            walk(&doc(&added), &doc(BASE)),
+            ["counters.astore.reads: 0 -> (absent)"]
+        );
+        // A removed subtree lists its leaves; an emptied one is itself a leaf.
+        let no_profile = BASE.replace(",\n      \"profile\": {\"locks\": {\"top\": []}}", "");
+        assert_eq!(
+            walk(&doc(BASE), &doc(&no_profile)),
+            ["profile.locks.top: [] -> (absent)"]
+        );
     }
 
     #[test]
-    fn phase_drift_gates_only_when_asked() {
-        let base = summary(5000.0, 20, 80, 40, 60); // flush 40%
-        let new = summary(5000.0, 20, 80, 80, 20); // flush 80%
-        assert!(!diff(&base, &new, &Thresholds::default()).regressed());
-        let strict = Thresholds {
-            max_phase_shift_pp: Some(10.0),
-            ..Thresholds::default()
-        };
-        let out = diff(&base, &new, &strict);
-        assert!(out.regressed());
-        assert!(out.regressions.iter().any(|r| r.contains("wal/flush")));
+    fn arrays_of_different_length_compare_by_index() {
+        let shorter = BASE.replace(
+            ",\n        {\"params\": {\"clients\": 64}, \"result\": {\"p50_ns\": 400, \"throughput_per_s\": 9000}}",
+            "",
+        );
+        assert_eq!(
+            walk(&doc(BASE), &doc(&shorter)),
+            [
+                "trials[1].params.clients: 64 -> (absent)",
+                "trials[1].result.p50_ns: 400 -> (absent)",
+                "trials[1].result.throughput_per_s: 9000 -> (absent)",
+            ]
+        );
     }
 
     #[test]
-    fn summary_extracts_resource_utilization() {
-        let s = summary_util(42.17);
-        assert_eq!(s.resource_util_pct.len(), 1);
-        assert!((s.resource_util_pct["astore-0.pmem"] - 42.17).abs() < 1e-9);
+    fn a_v3_file_against_a_v4_file_lists_the_schema_change() {
+        let v3 = doc(r#"{
+          "schema": "vedb-bench-report/v3",
+          "name": "unit",
+          "committed": 100,
+          "throughput_per_s": 5000.000,
+          "latency": {"count": 100, "p50_ns": 200},
+          "counters": {"astore.appends": 40, "core.txn_commits": 100},
+          "gauges": {"bench.tps_group_64": 9000}
+        }"#);
+        let v4 = doc(r#"{
+          "schema": "vedb-bench-report/v4",
+          "name": "unit",
+          "trials": [{"params": {}, "result": {"committed": 100, "p50_ns": 200, "throughput_per_s": 5000}}],
+          "counters": {"astore.appends": 40, "core.txn_commits": 100},
+          "gauges": {}
+        }"#);
+        assert_eq!(
+            walk(&v3, &v4),
+            [
+                "committed: 100 -> (absent)",
+                "gauges.bench.tps_group_64: 9000 -> (absent)",
+                "latency.count: 100 -> (absent)",
+                "latency.p50_ns: 200 -> (absent)",
+                "schema: \"vedb-bench-report/v3\" -> \"vedb-bench-report/v4\"",
+                "throughput_per_s: 5000 -> (absent)",
+                "trials[0].params: (absent) -> {}",
+                "trials[0].result.committed: (absent) -> 100",
+                "trials[0].result.p50_ns: (absent) -> 200",
+                "trials[0].result.throughput_per_s: (absent) -> 5000",
+            ]
+        );
     }
 
     #[test]
-    fn util_drift_gates_only_when_asked() {
-        let base = summary_util(40.0);
-        let new = summary_util(55.0); // +15pp
-        assert!(!diff(&base, &new, &Thresholds::default()).regressed());
-        let strict = Thresholds {
-            max_util_drift_pp: Some(5.0),
-            ..Thresholds::default()
-        };
-        let out = diff(&base, &new, &strict);
-        assert!(out.regressed());
-        assert!(out
-            .regressions
-            .iter()
-            .any(|r| r.contains("util.astore-0.pmem")));
-        // The gate is symmetric: a device going idle drifts just as far.
-        let idle = summary_util(25.0); // -15pp
-        assert!(diff(&base, &idle, &strict).regressed());
-        // Within budget passes.
-        let near = summary_util(43.0); // +3pp
-        assert!(!diff(&base, &near, &strict).regressed());
-    }
-
-    #[test]
-    fn counter_ratio_gate_checks_new_report_only() {
-        // Fixture counters: core.commits = 100, astore.appends = 40.
-        let s = summary(5000.0, 20, 80, 40, 60);
-        let pass = Thresholds {
-            counter_ratio_lt: vec![("astore.appends".into(), "core.commits".into(), 0.5)],
-            ..Thresholds::default()
-        };
-        assert!(!diff(&s, &s, &pass).regressed());
-        let fail = Thresholds {
-            counter_ratio_lt: vec![("astore.appends".into(), "core.commits".into(), 0.3)],
-            ..Thresholds::default()
-        };
-        let out = diff(&s, &s, &fail);
-        assert!(out.regressed());
-        assert!(out.regressions[0].contains("not below 0.3"), "{out:?}");
-        // A missing denominator is a failure, not a silent pass.
-        let missing = Thresholds {
-            counter_ratio_lt: vec![("astore.appends".into(), "no.such".into(), 0.5)],
-            ..Thresholds::default()
-        };
-        let out = diff(&s, &s, &missing);
-        assert!(out.regressed());
-        assert!(out.regressions[0].contains("missing or zero"));
-    }
-
-    #[test]
-    fn counter_lt_gate_checks_new_report_only() {
-        let s = summary(5000.0, 20, 80, 40, 60);
-        let pass = Thresholds {
-            counter_lt: vec![("astore.appends".into(), "core.commits".into())],
-            ..Thresholds::default()
-        };
-        assert!(!diff(&s, &s, &pass).regressed());
-        let fail = Thresholds {
-            counter_lt: vec![("core.commits".into(), "astore.appends".into())],
-            ..Thresholds::default()
-        };
-        let out = diff(&s, &s, &fail);
-        assert!(out.regressed());
-        assert!(out.regressions[0].contains("not below"));
-    }
-
-    #[test]
-    fn util_gate_stays_quiet_against_pre_v3_baseline() {
-        // A v2 baseline has no `resources` section; stripping it from the
-        // fixture models that. The new report's rows render informationally
-        // but must not trip the gate (there is nothing to anchor drift to).
-        let raw = report_json_util(5000.0, 20, 80, 40, 60, 40.0);
-        let start = raw.find("  \"resources\"").unwrap();
-        let end = raw[start..]
-            .find("\n  },\n")
-            .map(|e| start + e + 6)
-            .unwrap();
-        let stripped = format!("{}{}", &raw[..start], &raw[end..]);
-        let doc = parse_json(&stripped).unwrap();
-        let base = ReportSummary::from_json(&doc).unwrap();
-        assert!(base.resource_util_pct.is_empty());
-        let new = summary_util(40.0);
-        let strict = Thresholds {
-            max_util_drift_pp: Some(5.0),
-            ..Thresholds::default()
-        };
-        let out = diff(&base, &new, &strict);
-        assert!(!out.regressed(), "{}", out.table);
-        assert!(out.table.contains("util.astore-0.pmem"));
+    fn a_scalar_against_a_container_shows_both() {
+        let old = doc(r#"{"latency": 5}"#);
+        let new = doc(r#"{"latency": {"p50_ns": 5}}"#);
+        assert_eq!(
+            walk(&old, &new),
+            ["latency: 5 -> (absent)", "latency.p50_ns: (absent) -> 5"]
+        );
     }
 }

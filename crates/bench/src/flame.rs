@@ -1,11 +1,10 @@
 //! Flamegraph export and `vedb-top` rendering from a serialized bench
 //! report — the only renderer of either.
 //!
-//! Both are derived from the `BENCH_<figure>.json` text, so one code path
-//! serves a live run ([`crate::write_bench_report`] renders the bytes it
-//! just wrote) and the `report_flame` binary inspecting artifacts long
-//! after the run — the committed baseline, a CI download — without
-//! re-running anything.
+//! Both are derived from the report's JSON tree, so one code path serves a
+//! live run ([`crate::write_bench_report`] summarises the tree it writes)
+//! and the `report_flame` binary inspecting artifacts long after the run —
+//! the committed baseline, a CI download — without re-running anything.
 //!
 //! The folded output is the classic `stack weight` line format consumed by
 //! inferno / flamegraph.pl: frames are `component/op` joined by `;`,
@@ -17,13 +16,13 @@ use crate::diff::Json;
 
 /// Render the report's `profile.folded` section as inferno-style folded
 /// lines (`stack weight\n`, stacks sorted). Errors when the document has
-/// no folded section (a pre-v3 report).
+/// no folded section (not a bench report).
 pub fn folded_lines(doc: &Json) -> Result<String, String> {
     let folded = doc
         .get("profile")
         .and_then(|p| p.get("folded"))
         .and_then(Json::as_obj)
-        .ok_or("report has no `profile.folded` section (schema < v3?)")?;
+        .ok_or("document has no `profile.folded` section (not a bench report?)")?;
     let mut out = String::new();
     for (stack, w) in folded {
         if let Some(w) = w.as_f64() {
@@ -53,17 +52,30 @@ fn ns(v: f64) -> String {
 /// contended locks, and any fault injections.
 pub fn top_summary(doc: &Json) -> String {
     let name = doc.get("name").and_then(Json::as_str).unwrap_or("?");
-    let tput = doc
-        .get("throughput_per_s")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    let window = doc.get("window_ns").and_then(Json::as_f64).unwrap_or(0.0);
+    let trials = match doc.get("trials") {
+        Some(Json::Arr(trials)) => trials.as_slice(),
+        _ => &[],
+    };
+    // One trial is a run and reads as one; a sweep's points are in the
+    // bench's own table.
+    let headline = match trials {
+        [only] => {
+            let f = |k: &str| {
+                only.get("result")
+                    .and_then(|r| r.get(k))
+                    .and_then(Json::as_f64)
+                    .unwrap_or(0.0)
+            };
+            format!(
+                "{:.0} op/s over {}",
+                f("throughput_per_s"),
+                ns(f("window_ns"))
+            )
+        }
+        _ => format!("{} trials", trials.len()),
+    };
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "== vedb-top: {name} ({tput:.0} op/s over {}) ==",
-        ns(window)
-    );
+    let _ = writeln!(out, "== vedb-top: {name} ({headline}) ==");
 
     if let Some(resources) = doc.get("resources").and_then(Json::as_obj) {
         let mut rows: Vec<(&String, &Json)> = resources.iter().collect();
@@ -166,10 +178,9 @@ mod tests {
     use crate::diff::parse_json;
 
     const DOC: &str = r#"{
-  "schema": "vedb-bench-report/v3",
+  "schema": "vedb-bench-report/v4",
   "name": "unit",
-  "window_ns": 2000000,
-  "throughput_per_s": 1234.5,
+  "trials": [{"params": {}, "result": {"throughput_per_s": 1234.5, "window_ns": 2000000}}],
   "resources": {
     "engine.nic": {"lanes": 2, "ops": 7, "busy_ns": 70, "steady_util_pct": 3.10, "wait": {"p99_ns": 5}, "service": {"p99_ns": 10}},
     "astore-0.pmem": {"lanes": 4, "ops": 40, "busy_ns": 400, "steady_util_pct": 42.17, "wait": {"p99_ns": 900}, "service": {"p99_ns": 1000}}
@@ -227,7 +238,7 @@ mod tests {
 
     #[test]
     fn folded_lines_error_without_profile_section() {
-        let doc = parse_json(r#"{"schema": "vedb-bench-report/v2", "name": "old"}"#).unwrap();
+        let doc = parse_json(r#"{"schema": "vedb-bench-report/v4", "name": "bare"}"#).unwrap();
         assert!(folded_lines(&doc).is_err());
     }
 

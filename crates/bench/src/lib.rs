@@ -116,20 +116,19 @@ pub fn bench_report_dir() -> PathBuf {
 
 /// Print `report`'s `vedb-top` summary and write it as `BENCH_<name>.json`
 /// into [`bench_report_dir`] (created if missing); returns the absolute
-/// path written. The summary is rendered from the serialized bytes, so it
-/// is what `report_flame --top` shows for the file later. Errors are
-/// returned, not panicked, so a read-only checkout degrades to console-only
-/// output.
+/// path written. The summary is rendered from the tree the file is rendered
+/// from, so it is what `report_flame --top` shows for the file later.
+/// Errors are returned, not panicked, so a read-only checkout degrades to
+/// console-only output.
 pub fn write_bench_report(report: &RunReport) -> std::io::Result<PathBuf> {
-    let json = report.to_json();
-    let doc = diff::parse_json(&json).expect("RunReport::to_json emits well-formed JSON");
+    let doc = report.to_value();
     print!("{}", flame::top_summary(&doc));
     let dir = bench_report_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir
         .canonicalize()?
         .join(format!("BENCH_{}.json", report.name));
-    std::fs::write(&path, json)?;
+    std::fs::write(&path, vedb_sim::json::render(&doc))?;
     println!("  wrote {}", path.display());
     Ok(path)
 }

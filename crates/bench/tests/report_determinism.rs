@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use vedb_bench::diff::{parse_json, Json};
 use vedb_bench::Deployment;
 use vedb_core::db::{DbConfig, LogBackendKind};
 use vedb_core::ebp::EbpConfig;
@@ -146,6 +147,33 @@ fn assert_same_json(ja: &str, jb: &str) {
     }
 }
 
+/// What the writer wrote, the parser reads back: every trial value,
+/// counter and gauge of `json` equals the struct's field.
+fn assert_parses_back(report: &RunReport, json: &str, case: &str) {
+    let doc = parse_json(json).unwrap_or_else(|e| panic!("{case}: {e}"));
+    let num = |v: &Json, section: &str, key: &str| {
+        v.get(section)
+            .and_then(|s| s.get(key))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("{case}: {section}.{key} missing"))
+    };
+    let Some(Json::Arr(trials)) = doc.get("trials") else {
+        panic!("{case}: trials is an array")
+    };
+    assert_eq!(trials.len(), report.trials.len(), "{case}");
+    for (parsed, trial) in trials.iter().zip(&report.trials) {
+        for (key, value) in &trial.result {
+            assert_eq!(num(parsed, "result", key), *value, "{case}: result.{key}");
+        }
+    }
+    for (key, value) in &report.counters {
+        assert_eq!(num(&doc, "counters", key), *value as f64, "{case}: {key}");
+    }
+    for (key, value) in &report.gauges {
+        assert_eq!(num(&doc, "gauges", key), *value as f64, "{case}: {key}");
+    }
+}
+
 /// The table: four workload shapes × {1, 64} clients × both flush policies,
 /// each run twice in this process. The report, the final clock and every
 /// registry counter repeat.
@@ -169,7 +197,10 @@ fn seeded_runs_are_byte_identical_at_1_and_64_clients_under_both_policies() {
 
                 // Sanity: the run actually did work — an empty report being
                 // equal to another empty report would prove nothing.
-                assert!(report.throughput() > 0.0, "{case}: committed nothing");
+                assert!(
+                    report.trials[0].result["throughput_per_s"] > 0.0,
+                    "{case}: committed nothing"
+                );
                 assert!(report.counter("pmem.writes") > 0, "{case}");
                 assert!(report.counter("rdma.chain_writes") > 0, "{case}");
                 // ... and at 64 clients through the waits the baton orders:
@@ -182,6 +213,7 @@ fn seeded_runs_are_byte_identical_at_1_and_64_clients_under_both_policies() {
                 }
 
                 assert_same_json(&a.json, &b.json);
+                assert_parses_back(&report, &a.json, &case);
                 assert_eq!(a.final_clock, b.final_clock, "{case}: final clock");
                 assert_eq!(a.counters, b.counters, "{case}: counters");
             }
@@ -259,7 +291,8 @@ fn report_json_round_trips_expected_fields() {
     let rep = run_once("fields");
     let json = rep.to_json();
     // Spot-check the schema the EXPERIMENTS.md tooling greps for.
-    assert!(json.contains("\"schema\": \"vedb-bench-report/v3\""));
+    assert!(json.contains("\"schema\": \"vedb-bench-report/v4\""));
+    assert!(json.contains("\"trials\""));
     assert!(json.contains("\"throughput_per_s\""));
     assert!(json.contains("\"p50_ns\""));
     assert!(json.contains("\"p95_ns\""));
@@ -272,8 +305,7 @@ fn report_json_round_trips_expected_fields() {
     assert!(json.contains("\"commit_phases\""));
     assert!(json.contains("\"core/commit\""));
     assert!(json.contains("\"wal/flush\""));
-    // Schema v3 additions: resource saturation, lock contention, folded
-    // flamegraph stacks.
+    // Resource saturation, lock contention, folded flamegraph stacks.
     assert!(json.contains("\"resources\""));
     assert!(json.contains("\"steady_util_pct\""));
     assert!(json.contains("\"astore-0.pmem\""));

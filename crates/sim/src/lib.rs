@@ -23,11 +23,12 @@
 //! * [`MetricsRegistry`] — per-subsystem counters/gauges/histograms plus the
 //!   causal [`TraceLog`] of [`span!`]-recorded operations,
 //! * [`RunReport`] — deterministic JSON snapshots written by the bench
-//!   harness as `BENCH_<figure>.json`.
+//!   harness as `BENCH_<figure>.json`, through the one JSON codec ([`json`]).
 
 pub mod cluster;
 pub mod contention;
 pub mod fault;
+pub mod json;
 pub mod latency;
 pub mod metrics;
 pub mod profile;
@@ -45,7 +46,7 @@ pub use fault::FaultPlan;
 pub use latency::LatencyModel;
 pub use metrics::{Counter, Gauge, LatencyRecorder, MetricsRegistry, Timeline, TrialResult};
 pub use profile::{FaultEvent, OpStat, PhaseStat, Profile, TimelineSnapshot};
-pub use report::{LatencySummary, ResourceSummary, RunReport};
+pub use report::{LatencySummary, ResourceSummary, RunReport, Trial};
 pub use resource::Resource;
 pub use rng::SimRng;
 pub use sched::{run_clients, Waker};

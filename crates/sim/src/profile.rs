@@ -26,9 +26,9 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 use crate::contention::{LockProfile, DEFAULT_TOP_K};
+use crate::json::Json;
 use crate::metrics::MetricsRegistry;
 use crate::trace::TraceEvent;
 
@@ -224,146 +224,96 @@ impl Profile {
             && self.fault_events.is_empty()
     }
 
-    /// Deterministic JSON encoding, appended to `out` (no trailing
-    /// newline). Shares are fixed-point percentages derived from integer
-    /// ns, so the bytes stay reproducible.
-    pub fn write_json(&self, out: &mut String, indent: &str) {
-        let pct = |part: u64, whole: u64| -> String {
+    /// The profile as a JSON tree. Shares are two-decimal percentages
+    /// derived from integer ns, so the rendered bytes stay reproducible.
+    pub fn to_value(&self) -> Json {
+        let pct = |part: u64, whole: u64| -> Json {
             if whole == 0 {
-                "0.00".to_string()
-            } else {
-                // Two fixed decimals via integer math: no float formatting.
-                let scaled = part as u128 * 10_000 / whole as u128;
-                format!("{}.{:02}", scaled / 100, scaled % 100)
+                return 0.0.into();
             }
+            let hundredths = part as u128 * 10_000 / whole as u128;
+            (hundredths as f64 / 100.0).into()
         };
-        let _ = write!(out, "{{\n{indent}  \"spans\": {},", self.spans);
-        let _ = write!(out, "\n{indent}  \"abandoned\": {},", self.abandoned);
-        let _ = write!(out, "\n{indent}  \"orphans\": {},", self.orphans);
-        let _ = write!(
-            out,
-            "\n{indent}  \"root_total_ns\": {},",
-            self.root_total_ns
-        );
-        let _ = write!(out, "\n{indent}  \"ops\": {{");
-        let mut first = true;
-        for (k, v) in &self.ops {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n{indent}    \"{k}\": {{\"count\": {}, \"total_ns\": {}, \"self_ns\": {}, \"self_share_pct\": {}}}",
-                v.count,
-                v.total_ns,
-                v.self_ns,
-                pct(v.self_ns, self.root_total_ns),
-            );
-        }
+        let ops = self.ops.iter().map(|(k, v)| {
+            let stat = Json::obj([
+                ("count", v.count.into()),
+                ("total_ns", v.total_ns.into()),
+                ("self_ns", v.self_ns.into()),
+                ("self_share_pct", pct(v.self_ns, self.root_total_ns)),
+            ]);
+            (k, stat)
+        });
         let commit_total = self.ops.get("core/commit").map(|s| s.total_ns).unwrap_or(0);
-        let _ = write!(out, "\n{indent}  }},\n{indent}  \"commit_phases\": {{");
-        first = true;
-        for (k, v) in &self.commit_phases {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n{indent}    \"{k}\": {{\"count\": {}, \"total_ns\": {}, \"share_pct\": {}}}",
-                v.count,
-                v.total_ns,
-                pct(v.total_ns, commit_total),
-            );
-        }
-        let _ = write!(out, "\n{indent}  }},\n{indent}  \"timelines\": {{");
-        first = true;
-        for (k, tl) in &self.timelines {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n{indent}    \"{k}\": {{\"bucket_ns\": {}, \"samples\": {{",
-                tl.bucket_ns
-            );
-            let mut first_s = true;
-            for (b, v) in &tl.samples {
-                if !first_s {
-                    out.push_str(", ");
-                }
-                first_s = false;
-                let _ = write!(out, "\"{b}\": {v}");
-            }
-            out.push_str("}}");
-        }
-        let _ = write!(out, "\n{indent}  }},\n{indent}  \"locks\": {{");
-        let _ = write!(out, "\n{indent}    \"tables\": {{");
-        first = true;
-        for (label, t) in &self.locks.tables {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n{indent}      \"{label}\": {{\"space\": {}, \"acquires\": {}, \"waits\": {}, \
-                 \"wait_total_ns\": {}, \"wait_p99_ns\": {}, \"wait_max_ns\": {}, \
-                 \"holds\": {}, \"hold_total_ns\": {}, \"hold_p50_ns\": {}, \
-                 \"hold_p99_ns\": {}, \"hold_max_ns\": {}}}",
-                t.space,
-                t.acquires,
-                t.waits,
-                t.wait_total_ns,
-                t.wait_p99_ns,
-                t.wait_max_ns,
-                t.holds,
-                t.hold_total_ns,
-                t.hold_p50_ns,
-                t.hold_p99_ns,
-                t.hold_max_ns,
-            );
-        }
-        let _ = write!(out, "\n{indent}    }},\n{indent}    \"top\": [");
-        first = true;
-        for k in &self.locks.top {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n{indent}      {{\"table\": \"{}\", \"space\": {}, \"key\": \"{}\", \
-                 \"waits\": {}, \"wait_total_ns\": {}, \"wait_max_ns\": {}}}",
-                k.table, k.space, k.key_hex, k.waits, k.wait_total_ns, k.wait_max_ns,
-            );
-        }
-        let _ = write!(out, "\n{indent}    ]\n{indent}  }},");
-        let _ = write!(out, "\n{indent}  \"fault_events\": [");
-        first = true;
-        for f in &self.fault_events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n{indent}    {{\"at_ns\": {}, \"op\": \"{}\", \"node\": {}}}",
-                f.at_ns, f.op, f.node,
-            );
-        }
-        let _ = write!(out, "\n{indent}  ],\n{indent}  \"folded\": {{");
-        first = true;
-        for (stack, w) in &self.folded {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\n{indent}    \"{stack}\": {w}");
-        }
-        let _ = write!(out, "\n{indent}  }}\n{indent}}}");
+        let commit_phases = self.commit_phases.iter().map(|(k, v)| {
+            let phase = Json::obj([
+                ("count", v.count.into()),
+                ("total_ns", v.total_ns.into()),
+                ("share_pct", pct(v.total_ns, commit_total)),
+            ]);
+            (k, phase)
+        });
+        let timelines = self.timelines.iter().map(|(k, tl)| {
+            let samples = tl.samples.iter().map(|(b, v)| (b.to_string(), (*v).into()));
+            let snapshot = Json::obj([
+                ("bucket_ns", tl.bucket_ns.into()),
+                ("samples", Json::obj(samples)),
+            ]);
+            (k, snapshot)
+        });
+        let lock_tables = self.locks.tables.iter().map(|(label, t)| {
+            let stat = Json::obj([
+                ("space", u64::from(t.space).into()),
+                ("acquires", t.acquires.into()),
+                ("waits", t.waits.into()),
+                ("wait_total_ns", t.wait_total_ns.into()),
+                ("wait_p99_ns", t.wait_p99_ns.into()),
+                ("wait_max_ns", t.wait_max_ns.into()),
+                ("holds", t.holds.into()),
+                ("hold_total_ns", t.hold_total_ns.into()),
+                ("hold_p50_ns", t.hold_p50_ns.into()),
+                ("hold_p99_ns", t.hold_p99_ns.into()),
+                ("hold_max_ns", t.hold_max_ns.into()),
+            ]);
+            (label, stat)
+        });
+        let lock_top = self.locks.top.iter().map(|k| {
+            Json::obj([
+                ("table", k.table.as_str().into()),
+                ("space", u64::from(k.space).into()),
+                ("key", k.key_hex.as_str().into()),
+                ("waits", k.waits.into()),
+                ("wait_total_ns", k.wait_total_ns.into()),
+                ("wait_max_ns", k.wait_max_ns.into()),
+            ])
+        });
+        let fault_events = self.fault_events.iter().map(|f| {
+            Json::obj([
+                ("at_ns", f.at_ns.into()),
+                ("op", f.op.as_str().into()),
+                ("node", f.node.into()),
+            ])
+        });
+        Json::obj([
+            ("spans", self.spans.into()),
+            ("abandoned", self.abandoned.into()),
+            ("orphans", self.orphans.into()),
+            ("root_total_ns", self.root_total_ns.into()),
+            ("ops", Json::obj(ops)),
+            ("commit_phases", Json::obj(commit_phases)),
+            ("timelines", Json::obj(timelines)),
+            (
+                "locks",
+                Json::obj([
+                    ("tables", Json::obj(lock_tables)),
+                    ("top", Json::Arr(lock_top.collect())),
+                ]),
+            ),
+            ("fault_events", Json::Arr(fault_events.collect())),
+            (
+                "folded",
+                Json::obj(self.folded.iter().map(|(stack, w)| (stack, (*w).into()))),
+            ),
+        ])
     }
 }
 
@@ -394,6 +344,7 @@ fn folded_key(ev: &TraceEvent, by_id: &HashMap<u64, &TraceEvent>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::render;
     use crate::time::{SimCtx, VTime};
     use crate::trace::TraceLog;
     use std::sync::Arc;
@@ -496,17 +447,15 @@ mod tests {
     #[test]
     fn json_is_deterministic_and_shares_are_fixed_point() {
         let p = Profile::from_events(&sample_events());
-        let mut a = String::new();
-        p.write_json(&mut a, "  ");
-        let mut b = String::new();
-        p.write_json(&mut b, "  ");
-        assert_eq!(a, b);
+        let a = render(&p.to_value());
+        assert_eq!(a, render(&p.to_value()));
         assert!(a.contains("\"core/commit\""));
         assert!(a.contains("\"commit_phases\""));
-        // flush share of commit: 4us / 10us = 40.00%.
-        assert!(
-            a.contains("\"wal/flush\": {\"count\": 1, \"total_ns\": 4000, \"share_pct\": 40.00}")
-        );
+        // flush share of commit: 4us / 10us = 40.00%; lock wait 1us = 10%.
+        assert!(a.contains("\"wal/flush\": {\"count\": 1, \"share_pct\": 40, \"total_ns\": 4000}"));
+        assert!(a.contains("\"lock/wait\": {\"count\": 1, \"share_pct\": 10, \"total_ns\": 1000}"));
+        // commit self share of root time: 5us / 12us = 41.66% (truncated).
+        assert!(a.contains("\"self_share_pct\": 41.66"));
     }
 
     #[test]
@@ -558,8 +507,7 @@ mod tests {
         assert_eq!(p.locks.tables["orders"].waits, 1);
         assert_eq!(p.locks.top.len(), 1);
         assert_eq!(p.locks.top[0].key_hex, "09");
-        let mut s = String::new();
-        p.write_json(&mut s, "  ");
+        let s = render(&p.to_value());
         assert!(s.contains("\"locks\""));
         assert!(s.contains("\"orders\""));
         assert!(s.contains("\"key\": \"09\""));
@@ -568,8 +516,7 @@ mod tests {
     #[test]
     fn json_carries_fault_and_folded_sections() {
         let p = Profile::from_events(&sample_events());
-        let mut s = String::new();
-        p.write_json(&mut s, "  ");
+        let s = render(&p.to_value());
         assert!(s.contains("\"fault_events\": ["));
         assert!(s.contains("\"folded\""));
         assert!(s.contains("\"core/commit;wal/flush;astore/append\": 3000"));
@@ -586,8 +533,7 @@ mod tests {
         assert!(!p.is_empty());
         let tl = &p.timelines["pagestore.apply_lag_records"];
         assert_eq!(tl.samples[&2], 9);
-        let mut s = String::new();
-        p.write_json(&mut s, "  ");
+        let s = render(&p.to_value());
         assert!(s.contains("\"pagestore.apply_lag_records\""));
         assert!(s.contains("\"2\": 9"));
     }

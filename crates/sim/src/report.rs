@@ -1,9 +1,10 @@
 //! Serialisable run reports: registry snapshots + trial results as JSON.
 //!
-//! A [`RunReport`] freezes one benchmark run — throughput, the committed-op
-//! latency distribution, and every subsystem counter/gauge/histogram from the
-//! deployment's [`MetricsRegistry`] — into a plain-data struct with a
-//! hand-rolled, **byte-deterministic** JSON encoding (`BTreeMap` key order,
+//! A [`RunReport`] freezes one benchmark run — its measured [`Trial`]s (one
+//! for a single run, one per point for a sweep, none for a registry-only
+//! snapshot) and every subsystem counter/gauge/histogram from the
+//! deployment's [`MetricsRegistry`] — into a plain-data struct whose JSON
+//! encoding is **byte-deterministic** ([`crate::json`]: `BTreeMap` key order,
 //! integer nanoseconds, no wall-clock anywhere). Two runs of the same seeded
 //! workload therefore serialise to identical bytes, which the determinism
 //! regression test asserts, and `crates/bench` writes these out as
@@ -11,10 +12,13 @@
 //! baseline behind.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
+use crate::json::{render, Json};
 use crate::metrics::{LatencyRecorder, MetricsRegistry, Timeline, TrialResult};
 use crate::profile::Profile;
+
+/// Schema tag of the serialised report.
+pub const SCHEMA: &str = "vedb-bench-report/v4";
 
 /// Five-number summary of a latency histogram, in integer nanoseconds.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,12 +50,15 @@ impl LatencySummary {
         }
     }
 
-    fn write_json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"count\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
-            self.count, self.mean_ns, self.p50_ns, self.p95_ns, self.p99_ns, self.max_ns
-        );
+    fn to_value(&self) -> Json {
+        Json::obj([
+            ("count", self.count.into()),
+            ("mean_ns", self.mean_ns.into()),
+            ("p50_ns", self.p50_ns.into()),
+            ("p95_ns", self.p95_ns.into()),
+            ("p99_ns", self.p99_ns.into()),
+            ("max_ns", self.max_ns.into()),
+        ])
     }
 }
 
@@ -99,19 +106,78 @@ fn steady_util_x100(tl: &Timeline, lanes: i64) -> u64 {
     (busy as u128 * 10_000 / window) as u64
 }
 
+/// One measured point of a run: what was varied, what came out, and — for
+/// a paper table or figure — what the paper reported for the same point.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Trial {
+    /// The point's coordinates in the sweep (strings or numbers), e.g.
+    /// `policy: "group", clients: 64`. Empty for a single-trial report.
+    pub params: BTreeMap<String, Json>,
+    /// Measured values by name.
+    pub result: BTreeMap<String, f64>,
+    /// The paper's values for the same names; left out of the JSON when
+    /// empty.
+    pub paper: BTreeMap<String, f64>,
+}
+
+impl Trial {
+    /// A driver trial's numbers: `committed`, `aborted`, `window_ns`,
+    /// `throughput_per_s` and the committed-op latency summary (`mean_ns`,
+    /// `p50_ns`, `p95_ns`, `p99_ns`, `max_ns`; its sample count is
+    /// `committed`).
+    pub fn measured(t: &TrialResult) -> Trial {
+        let lat = LatencySummary::from_recorder(&t.latency);
+        Trial::default()
+            .with_result("committed", t.committed as f64)
+            .with_result("aborted", t.aborted as f64)
+            .with_result("window_ns", t.window.as_nanos() as f64)
+            .with_result("throughput_per_s", t.throughput())
+            .with_result("mean_ns", lat.mean_ns as f64)
+            .with_result("p50_ns", lat.p50_ns as f64)
+            .with_result("p95_ns", lat.p95_ns as f64)
+            .with_result("p99_ns", lat.p99_ns as f64)
+            .with_result("max_ns", lat.max_ns as f64)
+    }
+
+    /// Add a sweep coordinate.
+    pub fn with_param(mut self, key: &str, value: impl Into<Json>) -> Trial {
+        self.params.insert(key.to_string(), value.into());
+        self
+    }
+
+    /// Add a measured value.
+    pub fn with_result(mut self, key: &str, value: f64) -> Trial {
+        self.result.insert(key.to_string(), value);
+        self
+    }
+
+    /// Add the paper's value for a measured name.
+    pub fn with_paper(mut self, key: &str, value: f64) -> Trial {
+        self.paper.insert(key.to_string(), value);
+        self
+    }
+
+    fn to_value(&self) -> Json {
+        let numbers =
+            |m: &BTreeMap<String, f64>| Json::obj(m.iter().map(|(k, v)| (k, (*v).into())));
+        let mut members = vec![
+            ("params", Json::Obj(self.params.clone())),
+            ("result", numbers(&self.result)),
+        ];
+        if !self.paper.is_empty() {
+            members.push(("paper", numbers(&self.paper)));
+        }
+        Json::obj(members)
+    }
+}
+
 /// One benchmark run, frozen for export (see module docs).
 #[derive(Clone, Debug)]
 pub struct RunReport {
     /// Report name; becomes the `<figure>` part of `BENCH_<figure>.json`.
     pub name: String,
-    /// Committed operations in the measurement window.
-    pub committed: u64,
-    /// Aborted operations in the measurement window.
-    pub aborted: u64,
-    /// Measurement window length, virtual ns.
-    pub window_ns: u64,
-    /// Latency distribution of committed operations.
-    pub latency: LatencySummary,
+    /// The run's measured points, in the order the bench pushed them.
+    pub trials: Vec<Trial>,
     /// Every registry counter, keyed `"component.name"`.
     pub counters: BTreeMap<String, u64>,
     /// Every registry gauge, keyed `"component.name"`.
@@ -131,23 +197,10 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Freeze `registry` (and, when present, a trial's throughput/latency
-    /// numbers) into a report named `name`.
+    /// Freeze `registry` into a report named `name`, with `trial` (when
+    /// present) as its one [`Trial::measured`] point. A sweep passes `None`
+    /// and pushes its own trials.
     pub fn collect(name: &str, trial: Option<&TrialResult>, registry: &MetricsRegistry) -> Self {
-        let (committed, aborted, window_ns, latency) = match trial {
-            Some(t) => (
-                t.committed,
-                t.aborted,
-                t.window.as_nanos(),
-                LatencySummary::from_recorder(&t.latency),
-            ),
-            None => (
-                0,
-                0,
-                0,
-                LatencySummary::from_recorder(&LatencyRecorder::new()),
-            ),
-        };
         let counters = registry.counter_values();
         let gauges = registry.gauge_values();
         let op_latencies: BTreeMap<String, LatencySummary> = registry
@@ -189,10 +242,7 @@ impl RunReport {
             .collect();
         RunReport {
             name: name.to_string(),
-            committed,
-            aborted,
-            window_ns,
-            latency,
+            trials: trial.map(Trial::measured).into_iter().collect(),
             counters,
             gauges,
             op_latencies,
@@ -201,114 +251,64 @@ impl RunReport {
         }
     }
 
-    /// Committed operations per virtual second.
-    pub fn throughput(&self) -> f64 {
-        if self.window_ns == 0 {
-            return 0.0;
-        }
-        self.committed as f64 / (self.window_ns as f64 / 1e9)
-    }
-
     /// Value of counter `"component.name"`, zero if absent.
     pub fn counter(&self, key: &str) -> u64 {
         self.counters.get(key).copied().unwrap_or(0)
     }
 
-    /// Deterministic JSON encoding: keys sorted (BTreeMap order), times as
-    /// integer ns, throughput as a fixed three-decimal number. Byte-identical
-    /// across runs of the same seeded workload.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"vedb-bench-report/v3\",");
-        let _ = writeln!(out, "  \"name\": \"{}\",", escape(&self.name));
-        let _ = writeln!(out, "  \"committed\": {},", self.committed);
-        let _ = writeln!(out, "  \"aborted\": {},", self.aborted);
-        let _ = writeln!(out, "  \"window_ns\": {},", self.window_ns);
-        let _ = writeln!(out, "  \"throughput_per_s\": {:.3},", self.throughput());
-        out.push_str("  \"latency\": ");
-        self.latency.write_json(&mut out);
-        out.push_str(",\n  \"counters\": {");
-        let mut first = true;
-        for (k, v) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\n    \"{}\": {}", escape(k), v);
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        first = true;
-        for (k, v) in &self.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\n    \"{}\": {}", escape(k), v);
-        }
-        out.push_str("\n  },\n  \"op_latencies\": {");
-        first = true;
-        for (k, v) in &self.op_latencies {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\n    \"{}\": ", escape(k));
-            v.write_json(&mut out);
-        }
-        out.push_str("\n  },\n  \"resources\": {");
-        first = true;
-        for (k, r) in &self.resources {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"lanes\": {}, \"ops\": {}, \"busy_ns\": {}, \
-                 \"steady_util_pct\": {}.{:02}, \"wait\": ",
-                escape(k),
-                r.lanes,
-                r.ops,
-                r.busy_ns,
-                r.steady_util_x100 / 100,
-                r.steady_util_x100 % 100,
-            );
-            r.wait.write_json(&mut out);
-            out.push_str(", \"service\": ");
-            r.service.write_json(&mut out);
-            out.push('}');
-        }
-        out.push_str("\n  },\n  \"profile\": ");
-        self.profile.write_json(&mut out, "  ");
-        out.push_str("\n}\n");
-        out
+    /// The report as a JSON tree (schema [`SCHEMA`]): times as integer ns,
+    /// shares and utilizations as two-decimal percentages derived from
+    /// integers.
+    pub fn to_value(&self) -> Json {
+        let resources = self.resources.iter().map(|(k, r)| {
+            let summary = Json::obj([
+                ("lanes", r.lanes.into()),
+                ("ops", r.ops.into()),
+                ("busy_ns", r.busy_ns.into()),
+                (
+                    "steady_util_pct",
+                    (r.steady_util_x100 as f64 / 100.0).into(),
+                ),
+                ("wait", r.wait.to_value()),
+                ("service", r.service.to_value()),
+            ]);
+            (k, summary)
+        });
+        Json::obj([
+            ("schema", SCHEMA.into()),
+            ("name", self.name.as_str().into()),
+            (
+                "trials",
+                Json::Arr(self.trials.iter().map(Trial::to_value).collect()),
+            ),
+            (
+                "counters",
+                Json::obj(self.counters.iter().map(|(k, v)| (k, (*v).into()))),
+            ),
+            (
+                "gauges",
+                Json::obj(self.gauges.iter().map(|(k, v)| (k, (*v).into()))),
+            ),
+            (
+                "op_latencies",
+                Json::obj(self.op_latencies.iter().map(|(k, v)| (k, v.to_value()))),
+            ),
+            ("resources", Json::obj(resources)),
+            ("profile", self.profile.to_value()),
+        ])
     }
-}
 
-/// Minimal JSON string escape; metric keys are `[a-z0-9._-]` but report names
-/// are caller-supplied.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+    /// [`to_value`](Self::to_value) rendered: byte-identical across runs of
+    /// the same seeded workload.
+    pub fn to_json(&self) -> String {
+        render(&self.to_value())
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse_json;
     use crate::time::VTime;
 
     fn sample_registry() -> MetricsRegistry {
@@ -333,7 +333,52 @@ mod tests {
         assert_eq!(rep.counter("absent.metric"), 0);
         assert_eq!(rep.gauges["pmem.unpersisted_bytes"], 256);
         assert_eq!(rep.op_latencies["astore.append"].count, 1);
-        assert!((rep.throughput() - 5000.0).abs() < 1e-9);
+        // The trial is the report's one point; no trial, no points.
+        assert_eq!(rep.trials.len(), 1);
+        assert!(rep.trials[0].params.is_empty());
+        assert_eq!(rep.trials[0].result["committed"], 500.0);
+        assert_eq!(rep.trials[0].result["window_ns"], 100e6);
+        assert_eq!(rep.trials[0].result["max_ns"], 80_000.0);
+        assert!((rep.trials[0].result["throughput_per_s"] - 5000.0).abs() < 1e-9);
+        assert!(RunReport::collect("unit", None, &reg).trials.is_empty());
+    }
+
+    #[test]
+    fn trials_serialise_params_results_and_paper_values() {
+        let mut rep = RunReport::collect("sweep", None, &sample_registry());
+        rep.trials.push(
+            Trial::default()
+                .with_param("store", "astore")
+                .with_param("clients", 64.0)
+                .with_result("avg_write_ns", 86_500.0)
+                .with_paper("avg_write_ns", 86_000.0),
+        );
+        rep.trials
+            .push(Trial::default().with_result("iops", 1527.5));
+        let doc = parse_json(&rep.to_json()).unwrap();
+        let Some(Json::Arr(trials)) = doc.get("trials") else {
+            panic!("trials is an array")
+        };
+        assert_eq!(trials.len(), 2);
+        assert_eq!(
+            trials[0].get("params"),
+            Some(&Json::obj([
+                ("clients", 64.0.into()),
+                ("store", "astore".into())
+            ]))
+        );
+        assert_eq!(
+            trials[0].get("paper"),
+            Some(&Json::obj([("avg_write_ns", 86_000.0.into())]))
+        );
+        // No paper values, no `paper` member.
+        assert_eq!(
+            trials[1],
+            Json::obj([
+                ("params", Json::obj::<&str>([])),
+                ("result", Json::obj([("iops", 1527.5.into())]))
+            ])
+        );
     }
 
     #[test]
@@ -342,7 +387,8 @@ mod tests {
         let a = rep.to_json();
         let b = rep.to_json();
         assert_eq!(a, b);
-        assert!(a.contains("\"schema\": \"vedb-bench-report/v3\""));
+        assert!(a.contains("\"schema\": \"vedb-bench-report/v4\""));
+        assert!(a.contains("\"trials\": []"));
         assert!(a.contains("\"resources\""));
         assert!(a.contains("\"profile\""));
         assert!(a.contains("\"fig\\\"x\\\"\""));
@@ -352,6 +398,30 @@ mod tests {
         let pm = a.find("pmem.flushes").unwrap();
         let rd = a.find("rdma.reads").unwrap();
         assert!(pm < rd);
+        // What the writer emits is the renderer's fixed point.
+        assert_eq!(render(&parse_json(&a).unwrap()), a);
+    }
+
+    /// Every string a caller supplies — the report name, a lock-table label
+    /// (`define_schema` / `set_label`), hence `locks.top[].table` — comes
+    /// back from the parser as it went in.
+    #[test]
+    fn caller_supplied_strings_survive_the_round_trip() {
+        let label = "ware\"house\\\n";
+        let reg = sample_registry();
+        let c = reg.lock_contention();
+        c.set_label(7, label);
+        c.note_acquire(7);
+        c.note_wait(7, b"\x09", VTime::from_micros(4));
+        let rep = RunReport::collect(label, None, &reg);
+        let doc = parse_json(&rep.to_json()).expect("the report parses");
+        assert_eq!(doc.get("name").and_then(Json::as_str), Some(label));
+        let locks = doc.get("profile").and_then(|p| p.get("locks")).unwrap();
+        assert!(locks.get("tables").and_then(|t| t.get(label)).is_some());
+        let Some(Json::Arr(top)) = locks.get("top") else {
+            panic!("locks.top is an array")
+        };
+        assert_eq!(top[0].get("table").and_then(Json::as_str), Some(label));
     }
 
     #[test]
@@ -382,9 +452,16 @@ mod tests {
         assert_eq!(rs.service.max_ns, 10_000);
         // Non-resource components don't leak into the section.
         assert!(!rep.resources.contains_key("pmem"));
-        let json = rep.to_json();
-        assert!(json.contains("\"astore-0.pmem\": {\"lanes\": 2"));
-        assert!(json.contains("\"steady_util_pct\""));
+        let doc = parse_json(&rep.to_json()).unwrap();
+        let res = doc
+            .get("resources")
+            .and_then(|r| r.get("astore-0.pmem"))
+            .unwrap();
+        assert_eq!(res.get("lanes"), Some(&Json::Num(2.0)));
+        assert_eq!(
+            res.get("steady_util_pct").and_then(Json::as_f64),
+            Some(rs.steady_util_x100 as f64 / 100.0)
+        );
     }
 
     #[test]
