@@ -41,6 +41,7 @@ fn committed_artifacts_are_current_and_in_the_writers_bytes() {
     assert_eq!(
         seen,
         [
+            "BENCH_fig11.json",
             "BENCH_group_commit.json",
             "BENCH_recovery.json",
             "BENCH_table2.json",
