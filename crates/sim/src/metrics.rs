@@ -274,17 +274,31 @@ pub struct Timeline {
 #[derive(Clone)]
 struct TimelineBooks {
     samples: BTreeMap<u64, i64>,
-    /// Busy time [`add_busy`](Timeline::add_busy) summed into one bucket
-    /// and not yet added to `samples`. Consecutive intervals mostly fall in
-    /// the same bucket, so the map is touched only when the bucket changes;
-    /// a snapshot adds this in.
-    open: Option<(u64, i64)>,
+    /// The bucket written last and what is pending for it, not yet in
+    /// `samples`. Consecutive writes mostly fall in the same bucket, so the
+    /// map is touched only when the bucket changes; a snapshot adds this in.
+    open: Option<(u64, Pending)>,
+}
+
+/// What the open bucket does to its sample when it closes.
+#[derive(Clone, Copy)]
+enum Pending {
+    /// Busy time [`add_busy`](Timeline::add_busy) summed since the bucket
+    /// opened, added to the sample.
+    Add(i64),
+    /// A [`record`](Timeline::record)ed value plus the busy time summed
+    /// after it, replacing the sample.
+    Set(i64),
 }
 
 impl TimelineBooks {
     fn close_open_bucket(&mut self) {
-        if let Some((bucket, sum)) = self.open.take() {
-            *self.samples.entry(bucket).or_insert(0) += sum;
+        match self.open.take() {
+            Some((bucket, Pending::Add(sum))) => *self.samples.entry(bucket).or_insert(0) += sum,
+            Some((bucket, Pending::Set(value))) => {
+                self.samples.insert(bucket, value);
+            }
+            None => {}
         }
     }
 }
@@ -312,9 +326,12 @@ impl Timeline {
     /// Record `value` at virtual time `at`; the last record within one
     /// bucket wins.
     pub fn record(&self, at: VTime, value: i64) {
+        let bucket = at.as_nanos() / self.bucket_ns;
         let mut books = self.books.lock();
-        books.close_open_bucket();
-        books.samples.insert(at.as_nanos() / self.bucket_ns, value);
+        if books.open.is_some_and(|(open, _)| open != bucket) {
+            books.close_open_bucket();
+        }
+        books.open = Some((bucket, Pending::Set(value)));
     }
 
     /// Accumulate a busy interval `[start_ns, end_ns)` into every bucket it
@@ -334,10 +351,12 @@ impl Timeline {
             let e = end_ns.min(bucket_end);
             let busy = (e - s) as i64;
             match &mut books.open {
-                Some((open, sum)) if *open == bucket => *sum += busy,
+                Some((open, Pending::Add(sum) | Pending::Set(sum))) if *open == bucket => {
+                    *sum += busy
+                }
                 _ => {
                     books.close_open_bucket();
-                    books.open = Some((bucket, busy));
+                    books.open = Some((bucket, Pending::Add(busy)));
                 }
             }
             s = e;
