@@ -31,6 +31,16 @@
 //! checkpoint costs memory in proportion to the pages dirtied since it was
 //! taken; shipped records are `Arc<RedoRecord>` shared by every replica.
 //!
+//! The replicas of one [`PageStore`] also share page images: a page at a
+//! given page-LSN is the same fold of the log on every replica, so a
+//! replica whose apply batch takes a page to an LSN another replica's image
+//! already has adopts that image instead of replaying the records (they
+//! are still counted and charged as applied). The fleet keeps one weak
+//! pointer per page to the newest image; a point-in-time restore drops
+//! those beyond its target, since the LSNs above it may be issued again.
+//! Debug builds replay every adopted page anyway and assert the bytes are
+//! equal.
+//!
 //! Recovery is first-class: [`PageStoreServer::restart`] rebuilds a
 //! crashed node from checkpoint + log replay (volatile page images, apply
 //! queue and watermark are lost; retained redo, parked records and

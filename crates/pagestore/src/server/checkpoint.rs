@@ -4,7 +4,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use vedb_astore::Lsn;
+use vedb_astore::{Lsn, PageId};
 use vedb_sim::SimCtx;
 
 use super::replica::{absorb_parked, PageStoreServer};
@@ -172,6 +172,8 @@ impl PageStoreServer {
     /// if the retained log then cannot chain from the remaining base up
     /// to `target` (truncated below the restore point), the segment is
     /// left untouched and [`PageStoreError::NotYetApplied`] is returned.
+    /// Before a segment replays, every image past `target` leaves the
+    /// fleet's index: the LSNs above `target` may be issued again.
     pub fn restore_to_lsn(&self, ctx: &mut SimCtx, target: Lsn) -> Result<usize> {
         self.restore_all(ctx, target)
     }
@@ -247,8 +249,14 @@ impl PageStoreServer {
                     }
                 }
             }
+            let mut fleet = self.fleet.get().map(|images| images.lock());
             // PITR: the future beyond `target` is discarded durably.
             if target < Lsn::MAX {
+                // Its LSNs may be issued again for other records: no image
+                // built past `target` may be adopted from here on.
+                if let Some(images) = fleet.as_deref_mut() {
+                    images.forget_beyond(target);
+                }
                 let dropped_r = seg.retained.split_off(&(target + 1)).len();
                 let dropped_p: Vec<Lsn> = seg
                     .out_of_order
@@ -272,10 +280,18 @@ impl PageStoreServer {
             seg.queue.clear();
             self.stats.queued.sub(stale_q as i64);
             self.stats.apply_lag.sub(stale_q as i64);
-            // The base install shares the checkpoint's images; replay
-            // copies the ones it touches.
-            seg.pages = match &seg.checkpoint {
-                Some(c) => c.pages.iter().map(|(k, v)| (*k, Arc::clone(v))).collect(),
+            // The base install shares the checkpoint's images, and those the
+            // other replicas hold of the same page versions; replay copies
+            // the ones it touches.
+            seg.pages = match &mut seg.checkpoint {
+                Some(c) => {
+                    if let Some(images) = fleet.as_deref_mut() {
+                        for (no, img) in c.pages.iter_mut() {
+                            images.share(PageId::new(key.space_no, *no), img);
+                        }
+                    }
+                    c.pages.iter().map(|(k, v)| (*k, Arc::clone(v))).collect()
+                }
                 None => HashMap::new(),
             };
             seg.applied_lsn = base_lsn;

@@ -10,7 +10,7 @@ use vedb_rdma::RpcFabric;
 use vedb_sim::trace::TraceLog;
 use vedb_sim::SimCtx;
 
-use super::replica::PageStoreServer;
+use super::replica::{FleetImages, PageStoreServer};
 use super::{PageStoreConfig, PsSegmentKey};
 use crate::page::PAGE_SIZE;
 use crate::redo::RedoRecord;
@@ -32,7 +32,8 @@ pub struct PageStore {
 }
 
 impl PageStore {
-    /// Create the facade over a set of servers.
+    /// Create the facade over a set of servers, which from here on share
+    /// every page image the log forces to be identical.
     pub fn new(
         cfg: PageStoreConfig,
         rpc: Arc<RpcFabric>,
@@ -44,6 +45,10 @@ impl PageStore {
             cfg.replication
         );
         assert!(cfg.quorum <= cfg.replication && cfg.quorum >= 1);
+        let images = Arc::new(Mutex::new(FleetImages::default()));
+        for server in &servers {
+            server.join_fleet(&images);
+        }
         let trace = Arc::clone(servers[0].res().metrics.trace());
         Arc::new(PageStore {
             cfg,
@@ -255,6 +260,7 @@ mod tests {
     use vedb_sim::SimCtx;
 
     use super::super::testutil::{make_records, more_inserts, setup};
+    use super::PageStore;
     use crate::page::Page;
     use crate::redo::RedoRecord;
     use crate::PageStoreError;
@@ -302,6 +308,100 @@ mod tests {
         for ((a, q), g) in first.iter().zip(&queued).zip(&served) {
             assert!(Arc::ptr_eq(a, q) && Arc::ptr_eq(a, g));
         }
+    }
+
+    /// Every replica's live image of `page`, without applying anything.
+    fn live_images(ps: &PageStore, page: PageId) -> Vec<Arc<Page>> {
+        let key = ps.cfg().segment_of(page);
+        ps.replicas_of(key)
+            .iter()
+            .map(|r| Arc::clone(&r.segs.lock()[&key].pages[&page.page_no]))
+            .collect()
+    }
+
+    fn apply_on(ctx: &mut SimCtx, ps: &PageStore, page: PageId, replicas: &[usize]) {
+        let key = ps.cfg().segment_of(page);
+        for &i in replicas {
+            ps.replicas_of(key)[i].apply_pending(ctx, key).unwrap();
+        }
+    }
+
+    /// `records` applied one after another to a fresh page.
+    fn serial_replay(records: &[RedoRecord]) -> Page {
+        let mut page = Page::new();
+        for rec in records {
+            rec.apply(&mut page).unwrap();
+        }
+        page
+    }
+
+    #[test]
+    fn replicas_share_one_image_per_page_version() {
+        let (_env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let page = PageId::new(1, 44);
+        ps.ship(&mut ctx, &make_records(page, 100, 3)).unwrap();
+        apply_on(&mut ctx, &ps, page, &[0, 1, 2]);
+        let v1 = live_images(&ps, page);
+        assert_eq!(v1[0].lsn(), 130);
+        assert!(
+            v1.iter().all(|img| Arc::ptr_eq(img, &v1[0])),
+            "one image at 130"
+        );
+
+        // Replica 0 moves on alone: it takes a copy, the others keep sharing.
+        ps.ship(&mut ctx, &more_inserts(page, 200, 1, 3)).unwrap();
+        apply_on(&mut ctx, &ps, page, &[0]);
+        let moved = live_images(&ps, page);
+        assert_eq!(moved[0].lsn(), 200);
+        assert!(
+            !Arc::ptr_eq(&moved[0], &v1[0]),
+            "replica 0 holds a new image"
+        );
+        assert!(Arc::ptr_eq(&moved[1], &v1[0]) && Arc::ptr_eq(&moved[2], &v1[0]));
+        assert_eq!(moved[1].lsn(), 130);
+
+        // The other two catch up by adopting replica 0's image.
+        apply_on(&mut ctx, &ps, page, &[1, 2]);
+        let v2 = live_images(&ps, page);
+        assert!(
+            v2.iter().all(|img| Arc::ptr_eq(img, &moved[0])),
+            "one image at 200"
+        );
+        assert_eq!(v2[0].n_slots(), 4);
+    }
+
+    #[test]
+    fn restore_then_reissued_lsns_never_adopt_a_discarded_image() {
+        let (_env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let page = PageId::new(1, 45);
+        let key = ps.cfg().segment_of(page);
+        let first = make_records(page, 100, 5); // @100..150
+        ps.ship(&mut ctx, &first).unwrap();
+        apply_on(&mut ctx, &ps, page, &[0, 1, 2]);
+        // A reader still holds the image at 150 across the restore.
+        let stale = ps.replicas_of(key)[0]
+            .local_page(&mut ctx, ps.cfg(), page, 150)
+            .unwrap();
+        assert_eq!(stale.lsn(), 150);
+
+        ps.restore_to_lsn(&mut ctx, 120).unwrap();
+        // LSNs 130..150 are issued again, for other cells.
+        let second = more_inserts(page, 130, 3, 2);
+        ps.ship(&mut ctx, &second).unwrap();
+        apply_on(&mut ctx, &ps, page, &[0, 1, 2]);
+
+        let want = serial_replay(&[&first[..3], &second[..]].concat());
+        let images = live_images(&ps, page);
+        for (i, img) in images.iter().enumerate() {
+            assert_eq!(**img, want, "replica {i} after the restore");
+            assert!(
+                Arc::ptr_eq(img, &images[0]),
+                "replica {i} shares the new 150"
+            );
+        }
+        assert_ne!(*stale, want, "the discarded 150 had other cells");
     }
 
     #[test]

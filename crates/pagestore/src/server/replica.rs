@@ -2,9 +2,10 @@
 //! behind a back-link gap), gossip holes closed, apply through the worker
 //! pool, and serve page reads.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 use vedb_astore::{Lsn, PageId};
@@ -30,12 +31,12 @@ use crate::{PageStoreError, Result};
 /// and rebuilt on [`PageStoreServer::restart`].
 ///
 /// Ownership: a page image is an `Arc<Page>` that the live map, the
-/// checkpoint and any reader holding it share until replay next touches the
-/// page — [`PageStoreServer::apply_batch`] mutates through `Arc::make_mut`,
-/// which copies the 16 KiB only when someone else still holds the old
-/// image. Records are `Arc<RedoRecord>`, immutable once shipped, so the
-/// queue, the retained log and every replica of the segment hold the same
-/// allocation.
+/// checkpoint, any reader holding it and — through [`FleetImages`] — the
+/// other replicas of the fleet share until replay next touches the page:
+/// [`PageStoreServer::apply_batch`] mutates through `Arc::make_mut`, which
+/// copies the 16 KiB only when someone else still holds the old image.
+/// Records are `Arc<RedoRecord>`, immutable once shipped, so the queue, the
+/// retained log and every replica of the segment hold the same allocation.
 #[derive(Default)]
 pub(super) struct ReplicaSeg {
     pub(super) pages: HashMap<u32, Arc<Page>>,
@@ -54,6 +55,105 @@ pub(super) struct ReplicaSeg {
     pub(super) checkpoint: Option<SegCheckpoint>,
     /// Accepted records since the last checkpoint (trigger counter).
     pub(super) accepted_since_ckpt: u64,
+}
+
+/// The page images one fleet's replicas share: one per page version.
+///
+/// Log-is-database makes an image of page *p* at page-LSN *L* the fold of
+/// the shipped records of *p* up to *L*, so every replica that replays *p*
+/// to *L* builds the same bytes. The first to build it publishes it here;
+/// the others adopt its `Arc` instead of building their own. The index is
+/// only ever locked under a server's `segs` lock, never the other way round.
+#[derive(Default)]
+pub(super) struct FleetImages {
+    /// Per page, the newest image a replica published. `Weak`: the index
+    /// keeps an image's `Arc` header alive, never its 16 KiB. The page
+    /// carries its own LSN.
+    newest: HashMap<PageId, Weak<Page>>,
+    /// `apply_batch`'s scratch: per page number, the first and last LSN of
+    /// the batch being applied. Held here so its capacity outlives a batch.
+    batch: HashMap<u32, (Lsn, Lsn)>,
+}
+
+impl FleetImages {
+    /// Note each page's first and last record in the batch about to apply.
+    fn plan(&mut self, parts: &[Vec<Arc<RedoRecord>>]) {
+        self.batch.clear();
+        for rec in parts.iter().flatten() {
+            self.batch
+                .entry(rec.page.page_no)
+                .and_modify(|span| span.1 = rec.lsn)
+                .or_insert((rec.lsn, rec.lsn));
+        }
+    }
+
+    /// The published image of `page` if it is still held and at `lsn`.
+    fn live(&self, page: PageId, lsn: Lsn) -> Option<Arc<Page>> {
+        self.newest
+            .get(&page)?
+            .upgrade()
+            .filter(|img| img.lsn() == lsn)
+    }
+
+    /// The image to take instead of running a batch's records for `page`:
+    /// another replica's, at `last`, the batch's last LSN for the page.
+    /// `have` is the replica's image, `rest` the batch's records from the
+    /// page's first one on.
+    fn adoptable(
+        &self,
+        page: PageId,
+        last: Lsn,
+        have: Option<&Arc<Page>>,
+        rest: &[Arc<RedoRecord>],
+    ) -> Option<Arc<Page>> {
+        if have.is_some_and(|img| img.lsn() >= last) {
+            return None;
+        }
+        let shared = self.live(page, last)?;
+        if cfg!(debug_assertions) {
+            // Equal page LSN ⇒ equal bytes, checked: replay anyway.
+            let mut own = have.map_or_else(Page::new, |img| Page::clone(img));
+            for rec in rest.iter().filter(|r| r.page == page) {
+                assert!(rec.apply(&mut own).is_ok(), "{page}: replay failed");
+            }
+            assert_eq!(own, *shared, "{page} at lsn {last}: adopted != replayed");
+        }
+        Some(shared)
+    }
+
+    /// Make `img` the newest image of `page`, unless a newer one is held.
+    fn publish(&mut self, page: PageId, img: &Arc<Page>) {
+        match self.newest.entry(page) {
+            Entry::Vacant(e) => {
+                e.insert(Arc::downgrade(img));
+            }
+            Entry::Occupied(mut e) => {
+                if e.get().upgrade().is_none_or(|held| held.lsn() <= img.lsn()) {
+                    e.insert(Arc::downgrade(img));
+                }
+            }
+        }
+    }
+
+    /// Swap `img` for the fleet's image of the same page version, or
+    /// publish it: how a restore's base install shares its checkpoint pages.
+    pub(super) fn share(&mut self, page: PageId, img: &mut Arc<Page>) {
+        match self.live(page, img.lsn()) {
+            Some(shared) => {
+                debug_assert_eq!(**img, *shared, "{page}: equal lsn, unequal bytes");
+                *img = shared;
+            }
+            None => self.publish(page, img),
+        }
+    }
+
+    /// Drop every image beyond `lsn` (and every entry nobody holds): redo
+    /// past a restore point is discarded, and its LSNs may be issued again
+    /// for other records.
+    pub(super) fn forget_beyond(&mut self, lsn: Lsn) {
+        self.newest
+            .retain(|_, img| img.upgrade().is_some_and(|held| held.lsn() <= lsn));
+    }
 }
 
 /// Replay/read metric handles (component `"pagestore"`), registered into the
@@ -152,6 +252,9 @@ pub struct PageStoreServer {
     /// At most one background checkpoint in flight per server.
     ckpt_inflight: AtomicBool,
     pub(super) segs: Mutex<HashMap<PsSegmentKey, ReplicaSeg>>,
+    /// The image index of the fleet this server serves in; unset outside a
+    /// fleet, where a server shares nothing.
+    pub(super) fleet: OnceLock<Arc<Mutex<FleetImages>>>,
     pub(super) stats: PsStats,
 }
 
@@ -184,8 +287,16 @@ impl PageStoreServer {
             pool,
             ckpt_inflight: AtomicBool::new(false),
             segs: Mutex::new(HashMap::new()),
+            fleet: OnceLock::new(),
             stats,
         })
+    }
+
+    /// Share page images with the other servers of one fleet
+    /// ([`PageStore::new`](super::PageStore::new)). A server joins the
+    /// first fleet built over it.
+    pub(super) fn join_fleet(&self, images: &Arc<Mutex<FleetImages>>) {
+        let _ = self.fleet.set(Arc::clone(images));
     }
 
     /// Node id.
@@ -405,6 +516,12 @@ impl PageStoreServer {
     /// order, so the resulting images are identical to a serial apply.
     /// With `recovery` set, applied records count as
     /// `restore_replayed_records` instead of `records_applied`.
+    ///
+    /// In a fleet, a page whose batch ends at an LSN another replica's
+    /// image already has adopts that image ([`FleetImages`]): its records
+    /// count as applied without running, and everything charged or counted
+    /// is the same as if they had run. A page this replica builds itself is
+    /// published for the others.
     pub(super) fn apply_batch(
         &self,
         ctx: &mut SimCtx,
@@ -429,23 +546,41 @@ impl PageStoreServer {
             let mut segs = self.segs.lock();
             // vedb-lint: allow(no-panic-in-runtime, "apply_batch only runs for keys handle_ship inserted under this same lock")
             let seg = segs.get_mut(&key).expect("created by ship");
+            let mut fleet = self.fleet.get().map(|images| images.lock());
+            if let Some(images) = fleet.as_deref_mut() {
+                images.plan(&parts);
+            }
             let mut applied_max: Lsn = 0;
             let mut stuck_min: Option<Lsn> = None;
             let mut requeue: Vec<Arc<RedoRecord>> = Vec::new();
             for part in &parts {
                 for (i, rec) in part.iter().enumerate() {
-                    if !seg.pages.contains_key(&rec.page.page_no) {
-                        self.stats.page_materializations.inc();
-                    }
-                    let page = seg.pages.entry(rec.page.page_no).or_default();
-                    // Copy-on-write: the image is copied here only if the
-                    // checkpoint (or a reader) still shares it.
-                    match rec.apply(Arc::make_mut(page)) {
-                        Ok(()) => {
-                            applied_max = applied_max.max(rec.lsn);
-                            touched += 1;
+                    let no = rec.page.page_no;
+                    let span = fleet.as_ref().and_then(|f| f.batch.get(&no).copied());
+                    let adopted = match (&fleet, span) {
+                        (Some(images), Some((first, last))) if rec.lsn == first => {
+                            images.adoptable(rec.page, last, seg.pages.get(&no), &part[i..])
                         }
-                        Err(e) => {
+                        _ => None,
+                    };
+                    let page = match seg.pages.entry(no) {
+                        Entry::Occupied(e) => {
+                            let page = e.into_mut();
+                            if let Some(img) = adopted {
+                                *page = img;
+                            }
+                            page
+                        }
+                        Entry::Vacant(e) => {
+                            self.stats.page_materializations.inc();
+                            e.insert(adopted.unwrap_or_default())
+                        }
+                    };
+                    if rec.lsn > page.lsn() {
+                        // Copy-on-write: the image is copied here only if the
+                        // checkpoint, a reader or another replica still
+                        // shares it.
+                        if let Err(e) = rec.apply(Arc::make_mut(page)) {
                             // Keep this worker's unapplied tail; other
                             // workers' pages are independent and keep
                             // applying. Dropping the tail would freeze
@@ -458,7 +593,14 @@ impl PageStoreServer {
                             requeue.extend_from_slice(&part[i..]);
                             break;
                         }
+                        if let (Some(images), Some((_, last))) = (fleet.as_deref_mut(), span) {
+                            if rec.lsn == last {
+                                images.publish(rec.page, page);
+                            }
+                        }
                     }
+                    applied_max = applied_max.max(rec.lsn);
+                    touched += 1;
                 }
             }
             // The apply watermark promises "everything at or below is

@@ -7,6 +7,12 @@
 //! 2. `restore_to_lsn(l)` reproduces exactly the state of a fresh store
 //!    that was only ever shipped the stream's prefix up to `l` (with
 //!    checkpointing disabled so the full log stays coverable).
+//! 3. Under random schedules of ships, per-replica applies, checkpoints,
+//!    readers holding images, and restores after which the stream goes on
+//!    with other records at the discarded LSNs: once every replica has
+//!    applied through, every image equals the serial replay of the
+//!    surviving history, and the replicas hold one allocation per page
+//!    version (the fleet shares images).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,7 +21,9 @@ use proptest::prelude::*;
 use vedb_astore::PageId;
 use vedb_pagestore::page::{Page, PageType};
 use vedb_pagestore::redo::{PageOp, RedoRecord};
-use vedb_pagestore::{ApplyConfig, PageStore, PageStoreConfig, PageStoreServer};
+use vedb_pagestore::{
+    ApplyConfig, PageStore, PageStoreConfig, PageStoreError, PageStoreServer, PsSegmentKey,
+};
 use vedb_rdma::RpcFabric;
 use vedb_sim::{ClusterSpec, SimCtx};
 
@@ -63,19 +71,36 @@ const PAGES: [PageId; 5] = [
     },
 ];
 
-/// Convert generator ops into a *valid* interleaved multi-page record
+/// Converts generator ops into a *valid* interleaved multi-page record
 /// stream, tracking a model image per page (slot indexes must be in range
 /// at apply time). Each page's first record formats it.
-fn realize_multi(ops: &[(u8, GenOp)]) -> (Vec<RedoRecord>, HashMap<PageId, Page>) {
-    let mut models: HashMap<PageId, Page> = HashMap::new();
-    let mut records: Vec<RedoRecord> = Vec::new();
-    let mut lsn = 0u64;
-    for (pidx, op) in ops {
+#[derive(Default)]
+struct Realizer {
+    models: HashMap<PageId, Page>,
+    lsn: u64,
+}
+
+impl Realizer {
+    /// A realizer that goes on from `history`, its LSNs following its tail.
+    fn after(history: &[RedoRecord]) -> Realizer {
+        let mut r = Realizer {
+            lsn: history.last().map_or(0, |rec| rec.lsn),
+            ..Realizer::default()
+        };
+        for rec in history {
+            rec.apply(r.models.entry(rec.page).or_default()).unwrap();
+        }
+        r
+    }
+
+    /// Append the records `(pidx, op)` becomes to `out`: none if the op
+    /// does not fit the page, a format first if the page is new.
+    fn realize(&mut self, (pidx, op): &(u8, GenOp), out: &mut Vec<RedoRecord>) {
         let page = PAGES[*pidx as usize % PAGES.len()];
-        if !models.contains_key(&page) {
-            lsn += 10;
+        if !self.models.contains_key(&page) {
+            self.lsn += 10;
             let rec = RedoRecord {
-                lsn,
+                lsn: self.lsn,
                 prev_same_segment: 0,
                 txn_id: 1,
                 page,
@@ -84,15 +109,15 @@ fn realize_multi(ops: &[(u8, GenOp)]) -> (Vec<RedoRecord>, HashMap<PageId, Page>
                     level: 0,
                 },
             };
-            rec.apply(models.entry(page).or_default()).unwrap();
-            records.push(rec);
+            rec.apply(self.models.entry(page).or_default()).unwrap();
+            out.push(rec);
         }
-        let model = models.get_mut(&page).unwrap();
+        let model = self.models.get_mut(&page).unwrap();
         let n = model.n_slots();
         let op = match op {
             GenOp::Insert(slot, cell) => {
                 if !model.can_insert(cell.len()) {
-                    continue;
+                    return;
                 }
                 PageOp::InsertAt {
                     slot: (*slot as usize % (n + 1)) as u16,
@@ -107,22 +132,58 @@ fn realize_multi(ops: &[(u8, GenOp)]) -> (Vec<RedoRecord>, HashMap<PageId, Page>
                 slot: (*slot as usize % n) as u16,
             },
             GenOp::SetNext(p) => PageOp::SetNextPage { page_no: *p },
-            _ => continue,
+            _ => return,
         };
-        lsn += 10;
+        self.lsn += 10;
         let rec = RedoRecord {
-            lsn,
+            lsn: self.lsn,
             prev_same_segment: 0,
             txn_id: 1,
             page,
             op,
         };
         if rec.apply(model).is_err() {
-            continue; // page full on update-grow: skip, keep stream valid
+            return; // page full on update-grow: skip, keep stream valid
         }
-        records.push(rec);
+        out.push(rec);
     }
-    (records, models)
+}
+
+/// The whole stream `ops` becomes, and the model image of every page.
+fn realize_multi(ops: &[(u8, GenOp)]) -> (Vec<RedoRecord>, HashMap<PageId, Page>) {
+    let mut realizer = Realizer::default();
+    let mut records = Vec::new();
+    for op in ops {
+        realizer.realize(op, &mut records);
+    }
+    (records, realizer.models)
+}
+
+/// One step of a random fleet schedule. Page and replica selectors are
+/// taken modulo the page list and the replica count.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Ship the stream's next few ops.
+    Ship(u8),
+    /// One replica applies what it has queued for one page's segment.
+    Apply(u8, u8),
+    /// One replica checkpoints one page's segment.
+    Checkpoint(u8, u8),
+    /// A reader takes one replica's image of a page and keeps it.
+    Read(u8, u8),
+    /// Restore the fleet to a point of the history. The stream goes on from
+    /// there with other records, at the LSNs the restore discarded.
+    Restore(u16),
+}
+
+fn gen_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        4 => (1u8..6).prop_map(Step::Ship),
+        3 => (any::<u8>(), any::<u8>()).prop_map(|(p, r)| Step::Apply(p, r)),
+        1 => (any::<u8>(), any::<u8>()).prop_map(|(p, r)| Step::Checkpoint(p, r)),
+        1 => (any::<u8>(), any::<u8>()).prop_map(|(p, r)| Step::Read(p, r)),
+        1 => any::<u16>().prop_map(Step::Restore),
+    ]
 }
 
 fn store_with(apply: ApplyConfig) -> (Arc<vedb_sim::SimEnv>, Arc<PageStore>) {
@@ -239,5 +300,116 @@ proptest! {
                 prop_assert_eq!(r.retained_count(key), f.retained_count(key));
             }
         }
+    }
+}
+
+proptest! {
+    // A case takes well under a millisecond, and the schedules that reach a
+    // restore's base install with images the index has dropped are rare.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn shared_images_match_serial_replay_under_random_schedules(
+        ops in proptest::collection::vec((any::<u8>(), gen_op()), 1..160),
+        steps in proptest::collection::vec(gen_step(), 1..60),
+        workers in 1usize..6,
+        checkpoint_every_records in 0u64..12,
+    ) {
+        let (_env, ps) = store_with(ApplyConfig { workers, checkpoint_every_records });
+        let mut ctx = SimCtx::new(1, 5);
+        let page_of = |sel: u8| PAGES[sel as usize % PAGES.len()];
+        let mut keys: Vec<PsSegmentKey> = PAGES.iter().map(|p| ps.cfg().segment_of(*p)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let replica = |key: PsSegmentKey, sel: u8| {
+            let replicas = ps.replicas_of(key);
+            Arc::clone(&replicas[sel as usize % replicas.len()])
+        };
+
+        let mut stream = ops.iter();
+        let mut realizer = Realizer::default();
+        let mut history: Vec<RedoRecord> = Vec::new();
+        let mut readers: Vec<Arc<Page>> = Vec::new();
+        for step in steps {
+            match step {
+                Step::Ship(n) => {
+                    let mut batch = Vec::new();
+                    for op in stream.by_ref().take(n as usize) {
+                        realizer.realize(op, &mut batch);
+                    }
+                    ps.ship(&mut ctx, &batch).unwrap();
+                    history.extend(batch);
+                }
+                Step::Apply(p, r) => {
+                    let key = ps.cfg().segment_of(page_of(p));
+                    replica(key, r).apply_pending(&mut ctx, key).unwrap();
+                }
+                Step::Checkpoint(p, r) => {
+                    let key = ps.cfg().segment_of(page_of(p));
+                    replica(key, r).checkpoint_segment(&mut ctx, key).unwrap();
+                }
+                Step::Read(p, r) => {
+                    let page = page_of(p);
+                    let server = replica(ps.cfg().segment_of(page), r);
+                    if let Ok(img) = server.local_page(&mut ctx, ps.cfg(), page, 0) {
+                        readers.push(img);
+                    }
+                }
+                Step::Restore(sel) => {
+                    // Redo below a checkpoint may be truncated: restore to
+                    // a point no checkpoint is past.
+                    let floor = keys
+                        .iter()
+                        .flat_map(|k| ps.replicas_of(*k).into_iter().map(|s| s.checkpoint_lsn(*k)))
+                        .max()
+                        .unwrap_or(0);
+                    let points: Vec<u64> =
+                        history.iter().map(|r| r.lsn).filter(|l| *l >= floor).collect();
+                    if points.is_empty() {
+                        continue;
+                    }
+                    let cut = points[sel as usize % points.len()];
+                    ps.restore_to_lsn(&mut ctx, cut).unwrap();
+                    history.retain(|r| r.lsn <= cut);
+                    realizer = Realizer::after(&history);
+                }
+            }
+        }
+
+        // Once every replica has applied through...
+        for key in &keys {
+            for server in ps.replicas_of(*key) {
+                server.apply_pending(&mut ctx, *key).unwrap();
+            }
+        }
+        let models = Realizer::after(&history).models;
+        for page in PAGES {
+            let key = ps.cfg().segment_of(page);
+            let images: Vec<_> = ps
+                .replicas_of(key)
+                .iter()
+                .map(|s| s.local_page(&mut ctx, ps.cfg(), page, 0))
+                .collect();
+            let Some(model) = models.get(&page) else {
+                for img in images {
+                    prop_assert!(matches!(img, Err(PageStoreError::UnknownPage(_))), "page {}", page);
+                }
+                continue;
+            };
+            let images: Vec<Arc<Page>> = images.into_iter().map(Result::unwrap).collect();
+            // ...every image equals the serial replay of the history...
+            for img in &images {
+                prop_assert_eq!(&**img, model, "page {}", page);
+            }
+            // ...and each page version is one allocation.
+            let mut allocations: Vec<*const Page> = images.iter().map(Arc::as_ptr).collect();
+            let mut versions: Vec<u64> = images.iter().map(|img| img.lsn()).collect();
+            allocations.sort_unstable();
+            allocations.dedup();
+            versions.sort_unstable();
+            versions.dedup();
+            prop_assert_eq!(allocations.len(), versions.len(), "page {}", page);
+        }
+        drop(readers);
     }
 }
