@@ -1,20 +1,25 @@
-//! Shared harness utilities for the per-figure benchmarks.
+//! The paper's evaluation as code, and the tools that read its reports.
 //!
-//! Every bench target builds one or more deployments ([`Deployment`]),
-//! loads a workload, runs client sweeps with the virtual-time driver, and
-//! prints a paper-style table next to the paper's reference numbers so the
-//! *shape* comparison (who wins, by what factor, where the crossover sits)
-//! is immediate. EXPERIMENTS.md records the outputs.
+//! Every table and figure is a function in [`figures`] that builds one or
+//! more deployments ([`Deployment`]), runs its sweep with the virtual-time
+//! driver and returns a [`RunReport`] whose trials carry the paper's values
+//! and the shape checks (who wins, by what factor, where the crossover
+//! sits). The `paper_figures` bench prints each through [`trial_table`] and
+//! writes it with [`write_bench_report`]; EXPERIMENTS.md quotes the
+//! committed files.
 
 pub mod diff;
+pub mod figures;
 pub mod flame;
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use vedb_core::db::{Db, DbConfig, StorageFabric};
 use vedb_pagestore::ApplyConfig;
-use vedb_sim::{ClusterSpec, MetricsRegistry, RunReport, SimCtx, TrialResult, VTime};
+use vedb_sim::json::{render, Json};
+use vedb_sim::{ClusterSpec, MetricsRegistry, RunReport, SimCtx, Trial, TrialResult, VTime};
 use vedb_workloads::driver::{run_trial, DriverConfig, OpOutcome};
 
 /// One deployed engine + its private storage fabric (one "cluster" per
@@ -54,7 +59,7 @@ impl Deployment {
 
     /// [`open_with`](Self::open_with) plus an explicit PageStore
     /// apply-pipeline configuration (worker count, checkpoint cadence) —
-    /// the knob `fig_recovery` sweeps.
+    /// the knob the `recovery` figure sweeps.
     pub fn open_with_apply(
         cfg: DbConfig,
         spec: ClusterSpec,
@@ -118,8 +123,6 @@ pub fn bench_report_dir() -> PathBuf {
 /// into [`bench_report_dir`] (created if missing); returns the absolute
 /// path written. The summary is rendered from the tree the file is rendered
 /// from, so it is what `report_flame --top` shows for the file later.
-/// Errors are returned, not panicked, so a read-only checkout degrades to
-/// console-only output.
 pub fn write_bench_report(report: &RunReport) -> std::io::Result<PathBuf> {
     let doc = report.to_value();
     print!("{}", flame::top_summary(&doc));
@@ -128,56 +131,64 @@ pub fn write_bench_report(report: &RunReport) -> std::io::Result<PathBuf> {
     let path = dir
         .canonicalize()?
         .join(format!("BENCH_{}.json", report.name));
-    std::fs::write(&path, vedb_sim::json::render(&doc))?;
+    std::fs::write(&path, render(&doc))?;
     println!("  wrote {}", path.display());
     Ok(path)
 }
 
-/// Render an aligned table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
+/// The report's trials as text: each run of consecutive trials with the
+/// same names is one table, params then results, with the paper's value in
+/// brackets after a result that has one.
+pub fn trial_table(report: &RunReport) -> String {
+    fn names(t: &Trial) -> (Vec<&String>, Vec<&String>) {
+        (t.params.keys().collect(), t.result.keys().collect())
     }
-    let line = |cells: &[String]| {
-        let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!(
-                "{:>w$}  ",
-                c,
-                w = widths.get(i).copied().unwrap_or(8)
-            ));
+    let number = |v: f64| {
+        if v.fract() == 0.0 {
+            format!("{v:.0}")
+        } else {
+            format!("{v:.3}")
         }
-        println!("  {s}");
     };
-    line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
-    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
-    for row in rows {
-        line(row);
+    let mut out = format!("\n== {} ==\n", report.name);
+    let mut rest = report.trials.as_slice();
+    while let Some(first) = rest.first() {
+        let n = rest.iter().take_while(|t| names(t) == names(first)).count();
+        let (group, tail) = rest.split_at(n);
+        rest = tail;
+        let (params, results) = names(first);
+        let header: Vec<String> = params
+            .iter()
+            .chain(&results)
+            .map(|k| k.to_string())
+            .collect();
+        let rows: Vec<Vec<String>> = group
+            .iter()
+            .map(|t| {
+                let p = params.iter().map(|k| match &t.params[*k] {
+                    Json::Str(s) => s.clone(),
+                    v => render(v).trim_end().to_string(),
+                });
+                let r = results.iter().map(|k| match t.paper.get(*k) {
+                    Some(paper) => format!("{} [{}]", number(t.result[*k]), number(*paper)),
+                    None => number(t.result[*k]),
+                });
+                p.chain(r).collect()
+            })
+            .collect();
+        let widths: Vec<usize> = (0..header.len())
+            .map(|i| {
+                rows.iter()
+                    .map(|r| r[i].len())
+                    .fold(header[i].len(), usize::max)
+            })
+            .collect();
+        for row in std::iter::once(&header).chain(&rows) {
+            for (cell, w) in row.iter().zip(&widths) {
+                let _ = write!(out, "  {cell:>w$}");
+            }
+            out.push('\n');
+        }
     }
-}
-
-/// Format a throughput.
-pub fn fmt_tps(v: f64) -> String {
-    if v >= 10_000.0 {
-        format!("{:.1}k", v / 1000.0)
-    } else {
-        format!("{v:.0}")
-    }
-}
-
-/// Format a virtual time as milliseconds.
-pub fn fmt_ms(t: VTime) -> String {
-    format!("{:.2}", t.as_millis_f64())
-}
-
-/// A header that states what the paper reported, so the printed table can
-/// be eyeballed against it.
-pub fn paper_note(note: &str) {
-    println!("  paper: {note}");
+    out
 }

@@ -96,7 +96,8 @@ pub struct Profile {
     /// exactly to `ops["core/commit"].total_ns`, even when children were
     /// evicted from the ring (evicted time folds into `"self"`).
     pub commit_phases: BTreeMap<String, PhaseStat>,
-    /// Every registered timeline, keyed `"component.name"`.
+    /// Every registered timeline but the resources' utilization ones,
+    /// keyed `"component.name"`.
     pub timelines: BTreeMap<String, TimelineSnapshot>,
     /// Lock-contention profile: per-table wait/hold stats plus the top-K
     /// contended keys (empty when the engine recorded no lock traffic).
@@ -114,13 +115,15 @@ pub struct Profile {
 
 impl Profile {
     /// Fold `registry`'s trace log, timelines and lock-contention state
-    /// into a profile.
+    /// into a profile. A resource's `<name>.util_busy_ns` timeline is left
+    /// out: the report summarises it as `resources.<name>.steady_util_pct`.
     pub fn from_registry(registry: &MetricsRegistry) -> Profile {
         let mut p = Self::from_events(&registry.trace().events());
         p.locks = registry.lock_contention().snapshot(DEFAULT_TOP_K);
         p.timelines = registry
             .timeline_handles()
             .into_iter()
+            .filter(|(k, _)| !k.ends_with(".util_busy_ns"))
             .map(|(k, tl)| {
                 (
                     k,
@@ -529,6 +532,8 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.timeline("pagestore", "apply_lag_records")
             .record(VTime::from_millis(2), 9);
+        let disk = crate::resource::Resource::with_metrics("disk", 1, &reg);
+        disk.acquire(VTime::ZERO, VTime::from_micros(500));
         let p = Profile::from_registry(&reg);
         assert!(!p.is_empty());
         let tl = &p.timelines["pagestore.apply_lag_records"];
@@ -536,5 +541,12 @@ mod tests {
         let s = render(&p.to_value());
         assert!(s.contains("\"pagestore.apply_lag_records\""));
         assert!(s.contains("\"2\": 9"));
+        // A resource's utilization timeline is summarised, not copied: the
+        // series is absent from the profile, its steady utilization is
+        // still reported (500 us busy in the one 1 ms bucket: 50%).
+        assert!(!p.timelines.contains_key("disk.util_busy_ns"));
+        assert!(!s.contains("util_busy_ns"));
+        let report = crate::report::RunReport::collect("util", None, &reg);
+        assert_eq!(report.resources["disk"].steady_util_x100, 5_000);
     }
 }
