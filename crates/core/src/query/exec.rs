@@ -17,6 +17,7 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use vedb_sim::{SimCtx, VTime};
 
@@ -36,10 +37,6 @@ pub struct QuerySession {
     /// Minimum allocated pages in a table before a scan fragment is pushed
     /// down (proxy for the paper's scanned-row threshold).
     pub pushdown_min_pages: u32,
-    /// Use the cost-based push-down decision instead of the bare threshold
-    /// (§VIII lists cost-based selection as future work; implemented here
-    /// as an extension — see [`super::pushdown::cost_decision`]).
-    pub cost_based: bool,
 }
 
 impl Default for QuerySession {
@@ -47,7 +44,6 @@ impl Default for QuerySession {
         QuerySession {
             pushdown: false,
             pushdown_min_pages: 4,
-            cost_based: false,
         }
     }
 }
@@ -60,27 +56,57 @@ impl QuerySession {
             ..Default::default()
         }
     }
-
-    /// Session with the cost-based push-down decision (§VIII extension).
-    pub fn with_cost_based_pushdown() -> QuerySession {
-        QuerySession {
-            pushdown: true,
-            cost_based: true,
-            ..Default::default()
-        }
-    }
 }
 
 /// Where an operator's rows go: its consumer, which copies what it keeps.
 pub(super) type Sink<'a> = &'a mut dyn FnMut(Cow<'_, Row>) -> Result<()>;
 
-/// Canonical bytes of `row`'s `cols` in `key` (hashable join key). `false`
-/// when a key part is NULL: such a row joins nothing. `need` is what was
-/// demanded of `row`; a key column outside it would be a placeholder NULL.
-fn key_of(row: &Row, cols: &[usize], need: &ColSet, key: &mut Vec<u8>) -> bool {
+/// A hash join's key map: encoded key bytes → value, hashed by [`FxHasher`].
+type KeyMap<V> = HashMap<Vec<u8>, V, BuildHasherDefault<FxHasher>>;
+
+/// The multiply-rotate hash of rustc's `FxHasher`: a handful of cycles per
+/// 8 bytes where SipHash spends tens. It is unkeyed, so rows crafted to
+/// collide would make a join quadratic; the rows here are the ones the
+/// simulated workloads generate, and an engine joining untrusted clients'
+/// rows would want SipHash back. The map is never iterated, so its order
+/// does not matter.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in words.by_ref() {
+            self.mix(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let mut tail = [0u8; 8];
+        let rest = words.remainder();
+        tail[..rest.len()].copy_from_slice(rest);
+        self.mix(u64::from_le_bytes(tail) ^ rest.len() as u64);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Canonical bytes of `row`'s values at `at` in `key` (hashable join key).
+/// `false` when a key part is NULL: such a row joins nothing. Key columns are
+/// always demanded, so a key part is never a placeholder NULL.
+fn key_of(row: &[Value], at: &[usize], key: &mut Vec<u8>) -> bool {
     key.clear();
-    for i in cols {
-        debug_assert!(need.contains(*i), "join key column {i} was not demanded");
+    for i in at {
         if row[*i].is_null() {
             return false;
         }
@@ -128,8 +154,8 @@ pub fn execute(ctx: &mut SimCtx, db: &Db, session: &QuerySession, plan: &Plan) -
     collect(ctx, db, session, plan, &ColSet::all())
 }
 
-/// [`run`] `plan` and keep its rows: the result, a join's build side, a
-/// sort's input.
+/// [`run`] `plan` and keep its rows: the result, a nested-loop join's sides,
+/// a sort's input.
 fn collect(
     ctx: &mut SimCtx,
     db: &Db,
@@ -146,20 +172,103 @@ fn collect(
 }
 
 /// What a join whose operators read `reads` of the joined row reads of its
-/// right input: the columns after the left rows' width. With no left row
+/// right input: the columns after the left rows' `width`. With no left row
 /// nothing is emitted, so nothing.
-fn right_need(reads: &ColSet, lrows: &[Row]) -> ColSet {
-    match lrows.first() {
-        Some(lrow) => reads.from_offset(lrow.len()),
-        None => ColSet::none(),
+fn right_need(reads: &ColSet, width: Option<usize>) -> ColSet {
+    width.map_or(ColSet::none(), |w| reads.from_offset(w))
+}
+
+/// A hash join's build side: of each left row only the demanded columns,
+/// back to back in one buffer. Every left row has the first one's width.
+#[derive(Default)]
+struct Build {
+    width: Option<usize>,
+    /// The demanded columns, in column order: a row's `k`-th kept value is
+    /// column `cols[k]`.
+    cols: Vec<usize>,
+    vals: Vec<Value>,
+    rows: usize,
+}
+
+impl Build {
+    fn push(&mut self, row: Cow<'_, Row>, need: &ColSet) {
+        let width = *self.width.get_or_insert(row.len());
+        debug_assert_eq!(row.len(), width, "left rows differ in width");
+        if self.rows == 0 {
+            self.cols = (0..width).filter(|i| need.contains(*i)).collect();
+        }
+        match row {
+            Cow::Borrowed(row) => self.vals.extend(self.cols.iter().map(|i| row[*i].clone())),
+            Cow::Owned(mut row) => {
+                let taken = self
+                    .cols
+                    .iter()
+                    .map(|i| std::mem::replace(&mut row[*i], Value::Null));
+                self.vals.extend(taken);
+            }
+        }
+        self.rows += 1;
+    }
+
+    fn row(&self, i: usize) -> &[Value] {
+        &self.vals[i * self.cols.len()..(i + 1) * self.cols.len()]
+    }
+
+    /// Where each of `columns` is kept in a row (nowhere without a row).
+    fn at(&self, columns: &[usize]) -> Vec<usize> {
+        if self.rows == 0 {
+            return Vec::new();
+        }
+        let at = |c: &usize| {
+            self.cols
+                .iter()
+                .position(|k| k == c)
+                .expect("key column kept")
+        };
+        columns.iter().map(at).collect()
     }
 }
 
-/// `joined` = `lrow ++ rrow`, in the one buffer a join probes with.
-fn concat(joined: &mut Row, lrow: &Row, rrow: &Row) {
-    joined.clear();
-    joined.extend_from_slice(lrow);
-    joined.extend_from_slice(rrow);
+/// The one row buffer a join probes with: `lrow ++ rrow` in the columns the
+/// join's operators read, placeholder NULLs in the others. A side's columns
+/// are copied when that side's row changes, a string into the buffer the
+/// column held for the previous row.
+struct Joined {
+    row: Row,
+    /// The left rows' width.
+    width: usize,
+    /// The demanded left columns: (index in a left row's values, column).
+    left: Vec<(usize, usize)>,
+    reads: ColSet,
+}
+
+impl Joined {
+    /// `cols[k]` is the column of a left row's `k`-th value.
+    fn new(reads: &ColSet, width: usize, cols: impl IntoIterator<Item = usize>) -> Joined {
+        let left = cols.into_iter().enumerate();
+        Joined {
+            row: vec![Value::Null; width],
+            width,
+            left: left.filter(|(_, c)| reads.contains(*c)).collect(),
+            reads: reads.clone(),
+        }
+    }
+
+    fn set_left(&mut self, lrow: &[Value]) {
+        for (k, c) in &self.left {
+            self.row[*c].clone_from(&lrow[*k]);
+        }
+    }
+
+    fn set_right(&mut self, rrow: &Row) {
+        self.row.resize(self.width + rrow.len(), Value::Null);
+        let right = self.row[self.width..].iter_mut().zip(rrow);
+        for (j, (slot, v)) in right.enumerate() {
+            if self.reads.contains(self.width + j) {
+                slot.clone_from(v);
+            }
+        }
+    }
 }
 
 /// Push `row` through `pipe` and hand what it emits to `sink`.
@@ -187,13 +296,7 @@ fn run(
             filter,
             project,
         } => {
-            if pushdown::eligible(
-                db,
-                session,
-                table,
-                filter.is_some() || project.is_some(),
-                false,
-            )? {
+            if pushdown::eligible(db, session, table)? {
                 let frag = Fragment::scan(db, table, filter, project, None, need)?;
                 return pushdown::pushdown_scan(ctx, db, &frag, sink);
             }
@@ -232,7 +335,7 @@ fn run(
                 project: None,
             } = input.as_ref()
             {
-                if pushdown::eligible(db, session, table, filter.is_some(), true)? {
+                if pushdown::eligible(db, session, table)? {
                     let agg = Some((group_by.clone(), aggs.clone()));
                     let frag = Fragment::scan(db, table, filter, &None, agg, need)?;
                     return pushdown::pushdown_scan(ctx, db, &frag, sink);
@@ -259,14 +362,20 @@ fn run(
             let mut pipe = Pipeline::new(filter, project, None);
             let reads = pipe.demand(need);
             let lneed = reads.clone().with(left_keys.iter().copied());
-            let lrows = collect(ctx, db, session, left, &lneed)?;
+            let mut build = Build::default();
+            run(ctx, db, session, left, &lneed, &mut |row| {
+                build.push(row, &lneed);
+                Ok(())
+            })?;
             // The build rows of one key are a chain in build order: the map
             // holds its first and last row, `next[i]` the row after row `i`.
-            let mut chains: HashMap<Vec<u8>, (usize, usize)> = HashMap::new();
-            let mut next = vec![usize::MAX; lrows.len()];
+            let mut chains: KeyMap<(usize, usize)> =
+                KeyMap::with_capacity_and_hasher(build.rows, Default::default());
+            let mut next = vec![usize::MAX; build.rows];
             let mut key = Vec::with_capacity(left_keys.len() * 9);
-            for (i, row) in lrows.iter().enumerate() {
-                if !key_of(row, left_keys, &lneed, &mut key) {
+            let lkeys = build.at(left_keys);
+            for i in 0..build.rows {
+                if !key_of(build.row(i), &lkeys, &mut key) {
                     continue;
                 }
                 if let Some((_, last)) = chains.get_mut(&key) {
@@ -276,22 +385,27 @@ fn run(
                     chains.insert(key.clone(), (i, i));
                 }
             }
-            let rneed = right_need(&reads, &lrows).with(right_keys.iter().copied());
-            let (mut n_right, mut joined) = (0, Row::new());
+            let rneed = right_need(&reads, build.width).with(right_keys.iter().copied());
+            let width = build.width.unwrap_or(0);
+            let mut joined = Joined::new(&reads, width, build.cols.iter().copied());
+            let mut n_right = 0;
             run(ctx, db, session, right, &rneed, &mut |rrow| {
                 n_right += 1;
-                if !key_of(&rrow, right_keys, &rneed, &mut key) {
+                if !key_of(&rrow, right_keys, &mut key) {
                     return Ok(());
                 }
                 let mut at = chains.get(&key).map_or(usize::MAX, |(first, _)| *first);
-                while let Some(lrow) = lrows.get(at) {
-                    concat(&mut joined, lrow, &rrow);
-                    emit(&mut pipe, Cow::Borrowed(&joined), sink)?;
+                if at != usize::MAX {
+                    joined.set_right(&rrow);
+                }
+                while at != usize::MAX {
+                    joined.set_left(build.row(at));
+                    emit(&mut pipe, Cow::Borrowed(&joined.row), sink)?;
                     at = next[at];
                 }
                 Ok(())
             })?;
-            charge_rows(ctx, db, lrows.len() + n_right, 100);
+            charge_rows(ctx, db, build.rows + n_right, 100);
             charge_rows(ctx, db, pipe.seen(), 50);
         }
         Plan::NestLoopJoin {
@@ -304,14 +418,17 @@ fn run(
             let mut reads = pipe.demand(need);
             on.cols(&mut reads);
             let lrows = collect(ctx, db, session, left, &reads)?;
-            let rrows = collect(ctx, db, session, right, &right_need(&reads, &lrows))?;
+            let width = lrows.first().map(Vec::len);
+            let rrows = collect(ctx, db, session, right, &right_need(&reads, width))?;
             charge_rows(ctx, db, lrows.len() * rrows.len().max(1), 20);
-            let mut joined = Row::new();
+            let width = width.unwrap_or(0);
+            let mut joined = Joined::new(&reads, width, 0..width);
             for lrow in &lrows {
+                joined.set_left(lrow);
                 for rrow in &rrows {
-                    concat(&mut joined, lrow, rrow);
-                    if on.eval_bool(&joined)? {
-                        emit(&mut pipe, Cow::Borrowed(&joined), sink)?;
+                    joined.set_right(rrow);
+                    if on.eval_bool(&joined.row)? {
+                        emit(&mut pipe, Cow::Borrowed(&joined.row), sink)?;
                     }
                 }
             }

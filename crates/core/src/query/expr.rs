@@ -6,6 +6,8 @@
 //! binary codec exists because push-down plan fragments are *serialized*
 //! and sent to storage servers (§VI-A), and we reproduce that faithfully.
 
+use std::borrow::Cow;
+
 use crate::row::{ColSet, Row, Value};
 use crate::{EngineError, Result};
 
@@ -132,86 +134,109 @@ impl Expr {
         }
     }
 
-    /// Evaluate against `row`.
-    pub fn eval(&self, row: &Row) -> Result<Value> {
+    /// Evaluate against `row`, borrowing: a column or a literal is handed
+    /// back as a reference into `row` or the expression, so no `Value` and
+    /// no `String` is copied per column read. Only arithmetic, comparisons
+    /// and `LIKE` make a value, and none of those is a string.
+    pub fn eval_ref<'a>(&'a self, row: &'a Row) -> Result<Cow<'a, Value>> {
         Ok(match self {
-            Expr::Col(i) => row
-                .get(*i)
-                .cloned()
-                .ok_or_else(|| EngineError::Query(format!("column {i} out of range")))?,
-            Expr::Lit(v) => v.clone(),
-            Expr::Cmp(op, a, b) => {
-                let (va, vb) = (a.eval(row)?, b.eval(row)?);
-                let r = match va.partial_cmp(&vb) {
-                    None => false,
-                    Some(ord) => match op {
-                        CmpOp::Eq => ord.is_eq(),
-                        CmpOp::Ne => ord.is_ne(),
-                        CmpOp::Lt => ord.is_lt(),
-                        CmpOp::Le => ord.is_le(),
-                        CmpOp::Gt => ord.is_gt(),
-                        CmpOp::Ge => ord.is_ge(),
-                    },
-                };
-                // NULL comparisons are false.
-                let r = r && !va.is_null() && !vb.is_null();
-                Value::Int(r as i64)
-            }
-            Expr::And(a, b) => Value::Int((a.eval_bool(row)? && b.eval_bool(row)?) as i64),
-            Expr::Or(a, b) => Value::Int((a.eval_bool(row)? || b.eval_bool(row)?) as i64),
-            Expr::Not(a) => Value::Int(!a.eval_bool(row)? as i64),
+            Expr::Col(i) => Cow::Borrowed(
+                row.get(*i)
+                    .ok_or_else(|| EngineError::Query(format!("column {i} out of range")))?,
+            ),
+            Expr::Lit(v) => Cow::Borrowed(v),
             Expr::Arith(op, a, b) => {
-                let (va, vb) = (a.eval(row)?, b.eval(row)?);
-                match (va, vb) {
-                    (Value::Int(x), Value::Int(y)) => match op {
-                        ArithOp::Add => Value::Int(x + y),
-                        ArithOp::Sub => Value::Int(x - y),
-                        ArithOp::Mul => Value::Int(x * y),
-                        ArithOp::Div => {
-                            if y == 0 {
-                                Value::Null
-                            } else {
-                                Value::Int(x / y)
-                            }
-                        }
-                    },
-                    (x, y) if !x.is_null() && !y.is_null() => {
-                        let (x, y) = (x.as_f64(), y.as_f64());
-                        Value::Double(match op {
-                            ArithOp::Add => x + y,
-                            ArithOp::Sub => x - y,
-                            ArithOp::Mul => x * y,
-                            ArithOp::Div => x / y,
-                        })
-                    }
-                    _ => Value::Null,
-                }
+                Cow::Owned(arith(*op, &*a.eval_ref(row)?, &*b.eval_ref(row)?)?)
             }
-            Expr::Like(e, pattern) => {
-                let v = e.eval(row)?;
-                let s = match &v {
-                    Value::Str(s) => s.as_str(),
-                    _ => return Ok(Value::Int(0)),
-                };
-                let m = match (pattern.starts_with('%'), pattern.ends_with('%')) {
-                    (true, true) => s.contains(&pattern[1..pattern.len() - 1]),
-                    (false, true) => s.starts_with(&pattern[..pattern.len() - 1]),
-                    (true, false) => s.ends_with(&pattern[1..]),
-                    (false, false) => s == pattern,
-                };
-                Value::Int(m as i64)
-            }
+            _ => Cow::Owned(Value::Int(self.eval_bool(row)? as i64)),
         })
     }
 
-    /// Evaluate as a boolean predicate.
+    /// Evaluate against `row` into an owned value.
+    pub fn eval(&self, row: &Row) -> Result<Value> {
+        self.eval_ref(row).map(Cow::into_owned)
+    }
+
+    /// Evaluate as a boolean predicate: an `Int` is true when nonzero, a
+    /// `Double` when not `0.0`, a string always, NULL never.
     pub fn eval_bool(&self, row: &Row) -> Result<bool> {
-        Ok(match self.eval(row)? {
-            Value::Int(v) => v != 0,
-            Value::Null => false,
-            Value::Double(v) => v != 0.0,
-            Value::Str(_) => true,
+        Ok(match self {
+            Expr::Cmp(op, a, b) => compare(*op, &*a.eval_ref(row)?, &*b.eval_ref(row)?),
+            Expr::And(a, b) => a.eval_bool(row)? && b.eval_bool(row)?,
+            Expr::Or(a, b) => a.eval_bool(row)? || b.eval_bool(row)?,
+            Expr::Not(a) => !a.eval_bool(row)?,
+            Expr::Like(e, pattern) => match &*e.eval_ref(row)? {
+                Value::Str(s) => like(s, pattern),
+                _ => false,
+            },
+            Expr::Col(_) | Expr::Lit(_) | Expr::Arith(..) => match &*self.eval_ref(row)? {
+                Value::Int(v) => *v != 0,
+                Value::Null => false,
+                Value::Double(v) => *v != 0.0,
+                Value::Str(_) => true,
+            },
         })
+    }
+}
+
+/// `a op b`; any comparison involving NULL is false.
+fn compare(op: CmpOp, a: &Value, b: &Value) -> bool {
+    if a.is_null() || b.is_null() {
+        return false;
+    }
+    a.partial_cmp(b).is_some_and(|ord| match op {
+        CmpOp::Eq => ord.is_eq(),
+        CmpOp::Ne => ord.is_ne(),
+        CmpOp::Lt => ord.is_lt(),
+        CmpOp::Le => ord.is_le(),
+        CmpOp::Gt => ord.is_gt(),
+        CmpOp::Ge => ord.is_ge(),
+    })
+}
+
+/// `a op b`: NULL if either side is NULL or an integer is divided by zero;
+/// two integers stay integers, checked — an overflow is an error, as MySQL
+/// reports a BIGINT out of range — and anything else is a double. A string
+/// operand is an error.
+fn arith(op: ArithOp, a: &Value, b: &Value) -> Result<Value> {
+    Ok(match (a, b) {
+        (Value::Int(x), Value::Int(y)) => {
+            let (x, y) = (*x, *y);
+            let (r, sym) = match op {
+                ArithOp::Add => (x.checked_add(y), '+'),
+                ArithOp::Sub => (x.checked_sub(y), '-'),
+                ArithOp::Mul => (x.checked_mul(y), '*'),
+                ArithOp::Div if y == 0 => return Ok(Value::Null),
+                ArithOp::Div => (x.checked_div(y), '/'),
+            };
+            let out_of_range = || EngineError::Query(format!("BIGINT out of range: {x} {sym} {y}"));
+            Value::Int(r.ok_or_else(out_of_range)?)
+        }
+        (Value::Null, _) | (_, Value::Null) => Value::Null,
+        (Value::Str(_), _) | (_, Value::Str(_)) => {
+            return Err(EngineError::Query("arithmetic on a string".into()))
+        }
+        (x, y) => {
+            let (x, y) = (x.as_f64(), y.as_f64());
+            Value::Double(match op {
+                ArithOp::Add => x + y,
+                ArithOp::Sub => x - y,
+                ArithOp::Mul => x * y,
+                ArithOp::Div => x / y,
+            })
+        }
+    })
+}
+
+/// `s LIKE pattern` for the four supported shapes: `%infix%`, `prefix%`,
+/// `%suffix` and an exact string (`%` alone matches every string).
+fn like(s: &str, pattern: &str) -> bool {
+    match (pattern.strip_prefix('%'), pattern.strip_suffix('%')) {
+        (Some(""), _) => true,
+        (Some(rest), Some(_)) => s.contains(&rest[..rest.len() - 1]),
+        (Some(suffix), None) => s.ends_with(suffix),
+        (None, Some(prefix)) => s.starts_with(prefix),
+        (None, None) => s == pattern,
     }
 }
 
@@ -340,6 +365,7 @@ pub fn decode_expr(buf: &[u8], pos: &mut usize) -> Result<Expr> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn row() -> Row {
         vec![
@@ -412,6 +438,272 @@ mod tests {
         assert!(Expr::Like(Box::new(Expr::col(1)), "hello".into())
             .eval_bool(&r)
             .unwrap());
+        // `%` alone matches every string, and only strings.
+        let any = |c| Expr::Like(Box::new(Expr::col(c)), "%".into()).eval_bool(&r);
+        assert!(any(1).unwrap() && !any(0).unwrap() && !any(3).unwrap());
+    }
+
+    fn int_arith(op: ArithOp, x: i64, y: i64) -> Result<Value> {
+        Expr::Arith(op, Box::new(Expr::int(x)), Box::new(Expr::int(y))).eval(&Row::new())
+    }
+
+    fn out_of_range(got: Result<Value>) -> bool {
+        matches!(got, Err(EngineError::Query(m)) if m.starts_with("BIGINT out of range"))
+    }
+
+    #[test]
+    fn add_overflow_is_an_error() {
+        assert_eq!(
+            int_arith(ArithOp::Add, i64::MAX - 1, 1).unwrap(),
+            Value::Int(i64::MAX)
+        );
+        assert!(out_of_range(int_arith(ArithOp::Add, i64::MAX, 1)));
+        assert!(out_of_range(int_arith(ArithOp::Add, i64::MIN, -1)));
+    }
+
+    #[test]
+    fn sub_overflow_is_an_error() {
+        assert_eq!(
+            int_arith(ArithOp::Sub, i64::MIN + 1, 1).unwrap(),
+            Value::Int(i64::MIN)
+        );
+        assert!(out_of_range(int_arith(ArithOp::Sub, i64::MIN, 1)));
+        assert!(out_of_range(int_arith(ArithOp::Sub, 0, i64::MIN)));
+    }
+
+    #[test]
+    fn mul_overflow_is_an_error() {
+        assert_eq!(
+            int_arith(ArithOp::Mul, i64::MIN, 1).unwrap(),
+            Value::Int(i64::MIN)
+        );
+        assert!(out_of_range(int_arith(ArithOp::Mul, i64::MAX, 2)));
+        assert!(out_of_range(int_arith(ArithOp::Mul, i64::MIN, -1)));
+    }
+
+    #[test]
+    fn div_overflow_is_an_error_and_division_by_zero_null() {
+        assert_eq!(
+            int_arith(ArithOp::Div, i64::MIN, 1).unwrap(),
+            Value::Int(i64::MIN)
+        );
+        assert_eq!(int_arith(ArithOp::Div, -7, 2).unwrap(), Value::Int(-3));
+        assert!(out_of_range(int_arith(ArithOp::Div, i64::MIN, -1)));
+        assert!(int_arith(ArithOp::Div, i64::MIN, 0).unwrap().is_null());
+    }
+
+    #[test]
+    fn arithmetic_on_a_string_is_an_error_unless_null() {
+        let r = row();
+        let add = |a, b| Expr::Arith(ArithOp::Add, Box::new(a), Box::new(b)).eval(&r);
+        assert!(matches!(
+            add(Expr::col(1), Expr::int(1)),
+            Err(EngineError::Query(_))
+        ));
+        assert!(matches!(
+            add(Expr::dbl(1.0), Expr::col(1)),
+            Err(EngineError::Query(_))
+        ));
+        assert!(add(Expr::col(3), Expr::col(1)).unwrap().is_null());
+    }
+
+    /// The by-value evaluator this module had before evaluation borrowed —
+    /// every column read a clone — with two fixes: checked integer
+    /// arithmetic and a string operand as an error, where it overflowed or
+    /// panicked.
+    fn by_value(e: &Expr, row: &Row) -> Result<Value> {
+        Ok(match e {
+            Expr::Col(i) => row
+                .get(*i)
+                .cloned()
+                .ok_or_else(|| EngineError::Query(format!("column {i} out of range")))?,
+            Expr::Lit(v) => v.clone(),
+            Expr::Cmp(op, a, b) => {
+                let (va, vb) = (by_value(a, row)?, by_value(b, row)?);
+                let r = match va.partial_cmp(&vb) {
+                    None => false,
+                    Some(ord) => match op {
+                        CmpOp::Eq => ord.is_eq(),
+                        CmpOp::Ne => ord.is_ne(),
+                        CmpOp::Lt => ord.is_lt(),
+                        CmpOp::Le => ord.is_le(),
+                        CmpOp::Gt => ord.is_gt(),
+                        CmpOp::Ge => ord.is_ge(),
+                    },
+                };
+                let r = r && !va.is_null() && !vb.is_null();
+                Value::Int(r as i64)
+            }
+            Expr::And(a, b) => {
+                Value::Int((by_value_bool(a, row)? && by_value_bool(b, row)?) as i64)
+            }
+            Expr::Or(a, b) => Value::Int((by_value_bool(a, row)? || by_value_bool(b, row)?) as i64),
+            Expr::Not(a) => Value::Int(!by_value_bool(a, row)? as i64),
+            Expr::Arith(op, a, b) => {
+                let (va, vb) = (by_value(a, row)?, by_value(b, row)?);
+                let overflow = || EngineError::Query("overflow".into());
+                match (va, vb) {
+                    (Value::Int(x), Value::Int(y)) => match op {
+                        ArithOp::Add => Value::Int(x.checked_add(y).ok_or_else(overflow)?),
+                        ArithOp::Sub => Value::Int(x.checked_sub(y).ok_or_else(overflow)?),
+                        ArithOp::Mul => Value::Int(x.checked_mul(y).ok_or_else(overflow)?),
+                        ArithOp::Div => {
+                            if y == 0 {
+                                Value::Null
+                            } else {
+                                Value::Int(x.checked_div(y).ok_or_else(overflow)?)
+                            }
+                        }
+                    },
+                    (x, y) if !x.is_null() && !y.is_null() => {
+                        if matches!(x, Value::Str(_)) || matches!(y, Value::Str(_)) {
+                            return Err(EngineError::Query("string".into()));
+                        }
+                        let (x, y) = (x.as_f64(), y.as_f64());
+                        Value::Double(match op {
+                            ArithOp::Add => x + y,
+                            ArithOp::Sub => x - y,
+                            ArithOp::Mul => x * y,
+                            ArithOp::Div => x / y,
+                        })
+                    }
+                    _ => Value::Null,
+                }
+            }
+            Expr::Like(e, pattern) => {
+                let v = by_value(e, row)?;
+                let s = match &v {
+                    Value::Str(s) => s.as_str(),
+                    _ => return Ok(Value::Int(0)),
+                };
+                let m = match (pattern.starts_with('%'), pattern.ends_with('%')) {
+                    (true, true) => s.contains(&pattern[1..pattern.len() - 1]),
+                    (false, true) => s.starts_with(&pattern[..pattern.len() - 1]),
+                    (true, false) => s.ends_with(&pattern[1..]),
+                    (false, false) => s == pattern,
+                };
+                Value::Int(m as i64)
+            }
+        })
+    }
+
+    fn by_value_bool(e: &Expr, row: &Row) -> Result<bool> {
+        Ok(match by_value(e, row)? {
+            Value::Int(v) => v != 0,
+            Value::Null => false,
+            Value::Double(v) => v != 0.0,
+            Value::Str(_) => true,
+        })
+    }
+
+    /// Random rows and expression trees, one bounded draw at a time.
+    struct Draws<'a>(std::slice::Iter<'a, u32>);
+
+    impl Draws<'_> {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0.next().copied().unwrap_or(0) as usize % bound
+        }
+
+        fn value(&mut self) -> Value {
+            let ints = [
+                0,
+                1,
+                -1,
+                2,
+                -7,
+                i64::MIN,
+                i64::MAX,
+                i64::MIN + 1,
+                i64::MAX - 1,
+            ];
+            let doubles = [0.0, -0.0, 2.5, -2.0, f64::NAN, f64::INFINITY, 1e300];
+            let strs = ["", "a", "ab", "ba", "xab", "b%"];
+            match self.below(4) {
+                0 => Value::Null,
+                1 => Value::Int(ints[self.below(ints.len())]),
+                2 => Value::Double(doubles[self.below(doubles.len())]),
+                _ => Value::Str(strs[self.below(strs.len())].into()),
+            }
+        }
+
+        /// A tree at most `depth` high over a row `width` wide; one column
+        /// reference in `width + 1` is out of range.
+        fn expr(&mut self, depth: usize, width: usize) -> Expr {
+            if depth == 0 || self.below(4) == 0 {
+                return match self.below(2) {
+                    0 => Expr::Col(self.below(width + 1)),
+                    _ => Expr::Lit(self.value()),
+                };
+            }
+            let operand = |d: &mut Self| Box::new(d.expr(depth - 1, width));
+            match self.below(6) {
+                0 => {
+                    let ops = [
+                        CmpOp::Eq,
+                        CmpOp::Ne,
+                        CmpOp::Lt,
+                        CmpOp::Le,
+                        CmpOp::Gt,
+                        CmpOp::Ge,
+                    ];
+                    let op = ops[self.below(6)];
+                    Expr::Cmp(op, operand(self), operand(self))
+                }
+                1 => Expr::And(operand(self), operand(self)),
+                2 => Expr::Or(operand(self), operand(self)),
+                3 => Expr::Not(operand(self)),
+                4 => {
+                    let ops = [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div];
+                    let op = ops[self.below(4)];
+                    Expr::Arith(op, operand(self), operand(self))
+                }
+                _ => {
+                    let core = ["a", "b", "ab", "xa"][self.below(4)];
+                    let pattern = match self.below(4) {
+                        0 => format!("%{core}%"),
+                        1 => format!("{core}%"),
+                        2 => format!("%{core}"),
+                        _ => core.to_string(),
+                    };
+                    Expr::Like(operand(self), pattern)
+                }
+            }
+        }
+    }
+
+    /// A result as comparable text: a value's encoded bytes (so NaN and -0.0
+    /// compare by bits), or that it failed.
+    fn bits<E>(got: std::result::Result<&Value, E>) -> String {
+        match got {
+            Ok(v) => {
+                let mut bytes = Vec::new();
+                crate::row::encode_value(v, &mut bytes);
+                format!("{bytes:?}")
+            }
+            Err(_) => "error".into(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn borrowing_eval_equals_the_by_value_reference(
+            draws in proptest::collection::vec(any::<u32>(), 1..80),
+        ) {
+            let mut d = Draws(draws.iter());
+            let row: Row = (0..d.below(6)).map(|_| d.value()).collect();
+            let e = d.expr(4, row.len());
+            let want = bits(by_value(&e, &row).as_ref());
+            let got = bits(e.eval_ref(&row).as_deref());
+            prop_assert_eq!(got, want.clone(), "{:?} over {:?}", e, row);
+            prop_assert_eq!(bits(e.eval(&row).as_ref()), want, "{:?} over {:?}", e, row);
+            let truth = by_value_bool(&e, &row).ok();
+            prop_assert_eq!(e.eval_bool(&row).ok(), truth, "{:?} over {:?}", e, row);
+            // A column past the row's end is an error in both.
+            let past = Expr::col(row.len());
+            prop_assert!(past.eval_ref(&row).is_err() && by_value(&past, &row).is_err());
+        }
     }
 
     #[test]

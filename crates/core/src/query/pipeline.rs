@@ -9,11 +9,13 @@
 //! plan filter or projection over a row, touches an [`AggState`], or knows
 //! how a partial state is laid out in a transferable row.
 //!
-//! A pipeline buffers no row: [`Pipeline::push`] hands back what it emits
-//! and only the group table is kept. [`Pipeline::demand`] names the input
+//! A pipeline buffers no row: [`Pipeline::push`] hands back what it emits —
+//! its input, or a projection rebuilt in one row the pipeline reuses — and
+//! only the group table is kept. [`Pipeline::demand`] names the input
 //! columns the operators read, which is all a producer has to build.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::btree_map::{BTreeMap, Entry};
 
 use crate::query::expr::Expr;
@@ -42,7 +44,7 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, func: AggFunc, v: Value) {
+    fn update(&mut self, func: AggFunc, v: &Value) {
         match self {
             AggState::Count(c) => {
                 if func == AggFunc::CountStar || !v.is_null() {
@@ -61,16 +63,8 @@ impl AggState {
                     *c += 1;
                 }
             }
-            AggState::Min(m) => {
-                if !v.is_null() && m.as_ref().map(|cur| v < *cur).unwrap_or(true) {
-                    *m = Some(v);
-                }
-            }
-            AggState::Max(m) => {
-                if !v.is_null() && m.as_ref().map(|cur| v > *cur).unwrap_or(true) {
-                    *m = Some(v);
-                }
-            }
+            AggState::Min(m) => keep_if(m, v, Ordering::Less),
+            AggState::Max(m) => keep_if(m, v, Ordering::Greater),
         }
     }
 
@@ -147,6 +141,19 @@ impl AggState {
     }
 }
 
+/// Make a non-NULL `v` the extreme `m` when there is none yet or `v` is
+/// `beats` of it; the value is copied only then.
+fn keep_if(m: &mut Option<Value>, v: &Value, beats: Ordering) {
+    if v.is_null() {
+        return;
+    }
+    match m {
+        None => *m = Some(v.clone()),
+        Some(cur) if v.partial_cmp(cur) == Some(beats) => cur.clone_from(v),
+        Some(_) => {}
+    }
+}
+
 /// Groups in group-key order: encoded group columns → (group values, one
 /// state per aggregate). The encoding is prefix-free, so byte order of the
 /// keys is the byte order of the encoded output rows.
@@ -157,6 +164,12 @@ pub(super) struct Pipeline<'a> {
     filter: Option<&'a Expr>,
     project: Option<&'a [Expr]>,
     agg: Option<(&'a [usize], &'a [AggExpr])>,
+    /// What is read of a projected row: the aggregation's inputs, or what
+    /// [`Pipeline::demand`] was told the consumer reads (every column until
+    /// then). The other outputs are not evaluated.
+    emits: ColSet,
+    /// The projected row, rebuilt in place for every input row.
+    projected: Row,
     seen: usize,
     groups: Groups,
     /// Scratch for the group key of the row at hand.
@@ -169,10 +182,20 @@ impl<'a> Pipeline<'a> {
         project: &'a Option<Vec<Expr>>,
         agg: Option<(&'a [usize], &'a [AggExpr])>,
     ) -> Pipeline<'a> {
+        let emits = match agg {
+            Some((group_by, aggs)) => {
+                let mut cols = ColSet::none().with(group_by.iter().copied());
+                aggs.iter().for_each(|a| a.expr.cols(&mut cols));
+                cols
+            }
+            None => ColSet::all(),
+        };
         Pipeline {
             filter: filter.as_ref(),
             project: project.as_deref(),
             agg,
+            emits,
+            projected: Row::new(),
             seen: 0,
             groups: Groups::new(),
             key: Vec::new(),
@@ -187,8 +210,10 @@ impl<'a> Pipeline<'a> {
     /// The input columns the operators read when the consumer of the
     /// emitted rows reads `need` of them: the filter's, then the
     /// projection's — or, with none, the group key's and the aggregates'
-    /// inputs, or, with no aggregation either, `need` itself.
-    pub(super) fn demand(&self, need: &ColSet) -> ColSet {
+    /// inputs, or, with no aggregation either, `need` itself. Without an
+    /// aggregation, a projection from here on evaluates only the outputs in
+    /// `need`.
+    pub(super) fn demand(&mut self, need: &ColSet) -> ColSet {
         let mut cols = ColSet::none();
         match (self.project, self.agg) {
             (Some(exprs), _) => exprs.iter().for_each(|e| e.cols(&mut cols)),
@@ -198,6 +223,9 @@ impl<'a> Pipeline<'a> {
             }
             (None, None) => cols = need.clone(),
         }
+        if self.agg.is_none() {
+            self.emits = need.clone();
+        }
         if let Some(f) = self.filter {
             f.cols(&mut cols);
         }
@@ -206,8 +234,12 @@ impl<'a> Pipeline<'a> {
 
     /// Run one input row through filter and projection, then into the group
     /// table — or, with no aggregation, back to the caller: `Some` is the
-    /// emitted row, the input itself when there is no projection.
-    pub(super) fn push<'r>(&mut self, row: Cow<'r, Row>) -> Result<Option<Cow<'r, Row>>> {
+    /// emitted row, the input itself when there is no projection and the
+    /// pipeline's projected row when there is.
+    pub(super) fn push<'o, 'r: 'o>(
+        &'o mut self,
+        row: Cow<'r, Row>,
+    ) -> Result<Option<Cow<'o, Row>>> {
         self.seen += 1;
         if let Some(f) = self.filter {
             if !f.eval_bool(&row)? {
@@ -215,31 +247,48 @@ impl<'a> Pipeline<'a> {
             }
         }
         let row = match self.project {
-            Some(exprs) => Cow::Owned(exprs.iter().map(|e| e.eval(&row)).collect::<Result<_>>()?),
+            Some(exprs) => {
+                let out = &mut self.projected;
+                out.resize(exprs.len(), Value::Null);
+                for (k, (e, slot)) in exprs.iter().zip(out.iter_mut()).enumerate() {
+                    if self.emits.contains(k) {
+                        match e.eval_ref(&row)? {
+                            Cow::Borrowed(v) => slot.clone_from(v),
+                            Cow::Owned(v) => *slot = v,
+                        }
+                    }
+                }
+                Cow::Borrowed(&self.projected)
+            }
             None => row,
         };
         let Some((group_by, aggs)) = self.agg else {
             return Ok(Some(row));
         };
-        self.key.clear();
-        for i in group_by {
-            encode_value(&row[*i], &mut self.key);
-        }
-        // The group's values are built once per group, not once per row.
-        let states = match self.groups.get_mut(&self.key) {
-            Some((_, states)) => states,
-            None => {
-                let vals = group_by.iter().map(|i| row[*i].clone()).collect();
-                let fresh = aggs.iter().map(|a| AggState::new(a.func)).collect();
-                &mut self
-                    .groups
-                    .entry(self.key.clone())
-                    .or_insert((vals, fresh))
-                    .1
+        let states = if group_by.is_empty() && !self.groups.is_empty() {
+            // Without GROUP BY there is one group: no key to encode or find.
+            &mut self.groups.values_mut().next().expect("the one group").1
+        } else {
+            self.key.clear();
+            for i in group_by {
+                encode_value(&row[*i], &mut self.key);
+            }
+            // The group's values are built once per group, not once per row.
+            match self.groups.get_mut(&self.key) {
+                Some((_, states)) => states,
+                None => {
+                    let vals = group_by.iter().map(|i| row[*i].clone()).collect();
+                    let fresh = aggs.iter().map(|a| AggState::new(a.func)).collect();
+                    &mut self
+                        .groups
+                        .entry(self.key.clone())
+                        .or_insert((vals, fresh))
+                        .1
+                }
             }
         };
         for (state, agg) in states.iter_mut().zip(aggs) {
-            state.update(agg.func, agg.expr.eval(&row)?);
+            state.update(agg.func, &*agg.expr.eval_ref(&row)?);
         }
         Ok(None)
     }

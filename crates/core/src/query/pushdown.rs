@@ -11,9 +11,10 @@
 //!
 //! The engine splits the fragment into per-server tasks from the EBP index
 //! and the PageStore routing, dispatches them in parallel, and performs
-//! secondary aggregation over the returned partials. The decision to push
-//! down is a page-count threshold plus a session flag, exactly as in the
-//! paper (cost-based selection is listed as future work).
+//! secondary aggregation over the returned partials; a task without an
+//! aggregation streams its rows to the engine's consumer as it produces
+//! them. The decision to push down is a page-count threshold plus a session
+//! flag, exactly as in the paper.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -184,73 +185,14 @@ pub fn decode_fragment(buf: &[u8]) -> Result<Fragment> {
 }
 
 /// Is this table's scan worth pushing down under the session settings?
-///
-/// The evaluated system uses the paper's simple rule — a page-count
-/// threshold plus the session flag (§VI-A). With
-/// [`QuerySession::cost_based`] set, the §VIII extension applies instead:
-/// see [`cost_decision`].
-pub fn eligible(
-    db: &Db,
-    session: &QuerySession,
-    table: &str,
-    reduces_rows: bool,
-    has_agg: bool,
-) -> Result<bool> {
+/// The paper's simple rule (§VI-A): the session flag plus a threshold on
+/// the table's allocated pages.
+pub fn eligible(db: &Db, session: &QuerySession, table: &str) -> Result<bool> {
     if !session.pushdown {
         return Ok(false);
     }
     let space = db.with_table(table, |t| t.space_no)?;
-    let pages = db.space_pages(space);
-    if session.cost_based {
-        return Ok(cost_decision(db, space, pages, reduces_rows, has_agg));
-    }
-    Ok(pages >= session.pushdown_min_pages)
-}
-
-/// The §VIII "cost-based strategy" extension: estimate the engine-local
-/// cost of the scan (page sourcing through BP/EBP/PageStore at their
-/// modelled latencies) against the push-down cost (fragment round trip +
-/// storage-local page reads + shipping the result rows), and push down
-/// only when it wins.
-pub fn cost_decision(db: &Db, space: u32, pages: u32, reduces_rows: bool, has_agg: bool) -> bool {
-    if pages == 0 {
-        return false;
-    }
-    let model = &db.env().model;
-    // Where would local execution source each page? Count EBP-resident
-    // pages; the rest come from PageStore (BP residency is negligible for
-    // the large scans this decision concerns).
-    let mut ebp_pages = 0u64;
-    for page_no in 1..=pages {
-        let pid = PageId::new(space, page_no);
-        if db.ebp().and_then(|e| e.locate(pid)).is_some() {
-            ebp_pages += 1;
-        }
-    }
-    let ps_pages = pages as u64 - ebp_pages;
-    let page_sz = vedb_pagestore::PAGE_SIZE;
-    // Local: EBP pages at one-sided read latency, PageStore pages at the
-    // RPC path amortized by linear read-ahead.
-    let local_ns = ebp_pages as f64 * model.pmem_read_svc(page_sz).as_nanos() as f64
-        + ps_pages as f64
-            * (model.rpc_rtt().as_nanos() + model.ssd_read_svc(page_sz).as_nanos()) as f64
-            / crate::btree::BTree::READ_AHEAD as f64;
-    // Push-down: one RPC per involved server + local media reads there +
-    // the result transfer. Aggregations return tiny results; plain scans
-    // without a filter/projection return everything (no win).
-    let servers = 3.0f64;
-    let result_factor = if has_agg {
-        0.01
-    } else if reduces_rows {
-        0.3
-    } else {
-        1.0
-    };
-    let pq_ns = servers * model.rpc_rtt().as_nanos() as f64
-        + ebp_pages as f64 * model.pmem_read_svc(page_sz).as_nanos() as f64 / servers
-        + ps_pages as f64 * model.ssd_read_svc(page_sz).as_nanos() as f64 / servers
-        + pages as f64 * page_sz as f64 * result_factor * model.wire_per_kb_ns as f64 / 1024.0;
-    pq_ns < local_ns
+    Ok(db.space_pages(space) >= session.pushdown_min_pages)
 }
 
 /// One server's share of a fragment: the pages it holds, with the handle
@@ -338,20 +280,30 @@ impl Task {
 }
 
 /// Execute one task on its server, charging that server's resources: the
-/// server decodes the shipped fragment and runs it over its pages.
-fn run_task(ctx: &mut SimCtx, db: &Db, frag_bytes: &[u8], task: &Task) -> Result<Vec<Row>> {
+/// server decodes the shipped fragment and runs it over its pages. Without
+/// an aggregation each row the task emits goes to `sink` as it is produced;
+/// an aggregation's partial-state rows come back and are absorbed into
+/// `merged`. Either way the response is charged at 48 bytes a row.
+fn run_task(
+    ctx: &mut SimCtx,
+    db: &Db,
+    frag_bytes: &[u8],
+    task: &Task,
+    merged: &mut Pipeline<'_>,
+    sink: Sink<'_>,
+) -> Result<()> {
     // Request bytes per page and operator cost per scanned row.
     let (node, res, n_pages, page_ref_bytes, per_row_ns) = match task {
         Task::Ebp(server, locs) => (server.node(), server.res(), locs.len(), 16, 200),
         Task::PageStore(server, pages) => (server.node(), server.res(), pages.len(), 12, 250),
     };
     let req_bytes = frag_bytes.len() + n_pages * page_ref_bytes;
-    let mut partials = db.rpc().call(ctx, node, res, req_bytes, 0, |c| {
+    let (n_rows, partials) = db.rpc().call(ctx, node, res, req_bytes, 0, |c| {
         let frag = decode_fragment(frag_bytes)?;
         let mut pipe = Pipeline::new(&frag.filter, &frag.project, agg_of(&frag));
         // Only what the fragment reads of a row is built, in one buffer.
         let reads = pipe.demand(&frag.need);
-        let (mut row, mut emitted) = (Row::new(), Vec::new());
+        let (mut row, mut n_rows) = (Row::new(), 0);
         // The storage-side scan pipelines: pages are handed to idle cores
         // as their reads complete, overlapping the remaining reads (§VI-B).
         // The task finishes when both the last read and the operator work
@@ -368,7 +320,8 @@ fn run_task(ctx: &mut SimCtx, db: &Db, frag_bytes: &[u8], task: &Task) -> Result
                 let (_key, payload) = parse_leaf_cell(cell);
                 decode_cols(payload, &reads, &mut row)?;
                 if let Some(out) = pipe.push(Cow::Borrowed(&row))? {
-                    emitted.push(out.into_owned());
+                    n_rows += 1;
+                    sink(out)?;
                 }
             }
             let page_rows = page.n_slots() as u64;
@@ -378,18 +331,22 @@ fn run_task(ctx: &mut SimCtx, db: &Db, frag_bytes: &[u8], task: &Task) -> Result
             }
         }
         c.wait_until(io_done.max(cpu_done));
-        Ok::<_, EngineError>(match frag.agg {
+        // The emitted rows are sent; an aggregation's partials go now.
+        let partials = match frag.agg {
             Some(_) => pipe.partials(),
-            None => emitted,
-        })
+            None => Vec::new(),
+        };
+        Ok::<_, EngineError>((n_rows + partials.len(), partials))
     })??;
     // Response streaming back to the engine: charge the transfer size.
-    let resp_bytes: usize = partials.len() * 48;
+    let resp_bytes = n_rows * 48;
     ctx.advance(VTime::from_nanos(
         (resp_bytes as u64).div_ceil(1024) * db.env().model.wire_per_kb_ns,
     ));
-    partials.shrink_to_fit();
-    Ok(partials)
+    for row in partials {
+        merged.absorb(row);
+    }
+    Ok(())
 }
 
 fn agg_of(frag: &Fragment) -> Option<(&[usize], &[AggExpr])> {
@@ -421,12 +378,7 @@ pub(super) fn pushdown_scan(
     let mut done_max = ctx.now();
     for task in &split_tasks(db, frag.space)? {
         let mut task_ctx = ctx.fork();
-        for row in run_task(&mut task_ctx, db, &frag_bytes, task)? {
-            match frag.agg {
-                Some(_) => merged.absorb(row),
-                None => sink(Cow::Owned(row))?,
-            }
-        }
+        run_task(&mut task_ctx, db, &frag_bytes, task, &mut merged, sink)?;
         done_max = done_max.max(task_ctx.now());
     }
     ctx.wait_until(done_max);

@@ -13,7 +13,7 @@
 use crate::{EngineError, Result};
 
 /// A single column value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum Value {
     /// SQL NULL.
     Null,
@@ -55,6 +55,26 @@ impl Value {
     /// Is this NULL?
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
+    }
+}
+
+impl Clone for Value {
+    fn clone(&self) -> Value {
+        match self {
+            Value::Null => Value::Null,
+            Value::Int(v) => Value::Int(*v),
+            Value::Double(v) => Value::Double(*v),
+            Value::Str(s) => Value::Str(s.clone()),
+        }
+    }
+
+    /// A string copied over a string reuses the destination's buffer, so a
+    /// row buffer refilled per input row allocates once per string column.
+    fn clone_from(&mut self, src: &Value) {
+        match (self, src) {
+            (Value::Str(dst), Value::Str(s)) => dst.clone_from(s),
+            (dst, src) => *dst = src.clone(),
+        }
     }
 }
 

@@ -1,13 +1,12 @@
 //! Tests for the §VIII future-work extensions implemented in this
-//! reproduction: cost-based push-down, buffer-pool warm-up from the EBP,
-//! and local EBP re-attachment after an AStore server restart.
+//! reproduction: buffer-pool warm-up from the EBP and local EBP
+//! re-attachment after an AStore server restart.
 
 use std::sync::Arc;
 
 use vedb_core::catalog::ColumnType;
 use vedb_core::db::{Db, DbConfig, StorageFabric};
 use vedb_core::ebp::EbpConfig;
-use vedb_core::query::{execute, AggExpr, Expr, Plan, QuerySession};
 use vedb_core::Value;
 use vedb_sim::{ClusterSpec, SimCtx};
 
@@ -61,49 +60,6 @@ fn open_big(ctx: &mut SimCtx, f: &StorageFabric, rows: i64) -> Arc<Db> {
     db.commit(ctx, &mut txn).unwrap();
     db.checkpoint(ctx).unwrap();
     db
-}
-
-#[test]
-fn cost_based_pushdown_pushes_aggregates_and_matches_results() {
-    let f = fabric();
-    let mut ctx = SimCtx::new(0, 7);
-    let db = open_big(&mut ctx, &f, 4000);
-    // Warm the EBP.
-    db.scan_table(&mut ctx, "facts", |_| true).unwrap();
-
-    let agg_plan = Plan::scan("facts").agg(
-        vec![1],
-        vec![AggExpr::count_star(), AggExpr::sum(Expr::col(2))],
-    );
-    let local = execute(&mut ctx, &db, &QuerySession::default(), &agg_plan).unwrap();
-
-    // Cost-based session: the aggregate is clearly cheaper pushed down.
-    let cb = QuerySession::with_cost_based_pushdown();
-    let t0 = ctx.now();
-    let pushed = execute(&mut ctx, &db, &cb, &agg_plan).unwrap();
-    let t_cb = ctx.now() - t0;
-    assert_eq!(format!("{local:?}"), format!("{pushed:?}"));
-
-    let t0 = ctx.now();
-    let _ = execute(&mut ctx, &db, &QuerySession::default(), &agg_plan).unwrap();
-    let t_local = ctx.now() - t0;
-    assert!(
-        t_cb < t_local,
-        "cost-based session should have pushed the aggregate down ({t_cb} vs {t_local})"
-    );
-
-    // A full-width unfiltered scan returns everything: the cost model must
-    // refuse to push it (shipping all rows back buys nothing).
-    let space = db.with_table("facts", |t| t.space_no).unwrap();
-    let pages = db.space_pages(space);
-    assert!(
-        !vedb_core::query::pushdown::cost_decision(&db, space, pages, false, false),
-        "full-width scan must not be pushed down by the cost model"
-    );
-    assert!(
-        vedb_core::query::pushdown::cost_decision(&db, space, pages, false, true),
-        "aggregation must be pushed down by the cost model"
-    );
 }
 
 #[test]
