@@ -16,10 +16,8 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
-use vedb_sim::{SimCtx, VTime};
+use vedb_sim::{FxHashMap, SimCtx, VTime};
 
 use crate::db::Db;
 use crate::query::pipeline::Pipeline;
@@ -61,45 +59,11 @@ impl QuerySession {
 /// Where an operator's rows go: its consumer, which copies what it keeps.
 pub(super) type Sink<'a> = &'a mut dyn FnMut(Cow<'_, Row>) -> Result<()>;
 
-/// A hash join's key map: encoded key bytes → value, hashed by [`FxHasher`].
-type KeyMap<V> = HashMap<Vec<u8>, V, BuildHasherDefault<FxHasher>>;
-
-/// The multiply-rotate hash of rustc's `FxHasher`: a handful of cycles per
-/// 8 bytes where SipHash spends tens. It is unkeyed, so rows crafted to
-/// collide would make a join quadratic; the rows here are the ones the
-/// simulated workloads generate, and an engine joining untrusted clients'
-/// rows would want SipHash back. The map is never iterated, so its order
-/// does not matter.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in words.by_ref() {
-            self.mix(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-        }
-        let mut tail = [0u8; 8];
-        let rest = words.remainder();
-        tail[..rest.len()].copy_from_slice(rest);
-        self.mix(u64::from_le_bytes(tail) ^ rest.len() as u64);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.mix(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
+/// A hash join's key map: encoded key bytes → value, hashed by
+/// [`FxHasher`](vedb_sim::FxHasher). The keys are rows the simulated
+/// workloads generate; an engine joining untrusted clients' rows would want
+/// SipHash back. The map is never iterated, so its order does not matter.
+type KeyMap<V> = FxHashMap<Vec<u8>, V>;
 
 /// Canonical bytes of `row`'s values at `at` in `key` (hashable join key).
 /// `false` when a key part is NULL: such a row joins nothing. Key columns are

@@ -1,11 +1,11 @@
 //! Checkpoint, checkpoint install, crash-restart and point-in-time restore
 //! of a replica's segments.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use vedb_astore::{Lsn, PageId};
-use vedb_sim::SimCtx;
+use vedb_sim::{FxHashMap, SimCtx};
 
 use super::replica::{absorb_parked, PageStoreServer};
 use super::PsSegmentKey;
@@ -20,9 +20,10 @@ pub type PageImages = Vec<(u32, Arc<Page>)>;
 /// A durable segment snapshot: every page image as of `lsn`. Restores and
 /// behind-the-horizon gossip peers start from here instead of LSN 0.
 ///
-/// The images are shared with the live map, not copied: taking a snapshot
-/// clones one pointer per page, and a page costs the checkpoint memory of
-/// its own only once replay has moved the live image on (see
+/// The images are shared with the live map, not copied: the first snapshot
+/// clones one pointer per page, each later one re-points only the entries of
+/// the pages whose live image changed since, and a page costs the checkpoint
+/// memory of its own only once replay has moved the live image on (see
 /// [`ReplicaSeg`](super::replica::ReplicaSeg)).
 pub(super) struct SegCheckpoint {
     pub(super) lsn: Lsn,
@@ -48,22 +49,42 @@ impl PageStoreServer {
             if seg.applied_lsn == 0 || seg.applied_lsn <= prev_lsn {
                 None
             } else {
-                let pages: BTreeMap<u32, Arc<Page>> =
-                    seg.pages.iter().map(|(k, v)| (*k, Arc::clone(v))).collect();
-                let n_pages = pages.len();
-                seg.checkpoint = Some(SegCheckpoint {
-                    lsn: seg.applied_lsn,
-                    pages,
-                });
+                // Only the pages whose image changed since the previous
+                // snapshot move; every other entry already points at the
+                // live image.
+                let lsn = seg.applied_lsn;
+                match &mut seg.checkpoint {
+                    Some(ckpt) => {
+                        ckpt.lsn = lsn;
+                        for no in &seg.changed {
+                            if let Some(img) = seg.pages.get(no) {
+                                ckpt.pages.insert(*no, Arc::clone(img));
+                            }
+                        }
+                    }
+                    None => {
+                        let pages: BTreeMap<u32, Arc<Page>> =
+                            seg.pages.iter().map(|(k, v)| (*k, Arc::clone(v))).collect();
+                        seg.checkpoint = Some(SegCheckpoint { lsn, pages });
+                    }
+                }
+                seg.changed.clear();
+                if cfg!(debug_assertions) {
+                    let ckpt = seg.checkpoint.as_ref().map(|c| &c.pages);
+                    assert!(
+                        ckpt.is_some_and(|snap| snap.len() == seg.pages.len()
+                            && snap.iter().all(|(no, img)| seg
+                                .pages
+                                .get(no)
+                                .is_some_and(|live| Arc::ptr_eq(live, img)))),
+                        "snapshot of {key:?} at {lsn} is not the live map"
+                    );
+                }
+                let n_pages = seg.pages.len();
                 seg.accepted_since_ckpt = 0;
-                let truncated = if prev_lsn > 0 {
-                    let keep = seg.retained.split_off(&(prev_lsn + 1));
-                    let n = seg.retained.len();
-                    seg.retained = keep;
-                    n
-                } else {
-                    0
-                };
+                // Redo at or below the previous checkpoint leaves the front.
+                let truncated = seg.retained_after(prev_lsn);
+                seg.retained.drain(..truncated);
                 Some((n_pages, truncated))
             }
         };
@@ -136,6 +157,7 @@ impl PageStoreServer {
         self.stats.apply_lag.sub(stale_q as i64);
         // Live map and checkpoint (and the serving peer) share every image.
         seg.pages = pages.iter().cloned().collect();
+        seg.changed.clear();
         seg.checkpoint = Some(SegCheckpoint {
             lsn,
             pages: pages.into_iter().collect(),
@@ -216,20 +238,18 @@ impl PageStoreServer {
             // fails the restore and leaves the segment untouched.
             let mut prev = base_lsn;
             let mut replay: Vec<Arc<RedoRecord>> = Vec::new();
-            for (l, r) in seg.retained.range(base_lsn + 1..) {
-                if *l > target {
-                    break;
-                }
+            let (from, beyond) = (seg.retained_after(base_lsn), seg.retained_after(target));
+            for r in seg.retained.range(from..beyond) {
                 let chains = r.prev_same_segment == prev
                     || (prev == base_lsn && r.prev_same_segment <= base_lsn);
                 if !chains {
                     return Err(PageStoreError::NotYetApplied {
-                        need: *l,
+                        need: r.lsn,
                         applied: prev,
                     });
                 }
                 replay.push(Arc::clone(r));
-                prev = *l;
+                prev = r.lsn;
             }
             // The walk stopping at `target` proves nothing by itself: if
             // redo between the base and `target` was truncated, the range
@@ -238,7 +258,7 @@ impl PageStoreServer {
             // below the target are missing and state-at-`target` is not
             // reconstructible.
             if target < Lsn::MAX {
-                if let Some((_, r)) = seg.retained.range(target + 1..).next() {
+                if let Some(r) = seg.retained.get(beyond) {
                     let chains = r.prev_same_segment == prev
                         || (prev == base_lsn && r.prev_same_segment <= base_lsn);
                     if !chains {
@@ -257,7 +277,8 @@ impl PageStoreServer {
                 if let Some(images) = fleet.as_deref_mut() {
                     images.forget_beyond(target);
                 }
-                let dropped_r = seg.retained.split_off(&(target + 1)).len();
+                let dropped_r = seg.retained.len() - beyond;
+                seg.retained.truncate(beyond);
                 let dropped_p: Vec<Lsn> = seg
                     .out_of_order
                     .range(target + 1..)
@@ -292,8 +313,9 @@ impl PageStoreServer {
                     }
                     c.pages.iter().map(|(k, v)| (*k, Arc::clone(v))).collect()
                 }
-                None => HashMap::new(),
+                None => FxHashMap::default(),
             };
+            seg.changed.clear();
             seg.applied_lsn = base_lsn;
             seg.last_lsn = replay.last().map(|r| r.lsn).unwrap_or(base_lsn);
             let n_replay = replay.len();

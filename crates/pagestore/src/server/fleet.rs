@@ -291,7 +291,7 @@ mod tests {
         let retained = |i: usize| -> Vec<Arc<RedoRecord>> {
             replicas[i].segs.lock()[&key]
                 .retained
-                .values()
+                .iter()
                 .cloned()
                 .collect()
         };

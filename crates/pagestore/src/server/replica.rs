@@ -3,7 +3,7 @@
 //! pool, and serve page reads.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -14,7 +14,7 @@ use vedb_sim::cluster::NodeRes;
 use vedb_sim::fault::NodeId;
 use vedb_sim::trace::TraceLog;
 use vedb_sim::{
-    Counter, Gauge, LatencyModel, LatencyRecorder, SimCtx, Timeline, VTime, WorkerPool,
+    Counter, FxHashMap, Gauge, LatencyModel, LatencyRecorder, SimCtx, Timeline, VTime, WorkerPool,
 };
 
 use super::checkpoint::SegCheckpoint;
@@ -37,9 +37,17 @@ use crate::{PageStoreError, Result};
 /// copies the 16 KiB only when someone else still holds the old image.
 /// Records are `Arc<RedoRecord>`, immutable once shipped, so the queue, the
 /// retained log and every replica of the segment hold the same allocation.
+///
+/// Host work follows what changed: accepting a record is a push onto
+/// `retained`, truncating it is a drain of its front, and a checkpoint
+/// re-points only the snapshot entries of the pages in `changed`.
 #[derive(Default)]
 pub(super) struct ReplicaSeg {
-    pub(super) pages: HashMap<u32, Arc<Page>>,
+    pub(super) pages: FxHashMap<u32, Arc<Page>>,
+    /// Pages whose live `Arc` was replaced since the last snapshot (created,
+    /// adopted from the fleet, or copied by `Arc::make_mut`). Every other
+    /// page of the live map is pointer-equal in the snapshot.
+    pub(super) changed: BTreeSet<u32>,
     /// LSN replay has reached.
     pub(super) applied_lsn: Lsn,
     /// LSN of the last record received *in order*.
@@ -48,13 +56,33 @@ pub(super) struct ReplicaSeg {
     pub(super) queue: Vec<Arc<RedoRecord>>,
     /// Records whose back-link did not match (a gap precedes them).
     pub(super) out_of_order: BTreeMap<Lsn, Arc<RedoRecord>>,
-    /// Everything received in order, retained for gossip peers until the
+    /// Everything received in order, in strictly increasing LSN order (all
+    /// at or below `last_lsn`), retained for gossip peers until the
     /// checkpointer truncates below the previous checkpoint.
-    pub(super) retained: BTreeMap<Lsn, Arc<RedoRecord>>,
+    pub(super) retained: VecDeque<Arc<RedoRecord>>,
     /// Latest durable page-image snapshot, if the checkpointer ran.
     pub(super) checkpoint: Option<SegCheckpoint>,
     /// Accepted records since the last checkpoint (trigger counter).
     pub(super) accepted_since_ckpt: u64,
+}
+
+impl ReplicaSeg {
+    /// Extend the in-order stream by `rec`: the one way onto `retained`.
+    fn accept_in_order(&mut self, rec: Arc<RedoRecord>) {
+        debug_assert!(
+            self.retained.back().is_none_or(|tail| tail.lsn < rec.lsn),
+            "retained redo out of LSN order at {}",
+            rec.lsn
+        );
+        self.last_lsn = rec.lsn;
+        self.retained.push_back(Arc::clone(&rec));
+        self.queue.push(rec);
+    }
+
+    /// Index of the first retained record above `lsn`.
+    pub(super) fn retained_after(&self, lsn: Lsn) -> usize {
+        self.retained.partition_point(|r| r.lsn <= lsn)
+    }
 }
 
 /// The page images one fleet's replicas share: one per page version.
@@ -69,10 +97,10 @@ pub(super) struct FleetImages {
     /// Per page, the newest image a replica published. `Weak`: the index
     /// keeps an image's `Arc` header alive, never its 16 KiB. The page
     /// carries its own LSN.
-    newest: HashMap<PageId, Weak<Page>>,
+    newest: FxHashMap<PageId, Weak<Page>>,
     /// `apply_batch`'s scratch: per page number, the first and last LSN of
     /// the batch being applied. Held here so its capacity outlives a batch.
-    batch: HashMap<u32, (Lsn, Lsn)>,
+    batch: FxHashMap<u32, (Lsn, Lsn)>,
 }
 
 impl FleetImages {
@@ -222,21 +250,24 @@ impl PsStats {
 /// Absorb parked records that now chain onto the in-order stream: either
 /// their back-link matches the stream tail exactly, or (after a checkpoint
 /// install) their predecessor sits at or below `floor`, which the snapshot
-/// is known to cover. Parked→queued gauge transition per record.
+/// is known to cover. Moves each such record from the parked to the queued
+/// gauge.
 pub(super) fn absorb_parked(seg: &mut ReplicaSeg, stats: &PsStats, floor: Lsn) {
-    while let Some((&lsn, parked)) = seg.out_of_order.iter().next() {
+    let mut absorbed = 0;
+    while let Some(entry) = seg.out_of_order.first_entry() {
+        let (lsn, parked) = (*entry.key(), entry.get());
         let chains = parked.prev_same_segment == seg.last_lsn
             || (lsn > seg.last_lsn && parked.prev_same_segment <= floor);
         if !chains {
             break;
         }
-        // vedb-lint: allow(no-panic-in-runtime, "key was just witnessed by iter().next() under the same segs lock")
-        let parked = seg.out_of_order.remove(&lsn).expect("present");
-        stats.parked.sub(1);
-        stats.queued.add(1);
-        seg.last_lsn = parked.lsn;
-        seg.retained.insert(parked.lsn, Arc::clone(&parked));
-        seg.queue.push(parked);
+        let parked = entry.remove();
+        seg.accept_in_order(parked);
+        absorbed += 1;
+    }
+    if absorbed > 0 {
+        stats.parked.sub(absorbed);
+        stats.queued.add(absorbed);
     }
 }
 
@@ -251,7 +282,7 @@ pub struct PageStoreServer {
     pool: WorkerPool,
     /// At most one background checkpoint in flight per server.
     ckpt_inflight: AtomicBool,
-    pub(super) segs: Mutex<HashMap<PsSegmentKey, ReplicaSeg>>,
+    pub(super) segs: Mutex<FxHashMap<PsSegmentKey, ReplicaSeg>>,
     /// The image index of the fleet this server serves in; unset outside a
     /// fleet, where a server shares nothing.
     pub(super) fleet: OnceLock<Arc<Mutex<FleetImages>>>,
@@ -286,7 +317,7 @@ impl PageStoreServer {
             apply,
             pool,
             ckpt_inflight: AtomicBool::new(false),
-            segs: Mutex::new(HashMap::new()),
+            segs: Mutex::new(FxHashMap::default()),
             fleet: OnceLock::new(),
             stats,
         })
@@ -324,29 +355,31 @@ impl PageStoreServer {
         let ckpt_due = {
             let mut segs = self.segs.lock();
             let seg = segs.entry(key).or_default();
+            // Accepts of this ship, booked once after the loop.
+            let (mut in_order, mut parked) = (0, 0);
             for rec in records {
                 if rec.lsn <= seg.last_lsn {
                     continue; // duplicate delivery
                 }
                 if rec.prev_same_segment == seg.last_lsn {
-                    self.stats.records_accepted.inc();
-                    self.stats.queued.add(1);
-                    self.stats.apply_lag.add(1);
-                    seg.accepted_since_ckpt += 1;
-                    seg.last_lsn = rec.lsn;
-                    seg.retained.insert(rec.lsn, Arc::clone(rec));
-                    seg.queue.push(Arc::clone(rec));
+                    in_order += 1;
+                    seg.accept_in_order(Arc::clone(rec));
                     absorb_parked(seg, &self.stats, 0);
                 } else if seg.out_of_order.insert(rec.lsn, Arc::clone(rec)).is_none() {
                     // A re-delivered record already parked here (e.g. the
                     // same hole pulled from two gossip peers) must not be
                     // double-counted as accepted.
-                    self.stats.records_accepted.inc();
-                    self.stats.parked.add(1);
-                    self.stats.apply_lag.add(1);
-                    seg.accepted_since_ckpt += 1;
+                    parked += 1;
                 }
             }
+            let accepted = in_order + parked;
+            if accepted > 0 {
+                self.stats.records_accepted.add(accepted);
+                self.stats.queued.add(in_order as i64);
+                self.stats.parked.add(parked as i64);
+                self.stats.apply_lag.add(accepted as i64);
+            }
+            seg.accepted_since_ckpt += accepted;
             self.apply.checkpoint_every_records > 0
                 && seg.accepted_since_ckpt >= self.apply.checkpoint_every_records
         };
@@ -366,7 +399,9 @@ impl PageStoreServer {
     /// Handler: serve records after `from_lsn` (gossip peer side). Serves
     /// the in-order retained stream *and* parked out-of-order records — a
     /// record every quorum member parked would otherwise be unreachable;
-    /// the puller's back-link check decides what actually chains on.
+    /// the puller's back-link check decides what actually chains on. The
+    /// reply is the first `max` of both, merged in LSN order; a parked
+    /// record wins a tie.
     pub fn handle_get_records(
         &self,
         key: PsSegmentKey,
@@ -374,19 +409,29 @@ impl PageStoreServer {
         max: usize,
     ) -> Vec<Arc<RedoRecord>> {
         let segs = self.segs.lock();
-        match segs.get(&key) {
-            Some(seg) => {
-                let mut have: BTreeMap<Lsn, Arc<RedoRecord>> = BTreeMap::new();
-                for (l, r) in seg.retained.range(from_lsn + 1..) {
-                    have.insert(*l, Arc::clone(r));
+        let Some(seg) = segs.get(&key) else {
+            return Vec::new();
+        };
+        let mut tail = seg
+            .retained
+            .range(seg.retained_after(from_lsn)..)
+            .peekable();
+        let mut parked = seg.out_of_order.range(from_lsn + 1..).peekable();
+        let mut out = Vec::new();
+        while out.len() < max {
+            let next = match (tail.peek(), parked.peek()) {
+                (Some(r), Some((l, _))) if r.lsn < **l => tail.next(),
+                (Some(r), Some((l, _))) if r.lsn == **l => {
+                    tail.next();
+                    parked.next().map(|(_, p)| p)
                 }
-                for (l, r) in seg.out_of_order.range(from_lsn + 1..) {
-                    have.insert(*l, Arc::clone(r));
-                }
-                have.into_values().take(max).collect()
-            }
-            None => Vec::new(),
+                (_, Some(_)) => parked.next().map(|(_, p)| p),
+                (_, None) => tail.next(),
+            };
+            let Some(rec) = next else { break };
+            out.push(Arc::clone(rec));
         }
+        out
     }
 
     /// Fill back-link gaps for `key` by gossiping with `peers` (§III:
@@ -568,11 +613,13 @@ impl PageStoreServer {
                             let page = e.into_mut();
                             if let Some(img) = adopted {
                                 *page = img;
+                                seg.changed.insert(no);
                             }
                             page
                         }
                         Entry::Vacant(e) => {
                             self.stats.page_materializations.inc();
+                            seg.changed.insert(no);
                             e.insert(adopted.unwrap_or_default())
                         }
                     };
@@ -580,7 +627,12 @@ impl PageStoreServer {
                         // Copy-on-write: the image is copied here only if the
                         // checkpoint, a reader or another replica still
                         // shares it.
-                        if let Err(e) = rec.apply(Arc::make_mut(page)) {
+                        let held = Arc::as_ptr(page);
+                        let applied = rec.apply(Arc::make_mut(page));
+                        if !std::ptr::eq(held, Arc::as_ptr(page)) {
+                            seg.changed.insert(no);
+                        }
+                        if let Err(e) = applied {
                             // Keep this worker's unapplied tail; other
                             // workers' pages are independent and keep
                             // applying. Dropping the tail would freeze

@@ -12,7 +12,9 @@
 //!    with other records at the discarded LSNs: once every replica has
 //!    applied through, every image equals the serial replay of the
 //!    surviving history, and the replicas hold one allocation per page
-//!    version (the fleet shares images).
+//!    version (the fleet shares images). Along the way, every checkpoint
+//!    serves exactly the live map's images, and every gossip reply is the
+//!    LSN-ordered prefix, above the requested LSN, of an unbounded one.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -169,6 +171,8 @@ enum Step {
     Apply(u8, u8),
     /// One replica checkpoints one page's segment.
     Checkpoint(u8, u8),
+    /// One replica serves a gossip pull of one page's segment from an LSN.
+    Gossip(u8, u8, u16),
     /// A reader takes one replica's image of a page and keeps it.
     Read(u8, u8),
     /// Restore the fleet to a point of the history. The stream goes on from
@@ -181,6 +185,7 @@ fn gen_step() -> impl Strategy<Value = Step> {
         4 => (1u8..6).prop_map(Step::Ship),
         3 => (any::<u8>(), any::<u8>()).prop_map(|(p, r)| Step::Apply(p, r)),
         1 => (any::<u8>(), any::<u8>()).prop_map(|(p, r)| Step::Checkpoint(p, r)),
+        1 => (any::<u8>(), any::<u8>(), any::<u16>()).prop_map(|(p, r, f)| Step::Gossip(p, r, f)),
         1 => (any::<u8>(), any::<u8>()).prop_map(|(p, r)| Step::Read(p, r)),
         1 => any::<u16>().prop_map(Step::Restore),
     ]
@@ -346,7 +351,40 @@ proptest! {
                 }
                 Step::Checkpoint(p, r) => {
                     let key = ps.cfg().segment_of(page_of(p));
-                    replica(key, r).checkpoint_segment(&mut ctx, key).unwrap();
+                    let server = replica(key, r);
+                    server.checkpoint_segment(&mut ctx, key).unwrap();
+                    // The snapshot served is the live map, pointer for pointer.
+                    if let Some((_, snapshot)) = server.handle_get_checkpoint(key, 0) {
+                        let mut live: Vec<(u32, Arc<Page>)> = PAGES
+                            .iter()
+                            .filter(|page| ps.cfg().segment_of(**page) == key)
+                            .filter_map(|page| {
+                                let img = server.local_page(&mut ctx, ps.cfg(), *page, 0).ok()?;
+                                Some((page.page_no, img))
+                            })
+                            .collect();
+                        live.sort_by_key(|(no, _)| *no);
+                        let numbers = |v: &[(u32, Arc<Page>)]| v.iter().map(|(no, _)| *no).collect::<Vec<_>>();
+                        prop_assert_eq!(numbers(&snapshot), numbers(&live), "{:?}", key);
+                        for ((no, snap), (_, img)) in snapshot.iter().zip(&live) {
+                            prop_assert!(Arc::ptr_eq(snap, img), "page {} of {:?}", no, key);
+                        }
+                    }
+                }
+                Step::Gossip(p, r, from) => {
+                    let key = ps.cfg().segment_of(page_of(p));
+                    let server = replica(key, r);
+                    let from = u64::from(from) % (realizer.lsn + 20);
+                    let reply = server.handle_get_records(key, from, 8);
+                    let all = server.handle_get_records(key, from, usize::MAX);
+                    prop_assert!(reply.len() <= 8);
+                    prop_assert!(reply.iter().all(|rec| rec.lsn > from), "from {}", from);
+                    prop_assert!(reply.windows(2).all(|w| w[0].lsn < w[1].lsn), "from {}", from);
+                    prop_assert!(all.windows(2).all(|w| w[0].lsn < w[1].lsn), "from {}", from);
+                    prop_assert_eq!(reply.len(), all.len().min(8));
+                    for (a, b) in reply.iter().zip(&all) {
+                        prop_assert!(Arc::ptr_eq(a, b), "from {}: not a prefix", from);
+                    }
                 }
                 Step::Read(p, r) => {
                     let page = page_of(p);

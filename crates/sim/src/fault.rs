@@ -17,7 +17,7 @@
 //! have no virtual clock to stamp.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -29,12 +29,20 @@ use crate::trace::TraceLog;
 pub type NodeId = u32;
 
 /// Shared failure-injection state.
+///
+/// Every RDMA verb and RPC asks [`is_crashed`](Self::is_crashed) and
+/// [`is_partitioned`](Self::is_partitioned), and in a fault-free run the
+/// answer is always no. So each set has an atomic count of its members,
+/// written under the set's write lock (Release) and read first (Acquire):
+/// while it is zero, the predicate answers without taking the lock.
 #[derive(Default)]
 pub struct FaultPlan {
     crashed: RwLock<HashSet<NodeId>>,
+    crashed_n: AtomicUsize,
     /// Partitioned nodes: alive (state intact, heartbeats may be stale) but
     /// unreachable over the fabric — every message to them is dropped.
     partitioned: RwLock<HashSet<NodeId>>,
+    partitioned_n: AtomicUsize,
     /// f64 bits of the message-drop probability.
     drop_prob_bits: AtomicU64,
     /// Trace log fault events are recorded into, when attached.
@@ -50,40 +58,50 @@ impl FaultPlan {
     /// Mark `node` crashed: RDMA and RPC operations against it fail until
     /// [`FaultPlan::restore`].
     pub fn crash(&self, node: NodeId) {
-        self.crashed.write().insert(node);
+        let mut crashed = self.crashed.write();
+        crashed.insert(node);
+        self.crashed_n.store(crashed.len(), Ordering::Release);
     }
 
     /// Bring `node` back (its persistent state — PMem contents — survives;
     /// volatile state does not; that split is enforced by `vedb-pmem`).
     pub fn restore(&self, node: NodeId) {
-        self.crashed.write().remove(&node);
+        let mut crashed = self.crashed.write();
+        crashed.remove(&node);
+        self.crashed_n.store(crashed.len(), Ordering::Release);
     }
 
     /// Is `node` currently crashed?
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed.read().contains(&node)
+        self.crashed_n.load(Ordering::Acquire) > 0 && self.crashed.read().contains(&node)
     }
 
     /// Number of currently-crashed nodes.
     pub fn crashed_count(&self) -> usize {
-        self.crashed.read().len()
+        self.crashed_n.load(Ordering::Acquire)
     }
 
     /// Partition `node` off the network: it stays up (volatile state
     /// intact, unlike [`FaultPlan::crash`]) but every message to it is
     /// dropped until [`FaultPlan::heal`].
     pub fn partition(&self, node: NodeId) {
-        self.partitioned.write().insert(node);
+        let mut partitioned = self.partitioned.write();
+        partitioned.insert(node);
+        self.partitioned_n
+            .store(partitioned.len(), Ordering::Release);
     }
 
     /// Heal a network partition injected by [`FaultPlan::partition`].
     pub fn heal(&self, node: NodeId) {
-        self.partitioned.write().remove(&node);
+        let mut partitioned = self.partitioned.write();
+        partitioned.remove(&node);
+        self.partitioned_n
+            .store(partitioned.len(), Ordering::Release);
     }
 
     /// Is `node` currently partitioned off the network?
     pub fn is_partitioned(&self, node: NodeId) -> bool {
-        self.partitioned.read().contains(&node)
+        self.partitioned_n.load(Ordering::Acquire) > 0 && self.partitioned.read().contains(&node)
     }
 
     /// Set the probability in `[0,1]` that any single message is dropped.
@@ -172,6 +190,36 @@ mod tests {
         assert!(!f.is_crashed(2), "partition must not imply crash");
         f.heal(2);
         assert!(!f.is_partitioned(2));
+    }
+
+    #[test]
+    fn lock_free_counts_follow_crash_restore_partition_heal() {
+        let f = FaultPlan::new();
+        let state = |f: &FaultPlan| {
+            [
+                (f.is_crashed(1), f.is_partitioned(1)),
+                (f.is_crashed(2), f.is_partitioned(2)),
+            ]
+        };
+        assert_eq!(state(&f), [(false, false), (false, false)]);
+        f.crash(1);
+        assert_eq!(state(&f), [(true, false), (false, false)]);
+        assert_eq!(f.crashed_count(), 1);
+        f.crash(1); // idempotent: the count follows the set
+        assert_eq!(f.crashed_count(), 1);
+        f.restore(1);
+        assert_eq!(state(&f), [(false, false), (false, false)]);
+        assert_eq!(f.crashed_count(), 0);
+        f.partition(2);
+        assert_eq!(state(&f), [(false, false), (false, true)]);
+        f.partition(1);
+        assert_eq!(state(&f), [(false, true), (false, true)]);
+        f.heal(2);
+        assert_eq!(state(&f), [(false, true), (false, false)]);
+        f.heal(1);
+        f.heal(1); // healing a healed node leaves the count at zero
+        assert_eq!(state(&f), [(false, false), (false, false)]);
+        assert_eq!(f.partitioned_n.load(Ordering::Acquire), 0);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! * [`LatencyRecorder`] — log-bucketed latency histograms (P50/P95/P99/max),
 //! * [`ClusterSpec`] — the Table I cluster encoded as resources,
 //! * [`FaultPlan`] — failure-injection switches shared across components,
+//! * [`FxHashMap`] — a `HashMap` with a cheap unkeyed hash, for id-keyed maps,
 //! * [`MetricsRegistry`] — per-subsystem counters/gauges/histograms plus the
 //!   causal [`TraceLog`] of [`span!`]-recorded operations,
 //! * [`RunReport`] — deterministic JSON snapshots written by the bench
@@ -28,6 +29,7 @@
 pub mod cluster;
 pub mod contention;
 pub mod fault;
+pub mod fxhash;
 pub mod json;
 pub mod latency;
 pub mod metrics;
@@ -43,6 +45,7 @@ pub mod workers;
 pub use cluster::{ClusterSpec, SimEnv};
 pub use contention::{HotKeyStat, LockContention, LockProfile, TableLockStat};
 pub use fault::FaultPlan;
+pub use fxhash::{FxHashMap, FxHasher};
 pub use latency::LatencyModel;
 pub use metrics::{Counter, Gauge, LatencyRecorder, MetricsRegistry, Timeline, TrialResult};
 pub use profile::{FaultEvent, OpStat, PhaseStat, Profile, TimelineSnapshot};

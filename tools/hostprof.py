@@ -16,24 +16,38 @@ profile with `RUSTFLAGS="-C force-frame-pointers=yes"`. Standard library
 frames without frame pointers end a chain early. Only the Python standard
 library and binutils' `nm` are needed; `kernel.perf_event_paranoid` <= 2
 suffices because kernel samples are excluded.
+
+A leaf without a frame pointer (libc's `memcpy`, `memmove`, `malloc`) loses
+its caller: the walk starts at the caller's saved frame, so the first
+return address it records is the caller's caller's. Each sample therefore
+also carries the stack pointer and STACK_BYTES of the user stack from it up.
+When the sampled ip lies outside the profiled executable, the first word of
+that copy pointing into the executable's text is taken as the caller and
+inserted under the leaf. This is a heuristic: a leaf that pushed a code
+address before the sample, or whose caller is itself outside the
+executable, gets a wrong or no caller.
 """
 import argparse, bisect, collections, ctypes, mmap, os, struct, subprocess, sys, time
 
 PERF_TYPE_SOFTWARE, PERF_COUNT_SW_CPU_CLOCK = 1, 0
 SAMPLE_IP, SAMPLE_TID, SAMPLE_CALLCHAIN = 0x1, 0x2, 0x20
+SAMPLE_REGS_USER, SAMPLE_STACK_USER = 0x1000, 0x2000
 FLAG_FREQ, FLAG_EXCLUDE_KERNEL, FLAG_EXCLUDE_HV = 1 << 10, 1 << 5, 1 << 6
 FLAG_EXCLUDE_CALLCHAIN_KERNEL = 1 << 21
 RECORD_SAMPLE, CONTEXT_MAX = 9, 2**64 - 4095  # callchain context markers are above
 NR_PERF_EVENT_OPEN = {"x86_64": 298, "aarch64": 241}[os.uname().machine]
+REG_SP = {"x86_64": 7, "aarch64": 31}[os.uname().machine]  # perf_regs.h
+STACK_BYTES = 256  # user stack copied per sample, from the stack pointer up
 PAGE, DATA_PAGES = mmap.PAGESIZE, 256
 
 
 def open_event(pid, hz):
     attr = bytearray(128)
-    struct.pack_into("IIQQQ", attr, 0, PERF_TYPE_SOFTWARE, 128, PERF_COUNT_SW_CPU_CLOCK,
-                     hz, SAMPLE_IP | SAMPLE_TID | SAMPLE_CALLCHAIN)
+    sample = SAMPLE_IP | SAMPLE_TID | SAMPLE_CALLCHAIN | SAMPLE_REGS_USER | SAMPLE_STACK_USER
+    struct.pack_into("IIQQQ", attr, 0, PERF_TYPE_SOFTWARE, 128, PERF_COUNT_SW_CPU_CLOCK, hz, sample)
     flags = FLAG_FREQ | FLAG_EXCLUDE_KERNEL | FLAG_EXCLUDE_HV | FLAG_EXCLUDE_CALLCHAIN_KERNEL
     struct.pack_into("Q", attr, 40, flags)
+    struct.pack_into("QI", attr, 80, 1 << REG_SP, STACK_BYTES)  # sample_regs_user, _stack_user
     libc = ctypes.CDLL(None, use_errno=True)
     fd = libc.syscall(NR_PERF_EVENT_OPEN, ctypes.create_string_buffer(bytes(attr)), pid, -1, -1, 0)
     if fd < 0:
@@ -41,8 +55,21 @@ def open_event(pid, hz):
     return fd
 
 
-def drain(ring, stacks):
-    """Parse every record between the ring's tail and head into `stacks`."""
+def frameless_caller(ip, user, stack, exe_text):
+    """The caller of a leaf outside the executable, read off the stack copy
+    (see the module docs), or None."""
+    if not exe_text or any(lo <= ip < hi for lo, hi in exe_text):
+        return None
+    for (word,) in struct.iter_unpack("Q", stack):
+        if any(lo <= word < hi for lo, hi in exe_text):
+            # Already the walk's first return address: the leaf kept a frame.
+            return None if len(user) > 1 and word == user[1] else word
+    return None
+
+
+def drain(ring, stacks, exe_text):
+    """Parse every record between the ring's tail and head into `stacks`;
+    `exe_text` is the profiled executable's text ranges."""
     head, tail = struct.unpack_from("QQ", ring, 1024)
     size, start = DATA_PAGES * PAGE, tail % (DATA_PAGES * PAGE)
     end = start + head - tail
@@ -53,8 +80,19 @@ def drain(ring, stacks):
         if kind == RECORD_SAMPLE:
             ip, nr = struct.unpack_from("Q", data, pos + 8)[0], struct.unpack_from("Q", data, pos + 24)[0]
             user = [a for a in struct.unpack_from(f"{nr}Q", data, pos + 32) if a < CONTEXT_MAX]
+            at = pos + 32 + 8 * nr
+            abi = struct.unpack_from("Q", data, at)[0]
+            at += 16 if abi else 8  # the abi word, then the one register (sp)
+            stack_size = struct.unpack_from("Q", data, at)[0]
+            stack = b""
+            if stack_size:  # then the copy, then how much of it is filled
+                dyn_size = struct.unpack_from("Q", data, at + 8 + stack_size)[0]
+                stack = bytes(data[at + 8:at + 8 + min(stack_size, dyn_size)])
             # The chain starts at the sampled ip; callers are return addresses.
             frames = [user[0]] + [a - 1 for a in user[1:]] if user else [ip]
+            caller = frameless_caller(frames[0], user, stack, exe_text)
+            if caller is not None:
+                frames.insert(1, caller - 1)
             stacks[tuple(frames)] += 1
         pos += length
     struct.pack_into("Q", ring, 1032, head)
@@ -141,13 +179,20 @@ def main():
     fd = open_event(child.pid, args.freq)
     ring = mmap.mmap(fd, (1 + DATA_PAGES) * PAGE)
     stacks, maps, last_maps = collections.Counter(), {}, 0.0
+    exe, exe_text = None, []
     while child.poll() is None:
         time.sleep(0.01)
-        drain(ring, stacks)
-        if time.monotonic() - last_maps > 1.0:
+        try:
+            # CMD may exec another program (taskset does): follow it.
+            now_exe = os.readlink(f"/proc/{child.pid}/exe")
+        except OSError:
+            now_exe = exe
+        if now_exe != exe or time.monotonic() - last_maps > 1.0:
             read_maps(child.pid, maps)
-            last_maps = time.monotonic()
-    drain(ring, stacks)
+            exe, last_maps = now_exe, time.monotonic()
+            exe_text = [(lo, hi) for lo, (hi, _off, path) in maps.items() if path == exe]
+        drain(ring, stacks, exe_text)
+    drain(ring, stacks, exe_text)
     sym = Symbolizer(maps)
     folded, selfs, kept = collections.Counter(), collections.Counter(), 0
     for frames, n in stacks.items():
