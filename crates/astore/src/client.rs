@@ -11,13 +11,14 @@
 //! * [`AStoreClient::read`] — a one-sided READ from any online replica.
 //!
 //! Route hygiene (§IV-C): routes are cached and re-validated against the CM
-//! when older than `refresh_period`, which the deployment guarantees is much
-//! shorter than the servers' stale-segment cleanup delay.
+//! when older than the refresh period ([`ROUTE_REFRESH`] in every
+//! deployment), which a compile-time check keeps far shorter than the
+//! servers' stale-segment [`CLEANUP_DELAY`](crate::server::CLEANUP_DELAY).
 //!
 //! ## Fault recovery
 //!
-//! Every operation runs under a [`RetryPolicy`] (capped exponential backoff
-//! over *virtual* time):
+//! Every operation runs under the retry ladder of [`crate::retry`] (capped
+//! exponential backoff over *virtual* time):
 //!
 //! * Transient message loss ([`vedb_rdma::RdmaError::Dropped`]) retries the
 //!   same chained write — idempotent, since every attempt writes the same
@@ -33,7 +34,7 @@
 //! * Reads fail over across replicas, refreshing the route between retry
 //!   rounds.
 //!
-//! Only when the policy is exhausted does a write surface
+//! Only when the ladder is exhausted does a write surface
 //! [`AStoreError::ReplicaFailed`] — at which point the segment is frozen
 //! and the ring layer rolls to a fresh one. All recovery activity is
 //! counted in the deployment registry: `astore.retries`,
@@ -52,9 +53,15 @@ use vedb_sim::{Counter, LatencyModel, LatencyRecorder, MetricsRegistry, Resource
 
 use crate::cm::{ClusterManager, Lease, Route};
 use crate::layout::SegmentClass;
-use crate::retry::{AppendOpts, RetryPolicy, SegmentOpts};
+use crate::retry::{self, AppendOpts, SegmentOpts};
 use crate::server::AStoreServer;
 use crate::{AStoreError, Result, SegmentId, SegmentLoc};
+
+/// How long a client trusts a cached route before re-validating it with the
+/// CM (§IV-C: "the AStore Client regularly checks with the CM"). The
+/// servers' [`CLEANUP_DELAY`](crate::server::CLEANUP_DELAY) is checked at
+/// compile time to be at least ten times longer.
+pub const ROUTE_REFRESH: VTime = VTime::from_millis(50);
 
 /// A client-side reference to an open segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -132,7 +139,6 @@ pub struct AStoreClient {
     model: LatencyModel,
     client_id: u64,
     refresh_period: VTime,
-    policy: RetryPolicy,
     stats: ClientStats,
     lease: Mutex<Lease>,
     /// Per-node connection state: registered MR + server reference.
@@ -142,8 +148,9 @@ pub struct AStoreClient {
 }
 
 impl AStoreClient {
-    /// Connect with the default [`RetryPolicy`]: acquire a lease from the
-    /// CM and set up one-sided access to every live server.
+    /// Connect: acquire a lease from the CM and set up one-sided access to
+    /// every live server. Cached routes are re-validated once older than
+    /// `refresh_period` — [`ROUTE_REFRESH`] outside tests.
     pub fn connect(
         ctx: &mut SimCtx,
         cm: Arc<ClusterManager>,
@@ -152,30 +159,6 @@ impl AStoreClient {
         model: LatencyModel,
         client_id: u64,
         refresh_period: VTime,
-    ) -> Arc<Self> {
-        Self::connect_with_policy(
-            ctx,
-            cm,
-            ep,
-            engine_cpu,
-            model,
-            client_id,
-            refresh_period,
-            RetryPolicy::default(),
-        )
-    }
-
-    /// Connect with an explicit [`RetryPolicy`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn connect_with_policy(
-        ctx: &mut SimCtx,
-        cm: Arc<ClusterManager>,
-        ep: RdmaEndpoint,
-        engine_cpu: Arc<Resource>,
-        model: LatencyModel,
-        client_id: u64,
-        refresh_period: VTime,
-        policy: RetryPolicy,
     ) -> Arc<Self> {
         let lease = cm.acquire_lease(ctx, client_id);
         let nodes = cm
@@ -191,7 +174,6 @@ impl AStoreClient {
             model,
             client_id,
             refresh_period,
-            policy,
             stats,
             lease: Mutex::new(lease),
             nodes: Mutex::new(nodes),
@@ -215,11 +197,6 @@ impl AStoreClient {
         &self.cm
     }
 
-    /// The retry policy this client runs under.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
     /// The deployment metric registry this client publishes into (inherited
     /// from the CM at connect time), recovery counts included; engine-side
     /// layers built on top of the client (EBP) register their own metrics
@@ -237,13 +214,13 @@ impl AStoreClient {
 
     /// Sleep the capped-exponential backoff for retry number `retry`.
     fn sleep_backoff(&self, ctx: &mut SimCtx, retry: u32) {
-        let slept = self.policy.backoff(retry);
+        let slept = retry::backoff(retry);
         ctx.advance(slept);
         self.stats.retries.inc();
         self.stats.backoff_ns.add(slept.as_nanos());
     }
 
-    /// Run a lease-bearing CM operation under the retry policy. A fencing
+    /// Run a lease-bearing CM operation under the retry ladder. A fencing
     /// error gets exactly one **same-epoch** renewal attempt; if the CM
     /// refuses the renewal this client was superseded and the fence is
     /// final. Transient errors back off and retry.
@@ -269,7 +246,7 @@ impl AStoreClient {
                     self.cm.renew_lease(ctx, lease)?;
                     renewed = true;
                 }
-                Err(e) if e.is_retryable() && self.policy.allows(retry) => {
+                Err(e) if e.is_retryable() && retry::allows(retry) => {
                     self.sleep_backoff(ctx, retry);
                     retry += 1;
                 }
@@ -562,7 +539,7 @@ impl AStoreClient {
             match self.fanout_once(ctx, &route, writes, &mut unreachable) {
                 Ok(()) => return Ok(()),
                 Err(e) if e.is_segment_unwritable() || e.is_retryable() => {
-                    if !self.policy.allows(retry) {
+                    if !retry::allows(retry) {
                         // §IV-B: freeze with the current effective length;
                         // the caller re-opens a new segment.
                         self.freeze(handle);
@@ -710,7 +687,8 @@ impl AStoreClient {
             let meta = segs
                 .get(&handle.id)
                 .ok_or(AStoreError::UnknownSegment(handle.id))?;
-            if offset + data.len() as u64 > meta.capacity {
+            let end = offset.checked_add(data.len() as u64);
+            if end.filter(|&end| end <= meta.capacity).is_none() {
                 return Err(AStoreError::SegmentFull {
                     used: offset,
                     capacity: meta.capacity,
@@ -751,7 +729,8 @@ impl AStoreClient {
             {
                 let segs = self.segs.lock();
                 if let Some(meta) = segs.get(&handle.id) {
-                    if offset + len as u64 > meta.capacity {
+                    let end = offset.checked_add(len as u64);
+                    if end.filter(|&end| end <= meta.capacity).is_none() {
                         return Err(AStoreError::SegmentFull {
                             used: offset,
                             capacity: meta.capacity,
@@ -783,7 +762,7 @@ impl AStoreClient {
                 }
             }
             // Every replica failed this round.
-            if !last_err.is_retryable() || !self.policy.allows(retry) {
+            if !last_err.is_retryable() || !retry::allows(retry) {
                 return Err(last_err);
             }
             self.sleep_backoff(ctx, retry);
@@ -864,7 +843,7 @@ impl AStoreClient {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use vedb_rdma::RpcFabric;
+    use crate::retry::MAX_RETRIES;
     use vedb_sim::ClusterSpec;
 
     pub(crate) struct TestCluster {
@@ -875,10 +854,6 @@ pub(crate) mod tests {
     }
 
     pub(crate) fn test_cluster(ctx: &mut SimCtx) -> TestCluster {
-        test_cluster_with_policy(ctx, RetryPolicy::default())
-    }
-
-    pub(crate) fn test_cluster_with_policy(ctx: &mut SimCtx, policy: RetryPolicy) -> TestCluster {
         let env = ClusterSpec::paper_default().build();
         let cm = ClusterManager::new(
             Arc::clone(&env.faults),
@@ -895,8 +870,6 @@ pub(crate) mod tests {
                     Arc::clone(n),
                     4 << 20,
                     64 * 1024,
-                    false,
-                    VTime::from_millis(500),
                     env.model.clone(),
                 )
             })
@@ -910,17 +883,15 @@ pub(crate) mod tests {
             Arc::clone(&env.faults),
             Arc::clone(&env.engine_nic),
         );
-        let client = AStoreClient::connect_with_policy(
+        let client = AStoreClient::connect(
             ctx,
             Arc::clone(&cm),
             ep,
             Arc::clone(&env.engine_cpu),
             env.model.clone(),
             1,
-            VTime::from_millis(50),
-            policy,
+            ROUTE_REFRESH,
         );
-        let _ = RpcFabric::new(env.model.clone(), Arc::clone(&env.faults));
         TestCluster {
             env,
             cm,
@@ -1003,17 +974,20 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn replica_failure_freezes_segment_without_retry_policy() {
-        // RetryPolicy::disabled() preserves the raw §IV-B contract: any
-        // replica shortfall freezes the segment and surfaces ReplicaFailed.
+    fn replica_failure_freezes_segment_once_retries_are_exhausted() {
+        // The raw §IV-B contract under the ladder: a replica shortfall the
+        // retries cannot repair freezes the segment and surfaces
+        // ReplicaFailed. A partitioned replica is such a fault: its
+        // messages are dropped without naming the node, so nothing is
+        // reported to the CM and the route never shrinks around it.
         let mut ctx = SimCtx::new(1, 7);
-        let tc = test_cluster_with_policy(&mut ctx, RetryPolicy::disabled());
+        let tc = test_cluster(&mut ctx);
         let seg = log_seg(&mut ctx, &tc);
         tc.client
             .append_with(&mut ctx, seg, b"before", AppendOpts::new())
             .unwrap();
         let route = tc.client.cached_route(seg.id).unwrap();
-        tc.env.faults.crash(route.replicas[0].node);
+        tc.env.faults.partition(route.replicas[0].node);
         let err = tc
             .client
             .append_with(&mut ctx, seg, b"after", AppendOpts::new())
@@ -1030,8 +1004,13 @@ pub(crate) mod tests {
             .append_with(&mut ctx, seg, b"again", AppendOpts::new())
             .unwrap_err();
         assert!(err.is_segment_unwritable());
+        assert_eq!(
+            astore_count(&tc, "retries"),
+            MAX_RETRIES as u64,
+            "the freeze comes after the whole ladder"
+        );
         // The client opens a new segment and carries on (ring layer policy).
-        tc.env.faults.restore(route.replicas[0].node);
+        tc.env.faults.heal(route.replicas[0].node);
         let seg2 = log_seg(&mut ctx, &tc);
         assert!(tc
             .client
@@ -1105,23 +1084,24 @@ pub(crate) mod tests {
 
     #[test]
     fn frozen_segment_unfreezes_after_repair() {
-        // Freeze a segment with an exhausted policy, then heal the cluster:
-        // the next append un-freezes it instead of failing.
+        // Freeze a segment by exhausting the retries against a partitioned
+        // replica, then heal the cluster: the next append un-freezes it
+        // instead of failing.
         let mut ctx = SimCtx::new(1, 7);
-        let tc = test_cluster_with_policy(&mut ctx, RetryPolicy::disabled());
+        let tc = test_cluster(&mut ctx);
         let seg = log_seg(&mut ctx, &tc);
         tc.client
             .append_with(&mut ctx, seg, b"before", AppendOpts::new())
             .unwrap();
         let route = tc.client.cached_route(seg.id).unwrap();
-        tc.env.faults.crash(route.replicas[0].node);
+        tc.env.faults.partition(route.replicas[0].node);
         assert!(tc
             .client
             .append_with(&mut ctx, seg, b"x", AppendOpts::new())
             .is_err());
         assert!(tc.client.is_frozen(seg));
         // Node comes back; the route is intact, the un-freeze probe passes.
-        tc.env.faults.restore(route.replicas[0].node);
+        tc.env.faults.heal(route.replicas[0].node);
         let off = tc
             .client
             .append_with(&mut ctx, seg, b"-after", AppendOpts::new())
@@ -1174,11 +1154,7 @@ pub(crate) mod tests {
             "a fully-partitioned read surfaces as transient: {err}"
         );
         let spent = astore_count(&tc, "retries") - before;
-        assert_eq!(
-            spent as u32,
-            tc.client.retry_policy().max_retries,
-            "retries are bounded"
-        );
+        assert_eq!(spent as u32, MAX_RETRIES, "retries are bounded");
         for loc in &route.replicas {
             tc.env.faults.heal(loc.node);
         }
@@ -1206,6 +1182,22 @@ pub(crate) mod tests {
         tc.client
             .append_with(&mut ctx, seg, &[1u8; 8], AppendOpts::new())
             .unwrap();
+    }
+
+    #[test]
+    fn out_of_range_offsets_are_rejected_not_wrapped() {
+        let mut ctx = SimCtx::new(1, 7);
+        let tc = test_cluster(&mut ctx);
+        let seg = log_seg(&mut ctx, &tc);
+        let offset = u64::MAX - 3;
+        assert!(matches!(
+            tc.client.write_at(&mut ctx, seg, offset, &[0u8; 8]),
+            Err(AStoreError::SegmentFull { .. })
+        ));
+        assert!(matches!(
+            tc.client.read(&mut ctx, seg, offset, 8),
+            Err(AStoreError::SegmentFull { .. })
+        ));
     }
 
     #[test]
@@ -1263,7 +1255,7 @@ pub(crate) mod tests {
             Arc::clone(&tc.env.engine_cpu),
             tc.env.model.clone(),
             1, // same client identity, new incarnation
-            VTime::from_millis(50),
+            ROUTE_REFRESH,
         );
         // Old incarnation's control-plane ops are fenced.
         assert!(matches!(
@@ -1306,7 +1298,7 @@ pub(crate) mod tests {
             Arc::clone(&tc.env.engine_cpu),
             tc.env.model.clone(),
             1, // supersedes old_client's lease
-            VTime::from_millis(50),
+            ROUTE_REFRESH,
         );
         assert!(new_client.lease().epoch > old_client.lease().epoch);
         let err = old_client

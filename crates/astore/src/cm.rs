@@ -640,8 +640,6 @@ mod tests {
                     Arc::clone(n),
                     1 << 20,
                     64 * 1024,
-                    false,
-                    VTime::from_millis(500),
                     env.model.clone(),
                 )
             })

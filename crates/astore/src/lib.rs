@@ -21,8 +21,9 @@
 //!
 //! Read-write consistency with one-sided verbs (§IV-C) is preserved by the
 //! same three mechanisms as the paper: short-period client route refresh,
-//! server-side *delayed* cleanup of deallocated segments (cleanup delay ≫
-//! refresh period), and client leases fenced by epoch at the CM.
+//! server-side *delayed* cleanup of deallocated segments ([`CLEANUP_DELAY`]
+//! ≥ 10 × [`ROUTE_REFRESH`], a compile-time check), and client leases
+//! fenced by epoch at the CM.
 
 pub mod client;
 pub mod cm;
@@ -32,12 +33,12 @@ pub mod retry;
 pub mod ring;
 pub mod server;
 
-pub use client::{AStoreClient, SegmentHandle};
+pub use client::{AStoreClient, SegmentHandle, ROUTE_REFRESH};
 pub use cm::{ClusterManager, Lease};
 pub use layout::SegmentClass;
-pub use retry::{AppendOpts, RetryPolicy, SegmentOpts};
+pub use retry::{AppendOpts, SegmentOpts};
 pub use ring::SegmentRing;
-pub use server::AStoreServer;
+pub use server::{AStoreServer, CLEANUP_DELAY};
 
 use vedb_rdma::RdmaError;
 use vedb_sim::fault::NodeId;

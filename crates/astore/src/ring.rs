@@ -148,14 +148,8 @@ pub struct SegmentRing {
 impl SegmentRing {
     /// Bootstrap a fresh ring: pre-create `n_segments` segments (§V-A:
     /// "all segments with an index starting from 0 within the ring are
-    /// pre-created by the storage SDK") and open slot 0 at LSN
-    /// `initial_lsn`.
-    pub fn create(
-        ctx: &mut SimCtx,
-        client: Arc<AStoreClient>,
-        n_segments: usize,
-        initial_lsn: Lsn,
-    ) -> Result<Self> {
+    /// pre-created by the storage SDK") and open slot 0 at LSN 0.
+    pub fn create(ctx: &mut SimCtx, client: Arc<AStoreClient>, n_segments: usize) -> Result<Self> {
         assert!(n_segments >= 2, "a ring needs at least two segments");
         let mut slots = Vec::with_capacity(n_segments);
         for _ in 0..n_segments {
@@ -172,12 +166,12 @@ impl SegmentRing {
             state: Mutex::new(RingState {
                 slots,
                 active: 0,
-                next_lsn: initial_lsn,
+                next_lsn: 0,
                 retired: Vec::new(),
             }),
             seg_capacity,
         };
-        ring.open_slot(ctx, 0, initial_lsn)?;
+        ring.open_slot(ctx, 0, 0)?;
         Ok(ring)
     }
 
@@ -530,9 +524,8 @@ impl SegmentRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::tests::{astore_count, test_cluster, test_cluster_with_policy};
-    use crate::retry::RetryPolicy;
-    use vedb_sim::VTime;
+    use crate::client::tests::{astore_count, test_cluster};
+    use crate::client::ROUTE_REFRESH;
 
     #[test]
     fn header_roundtrip() {
@@ -576,7 +569,7 @@ mod tests {
     fn append_assigns_dense_lsns() {
         let mut ctx = SimCtx::new(1, 7);
         let tc = test_cluster(&mut ctx);
-        let ring = SegmentRing::create(&mut ctx, Arc::clone(&tc.client), 4, 0).unwrap();
+        let ring = SegmentRing::create(&mut ctx, Arc::clone(&tc.client), 4).unwrap();
         let a = ring.append(&mut ctx, b"0123456789").unwrap();
         let b = ring.append(&mut ctx, b"abcde").unwrap();
         assert_eq!(a, 0);
@@ -594,7 +587,7 @@ mod tests {
     fn ring_advances_and_wraps_with_truncation() {
         let mut ctx = SimCtx::new(1, 7);
         let tc = test_cluster(&mut ctx);
-        let ring = SegmentRing::create(&mut ctx, Arc::clone(&tc.client), 3, 0).unwrap();
+        let ring = SegmentRing::create(&mut ctx, Arc::clone(&tc.client), 3).unwrap();
         let cap = ring.segment_data_capacity() as usize;
         let rec = vec![0xAAu8; cap / 2 - 8]; // two records fill a segment
 
@@ -621,7 +614,7 @@ mod tests {
     fn log_window_tracks_truncation() {
         let mut ctx = SimCtx::new(1, 7);
         let tc = test_cluster(&mut ctx);
-        let ring = SegmentRing::create(&mut ctx, Arc::clone(&tc.client), 3, 0).unwrap();
+        let ring = SegmentRing::create(&mut ctx, Arc::clone(&tc.client), 3).unwrap();
         assert_eq!(ring.log_window(), (0, 0));
         let cap = ring.segment_data_capacity() as usize;
         let rec = vec![0xBBu8; cap / 2 - 8];
@@ -646,7 +639,7 @@ mod tests {
     fn recovery_finds_end_of_log() {
         let mut ctx = SimCtx::new(1, 7);
         let tc = test_cluster(&mut ctx);
-        let ring = SegmentRing::create(&mut ctx, Arc::clone(&tc.client), 4, 0).unwrap();
+        let ring = SegmentRing::create(&mut ctx, Arc::clone(&tc.client), 4).unwrap();
         for i in 0..20u8 {
             ring.append(&mut ctx, &[i; 100]).unwrap();
         }
@@ -667,7 +660,7 @@ mod tests {
             Arc::clone(&tc.env.engine_cpu),
             tc.env.model.clone(),
             1,
-            VTime::from_millis(50),
+            ROUTE_REFRESH,
         );
         let recovered = SegmentRing::recover(&mut ctx, client2, &ids).unwrap();
         assert_eq!(recovered.next_lsn(), end, "recovered end-of-log must match");
@@ -682,21 +675,23 @@ mod tests {
     }
 
     #[test]
-    fn replica_failure_replaces_segment_when_retries_disabled() {
-        // With the client's retry layer off, the ring's own §V-E policy is
-        // the only recovery: freeze the slot, create a replacement, retry.
+    fn replica_failure_replaces_segment_when_retries_are_exhausted() {
+        // A fault the client's retries cannot repair — a partitioned
+        // replica, whose drops name no node to report — leaves the ring's
+        // own §V-E policy as the only recovery: freeze the slot, create a
+        // replacement, retry.
         let mut ctx = SimCtx::new(1, 7);
-        let tc = test_cluster_with_policy(&mut ctx, RetryPolicy::disabled());
-        let ring = SegmentRing::create(&mut ctx, Arc::clone(&tc.client), 3, 0).unwrap();
+        let tc = test_cluster(&mut ctx);
+        let ring = SegmentRing::create(&mut ctx, Arc::clone(&tc.client), 3).unwrap();
         ring.append(&mut ctx, b"before-failure").unwrap();
 
         let active_seg = ring.segment_ids()[0];
         let route = tc.client.cached_route(active_seg).unwrap();
-        tc.env.faults.crash(route.replicas[0].node);
-        // With only 2 of 3 nodes alive, creating the replacement segment
-        // fails; the error is surfaced.
+        tc.env.faults.partition(route.replicas[0].node);
+        // With only 2 of 3 nodes reachable, creating the replacement
+        // segment fails; the error is surfaced.
         assert!(ring.append(&mut ctx, b"during-failure").is_err());
-        tc.env.faults.restore(route.replicas[0].node);
+        tc.env.faults.heal(route.replicas[0].node);
 
         // Retry now succeeds via the replacement path (slot was frozen).
         let lsn = ring.append(&mut ctx, b"after-restore").unwrap();
@@ -713,7 +708,7 @@ mod tests {
         // never sees an error and keeps the same segment.
         let mut ctx = SimCtx::new(1, 7);
         let tc = test_cluster(&mut ctx);
-        let ring = SegmentRing::create(&mut ctx, Arc::clone(&tc.client), 3, 0).unwrap();
+        let ring = SegmentRing::create(&mut ctx, Arc::clone(&tc.client), 3).unwrap();
         ring.append(&mut ctx, b"before-failure").unwrap();
 
         let ids_before = ring.segment_ids();

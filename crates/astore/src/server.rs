@@ -10,9 +10,10 @@
 //!
 //! Stale-segment hygiene (§IV-C): when the CM asks the server to clean a
 //! segment, the server does **not** free the slot immediately — it enqueues
-//! it and frees it only after `cleanup_delay` of virtual time has passed.
-//! Clients refresh their routes on a much shorter period, so no client can
-//! still be holding a one-sided route to a slot when it gets reused.
+//! it and frees it only after [`CLEANUP_DELAY`] of virtual time has passed.
+//! Clients refresh their routes every [`ROUTE_REFRESH`], at least ten times
+//! more often (checked at compile time), so no client can still be holding
+//! a one-sided route to a slot when it gets reused.
 //!
 //! Nothing here runs on a timer: the CM calls [`AStoreServer::run_cleanup`]
 //! on its allocation path with the allocating client's `now`, and the work
@@ -29,12 +30,30 @@ use vedb_sim::cluster::NodeRes;
 use vedb_sim::fault::NodeId;
 use vedb_sim::{Counter, Gauge, LatencyModel, MetricsRegistry, SimCtx, VTime};
 
+use crate::client::ROUTE_REFRESH;
 use crate::ebp_format::{decode_header, RECORD_HDR_SIZE};
 use crate::layout::{
     decode_slot_meta, encode_slot_meta, Geometry, SegmentClass, SlotBitmap, SlotState,
     SLOT_META_SIZE, SUPERBLOCK_MAGIC, SUPERBLOCK_SIZE,
 };
 use crate::{AStoreError, Lsn, PageId, Result, SegmentId};
+
+/// AStore servers run their PMem with DDIO disabled, the paper's
+/// configuration (§IV-B): a flushed write is then inside the persistence
+/// domain, not in the CPU cache.
+const DDIO_ENABLED: bool = false;
+
+/// How long a deallocated segment's slot stays intact before delayed
+/// cleanup may reuse it (§IV-C).
+pub const CLEANUP_DELAY: VTime = VTime::from_millis(500);
+
+// §IV-C: one-sided reads are safe only while the cleanup delay is much
+// longer than the period after which a client re-validates a cached route,
+// so a slot is never reused under a route some client still trusts.
+const _: () = assert!(
+    CLEANUP_DELAY.as_nanos() >= 10 * ROUTE_REFRESH.as_nanos(),
+    "CLEANUP_DELAY must be at least 10 x ROUTE_REFRESH (§IV-C)"
+);
 
 /// A valid EBP page found by a recovery scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,7 +113,6 @@ pub struct AStoreServer {
     device: Arc<PmemDevice>,
     geo: Geometry,
     model: LatencyModel,
-    cleanup_delay: VTime,
     state: Mutex<ServerState>,
     /// Clock of the server's background task. Cleanup is triggered from a
     /// client's allocation but is the server's own work: it runs here, so
@@ -109,20 +127,19 @@ pub struct AStoreServer {
 
 impl AStoreServer {
     /// Create and format a server over a fresh PMem device of
-    /// `capacity` bytes divided into `slot_size`-byte segment slots.
+    /// `capacity` bytes divided into `slot_size`-byte segment slots, with
+    /// DDIO disabled.
     pub fn new(
         node: NodeId,
         res: Arc<NodeRes>,
         capacity: usize,
         slot_size: u64,
-        ddio_enabled: bool,
-        cleanup_delay: VTime,
         model: LatencyModel,
     ) -> Arc<Self> {
         let device = Arc::new(PmemDevice::with_metrics(
             format!("pmem-node-{node}"),
             capacity,
-            ddio_enabled,
+            DDIO_ENABLED,
             res.pmem
                 .clone()
                 // vedb-lint: allow(no-panic-in-runtime, "deployment wiring: AStore nodes are built with a PMem resource; fails at fabric construction, not mid-request")
@@ -147,7 +164,6 @@ impl AStoreServer {
             device,
             geo,
             model,
-            cleanup_delay,
             state: Mutex::new(ServerState {
                 bitmap: SlotBitmap::new(geo.slots),
                 segments: HashMap::new(),
@@ -229,6 +245,18 @@ impl AStoreServer {
         self.geo.meta_offset(slot) + crate::layout::IO_META_USED_OFFSET
     }
 
+    /// Write `data` at device `offset` and flush it into the persistence
+    /// domain on `ctx`'s clock.
+    fn persist(&self, ctx: &mut SimCtx, offset: u64, data: &[u8]) -> Result<()> {
+        let done = self
+            .device
+            .write(ctx.now(), offset, data)
+            .map_err(|e| AStoreError::Corrupt(format!("layout outside the device: {e}")))?;
+        self.device.flush(done);
+        ctx.wait_until(done);
+        Ok(())
+    }
+
     fn persist_slot_meta(
         &self,
         ctx: &mut SimCtx,
@@ -236,15 +264,9 @@ impl AStoreServer {
         state: SlotState,
         class: SegmentClass,
         id: SegmentId,
-    ) {
+    ) -> Result<()> {
         let meta = encode_slot_meta(state, class, id);
-        let done = self
-            .device
-            .write(ctx.now(), self.geo.meta_offset(slot), &meta)
-            // vedb-lint: allow(no-panic-in-runtime, "meta_offset(slot) is derived from a validated Geometry; always within device capacity")
-            .expect("meta area in bounds");
-        self.device.flush(done);
-        ctx.wait_until(done);
+        self.persist(ctx, self.geo.meta_offset(slot), &meta)
     }
 
     /// Handler: allocate a slot for `segment_id`. Returns the segment's
@@ -271,16 +293,9 @@ impl AStoreServer {
             self.publish_gauges(&mut st);
             slot
         };
-        self.persist_slot_meta(ctx, slot, SlotState::Allocated, class, segment_id);
+        self.persist_slot_meta(ctx, slot, SlotState::Allocated, class, segment_id)?;
         // Terminator so scans of recycled PMem stop immediately.
-        let zero = [0u8; RECORD_HDR_SIZE];
-        let done = self
-            .device
-            .write(ctx.now(), self.geo.slot_offset(slot), &zero)
-            // vedb-lint: allow(no-panic-in-runtime, "slot_offset(slot) comes from the allocator bitmap sized by the same Geometry")
-            .expect("slot start in bounds");
-        self.device.flush(done);
-        ctx.wait_until(done);
+        self.persist(ctx, self.geo.slot_offset(slot), &[0u8; RECORD_HDR_SIZE])?;
         Ok(self.geo.slot_offset(slot))
     }
 
@@ -299,18 +314,18 @@ impl AStoreServer {
     }
 
     /// Background task: free the slots whose cleanup was enqueued at least
-    /// `cleanup_delay` before `now`, the clock of whoever is about to
-    /// allocate — so no slot is handed out before `enqueue + cleanup_delay`.
+    /// [`CLEANUP_DELAY`] before `now`, the clock of whoever is about to
+    /// allocate — so no slot is handed out before `enqueue + CLEANUP_DELAY`.
     /// The freed slot meta is persisted on the server's background clock
     /// (never earlier than `now`), and only then does the slot return to
     /// the allocator. Returns the segments actually freed.
     pub fn run_cleanup(&self, now: VTime) -> Vec<SegmentId> {
         let mut bg = self.background.lock();
-        let due: Vec<(SegmentId, usize)> = {
+        let mut due: Vec<(SegmentId, usize)> = {
             let st = self.state.lock();
             st.pending_cleanup
                 .iter()
-                .filter(|(_, enqueued)| now.saturating_sub(**enqueued) >= self.cleanup_delay)
+                .filter(|(_, enqueued)| now.saturating_sub(**enqueued) >= CLEANUP_DELAY)
                 .filter_map(|(seg, _)| st.segments.get(seg).map(|(slot, _)| (*seg, *slot)))
                 .collect()
         };
@@ -318,9 +333,11 @@ impl AStoreServer {
             return Vec::new();
         }
         bg.wait_until(now);
-        for (_, slot) in &due {
-            self.persist_slot_meta(&mut bg, *slot, SlotState::Free, SegmentClass::Log, 0);
-        }
+        // A slot whose Free meta did not persist stays pending.
+        due.retain(|(_, slot)| {
+            self.persist_slot_meta(&mut bg, *slot, SlotState::Free, SegmentClass::Log, 0)
+                .is_ok()
+        });
         let mut st = self.state.lock();
         let freed: Vec<SegmentId> = due
             .into_iter()
@@ -458,11 +475,10 @@ impl AStoreServer {
                 if pos + RECORD_HDR_SIZE as u64 > self.geo.slot_size {
                     break;
                 }
-                let hdr_bytes = self
-                    .device
-                    .peek(base + pos, RECORD_HDR_SIZE)
-                    // vedb-lint: allow(no-panic-in-runtime, "scan cursor stays below slot_end, which the Geometry keeps within capacity")
-                    .expect("header in bounds");
+                // A header the device cannot return ends this segment's scan.
+                let Ok(hdr_bytes) = self.device.peek(base + pos, RECORD_HDR_SIZE) else {
+                    break;
+                };
                 let Some(hdr) = decode_header(&hdr_bytes) else {
                     break;
                 };
@@ -522,8 +538,6 @@ mod tests {
             Arc::clone(&env.astore_nodes[0]),
             1 << 20,
             64 * 1024,
-            false,
-            VTime::from_millis(500),
             env.model.clone(),
         );
         (env, s)
@@ -552,7 +566,7 @@ mod tests {
         assert!(!s.handle_enqueue_cleanup(enqueued + VTime::from_millis(100), 7));
         assert_eq!(s.pending_cleanup_len(), 1);
         // One nanosecond early: nothing freed.
-        let due = enqueued + VTime::from_millis(500);
+        let due = enqueued + CLEANUP_DELAY;
         assert!(s.run_cleanup(due - VTime::from_nanos(1)).is_empty());
         assert!(s.hosts_segment(7));
         // At the delay, the slot is reclaimed and its meta persisted Free.

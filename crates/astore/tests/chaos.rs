@@ -11,7 +11,7 @@
 //!   survivor — the retry layer absorbs crashes by reporting the dead node
 //!   to the CM and re-resolving the shrunk/repaired route.
 //! * **Bounded retries** — the capped-backoff policy never spins; retry
-//!   counts stay within `max_retries` per operation and are visible as
+//!   counts stay within `MAX_RETRIES` per operation and are visible as
 //!   `astore.*` counters in the registry, hence in every `RunReport`.
 
 use std::sync::Arc;
@@ -19,7 +19,8 @@ use std::sync::Arc;
 use vedb_astore::client::AStoreClient;
 use vedb_astore::cm::ClusterManager;
 use vedb_astore::layout::SegmentClass;
-use vedb_astore::{AStoreServer, AppendOpts, RetryPolicy, SegmentOpts, SegmentRing};
+use vedb_astore::retry::MAX_RETRIES;
+use vedb_astore::{AStoreServer, AppendOpts, SegmentOpts, SegmentRing, ROUTE_REFRESH};
 use vedb_rdma::RdmaEndpoint;
 use vedb_sim::fault::NodeId;
 use vedb_sim::{ClusterSpec, RunReport, SimCtx, SimEnv, VTime};
@@ -43,8 +44,6 @@ fn cluster(lease_ttl: VTime) -> Cluster {
                 Arc::clone(n),
                 8 << 20,
                 256 * 1024,
-                false,
-                VTime::from_millis(500),
                 env.model.clone(),
             )
         })
@@ -56,21 +55,20 @@ fn cluster(lease_ttl: VTime) -> Cluster {
     Cluster { env, cm, servers }
 }
 
-fn connect(c: &Cluster, ctx: &mut SimCtx, id: u64, policy: RetryPolicy) -> Arc<AStoreClient> {
+fn connect(c: &Cluster, ctx: &mut SimCtx, id: u64) -> Arc<AStoreClient> {
     let ep = RdmaEndpoint::new(
         c.env.model.clone(),
         Arc::clone(&c.env.faults),
         Arc::clone(&c.env.engine_nic),
     );
-    AStoreClient::connect_with_policy(
+    AStoreClient::connect(
         ctx,
         Arc::clone(&c.cm),
         ep,
         Arc::clone(&c.env.engine_cpu),
         c.env.model.clone(),
         id,
-        VTime::from_millis(50),
-        policy,
+        ROUTE_REFRESH,
     )
 }
 
@@ -98,7 +96,7 @@ fn record(i: usize) -> Vec<u8> {
 fn crash_one_replica_with_drops_loses_nothing() {
     let c = cluster(VTime::from_secs(3600));
     let mut ctx = SimCtx::new(1, 0xC0FFEE);
-    let client = connect(&c, &mut ctx, 1, RetryPolicy::default());
+    let client = connect(&c, &mut ctx, 1);
     let seg = client
         .create_segment_with(&mut ctx, SegmentOpts::new(SegmentClass::Log))
         .unwrap();
@@ -145,7 +143,7 @@ fn crash_one_replica_with_drops_loses_nothing() {
         "crash + 1% drops must force retries: {retries}"
     );
     assert!(
-        retries <= (n as u64) * RetryPolicy::default().max_retries as u64,
+        retries <= (n as u64) * MAX_RETRIES as u64,
         "retry counts must stay within the policy budget: {retries}"
     );
     assert!(
@@ -170,8 +168,8 @@ fn recovery_counts_reach_the_report_once() {
         let c = cluster(VTime::from_secs(3600));
         c.cm.attach_metrics(Arc::clone(&c.env.metrics));
         let mut ctx = SimCtx::new(1, 0xC0FFEE);
-        let first = connect(&c, &mut ctx, 1, RetryPolicy::default());
-        let second = connect(&c, &mut ctx, 2, RetryPolicy::default());
+        let first = connect(&c, &mut ctx, 1);
+        let second = connect(&c, &mut ctx, 2);
         let (driver, other) = if second_drives {
             (&second, &first)
         } else {
@@ -275,8 +273,8 @@ fn recovery_counts_reach_the_report_once() {
 fn ring_traffic_rides_through_replica_crash() {
     let c = cluster(VTime::from_secs(3600));
     let mut ctx = SimCtx::new(1, 0xBEEF);
-    let client = connect(&c, &mut ctx, 1, RetryPolicy::default());
-    let ring = SegmentRing::create(&mut ctx, Arc::clone(&client), 6, 0).unwrap();
+    let client = connect(&c, &mut ctx, 1);
+    let ring = SegmentRing::create(&mut ctx, Arc::clone(&client), 6).unwrap();
 
     let victim = client.cached_route(ring.segment_ids()[0]).unwrap().replicas[0].node;
     let mut expected = Vec::new();
@@ -315,8 +313,8 @@ fn ring_traffic_rides_through_replica_crash() {
 fn leader_crash_mid_group_flush_keeps_every_acked_batch() {
     let c = cluster(VTime::from_secs(3600));
     let mut ctx = SimCtx::new(1, 0x6C07);
-    let client = connect(&c, &mut ctx, 1, RetryPolicy::default());
-    let ring = SegmentRing::create(&mut ctx, Arc::clone(&client), 6, 0).unwrap();
+    let client = connect(&c, &mut ctx, 1);
+    let ring = SegmentRing::create(&mut ctx, Arc::clone(&client), 6).unwrap();
     let victim = client.cached_route(ring.segment_ids()[0]).unwrap().replicas[0].node;
 
     let mut expected = Vec::new();
@@ -367,7 +365,7 @@ fn leader_crash_mid_group_flush_keeps_every_acked_batch() {
 fn one_percent_drops_bounded_retries() {
     let c = cluster(VTime::from_secs(3600));
     let mut ctx = SimCtx::new(1, 0xD06);
-    let client = connect(&c, &mut ctx, 1, RetryPolicy::default());
+    let client = connect(&c, &mut ctx, 1);
     let seg = client
         .create_segment_with(&mut ctx, SegmentOpts::new(SegmentClass::Log))
         .unwrap();
@@ -398,7 +396,7 @@ fn one_percent_drops_bounded_retries() {
 fn reads_survive_partition_of_primary_replica() {
     let c = cluster(VTime::from_secs(3600));
     let mut ctx = SimCtx::new(1, 0xFA11);
-    let client = connect(&c, &mut ctx, 1, RetryPolicy::default());
+    let client = connect(&c, &mut ctx, 1);
     let seg = client
         .create_segment_with(&mut ctx, SegmentOpts::new(SegmentClass::Log))
         .unwrap();
@@ -441,7 +439,7 @@ fn lease_expiry_mid_traffic_renews_same_epoch() {
     let ttl = VTime::from_secs(5);
     let c = cluster(ttl);
     let mut ctx = SimCtx::new(1, 0x1EA5E);
-    let client = connect(&c, &mut ctx, 1, RetryPolicy::default());
+    let client = connect(&c, &mut ctx, 1);
     let epoch = client.lease().epoch;
 
     for round in 0..4 {
@@ -472,7 +470,7 @@ fn lease_expiry_mid_traffic_renews_same_epoch() {
 fn superseded_epoch_is_fenced_through_the_retry_layer() {
     let c = cluster(VTime::from_secs(3600));
     let mut ctx = SimCtx::new(1, 0xFE7CE);
-    let old = connect(&c, &mut ctx, 7, RetryPolicy::default());
+    let old = connect(&c, &mut ctx, 7);
     let seg = old
         .create_segment_with(&mut ctx, SegmentOpts::new(SegmentClass::Log))
         .unwrap();
@@ -480,7 +478,7 @@ fn superseded_epoch_is_fenced_through_the_retry_layer() {
         .unwrap();
 
     // A new incarnation of the same client takes over: fresh epoch.
-    let new = connect(&c, &mut ctx, 7, RetryPolicy::default());
+    let new = connect(&c, &mut ctx, 7);
     assert!(new.lease().epoch > old.lease().epoch);
 
     // The superseded client keeps retrying/renewing — and keeps losing.
@@ -512,7 +510,7 @@ fn superseded_epoch_is_fenced_through_the_retry_layer() {
 fn repair_copies_io_meta_so_recovery_sees_full_length() {
     let c = cluster(VTime::from_secs(3600));
     let mut ctx = SimCtx::new(1, 0x10_AD);
-    let client = connect(&c, &mut ctx, 1, RetryPolicy::default());
+    let client = connect(&c, &mut ctx, 1);
     let seg = client
         .create_segment_with(
             &mut ctx,
@@ -549,7 +547,7 @@ fn repair_copies_io_meta_so_recovery_sees_full_length() {
 
     // A fresh incarnation recovers the segment length from io-meta alone —
     // whichever replica it reads, including the freshly repaired one.
-    let client2 = connect(&c, &mut ctx, 1, RetryPolicy::default());
+    let client2 = connect(&c, &mut ctx, 1);
     let adopted = client2
         .adopt_segment(&mut ctx, seg.id, SegmentClass::Log)
         .unwrap();
@@ -576,15 +574,14 @@ fn fault_free_rdma_counts_match_ground_truth() {
         Arc::clone(&c.env.engine_nic),
         &c.env.metrics,
     );
-    let client = AStoreClient::connect_with_policy(
+    let client = AStoreClient::connect(
         &mut ctx,
         Arc::clone(&c.cm),
         ep,
         Arc::clone(&c.env.engine_cpu),
         c.env.model.clone(),
         9,
-        VTime::from_millis(50),
-        RetryPolicy::default(),
+        ROUTE_REFRESH,
     );
     let seg = client
         .create_segment_with(&mut ctx, SegmentOpts::new(SegmentClass::Log))

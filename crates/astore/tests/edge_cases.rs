@@ -7,7 +7,9 @@ use std::sync::Arc;
 use vedb_astore::client::AStoreClient;
 use vedb_astore::cm::ClusterManager;
 use vedb_astore::layout::SegmentClass;
-use vedb_astore::{AStoreServer, AppendOpts, SegmentOpts, SegmentRing};
+use vedb_astore::{
+    AStoreServer, AppendOpts, SegmentOpts, SegmentRing, CLEANUP_DELAY, ROUTE_REFRESH,
+};
 use vedb_rdma::RdmaEndpoint;
 use vedb_sim::fault::NodeId;
 use vedb_sim::{ClusterSpec, SimCtx, SimEnv, VTime};
@@ -18,7 +20,7 @@ struct Cluster {
     servers: Vec<Arc<AStoreServer>>,
 }
 
-fn cluster(cleanup_delay: VTime) -> Cluster {
+fn cluster() -> Cluster {
     let env = ClusterSpec::paper_default().build();
     let cm = ClusterManager::new(
         Arc::clone(&env.faults),
@@ -35,8 +37,6 @@ fn cluster(cleanup_delay: VTime) -> Cluster {
                 Arc::clone(n),
                 8 << 20,
                 256 * 1024,
-                false,
-                cleanup_delay,
                 env.model.clone(),
             )
         })
@@ -70,11 +70,9 @@ fn connect(c: &Cluster, ctx: &mut SimCtx, id: u64, refresh: VTime) -> Arc<AStore
 /// the cleanup delay exceeds the refresh period.
 #[test]
 fn delayed_cleanup_outlives_route_refresh() {
-    let cleanup_delay = VTime::from_millis(500);
-    let refresh = VTime::from_millis(50);
-    let c = cluster(cleanup_delay);
+    let c = cluster();
     let mut ctx = SimCtx::new(1, 7);
-    let client = connect(&c, &mut ctx, 1, refresh);
+    let client = connect(&c, &mut ctx, 1, ROUTE_REFRESH);
 
     let seg = client
         .create_segment_with(&mut ctx, SegmentOpts::new(SegmentClass::Log))
@@ -87,7 +85,7 @@ fn delayed_cleanup_outlives_route_refresh() {
     // Within the refresh period the slot must still be intact on every
     // server (stale one-sided readers see the old bytes, never recycled
     // garbage).
-    ctx.advance(refresh);
+    ctx.advance(ROUTE_REFRESH);
     for s in &c.servers {
         if s.hosts_segment(seg.id) {
             assert!(
@@ -97,7 +95,7 @@ fn delayed_cleanup_outlives_route_refresh() {
         }
     }
     // After the (longer) cleanup delay the slots are reclaimed.
-    ctx.advance(cleanup_delay);
+    ctx.advance(CLEANUP_DELAY);
     let mut freed = 0;
     for s in &c.servers {
         freed += s.run_cleanup(ctx.now()).len();
@@ -109,7 +107,7 @@ fn delayed_cleanup_outlives_route_refresh() {
 /// though its cached routes still allow (stale) reads.
 #[test]
 fn stale_incarnation_is_fenced_from_control_plane() {
-    let c = cluster(VTime::from_millis(500));
+    let c = cluster();
     let mut ctx = SimCtx::new(1, 7);
     let old = connect(&c, &mut ctx, 42, VTime::from_secs(3600));
     let seg = old
@@ -119,7 +117,7 @@ fn stale_incarnation_is_fenced_from_control_plane() {
         .unwrap();
 
     // New incarnation takes over (same client identity).
-    let new = connect(&c, &mut ctx, 42, VTime::from_millis(50));
+    let new = connect(&c, &mut ctx, 42, ROUTE_REFRESH);
     let adopted = new
         .adopt_segment(&mut ctx, seg.id, SegmentClass::Log)
         .unwrap();
@@ -136,15 +134,15 @@ fn stale_incarnation_is_fenced_from_control_plane() {
 
 #[test]
 fn recover_empty_and_single_segment_rings() {
-    let c = cluster(VTime::from_millis(500));
+    let c = cluster();
     let mut ctx = SimCtx::new(1, 7);
-    let client = connect(&c, &mut ctx, 1, VTime::from_millis(50));
+    let client = connect(&c, &mut ctx, 1, ROUTE_REFRESH);
 
     // Ring that never received an append.
-    let ring = SegmentRing::create(&mut ctx, Arc::clone(&client), 3, 0).unwrap();
+    let ring = SegmentRing::create(&mut ctx, Arc::clone(&client), 3).unwrap();
     let ids = ring.segment_ids();
     drop(ring);
-    let client2 = connect(&c, &mut ctx, 1, VTime::from_millis(50));
+    let client2 = connect(&c, &mut ctx, 1, ROUTE_REFRESH);
     let rec = SegmentRing::recover(&mut ctx, Arc::clone(&client2), &ids).unwrap();
     // The freshly opened slot 0 header counts as the newest segment.
     assert_eq!(rec.next_lsn(), 0);
@@ -154,7 +152,7 @@ fn recover_empty_and_single_segment_rings() {
     // Recover again after exactly one append.
     let ids2 = rec.segment_ids();
     drop(rec);
-    let client3 = connect(&c, &mut ctx, 1, VTime::from_millis(50));
+    let client3 = connect(&c, &mut ctx, 1, ROUTE_REFRESH);
     let rec2 = SegmentRing::recover(&mut ctx, client3, &ids2).unwrap();
     assert_eq!(rec2.next_lsn(), 11);
     let (start, bytes) = rec2.read_from(&mut ctx, 0).unwrap();
@@ -166,7 +164,7 @@ fn recover_empty_and_single_segment_rings() {
 /// the stale copy and leaves live replicas alone.
 #[test]
 fn repair_then_reintegrate_cleans_only_stale_copies() {
-    let c = cluster(VTime::from_millis(100));
+    let c = cluster();
     let mut ctx = SimCtx::new(1, 7);
     let client = connect(&c, &mut ctx, 1, VTime::from_millis(20));
     let seg = client
@@ -208,10 +206,10 @@ fn repair_then_reintegrate_cleans_only_stale_copies() {
 /// the segment, then one that forces the advance.
 #[test]
 fn exact_boundary_append() {
-    let c = cluster(VTime::from_millis(500));
+    let c = cluster();
     let mut ctx = SimCtx::new(1, 7);
-    let client = connect(&c, &mut ctx, 1, VTime::from_millis(50));
-    let ring = SegmentRing::create(&mut ctx, Arc::clone(&client), 3, 0).unwrap();
+    let client = connect(&c, &mut ctx, 1, ROUTE_REFRESH);
+    let ring = SegmentRing::create(&mut ctx, Arc::clone(&client), 3).unwrap();
     let cap = ring.segment_data_capacity() as usize;
 
     let fill = vec![1u8; cap]; // exactly fills slot 0's data area

@@ -11,13 +11,12 @@ use std::sync::Arc;
 use vedb_astore::client::{AStoreClient, SegmentHandle};
 use vedb_astore::cm::ClusterManager;
 use vedb_astore::layout::{SegmentClass, SLOT_META_SIZE, SUPERBLOCK_SIZE};
-use vedb_astore::{AStoreError, AStoreServer, SegmentOpts};
+use vedb_astore::{AStoreError, AStoreServer, SegmentOpts, CLEANUP_DELAY, ROUTE_REFRESH};
 use vedb_rdma::RdmaEndpoint;
 use vedb_sim::fault::NodeId;
 use vedb_sim::{ClusterSpec, SimCtx, SimEnv, VTime};
 
 const SLOT: u64 = 64 * 1024;
-const DELAY: VTime = VTime::from_millis(500);
 
 struct Cluster {
     env: Arc<SimEnv>,
@@ -26,7 +25,7 @@ struct Cluster {
 }
 
 /// Three servers of exactly `slots` slots each.
-fn cluster(slots: u64, cleanup_delay: VTime) -> Cluster {
+fn cluster(slots: u64) -> Cluster {
     let env = ClusterSpec::paper_default().build();
     let cm = ClusterManager::new(
         Arc::clone(&env.faults),
@@ -44,8 +43,6 @@ fn cluster(slots: u64, cleanup_delay: VTime) -> Cluster {
                 Arc::clone(n),
                 capacity as usize,
                 SLOT,
-                false,
-                cleanup_delay,
                 env.model.clone(),
             )
         })
@@ -71,7 +68,7 @@ fn connect(c: &Cluster, ctx: &mut SimCtx) -> Arc<AStoreClient> {
         Arc::clone(&c.env.engine_cpu),
         c.env.model.clone(),
         1,
-        VTime::from_millis(50),
+        ROUTE_REFRESH,
     )
 }
 
@@ -96,10 +93,10 @@ fn assert_books_balance(c: &Cluster, when: &str) {
 }
 
 /// §IV-C end to end: on a full cluster the only way to a slot is through a
-/// release, and it opens `cleanup_delay` after the release, not before.
+/// release, and it opens `CLEANUP_DELAY` after the release, not before.
 #[test]
 fn released_slot_is_reused_after_the_delay_and_not_before() {
-    let c = cluster(2, DELAY);
+    let c = cluster(2);
     let mut ctx = SimCtx::new(1, 7);
     let lease = c.cm.acquire_lease(&mut ctx, 1);
     let create = |ctx: &mut SimCtx| c.cm.create_segment(ctx, lease, SegmentClass::Ebp, 1);
@@ -116,7 +113,7 @@ fn released_slot_is_reused_after_the_delay_and_not_before() {
             Ok((_, route)) => break route,
             Err(AStoreError::NoSpace) => {
                 assert!(
-                    asked_at < released_at + DELAY,
+                    asked_at < released_at + CLEANUP_DELAY,
                     "no slot at {asked_at}, released at {released_at}"
                 );
                 ctx.advance(VTime::from_millis(7));
@@ -125,7 +122,7 @@ fn released_slot_is_reused_after_the_delay_and_not_before() {
         }
     };
     assert!(
-        ctx.now() >= released_at + DELAY,
+        ctx.now() >= released_at + CLEANUP_DELAY,
         "handed out at {}, released at {released_at}",
         ctx.now()
     );
@@ -136,11 +133,12 @@ fn released_slot_is_reused_after_the_delay_and_not_before() {
 
 /// The cleanup is the servers' background work: the client that triggers
 /// it pays what `create_segment` always cost and draws what it would have
-/// drawn. The same script runs against a cluster whose delay never elapses.
+/// drawn. The same script runs with an idle pause too short for the delay
+/// to elapse.
 #[test]
 fn due_cleanups_cost_the_allocating_client_nothing() {
-    let run = |delay: VTime| {
-        let c = cluster(8, delay);
+    let run = |pause: VTime| {
+        let c = cluster(8);
         let mut ctx = SimCtx::new(1, 7);
         let client = connect(&c, &mut ctx);
         let segs: Vec<SegmentHandle> = (0..12)
@@ -153,7 +151,7 @@ fn due_cleanups_cost_the_allocating_client_nothing() {
         for seg in segs {
             client.delete_segment(&mut ctx, seg).unwrap();
         }
-        ctx.advance(VTime::from_secs(1));
+        ctx.advance(pause);
         let free_before = free(&c);
         let t0 = ctx.now();
         client
@@ -162,8 +160,8 @@ fn due_cleanups_cost_the_allocating_client_nothing() {
         let charged = ctx.now() - t0;
         (charged, ctx.rng().next_u64(), free_before, free(&c))
     };
-    let (charged_due, draw_due, before_due, after_due) = run(DELAY);
-    let (charged_never, draw_never, before_never, after_never) = run(VTime::from_secs(3600));
+    let (charged_due, draw_due, before_due, after_due) = run(VTime::from_secs(1));
+    let (charged_never, draw_never, before_never, after_never) = run(VTime::from_millis(100));
     assert_eq!(after_due, before_due + 12 - 3, "12 reclaimed, 3 allocated");
     assert_eq!(after_never, before_never - 3, "nothing due, 3 allocated");
     assert_eq!(charged_due, charged_never);
@@ -175,7 +173,7 @@ fn due_cleanups_cost_the_allocating_client_nothing() {
 /// mid-way (pending list included) and is reintegrated later.
 #[test]
 fn books_balance_through_churn_crash_and_reintegration() {
-    let c = cluster(16, DELAY);
+    let c = cluster(16);
     let mut ctx = SimCtx::new(1, 7);
     let client = connect(&c, &mut ctx);
     let mut live: VecDeque<SegmentHandle> = VecDeque::new();
@@ -222,7 +220,7 @@ fn books_balance_through_churn_crash_and_reintegration() {
     churn(&mut ctx, 30, 3, "after reintegration");
 
     // Let everything released so far come due; one more allocation sweeps.
-    ctx.advance(DELAY);
+    ctx.advance(CLEANUP_DELAY);
     client
         .create_segment_with(&mut ctx, SegmentOpts::new(SegmentClass::Ebp))
         .unwrap();
@@ -236,7 +234,7 @@ fn books_balance_through_churn_crash_and_reintegration() {
 /// no route will ever name those slots, so nothing else would free them.
 #[test]
 fn failed_create_releases_what_it_took() {
-    let c = cluster(2, DELAY);
+    let c = cluster(2);
     let mut ctx = SimCtx::new(1, 7);
     let lease = c.cm.acquire_lease(&mut ctx, 1);
     // Fill node 2 behind the CM's back; the piggy-back ranks it last.
@@ -251,7 +249,7 @@ fn failed_create_releases_what_it_took() {
         AStoreError::NoSpace
     );
     assert_eq!(pending(&c), [1, 1, 0]);
-    ctx.advance(DELAY);
+    ctx.advance(CLEANUP_DELAY);
     c.cm.create_segment(&mut ctx, lease, SegmentClass::Log, 2)
         .unwrap();
     assert_eq!(pending(&c), [0, 0, 0]);
@@ -263,7 +261,7 @@ fn failed_create_releases_what_it_took() {
 /// dead stays dead until it is reintegrated.
 #[test]
 fn unreachable_servers_are_neither_cleaned_nor_revived() {
-    let c = cluster(4, DELAY);
+    let c = cluster(4);
     let mut ctx = SimCtx::new(1, 7);
     let lease = c.cm.acquire_lease(&mut ctx, 1);
     let (seg, _) =
@@ -274,7 +272,7 @@ fn unreachable_servers_are_neither_cleaned_nor_revived() {
 
     c.env.faults.crash(0);
     c.env.faults.partition(1);
-    ctx.advance(DELAY * 2);
+    ctx.advance(CLEANUP_DELAY * 2);
     c.cm.create_segment(&mut ctx, lease, SegmentClass::Ebp, 1)
         .unwrap();
     assert_eq!(pending(&c), [1, 1, 0], "only the reachable server swept");

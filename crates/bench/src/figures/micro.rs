@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use vedb_astore::layout::SegmentClass;
-use vedb_astore::{AStoreClient, AppendOpts, SegmentOpts};
+use vedb_astore::{AStoreClient, AppendOpts, SegmentOpts, ROUTE_REFRESH};
 use vedb_blobstore::{BlobGroup, BlobGroupConfig};
 use vedb_core::db::StorageFabric;
 use vedb_core::ebp::{Ebp, EbpConfig, EbpPolicy};
@@ -28,7 +28,7 @@ fn astore_client(f: &StorageFabric, ctx: &mut SimCtx, id: u64) -> Arc<AStoreClie
         Arc::clone(&f.env.engine_cpu),
         f.env.model.clone(),
         id,
-        VTime::from_millis(50),
+        ROUTE_REFRESH,
     )
 }
 
@@ -201,7 +201,7 @@ fn ring_vs_blob_group(f: &StorageFabric) -> Vec<Trial> {
     const N: usize = 300;
     let mut ctx = SimCtx::new(2, 3);
     let client = astore_client(f, &mut ctx, 910);
-    let ring = vedb_astore::SegmentRing::create(&mut ctx, client, 8, 0).unwrap();
+    let ring = vedb_astore::SegmentRing::create(&mut ctx, client, 8).unwrap();
     let payload = vec![5u8; 8 * 1024];
 
     let t0 = ctx.now();

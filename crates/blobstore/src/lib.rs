@@ -89,6 +89,11 @@ impl std::error::Error for BlobError {}
 /// Result alias for blob operations.
 pub type Result<T> = std::result::Result<T, BlobError>;
 
+/// Fixed physical I/O size (paper: 8 KB). Appends are split into chunks of
+/// this size and each chunk costs one device write of this size, however
+/// little of it is data.
+pub const IO_SIZE: usize = 8192;
+
 /// One storage node's blob server. Appends and reads charge the node's SSD
 /// (and are invoked through [`RpcFabric::call`], which charges CPU + RTT +
 /// scheduling jitter).
@@ -96,7 +101,6 @@ pub struct BlobServer {
     node: NodeId,
     res: Arc<NodeRes>,
     model: LatencyModel,
-    io_size: usize,
     blobs: Mutex<HashMap<BlobId, Vec<u8>>>,
     next_id: AtomicU64,
     appends: Arc<Counter>,
@@ -106,8 +110,8 @@ pub struct BlobServer {
 }
 
 impl BlobServer {
-    /// Create a server on `node` with the given fixed physical I/O size.
-    pub fn new(node: NodeId, res: Arc<NodeRes>, model: LatencyModel, io_size: usize) -> Self {
+    /// Create a server on `node`.
+    pub fn new(node: NodeId, res: Arc<NodeRes>, model: LatencyModel) -> Self {
         let reg = &res.metrics;
         BlobServer {
             node,
@@ -117,7 +121,6 @@ impl BlobServer {
             read_bytes: reg.counter("blobstore", "read_bytes"),
             res,
             model,
-            io_size,
             blobs: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
         }
@@ -141,14 +144,14 @@ impl BlobServer {
     }
 
     /// Handler: append `data` to `blob`, charging one fixed-size physical
-    /// SSD write per started `io_size` unit. Returns the offset the data
+    /// SSD write per started [`IO_SIZE`] unit. Returns the offset the data
     /// landed at.
     pub fn handle_append(&self, ctx: &mut SimCtx, blob: BlobId, data: &[u8]) -> Result<u64> {
         // vedb-lint: allow(no-panic-in-runtime, "deployment wiring: blob server nodes are built with an SSD resource; fails at fabric construction")
         let ssd = self.res.ssd.as_ref().expect("blob server node has an SSD");
         // Physical I/Os are fixed-size: a 4KB logical append still writes
-        // one full io_size unit (the write amplification the paper accepts).
-        let physical = data.len().div_ceil(self.io_size).max(1) * self.io_size;
+        // one full IO_SIZE unit (the write amplification the paper accepts).
+        let physical = data.len().div_ceil(IO_SIZE).max(1) * IO_SIZE;
         let done = ssd.acquire(ctx.now(), self.model.ssd_write_svc(physical));
         ctx.wait_until(done);
         let mut blobs = self.blobs.lock();
@@ -174,7 +177,10 @@ impl BlobServer {
         ctx.wait_until(done);
         let blobs = self.blobs.lock();
         let b = blobs.get(&blob).ok_or(BlobError::UnknownBlob(blob))?;
-        if offset as usize + len > b.len() {
+        let end = usize::try_from(offset)
+            .ok()
+            .and_then(|o| o.checked_add(len));
+        if end.filter(|&end| end <= b.len()).is_none() {
             return Err(BlobError::OutOfBounds {
                 offset,
                 len,
@@ -197,8 +203,6 @@ impl BlobServer {
 pub struct BlobGroupConfig {
     /// Number of blobs the group stripes over (paper default: 4).
     pub blobs_per_group: usize,
-    /// Fixed physical I/O size (paper default: 8 KB).
-    pub io_size: usize,
     /// Replicas per blob (paper default: 3).
     pub replication: usize,
 }
@@ -207,7 +211,6 @@ impl Default for BlobGroupConfig {
     fn default() -> Self {
         BlobGroupConfig {
             blobs_per_group: 4,
-            io_size: 8192,
             replication: 3,
         }
     }
@@ -241,13 +244,22 @@ impl BlobGroup {
     /// across `servers` (replicas of a stripe land on distinct servers).
     ///
     /// # Panics
-    /// Panics if fewer servers than replicas are supplied.
+    /// Panics if `cfg` asks for no blobs or no replicas, or if fewer
+    /// servers than replicas are supplied.
     pub fn create(
         ctx: &mut SimCtx,
         cfg: BlobGroupConfig,
         servers: &[Arc<BlobServer>],
         rpc: Arc<RpcFabric>,
     ) -> Result<Self> {
+        assert!(
+            cfg.blobs_per_group >= 1,
+            "a blob group needs at least one blob"
+        );
+        assert!(
+            cfg.replication >= 1,
+            "a blob group needs at least one replica"
+        );
         assert!(
             servers.len() >= cfg.replication,
             "need at least {} servers for replication, got {}",
@@ -288,7 +300,7 @@ impl BlobGroup {
         self.len() == 0
     }
 
-    /// Append `data`: split into `io_size` chunks, stripe round-robin,
+    /// Append `data`: split into [`IO_SIZE`] chunks, stripe round-robin,
     /// execute all chunk×replica I/Os concurrently, acknowledge when every
     /// replica of every chunk has persisted. Returns the logical offset.
     pub fn append(&self, ctx: &mut SimCtx, data: &[u8]) -> Result<u64> {
@@ -297,7 +309,7 @@ impl BlobGroup {
         let sp = self.trace.span(ctx, "blobstore", "append");
         let logical_off = self.logical_len.load(Ordering::Acquire);
         let start_stripe = self.next_stripe.load(Ordering::Relaxed);
-        let chunks: Vec<&[u8]> = data.chunks(self.cfg.io_size).collect();
+        let chunks: Vec<&[u8]> = data.chunks(IO_SIZE).collect();
 
         let mut new_extents = Vec::with_capacity(chunks.len());
         let mut max_done = ctx.now();
@@ -326,18 +338,15 @@ impl BlobGroup {
                     Err(_net) => {} // replica unreachable: counted below
                 }
             }
-            if acked < self.cfg.replication {
-                return Err(BlobError::ReplicaFailed {
-                    acked,
-                    required: self.cfg.replication,
-                });
-            }
+            let required = self.cfg.replication;
+            let Some(blob_off) = blob_off.filter(|_| acked >= required) else {
+                return Err(BlobError::ReplicaFailed { acked, required });
+            };
             max_done = max_done.max(chunk_done);
             new_extents.push(Extent {
-                logical_off: logical_off + (i * self.cfg.io_size) as u64,
+                logical_off: logical_off + (i * IO_SIZE) as u64,
                 stripe,
-                // vedb-lint: allow(no-panic-in-runtime, "the quorum loop above errors out before this point unless at least one replica acked")
-                blob_off: blob_off.expect("acked >= 1"),
+                blob_off,
                 len: chunk.len(),
             });
         }
@@ -356,7 +365,8 @@ impl BlobGroup {
     /// Read `len` logical bytes at `offset`, fetching the covering chunks
     /// concurrently from one live replica each.
     pub fn read(&self, ctx: &mut SimCtx, offset: u64, len: usize) -> Result<Vec<u8>> {
-        if offset + len as u64 > self.len() {
+        let end = offset.checked_add(len as u64);
+        if end.filter(|&end| end <= self.len()).is_none() {
             return Err(BlobError::OutOfBounds {
                 offset,
                 len,
@@ -425,7 +435,6 @@ mod tests {
                     100 + i as NodeId,
                     Arc::clone(n),
                     env.model.clone(),
-                    8192,
                 ))
             })
             .collect();
@@ -553,6 +562,42 @@ mod tests {
             g.read(&mut ctx, 4, 8),
             Err(BlobError::OutOfBounds { .. })
         ));
+    }
+
+    #[test]
+    fn offset_near_u64_max_is_out_of_bounds_not_wrapped() {
+        let (_env, servers, rpc) = setup(3);
+        let mut ctx = SimCtx::new(1, 7);
+        let g = group(&mut ctx, &servers, &rpc, 3);
+        g.append(&mut ctx, b"12345678").unwrap();
+        let offset = u64::MAX - 3;
+        assert!(matches!(
+            g.read(&mut ctx, offset, 8),
+            Err(BlobError::OutOfBounds { .. })
+        ));
+        let blob = servers[0].handle_create();
+        assert!(matches!(
+            servers[0].handle_read(&mut ctx, blob, offset, 8),
+            Err(BlobError::OutOfBounds { .. })
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one replica")]
+    fn create_rejects_zero_replication() {
+        let (_env, servers, rpc) = setup(3);
+        group(&mut SimCtx::new(1, 7), &servers, &rpc, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one blob")]
+    fn create_rejects_zero_blobs_per_group() {
+        let (_env, servers, rpc) = setup(3);
+        let cfg = BlobGroupConfig {
+            blobs_per_group: 0,
+            ..Default::default()
+        };
+        let _ = BlobGroup::create(&mut SimCtx::new(1, 7), cfg, &servers, rpc);
     }
 
     #[test]

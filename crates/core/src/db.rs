@@ -24,7 +24,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use vedb_astore::client::AStoreClient;
 use vedb_astore::cm::ClusterManager;
-use vedb_astore::{AStoreServer, Lsn, PageId, SegmentId, SegmentRing};
+use vedb_astore::{AStoreServer, Lsn, PageId, SegmentId, SegmentRing, ROUTE_REFRESH};
 use vedb_blobstore::{BlobGroup, BlobGroupConfig, BlobServer};
 use vedb_pagestore::page::{Page, PageType};
 use vedb_pagestore::redo::{PageOp, RedoRecord};
@@ -255,8 +255,6 @@ impl StorageFabric {
                     Arc::clone(n),
                     astore_capacity,
                     astore_slot_bytes,
-                    false,
-                    VTime::from_millis(500),
                     env.model.clone(),
                 )
             })
@@ -274,7 +272,6 @@ impl StorageFabric {
                     100 + i as NodeId,
                     Arc::clone(n),
                     env.model.clone(),
-                    8192,
                 ))
             })
             .collect();
@@ -411,11 +408,8 @@ impl DbStats {
 
 /// The engine's AStore client: a fresh lease for this incarnation
 /// (`ctx.client_id`; a recovering engine thereby fences the dead one),
-/// one-sided access through the engine NIC, the default [`RetryPolicy`]
-/// and a 50 ms route refresh period. Fresh open and crash recovery both
-/// connect through here.
-///
-/// [`RetryPolicy`]: vedb_astore::RetryPolicy
+/// one-sided access through the engine NIC, and the [`ROUTE_REFRESH`]
+/// period. Fresh open and crash recovery both connect through here.
 pub(crate) fn connect_astore(ctx: &mut SimCtx, fabric: &StorageFabric) -> Arc<AStoreClient> {
     let ep = RdmaEndpoint::with_metrics(
         fabric.env.model.clone(),
@@ -430,7 +424,7 @@ pub(crate) fn connect_astore(ctx: &mut SimCtx, fabric: &StorageFabric) -> Arc<AS
         Arc::clone(&fabric.env.engine_cpu),
         fabric.env.model.clone(),
         ctx.client_id,
-        VTime::from_millis(50),
+        ROUTE_REFRESH,
     )
 }
 
@@ -472,7 +466,7 @@ impl Db {
                 let client = Arc::clone(astore_client.as_ref().ok_or_else(|| {
                     EngineError::Config("AStore log backend requires an AStore fabric".into())
                 })?);
-                let ring = SegmentRing::create(ctx, client, cfg.ring_segments, 0)?;
+                let ring = SegmentRing::create(ctx, client, cfg.ring_segments)?;
                 log_segments = ring.segment_ids();
                 Box::new(RingLog::new(ring))
             }
@@ -534,7 +528,7 @@ impl Db {
             ebp,
             wal,
             pagestore: Arc::clone(&fabric.pagestore),
-            locks: LockManager::with_metrics(64, &fabric.env.metrics),
+            locks: LockManager::new(&fabric.env.metrics),
             stats: DbStats::register(&fabric.env.metrics),
             astore_client,
             catalog: RwLock::new(Catalog::new()),
@@ -1123,22 +1117,6 @@ impl Db {
     /// The shared RPC fabric (push-down task dispatch).
     pub fn rpc(&self) -> &Arc<RpcFabric> {
         &self.rpc
-    }
-
-    /// §VIII extension: warm the local buffer pool from the Extended
-    /// Buffer Pool after a restart ("speed up the warm-up process for the
-    /// buffer pool during crash recovery"). Loads up to `limit` cached
-    /// pages — most-recently-used first is not tracked across restarts, so
-    /// the scan order is index order. Returns how many pages were loaded.
-    pub fn warmup_from_ebp(&self, ctx: &mut SimCtx, limit: usize) -> usize {
-        let Some(ebp) = &self.ebp else { return 0 };
-        let mut loaded = 0;
-        for pid in ebp.cached_pages(limit) {
-            if self.get_frame(ctx, pid).is_ok() {
-                loaded += 1;
-            }
-        }
-        loaded
     }
 
     /// The WAL (recovery and tests).

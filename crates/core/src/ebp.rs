@@ -611,8 +611,6 @@ mod tests {
                 Arc::clone(n),
                 8 << 20,
                 slot_kb * 1024,
-                false,
-                VTime::from_millis(500),
                 env.model.clone(),
             );
             cm.register_server(Arc::clone(&s));
@@ -640,7 +638,7 @@ mod tests {
             Arc::clone(&env.engine_cpu),
             env.model.clone(),
             1,
-            VTime::from_millis(50),
+            vedb_astore::ROUTE_REFRESH,
         )
     }
 

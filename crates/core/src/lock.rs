@@ -28,6 +28,10 @@ use crate::{EngineError, Result};
 /// the deadlock victim.
 pub const LOCK_WAIT_BUDGET: VTime = VTime::from_millis(200);
 
+/// Hash shards of the lock table. A shard's mutex guards its keys, and a
+/// release wakes every client parked on any key of the shard.
+pub const LOCK_SHARDS: usize = 64;
+
 /// Lock key: (index space, encoded row key).
 pub type LockKey = (u32, Vec<u8>);
 
@@ -77,15 +81,11 @@ pub struct LockManager {
 }
 
 impl LockManager {
-    /// Create a manager with `shards` hash shards.
-    pub fn new(shards: usize) -> LockManager {
-        Self::with_metrics(shards, &MetricsRegistry::detached())
-    }
-
-    /// Like [`new`](Self::new), publishing lock counters into `registry`.
-    pub fn with_metrics(shards: usize, registry: &MetricsRegistry) -> LockManager {
+    /// Create a manager of [`LOCK_SHARDS`] shards, publishing lock counters
+    /// into `registry`.
+    pub fn new(registry: &MetricsRegistry) -> LockManager {
         LockManager {
-            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
+            shards: (0..LOCK_SHARDS).map(|_| Mutex::default()).collect(),
             acquires: registry.counter("core", "lock_acquires"),
             waits: registry.counter("core", "lock_waits"),
             timeouts: registry.counter("core", "lock_timeouts"),
@@ -239,7 +239,7 @@ mod tests {
 
     #[test]
     fn shared_locks_coexist() {
-        let lm = LockManager::new(4);
+        let lm = LockManager::new(&MetricsRegistry::detached());
         let mut c1 = SimCtx::new(1, 7);
         let mut c2 = SimCtx::new(2, 7);
         lm.acquire(&mut c1, 1, key(1), LockMode::Shared).unwrap();
@@ -249,7 +249,7 @@ mod tests {
 
     #[test]
     fn exclusive_conflicts_and_timeout() {
-        let lm = LockManager::new(4);
+        let lm = LockManager::new(&MetricsRegistry::detached());
         let mut c1 = SimCtx::new(1, 7);
         let mut c2 = SimCtx::new(2, 7);
         lm.acquire(&mut c1, 1, key(1), LockMode::Exclusive).unwrap();
@@ -261,7 +261,7 @@ mod tests {
 
     #[test]
     fn reentrant_and_upgrade() {
-        let lm = LockManager::new(4);
+        let lm = LockManager::new(&MetricsRegistry::detached());
         let mut c1 = SimCtx::new(1, 7);
         lm.acquire(&mut c1, 1, key(1), LockMode::Shared).unwrap();
         lm.acquire(&mut c1, 1, key(1), LockMode::Shared).unwrap();
@@ -273,7 +273,7 @@ mod tests {
 
     #[test]
     fn waiter_inherits_release_vtime() {
-        let lm = LockManager::new(4);
+        let lm = LockManager::new(&MetricsRegistry::detached());
         let clocks = vedb_sim::run_clients(2, 7, VTime::ZERO, |ctx, client| {
             if client == 0 {
                 lm.acquire(ctx, 1, key(9), LockMode::Exclusive).unwrap();
@@ -298,7 +298,7 @@ mod tests {
     #[test]
     fn contention_profile_records_waits_and_holds() {
         let reg = MetricsRegistry::new();
-        let lm = LockManager::with_metrics(4, &reg);
+        let lm = LockManager::new(&reg);
         lm.set_space_label(1, "orders");
         let mut c1 = SimCtx::new(1, 7);
         lm.acquire(&mut c1, 1, key(3), LockMode::Exclusive).unwrap();
@@ -326,7 +326,7 @@ mod tests {
 
     #[test]
     fn release_all_clears() {
-        let lm = LockManager::new(4);
+        let lm = LockManager::new(&MetricsRegistry::detached());
         let mut c1 = SimCtx::new(1, 7);
         let keys: Vec<LockKey> = (0..5).map(key).collect();
         for k in &keys {

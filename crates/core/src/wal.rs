@@ -236,15 +236,9 @@ pub trait LogBackend: Send + Sync {
     fn max_append(&self) -> usize {
         usize::MAX
     }
-    /// Durably append `bytes`; returns the record's LSN.
-    fn append(&self, ctx: &mut SimCtx, bytes: &[u8]) -> Result<Lsn>;
     /// Durably append a batch of records in order; returns each record's
-    /// LSN. Backends that can take one reservation for the whole batch
-    /// (AStore: one chained work request per replica, one doorbell)
-    /// override this; the default is a per-record loop.
-    fn append_batch(&self, ctx: &mut SimCtx, records: &[&[u8]]) -> Result<Vec<Lsn>> {
-        records.iter().map(|r| self.append(ctx, r)).collect()
-    }
+    /// LSN. The only append: a single record is a batch of one.
+    fn append_batch(&self, ctx: &mut SimCtx, records: &[&[u8]]) -> Result<Vec<Lsn>>;
     /// Read the retained stream from `lsn` to the end.
     fn read_from(&self, ctx: &mut SimCtx, lsn: Lsn) -> Result<(Lsn, Vec<u8>)>;
     /// Allow the backend to reclaim everything below `upto`.
@@ -277,10 +271,8 @@ impl LogBackend for RingLog {
         self.ring.segment_data_capacity() as usize
     }
 
-    fn append(&self, ctx: &mut SimCtx, bytes: &[u8]) -> Result<Lsn> {
-        Ok(self.ring.append(ctx, bytes)?)
-    }
-
+    /// One reservation for the whole batch: one chained work request per
+    /// replica, one doorbell (split only at a segment boundary).
     fn append_batch(&self, ctx: &mut SimCtx, records: &[&[u8]]) -> Result<Vec<Lsn>> {
         Ok(self.ring.append_batch(ctx, records)?)
     }
@@ -324,13 +316,19 @@ impl LogBackend for BlobGroupLog {
         self.base_lsn.load(Ordering::Acquire) + self.group.len()
     }
 
-    fn append(&self, ctx: &mut SimCtx, bytes: &[u8]) -> Result<Lsn> {
-        let done = self
-            .engine_cpu
-            .acquire(ctx.now(), VTime::from_nanos(self.model.cpu_logstore_sdk_ns));
-        ctx.wait_until(done);
-        let off = self.group.append(ctx, bytes)?;
-        Ok(self.base_lsn.load(Ordering::Acquire) + off)
+    /// One SDK submission, and one group append, per record: the LogStore
+    /// SDK has no batched submit.
+    fn append_batch(&self, ctx: &mut SimCtx, records: &[&[u8]]) -> Result<Vec<Lsn>> {
+        let mut lsns = Vec::with_capacity(records.len());
+        for bytes in records {
+            let done = self
+                .engine_cpu
+                .acquire(ctx.now(), VTime::from_nanos(self.model.cpu_logstore_sdk_ns));
+            ctx.wait_until(done);
+            let off = self.group.append(ctx, bytes)?;
+            lsns.push(self.base_lsn.load(Ordering::Acquire) + off);
+        }
+        Ok(lsns)
     }
 
     fn read_from(&self, ctx: &mut SimCtx, lsn: Lsn) -> Result<(Lsn, Vec<u8>)> {

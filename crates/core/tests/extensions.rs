@@ -1,6 +1,5 @@
-//! Tests for the §VIII future-work extensions implemented in this
-//! reproduction: buffer-pool warm-up from the EBP and local EBP
-//! re-attachment after an AStore server restart.
+//! Tests for the §VIII future-work extension implemented in this
+//! reproduction: local EBP re-attachment after an AStore server restart.
 
 use std::sync::Arc;
 
@@ -60,23 +59,6 @@ fn open_big(ctx: &mut SimCtx, f: &StorageFabric, rows: i64) -> Arc<Db> {
     db.commit(ctx, &mut txn).unwrap();
     db.checkpoint(ctx).unwrap();
     db
-}
-
-#[test]
-fn warmup_from_ebp_restores_hit_rate() {
-    let f = fabric();
-    let mut ctx = SimCtx::new(0, 7);
-    let db = open_big(&mut ctx, &f, 3000);
-    // Fill the EBP via evictions.
-    db.scan_table(&mut ctx, "facts", |_| true).unwrap();
-    assert!(db.ebp().unwrap().len() > 32);
-
-    // Simulate a restart of the local pool only.
-    db.buffer_pool().clear();
-
-    let loaded = db.warmup_from_ebp(&mut ctx, 32);
-    assert!(loaded > 0, "warm-up must load pages from the EBP");
-    assert!(!db.buffer_pool().is_empty());
 }
 
 #[test]

@@ -17,7 +17,6 @@
 //!    commits in its own program order (no reordering across a batch
 //!    boundary).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -27,21 +26,11 @@ use vedb_core::wal::{FlushPolicy, LogBackend, Wal, WalRecord};
 use vedb_core::Result;
 use vedb_sim::{run_clients, MetricsRegistry, SimCtx, VTime};
 
-/// In-memory log backend: durable the instant `append` returns, with a
-/// small virtual-time cost so flush latency is non-zero. Counts physical
-/// appends so the test can observe batching.
+/// In-memory log backend: durable the instant `append_batch` returns,
+/// with a small virtual-time cost per record so flush latency is non-zero.
+#[derive(Default)]
 struct MemLog {
     buf: Mutex<Vec<u8>>,
-    appends: AtomicU64,
-}
-
-impl MemLog {
-    fn new() -> Self {
-        MemLog {
-            buf: Mutex::new(Vec::new()),
-            appends: AtomicU64::new(0),
-        }
-    }
 }
 
 impl LogBackend for MemLog {
@@ -49,13 +38,15 @@ impl LogBackend for MemLog {
         self.buf.lock().len() as u64
     }
 
-    fn append(&self, ctx: &mut SimCtx, bytes: &[u8]) -> Result<Lsn> {
-        ctx.advance(VTime::from_micros(20));
-        self.appends.fetch_add(1, Ordering::Relaxed);
-        let mut buf = self.buf.lock();
-        let lsn = buf.len() as u64;
-        buf.extend_from_slice(bytes);
-        Ok(lsn)
+    fn append_batch(&self, ctx: &mut SimCtx, records: &[&[u8]]) -> Result<Vec<Lsn>> {
+        let mut lsns = Vec::with_capacity(records.len());
+        for bytes in records {
+            ctx.advance(VTime::from_micros(20));
+            let mut buf = self.buf.lock();
+            lsns.push(buf.len() as u64);
+            buf.extend_from_slice(bytes);
+        }
+        Ok(lsns)
     }
 
     fn read_from(&self, _ctx: &mut SimCtx, lsn: Lsn) -> Result<(Lsn, Vec<u8>)> {
@@ -76,7 +67,7 @@ fn committer_strategy() -> impl Strategy<Value = Vec<u64>> {
 
 fn run_interleaving(policy: FlushPolicy, schedules: &[Vec<u64>]) {
     let reg = MetricsRegistry::new();
-    let backend = Arc::new(MemLog::new());
+    let backend = Arc::new(MemLog::default());
     let wal = Wal::with_metrics(Box::new(ArcLog(Arc::clone(&backend))), policy, &reg);
     let bytes_logged = reg.counter("core", "wal_bytes_logged");
     let bytes_flushed = reg.counter("core", "wal_bytes_flushed");
@@ -136,9 +127,6 @@ struct ArcLog(Arc<MemLog>);
 impl LogBackend for ArcLog {
     fn next_lsn(&self) -> Lsn {
         self.0.next_lsn()
-    }
-    fn append(&self, ctx: &mut SimCtx, bytes: &[u8]) -> Result<Lsn> {
-        self.0.append(ctx, bytes)
     }
     fn append_batch(&self, ctx: &mut SimCtx, records: &[&[u8]]) -> Result<Vec<Lsn>> {
         self.0.append_batch(ctx, records)

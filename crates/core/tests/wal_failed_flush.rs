@@ -31,8 +31,8 @@ use vedb_sim::{MetricsRegistry, SimCtx, VTime};
 /// `[len u32][tag u8][txn_id u64]`.
 const COMMIT_FRAME: u64 = 13;
 
-/// In-memory log whose `fail_in`-th append from now fails, once, taking
-/// nothing.
+/// In-memory log whose `fail_in`-th record from now fails, once: the
+/// batch's records before it are taken, it and the rest are not.
 #[derive(Clone)]
 struct FlakyLog {
     stream: Arc<Mutex<Vec<u8>>>,
@@ -49,18 +49,21 @@ impl LogBackend for FlakyLog {
         self.max_append
     }
 
-    fn append(&self, ctx: &mut SimCtx, bytes: &[u8]) -> Result<Lsn> {
-        assert!(bytes.len() <= self.max_append);
-        if self.fail_in.load(Ordering::Relaxed) > 0
-            && self.fail_in.fetch_sub(1, Ordering::Relaxed) == 1
-        {
-            return Err(EngineError::AStore(AStoreError::LogFull));
+    fn append_batch(&self, ctx: &mut SimCtx, records: &[&[u8]]) -> Result<Vec<Lsn>> {
+        let mut lsns = Vec::with_capacity(records.len());
+        for bytes in records {
+            assert!(bytes.len() <= self.max_append);
+            if self.fail_in.load(Ordering::Relaxed) > 0
+                && self.fail_in.fetch_sub(1, Ordering::Relaxed) == 1
+            {
+                return Err(EngineError::AStore(AStoreError::LogFull));
+            }
+            ctx.advance(VTime::from_micros(20));
+            let mut stream = self.stream.lock();
+            lsns.push(stream.len() as u64);
+            stream.extend_from_slice(bytes);
         }
-        ctx.advance(VTime::from_micros(20));
-        let mut stream = self.stream.lock();
-        let lsn = stream.len() as u64;
-        stream.extend_from_slice(bytes);
-        Ok(lsn)
+        Ok(lsns)
     }
 
     fn read_from(&self, _ctx: &mut SimCtx, lsn: Lsn) -> Result<(Lsn, Vec<u8>)> {

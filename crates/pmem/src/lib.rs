@@ -251,8 +251,10 @@ impl PmemDevice {
     }
 
     fn check(&self, offset: u64, len: usize) -> Result<()> {
-        let end = offset as usize + len;
-        if end > self.capacity {
+        let end = usize::try_from(offset)
+            .ok()
+            .and_then(|o| o.checked_add(len));
+        if end.filter(|&end| end <= self.capacity).is_none() {
             return Err(PmemError::OutOfBounds {
                 offset,
                 len,
@@ -450,6 +452,18 @@ mod tests {
         assert!(d.peek(cap - 1, 2).is_err());
         // Exactly at the boundary is fine.
         assert!(d.write(VTime::ZERO, cap - 3, b"xyz").is_ok());
+    }
+
+    #[test]
+    fn offset_near_u64_max_is_out_of_bounds_not_wrapped() {
+        let d = device(false);
+        let offset = u64::MAX - 3;
+        assert!(matches!(
+            d.write(VTime::ZERO, offset, &[0u8; 8]),
+            Err(PmemError::OutOfBounds { .. })
+        ));
+        assert!(d.read(VTime::ZERO, offset, 8).is_err());
+        assert!(d.peek(offset, 8).is_err());
     }
 
     #[test]

@@ -130,7 +130,10 @@ impl RemoteMr {
     }
 
     fn check(&self, offset: u64, len: usize) -> Result<()> {
-        if offset as usize + len > self.len {
+        let end = usize::try_from(offset)
+            .ok()
+            .and_then(|o| o.checked_add(len));
+        if end.filter(|&end| end <= self.len).is_none() {
             return Err(RdmaError::MrOutOfBounds {
                 offset,
                 len,
@@ -635,6 +638,21 @@ mod tests {
         assert!(ep
             .write_chain(&mut ctx, &mr, &[(0, b"ok"), (len, b"bad")])
             .is_err());
+    }
+
+    #[test]
+    fn mr_offset_near_u64_max_is_out_of_bounds_not_wrapped() {
+        let (_env, _dev, mr, ep) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let offset = u64::MAX - 3;
+        assert!(matches!(
+            ep.read(&mut ctx, &mr, offset, 8),
+            Err(RdmaError::MrOutOfBounds { .. })
+        ));
+        assert!(matches!(
+            ep.write(&mut ctx, &mr, offset, &[0u8; 8]),
+            Err(RdmaError::MrOutOfBounds { .. })
+        ));
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use vedb_workloads as workloads;
 
 /// The names most programs need.
 pub mod prelude {
-    pub use vedb_astore::{AppendOpts, RetryPolicy, SegmentOpts};
+    pub use vedb_astore::{AppendOpts, SegmentOpts};
     pub use vedb_core::db::{Db, DbConfig, DbConfigBuilder, LogBackendKind, StorageFabric};
     pub use vedb_core::ebp::{EbpConfig, EbpPolicy};
     pub use vedb_core::query::{execute, AggExpr, AggFunc, CmpOp, Expr, Plan, QuerySession};
