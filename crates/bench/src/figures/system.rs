@@ -443,11 +443,24 @@ pub fn tpcc_smoke() -> RunReport {
         report.trials[0].result["throughput_per_s"] > 0.0,
         "nothing committed"
     );
+    // The read path's conservation law: every miss is served by exactly
+    // one EBP hit or one PageStore read. A page a tree allocates is
+    // created, not missed.
+    assert_eq!(
+        report.counter("core.bp_misses"),
+        report.counter("core.ebp_hits") + report.counter("pagestore.page_reads"),
+        "a buffer-pool miss was served by other than one EBP hit or one page read"
+    );
+    assert!(report.counter("core.bp_allocs") > 0, "no page was created");
 
     // The commit phases sum to the end-to-end commit time (within 1% for
     // ring-eviction slack; exact when nothing was evicted).
     let profile = &report.profile;
     assert!(profile.spans > 0, "trace captured no spans");
+    // Fault-free, no read ends on an error: every span finishes, and no
+    // span outlives its parent's record.
+    assert_eq!(profile.orphans, 0, "orphaned spans");
+    assert_eq!(profile.abandoned, 0, "abandoned spans");
     let commit_total = profile.ops["core/commit"].total_ns;
     let phase_sum: u64 = profile.commit_phases.values().map(|p| p.total_ns).sum();
     assert!(commit_total > 0, "no commit spans in profile");

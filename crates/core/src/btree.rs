@@ -111,8 +111,7 @@ impl BTree {
         if root != 0 {
             return Ok(()); // already exists
         }
-        let page_no = access.alloc_page(ctx, txn, self.space)?;
-        let frame = access.get_frame(ctx, self.pid(page_no))?;
+        let (page_no, frame) = access.alloc_page(ctx, txn, self.space)?;
         {
             let mut page = frame.page.write();
             access.log_and_apply(
@@ -234,9 +233,8 @@ impl BTree {
     ) -> Result<()> {
         let target_pid = self.pid(target_no);
         let frame = access.get_frame(ctx, target_pid)?;
-        let new_no = access.alloc_page(ctx, txn, self.space)?;
+        let (new_no, new_frame) = access.alloc_page(ctx, txn, self.space)?;
         let new_pid = self.pid(new_no);
-        let new_frame = access.get_frame(ctx, new_pid)?;
 
         let (is_leaf, level, n, next_link) = {
             let p = frame.page.read();
@@ -363,9 +361,8 @@ impl BTree {
             }
             None => {
                 // Root split.
-                let new_root_no = access.alloc_page(ctx, txn, self.space)?;
+                let (new_root_no, rframe) = access.alloc_page(ctx, txn, self.space)?;
                 let root_pid = self.pid(new_root_no);
-                let rframe = access.get_frame(ctx, root_pid)?;
                 let mut rp = rframe.page.write();
                 access.log_and_apply(
                     ctx,

@@ -63,13 +63,15 @@ pub struct BufferPool {
     model: LatencyModel,
     m_hits: Arc<Counter>,
     m_misses: Arc<Counter>,
+    m_allocs: Arc<Counter>,
     m_evictions: Arc<Counter>,
 }
 
 impl BufferPool {
     /// A pool holding at most `capacity_pages` pages across `shards`
-    /// shards, counting hits, misses and evictions in `registry`
-    /// (component `core`: `bp_hits`, `bp_misses`, `bp_evictions`).
+    /// shards, counting hits, misses, allocations and evictions in
+    /// `registry` (component `core`: `bp_hits`, `bp_misses`, `bp_allocs`,
+    /// `bp_evictions`).
     pub fn with_metrics(
         capacity_pages: usize,
         shards: usize,
@@ -85,6 +87,7 @@ impl BufferPool {
             model,
             m_hits: registry.counter("core", "bp_hits"),
             m_misses: registry.counter("core", "bp_misses"),
+            m_allocs: registry.counter("core", "bp_allocs"),
             m_evictions: registry.counter("core", "bp_evictions"),
         }
     }
@@ -134,13 +137,11 @@ impl BufferPool {
         sink: Option<&dyn EvictionSink>,
         loader: impl FnOnce(&mut SimCtx) -> Result<Page>,
     ) -> Result<Arc<Frame>> {
-        let done = self
-            .engine_cpu
-            .acquire(ctx.now(), VTime::from_nanos(self.model.cpu_bp_hit_ns));
-        ctx.wait_until(done);
-
-        let idx = self.shard_of(page_id);
-        let hit = self.shards[idx].lock().touch(page_id).cloned();
+        self.charge_hit(ctx);
+        let hit = self.shards[self.shard_of(page_id)]
+            .lock()
+            .touch(page_id)
+            .cloned();
         if let Some(frame) = hit {
             self.m_hits.inc();
             return Ok(frame);
@@ -148,13 +149,46 @@ impl BufferPool {
         self.m_misses.inc();
         // Load outside the shard lock (the loader does remote I/O).
         let page = loader(ctx)?;
-        let frame = Frame::new(page);
+        Ok(self.install(ctx, page_id, Frame::new(page), sink))
+    }
+
+    /// Give a page that was just allocated a blank frame. Nobody holds an
+    /// image of a fresh id, so nothing is read: this charges the hit cost,
+    /// counts `core.bp_allocs` (neither a hit nor a miss) and evicts as
+    /// [`get`](Self::get) does.
+    pub fn create(
+        &self,
+        ctx: &mut SimCtx,
+        page_id: PageId,
+        sink: Option<&dyn EvictionSink>,
+    ) -> Arc<Frame> {
+        self.charge_hit(ctx);
+        self.m_allocs.inc();
+        self.install(ctx, page_id, Frame::new(Page::new()), sink)
+    }
+
+    fn charge_hit(&self, ctx: &mut SimCtx) {
+        let done = self
+            .engine_cpu
+            .acquire(ctx.now(), VTime::from_nanos(self.model.cpu_bp_hit_ns));
+        ctx.wait_until(done);
+    }
+
+    /// Cache `frame` under `page_id` — unless another thread cached the
+    /// page meanwhile, whose frame wins — then evict the shard down to
+    /// capacity, offering each victim to `sink`.
+    fn install(
+        &self,
+        ctx: &mut SimCtx,
+        page_id: PageId,
+        frame: Arc<Frame>,
+        sink: Option<&dyn EvictionSink>,
+    ) -> Arc<Frame> {
         let mut evicted: Vec<(PageId, Arc<Frame>)> = Vec::new();
         {
-            let mut shard = self.shards[idx].lock();
-            // Double-check: another thread may have loaded it meanwhile.
+            let mut shard = self.shards[self.shard_of(page_id)].lock();
             if let Some(existing) = shard.peek(page_id) {
-                return Ok(Arc::clone(existing));
+                return Arc::clone(existing);
             }
             shard.insert(page_id, Arc::clone(&frame), 1);
             while shard.weight() > self.capacity_per_shard {
@@ -175,7 +209,7 @@ impl BufferPool {
                 sink.on_evict(ctx, vp, &page, lsn);
             }
         }
-        Ok(frame)
+        frame
     }
 
     /// Drop every cached page (simulating an engine restart).

@@ -109,28 +109,6 @@ impl Catalog {
             .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
     }
 
-    /// Look up a table by its space number.
-    pub fn table_by_space(&self, space_no: u32) -> Option<&TableDef> {
-        self.tables
-            .iter()
-            .map(Arc::as_ref)
-            .find(|t| t.space_no == space_no)
-    }
-
-    /// Find the table owning an index space (clustered or secondary),
-    /// along with the index definition if secondary.
-    pub fn index_owner(&self, space_no: u32) -> Option<(&TableDef, Option<&IndexDef>)> {
-        for t in self.tables.iter().map(Arc::as_ref) {
-            if t.space_no == space_no {
-                return Some((t, None));
-            }
-            if let Some(ix) = t.secondary.iter().find(|ix| ix.space_no == space_no) {
-                return Some((t, Some(ix)));
-            }
-        }
-        None
-    }
-
     /// All tables.
     pub fn tables(&self) -> &[Arc<TableDef>] {
         &self.tables
@@ -243,10 +221,6 @@ mod tests {
         assert_eq!(t.secondary.len(), 1);
         assert_eq!(t.secondary[0].space_no, 2);
         assert!(cat.table("nope").is_err());
-        assert_eq!(cat.table_by_space(1).unwrap().name, "orders");
-        let (owner, ix) = cat.index_owner(2).unwrap();
-        assert_eq!(owner.name, "orders");
-        assert_eq!(ix.unwrap().name, "idx_cust");
     }
 
     #[test]

@@ -46,16 +46,6 @@ impl TxnHandle {
     pub fn is_active(&self) -> bool {
         self.status == TxnStatus::Active
     }
-
-    /// Number of locks currently held (tests).
-    pub fn lock_count(&self) -> usize {
-        self.locks.len()
-    }
-
-    /// Number of undo entries accumulated (tests).
-    pub fn undo_count(&self) -> usize {
-        self.undo.len()
-    }
 }
 
 #[cfg(test)]
@@ -66,8 +56,7 @@ mod tests {
     fn lifecycle_flags() {
         let t = TxnHandle::new(7);
         assert!(t.is_active());
-        assert_eq!(t.lock_count(), 0);
-        assert_eq!(t.undo_count(), 0);
+        assert!(t.locks.is_empty() && t.undo.is_empty());
         let mut t2 = TxnHandle::new(8);
         t2.status = TxnStatus::Committed;
         assert!(!t2.is_active());

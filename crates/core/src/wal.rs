@@ -25,7 +25,7 @@ use parking_lot::Mutex;
 use vedb_astore::{Lsn, SegmentRing};
 use vedb_blobstore::BlobGroup;
 use vedb_pagestore::redo::{decode_record, encode_record, RedoRecord};
-use vedb_sim::metrics::{Counter, LatencyRecorder, Timeline};
+use vedb_sim::metrics::{Counter, LatencyRecorder};
 use vedb_sim::trace::TraceLog;
 use vedb_sim::{LatencyModel, MetricsRegistry, Resource, SimCtx, VTime, Waker};
 
@@ -510,11 +510,6 @@ pub struct Wal {
     carried_commits: Arc<Counter>,
     bytes_flushed: Arc<Counter>,
     flush_lat: Arc<LatencyRecorder>,
-    /// Buffered-but-unflushed bytes over virtual time: rises as committers
-    /// append, drops to zero when a group commit takes the buffer. The
-    /// sawtooth amplitude in the report timeline is the group-commit batch
-    /// size.
-    backlog: Arc<Timeline>,
     trace: Arc<TraceLog>,
 }
 
@@ -554,7 +549,6 @@ impl Wal {
             carried_commits: registry.counter("core", "wal_carried_commits"),
             bytes_flushed: registry.counter("core", "wal_bytes_flushed"),
             flush_lat: registry.latency("core", "wal_flush"),
-            backlog: registry.timeline("core", "wal_backlog_bytes"),
             trace: Arc::clone(registry.trace()),
         }
     }
@@ -598,10 +592,8 @@ impl Wal {
         let body = state.buf.len() - at - 4;
         state.buf[at..at + 4].copy_from_slice(&(body as u32).to_le_bytes());
         state.next_lsn += 4 + body as u64;
-        let backlog = state.buf.len() as i64;
         drop(state);
         self.bytes_logged.add(4 + body as u64);
-        self.backlog.record(ctx.now(), backlog);
         // Log-buffer memcpy cost.
         ctx.advance(VTime::from_nanos(200 + body as u64 / 16));
         sp.finish(ctx);
@@ -759,8 +751,6 @@ impl Wal {
         self.flushes.inc();
         self.bytes_flushed.add(taken.bytes.len() as u64);
         self.flush_lat.record(durable_at - t0);
-        // The flush drained the buffer at take time.
-        self.backlog.record(t0, 0);
         self.group.record(taken.end, durable_at);
     }
 
@@ -786,7 +776,7 @@ impl Wal {
             frames.iter().copied().rfind(|&f| f <= kept)
         };
         bytes.drain(..kept);
-        let backlog = {
+        {
             let mut state = self.state.lock();
             let mut restored: Vec<usize> = frames
                 .into_iter()
@@ -797,10 +787,8 @@ impl Wal {
             bytes.extend_from_slice(&state.buf);
             state.buf = bytes;
             state.frames = restored;
-            state.buf.len() as i64
-        };
+        }
         self.bytes_flushed.add(kept as u64);
-        self.backlog.record(ctx.now(), backlog);
         if let Some(whole) = whole_frames_end.filter(|&w| w > 0) {
             let durable = start + whole as u64;
             self.flushed.fetch_max(durable, Ordering::AcqRel);

@@ -10,8 +10,9 @@
 //! The fix has three parts, each pinned here:
 //! * stale-replica errors (`SlotOutOfRange`, `NotYetApplied`) classify as
 //!   retryable,
-//! * the engine read path re-ships and retries instead of failing the
-//!   query,
+//! * the engine read path ships everything it logged for the page before
+//!   it reads, and the replica that answers replays (gossiping from its
+//!   peers) up to the LSN the engine asks for,
 //! * a quorum-failed ship re-queues its records, so a later flush (e.g.
 //!   the read-path barrier after the partition heals) can deliver them.
 
@@ -159,7 +160,7 @@ fn reads_recover_after_pagestore_partition_heals() {
 
 /// The same recovery must hold when reads race the healing window: a
 /// lagging apply watermark (replicas healed but replay behind the
-/// engine's `min_lsn`) is exactly what the bounded read retry covers.
+/// engine's `min_lsn`) is replayed by the replica that answers the read.
 #[test]
 fn cold_reads_replay_through_lagging_watermark() {
     let f = fabric();

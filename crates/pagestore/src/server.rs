@@ -122,7 +122,11 @@ mod testutil {
                 )
             })
             .collect();
-        let rpc = Arc::new(RpcFabric::new(env.model.clone(), Arc::clone(&env.faults)));
+        let rpc = Arc::new(RpcFabric::with_metrics(
+            env.model.clone(),
+            Arc::clone(&env.faults),
+            &env.metrics,
+        ));
         let ps = PageStore::new(PageStoreConfig::default(), rpc, servers);
         (env, ps)
     }

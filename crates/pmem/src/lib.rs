@@ -319,27 +319,6 @@ impl PmemDevice {
         now
     }
 
-    /// Atomic compare-and-swap of the little-endian `u64` at `offset`:
-    /// if the current value equals `expected`, `new` is written (visible
-    /// immediately, durable only after [`flush`](Self::flush), like any
-    /// write). Returns the value observed *before* the swap and the virtual
-    /// completion time. Backs the RDMA CAS verb — the NIC performs the
-    /// compare at the target, so compare+write are one atomic step here too.
-    pub fn cas64(&self, now: VTime, offset: u64, expected: u64, new: u64) -> Result<(u64, VTime)> {
-        self.check(offset, 8)?;
-        let done = self.resource.acquire(now, self.model.pmem_write_svc(8));
-        let mut inner = self.inner.write();
-        let at = offset as usize;
-        let cur = u64::from_le_bytes(inner.live[at..at + 8].try_into().unwrap());
-        if cur == expected {
-            inner.write(offset, &new.to_le_bytes());
-            self.stats.writes.inc();
-            self.stats.bytes_written.add(8);
-            self.stats.unpersisted_bytes.add(8);
-        }
-        Ok((cur, done))
-    }
-
     /// Bytes written but not yet crash-durable (in flight or in cache).
     pub fn unpersisted_bytes(&self) -> usize {
         self.inner.read().pending_bytes()
@@ -521,25 +500,6 @@ mod tests {
         d.flush(VTime::ZERO);
         d.crash();
         assert_eq!(d.peek(0, 8).unwrap(), b"XXXXYYYY");
-    }
-
-    #[test]
-    fn cas64_swaps_only_on_match_and_is_volatile_until_flush() {
-        let d = device(false);
-        let (old, _) = d.cas64(VTime::ZERO, 64, 0, 7).unwrap();
-        assert_eq!(old, 0);
-        assert_eq!(d.peek(64, 8).unwrap(), 7u64.to_le_bytes());
-        // Mismatched expectation leaves the value untouched.
-        let (old, _) = d.cas64(VTime::ZERO, 64, 0, 9).unwrap();
-        assert_eq!(old, 7);
-        assert_eq!(d.peek(64, 8).unwrap(), 7u64.to_le_bytes());
-        // Like any write, the swap is volatile until flushed.
-        d.crash();
-        assert_eq!(d.peek(64, 8).unwrap(), [0u8; 8]);
-        d.cas64(VTime::ZERO, 64, 0, 7).unwrap();
-        d.flush(VTime::ZERO);
-        d.crash();
-        assert_eq!(d.peek(64, 8).unwrap(), 7u64.to_le_bytes());
     }
 
     #[test]

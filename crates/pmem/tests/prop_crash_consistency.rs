@@ -2,8 +2,7 @@
 //!
 //! The device keeps one image plus an undo list; the model here keeps the
 //! two byte arrays that representation replaced — `live` and `durable` —
-//! and applies the same op sequence: a write (or a matching CAS) updates
-//! `live` and remembers the range as pending, `Flush` copies pending ranges
+//! and applies the same op sequence: a write updates `live` and remembers the range as pending, `Flush` copies pending ranges
 //! into `durable` (DDIO off) or leaves them volatile (DDIO on), `Crash`
 //! resets `live` to `durable`. After every step the device's visible
 //! contents, would-survive contents (whole device and a sub-range), its
@@ -20,16 +19,7 @@ const CAP: usize = 256;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Write {
-        offset: u64,
-        data: Vec<u8>,
-    },
-    /// CAS on an 8-byte word; `hit` picks an expectation that matches.
-    Cas {
-        word: u64,
-        hit: bool,
-        new: u64,
-    },
+    Write { offset: u64, data: Vec<u8> },
     Flush,
     Crash,
 }
@@ -38,8 +28,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         5 => (0u64..(CAP as u64 - 48), proptest::collection::vec(any::<u8>(), 1..48))
             .prop_map(|(offset, data)| Op::Write { offset, data }),
-        2 => (0u64..(CAP as u64 / 8), any::<bool>(), any::<u64>())
-            .prop_map(|(word, hit, new)| Op::Cas { word, hit, new }),
         2 => Just(Op::Flush),
         1 => Just(Op::Crash),
     ]
@@ -124,16 +112,6 @@ proptest! {
                 Op::Write { offset, data } => {
                     dev.write(VTime::ZERO, *offset, data).unwrap();
                     m.write(*offset as usize, data);
-                }
-                Op::Cas { word, hit, new } => {
-                    let at = *word as usize * 8;
-                    let cur = u64::from_le_bytes(m.live[at..at + 8].try_into().unwrap());
-                    let expected = if *hit { cur } else { cur.wrapping_add(1) };
-                    let (seen, _) = dev.cas64(VTime::ZERO, at as u64, expected, *new).unwrap();
-                    prop_assert_eq!(seen, cur);
-                    if *hit {
-                        m.write(at, &new.to_le_bytes());
-                    }
                 }
                 Op::Flush => {
                     dev.flush(VTime::ZERO);

@@ -152,7 +152,6 @@ struct VerbStats {
     write_bytes: Arc<Counter>,
     chain_writes: Arc<Counter>,
     chain_bytes: Arc<Counter>,
-    cas_ops: Arc<Counter>,
     drops: Arc<Counter>,
     /// MMIO doorbell rings: one per posted chain, regardless of length.
     doorbells: Arc<Counter>,
@@ -163,7 +162,6 @@ struct VerbStats {
     read_lat: Arc<LatencyRecorder>,
     write_lat: Arc<LatencyRecorder>,
     chain_lat: Arc<LatencyRecorder>,
-    cas_lat: Arc<LatencyRecorder>,
 }
 
 impl VerbStats {
@@ -175,14 +173,12 @@ impl VerbStats {
             write_bytes: reg.counter("rdma", "write_bytes"),
             chain_writes: reg.counter("rdma", "chain_writes"),
             chain_bytes: reg.counter("rdma", "chain_bytes"),
-            cas_ops: reg.counter("rdma", "cas_ops"),
             drops: reg.counter("rdma", "drops"),
             doorbells: reg.counter("rdma", "doorbells"),
             wrs: reg.counter("rdma", "wrs"),
             read_lat: reg.latency("rdma", "read"),
             write_lat: reg.latency("rdma", "write"),
             chain_lat: reg.latency("rdma", "write_chain"),
-            cas_lat: reg.latency("rdma", "cas"),
         }
     }
 }
@@ -370,40 +366,6 @@ impl RdmaEndpoint {
         self.stats.chain_lat.record(ctx.now() - t0);
         sp.finish(ctx);
         Ok(())
-    }
-
-    /// One-sided RDMA COMPARE-AND-SWAP on the little-endian `u64` at
-    /// `offset` within `mr`: the target NIC compares against `expected` and
-    /// writes `new` on a match, returning the value observed before the
-    /// swap. No target CPU involved. Like a plain WRITE, a successful swap
-    /// is visible but not yet persistent.
-    pub fn cas64(
-        &self,
-        ctx: &mut SimCtx,
-        mr: &RemoteMr,
-        offset: u64,
-        expected: u64,
-        new: u64,
-    ) -> Result<u64> {
-        let t0 = ctx.now();
-        let sp = self.trace.span(ctx, "rdma", "cas");
-        self.check_delivery(ctx, mr.node)?;
-        mr.check(offset, 8)?;
-        ctx.advance(self.model.rdma_issue());
-        // The 8-byte compare value travels out; the prior value returns.
-        let arrive = ctx.now() + self.model.wire_delay();
-        let nic_done = mr.node_res.nic.acquire(arrive, self.wire_occupancy(8));
-        let (old, media_done) = mr
-            .device
-            .cas64(nic_done, mr.base + offset, expected, new)
-            .map_err(|e| RdmaError::Device(e.to_string()))?;
-        ctx.wait_until(media_done + self.model.wire_delay());
-        self.stats.cas_ops.inc();
-        self.stats.doorbells.inc();
-        self.stats.wrs.inc();
-        self.stats.cas_lat.record(ctx.now() - t0);
-        sp.finish(ctx);
-        Ok(old)
     }
 }
 
@@ -757,21 +719,6 @@ mod tests {
     }
 
     #[test]
-    fn cas64_verb_swaps_remotely() {
-        let (_env, dev, mr, ep) = setup();
-        let mut ctx = SimCtx::new(1, 7);
-        let before = ctx.now();
-        let old = ep.cas64(&mut ctx, &mr, 256, 0, 41).unwrap();
-        assert_eq!(old, 0);
-        assert!(ctx.now() > before, "CAS must cost wire + media time");
-        assert_eq!(dev.peek(256, 8).unwrap(), 41u64.to_le_bytes());
-        // A losing CAS observes the winner's value and changes nothing.
-        let old = ep.cas64(&mut ctx, &mr, 256, 0, 99).unwrap();
-        assert_eq!(old, 41);
-        assert_eq!(dev.peek(256, 8).unwrap(), 41u64.to_le_bytes());
-    }
-
-    #[test]
     fn metrics_count_verbs_drops_and_latency() {
         let env = ClusterSpec::tiny().build();
         let node = &env.astore_nodes[0];
@@ -794,18 +741,16 @@ mod tests {
         ep.read(&mut ctx, &mr, 0, 64).unwrap();
         ep.write_chain(&mut ctx, &mr, &[(0, &[2u8; 50]), (128, &[3u8; 30])])
             .unwrap();
-        ep.cas64(&mut ctx, &mr, 512, 0, 1).unwrap();
         assert_eq!(env.metrics.counter("rdma", "writes").get(), 1);
         assert_eq!(env.metrics.counter("rdma", "write_bytes").get(), 100);
         assert_eq!(env.metrics.counter("rdma", "reads").get(), 1);
         assert_eq!(env.metrics.counter("rdma", "read_bytes").get(), 64);
         assert_eq!(env.metrics.counter("rdma", "chain_writes").get(), 1);
         assert_eq!(env.metrics.counter("rdma", "chain_bytes").get(), 80);
-        assert_eq!(env.metrics.counter("rdma", "cas_ops").get(), 1);
-        // write + read + cas ring one doorbell for one WR each; the
-        // 2-WRITE chain rings once for 3 WRs (2 WRITEs + flushing READ).
-        assert_eq!(env.metrics.counter("rdma", "doorbells").get(), 4);
-        assert_eq!(env.metrics.counter("rdma", "wrs").get(), 6);
+        // write + read ring one doorbell for one WR each; the 2-WRITE
+        // chain rings once for 3 WRs (2 WRITEs + flushing READ).
+        assert_eq!(env.metrics.counter("rdma", "doorbells").get(), 3);
+        assert_eq!(env.metrics.counter("rdma", "wrs").get(), 5);
         assert_eq!(env.metrics.latency("rdma", "read").count(), 1);
         assert!(env.metrics.latency("rdma", "write_chain").mean() > VTime::ZERO);
 

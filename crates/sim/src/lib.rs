@@ -48,7 +48,7 @@ pub use fault::FaultPlan;
 pub use fxhash::{FxHashMap, FxHasher};
 pub use latency::LatencyModel;
 pub use metrics::{Counter, Gauge, LatencyRecorder, MetricsRegistry, Timeline, TrialResult};
-pub use profile::{FaultEvent, OpStat, PhaseStat, Profile, TimelineSnapshot};
+pub use profile::{FaultEvent, OpStat, PhaseStat, Profile};
 pub use report::{LatencySummary, ResourceSummary, RunReport, Trial};
 pub use resource::Resource;
 pub use rng::SimRng;

@@ -258,14 +258,12 @@ impl Gauge {
     }
 }
 
-/// A virtual-time-bucketed sample series: the trend behind a [`Gauge`].
-///
-/// A gauge only answers "what is the backlog *now*"; a timeline remembers
-/// the value per virtual-time bucket (last write in a bucket wins), so a
-/// report can show how PageStore's apply lag built up and drained over the
-/// measurement window, not just where it ended. Buckets are keyed by
+/// Busy time per virtual-time bucket: the series behind a resource's
+/// utilization. [`add_busy`](Timeline::add_busy) sums each busy interval's
+/// overlap into the buckets it covers; dividing a bucket's sum by
+/// `bucket_ns * lanes` gives that bucket's utilization. Buckets are keyed by
 /// integer bucket index (`t / bucket_ns`) in a `BTreeMap`, so snapshots are
-/// deterministic and serialise in time order.
+/// deterministic and in time order.
 pub struct Timeline {
     bucket_ns: u64,
     books: Mutex<TimelineBooks>,
@@ -274,31 +272,17 @@ pub struct Timeline {
 #[derive(Clone)]
 struct TimelineBooks {
     samples: BTreeMap<u64, i64>,
-    /// The bucket written last and what is pending for it, not yet in
-    /// `samples`. Consecutive writes mostly fall in the same bucket, so the
-    /// map is touched only when the bucket changes; a snapshot adds this in.
-    open: Option<(u64, Pending)>,
-}
-
-/// What the open bucket does to its sample when it closes.
-#[derive(Clone, Copy)]
-enum Pending {
-    /// Busy time [`add_busy`](Timeline::add_busy) summed since the bucket
-    /// opened, added to the sample.
-    Add(i64),
-    /// A [`record`](Timeline::record)ed value plus the busy time summed
-    /// after it, replacing the sample.
-    Set(i64),
+    /// The bucket written last and the busy time summed into it since it
+    /// opened, not yet in `samples`. Consecutive intervals mostly fall in
+    /// the same bucket, so the map is touched only when the bucket changes;
+    /// a snapshot adds this in.
+    open: Option<(u64, i64)>,
 }
 
 impl TimelineBooks {
     fn close_open_bucket(&mut self) {
-        match self.open.take() {
-            Some((bucket, Pending::Add(sum))) => *self.samples.entry(bucket).or_insert(0) += sum,
-            Some((bucket, Pending::Set(value))) => {
-                self.samples.insert(bucket, value);
-            }
-            None => {}
+        if let Some((bucket, sum)) = self.open.take() {
+            *self.samples.entry(bucket).or_insert(0) += sum;
         }
     }
 }
@@ -323,22 +307,8 @@ impl Timeline {
         self.bucket_ns
     }
 
-    /// Record `value` at virtual time `at`; the last record within one
-    /// bucket wins.
-    pub fn record(&self, at: VTime, value: i64) {
-        let bucket = at.as_nanos() / self.bucket_ns;
-        let mut books = self.books.lock();
-        if books.open.is_some_and(|(open, _)| open != bucket) {
-            books.close_open_bucket();
-        }
-        books.open = Some((bucket, Pending::Set(value)));
-    }
-
     /// Accumulate a busy interval `[start_ns, end_ns)` into every bucket it
-    /// overlaps, summing the per-bucket overlap in nanoseconds — unlike
-    /// [`record`](Self::record) (last-write-wins, for gauge trends). This is
-    /// the primitive behind per-resource utilization timelines: dividing a
-    /// bucket's sum by `bucket_ns * lanes` yields that bucket's utilization.
+    /// overlaps, summing the per-bucket overlap in nanoseconds.
     pub fn add_busy(&self, start_ns: u64, end_ns: u64) {
         if end_ns <= start_ns {
             return;
@@ -351,12 +321,10 @@ impl Timeline {
             let e = end_ns.min(bucket_end);
             let busy = (e - s) as i64;
             match &mut books.open {
-                Some((open, Pending::Add(sum) | Pending::Set(sum))) if *open == bucket => {
-                    *sum += busy
-                }
+                Some((open, sum)) if *open == bucket => *sum += busy,
                 _ => {
                     books.close_open_bucket();
-                    books.open = Some((bucket, Pending::Add(busy)));
+                    books.open = Some((bucket, busy));
                 }
             }
             s = e;
@@ -648,18 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn timeline_buckets_last_write_wins() {
-        let tl = Timeline::new(1_000); // 1us buckets
-        tl.record(VTime::from_nanos(100), 3);
-        tl.record(VTime::from_nanos(900), 5); // same bucket, overwrites
-        tl.record(VTime::from_micros(2), -1);
-        let snap = tl.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[&0], 5);
-        assert_eq!(snap[&2], -1);
-    }
-
-    #[test]
     fn timeline_add_busy_splits_across_buckets() {
         let tl = Timeline::new(1_000);
         // 300ns..2_500ns spans buckets 0 (700ns), 1 (1000ns), 2 (500ns).
@@ -673,32 +629,6 @@ mod tests {
         // Degenerate interval deposits nothing.
         tl.add_busy(10, 10);
         assert_eq!(tl.snapshot().values().sum::<i64>(), 2_200);
-    }
-
-    #[test]
-    fn timeline_record_overwrites_busy_sums_and_later_busy_adds_to_it() {
-        // `record` (gauge trends) and `add_busy` (utilization) on one
-        // timeline: a record replaces whatever the bucket summed so far,
-        // later busy time adds to the recorded value, and a return to an
-        // earlier bucket adds to what that bucket already holds.
-        let tl = Timeline::new(1_000);
-        tl.add_busy(100, 400); // bucket 0: 300
-        tl.record(VTime::from_nanos(500), 7); // bucket 0: 7
-        assert_eq!(tl.snapshot(), BTreeMap::from([(0, 7)]));
-        tl.add_busy(600, 2_200); // bucket 0: 7 + 400, 1: 1_000, 2: 200
-        tl.record(VTime::from_nanos(1_500), -3); // bucket 1: -3
-        tl.add_busy(2_200, 2_300); // bucket 2: 300
-        tl.add_busy(0, 50); // back to bucket 0: 457
-        assert_eq!(tl.snapshot(), BTreeMap::from([(0, 457), (1, -3), (2, 300)]));
-        tl.record(VTime::from_nanos(2_999), 11); // bucket 2, last write wins
-        tl.record(VTime::from_nanos(5_000), 1); // a bucket busy time never saw
-        tl.add_busy(1_900, 2_000); // bucket 1: -3 + 100
-        assert_eq!(
-            tl.snapshot(),
-            BTreeMap::from([(0, 457), (1, 97), (2, 11), (5, 1)])
-        );
-        // Snapshots do not disturb the books.
-        assert_eq!(tl.snapshot(), tl.snapshot());
     }
 
     #[test]
@@ -725,11 +655,11 @@ mod tests {
     #[test]
     fn registry_timelines_register() {
         let reg = MetricsRegistry::new();
-        reg.timeline("pagestore", "apply_lag_records")
-            .record(VTime::from_millis(3), 7);
+        reg.timeline("disk", "util_busy_ns")
+            .add_busy(3_000_000, 3_000_007);
         let handles = reg.timeline_handles();
         assert_eq!(handles.len(), 1);
-        assert_eq!(handles[0].0, "pagestore.apply_lag_records");
+        assert_eq!(handles[0].0, "disk.util_busy_ns");
         assert_eq!(handles[0].1.snapshot()[&3], 7);
     }
 

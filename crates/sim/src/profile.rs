@@ -6,9 +6,9 @@
 //! into a per-`component/op` table of *inclusive* virtual time (the span's
 //! own interval) and *self* time (inclusive minus the intervals of its
 //! direct children), computes a per-phase breakdown of the commit path
-//! ([`Profile::commit_phases`]) from span parentage, and snapshots every
-//! registered [`Timeline`](crate::metrics::Timeline) (the `apply_lag`
-//! trend). Everything is integer nanoseconds aggregated in `BTreeMap`s, so
+//! ([`Profile::commit_phases`]) from span parentage, and takes the lock
+//! contention and fault injections along. Everything is integer nanoseconds
+//! aggregated in `BTreeMap`s, so
 //! the result — and its JSON encoding in
 //! [`RunReport`](crate::report::RunReport) — is byte-deterministic for a
 //! seeded single-client run.
@@ -53,15 +53,6 @@ pub struct PhaseStat {
     pub total_ns: u64,
 }
 
-/// Snapshot of one registered [`Timeline`](crate::metrics::Timeline).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TimelineSnapshot {
-    /// Bucket width, virtual ns.
-    pub bucket_ns: u64,
-    /// Bucket index (`t / bucket_ns`) → last recorded value.
-    pub samples: BTreeMap<u64, i64>,
-}
-
 /// One fault injection lifted out of the trace (a zero-length `fault/*`
 /// instant recorded by the timestamped [`FaultPlan`](crate::fault::FaultPlan)
 /// variants), in recording order.
@@ -76,8 +67,8 @@ pub struct FaultEvent {
     pub node: u64,
 }
 
-/// The folded trace: per-op aggregates, commit-phase accounting, and
-/// timeline snapshots (see module docs).
+/// The folded trace: per-op aggregates, commit-phase accounting, lock
+/// contention and fault injections (see module docs).
 #[derive(Clone, Debug, Default)]
 pub struct Profile {
     /// Spans in the ring when the profile was taken (incl. abandoned).
@@ -96,9 +87,6 @@ pub struct Profile {
     /// exactly to `ops["core/commit"].total_ns`, even when children were
     /// evicted from the ring (evicted time folds into `"self"`).
     pub commit_phases: BTreeMap<String, PhaseStat>,
-    /// Every registered timeline but the resources' utilization ones,
-    /// keyed `"component.name"`.
-    pub timelines: BTreeMap<String, TimelineSnapshot>,
     /// Lock-contention profile: per-table wait/hold stats plus the top-K
     /// contended keys (empty when the engine recorded no lock traffic).
     pub locks: LockProfile,
@@ -114,30 +102,16 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Fold `registry`'s trace log, timelines and lock-contention state
-    /// into a profile. A resource's `<name>.util_busy_ns` timeline is left
-    /// out: the report summarises it as `resources.<name>.steady_util_pct`.
+    /// Fold `registry`'s trace log and lock-contention state into a
+    /// profile. A resource's `<name>.util_busy_ns` timeline is not copied:
+    /// the report summarises it as `resources.<name>.steady_util_pct`.
     pub fn from_registry(registry: &MetricsRegistry) -> Profile {
         let mut p = Self::from_events(&registry.trace().events());
         p.locks = registry.lock_contention().snapshot(DEFAULT_TOP_K);
-        p.timelines = registry
-            .timeline_handles()
-            .into_iter()
-            .filter(|(k, _)| !k.ends_with(".util_busy_ns"))
-            .map(|(k, tl)| {
-                (
-                    k,
-                    TimelineSnapshot {
-                        bucket_ns: tl.bucket_ns(),
-                        samples: tl.snapshot(),
-                    },
-                )
-            })
-            .collect();
         p
     }
 
-    /// Fold a span dump into a profile (no timelines).
+    /// Fold a span dump into a profile (no lock contention).
     pub fn from_events(events: &[TraceEvent]) -> Profile {
         let mut p = Profile {
             spans: events.len() as u64,
@@ -217,14 +191,11 @@ impl Profile {
         p
     }
 
-    /// Whether no spans, timeline samples or lock traffic were captured
+    /// Whether no spans, lock traffic or fault injections were captured
     /// (tracing was off — the report's `profile` section will say so, not
     /// vanish).
     pub fn is_empty(&self) -> bool {
-        self.spans == 0
-            && self.timelines.values().all(|t| t.samples.is_empty())
-            && self.locks.is_empty()
-            && self.fault_events.is_empty()
+        self.spans == 0 && self.locks.is_empty() && self.fault_events.is_empty()
     }
 
     /// The profile as a JSON tree. Shares are two-decimal percentages
@@ -254,14 +225,6 @@ impl Profile {
                 ("share_pct", pct(v.total_ns, commit_total)),
             ]);
             (k, phase)
-        });
-        let timelines = self.timelines.iter().map(|(k, tl)| {
-            let samples = tl.samples.iter().map(|(b, v)| (b.to_string(), (*v).into()));
-            let snapshot = Json::obj([
-                ("bucket_ns", tl.bucket_ns.into()),
-                ("samples", Json::obj(samples)),
-            ]);
-            (k, snapshot)
         });
         let lock_tables = self.locks.tables.iter().map(|(label, t)| {
             let stat = Json::obj([
@@ -303,7 +266,6 @@ impl Profile {
             ("root_total_ns", self.root_total_ns.into()),
             ("ops", Json::obj(ops)),
             ("commit_phases", Json::obj(commit_phases)),
-            ("timelines", Json::obj(timelines)),
             (
                 "locks",
                 Json::obj([
@@ -528,23 +490,15 @@ mod tests {
     }
 
     #[test]
-    fn registry_profile_includes_timelines() {
+    fn registry_profile_summarises_utilization() {
         let reg = MetricsRegistry::new();
-        reg.timeline("pagestore", "apply_lag_records")
-            .record(VTime::from_millis(2), 9);
         let disk = crate::resource::Resource::with_metrics("disk", 1, &reg);
         disk.acquire(VTime::ZERO, VTime::from_micros(500));
         let p = Profile::from_registry(&reg);
-        assert!(!p.is_empty());
-        let tl = &p.timelines["pagestore.apply_lag_records"];
-        assert_eq!(tl.samples[&2], 9);
-        let s = render(&p.to_value());
-        assert!(s.contains("\"pagestore.apply_lag_records\""));
-        assert!(s.contains("\"2\": 9"));
         // A resource's utilization timeline is summarised, not copied: the
         // series is absent from the profile, its steady utilization is
         // still reported (500 us busy in the one 1 ms bucket: 50%).
-        assert!(!p.timelines.contains_key("disk.util_busy_ns"));
+        let s = render(&p.to_value());
         assert!(!s.contains("util_busy_ns"));
         let report = crate::report::RunReport::collect("util", None, &reg);
         assert_eq!(report.resources["disk"].steady_util_x100, 5_000);

@@ -191,7 +191,7 @@ pub struct RunReport {
     /// `Resource::with_metrics` does.
     pub resources: BTreeMap<String, ResourceSummary>,
     /// Folded trace profile: per-op inclusive/self time, commit-phase
-    /// accounting, timeline snapshots. Empty (but present in the JSON) when
+    /// accounting, lock contention. Empty (but present in the JSON) when
     /// tracing was off for the run.
     pub profile: Profile,
 }

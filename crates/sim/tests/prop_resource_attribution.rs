@@ -16,10 +16,7 @@
 //!    bucket touched. Random single-client sequences (arrivals out of order,
 //!    far jumps past the history horizon and back, services that cross
 //!    bucket boundaries) must leave `Resource` with the same completion
-//!    times, counters, histograms and timeline after every step. Some steps
-//!    `record` a value into the utilisation timeline instead, at the
-//!    frontier or in an earlier bucket: last write wins in its bucket, and
-//!    busy time acquired later adds to it.
+//!    times, counters, histograms and timeline after every step.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -224,11 +221,6 @@ mod reference {
             }
             end
         }
-
-        /// `Timeline::record`: the bucket's sample becomes `value`.
-        pub fn record(&mut self, now: u64, value: i64) {
-            self.util.insert(now / BUCKET_NS, value);
-        }
     }
 }
 
@@ -242,22 +234,17 @@ enum Arrival {
     Behind(u64),
 }
 
-/// One step of a single-client sequence, at an arrival.
+/// One step of a single-client sequence: acquire this much service at an
+/// arrival.
 #[derive(Debug, Clone)]
 enum Step {
-    /// Acquire this much service.
     Acquire(Arrival, u64),
-    /// `Timeline::record` this value into the resource's utilisation
-    /// timeline: a gauge trend sharing it, possibly from a forked clock
-    /// behind the frontier (an earlier bucket).
-    Record(Arrival, i64),
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
     let short = 1u64..20_000;
     // Up to 3.5 buckets: crosses 0-3 bucket boundaries.
     let long = 1u64..(3 * reference::BUCKET_NS + reference::BUCKET_NS / 2);
-    let value = -1_000_000i64..1_000_000;
     prop_oneof![
         6 => (0u64..300_000, short.clone()).prop_map(|(d, s)| Step::Acquire(Arrival::Ahead(d), s)),
         3 => (0u64..4_000_000, short.clone()).prop_map(|(d, s)| Step::Acquire(Arrival::Behind(d), s)),
@@ -266,8 +253,6 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         1 => (50_000_000u64..80_000_000, short.clone())
             .prop_map(|(d, s)| Step::Acquire(Arrival::Ahead(d), s)),
         1 => (50_000_000u64..70_000_000, short).prop_map(|(d, s)| Step::Acquire(Arrival::Behind(d), s)),
-        2 => (0u64..300_000, value.clone()).prop_map(|(d, v)| Step::Record(Arrival::Ahead(d), v)),
-        2 => (0u64..4_000_000, value).prop_map(|(d, v)| Step::Record(Arrival::Behind(d), v)),
     ]
 }
 
@@ -324,8 +309,6 @@ proptest! {
         let unwatched = MetricsRegistry::new();
         let res = Resource::with_metrics("node.dev", lanes, &watched);
         let twin = Resource::with_metrics("node.dev", lanes, &unwatched);
-        let util = |reg: &MetricsRegistry| reg.timeline_handles()[0].1.clone();
-        let (res_util, twin_util) = (util(&watched), util(&unwatched));
         let mut model = reference::Model::new(lanes);
         let mut frontier = 0u64;
         let mut at = |arrival: Arrival| match arrival {
@@ -335,22 +318,12 @@ proptest! {
             }
             Arrival::Behind(d) => frontier.saturating_sub(d),
         };
-        for step in steps {
-            match step {
-                Step::Acquire(arrival, svc) => {
-                    let now = at(arrival);
-                    let want = model.acquire(now, svc);
-                    let (now, svc) = (VTime::from_nanos(now), VTime::from_nanos(svc));
-                    prop_assert_eq!(res.acquire(now, svc).as_nanos(), want);
-                    prop_assert_eq!(twin.acquire(now, svc).as_nanos(), want);
-                }
-                Step::Record(arrival, value) => {
-                    let now = at(arrival);
-                    model.record(now, value);
-                    res_util.record(VTime::from_nanos(now), value);
-                    twin_util.record(VTime::from_nanos(now), value);
-                }
-            }
+        for Step::Acquire(arrival, svc) in steps {
+            let now = at(arrival);
+            let want = model.acquire(now, svc);
+            let (now, svc) = (VTime::from_nanos(now), VTime::from_nanos(svc));
+            prop_assert_eq!(res.acquire(now, svc).as_nanos(), want);
+            prop_assert_eq!(twin.acquire(now, svc).as_nanos(), want);
             assert_books_match(&watched, &model, lanes);
         }
         assert_books_match(&unwatched, &model, lanes);

@@ -348,6 +348,9 @@ fn ebp_churn_recycles_astore_slots() {
         });
         db.create_tables(&mut ctx).unwrap();
         let mut txn = db.begin();
+        // The load evicts into the EBP too, so it is paced like the reads
+        // below: a slot the EBP releases comes back only after the cleanup
+        // delay.
         for i in 0..ROWS {
             db.insert(
                 &mut ctx,
@@ -356,6 +359,7 @@ fn ebp_churn_recycles_astore_slots() {
                 vec![Value::Int(i), Value::Str("p".repeat(2000))],
             )
             .unwrap();
+            ctx.advance(VTime::from_micros(500));
         }
         db.commit(&mut ctx, &mut txn).unwrap();
 
