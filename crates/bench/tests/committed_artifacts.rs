@@ -7,7 +7,10 @@
 //! from a figure that is gone — parsed by the one parser and rendered by the
 //! one writer, a committed file must come back byte for byte — and a trial
 //! that breaks the figures' conventions: a `paper` value with no measured
-//! value under its name, or a check whose `holds` is not 0 or 1.
+//! value under its name, or a check whose `holds` is not 0 or 1. It is also
+//! the ratchet on the figures' shape checks: the committed checks at
+//! `holds: 0` are exactly [`DOES_NOT_HOLD`], so a check that flips to 0
+//! fails here, and one that flips to 1 must leave the list.
 
 use std::path::PathBuf;
 
@@ -16,7 +19,12 @@ use vedb_bench::figures::FIGURES;
 use vedb_sim::json::render;
 use vedb_sim::report::SCHEMA;
 
-fn check(bytes: &str) -> Result<(), String> {
+/// The committed shape checks that do not hold, each with its cause named in
+/// EXPERIMENTS.md. Only ever shrinks.
+const DOES_NOT_HOLD: &[&str] = &["checkpointer_bounds_apply_lag"];
+
+/// The names of the checks at `holds: 0`, or what is wrong with the file.
+fn check(bytes: &str) -> Result<Vec<String>, String> {
     let doc = parse_json(bytes)?;
     match doc.get("schema").and_then(Json::as_str) {
         Some(SCHEMA) => {}
@@ -29,6 +37,7 @@ fn check(bytes: &str) -> Result<(), String> {
         Some(Json::Arr(trials)) => trials.as_slice(),
         _ => &[],
     };
+    let mut not_holding = Vec::new();
     for (i, trial) in trials.iter().enumerate() {
         let result = trial.get("result");
         for k in trial
@@ -42,26 +51,28 @@ fn check(bytes: &str) -> Result<(), String> {
                 return Err(format!("trials[{i}] has paper.{k} but no result.{k}"));
             }
         }
-        if trial.get("params").and_then(|p| p.get("check")).is_some() {
-            let holds = result.and_then(|r| r.get("holds")).and_then(Json::as_f64);
-            if holds != Some(0.0) && holds != Some(1.0) {
-                return Err(format!("trials[{i}] is a check whose holds is {holds:?}"));
+        if let Some(name) = trial.get("params").and_then(|p| p.get("check")) {
+            match result.and_then(|r| r.get("holds")).and_then(Json::as_f64) {
+                Some(1.0) => {}
+                Some(0.0) => not_holding.push(name.as_str().unwrap_or_default().to_string()),
+                holds => return Err(format!("trials[{i}] is a check whose holds is {holds:?}")),
             }
         }
     }
-    Ok(())
+    Ok(not_holding)
 }
 
 #[test]
 fn committed_artifacts_are_current_and_in_the_writers_bytes() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut seen = Vec::new();
+    let mut not_holding = Vec::new();
     for entry in std::fs::read_dir(&root).expect("workspace root") {
         let path = entry.expect("directory entry").path();
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         if name.starts_with("BENCH_") && name.ends_with(".json") {
             let bytes = std::fs::read_to_string(&path).expect("artifact is UTF-8");
-            check(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+            not_holding.extend(check(&bytes).unwrap_or_else(|e| panic!("{name}: {e}")));
             seen.push(name);
         }
     }
@@ -72,13 +83,15 @@ fn committed_artifacts_are_current_and_in_the_writers_bytes() {
         .collect();
     expected.sort();
     assert_eq!(seen, expected);
+    not_holding.sort();
+    assert_eq!(not_holding, DOES_NOT_HOLD, "committed checks at holds: 0");
 }
 
 #[test]
 fn files_the_writer_did_not_produce_are_rejected() {
     let good = "{\n  \"counters\": {\"a.b\": 1, \"c.d\": 2},\n  \"gauges\": {\"e.f\": 5},\n  \
                 \"schema\": \"vedb-bench-report/v4\"\n}\n";
-    assert_eq!(check(good), Ok(()));
+    assert_eq!(check(good), Ok(vec![]));
     // A leftover at the old schema.
     assert!(check(&good.replace("/v4", "/v3")).is_err());
     // Re-indented, re-ordered or re-formatted by hand: same tree, other bytes.
@@ -99,9 +112,10 @@ fn paper_values_need_a_result_and_checks_hold_zero_or_one() {
     };
     assert_eq!(
         check(&with_trials(&format!("{measured},\n{}", holds("1")))),
-        Ok(())
+        Ok(vec![])
     );
-    assert_eq!(check(&with_trials(&holds("0"))), Ok(()));
+    // A check that does not hold is named.
+    assert_eq!(check(&with_trials(&holds("0"))), Ok(vec!["faster".into()]));
     // The paper's value under a name the trial did not measure.
     let stray = measured.replace("\"paper\": {\"iops\"", "\"paper\": {\"ops\"");
     assert!(check(&with_trials(&stray))
