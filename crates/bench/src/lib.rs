@@ -17,7 +17,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use vedb_core::db::{Db, DbConfig, StorageFabric};
-use vedb_pagestore::ApplyConfig;
 use vedb_sim::json::{render, Json};
 use vedb_sim::{ClusterSpec, MetricsRegistry, RunReport, SimCtx, Trial, TrialResult, VTime};
 use vedb_workloads::driver::{run_trial, DriverConfig, OpOutcome};
@@ -48,26 +47,7 @@ impl Deployment {
         astore_capacity: usize,
         slot_bytes: u64,
     ) -> Deployment {
-        Self::open_with_apply(
-            cfg,
-            spec,
-            astore_capacity,
-            slot_bytes,
-            ApplyConfig::default(),
-        )
-    }
-
-    /// [`open_with`](Self::open_with) plus an explicit PageStore
-    /// apply-pipeline configuration (worker count, checkpoint cadence) —
-    /// the knob the `recovery` figure sweeps.
-    pub fn open_with_apply(
-        cfg: DbConfig,
-        spec: ClusterSpec,
-        astore_capacity: usize,
-        slot_bytes: u64,
-        apply: ApplyConfig,
-    ) -> Deployment {
-        let fabric = StorageFabric::build_with_apply(spec, astore_capacity, slot_bytes, apply);
+        let fabric = StorageFabric::build(spec, astore_capacity, slot_bytes);
         let mut ctx = SimCtx::new(0, 0xBEEF);
         let db = Db::open(&mut ctx, &fabric, cfg).expect("open engine");
         Deployment { fabric, db, ctx }

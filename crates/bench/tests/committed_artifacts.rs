@@ -21,7 +21,7 @@ use vedb_sim::report::SCHEMA;
 
 /// The committed shape checks that do not hold, each with its cause named in
 /// EXPERIMENTS.md. Only ever shrinks.
-const DOES_NOT_HOLD: &[&str] = &["checkpointer_bounds_apply_lag"];
+const DOES_NOT_HOLD: &[&str] = &[];
 
 /// The names of the checks at `holds: 0`, or what is wrong with the file.
 fn check(bytes: &str) -> Result<Vec<String>, String> {

@@ -19,7 +19,6 @@ use vedb_core::db::{DbConfig, LogBackendKind};
 use vedb_core::ebp::EbpConfig;
 use vedb_core::query::{execute, QuerySession};
 use vedb_core::FlushPolicy;
-use vedb_pagestore::ApplyConfig;
 use vedb_sim::{ClusterSpec, RunReport, VTime};
 use vedb_workloads::driver::OpOutcome;
 use vedb_workloads::lookup::{self, LookupScale};
@@ -222,12 +221,8 @@ fn seeded_runs_are_byte_identical_at_1_and_64_clients_under_both_policies() {
 }
 
 fn run_once(name: &str) -> RunReport {
-    run_once_with(name, ApplyConfig::default())
-}
-
-fn run_once_with(name: &str, apply: ApplyConfig) -> RunReport {
     let scale = TPCC_TINY;
-    let mut dep = Deployment::open_with_apply(
+    let mut dep = Deployment::open_with(
         DbConfig::builder()
             .bp_pages(512)
             .bp_shards(4)
@@ -238,7 +233,6 @@ fn run_once_with(name: &str, apply: ApplyConfig) -> RunReport {
         ClusterSpec::paper_default(),
         192 << 20,
         1 << 20,
-        apply,
     );
     dep.db.define_schema(tpcc::define_schema);
     dep.db.create_tables(&mut dep.ctx).unwrap();
@@ -259,22 +253,16 @@ fn run_once_with(name: &str, apply: ApplyConfig) -> RunReport {
     dep.report(name, Some(&r))
 }
 
-/// Same property with the apply pipeline cranked: an 8-worker parallel
-/// applier plus an aggressive background checkpointer must not introduce
-/// any scheduling nondeterminism — the worker pool folds partitions onto
-/// simulated lanes deterministically and the checkpointer runs on a forked
-/// context, so counters, truncation totals and latency buckets must still
-/// be byte-identical between same-seed runs.
+/// Same property through the apply pipeline: the worker pool folds
+/// partitions onto simulated lanes deterministically and the checkpointer
+/// runs on a forked context, so counters, truncation totals and latency
+/// buckets must still be byte-identical between same-seed runs.
 #[test]
 fn parallel_apply_and_checkpointer_runs_are_byte_identical() {
-    let apply = ApplyConfig {
-        workers: 8,
-        checkpoint_every_records: 128,
-    };
-    let a = run_once_with("det-par", apply.clone());
-    let b = run_once_with("det-par", apply);
+    let a = run_once("det-par");
+    let b = run_once("det-par");
 
-    // Sanity: the knobs were live — the pool dispatched batches and the
+    // Sanity: the pipeline was live — the pool dispatched batches and the
     // checkpointer fired and truncated replayed log.
     assert!(a.counter("storage-0.apply.batches") > 0, "pool never ran");
     assert!(a.counter("pagestore.checkpoints") > 0, "checkpointer idle");

@@ -28,7 +28,7 @@ use vedb_astore::{AStoreServer, Lsn, PageId, SegmentId, SegmentRing, ROUTE_REFRE
 use vedb_blobstore::{BlobGroup, BlobGroupConfig, BlobServer};
 use vedb_pagestore::page::{Page, PageType};
 use vedb_pagestore::redo::{PageOp, RedoRecord};
-use vedb_pagestore::{ApplyConfig, PageStore, PageStoreConfig, PageStoreServer};
+use vedb_pagestore::{PageStore, PageStoreConfig, PageStoreServer};
 use vedb_rdma::{RdmaEndpoint, RpcFabric};
 use vedb_sim::fault::NodeId;
 use vedb_sim::metrics::{Counter, LatencyRecorder};
@@ -224,22 +224,6 @@ impl StorageFabric {
         astore_capacity: usize,
         astore_slot_bytes: u64,
     ) -> StorageFabric {
-        Self::build_with_apply(
-            spec,
-            astore_capacity,
-            astore_slot_bytes,
-            ApplyConfig::default(),
-        )
-    }
-
-    /// [`build`](Self::build) with an explicit PageStore apply-pipeline
-    /// configuration (worker count, checkpoint cadence).
-    pub fn build_with_apply(
-        spec: ClusterSpec,
-        astore_capacity: usize,
-        astore_slot_bytes: u64,
-        apply: ApplyConfig,
-    ) -> StorageFabric {
         let env = spec.build();
         let cm = ClusterManager::new(
             Arc::clone(&env.faults),
@@ -286,14 +270,7 @@ impl StorageFabric {
             .storage_nodes
             .iter()
             .enumerate()
-            .map(|(i, n)| {
-                PageStoreServer::with_apply(
-                    200 + i as NodeId,
-                    Arc::clone(n),
-                    env.model.clone(),
-                    apply.clone(),
-                )
-            })
+            .map(|(i, n)| PageStoreServer::new(200 + i as NodeId, Arc::clone(n), env.model.clone()))
             .collect();
         let pagestore = PageStore::new(PageStoreConfig::default(), Arc::clone(&rpc), ps_servers);
         StorageFabric {

@@ -17,11 +17,10 @@ use vedb_core::catalog::ColumnType;
 use vedb_core::db::{Db, DbConfig, StorageFabric, META_PAGE};
 use vedb_core::recovery;
 use vedb_core::Value;
-use vedb_pagestore::ApplyConfig;
 use vedb_sim::{ClusterSpec, SimCtx};
 
-fn fabric_with(apply: ApplyConfig) -> StorageFabric {
-    StorageFabric::build_with_apply(ClusterSpec::paper_default(), 32 << 20, 256 * 1024, apply)
+fn fabric() -> StorageFabric {
+    StorageFabric::build(ClusterSpec::paper_default(), 32 << 20, 256 * 1024)
 }
 
 fn schema(cat: &mut vedb_core::Catalog) {
@@ -75,10 +74,7 @@ fn assert_rows(ctx: &mut SimCtx, db: &Db, ids: std::ops::Range<i64>, owner: &str
 /// byte-identical across the restart.
 #[test]
 fn restart_mid_apply_loses_no_acked_commit() {
-    let f = fabric_with(ApplyConfig {
-        workers: 4,
-        checkpoint_every_records: 0, // no checkpoints: pure log replay
-    });
+    let f = fabric();
     let mut ctx = SimCtx::new(1, 7);
     let db = open_db(&mut ctx, &f, DbConfig::builder().build().unwrap());
 
@@ -118,16 +114,15 @@ fn restart_mid_apply_loses_no_acked_commit() {
 /// quorum accepted records).
 #[test]
 fn restart_mid_checkpoint_recovers_from_snapshot_plus_tail() {
-    let f = fabric_with(ApplyConfig {
-        workers: 4,
-        checkpoint_every_records: 64,
-    });
+    const BATCHES: i64 = 24;
+    const ROWS: i64 = BATCHES * 50;
+    let f = fabric();
     let mut ctx = SimCtx::new(1, 11);
     let db = open_db(&mut ctx, &f, DbConfig::builder().build().unwrap());
 
-    // Several commit batches so the checkpointer fires repeatedly while
-    // the workload runs.
-    for b in 0..6 {
+    // Enough commit batches to ship past `CHECKPOINT_EVERY_RECORDS`, so the
+    // checkpointer fires while the workload runs.
+    for b in 0..BATCHES {
         commit_rows(&mut ctx, &db, b * 50..(b + 1) * 50, "batch");
     }
     let checkpoints = f.env.metrics.counter("pagestore", "checkpoints").get();
@@ -139,7 +134,7 @@ fn restart_mid_checkpoint_recovers_from_snapshot_plus_tail() {
     // Crash one replica node mid-workload: the quorum keeps acking.
     let victim = Arc::clone(&f.pagestore.servers()[0]);
     f.env.faults.crash(victim.node());
-    commit_rows(&mut ctx, &db, 300..360, "degraded");
+    commit_rows(&mut ctx, &db, ROWS..ROWS + 60, "degraded");
     f.env.faults.restore(victim.node());
 
     // The victim restarts from checkpoint + retained tail; the records it
@@ -151,8 +146,8 @@ fn restart_mid_checkpoint_recovers_from_snapshot_plus_tail() {
         }
     }
 
-    assert_rows(&mut ctx, &db, 0..300, "batch");
-    assert_rows(&mut ctx, &db, 300..360, "degraded");
+    assert_rows(&mut ctx, &db, 0..ROWS, "batch");
+    assert_rows(&mut ctx, &db, ROWS..ROWS + 60, "degraded");
     assert!(
         f.env.metrics.counter("pagestore", "restores").get() >= 3,
         "every replica restarted"
@@ -164,10 +159,7 @@ fn restart_mid_checkpoint_recovers_from_snapshot_plus_tail() {
 /// ship chain must accept new writes afterwards.
 #[test]
 fn restore_to_quiesced_lsn_preserves_state_and_chain() {
-    let f = fabric_with(ApplyConfig {
-        workers: 8,
-        checkpoint_every_records: 128,
-    });
+    let f = fabric();
     let mut ctx = SimCtx::new(1, 13);
     let db = open_db(&mut ctx, &f, DbConfig::builder().build().unwrap());
 
@@ -196,7 +188,7 @@ fn restore_to_quiesced_lsn_preserves_state_and_chain() {
 /// must come back.
 #[test]
 fn restore_then_wal_roll_forward_recovers_all_commits() {
-    let f = fabric_with(ApplyConfig::default());
+    let f = fabric();
     let mut ctx = SimCtx::new(1, 17);
     let cfg = DbConfig::builder().build().unwrap();
     let db = open_db(&mut ctx, &f, cfg.clone());

@@ -18,14 +18,16 @@
 //!
 //! ## The apply pipeline, checkpoints, and point-in-time restore
 //!
-//! Each server turns accepted redo into page images through a per-node
-//! worker pool ([`ApplyConfig::workers`]): records partition by page id,
+//! Every server runs one apply pipeline, with no knobs. It replays a
+//! segment's queued redo in the background once 64 records queue up,
+//! through a per-node pool of four workers: records partition by page id,
 //! so one page's records stay on one worker in LSN order while distinct
-//! pages apply concurrently on the node's CPU lanes. A background
-//! checkpointer ([`ApplyConfig::checkpoint_every_records`]) materializes
-//! hot pages ahead of reads, snapshots each segment's images durably, and
-//! truncates replayed redo below the previous checkpoint; gossip peers
-//! that fell behind the truncation horizon install the snapshot itself.
+//! pages apply concurrently on the node's CPU lanes. After every
+//! [`CHECKPOINT_EVERY_RECORDS`] accepted records of a segment a background
+//! checkpointer snapshots the segment's images durably and truncates
+//! replayed redo below the previous checkpoint, which bounds what a
+//! restart replays; gossip peers that fell behind the truncation horizon
+//! install the snapshot itself.
 //! Page images are `Arc<Page>` shared by the live map, the checkpoint and
 //! readers and copied only when replay touches a shared one, so a
 //! checkpoint costs memory in proportion to the pages dirtied since it was
@@ -56,7 +58,9 @@ pub mod server;
 
 pub use page::{Page, PageType, PAGE_SIZE};
 pub use redo::{PageOp, RedoRecord};
-pub use server::{ApplyConfig, PageStore, PageStoreConfig, PageStoreServer, PsSegmentKey};
+pub use server::{
+    PageStore, PageStoreConfig, PageStoreServer, PsSegmentKey, CHECKPOINT_EVERY_RECORDS,
+};
 
 /// Errors from page/REDO/PageStore operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

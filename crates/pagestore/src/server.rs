@@ -8,8 +8,8 @@
 //!
 //! Every record carries a back-link to the previous record of the same
 //! segment; a replica that sees a mismatched back-link parks the record in
-//! an out-of-order buffer and [`PageStoreServer::gossip_fill`]s the hole
-//! from its peers before applying.
+//! an out-of-order buffer and fills the hole from its peers
+//! ([`PageStoreServer::gossip_fill_until`]) before applying.
 
 //!
 //! The code is split by role: `replica` is one server's accept / park /
@@ -24,7 +24,7 @@ mod replica;
 
 pub use checkpoint::PageImages;
 pub use fleet::PageStore;
-pub use replica::PageStoreServer;
+pub use replica::{PageStoreServer, CHECKPOINT_EVERY_RECORDS};
 
 /// Identifies a PageStore segment: a run of consecutive pages in one space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -66,30 +66,6 @@ impl PageStoreConfig {
     }
 }
 
-/// Per-server apply-pipeline configuration: how redo turns into pages.
-#[derive(Debug, Clone)]
-pub struct ApplyConfig {
-    /// Apply workers per server. Redo is partitioned by page id across the
-    /// pool ([`crate::redo::RedoRecord::apply_partition`]), so independent pages apply
-    /// concurrently on the node's CPU lanes while per-page LSN order is
-    /// preserved. `1` restores the serial applier.
-    pub workers: usize,
-    /// Background-checkpoint trigger: snapshot a segment's page images
-    /// after this many newly accepted records (and truncate replayed redo
-    /// below the *previous* checkpoint). `0` disables checkpointing —
-    /// replicas then retain redo forever and restarts replay from LSN 0.
-    pub checkpoint_every_records: u64,
-}
-
-impl Default for ApplyConfig {
-    fn default() -> Self {
-        ApplyConfig {
-            workers: 4,
-            checkpoint_every_records: 1024,
-        }
-    }
-}
-
 #[cfg(test)]
 mod testutil {
     use std::sync::Arc;
@@ -99,28 +75,17 @@ mod testutil {
     use vedb_sim::fault::NodeId;
     use vedb_sim::ClusterSpec;
 
-    use super::{ApplyConfig, PageStore, PageStoreConfig, PageStoreServer};
+    use super::{PageStore, PageStoreConfig, PageStoreServer};
     use crate::page::PageType;
     use crate::redo::{PageOp, RedoRecord};
 
     pub(super) fn setup() -> (Arc<vedb_sim::SimEnv>, Arc<PageStore>) {
-        setup_with(ApplyConfig::default())
-    }
-
-    pub(super) fn setup_with(apply: ApplyConfig) -> (Arc<vedb_sim::SimEnv>, Arc<PageStore>) {
         let env = ClusterSpec::paper_default().build();
         let servers: Vec<Arc<PageStoreServer>> = env
             .storage_nodes
             .iter()
             .enumerate()
-            .map(|(i, n)| {
-                PageStoreServer::with_apply(
-                    200 + i as NodeId,
-                    Arc::clone(n),
-                    env.model.clone(),
-                    apply.clone(),
-                )
-            })
+            .map(|(i, n)| PageStoreServer::new(200 + i as NodeId, Arc::clone(n), env.model.clone()))
             .collect();
         let rpc = Arc::new(RpcFabric::with_metrics(
             env.model.clone(),

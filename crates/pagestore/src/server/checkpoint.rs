@@ -365,36 +365,74 @@ mod tests {
     use vedb_rdma::RpcFabric;
     use vedb_sim::SimCtx;
 
-    use super::super::testutil::{make_records, more_inserts, setup, setup_with};
-    use super::super::{ApplyConfig, PageStoreServer, PsSegmentKey};
+    use super::super::testutil::{make_records, more_inserts, setup};
+    use super::super::{PageStore, PageStoreServer, PsSegmentKey, CHECKPOINT_EVERY_RECORDS};
     use crate::page::Page;
+    use crate::redo::RedoRecord;
     use crate::PageStoreError;
+
+    /// Round `r` of a stream over 16 pages of one segment, 64 records a
+    /// page: round 0 formats each page, later rounds insert behind it.
+    fn round(r: u16) -> Vec<RedoRecord> {
+        (0..16u16)
+            .flat_map(|p| {
+                let page = PageId::new(1, 64 + u32::from(p));
+                let lsn = 100_000 * (u64::from(r) + 1) + 1_000 * u64::from(p);
+                match r {
+                    0 => make_records(page, lsn, 63),
+                    _ => more_inserts(page, lsn, 64, 63 + 64 * (r - 1)),
+                }
+            })
+            .collect()
+    }
+
+    /// Checkpoint `key` by hand on the replicas at `which`.
+    fn checkpoint_on(ctx: &mut SimCtx, ps: &PageStore, key: PsSegmentKey, which: &[usize]) {
+        let replicas = ps.replicas_of(key);
+        for &i in which {
+            replicas[i].checkpoint_segment(ctx, key).unwrap();
+        }
+    }
 
     #[test]
     fn background_checkpoint_truncates_replayed_log() {
-        let (_env, ps) = setup_with(ApplyConfig {
-            workers: 4,
-            checkpoint_every_records: 8,
-        });
+        let (_env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
-        let page = PageId::new(1, 21);
+        let page = PageId::new(1, 64);
         let key = ps.cfg().segment_of(page);
-        // Batch 1 (10 records) triggers checkpoint #1; batch 2 (9 records)
-        // triggers checkpoint #2, which truncates redo below #1.
-        ps.ship(&mut ctx, &make_records(page, 100, 9)).unwrap();
-        ps.ship(&mut ctx, &more_inserts(page, 300, 9, 9)).unwrap();
+        let (first, second) = (round(0), round(1));
+        assert_eq!(first.len() as u64, CHECKPOINT_EVERY_RECORDS);
+        let tail = |recs: &[RedoRecord]| recs.last().unwrap().lsn;
+        // Each round trips one background checkpoint; the second truncates
+        // the redo below the first.
+        ps.ship(&mut ctx, &first).unwrap();
+        ps.ship(&mut ctx, &second).unwrap();
         for r in ps.replicas_of(key) {
-            assert_eq!(r.checkpoint_lsn(key), 380, "second checkpoint at tail");
-            assert!(
-                r.retained_count(key) < 19,
-                "replayed redo below the previous checkpoint must be truncated, \
-                 still retaining {}",
-                r.retained_count(key)
+            assert_eq!(
+                r.checkpoint_lsn(key),
+                tail(&second),
+                "second checkpoint at tail"
+            );
+            assert_eq!(
+                r.retained_count(key),
+                second.len(),
+                "replayed redo below the previous checkpoint must be truncated"
             );
         }
         // The truncated log still serves the latest image.
-        let bytes = ps.read_page(&mut ctx, page, 380).unwrap();
-        assert_eq!(Page::from_bytes(&bytes).unwrap().n_slots(), 18);
+        let bytes = ps.read_page(&mut ctx, page, tail(&second)).unwrap();
+        assert_eq!(Page::from_bytes(&bytes).unwrap().n_slots(), 127);
+
+        // One record short of the next checkpoint: a restart replays the
+        // redo past the last one, never the whole log.
+        let third = &round(2)[..first.len() - 1];
+        ps.ship(&mut ctx, third).unwrap();
+        for r in ps.replicas_of(key) {
+            let replayed = r.restart(&mut ctx).unwrap();
+            assert_eq!(replayed, third.len());
+            assert!(replayed as u64 <= CHECKPOINT_EVERY_RECORDS + first.len() as u64);
+            assert_eq!(r.applied_lsn(key), tail(third));
+        }
     }
 
     #[test]
@@ -439,15 +477,14 @@ mod tests {
 
     #[test]
     fn restore_below_truncation_horizon_fails_cleanly() {
-        let (_env, ps) = setup_with(ApplyConfig {
-            workers: 4,
-            checkpoint_every_records: 8,
-        });
+        let (_env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let page = PageId::new(1, 27);
         let key = ps.cfg().segment_of(page);
         ps.ship(&mut ctx, &make_records(page, 100, 9)).unwrap();
+        checkpoint_on(&mut ctx, &ps, key, &[0, 1, 2]);
         ps.ship(&mut ctx, &more_inserts(page, 300, 9, 9)).unwrap();
+        checkpoint_on(&mut ctx, &ps, key, &[0, 1, 2]);
         // Redo below checkpoint #1 (lsn 190) is truncated; a restore point
         // inside the truncated range cannot be reached any more.
         let server = &ps.replicas_of(key)[0];
@@ -463,21 +500,21 @@ mod tests {
 
     #[test]
     fn gossip_installs_checkpoint_beyond_truncation_horizon() {
-        let (env, ps) = setup_with(ApplyConfig {
-            workers: 4,
-            checkpoint_every_records: 4,
-        });
+        let (env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let page = PageId::new(1, 31);
         let key = ps.cfg().segment_of(page);
         let replicas = ps.replicas_of(key);
 
-        ps.ship(&mut ctx, &make_records(page, 100, 4)).unwrap(); // ckpt #1 @140
+        ps.ship(&mut ctx, &make_records(page, 100, 4)).unwrap();
+        checkpoint_on(&mut ctx, &ps, key, &[0, 1, 2]); // #1 @140
         env.faults.crash(replicas[0].node());
         // Two more checkpoints on the peers truncate every record replica 0
         // could pull: its hole now predates the truncation horizon.
-        ps.ship(&mut ctx, &more_inserts(page, 300, 5, 4)).unwrap(); // ckpt #2 @340
-        ps.ship(&mut ctx, &more_inserts(page, 500, 5, 9)).unwrap(); // ckpt #3 @540
+        ps.ship(&mut ctx, &more_inserts(page, 300, 5, 4)).unwrap();
+        checkpoint_on(&mut ctx, &ps, key, &[1, 2]); // #2 @340
+        ps.ship(&mut ctx, &more_inserts(page, 500, 5, 9)).unwrap();
+        checkpoint_on(&mut ctx, &ps, key, &[1, 2]); // #3 @540
         env.faults.restore(replicas[0].node());
         ps.ship(&mut ctx, &more_inserts(page, 700, 1, 14)).unwrap();
         assert!(
@@ -516,10 +553,7 @@ mod tests {
 
     #[test]
     fn checkpoint_is_copy_on_write() {
-        let (_env, ps) = setup_with(ApplyConfig {
-            workers: 4,
-            checkpoint_every_records: 0, // checkpoints taken by hand below
-        });
+        let (_env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let (hot, cold) = (PageId::new(1, 40), PageId::new(1, 41));
         let key = ps.cfg().segment_of(hot);
@@ -579,10 +613,7 @@ mod tests {
 
     #[test]
     fn installed_checkpoint_shares_every_page() {
-        let (env, ps) = setup_with(ApplyConfig {
-            workers: 4,
-            checkpoint_every_records: 0,
-        });
+        let (env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let pages = [PageId::new(1, 50), PageId::new(1, 51), PageId::new(1, 52)];
         let key = ps.cfg().segment_of(pages[0]);
@@ -594,12 +625,7 @@ mod tests {
         donor.checkpoint_segment(&mut ctx, key).unwrap();
         let (lsn, images) = donor.handle_get_checkpoint(key, 0).unwrap();
 
-        let fresh = PageStoreServer::with_apply(
-            999,
-            Arc::clone(&env.storage_nodes[0]),
-            env.model.clone(),
-            ApplyConfig::default(),
-        );
+        let fresh = PageStoreServer::new(999, Arc::clone(&env.storage_nodes[0]), env.model.clone());
         assert!(fresh.install_checkpoint(key, lsn, images));
         assert_eq!(fresh.applied_lsn(key), lsn);
         assert_eq!(

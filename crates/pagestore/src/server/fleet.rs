@@ -471,6 +471,31 @@ mod tests {
     }
 
     #[test]
+    fn a_replica_with_parked_records_fills_its_hole_before_a_restart_read() {
+        let (env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let (page, other) = (PageId::new(1, 12), PageId::new(1, 13));
+        let key = ps.cfg().segment_of(page);
+        assert_eq!(key, ps.cfg().segment_of(other));
+        let replicas = ps.replicas_of(key);
+        ps.ship(&mut ctx, &make_records(page, 100, 1)).unwrap(); // version 1 @110
+        apply_on(&mut ctx, &ps, page, &[0]);
+        // Replica 0 misses version 2, then parks a later record of the
+        // segment: its back-link names the record replica 0 never got.
+        env.faults.crash(replicas[0].node());
+        ps.ship(&mut ctx, &more_inserts(page, 200, 1, 1)).unwrap(); // version 2 @200
+        env.faults.restore(replicas[0].node());
+        ps.ship(&mut ctx, &make_records(other, 300, 1)).unwrap();
+        assert_eq!(replicas[0].gap_count(key), 2);
+        // A restart read demands no LSN, and replica 0 answers first: it
+        // must gossip the hole closed rather than serve version 1.
+        let bytes = ps.read_page(&mut ctx, page, 0).unwrap();
+        let img = Page::from_bytes(&bytes).unwrap();
+        assert_eq!((img.lsn(), img.n_slots()), (200, 2));
+        assert_eq!(replicas[0].gap_count(key), 0);
+    }
+
+    #[test]
     fn two_dead_replicas_fail_quorum() {
         let (env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);

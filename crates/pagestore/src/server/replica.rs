@@ -18,7 +18,7 @@ use vedb_sim::{
 };
 
 use super::checkpoint::SegCheckpoint;
-use super::{ApplyConfig, PageStoreConfig, PsSegmentKey};
+use super::{PageStoreConfig, PsSegmentKey};
 use crate::page::{Page, PAGE_SIZE};
 use crate::redo::RedoRecord;
 use crate::{PageStoreError, Result};
@@ -90,6 +90,17 @@ impl ReplicaSeg {
 /// short whether or not anyone reads the segment, and a checkpoint finds
 /// little left to apply.
 const REPLAY_BATCH: usize = 64;
+
+/// Apply workers per server. Redo partitions by page id across the pool
+/// ([`RedoRecord::apply_partition`]), so independent pages apply
+/// concurrently on the node's CPU lanes while each page keeps LSN order.
+const APPLY_WORKERS: usize = 4;
+
+/// Newly accepted records of a segment after which the replica snapshots
+/// its page images in the background and truncates replayed redo below the
+/// *previous* snapshot, so a restart replays at most about this many
+/// records on top of the last snapshot, however long the log.
+pub const CHECKPOINT_EVERY_RECORDS: u64 = 1024;
 
 /// The page images one fleet's replicas share: one per page version.
 ///
@@ -277,7 +288,6 @@ pub struct PageStoreServer {
     node: NodeId,
     pub(super) res: Arc<NodeRes>,
     pub(super) model: LatencyModel,
-    apply: ApplyConfig,
     /// Apply workers over this node's CPU — parallel redo apply and
     /// restore replay both price their CPU through the pool.
     pool: WorkerPool,
@@ -291,23 +301,13 @@ pub struct PageStoreServer {
 }
 
 impl PageStoreServer {
-    /// Create a server on a storage node with the default apply pipeline
-    /// (parallel workers + background checkpointer, [`ApplyConfig`]).
+    /// Create a server on a storage node: four apply workers and a
+    /// background checkpoint every [`CHECKPOINT_EVERY_RECORDS`] records.
     pub fn new(node: NodeId, res: Arc<NodeRes>, model: LatencyModel) -> Arc<Self> {
-        Self::with_apply(node, res, model, ApplyConfig::default())
-    }
-
-    /// Create a server with an explicit apply-pipeline configuration.
-    pub fn with_apply(
-        node: NodeId,
-        res: Arc<NodeRes>,
-        model: LatencyModel,
-        apply: ApplyConfig,
-    ) -> Arc<Self> {
         let stats = PsStats::register(&res);
         let pool = WorkerPool::with_metrics(
             &format!("{}.apply", res.name),
-            apply.workers.max(1),
+            APPLY_WORKERS,
             Arc::clone(&res.cpu),
             &res.metrics,
         );
@@ -315,7 +315,6 @@ impl PageStoreServer {
             node,
             res,
             model,
-            apply,
             pool,
             ckpt_inflight: AtomicBool::new(false),
             segs: Mutex::new(FxHashMap::default()),
@@ -344,8 +343,9 @@ impl PageStoreServer {
     /// Handler: ingest a batch of records for `key`. Records whose
     /// back-link matches extend the in-order stream; the rest wait in the
     /// out-of-order buffer. Charges per-record CPU, and kicks the
-    /// background checkpointer once enough new records accumulated, or
-    /// else background replay once `REPLAY_BATCH` records queue up.
+    /// background checkpointer once [`CHECKPOINT_EVERY_RECORDS`] new
+    /// records accumulated, or else background replay once `REPLAY_BATCH`
+    /// records queue up.
     pub fn handle_ship(&self, ctx: &mut SimCtx, key: PsSegmentKey, records: &[Arc<RedoRecord>]) {
         let sp = self.stats.trace.span(ctx, "pagestore", "redo_accept");
         let cpu = self.res.cpu.acquire(
@@ -383,8 +383,7 @@ impl PageStoreServer {
             }
             seg.accepted_since_ckpt += accepted;
             (
-                self.apply.checkpoint_every_records > 0
-                    && seg.accepted_since_ckpt >= self.apply.checkpoint_every_records,
+                seg.accepted_since_ckpt >= CHECKPOINT_EVERY_RECORDS,
                 seg.queue.len() >= REPLAY_BATCH,
             )
         };
@@ -441,23 +440,12 @@ impl PageStoreServer {
 
     /// Fill back-link gaps for `key` by gossiping with `peers` (§III:
     /// "with the back-link mechanism a PageStore instance can detect
-    /// missing logs and gossip with other instances to retrieve them").
-    /// Returns how many records were recovered.
-    pub fn gossip_fill(
-        &self,
-        ctx: &mut SimCtx,
-        rpc: &RpcFabric,
-        key: PsSegmentKey,
-        peers: &[Arc<PageStoreServer>],
-    ) -> usize {
-        self.gossip_fill_until(ctx, rpc, key, peers, 0)
-    }
-
-    /// [`gossip_fill`](Self::gossip_fill), additionally pulling the *tail*
-    /// of the stream until `need` is covered. Back-links only reveal holes
-    /// once a later record arrives; a replica that missed the end of the
-    /// stream has no gap evidence, so a reader demanding `need` passes it
-    /// here as the target to chase.
+    /// missing logs and gossip with other instances to retrieve them"),
+    /// and pull the *tail* of the stream until `need` is covered. Back-links
+    /// only reveal holes once a later record arrives; a replica that missed
+    /// the end of the stream has no gap evidence, so a reader demanding
+    /// `need` passes it here as the target to chase. Returns how many
+    /// records were recovered.
     pub fn gossip_fill_until(
         &self,
         ctx: &mut SimCtx,
@@ -751,6 +739,10 @@ impl PageStoreServer {
 
     /// Handler: read the latest image of `page`, replaying (and gossiping
     /// via `peers` if records are missing) until `min_lsn` is covered.
+    /// Parked records prove a hole below them, so the replica fills it
+    /// first even when the reader demands no LSN: an engine back from a
+    /// restart reads with `min_lsn` 0 and would otherwise get the image
+    /// from before the hole.
     pub fn handle_read_page(
         &self,
         ctx: &mut SimCtx,
@@ -763,6 +755,9 @@ impl PageStoreServer {
         let t0 = ctx.now();
         // Error paths drop the guard → the span records as abandoned.
         let sp = self.stats.trace.span(ctx, "pagestore", "read_page");
+        if self.gap_count(key) > 0 {
+            self.gossip_fill_until(ctx, rpc, key, peers, min_lsn);
+        }
         let p = match self.materialize(ctx, key, page, min_lsn) {
             Err(PageStoreError::NotYetApplied { .. }) => {
                 self.gossip_fill_until(ctx, rpc, key, peers, min_lsn);
@@ -857,7 +852,7 @@ mod tests {
         // Gossip heals it.
         let peers: Vec<_> = replicas[1..].to_vec();
         let rpc = RpcFabric::new(env.model.clone(), Arc::clone(&env.faults));
-        replicas[0].gossip_fill(&mut ctx, &rpc, key, &peers);
+        replicas[0].gossip_fill_until(&mut ctx, &rpc, key, &peers, 0);
         assert_eq!(replicas[0].gap_count(key), 0);
         replicas[0].apply_pending(&mut ctx, key).unwrap();
         assert_eq!(replicas[0].applied_lsn(key), 600);

@@ -1,12 +1,13 @@
 //! Property tests for the parallel apply pipeline and point-in-time
 //! restore:
 //!
-//! 1. An N-worker apply produces page images **byte-identical** to a
-//!    serial apply of the same multi-page stream — partitioning by page id
-//!    must not reorder any page's records.
+//! 1. The worker pool produces page images **byte-identical** to a serial
+//!    fold of the same multi-page stream — partitioning by page id must
+//!    not reorder any page's records.
 //! 2. `restore_to_lsn(l)` reproduces exactly the state of a fresh store
-//!    that was only ever shipped the stream's prefix up to `l` (with
-//!    checkpointing disabled so the full log stays coverable).
+//!    that was only ever shipped the stream's prefix up to `l` (the stream
+//!    is shorter than a checkpoint's cadence, so the full log stays
+//!    coverable).
 //! 3. Under random schedules of ships, per-replica applies, checkpoints,
 //!    readers holding images, and restores after which the stream goes on
 //!    with other records at the discarded LSNs: once every replica has
@@ -23,9 +24,7 @@ use proptest::prelude::*;
 use vedb_astore::PageId;
 use vedb_pagestore::page::{Page, PageType};
 use vedb_pagestore::redo::{PageOp, RedoRecord};
-use vedb_pagestore::{
-    ApplyConfig, PageStore, PageStoreConfig, PageStoreError, PageStoreServer, PsSegmentKey,
-};
+use vedb_pagestore::{PageStore, PageStoreConfig, PageStoreError, PageStoreServer, PsSegmentKey};
 use vedb_rdma::RpcFabric;
 use vedb_sim::{ClusterSpec, SimCtx};
 
@@ -191,20 +190,13 @@ fn gen_step() -> impl Strategy<Value = Step> {
     ]
 }
 
-fn store_with(apply: ApplyConfig) -> (Arc<vedb_sim::SimEnv>, Arc<PageStore>) {
+fn store() -> (Arc<vedb_sim::SimEnv>, Arc<PageStore>) {
     let env = ClusterSpec::paper_default().build();
     let servers: Vec<Arc<PageStoreServer>> = env
         .storage_nodes
         .iter()
         .enumerate()
-        .map(|(i, n)| {
-            PageStoreServer::with_apply(
-                200 + i as u32,
-                Arc::clone(n),
-                env.model.clone(),
-                apply.clone(),
-            )
-        })
+        .map(|(i, n)| PageStoreServer::new(200 + i as u32, Arc::clone(n), env.model.clone()))
         .collect();
     let rpc = Arc::new(RpcFabric::new(env.model.clone(), Arc::clone(&env.faults)));
     let ps = PageStore::new(PageStoreConfig::default(), rpc, servers);
@@ -233,27 +225,16 @@ proptest! {
     #[test]
     fn parallel_apply_matches_serial_byte_identical(
         ops in proptest::collection::vec((any::<u8>(), gen_op()), 1..120),
-        workers in 2usize..9,
     ) {
         let (records, models) = realize_multi(&ops);
         let touched: Vec<PageId> = models.keys().copied().collect();
 
-        let no_ckpt = |w: usize| ApplyConfig { workers: w, checkpoint_every_records: 0 };
-        let (_e1, serial) = store_with(no_ckpt(1));
-        let (_e2, parallel) = store_with(no_ckpt(workers));
-        let mut c1 = SimCtx::new(1, 5);
-        let mut c2 = SimCtx::new(1, 5);
-        serial.ship(&mut c1, &records).unwrap();
-        parallel.ship(&mut c2, &records).unwrap();
+        let (_env, ps) = store();
+        let mut ctx = SimCtx::new(1, 5);
+        ps.ship(&mut ctx, &records).unwrap();
 
-        let mut imgs_s = all_images(&mut c1, &serial, &touched);
-        let mut imgs_p = all_images(&mut c2, &parallel, &touched);
-        imgs_s.sort_by_key(|(p, ri, _)| (*p, *ri));
-        imgs_p.sort_by_key(|(p, ri, _)| (*p, *ri));
-        prop_assert_eq!(imgs_s, imgs_p);
-
-        // And both match the model (log-is-database).
-        for (page, _, img) in all_images(&mut c2, &parallel, &touched) {
+        // Every replica's image is the model's serial fold (log-is-database).
+        for (page, _, img) in all_images(&mut ctx, &ps, &touched) {
             prop_assert_eq!(&img, &models[&page], "page {}", page);
         }
     }
@@ -262,7 +243,6 @@ proptest! {
     fn restore_to_lsn_matches_fresh_run_truncated(
         ops in proptest::collection::vec((any::<u8>(), gen_op()), 2..100),
         cut_sel in any::<u16>(),
-        workers in 1usize..9,
     ) {
         let (records, _) = realize_multi(&ops);
         let cut = cut_sel as usize % records.len();
@@ -275,9 +255,8 @@ proptest! {
             p
         };
 
-        let cfg = ApplyConfig { workers, checkpoint_every_records: 0 };
-        let (_e1, restored) = store_with(cfg.clone());
-        let (_e2, fresh) = store_with(cfg);
+        let (_e1, restored) = store();
+        let (_e2, fresh) = store();
         let mut c1 = SimCtx::new(1, 5);
         let mut c2 = SimCtx::new(1, 5);
 
@@ -317,10 +296,8 @@ proptest! {
     fn shared_images_match_serial_replay_under_random_schedules(
         ops in proptest::collection::vec((any::<u8>(), gen_op()), 1..160),
         steps in proptest::collection::vec(gen_step(), 1..60),
-        workers in 1usize..6,
-        checkpoint_every_records in 0u64..12,
     ) {
-        let (_env, ps) = store_with(ApplyConfig { workers, checkpoint_every_records });
+        let (_env, ps) = store();
         let mut ctx = SimCtx::new(1, 5);
         let page_of = |sel: u8| PAGES[sel as usize % PAGES.len()];
         let mut keys: Vec<PsSegmentKey> = PAGES.iter().map(|p| ps.cfg().segment_of(*p)).collect();
