@@ -42,14 +42,15 @@
 //! `astore.segments_replaced` by the client, `astore.lease_renewals` and
 //! `astore.cm_repairs` by the CM.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use vedb_rdma::{RdmaEndpoint, RemoteMr};
 use vedb_sim::fault::NodeId;
 use vedb_sim::trace::TraceLog;
-use vedb_sim::{Counter, LatencyModel, LatencyRecorder, MetricsRegistry, Resource, SimCtx, VTime};
+use vedb_sim::{
+    Counter, FxHashMap, LatencyModel, LatencyRecorder, MetricsRegistry, Resource, SimCtx, VTime,
+};
 
 use crate::cm::{ClusterManager, Lease, Route};
 use crate::layout::SegmentClass;
@@ -142,9 +143,9 @@ pub struct AStoreClient {
     stats: ClientStats,
     lease: Mutex<Lease>,
     /// Per-node connection state: registered MR + server reference.
-    nodes: Mutex<HashMap<NodeId, (RemoteMr, Arc<AStoreServer>)>>,
-    routes: Mutex<HashMap<SegmentId, CachedRoute>>,
-    segs: Mutex<HashMap<SegmentId, SegMeta>>,
+    nodes: Mutex<FxHashMap<NodeId, (RemoteMr, Arc<AStoreServer>)>>,
+    routes: Mutex<FxHashMap<SegmentId, CachedRoute>>,
+    segs: Mutex<FxHashMap<SegmentId, SegMeta>>,
 }
 
 impl AStoreClient {
@@ -177,8 +178,8 @@ impl AStoreClient {
             stats,
             lease: Mutex::new(lease),
             nodes: Mutex::new(nodes),
-            routes: Mutex::new(HashMap::new()),
-            segs: Mutex::new(HashMap::new()),
+            routes: Mutex::new(FxHashMap::default()),
+            segs: Mutex::new(FxHashMap::default()),
         })
     }
 
@@ -362,7 +363,7 @@ impl AStoreClient {
 
     /// Force-refresh all cached routes (background task).
     pub fn refresh_all_routes(&self, ctx: &mut SimCtx) {
-        // One CM RPC per id: ascending, not `RandomState`, order.
+        // One CM RPC per id: ascending, not hash, order.
         let mut ids: Vec<SegmentId> = self.routes.lock().keys().copied().collect();
         ids.sort_unstable();
         for seg in ids {

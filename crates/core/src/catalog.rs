@@ -4,8 +4,9 @@
 //! tablespace; each secondary index is another B+Tree (key → primary key)
 //! in its own space. Space 0 is reserved for the engine's meta page.
 
-use std::collections::HashMap;
 use std::sync::Arc;
+
+use vedb_sim::FxHashMap;
 
 use crate::{EngineError, Result};
 
@@ -76,7 +77,7 @@ impl TableDef {
 #[derive(Default)]
 pub struct Catalog {
     tables: Vec<Arc<TableDef>>,
-    by_name: HashMap<String, usize>,
+    by_name: FxHashMap<String, usize>,
     next_space: u32,
 }
 
@@ -85,7 +86,7 @@ impl Catalog {
     pub fn new() -> Catalog {
         Catalog {
             tables: Vec::new(),
-            by_name: HashMap::new(),
+            by_name: FxHashMap::default(),
             next_space: 1,
         }
     }

@@ -17,7 +17,7 @@
 //!    commit path →
 //! 5. commit = one more WAL record, then locks release.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -33,7 +33,7 @@ use vedb_rdma::{RdmaEndpoint, RpcFabric};
 use vedb_sim::fault::NodeId;
 use vedb_sim::metrics::{Counter, LatencyRecorder};
 use vedb_sim::trace::TraceLog;
-use vedb_sim::{ClusterSpec, MetricsRegistry, SimCtx, SimEnv, VTime};
+use vedb_sim::{ClusterSpec, FxHashMap, MetricsRegistry, SimCtx, SimEnv, VTime};
 
 use crate::btree::BTree;
 use crate::buffer::{BufferPool, EvictionSink, Frame};
@@ -415,14 +415,14 @@ pub struct Db {
     locks: LockManager,
     astore_client: Option<Arc<AStoreClient>>,
     meta: Mutex<MetaState>,
-    page_lsns: Mutex<HashMap<PageId, Lsn>>,
+    page_lsns: Mutex<FxHashMap<PageId, Lsn>>,
     ship_buf: Mutex<Vec<RedoRecord>>,
     /// Serializes drain-and-ship so concurrent committers cannot hand
     /// batches to PageStore in inverted LSN order (see `flush_ship`).
     ship_order: Mutex<()>,
     shipped_lsn: AtomicU64,
     next_txn: AtomicU64,
-    space_latches: Mutex<HashMap<u32, Arc<RwLock<()>>>>,
+    space_latches: Mutex<FxHashMap<u32, Arc<RwLock<()>>>>,
     env: Arc<SimEnv>,
     log_segments: Vec<SegmentId>,
     rpc: Arc<RpcFabric>,
@@ -509,12 +509,12 @@ impl Db {
             astore_client,
             catalog: RwLock::new(Catalog::new()),
             meta: Mutex::new(MetaState::default()),
-            page_lsns: Mutex::new(HashMap::new()),
+            page_lsns: Mutex::new(FxHashMap::default()),
             ship_buf: Mutex::new(Vec::new()),
             ship_order: Mutex::new(()),
             shipped_lsn: AtomicU64::new(0),
             next_txn: AtomicU64::new(1),
-            space_latches: Mutex::new(HashMap::new()),
+            space_latches: Mutex::new(FxHashMap::default()),
             env: Arc::clone(&fabric.env),
             log_segments,
             rpc: Arc::clone(&fabric.rpc),
@@ -1113,7 +1113,7 @@ impl Db {
         Ok(())
     }
 
-    pub(crate) fn install_page_lsns(&self, lsns: HashMap<PageId, Lsn>) {
+    pub(crate) fn install_page_lsns(&self, lsns: FxHashMap<PageId, Lsn>) {
         *self.page_lsns.lock() = lsns;
     }
 

@@ -14,13 +14,12 @@
 //! function of the clocks. It aborts and the workload retries (the
 //! behaviour MySQL-family engines exhibit).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use vedb_sim::metrics::{Counter, LatencyRecorder};
 use vedb_sim::trace::TraceLog;
-use vedb_sim::{LockContention, MetricsRegistry, SimCtx, VTime, Waker};
+use vedb_sim::{FxHashMap, LockContention, MetricsRegistry, SimCtx, VTime, Waker};
 
 use crate::{EngineError, Result};
 
@@ -61,7 +60,7 @@ struct LockState {
 
 #[derive(Default)]
 struct ShardTable {
-    locks: HashMap<LockKey, LockState>,
+    locks: FxHashMap<LockKey, LockState>,
     /// Clients parked on a key of this shard; every release wakes them all
     /// to look again.
     waiters: Vec<Waker>,

@@ -13,9 +13,8 @@
 //! unpinned frames (weight 1 each), the EBP evicts entries of equal or
 //! lower priority (weight = image bytes).
 
-use std::collections::HashMap;
-
 use vedb_astore::PageId;
+use vedb_sim::FxHashMap;
 
 struct Node<V> {
     key: PageId,
@@ -29,7 +28,7 @@ struct Node<V> {
 
 /// One LRU shard: values of type `V` keyed by page id, each with a weight.
 pub(crate) struct LruShard<V> {
-    index: HashMap<PageId, usize>,
+    index: FxHashMap<PageId, usize>,
     nodes: Vec<Node<V>>,
     oldest: Option<usize>,
     newest: Option<usize>,
@@ -39,7 +38,7 @@ pub(crate) struct LruShard<V> {
 impl<V> LruShard<V> {
     pub(crate) fn new() -> Self {
         LruShard {
-            index: HashMap::new(),
+            index: FxHashMap::default(),
             nodes: Vec::new(),
             oldest: None,
             newest: None,

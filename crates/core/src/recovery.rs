@@ -24,7 +24,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use vedb_astore::{Lsn, PageId, SegmentId, SegmentRing};
-use vedb_sim::SimCtx;
+use vedb_sim::{FxHashMap, SimCtx};
 
 use crate::catalog::Catalog;
 use crate::db::{connect_astore, Db, DbConfig, LogBackendKind, StorageFabric, META_PAGE};
@@ -75,7 +75,7 @@ pub fn recover(
     report.records_scanned = records.len();
     let mut terminal: HashSet<u64> = HashSet::new();
     let mut touched: HashSet<u64> = HashSet::new();
-    let mut page_lsns: HashMap<PageId, Lsn> = HashMap::new();
+    let mut page_lsns: FxHashMap<PageId, Lsn> = FxHashMap::default();
     let mut undo_chains: HashMap<u64, Vec<(Lsn, UndoInfo)>> = HashMap::new();
     let mut redo_records = Vec::new();
     for (lsn, rec) in &records {

@@ -266,26 +266,20 @@ impl Gauge {
 /// deterministic and in time order.
 pub struct Timeline {
     bucket_ns: u64,
-    books: Mutex<TimelineBooks>,
+    /// The bucket written last ([`NO_BUCKET`] before the first write) and
+    /// the busy time summed into it since it opened, not yet in `samples`.
+    /// Consecutive intervals mostly fall in the same bucket, so the map is
+    /// touched only when the bucket changes; a snapshot adds this in. Both
+    /// move only under the `samples` lock or by the timeline's single
+    /// writer, and `open_bucket` only under the lock.
+    open_bucket: AtomicU64,
+    open_sum: AtomicI64,
+    samples: Mutex<BTreeMap<u64, i64>>,
 }
 
-#[derive(Clone)]
-struct TimelineBooks {
-    samples: BTreeMap<u64, i64>,
-    /// The bucket written last and the busy time summed into it since it
-    /// opened, not yet in `samples`. Consecutive intervals mostly fall in
-    /// the same bucket, so the map is touched only when the bucket changes;
-    /// a snapshot adds this in.
-    open: Option<(u64, i64)>,
-}
-
-impl TimelineBooks {
-    fn close_open_bucket(&mut self) {
-        if let Some((bucket, sum)) = self.open.take() {
-            *self.samples.entry(bucket).or_insert(0) += sum;
-        }
-    }
-}
+/// `open_bucket` before anything was written: no interval reaches bucket
+/// `u64::MAX`, which would need an end past `u64::MAX`.
+const NO_BUCKET: u64 = u64::MAX;
 
 impl Timeline {
     /// Default bucket width: 1 ms of virtual time.
@@ -295,10 +289,9 @@ impl Timeline {
     pub fn new(bucket_ns: u64) -> Self {
         Timeline {
             bucket_ns: bucket_ns.max(1),
-            books: Mutex::new(TimelineBooks {
-                samples: BTreeMap::new(),
-                open: None,
-            }),
+            open_bucket: AtomicU64::new(NO_BUCKET),
+            open_sum: AtomicI64::new(0),
+            samples: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -310,32 +303,64 @@ impl Timeline {
     /// Accumulate a busy interval `[start_ns, end_ns)` into every bucket it
     /// overlaps, summing the per-bucket overlap in nanoseconds.
     pub fn add_busy(&self, start_ns: u64, end_ns: u64) {
-        if end_ns <= start_ns {
-            return;
-        }
-        let mut books = self.books.lock();
+        let mut samples = self.samples.lock();
+        self.deposit(start_ns, end_ns, |bucket, busy| {
+            self.reopen(&mut samples, bucket, busy)
+        });
+    }
+
+    /// [`add_busy`](Self::add_busy) for a timeline with one writer, which a
+    /// lock held by the caller serialises: an interval inside the open
+    /// bucket is a load and a store, and the map's lock is taken only when
+    /// an interval leaves that bucket. Snapshots see what `add_busy` would
+    /// leave.
+    pub(crate) fn add_busy_single_writer(&self, start_ns: u64, end_ns: u64) {
+        self.deposit(start_ns, end_ns, |bucket, busy| {
+            self.reopen(&mut self.samples.lock(), bucket, busy)
+        });
+    }
+
+    /// Split `[start_ns, end_ns)` at bucket boundaries: a piece in the open
+    /// bucket is summed into it, any other goes to `reopen`.
+    #[inline]
+    fn deposit(&self, start_ns: u64, end_ns: u64, mut reopen: impl FnMut(u64, i64)) {
         let mut s = start_ns;
         while s < end_ns {
             let bucket = s / self.bucket_ns;
-            let bucket_end = (bucket + 1) * self.bucket_ns;
-            let e = end_ns.min(bucket_end);
+            let e = end_ns.min((bucket + 1) * self.bucket_ns);
             let busy = (e - s) as i64;
-            match &mut books.open {
-                Some((open, sum)) if *open == bucket => *sum += busy,
-                _ => {
-                    books.close_open_bucket();
-                    books.open = Some((bucket, busy));
-                }
+            if self.open_bucket.load(Ordering::Relaxed) == bucket {
+                let sum = &self.open_sum;
+                sum.store(sum.load(Ordering::Relaxed) + busy, Ordering::Relaxed);
+            } else {
+                reopen(bucket, busy);
             }
             s = e;
         }
     }
 
+    /// Close the open bucket into `samples` (its lock held) and open
+    /// `bucket` with `busy` in it.
+    fn reopen(&self, samples: &mut BTreeMap<u64, i64>, bucket: u64, busy: i64) {
+        self.close_open_bucket(samples);
+        self.open_sum.store(busy, Ordering::Relaxed);
+        self.open_bucket.store(bucket, Ordering::Relaxed);
+    }
+
+    /// Add the open bucket's sum into `samples` (its lock held).
+    fn close_open_bucket(&self, samples: &mut BTreeMap<u64, i64>) {
+        let open = self.open_bucket.load(Ordering::Relaxed);
+        if open != NO_BUCKET {
+            *samples.entry(open).or_insert(0) += self.open_sum.load(Ordering::Relaxed);
+        }
+    }
+
     /// Copy of the samples, keyed by bucket index, in time order.
     pub fn snapshot(&self) -> BTreeMap<u64, i64> {
-        let mut books = self.books.lock().clone();
-        books.close_open_bucket();
-        books.samples
+        let samples = self.samples.lock();
+        let mut copy = samples.clone();
+        self.close_open_bucket(&mut copy);
+        copy
     }
 }
 
@@ -629,6 +654,31 @@ mod tests {
         // Degenerate interval deposits nothing.
         tl.add_busy(10, 10);
         assert_eq!(tl.snapshot().values().sum::<i64>(), 2_200);
+    }
+
+    #[test]
+    fn single_writer_timeline_matches_add_busy_after_every_interval() {
+        let locked = Timeline::new(1_000);
+        let single = Timeline::new(1_000);
+        let intervals = [
+            (100, 400),     // opens bucket 0
+            (450, 900),     // inside the open bucket
+            (900, 1_300),   // crosses one boundary
+            (1_300, 1_310), // inside the new open bucket
+            (1_500, 4_200), // crosses three boundaries
+            (200, 350),     // behind: reopens bucket 0
+            (4_300, 4_400), // back to bucket 4
+            (2_990, 5_001), // crosses three, into closed buckets 3 and 4
+            (7_000, 7_000), // empty
+        ];
+        for (s, e) in intervals {
+            locked.add_busy(s, e);
+            single.add_busy_single_writer(s, e);
+            assert_eq!(locked.snapshot(), single.snapshot(), "after [{s}, {e})");
+        }
+        let snap = single.snapshot();
+        assert_eq!(snap[&0], 300 + 450 + 100 + 150);
+        assert_eq!(snap.values().sum::<i64>(), 6_121);
     }
 
     #[test]

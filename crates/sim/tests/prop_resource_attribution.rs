@@ -15,8 +15,10 @@
 //!    calendar lock, and the utilisation timeline a `BTreeMap` entry per
 //!    bucket touched. Random single-client sequences (arrivals out of order,
 //!    far jumps past the history horizon and back, services that cross
-//!    bucket boundaries) must leave `Resource` with the same completion
-//!    times, counters, histograms and timeline after every step.
+//!    bucket boundaries), and long mostly in-order runs that keep
+//!    thousands of slots on a lane, must leave `Resource` with the same
+//!    completion times, counters, histograms and timeline after every
+//!    step, at every lane count the cluster builds.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -294,40 +296,98 @@ fn assert_books_match(reg: &MetricsRegistry, model: &reference::Model, lanes: us
     assert_eq!(timelines[0].1.snapshot(), model.util);
 }
 
+/// The lane counts `ClusterSpec` builds (one NIC link, PMem's 7 lanes, the
+/// engine's 20 and storage's 64 cores) and the small ones between.
+fn lanes_strategy() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(1usize),
+        Just(2),
+        Just(3),
+        Just(4),
+        Just(7),
+        Just(20),
+        Just(64)
+    ]
+}
+
+/// A long, mostly in-order run: each arrival moves the frontier past the
+/// previous reservation's end, so the slots do not coalesce and the first
+/// lane keeps about 2 000 of them inside the history horizon (as
+/// `engine.cpu` keeps 1 100–2 200), while the run outlasts the horizon, so
+/// every prune pops from that long front. Every 50th arrival lands up to
+/// 4 ms behind and searches the calendar.
+fn long_run_strategy() -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec(
+        (5_000u64..45_000, 1u64..5_000, 0u64..4_000_000),
+        3_000..3_400,
+    )
+    .prop_map(|draws| {
+        draws
+            .into_iter()
+            .enumerate()
+            .map(|(i, (ahead, svc, behind))| {
+                if i % 50 == 49 {
+                    Step::Acquire(Arrival::Behind(behind), svc)
+                } else {
+                    Step::Acquire(Arrival::Ahead(ahead), svc)
+                }
+            })
+            .collect()
+    })
+}
+
+/// Feed `steps` to a `Resource` of `lanes` lanes and to the reference
+/// model, comparing every book after every step.
+fn books_match_the_model(steps: Vec<Step>, lanes: usize) {
+    // `watched` is compared after every acquire, so its timeline is
+    // snapshotted between any two; `unwatched` is fed the same
+    // sequence and compared once at the end.
+    let watched = MetricsRegistry::new();
+    let unwatched = MetricsRegistry::new();
+    let res = Resource::with_metrics("node.dev", lanes, &watched);
+    let twin = Resource::with_metrics("node.dev", lanes, &unwatched);
+    let mut model = reference::Model::new(lanes);
+    let mut frontier = 0u64;
+    let mut at = |arrival: Arrival| match arrival {
+        Arrival::Ahead(d) => {
+            frontier += d;
+            frontier
+        }
+        Arrival::Behind(d) => frontier.saturating_sub(d),
+    };
+    for Step::Acquire(arrival, svc) in steps {
+        let now = at(arrival);
+        let want = model.acquire(now, svc);
+        let (now, svc) = (VTime::from_nanos(now), VTime::from_nanos(svc));
+        assert_eq!(res.acquire(now, svc).as_nanos(), want);
+        assert_eq!(twin.acquire(now, svc).as_nanos(), want);
+        assert_books_match(&watched, &model, lanes);
+    }
+    assert_books_match(&unwatched, &model, lanes);
+    assert_eq!(res.ops(), model.ops.get());
+    assert_eq!(res.total_busy().as_nanos(), model.busy_ns.get());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn books_match_the_reference_model_after_every_step(
         steps in proptest::collection::vec(step_strategy(), 1..400),
-        lanes in 1usize..5,
+        lanes in lanes_strategy(),
     ) {
-        // `watched` is compared after every acquire, so its timeline is
-        // snapshotted between any two; `unwatched` is fed the same
-        // sequence and compared once at the end.
-        let watched = MetricsRegistry::new();
-        let unwatched = MetricsRegistry::new();
-        let res = Resource::with_metrics("node.dev", lanes, &watched);
-        let twin = Resource::with_metrics("node.dev", lanes, &unwatched);
-        let mut model = reference::Model::new(lanes);
-        let mut frontier = 0u64;
-        let mut at = |arrival: Arrival| match arrival {
-            Arrival::Ahead(d) => {
-                frontier += d;
-                frontier
-            }
-            Arrival::Behind(d) => frontier.saturating_sub(d),
-        };
-        for Step::Acquire(arrival, svc) in steps {
-            let now = at(arrival);
-            let want = model.acquire(now, svc);
-            let (now, svc) = (VTime::from_nanos(now), VTime::from_nanos(svc));
-            prop_assert_eq!(res.acquire(now, svc).as_nanos(), want);
-            prop_assert_eq!(twin.acquire(now, svc).as_nanos(), want);
-            assert_books_match(&watched, &model, lanes);
-        }
-        assert_books_match(&unwatched, &model, lanes);
-        prop_assert_eq!(res.ops(), model.ops.get());
-        prop_assert_eq!(res.total_busy().as_nanos(), model.busy_ns.get());
+        books_match_the_model(steps, lanes);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn books_match_the_reference_model_over_a_long_in_order_run(
+        steps in long_run_strategy(),
+        lanes in lanes_strategy(),
+    ) {
+        books_match_the_model(steps, lanes);
     }
 }
