@@ -5,10 +5,11 @@
 //! that hardware* with **virtual time**: every simulated client carries its own
 //! clock ([`SimCtx`]), and every shared piece of hardware (a server's CPU
 //! cores, a PMem device's internal parallelism, an SSD's channels, a NIC link)
-//! is a [`Resource`] — a k-server queue reserved with an atomic *busy-until*
-//! protocol. Queueing delay therefore **emerges from contention** instead of
-//! being hard-coded, which is what lets the reproduction recover the paper's
-//! shapes (throughput peaks, latency crossovers, concurrency collapse).
+//! is a [`Resource`] — a k-server queue whose lanes keep gap-aware calendars
+//! of reservations. Queueing delay therefore **emerges from contention**
+//! instead of being hard-coded, which is what lets the reproduction recover
+//! the paper's shapes (throughput peaks, latency crossovers, concurrency
+//! collapse).
 //!
 //! Nothing in this crate knows about databases; it provides:
 //!
