@@ -17,13 +17,14 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
-use vedb_sim::{FxHashMap, SimCtx, VTime};
+use vedb_sim::{SimCtx, VTime};
 
 use crate::db::Db;
+use crate::query::chains::Chains;
 use crate::query::pipeline::Pipeline;
 use crate::query::plan::Plan;
 use crate::query::pushdown::{self, Fragment};
-use crate::row::{encode_value, ColSet, Row, Value};
+use crate::row::{hash_values, same_encoding, ColSet, Row, Value};
 use crate::Result;
 
 /// Per-session query settings (the paper's "session variable enabling the
@@ -59,24 +60,12 @@ impl QuerySession {
 /// Where an operator's rows go: its consumer, which copies what it keeps.
 pub(super) type Sink<'a> = &'a mut dyn FnMut(Cow<'_, Row>) -> Result<()>;
 
-/// A hash join's key map: encoded key bytes → value, hashed by
-/// [`FxHasher`](vedb_sim::FxHasher). The keys are rows the simulated
-/// workloads generate; an engine joining untrusted clients' rows would want
-/// SipHash back. The map is never iterated, so its order does not matter.
-type KeyMap<V> = FxHashMap<Vec<u8>, V>;
-
-/// Canonical bytes of `row`'s values at `at` in `key` (hashable join key).
-/// `false` when a key part is NULL: such a row joins nothing. Key columns are
-/// always demanded, so a key part is never a placeholder NULL.
-fn key_of(row: &[Value], at: &[usize], key: &mut Vec<u8>) -> bool {
-    key.clear();
-    for i in at {
-        if row[*i].is_null() {
-            return false;
-        }
-        encode_value(&row[*i], key);
-    }
-    true
+/// The hash of `row`'s values at `at`, a join key; `None` when a key part
+/// is NULL: such a row joins nothing. Key columns are always demanded, so a
+/// key part is never a placeholder NULL.
+fn key_hash(row: &[Value], at: &[usize]) -> Option<u64> {
+    let key = at.iter().map(|i| &row[*i]);
+    (!key.clone().any(Value::is_null)).then(|| hash_values(key))
 }
 
 fn charge_rows(ctx: &mut SimCtx, db: &Db, rows: usize, per_row_ns: u64) {
@@ -144,6 +133,8 @@ fn right_need(reads: &ColSet, width: Option<usize>) -> ColSet {
 
 /// A hash join's build side: of each left row only the demanded columns,
 /// back to back in one buffer. Every left row has the first one's width.
+/// A probe finds the rows of its key by the key's hash ([`Build::chains`],
+/// [`Build::matches`]); no key is encoded.
 #[derive(Default)]
 struct Build {
     width: Option<usize>,
@@ -176,6 +167,35 @@ impl Build {
 
     fn row(&self, i: usize) -> &[Value] {
         &self.vals[i * self.cols.len()..(i + 1) * self.cols.len()]
+    }
+
+    /// Every row on the chain of its key's hash, the key kept at `at`; a
+    /// row with a NULL key part joins nothing and is on no chain.
+    fn chains(&self, at: &[usize]) -> Chains {
+        let mut chains = Chains::with_capacity(self.rows);
+        for i in 0..self.rows {
+            if let Some(hash) = key_hash(self.row(i), at) {
+                chains.add(hash, i);
+            }
+        }
+        chains
+    }
+
+    /// The rows `key`'s values at `key_at` join, in build order: those on
+    /// `chains` under `hash`, their hash, whose values at `at` are the same.
+    fn matches<'a>(
+        &'a self,
+        chains: &'a Chains,
+        hash: u64,
+        at: &'a [usize],
+        key: &'a [Value],
+        key_at: &'a [usize],
+    ) -> impl Iterator<Item = usize> + 'a {
+        chains.find(hash, move |i| {
+            let row = self.row(i);
+            let mut parts = at.iter().zip(key_at);
+            parts.all(|(a, k)| same_encoding(&row[*a], &key[*k]))
+        })
     }
 
     /// Where each of `columns` is kept in a row (nowhere without a row).
@@ -331,41 +351,31 @@ fn run(
                 build.push(row, &lneed);
                 Ok(())
             })?;
-            // The build rows of one key are a chain in build order: the map
-            // holds its first and last row, `next[i]` the row after row `i`.
-            let mut chains: KeyMap<(usize, usize)> =
-                KeyMap::with_capacity_and_hasher(build.rows, Default::default());
-            let mut next = vec![usize::MAX; build.rows];
-            let mut key = Vec::with_capacity(left_keys.len() * 9);
-            let lkeys = build.at(left_keys);
-            for i in 0..build.rows {
-                if !key_of(build.row(i), &lkeys, &mut key) {
-                    continue;
-                }
-                if let Some((_, last)) = chains.get_mut(&key) {
-                    next[*last] = i;
-                    *last = i;
-                } else {
-                    chains.insert(key.clone(), (i, i));
-                }
-            }
             let rneed = right_need(&reads, build.width).with(right_keys.iter().copied());
+            debug_assert!(
+                left_keys.iter().all(|k| lneed.contains(*k))
+                    && right_keys.iter().all(|k| rneed.contains(*k)),
+                "a join key column is demanded on both sides"
+            );
+            let lkeys = build.at(left_keys);
+            let chains = build.chains(&lkeys);
             let width = build.width.unwrap_or(0);
             let mut joined = Joined::new(&reads, width, build.cols.iter().copied());
             let mut n_right = 0;
             run(ctx, db, session, right, &rneed, &mut |rrow| {
                 n_right += 1;
-                if !key_of(&rrow, right_keys, &mut key) {
+                let Some(hash) = key_hash(&rrow, right_keys) else {
                     return Ok(());
-                }
-                let mut at = chains.get(&key).map_or(usize::MAX, |(first, _)| *first);
-                if at != usize::MAX {
+                };
+                let mut rows = build
+                    .matches(&chains, hash, &lkeys, &rrow, right_keys)
+                    .peekable();
+                if rows.peek().is_some() {
                     joined.set_right(&rrow);
                 }
-                while at != usize::MAX {
-                    joined.set_left(build.row(at));
+                for i in rows {
+                    joined.set_left(build.row(i));
                     emit(&mut pipe, Cow::Borrowed(&joined.row), sink)?;
-                    at = next[at];
                 }
                 Ok(())
             })?;
@@ -435,4 +445,41 @@ fn run(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Build rows whose keys all hash alike still join only their own key,
+    /// in build order: the chain is one, the keys stay apart.
+    #[test]
+    fn colliding_join_keys_stay_apart_in_build_order() {
+        let keys = [
+            Value::Str("abc".into()),
+            Value::Str("ab".into()),
+            Value::Int(1),
+            Value::Str("abc".into()),
+            Value::Double(1.0),
+            Value::Str("ab".into()),
+            Value::Int(1),
+        ];
+        let mut build = Build::default();
+        for (id, key) in keys.iter().enumerate() {
+            let row = vec![Value::Int(id as i64), key.clone()];
+            build.push(Cow::Owned(row), &ColSet::all());
+        }
+        let at = build.at(&[1]);
+        let mut chains = Chains::default();
+        (0..build.rows).for_each(|i| chains.add(42, i));
+        let joins = |key: Value| -> Vec<usize> {
+            let probe = vec![key];
+            build.matches(&chains, 42, &at, &probe, &[0]).collect()
+        };
+        assert_eq!(joins(Value::Str("abc".into())), [0, 3]);
+        assert_eq!(joins(Value::Str("ab".into())), [1, 5]);
+        assert_eq!(joins(Value::Int(1)), [2, 6]);
+        assert_eq!(joins(Value::Double(1.0)), [4]);
+        assert_eq!(joins(Value::Str("a".into())), [0usize; 0]);
+    }
 }

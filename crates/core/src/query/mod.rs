@@ -2,6 +2,7 @@
 //! push-down framework (§VI). Filter, projection and aggregation exist
 //! once, in the private `pipeline` module both executors feed.
 
+mod chains;
 pub mod exec;
 pub mod expr;
 mod pipeline;

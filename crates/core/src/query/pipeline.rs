@@ -16,11 +16,11 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::btree_map::{BTreeMap, Entry};
 
+use crate::query::chains::Chains;
 use crate::query::expr::Expr;
 use crate::query::plan::{AggExpr, AggFunc};
-use crate::row::{encode_value, ColSet, Row, Value};
+use crate::row::{encode_value, hash_values, same_encoding, ColSet, Row, Value};
 use crate::Result;
 
 /// Running aggregate state.
@@ -154,10 +154,83 @@ fn keep_if(m: &mut Option<Value>, v: &Value, beats: Ordering) {
     }
 }
 
-/// Groups in group-key order: encoded group columns → (group values, one
-/// state per aggregate). The encoding is prefix-free, so byte order of the
-/// keys is the byte order of the encoded output rows.
-type Groups = BTreeMap<Vec<u8>, (Vec<Value>, Vec<AggState>)>;
+/// The group table: each group's values and one state per aggregate, in the
+/// order the groups arrived, found by the hash of their values through
+/// [`Chains`]. Output is in group-key order: [`Groups::drain`] encodes each
+/// key once and sorts by the bytes, which (the encoding being prefix-free)
+/// is the byte order of the encoded output rows.
+#[derive(Default)]
+struct Groups {
+    chains: Chains,
+    groups: Vec<(Vec<Value>, Vec<AggState>)>,
+}
+
+impl Groups {
+    /// The group of the values `key`, whose [`hash_values`] is `hash`.
+    fn find<'v>(&self, hash: u64, key: impl Iterator<Item = &'v Value> + Clone) -> Option<usize> {
+        let same = |g: usize| {
+            let vals = self.groups[g].0.iter();
+            vals.zip(key.clone()).all(|(a, b)| same_encoding(a, b))
+        };
+        self.chains.find(hash, same).next()
+    }
+
+    /// Fold `row`, the hash of whose group values is `hash`, into its group.
+    fn update(&mut self, hash: u64, row: &Row, group_by: &[usize], aggs: &[AggExpr]) -> Result<()> {
+        let g = if group_by.is_empty() && !self.groups.is_empty() {
+            // Without GROUP BY there is one group: no key to find.
+            0
+        } else {
+            let key = group_by.iter().map(|i| &row[*i]);
+            match self.find(hash, key.clone()) {
+                Some(g) => g,
+                // The group's values are built once per group, not once per row.
+                None => {
+                    let fresh = aggs.iter().map(|a| AggState::new(a.func)).collect();
+                    self.add(hash, (key.cloned().collect(), fresh))
+                }
+            }
+        };
+        for (state, agg) in self.groups[g].1.iter_mut().zip(aggs) {
+            state.update(agg.func, &*agg.expr.eval_ref(row)?);
+        }
+        Ok(())
+    }
+
+    /// Add a group, the hash of whose values is `hash`; its index.
+    fn add(&mut self, hash: u64, group: (Vec<Value>, Vec<AggState>)) -> usize {
+        let g = self.groups.len();
+        self.chains.add(hash, g);
+        self.groups.push(group);
+        g
+    }
+
+    /// Every group, its values followed by what `emit` makes of each state,
+    /// in group-key order.
+    fn drain(self, mut emit: impl FnMut(AggState, &mut Row)) -> Vec<Row> {
+        // Each key is encoded once, into one buffer; no two keys are equal.
+        let mut bytes = Vec::new();
+        let mut keyed: Vec<_> = self
+            .groups
+            .into_iter()
+            .map(|(vals, states)| {
+                let from = bytes.len();
+                vals.iter().for_each(|v| encode_value(v, &mut bytes));
+                ((from, bytes.len()), vals, states)
+            })
+            .collect();
+        keyed.sort_unstable_by(|(a, ..), (b, ..)| bytes[a.0..a.1].cmp(&bytes[b.0..b.1]));
+        keyed
+            .into_iter()
+            .map(|(_, mut row, states)| {
+                for s in states {
+                    emit(s, &mut row);
+                }
+                row
+            })
+            .collect()
+    }
+}
 
 /// One fragment's operators over a stream of rows; see the module docs.
 pub(super) struct Pipeline<'a> {
@@ -172,8 +245,6 @@ pub(super) struct Pipeline<'a> {
     projected: Row,
     seen: usize,
     groups: Groups,
-    /// Scratch for the group key of the row at hand.
-    key: Vec<u8>,
 }
 
 impl<'a> Pipeline<'a> {
@@ -197,8 +268,7 @@ impl<'a> Pipeline<'a> {
             emits,
             projected: Row::new(),
             seen: 0,
-            groups: Groups::new(),
-            key: Vec::new(),
+            groups: Groups::default(),
         }
     }
 
@@ -265,31 +335,8 @@ impl<'a> Pipeline<'a> {
         let Some((group_by, aggs)) = self.agg else {
             return Ok(Some(row));
         };
-        let states = if group_by.is_empty() && !self.groups.is_empty() {
-            // Without GROUP BY there is one group: no key to encode or find.
-            &mut self.groups.values_mut().next().expect("the one group").1
-        } else {
-            self.key.clear();
-            for i in group_by {
-                encode_value(&row[*i], &mut self.key);
-            }
-            // The group's values are built once per group, not once per row.
-            match self.groups.get_mut(&self.key) {
-                Some((_, states)) => states,
-                None => {
-                    let vals = group_by.iter().map(|i| row[*i].clone()).collect();
-                    let fresh = aggs.iter().map(|a| AggState::new(a.func)).collect();
-                    &mut self
-                        .groups
-                        .entry(self.key.clone())
-                        .or_insert((vals, fresh))
-                        .1
-                }
-            }
-        };
-        for (state, agg) in states.iter_mut().zip(aggs) {
-            state.update(agg.func, &*agg.expr.eval_ref(&row)?);
-        }
+        let hash = hash_values(group_by.iter().map(|i| &row[*i]));
+        self.groups.update(hash, &row, group_by, aggs)?;
         Ok(None)
     }
 
@@ -299,47 +346,32 @@ impl<'a> Pipeline<'a> {
         let (group_by, aggs) = self.agg.expect("only an aggregation has partials");
         let mut cols = partial.into_iter();
         let vals: Vec<Value> = cols.by_ref().take(group_by.len()).collect();
-        let mut key = Vec::new();
-        for v in &vals {
-            encode_value(v, &mut key);
-        }
+        let hash = hash_values(&vals);
         let states = aggs
             .iter()
             .map(|a| AggState::read_partial(a.func, &mut cols));
-        match self.groups.entry(key) {
-            Entry::Occupied(mut e) => {
-                for (mine, theirs) in e.get_mut().1.iter_mut().zip(states) {
+        match self.groups.find(hash, vals.iter()) {
+            Some(g) => {
+                for (mine, theirs) in self.groups.groups[g].1.iter_mut().zip(states) {
                     mine.merge(theirs);
                 }
             }
-            Entry::Vacant(e) => {
-                e.insert((vals, states.collect()));
+            None => {
+                self.groups.add(hash, (vals, states.collect()));
             }
         }
-    }
-
-    fn drain(self, mut emit: impl FnMut(AggState, &mut Row)) -> Vec<Row> {
-        self.groups
-            .into_values()
-            .map(|(mut row, states)| {
-                for s in states {
-                    emit(s, &mut row);
-                }
-                row
-            })
-            .collect()
     }
 
     /// End in final rows: one per group — group values, then each
     /// aggregate's value — in group-key order. No input row, no group.
     pub(super) fn finish(self) -> Vec<Row> {
-        self.drain(|s, row| row.push(s.finalize()))
+        self.groups.drain(|s, row| row.push(s.finalize()))
     }
 
     /// End in transferable rows (storage side): one per group — group
     /// values, then each aggregate's partial state.
     pub(super) fn partials(self) -> Vec<Row> {
-        self.drain(AggState::write_partial)
+        self.groups.drain(AggState::write_partial)
     }
 }
 
@@ -409,6 +441,58 @@ mod tests {
             bytes
         });
         out
+    }
+
+    /// Two group keys whose hashes collide stay two groups, each folding
+    /// its own rows in arrival order (an inexact sum shows the order), and
+    /// come out in encoded-key order, not in the order they arrived.
+    #[test]
+    fn colliding_group_keys_stay_apart_in_arrival_order() {
+        let aggs = [
+            AggExpr {
+                func: AggFunc::CountStar,
+                expr: Expr::col(1),
+            },
+            AggExpr {
+                func: AggFunc::Sum,
+                expr: Expr::col(1),
+            },
+        ];
+        let mut pipe = Pipeline::new(&None, &None, Some((&[0], &aggs)));
+        let big = 1e16;
+        let rows = [
+            ("abc", big),
+            ("ab", 1.0),
+            ("abc", 1.0),
+            ("ab", 1.0),
+            ("abc", 1.0),
+            ("ab", big),
+        ];
+        for (key, v) in rows {
+            let row = vec![Value::Str(key.into()), Value::Double(v)];
+            pipe.groups.update(42, &row, &[0], &aggs).unwrap();
+        }
+        let arrived: Vec<&Value> = pipe.groups.groups.iter().map(|(k, _)| &k[0]).collect();
+        assert_eq!(
+            arrived,
+            [&Value::Str("abc".into()), &Value::Str("ab".into())]
+        );
+        let sum = |vs: &[f64]| Value::Double(vs.iter().fold(0.0, |s, v| s + v));
+        assert_eq!(
+            pipe.finish(),
+            [
+                vec![
+                    Value::Str("ab".into()),
+                    Value::Int(3),
+                    sum(&[1.0, 1.0, big])
+                ],
+                vec![
+                    Value::Str("abc".into()),
+                    Value::Int(3),
+                    sum(&[big, 1.0, 1.0])
+                ],
+            ]
+        );
     }
 
     proptest! {

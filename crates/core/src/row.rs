@@ -10,6 +10,8 @@
 //!   and go big-endian; strings are terminated with `0x00 0x01`-escaped
 //!   framing; NULL is not allowed in keys.
 
+use std::hash::Hasher;
+
 use crate::{EngineError, Result};
 
 /// A single column value.
@@ -126,6 +128,48 @@ pub(crate) fn encode_value(v: &Value, out: &mut Vec<u8>) {
             out.extend_from_slice(s.as_bytes());
         }
     }
+}
+
+/// Is `encode_value(a) == encode_value(b)`? The same variant holding the
+/// same payload: an `Int` equal to an `Int`, a `Double` with the same bits (so
+/// `0.0` is not `-0.0`, and a NaN is itself), a `Str` equal to a `Str`, or two
+/// NULLs. `Int(1)` is not `Double(1.0)`. This is what makes two join or group
+/// keys one key; no bytes are built to decide it.
+pub(crate) fn same_encoding(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Null, Value::Null) => true,
+        (Value::Int(x), Value::Int(y)) => x == y,
+        (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
+        (Value::Str(x), Value::Str(y)) => x == y,
+        _ => false,
+    }
+}
+
+/// The [`FxHasher`](vedb_sim::FxHasher) hash of a run of values, tag and
+/// payload of each: values [`same_encoding`] one by one hash alike, so a key
+/// can be found by this hash and told apart from a colliding one by
+/// [`same_encoding`].
+pub(crate) fn hash_values<'a>(vals: impl IntoIterator<Item = &'a Value>) -> u64 {
+    let mut h = vedb_sim::FxHasher::default();
+    for v in vals {
+        match v {
+            Value::Null => h.write_u64(0),
+            Value::Int(i) => {
+                h.write_u64(1);
+                h.write_u64(*i as u64);
+            }
+            Value::Double(d) => {
+                h.write_u64(2);
+                h.write_u64(d.to_bits());
+            }
+            Value::Str(s) => {
+                h.write_u64(3);
+                h.write_usize(s.len());
+                h.write(s.as_bytes());
+            }
+        }
+    }
+    h.finish()
 }
 
 /// The columns of a row that somebody reads: every column, or the indexes
@@ -383,7 +427,67 @@ mod tests {
         buf
     }
 
+    /// `(kind, pick, bits)` → a value, mostly from pools whose encodings are
+    /// easy to confuse: an `Int` equal to an integral `Double`, NaNs of two
+    /// payloads and signs, `0.0` and `-0.0`, strings that are empty, hold
+    /// `\0` or share a prefix. Kinds 2 and 4 take arbitrary bits.
+    fn edge_value((kind, pick, bits): (u8, usize, u64)) -> Value {
+        const INTS: [i64; 6] = [0, 1, -1, 2, i64::MIN, 1 << 53];
+        const DOUBLES: [f64; 9] = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            2.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            (1u64 << 53) as f64,
+        ];
+        const STRS: [&str; 8] = ["", "a", "ab", "abc", "a\0", "a\0b", "\0", "b"];
+        match kind {
+            0 => Value::Null,
+            1 => Value::Int(INTS[pick % INTS.len()]),
+            2 => Value::Int(bits as i64),
+            3 => Value::Double(DOUBLES[pick % DOUBLES.len()]),
+            4 => Value::Double(f64::from_bits(bits)),
+            _ => Value::Str(STRS[pick % STRS.len()].into()),
+        }
+    }
+
+    fn encoded<'a>(vals: impl IntoIterator<Item = &'a Value>) -> Vec<u8> {
+        let mut out = Vec::new();
+        vals.into_iter().for_each(|v| encode_value(v, &mut out));
+        out
+    }
+
     proptest! {
+        #[test]
+        fn same_encoding_is_equal_bytes_and_equal_bytes_hash_alike(
+            a in proptest::collection::vec((0u8..6, 0usize..9, any::<u64>()), 0..6),
+            fresh in proptest::collection::vec((0u8..6, 0usize..9, any::<u64>()), 6..7),
+            keep in any::<u8>(),
+        ) {
+            // `b` keeps some of `a`'s values and draws the others afresh.
+            let a: Vec<Value> = a.into_iter().map(edge_value).collect();
+            let b: Vec<Value> = a
+                .iter()
+                .zip(fresh)
+                .enumerate()
+                .map(|(i, (v, f))| if keep >> i & 1 == 1 { v.clone() } else { edge_value(f) })
+                .collect();
+            for (x, y) in a.iter().zip(&b) {
+                let same = encoded([x]) == encoded([y]);
+                prop_assert_eq!(same_encoding(x, y), same, "{:?} vs {:?}", x, y);
+                if same {
+                    prop_assert_eq!(hash_values([x]), hash_values([y]));
+                }
+            }
+            if encoded(&a) == encoded(&b) {
+                prop_assert_eq!(hash_values(&a), hash_values(&b));
+            }
+        }
+
         #[test]
         fn any_demanded_set_decodes_like_the_full_row(
             cols in proptest::collection::vec((0u8..4, any::<u64>(), 0usize..4), 0..12),

@@ -375,3 +375,174 @@ fn pushed_results_repeat_bit_for_bit_across_deployments() {
         assert_eq!(run(), first);
     }
 }
+
+/// A row as text with a NaN's bits spelled out, so two NaNs compare by
+/// their bits and `-0.0` stays apart from `0.0`.
+fn show(rows: &[Row]) -> Vec<String> {
+    let value = |v: &Value| match v {
+        Value::Double(d) if d.is_nan() => format!("NaN({:#x})", d.to_bits()),
+        v => format!("{v:?}"),
+    };
+    let row = |r: &Row| r.iter().map(value).collect::<Vec<_>>().join(" ");
+    rows.iter().map(row).collect()
+}
+
+/// Keys whose encodings are easy to confuse: `Int 1` against `Double 1.0`,
+/// `0.0` against `-0.0`, NaNs of two payloads, NULL and strings sharing a
+/// prefix. Joins and `GROUP BY`s on them return these rows, in this order,
+/// with and without push-down.
+#[test]
+fn edge_keys_join_and_group_as_their_encodings_do() {
+    let f = fabric();
+    let mut ctx = SimCtx::new(1, 7);
+    let db = Db::open(&mut ctx, &f, DbConfig::builder().build().unwrap()).unwrap();
+    db.define_schema(|cat| {
+        for name in ["a", "b"] {
+            cat.define(name)
+                .col("id", ColumnType::Int)
+                .col("k", ColumnType::Double)
+                .col("s", ColumnType::Str)
+                .pk(&["id"])
+                .build();
+        }
+    });
+    db.create_tables(&mut ctx).unwrap();
+    let dbl = Value::Double;
+    let nan = f64::NAN;
+    let other_nan = f64::from_bits(0x7ff8_0000_0000_0001);
+    let a = [
+        (Value::Int(1), "ab"),
+        (dbl(1.0), "abc"),
+        (dbl(0.0), "a"),
+        (dbl(-0.0), "ab"),
+        (dbl(nan), "a\0"),
+        (dbl(nan), "abc"),
+        (Value::Int(1), "a"),
+        (Value::Null, "ab"),
+        (dbl(-0.0), ""),
+        (dbl(other_nan), "ab"),
+    ];
+    let b = [
+        (dbl(1.0), "a"),
+        (Value::Int(1), "abc"),
+        (dbl(-0.0), "a\0"),
+        (dbl(nan), "ab"),
+        (Value::Null, "abcd"),
+        (dbl(0.0), ""),
+    ];
+    let mut txn = db.begin();
+    for (table, rows) in [("a", &a[..]), ("b", &b[..])] {
+        for (id, (k, s)) in rows.iter().enumerate() {
+            let row = vec![Value::Int(id as i64), k.clone(), Value::Str((*s).into())];
+            db.insert(&mut ctx, &mut txn, table, row).unwrap();
+        }
+    }
+    db.commit(&mut ctx, &mut txn).unwrap();
+    db.checkpoint(&mut ctx).unwrap();
+
+    // Joins emit (a.id, b.id) in probe order, each probe row's build rows
+    // in build order; groups come out in encoded-key order.
+    let ids = || vec![Expr::col(0), Expr::col(3)];
+    let join = |right: &str, keys: Vec<usize>| {
+        let scan = Plan::scan("a").hash_join(Plan::scan(right), keys.clone(), keys);
+        scan.project(ids())
+    };
+    let cases: [(Plan, &[&str]); 6] = [
+        (
+            join("b", vec![1]),
+            &[
+                "Int(1) Int(0)",
+                "Int(0) Int(1)",
+                "Int(6) Int(1)",
+                "Int(3) Int(2)",
+                "Int(8) Int(2)",
+                "Int(4) Int(3)",
+                "Int(5) Int(3)",
+                "Int(2) Int(5)",
+            ],
+        ),
+        (
+            join("b", vec![2]),
+            &[
+                "Int(2) Int(0)",
+                "Int(6) Int(0)",
+                "Int(1) Int(1)",
+                "Int(5) Int(1)",
+                "Int(4) Int(2)",
+                "Int(0) Int(3)",
+                "Int(3) Int(3)",
+                "Int(7) Int(3)",
+                "Int(9) Int(3)",
+                "Int(8) Int(5)",
+            ],
+        ),
+        (
+            join("a", vec![1, 2]),
+            &[
+                "Int(0) Int(0)",
+                "Int(1) Int(1)",
+                "Int(2) Int(2)",
+                "Int(3) Int(3)",
+                "Int(4) Int(4)",
+                "Int(5) Int(5)",
+                "Int(6) Int(6)",
+                "Int(8) Int(8)",
+                "Int(9) Int(9)",
+            ],
+        ),
+        (
+            Plan::scan("a").agg(
+                vec![1],
+                vec![AggExpr::count_star(), AggExpr::sum(Expr::col(0))],
+            ),
+            &[
+                "Null Int(1) Double(7.0)",
+                "Int(1) Int(2) Double(6.0)",
+                "Double(0.0) Int(1) Double(2.0)",
+                "Double(-0.0) Int(2) Double(11.0)",
+                "Double(1.0) Int(1) Double(1.0)",
+                "NaN(0x7ff8000000000000) Int(2) Double(9.0)",
+                "NaN(0x7ff8000000000001) Int(1) Double(9.0)",
+            ],
+        ),
+        (
+            Plan::scan("a").agg(vec![2], vec![AggExpr::count_star()]),
+            &[
+                "Str(\"\") Int(1)",
+                "Str(\"a\") Int(2)",
+                "Str(\"a\\0\") Int(1)",
+                "Str(\"ab\") Int(4)",
+                "Str(\"abc\") Int(2)",
+            ],
+        ),
+        (
+            Plan::scan("a").agg(vec![1, 2], vec![AggExpr::count_star()]),
+            &[
+                "Null Str(\"ab\") Int(1)",
+                "Int(1) Str(\"a\") Int(1)",
+                "Int(1) Str(\"ab\") Int(1)",
+                "Double(0.0) Str(\"a\") Int(1)",
+                "Double(-0.0) Str(\"\") Int(1)",
+                "Double(-0.0) Str(\"ab\") Int(1)",
+                "Double(1.0) Str(\"abc\") Int(1)",
+                "NaN(0x7ff8000000000000) Str(\"a\\0\") Int(1)",
+                "NaN(0x7ff8000000000000) Str(\"abc\") Int(1)",
+                "NaN(0x7ff8000000000001) Str(\"ab\") Int(1)",
+            ],
+        ),
+    ];
+    let pushed = QuerySession {
+        pushdown: true,
+        pushdown_min_pages: 0,
+    };
+    let rpcs = db.env().metrics.counter("rdma", "rpc_calls");
+    for (i, (plan, expect)) in cases.iter().enumerate() {
+        for session in [&QuerySession::default(), &pushed] {
+            let before = rpcs.get();
+            let rows = execute(&mut ctx, &db, session, plan).unwrap();
+            let where_ = if session.pushdown { "pushed" } else { "local" };
+            assert_eq!(show(&rows), *expect, "plan {i}, {where_}");
+            assert_eq!(rpcs.get() > before, session.pushdown, "plan {i}, {where_}");
+        }
+    }
+}
