@@ -533,9 +533,8 @@ impl ClusterManager {
                         .expect("slot readable");
                     let done = target
                         .device()
-                        .write(ctx.now(), new_off, &data)
+                        .persist(ctx.now(), new_off, &[(0, &data)])
                         .expect("slot writable");
-                    target.device().flush(done);
                     ctx.wait_until(done);
                     // The io-meta (effective length) lives outside the slot
                     // and must travel with it, or the new replica would
@@ -546,9 +545,8 @@ impl ClusterManager {
                         .expect("io-meta readable");
                     let done = target
                         .device()
-                        .write(ctx.now(), target.io_meta_offset(new_off), &meta)
+                        .persist(ctx.now(), target.io_meta_offset(new_off), &[(0, &meta)])
                         .expect("io-meta writable");
-                    target.device().flush(done);
                     ctx.wait_until(done);
                     let mut st = self.state.lock();
                     if let Some(r) = st.routes.get_mut(&seg) {
@@ -822,21 +820,17 @@ mod tests {
             .iter()
             .find(|s| s.node() == route.replicas[0].node)
             .unwrap();
-        let t = src
-            .device()
-            .write(ctx.now(), route.replicas[0].offset, b"replica-data")
+        src.device()
+            .persist(ctx.now(), route.replicas[0].offset, &[(0, b"replica-data")])
             .unwrap();
-        src.device().flush(t);
         // Mirror onto the second replica as a real client would.
         let dst0 = servers
             .iter()
             .find(|s| s.node() == route.replicas[1].node)
             .unwrap();
-        let t = dst0
-            .device()
-            .write(ctx.now(), route.replicas[1].offset, b"replica-data")
+        dst0.device()
+            .persist(ctx.now(), route.replicas[1].offset, &[(0, b"replica-data")])
             .unwrap();
-        dst0.device().flush(t);
 
         // Kill the first replica's node; everyone else keeps heartbeating.
         env.faults.crash(route.replicas[0].node);

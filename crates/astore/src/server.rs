@@ -154,9 +154,9 @@ impl AStoreServer {
         let mut sb = vec![0u8; 16];
         sb[0..8].copy_from_slice(&SUPERBLOCK_MAGIC.to_le_bytes());
         sb[8..16].copy_from_slice(&(geo.slots as u64).to_le_bytes());
+        let formatted = device.persist(VTime::ZERO, 0, &[(0, &sb)]);
         // vedb-lint: allow(no-panic-in-runtime, "format-time write at offset 0; Geometry::for_capacity guarantees the superblock fits")
-        device.write(VTime::ZERO, 0, &sb).expect("superblock fits");
-        device.flush(VTime::ZERO);
+        formatted.expect("superblock fits");
         let stats = SpaceStats::register(&res.metrics);
         let server = Arc::new(AStoreServer {
             node,
@@ -250,9 +250,8 @@ impl AStoreServer {
     fn persist(&self, ctx: &mut SimCtx, offset: u64, data: &[u8]) -> Result<()> {
         let done = self
             .device
-            .write(ctx.now(), offset, data)
+            .persist(ctx.now(), offset, &[(0, data)])
             .map_err(|e| AStoreError::Corrupt(format!("layout outside the device: {e}")))?;
-        self.device.flush(done);
         ctx.wait_until(done);
         Ok(())
     }
@@ -643,15 +642,17 @@ mod tests {
                 len: 128,
             });
             let zero = [0u8; RECORD_HDR_SIZE];
-            let dev = mr.device();
-            let t = dev.write(ctx.now(), pos, &hdr).unwrap();
-            let t = dev
-                .write(t, pos + RECORD_HDR_SIZE as u64, &payload)
+            mr.device()
+                .persist(
+                    ctx.now(),
+                    pos,
+                    &[
+                        (0, &hdr),
+                        (RECORD_HDR_SIZE as u64, &payload),
+                        ((RECORD_HDR_SIZE + 128) as u64, &zero),
+                    ],
+                )
                 .unwrap();
-            let t = dev
-                .write(t, pos + (RECORD_HDR_SIZE + 128) as u64, &zero)
-                .unwrap();
-            dev.flush(t);
             pos += (RECORD_HDR_SIZE + 128) as u64;
         }
 

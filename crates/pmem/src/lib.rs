@@ -32,6 +32,13 @@
 //! the list played back over it. Place 3 is therefore "the image, minus
 //! the undo list", never a second copy.
 //!
+//! The undo list holds only writes that no flush in the same call
+//! persisted. [`PmemDevice::persist`] writes a chain and flushes it in one
+//! step, so with DDIO disabled its writes keep no undo image and each
+//! persisted byte is copied once; [`PmemDevice::write`] followed by
+//! [`PmemDevice::flush`] leaves the same device, but copies each byte
+//! twice (once into the undo image the flush then drops).
+//!
 //! Timing: every access charges service time from the shared
 //! [`LatencyModel`] on the device's [`Resource`] (a small number of lanes —
 //! Optane's limited internal parallelism), so concurrency collapse emerges
@@ -103,15 +110,19 @@ struct Inner {
 }
 
 impl Inner {
-    /// Overwrite `live[offset..]` with `data`, remembering what was there.
-    fn write(&mut self, offset: u64, data: &[u8]) {
+    /// Overwrite `live[offset..]` with `data`. With `keep_undo` the bytes
+    /// that were there join the undo list; without it the write is durable
+    /// as it lands (a flush in the same step persists it).
+    fn write(&mut self, offset: u64, data: &[u8], keep_undo: bool) {
         let at = offset as usize;
         let target = &mut self.live[at..at + data.len()];
-        self.pending.push(PendingRange {
-            offset,
-            overwritten: target.to_vec(),
-            stage: Stage::InFlight,
-        });
+        if keep_undo {
+            self.pending.push(PendingRange {
+                offset,
+                overwritten: target.to_vec(),
+                stage: Stage::InFlight,
+            });
+        }
         target.copy_from_slice(data);
     }
 
@@ -273,11 +284,49 @@ impl PmemDevice {
         let done = self
             .resource
             .acquire(now, self.model.pmem_write_svc(data.len()));
-        self.inner.write().write(offset, data);
+        self.land(&mut self.inner.write(), offset, data, true);
+        Ok(done)
+    }
+
+    /// Write a chain of `(offset, data)` at `base + offset`, in order, then
+    /// [`flush`](Self::flush): the AStore commit chain's WRITEs and the
+    /// persistence its trailing READ forces. Leaves the device, its
+    /// counters and the resource's books exactly as `write`…`write` then
+    /// `flush` would, and returns the same completion time (each write
+    /// queues behind the one before). Every write's bounds are checked
+    /// before any byte lands, so an out-of-bounds entry lands nothing.
+    ///
+    /// With DDIO disabled the flush persists every byte of the chain in
+    /// the same step, so no write keeps an undo image: each byte is copied
+    /// once. With DDIO enabled they keep one as [`write`](Self::write)
+    /// does, and the flush only moves them to the cache.
+    pub fn persist(&self, now: VTime, base: u64, writes: &[(u64, &[u8])]) -> Result<VTime> {
+        for &(offset, data) in writes {
+            self.check(base.saturating_add(offset), data.len())?;
+        }
+        let mut done = now;
+        for &(_, data) in writes {
+            done = self
+                .resource
+                .acquire(done, self.model.pmem_write_svc(data.len()));
+        }
+        let keep_undo = self.ddio_enabled;
+        let mut inner = self.inner.write();
+        let mut landed = 0;
+        for &(offset, data) in writes {
+            self.land(&mut inner, base + offset, data, keep_undo);
+            landed += data.len();
+        }
+        self.flush_locked(&mut inner, if keep_undo { 0 } else { landed });
+        Ok(done)
+    }
+
+    /// Land one checked write in the image and count it as unpersisted.
+    fn land(&self, inner: &mut Inner, offset: u64, data: &[u8], keep_undo: bool) {
+        inner.write(offset, data, keep_undo);
         self.stats.writes.inc();
         self.stats.bytes_written.add(data.len() as u64);
         self.stats.unpersisted_bytes.add(data.len() as i64);
-        Ok(done)
     }
 
     /// Read `len` bytes at `offset` — always the newest data, wherever the
@@ -296,13 +345,22 @@ impl PmemDevice {
 
     /// Flush everything in flight toward the persistence domain. With DDIO
     /// disabled the bytes reach ADR-protected media (crash-durable); with
-    /// DDIO enabled they only reach the (volatile) cache. Models the
-    /// trailing one-sided RDMA READ in the AStore write chain; the READ's
-    /// own media time is charged by the caller as a small read.
+    /// DDIO enabled they only reach the (volatile) cache. Models what the
+    /// trailing one-sided RDMA READ of the AStore write chain forces; the
+    /// chain itself uses [`persist`](Self::persist), and the READ's own
+    /// media time is charged by the caller as a small read.
     pub fn flush(&self, now: VTime) -> VTime {
-        let mut inner = self.inner.write();
+        self.flush_locked(&mut self.inner.write(), 0);
+        now
+    }
+
+    /// The one flush body, under the caller's write lock. `landed` counts
+    /// the bytes the caller wrote in the same step without an undo image
+    /// (only with DDIO disabled): they persist with the rest.
+    fn flush_locked(&self, inner: &mut Inner, landed: usize) {
         self.stats.flushes.inc();
         if self.ddio_enabled {
+            debug_assert_eq!(landed, 0, "with DDIO on every write keeps its undo");
             for p in &mut inner.pending {
                 if p.stage == Stage::InFlight {
                     p.stage = Stage::Cache;
@@ -311,12 +369,11 @@ impl PmemDevice {
         } else {
             // The image already holds the bytes; persisting them is
             // forgetting how to undo them.
-            let persisted = inner.pending_bytes();
+            let persisted = inner.pending_bytes() + landed;
             inner.pending.clear();
             self.stats.bytes_persisted.add(persisted as u64);
             self.stats.unpersisted_bytes.sub(persisted as i64);
         }
-        now
     }
 
     /// Bytes written but not yet crash-durable (in flight or in cache).

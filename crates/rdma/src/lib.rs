@@ -341,20 +341,24 @@ impl RdmaEndpoint {
         let send_done = self
             .client_nic
             .acquire(ctx.now(), self.wire_occupancy(total_len));
-        let mut t = send_done + self.model.wire_delay();
-        t = mr.node_res.nic.acquire(t, self.wire_occupancy(total_len));
-        for (offset, data) in writes {
-            t = mr
-                .device
-                .write(t, mr.base + offset, data)
-                .map_err(|e| RdmaError::Device(e.to_string()))?;
-        }
-        // Trailing READ: forces everything ahead of it to the persistence
-        // domain, then returns a cacheline to the client.
-        mr.device.flush(t);
+        let arrive = send_done + self.model.wire_delay();
+        let nic_done = mr
+            .node_res
+            .nic
+            .acquire(arrive, self.wire_occupancy(total_len));
+        // The WRITEs land and the trailing READ forces them into the
+        // persistence domain, as one device step.
+        let t = mr
+            .device
+            .persist(nic_done, mr.base, writes)
+            .map_err(|e| RdmaError::Device(e.to_string()))?;
+        // The READ returns up to a cacheline from the first WR's offset,
+        // clamped to the MR's end (the checks above put that offset inside
+        // the MR).
+        let first = writes[0].0;
         let (_, read_done) = mr
             .device
-            .read(t, mr.base + writes[0].0, 64.min(mr.len))
+            .read(t, mr.base + first, 64.min(mr.len - first as usize))
             .map_err(|e| RdmaError::Device(e.to_string()))?;
         ctx.wait_until(read_done + self.model.wire_delay());
         self.stats.chain_writes.inc();
@@ -600,6 +604,55 @@ mod tests {
         assert!(ep
             .write_chain(&mut ctx, &mr, &[(0, b"ok"), (len, b"bad")])
             .is_err());
+    }
+
+    /// A 1 MiB device publishing into its own registry, the endpoint, and
+    /// an MR of `len` bytes at `base`.
+    fn counted_mr(
+        base: u64,
+        len: usize,
+    ) -> (
+        Arc<MetricsRegistry>,
+        Arc<PmemDevice>,
+        RemoteMr,
+        RdmaEndpoint,
+    ) {
+        let (env, _dev, _mr, ep) = setup();
+        let node = &env.astore_nodes[0];
+        let reg = MetricsRegistry::detached();
+        let dev = Arc::new(PmemDevice::with_metrics(
+            "counted",
+            1 << 20,
+            false,
+            node.pmem.clone().unwrap(),
+            env.model.clone(),
+            &reg,
+        ));
+        let mr = RemoteMr::register(0, Arc::clone(node), Arc::clone(&dev), base, len);
+        (reg, dev, mr, ep)
+    }
+
+    #[test]
+    fn write_chain_at_the_device_end_reads_back_inside_it() {
+        let (reg, dev, mr, ep) = counted_mr(0, 1 << 20);
+        let mut ctx = SimCtx::new(1, 7);
+        let at = (1u64 << 20) - 16;
+        assert_eq!(ep.write_chain(&mut ctx, &mr, &[(at, &[9u8; 16])]), Ok(()));
+        assert_eq!(dev.durable_snapshot(at, 16).unwrap(), vec![9u8; 16]);
+        assert_eq!(reg.counter("pmem", "bytes_read").get(), 16);
+    }
+
+    #[test]
+    fn write_chain_flushing_read_stays_inside_a_partial_mr() {
+        let (reg, dev, mr, ep) = counted_mr(4096, 4096);
+        let mut ctx = SimCtx::new(1, 7);
+        assert_eq!(
+            ep.write_chain(&mut ctx, &mr, &[(4096 - 16, &[5u8; 16])]),
+            Ok(())
+        );
+        assert_eq!(dev.durable_snapshot(8192 - 16, 16).unwrap(), vec![5u8; 16]);
+        // A full cacheline would have read 48 bytes past the MR's end.
+        assert_eq!(reg.counter("pmem", "bytes_read").get(), 16);
     }
 
     #[test]

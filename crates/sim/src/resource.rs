@@ -40,11 +40,16 @@
 //! 200 000-acquire windows of the host benchmark at seed 7, that is
 //! 99.7–99.99% of `engine.cpu`'s acquires in `tpcc_mix`, all of them in
 //! `commit_wide` and 99.3–99.5% in `lookup_ebp`, while its 20 lanes hold
-//! 650–1 900, ~2 500 and ~1 880 reservations between them. An acquire
-//! that lands behind a reservation binary-searches past the intervals that
-//! ended before it, then walks the future gaps, which coalescing keeps
-//! few. Pruning pops expired reservations off the front of the lane's
-//! `VecDeque`, so it costs what it prunes.
+//! 650–1 900, ~2 500 and ~1 880 reservations between them. Behind
+//! arrivals are the storage nodes' lot: in `commit_wide`, `storage-N.cpu`
+//! tries 1.66 lanes per acquire and 1.02 of them hold a future
+//! reservation, and `storage-N.nic` meets 0.65 such lanes per acquire;
+//! either lands about 9 slots from the tail of a lane holding ~1 100–1 170.
+//! So an acquire that lands behind a reservation gallops back from the
+//! tail in doubling steps, binary-searches the bracket for the first
+//! interval that ends after it, then walks the future gaps, which
+//! coalescing keeps few. Pruning pops expired reservations off the front
+//! of the lane's `VecDeque`, so it costs what it prunes.
 //!
 //! **Books.** The wait/service histograms, `busy_ns` / `ops` counters and
 //! the utilization timeline move inside the same critical section as the
@@ -79,16 +84,17 @@ struct Lane {
 impl Lane {
     /// Earliest (start, completion, insert_index) for a job of `svc` ns
     /// arriving at `now`. An arrival at or after the lane's last
-    /// reservation starts at once, with no search. A behind arrival skips
-    /// the intervals fully before `now` with a binary search, so its cost
-    /// is proportional to the number of *future* gaps, which coalescing
-    /// keeps tiny.
+    /// reservation starts at once, with no search. A behind arrival finds
+    /// the first interval that ends after `now` from the tail
+    /// ([`first_ending_after`](Self::first_ending_after)), so its cost is
+    /// logarithmic in how far back it lands plus the number of *future*
+    /// gaps, which coalescing keeps tiny.
     fn earliest(&self, now: u64, svc: u64) -> (u64, u64, usize) {
         let len = self.slots.len();
         if self.slots.back().is_none_or(|&(_, e)| e <= now) {
             return (now, now + svc, len);
         }
-        let first = self.slots.partition_point(|&(_, e)| e <= now);
+        let first = self.first_ending_after(now);
         let mut candidate = now;
         for (i, &(s, e)) in self.slots.range(first..).enumerate() {
             if candidate + svc <= s {
@@ -97,6 +103,36 @@ impl Lane {
             candidate = candidate.max(e);
         }
         (candidate, candidate + svc, len)
+    }
+
+    /// `self.slots.partition_point(|&(_, e)| e <= now)`, searched from the
+    /// tail: a behind arrival lands a few slots from it (module docs,
+    /// *Cost*), so gallop back in doubling steps to bracket the answer,
+    /// then binary-search the bracket.
+    fn first_ending_after(&self, now: u64) -> usize {
+        let ends_by_now = |i: usize| self.slots[i].1 <= now;
+        // Every slot before `lo` ends by `now`; `hi` is the length or a slot
+        // that ends after it.
+        let (mut lo, mut hi) = (0, self.slots.len());
+        let mut step = 1;
+        while step <= hi {
+            let probe = hi - step;
+            if ends_by_now(probe) {
+                lo = probe + 1;
+                break;
+            }
+            hi = probe;
+            step *= 2;
+        }
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if ends_by_now(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     /// Insert a reservation, coalescing with adjacent intervals so dense
@@ -414,6 +450,45 @@ mod tests {
         for lane in &st.lanes {
             for (a, b) in lane.slots.iter().zip(lane.slots.iter().skip(1)) {
                 assert!(a.1 <= b.0, "overlap: {a:?} then {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn tail_search_finds_what_partition_point_finds() {
+        let mut rng = crate::rng::SimRng::new(7);
+        for len in [0usize, 1, 2, 3, 2_000] {
+            for _ in 0..200 {
+                // A sorted, coalesced calendar: gaps of at least 1 ns.
+                let mut lane = Lane::default();
+                let mut t = rng.gen_range(0..1_000u64);
+                for _ in 0..len {
+                    let start = t + rng.gen_range(1..500u64);
+                    let end = start + rng.gen_range(1..500u64);
+                    lane.slots.push_back((start, end));
+                    t = end;
+                }
+                let bounds: Vec<u64> = lane.slots.iter().flat_map(|&(s, e)| [s, e]).collect();
+                let mut arrivals = vec![0, t, t + 1];
+                for _ in 0..16 {
+                    if bounds.is_empty() {
+                        break;
+                    }
+                    // Just behind the tail and deep in history, on a
+                    // boundary or one either side of it.
+                    let back = rng.gen_range(0..bounds.len().min(24) as u64) as usize;
+                    let deep = rng.gen_range(0..bounds.len() as u64) as usize;
+                    for b in [bounds[bounds.len() - 1 - back], bounds[deep]] {
+                        arrivals.extend([b.saturating_sub(1), b, b + 1]);
+                    }
+                }
+                for now in arrivals {
+                    assert_eq!(
+                        lane.first_ending_after(now),
+                        lane.slots.partition_point(|&(_, e)| e <= now),
+                        "len {len}, now {now}"
+                    );
+                }
             }
         }
     }
