@@ -39,7 +39,7 @@ use crate::btree::BTree;
 use crate::buffer::{BufferPool, EvictionSink, Frame};
 use crate::catalog::{Catalog, TableDef};
 use crate::ebp::{Ebp, EbpConfig};
-use crate::lock::{LockManager, LockMode};
+use crate::lock::{LockKey, LockManager, LockMode};
 use crate::row::{decode_cols, decode_row, encode_key, encode_row, ColSet, Row, Value};
 use crate::txn::{TxnHandle, TxnStatus};
 use crate::wal::{
@@ -671,8 +671,9 @@ impl Db {
         // Error paths drop the guard → the span records as abandoned.
         let sp = self.stats.trace.span(ctx, "core", "insert");
         let t = Arc::clone(self.catalog.read().table(table)?);
-        let key = Self::pk_key(&t, &row);
-        self.lock_row(ctx, txn, t.space_no, key.clone(), LockMode::Exclusive)?;
+        let lk = (t.space_no, Self::pk_key(&t, &row));
+        self.lock_row(ctx, txn, &lk, LockMode::Exclusive)?;
+        let key = lk.1;
         let mut payload = Vec::with_capacity(64);
         encode_row(&row, &mut payload);
         let undo = UndoInfo {
@@ -712,10 +713,11 @@ impl Db {
     ) -> Result<Option<Row>> {
         let sp = self.stats.trace.span(ctx, "core", "get");
         let t = Arc::clone(self.catalog.read().table(table)?);
-        let key = encode_key(key_vals);
+        let lk = (t.space_no, encode_key(key_vals));
         if let Some(txn) = txn {
-            self.lock_row(ctx, txn, t.space_no, key.clone(), LockMode::Shared)?;
+            self.lock_row(ctx, txn, &lk, LockMode::Shared)?;
         }
+        let key = lk.1;
         let row = match BTree::new(t.space_no).get(ctx, self, &key)? {
             Some(payload) => Some(decode_row(&payload)?),
             None => None,
@@ -738,8 +740,9 @@ impl Db {
         }
         let sp = self.stats.trace.span(ctx, "core", "update");
         let t = Arc::clone(self.catalog.read().table(table)?);
-        let key = encode_key(key_vals);
-        self.lock_row(ctx, txn, t.space_no, key.clone(), LockMode::Exclusive)?;
+        let lk = (t.space_no, encode_key(key_vals));
+        self.lock_row(ctx, txn, &lk, LockMode::Exclusive)?;
+        let key = lk.1;
         let tree = BTree::new(t.space_no);
         let old_payload = tree.get(ctx, self, &key)?.ok_or(EngineError::NotFound)?;
         let old_row = decode_row(&old_payload)?;
@@ -802,8 +805,9 @@ impl Db {
         }
         let sp = self.stats.trace.span(ctx, "core", "delete");
         let t = Arc::clone(self.catalog.read().table(table)?);
-        let key = encode_key(key_vals);
-        self.lock_row(ctx, txn, t.space_no, key.clone(), LockMode::Exclusive)?;
+        let lk = (t.space_no, encode_key(key_vals));
+        self.lock_row(ctx, txn, &lk, LockMode::Exclusive)?;
+        let key = lk.1;
         let tree = BTree::new(t.space_no);
         let old_payload = tree.get(ctx, self, &key)?.ok_or(EngineError::NotFound)?;
         let old_row = decode_row(&old_payload)?;
@@ -906,21 +910,17 @@ impl Db {
         }
     }
 
+    /// Lock `lk` for `txn`; the transaction's list takes a copy of the key
+    /// the first time it holds it.
     fn lock_row(
         &self,
         ctx: &mut SimCtx,
         txn: &mut TxnHandle,
-        space: u32,
-        key: Vec<u8>,
+        lk: &LockKey,
         mode: LockMode,
     ) -> Result<()> {
-        let lk = (space, key);
-        if txn.locks.contains(&lk) && mode == LockMode::Shared {
-            return Ok(());
-        }
-        self.locks.acquire(ctx, txn.id, lk.clone(), mode)?;
-        if !txn.locks.contains(&lk) {
-            txn.locks.push(lk);
+        if !self.locks.acquire(ctx, txn.id, lk, mode)? {
+            txn.locks.push(lk.clone());
         }
         Ok(())
     }

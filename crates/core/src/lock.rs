@@ -120,18 +120,37 @@ impl LockManager {
         mode == LockMode::Shared && state.holders.iter().all(|(_, m, _)| *m == LockMode::Shared)
     }
 
-    /// Acquire `key` in `mode` for `txn`. Parks until granted, so the
+    /// Acquire `key` in `mode` for `txn`; `Ok(true)` when `txn` already held
+    /// it, so the caller copies the key into its own list only the first
+    /// time. A shared request for a key `txn` holds in either mode returns
+    /// at once, counting nothing. Otherwise parks until granted, so the
     /// caller must hold no host lock and no page latch; its virtual clock
     /// is advanced past the conflicting release. Returns `LockTimeout` once
-    /// the wait has used up [`LOCK_WAIT_BUDGET`].
-    pub fn acquire(&self, ctx: &mut SimCtx, txn: u64, key: LockKey, mode: LockMode) -> Result<()> {
-        // Timeout (deadlock-victim) paths drop the guard → abandoned span.
-        let sp = self.trace.span(ctx, "lock", "wait");
-        let shard = self.shard_of(&key);
+    /// the wait has used up [`LOCK_WAIT_BUDGET`]. The key is copied only
+    /// when the table first sees it.
+    pub fn acquire(
+        &self,
+        ctx: &mut SimCtx,
+        txn: u64,
+        key: &LockKey,
+        mode: LockMode,
+    ) -> Result<bool> {
+        let shard = self.shard_of(key);
         let deadline = ctx.now() + LOCK_WAIT_BUDGET;
+        // Opened at the clock of the call, before any park and never under
+        // a shard lock. Timeout (deadlock-victim) paths drop the guard →
+        // abandoned span.
+        let mut sp = None;
         loop {
             let mut table = shard.lock();
-            let state = table.locks.entry(key.clone()).or_default();
+            let state = match table.locks.get_mut(key) {
+                Some(state) => state,
+                None => table.locks.entry(key.clone()).or_default(),
+            };
+            let held = state.holders.iter().position(|(t, _, _)| *t == txn);
+            if held.is_some() && mode == LockMode::Shared {
+                return Ok(true);
+            }
             if Self::compatible(state, txn, mode) {
                 let release = match mode {
                     LockMode::Shared => state.last_x_release,
@@ -141,15 +160,13 @@ impl LockManager {
                 // wait below; an upgrade keeps the original grant (the
                 // hold started at the first acquisition).
                 let grant = ctx.now().max(release);
-                match state.holders.iter_mut().find(|(t, _, _)| *t == txn) {
-                    Some(h) => {
-                        if mode == LockMode::Exclusive {
-                            h.1 = LockMode::Exclusive; // upgrade
-                        }
-                    }
+                match held {
+                    // An exclusive request by a holder: the upgrade.
+                    Some(h) => state.holders[h].1 = LockMode::Exclusive,
                     None => state.holders.push((txn, mode, grant)),
                 }
                 drop(table);
+                let sp = sp.unwrap_or_else(|| self.trace.span(ctx, "lock", "wait"));
                 self.acquires.inc();
                 self.contention.note_acquire(key.0);
                 if release > ctx.now() {
@@ -162,10 +179,13 @@ impl LockManager {
                 // holder's release.
                 ctx.wait_until(release);
                 sp.finish(ctx);
-                return Ok(());
+                return Ok(held.is_some());
             }
             table.waiters.push(ctx.waker());
             drop(table);
+            if sp.is_none() {
+                sp = Some(self.trace.span(ctx, "lock", "wait"));
+            }
             if ctx.park(Some(deadline)) {
                 self.timeouts.inc();
                 return Err(EngineError::LockTimeout {
@@ -241,8 +261,8 @@ mod tests {
         let lm = LockManager::new(&MetricsRegistry::detached());
         let mut c1 = SimCtx::new(1, 7);
         let mut c2 = SimCtx::new(2, 7);
-        lm.acquire(&mut c1, 1, key(1), LockMode::Shared).unwrap();
-        lm.acquire(&mut c2, 2, key(1), LockMode::Shared).unwrap();
+        lm.acquire(&mut c1, 1, &key(1), LockMode::Shared).unwrap();
+        lm.acquire(&mut c2, 2, &key(1), LockMode::Shared).unwrap();
         assert_eq!(lm.held_keys(), 1);
     }
 
@@ -251,8 +271,9 @@ mod tests {
         let lm = LockManager::new(&MetricsRegistry::detached());
         let mut c1 = SimCtx::new(1, 7);
         let mut c2 = SimCtx::new(2, 7);
-        lm.acquire(&mut c1, 1, key(1), LockMode::Exclusive).unwrap();
-        let err = lm.acquire(&mut c2, 2, key(1), LockMode::Exclusive);
+        lm.acquire(&mut c1, 1, &key(1), LockMode::Exclusive)
+            .unwrap();
+        let err = lm.acquire(&mut c2, 2, &key(1), LockMode::Exclusive);
         assert!(matches!(err, Err(EngineError::LockTimeout { .. })));
         // The victim paid the whole budget, in virtual time only.
         assert_eq!(c2.now(), LOCK_WAIT_BUDGET);
@@ -260,14 +281,24 @@ mod tests {
 
     #[test]
     fn reentrant_and_upgrade() {
-        let lm = LockManager::new(&MetricsRegistry::detached());
+        let reg = MetricsRegistry::new();
+        let lm = LockManager::new(&reg);
+        let acquires = reg.counter("core", "lock_acquires");
         let mut c1 = SimCtx::new(1, 7);
-        lm.acquire(&mut c1, 1, key(1), LockMode::Shared).unwrap();
-        lm.acquire(&mut c1, 1, key(1), LockMode::Shared).unwrap();
-        lm.acquire(&mut c1, 1, key(1), LockMode::Exclusive).unwrap(); // upgrade
-                                                                      // Another txn cannot share now.
+        // `true` once the transaction already held the key; a shared
+        // request by a holder counts nothing.
+        assert!(!lm.acquire(&mut c1, 1, &key(1), LockMode::Shared).unwrap());
+        assert!(lm.acquire(&mut c1, 1, &key(1), LockMode::Shared).unwrap());
+        assert_eq!(acquires.get(), 1);
+        // The upgrade is an acquisition of a key already held.
+        assert!(lm
+            .acquire(&mut c1, 1, &key(1), LockMode::Exclusive)
+            .unwrap());
+        assert!(lm.acquire(&mut c1, 1, &key(1), LockMode::Shared).unwrap());
+        assert_eq!(acquires.get(), 2);
+        // Another txn cannot share now.
         let mut c2 = SimCtx::new(2, 7);
-        assert!(lm.acquire(&mut c2, 2, key(1), LockMode::Shared).is_err());
+        assert!(lm.acquire(&mut c2, 2, &key(1), LockMode::Shared).is_err());
     }
 
     #[test]
@@ -275,7 +306,7 @@ mod tests {
         let lm = LockManager::new(&MetricsRegistry::detached());
         let clocks = vedb_sim::run_clients(2, 7, VTime::ZERO, |ctx, client| {
             if client == 0 {
-                lm.acquire(ctx, 1, key(9), LockMode::Exclusive).unwrap();
+                lm.acquire(ctx, 1, &key(9), LockMode::Exclusive).unwrap();
                 // Let the waiter, "early" in vtime, reach the lock and park.
                 ctx.advance(VTime::from_millis(1));
                 ctx.yield_now();
@@ -283,7 +314,7 @@ mod tests {
                 lm.release(VTime::from_millis(5), 1, &key(9));
             } else {
                 ctx.advance(VTime::from_micros(10));
-                lm.acquire(ctx, 2, key(9), LockMode::Exclusive).unwrap();
+                lm.acquire(ctx, 2, &key(9), LockMode::Exclusive).unwrap();
             }
             ctx.now()
         });
@@ -300,12 +331,14 @@ mod tests {
         let lm = LockManager::new(&reg);
         lm.set_space_label(1, "orders");
         let mut c1 = SimCtx::new(1, 7);
-        lm.acquire(&mut c1, 1, key(3), LockMode::Exclusive).unwrap();
+        lm.acquire(&mut c1, 1, &key(3), LockMode::Exclusive)
+            .unwrap();
         c1.advance(VTime::from_micros(30));
         lm.release(c1.now(), 1, &key(3));
         // Second txn starts "early": its grant waits on the release stamp.
         let mut c2 = SimCtx::new(2, 7);
-        lm.acquire(&mut c2, 2, key(3), LockMode::Exclusive).unwrap();
+        lm.acquire(&mut c2, 2, &key(3), LockMode::Exclusive)
+            .unwrap();
         assert_eq!(c2.now(), c1.now());
         lm.release(c2.now(), 2, &key(3));
 
@@ -329,14 +362,14 @@ mod tests {
         let mut c1 = SimCtx::new(1, 7);
         let keys: Vec<LockKey> = (0..5).map(key).collect();
         for k in &keys {
-            lm.acquire(&mut c1, 1, k.clone(), LockMode::Exclusive)
-                .unwrap();
+            lm.acquire(&mut c1, 1, k, LockMode::Exclusive).unwrap();
         }
         assert_eq!(lm.held_keys(), 5);
         lm.release_all(c1.now(), 1, &keys);
         assert_eq!(lm.held_keys(), 0);
         // Re-acquirable by someone else.
         let mut c2 = SimCtx::new(2, 7);
-        lm.acquire(&mut c2, 2, key(0), LockMode::Exclusive).unwrap();
+        lm.acquire(&mut c2, 2, &key(0), LockMode::Exclusive)
+            .unwrap();
     }
 }

@@ -79,11 +79,11 @@ fn charge_rows(ctx: &mut SimCtx, db: &Db, rows: usize, per_row_ns: u64) {
     ctx.wait_until(done);
 }
 
-/// Total order of two values for [`Plan::Sort`]: NULL, then numbers, then
-/// strings. Numbers order by value — an `Int` against a `Double` as doubles,
-/// doubles by [`f64::total_cmp`], the `Int` first on a tie — so a NaN or two
-/// types in one sort column still sort.
-fn sort_cmp(a: &Value, b: &Value) -> Ordering {
+/// Total order of two values for [`Plan::Sort`] and for `MIN`/`MAX`: NULL,
+/// then numbers, then strings. Numbers order by value — an `Int` against a
+/// `Double` as doubles, doubles by [`f64::total_cmp`], the `Int` first on a
+/// tie — so a NaN or two types in one sort column still sort.
+pub(super) fn sort_cmp(a: &Value, b: &Value) -> Ordering {
     use Value::*;
     let tag = |v: &Value| match v {
         Null => 0,

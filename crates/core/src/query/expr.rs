@@ -140,16 +140,30 @@ impl Expr {
     /// and `LIKE` make a value, and none of those is a string.
     pub fn eval_ref<'a>(&'a self, row: &'a Row) -> Result<Cow<'a, Value>> {
         Ok(match self {
-            Expr::Col(i) => Cow::Borrowed(
-                row.get(*i)
-                    .ok_or_else(|| EngineError::Query(format!("column {i} out of range")))?,
-            ),
+            Expr::Col(i) => Cow::Borrowed(column(row, *i)?),
             Expr::Lit(v) => Cow::Borrowed(v),
             Expr::Arith(op, a, b) => {
-                Cow::Owned(arith(*op, &*a.eval_ref(row)?, &*b.eval_ref(row)?)?)
+                Cow::Owned(a.with_value(row, |x| b.with_value(row, |y| arith(*op, x, y)))?)
             }
             _ => Cow::Owned(Value::Int(self.eval_bool(row)? as i64)),
         })
+    }
+
+    /// `f` of this expression's value over `row`. A column or a literal is
+    /// read in place — no [`Cow`] is built, which is most of what a
+    /// comparison of two leaves would otherwise cost per row; anything else
+    /// goes through [`Expr::eval_ref`].
+    #[inline]
+    pub(super) fn with_value<T>(
+        &self,
+        row: &Row,
+        f: impl FnOnce(&Value) -> Result<T>,
+    ) -> Result<T> {
+        match self {
+            Expr::Col(i) => f(column(row, *i)?),
+            Expr::Lit(v) => f(v),
+            _ => f(&*self.eval_ref(row)?),
+        }
     }
 
     /// Evaluate against `row` into an owned value.
@@ -160,23 +174,33 @@ impl Expr {
     /// Evaluate as a boolean predicate: an `Int` is true when nonzero, a
     /// `Double` when not `0.0`, a string always, NULL never.
     pub fn eval_bool(&self, row: &Row) -> Result<bool> {
-        Ok(match self {
-            Expr::Cmp(op, a, b) => compare(*op, &*a.eval_ref(row)?, &*b.eval_ref(row)?),
-            Expr::And(a, b) => a.eval_bool(row)? && b.eval_bool(row)?,
-            Expr::Or(a, b) => a.eval_bool(row)? || b.eval_bool(row)?,
-            Expr::Not(a) => !a.eval_bool(row)?,
-            Expr::Like(e, pattern) => match &*e.eval_ref(row)? {
-                Value::Str(s) => like(s, pattern),
-                _ => false,
-            },
-            Expr::Col(_) | Expr::Lit(_) | Expr::Arith(..) => match &*self.eval_ref(row)? {
-                Value::Int(v) => *v != 0,
-                Value::Null => false,
-                Value::Double(v) => *v != 0.0,
-                Value::Str(_) => true,
-            },
-        })
+        match self {
+            Expr::Cmp(op, a, b) => {
+                a.with_value(row, |x| b.with_value(row, |y| Ok(compare(*op, x, y))))
+            }
+            Expr::And(a, b) => Ok(a.eval_bool(row)? && b.eval_bool(row)?),
+            Expr::Or(a, b) => Ok(a.eval_bool(row)? || b.eval_bool(row)?),
+            Expr::Not(a) => Ok(!a.eval_bool(row)?),
+            Expr::Like(e, pattern) => {
+                e.with_value(row, |v| Ok(matches!(v, Value::Str(s) if like(s, pattern))))
+            }
+            Expr::Col(_) | Expr::Lit(_) | Expr::Arith(..) => self.with_value(row, |v| {
+                Ok(match v {
+                    Value::Int(v) => *v != 0,
+                    Value::Null => false,
+                    Value::Double(v) => *v != 0.0,
+                    Value::Str(_) => true,
+                })
+            }),
+        }
     }
+}
+
+/// Column `i` of `row`; past the row's end it is an error.
+#[inline]
+fn column(row: &Row, i: usize) -> Result<&Value> {
+    row.get(i)
+        .ok_or_else(|| EngineError::Query(format!("column {i} out of range")))
 }
 
 /// `a op b`; any comparison involving NULL is false.
@@ -240,11 +264,15 @@ fn like(s: &str, pattern: &str) -> bool {
     }
 }
 
-fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    let mut row_buf = Vec::new();
-    crate::row::encode_row(&vec![v.clone()], &mut row_buf);
-    out.extend_from_slice(&(row_buf.len() as u32).to_le_bytes());
-    out.extend_from_slice(&row_buf);
+/// A literal on the wire: the length of a one-value row, then the row,
+/// written straight into `out`.
+fn encode_literal(v: &Value, out: &mut Vec<u8>) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    out.extend_from_slice(&1u16.to_le_bytes());
+    crate::row::encode_value(v, out);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Bounds-checked read of the next byte of a fragment's wire bytes.
@@ -267,11 +295,14 @@ pub(super) fn take<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a
     Ok(bytes)
 }
 
-fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
+/// Inverse of [`encode_literal`]: a row of other than one value is a codec
+/// error.
+fn decode_literal(buf: &[u8], pos: &mut usize) -> Result<Value> {
     let len = take_u32(buf, pos)? as usize;
     let row = crate::row::decode_row(take(buf, pos, len)?)?;
-    let first = row.into_iter().next();
-    first.ok_or_else(|| EngineError::Codec("empty literal".into()))
+    let [v] = <[Value; 1]>::try_from(row)
+        .map_err(|row| EngineError::Codec(format!("a literal of {} values, not one", row.len())))?;
+    Ok(v)
 }
 
 /// Encode an expression (push-down fragment wire format).
@@ -283,7 +314,7 @@ pub fn encode_expr(e: &Expr, out: &mut Vec<u8>) {
         }
         Expr::Lit(v) => {
             out.push(1);
-            encode_value(v, out);
+            encode_literal(v, out);
         }
         Expr::Cmp(op, a, b) => {
             out.push(2);
@@ -325,7 +356,7 @@ pub fn decode_expr(buf: &[u8], pos: &mut usize) -> Result<Expr> {
     let operand = |pos: &mut usize| decode_expr(buf, pos).map(Box::new);
     Ok(match take_u8(buf, pos)? {
         0 => Expr::Col(take_u32(buf, pos)? as usize),
-        1 => Expr::Lit(decode_value(buf, pos)?),
+        1 => Expr::Lit(decode_literal(buf, pos)?),
         2 => {
             let op = match take_u8(buf, pos)? {
                 0 => CmpOp::Eq,
@@ -507,16 +538,42 @@ mod tests {
         assert!(add(Expr::col(3), Expr::col(1)).unwrap().is_null());
     }
 
+    /// What went wrong, as the reference and the evaluator each report it.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Fault {
+        /// A column past the row's end, and which.
+        Column(usize),
+        /// Integer arithmetic out of `i64`'s range.
+        Overflow,
+        /// Arithmetic with a string operand.
+        StringArith,
+    }
+
+    /// The evaluator's error as a [`Fault`]; any other error fails the test.
+    fn fault(e: EngineError) -> Fault {
+        let EngineError::Query(m) = &e else {
+            panic!("not a query error: {e:?}")
+        };
+        if let Some(i) = m.strip_prefix("column ") {
+            let i = i.strip_suffix(" out of range").expect("column error");
+            Fault::Column(i.parse().expect("column index"))
+        } else if m.starts_with("BIGINT out of range") {
+            Fault::Overflow
+        } else if m == "arithmetic on a string" {
+            Fault::StringArith
+        } else {
+            panic!("unknown query error {m:?}")
+        }
+    }
+
     /// The by-value evaluator this module had before evaluation borrowed —
     /// every column read a clone — with two fixes: checked integer
     /// arithmetic and a string operand as an error, where it overflowed or
-    /// panicked.
-    fn by_value(e: &Expr, row: &Row) -> Result<Value> {
+    /// panicked. Operands are evaluated left before right, and the first
+    /// fault is the answer.
+    fn by_value(e: &Expr, row: &Row) -> std::result::Result<Value, Fault> {
         Ok(match e {
-            Expr::Col(i) => row
-                .get(*i)
-                .cloned()
-                .ok_or_else(|| EngineError::Query(format!("column {i} out of range")))?,
+            Expr::Col(i) => row.get(*i).cloned().ok_or(Fault::Column(*i))?,
             Expr::Lit(v) => v.clone(),
             Expr::Cmp(op, a, b) => {
                 let (va, vb) = (by_value(a, row)?, by_value(b, row)?);
@@ -541,23 +598,22 @@ mod tests {
             Expr::Not(a) => Value::Int(!by_value_bool(a, row)? as i64),
             Expr::Arith(op, a, b) => {
                 let (va, vb) = (by_value(a, row)?, by_value(b, row)?);
-                let overflow = || EngineError::Query("overflow".into());
                 match (va, vb) {
                     (Value::Int(x), Value::Int(y)) => match op {
-                        ArithOp::Add => Value::Int(x.checked_add(y).ok_or_else(overflow)?),
-                        ArithOp::Sub => Value::Int(x.checked_sub(y).ok_or_else(overflow)?),
-                        ArithOp::Mul => Value::Int(x.checked_mul(y).ok_or_else(overflow)?),
+                        ArithOp::Add => Value::Int(x.checked_add(y).ok_or(Fault::Overflow)?),
+                        ArithOp::Sub => Value::Int(x.checked_sub(y).ok_or(Fault::Overflow)?),
+                        ArithOp::Mul => Value::Int(x.checked_mul(y).ok_or(Fault::Overflow)?),
                         ArithOp::Div => {
                             if y == 0 {
                                 Value::Null
                             } else {
-                                Value::Int(x.checked_div(y).ok_or_else(overflow)?)
+                                Value::Int(x.checked_div(y).ok_or(Fault::Overflow)?)
                             }
                         }
                     },
                     (x, y) if !x.is_null() && !y.is_null() => {
                         if matches!(x, Value::Str(_)) || matches!(y, Value::Str(_)) {
-                            return Err(EngineError::Query("string".into()));
+                            return Err(Fault::StringArith);
                         }
                         let (x, y) = (x.as_f64(), y.as_f64());
                         Value::Double(match op {
@@ -587,7 +643,7 @@ mod tests {
         })
     }
 
-    fn by_value_bool(e: &Expr, row: &Row) -> Result<bool> {
+    fn by_value_bool(e: &Expr, row: &Row) -> std::result::Result<bool, Fault> {
         Ok(match by_value(e, row)? {
             Value::Int(v) => v != 0,
             Value::Null => false,
@@ -626,37 +682,46 @@ mod tests {
             }
         }
 
-        /// A tree at most `depth` high over a row `width` wide; one column
-        /// reference in `width + 1` is out of range.
+        fn cmp_op(&mut self) -> CmpOp {
+            let ops = [
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ];
+            ops[self.below(ops.len())]
+        }
+
+        fn arith_op(&mut self) -> ArithOp {
+            let ops = [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div];
+            ops[self.below(ops.len())]
+        }
+
+        /// A column or a literal; one column in three is one of the two
+        /// past the end of a row `width` wide.
+        fn leaf(&mut self, width: usize) -> Expr {
+            match self.below(3) {
+                0 => Expr::Col(self.below(width.max(1))),
+                1 => Expr::Col(width + self.below(2)),
+                _ => Expr::Lit(self.value()),
+            }
+        }
+
+        /// A tree at most `depth` high over a row `width` wide, its leaves
+        /// [`Draws::leaf`]s.
         fn expr(&mut self, depth: usize, width: usize) -> Expr {
             if depth == 0 || self.below(4) == 0 {
-                return match self.below(2) {
-                    0 => Expr::Col(self.below(width + 1)),
-                    _ => Expr::Lit(self.value()),
-                };
+                return self.leaf(width);
             }
             let operand = |d: &mut Self| Box::new(d.expr(depth - 1, width));
             match self.below(6) {
-                0 => {
-                    let ops = [
-                        CmpOp::Eq,
-                        CmpOp::Ne,
-                        CmpOp::Lt,
-                        CmpOp::Le,
-                        CmpOp::Gt,
-                        CmpOp::Ge,
-                    ];
-                    let op = ops[self.below(6)];
-                    Expr::Cmp(op, operand(self), operand(self))
-                }
+                0 => Expr::Cmp(self.cmp_op(), operand(self), operand(self)),
                 1 => Expr::And(operand(self), operand(self)),
                 2 => Expr::Or(operand(self), operand(self)),
                 3 => Expr::Not(operand(self)),
-                4 => {
-                    let ops = [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div];
-                    let op = ops[self.below(4)];
-                    Expr::Arith(op, operand(self), operand(self))
-                }
+                4 => Expr::Arith(self.arith_op(), operand(self), operand(self)),
                 _ => {
                     let core = ["a", "b", "ab", "xa"][self.below(4)];
                     let pattern = match self.below(4) {
@@ -672,16 +737,36 @@ mod tests {
     }
 
     /// A result as comparable text: a value's encoded bytes (so NaN and -0.0
-    /// compare by bits), or that it failed.
-    fn bits<E>(got: std::result::Result<&Value, E>) -> String {
+    /// compare by bits), or its fault.
+    fn bits(got: std::result::Result<&Value, &Fault>) -> String {
         match got {
             Ok(v) => {
                 let mut bytes = Vec::new();
                 crate::row::encode_value(v, &mut bytes);
                 format!("{bytes:?}")
             }
-            Err(_) => "error".into(),
+            Err(f) => format!("{f:?}"),
         }
+    }
+
+    /// What `e` evaluates to over `row` by [`Expr::eval_ref`], [`Expr::eval`]
+    /// and [`Expr::eval_bool`] must be what the reference says, the same
+    /// fault included.
+    fn agrees(e: &Expr, row: &Row) -> std::result::Result<(), TestCaseError> {
+        let want = by_value(e, row);
+        let got = e.eval_ref(row).map_err(fault);
+        prop_assert_eq!(
+            bits(got.as_deref()),
+            bits(want.as_ref()),
+            "{:?} over {:?}",
+            e,
+            row
+        );
+        let owned = e.eval(row).map_err(fault);
+        prop_assert_eq!(bits(owned.as_ref()), bits(want.as_ref()));
+        let truth = e.eval_bool(row).map_err(fault);
+        prop_assert_eq!(truth, by_value_bool(e, row), "{:?} over {:?}", e, row);
+        Ok(())
     }
 
     proptest! {
@@ -693,16 +778,17 @@ mod tests {
         ) {
             let mut d = Draws(draws.iter());
             let row: Row = (0..d.below(6)).map(|_| d.value()).collect();
-            let e = d.expr(4, row.len());
-            let want = bits(by_value(&e, &row).as_ref());
-            let got = bits(e.eval_ref(&row).as_deref());
-            prop_assert_eq!(got, want.clone(), "{:?} over {:?}", e, row);
-            prop_assert_eq!(bits(e.eval(&row).as_ref()), want, "{:?} over {:?}", e, row);
-            let truth = by_value_bool(&e, &row).ok();
-            prop_assert_eq!(e.eval_bool(&row).ok(), truth, "{:?} over {:?}", e, row);
-            // A column past the row's end is an error in both.
+            // A comparison and an arithmetic over two leaves, either or
+            // both of them maybe past the row (drawn first, so the draws
+            // have not run out).
+            let (a, b) = (Box::new(d.leaf(row.len())), Box::new(d.leaf(row.len())));
+            agrees(&Expr::Cmp(d.cmp_op(), a.clone(), b.clone()), &row)?;
+            agrees(&Expr::Arith(d.arith_op(), a, b), &row)?;
+            agrees(&d.expr(4, row.len()), &row)?;
+            // A column past the row's end is that column's error in both.
             let past = Expr::col(row.len());
-            prop_assert!(past.eval_ref(&row).is_err() && by_value(&past, &row).is_err());
+            prop_assert_eq!(past.eval_ref(&row).map_err(fault).err(), Some(Fault::Column(row.len())));
+            prop_assert_eq!(by_value(&past, &row).err(), Some(Fault::Column(row.len())));
         }
     }
 

@@ -18,6 +18,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use crate::query::chains::Chains;
+use crate::query::exec::sort_cmp;
 use crate::query::expr::Expr;
 use crate::query::plan::{AggExpr, AggFunc};
 use crate::row::{encode_value, hash_values, same_encoding, ColSet, Row, Value};
@@ -80,17 +81,13 @@ impl AggState {
                 *sa += sb;
                 *ca += cb;
             }
-            (AggState::Min(a), AggState::Min(Some(vb))) => {
-                if a.as_ref().map(|va| vb < *va).unwrap_or(true) {
-                    *a = Some(vb);
-                }
+            (AggState::Min(a), AggState::Min(Some(vb))) if replaces(a, &vb, Ordering::Less) => {
+                *a = Some(vb)
             }
-            (AggState::Max(a), AggState::Max(Some(vb))) => {
-                if a.as_ref().map(|va| vb > *va).unwrap_or(true) {
-                    *a = Some(vb);
-                }
+            (AggState::Max(a), AggState::Max(Some(vb))) if replaces(a, &vb, Ordering::Greater) => {
+                *a = Some(vb)
             }
-            (AggState::Min(_), AggState::Min(None)) | (AggState::Max(_), AggState::Max(None)) => {}
+            (AggState::Min(_), AggState::Min(_)) | (AggState::Max(_), AggState::Max(_)) => {}
             _ => unreachable!("mismatched aggregate states"),
         }
     }
@@ -141,17 +138,26 @@ impl AggState {
     }
 }
 
-/// Make a non-NULL `v` the extreme `m` when there is none yet or `v` is
-/// `beats` of it; the value is copied only then.
+/// Make a non-NULL `v` the extreme `m` when it [`replaces`] it; the value is
+/// copied only then.
 fn keep_if(m: &mut Option<Value>, v: &Value, beats: Ordering) {
-    if v.is_null() {
+    if v.is_null() || !replaces(m, v, beats) {
         return;
     }
     match m {
         None => *m = Some(v.clone()),
-        Some(cur) if v.partial_cmp(cur) == Some(beats) => cur.clone_from(v),
-        Some(_) => {}
+        Some(cur) => cur.clone_from(v),
     }
+}
+
+/// Does `v` take over as the extreme `m`: is there none yet, or is `v`
+/// `beats` of it in [`Plan::Sort`](crate::query::Plan::Sort)'s total order?
+/// That order ties no two values of different encodings, so a minimum or a
+/// maximum does not depend on the order its rows arrive or its partials
+/// merge in, NaNs, `±0.0`, `Int 1` against `Double 1.0` and numbers against
+/// strings included.
+fn replaces(m: &Option<Value>, v: &Value, beats: Ordering) -> bool {
+    m.as_ref().is_none_or(|cur| sort_cmp(v, cur) == beats)
 }
 
 /// The group table: each group's values and one state per aggregate, in the
@@ -175,10 +181,15 @@ impl Groups {
         self.chains.find(hash, same).next()
     }
 
+    /// Is this the group table of an aggregation without GROUP BY that
+    /// already holds its one group? Then a row needs no key to find it.
+    fn has_the_one_group(&self, group_by: &[usize]) -> bool {
+        group_by.is_empty() && !self.groups.is_empty()
+    }
+
     /// Fold `row`, the hash of whose group values is `hash`, into its group.
     fn update(&mut self, hash: u64, row: &Row, group_by: &[usize], aggs: &[AggExpr]) -> Result<()> {
-        let g = if group_by.is_empty() && !self.groups.is_empty() {
-            // Without GROUP BY there is one group: no key to find.
+        let g = if self.has_the_one_group(group_by) {
             0
         } else {
             let key = group_by.iter().map(|i| &row[*i]);
@@ -192,7 +203,10 @@ impl Groups {
             }
         };
         for (state, agg) in self.groups[g].1.iter_mut().zip(aggs) {
-            state.update(agg.func, &*agg.expr.eval_ref(row)?);
+            agg.expr.with_value(row, |v| {
+                state.update(agg.func, v);
+                Ok(())
+            })?;
         }
         Ok(())
     }
@@ -322,10 +336,12 @@ impl<'a> Pipeline<'a> {
                 out.resize(exprs.len(), Value::Null);
                 for (k, (e, slot)) in exprs.iter().zip(out.iter_mut()).enumerate() {
                     if self.emits.contains(k) {
-                        match e.eval_ref(&row)? {
-                            Cow::Borrowed(v) => slot.clone_from(v),
-                            Cow::Owned(v) => *slot = v,
-                        }
+                        // A computed value is a number: a copy costs what a
+                        // move would.
+                        e.with_value(&row, |v| {
+                            slot.clone_from(v);
+                            Ok(())
+                        })?;
                     }
                 }
                 Cow::Borrowed(&self.projected)
@@ -335,7 +351,11 @@ impl<'a> Pipeline<'a> {
         let Some((group_by, aggs)) = self.agg else {
             return Ok(Some(row));
         };
-        let hash = hash_values(group_by.iter().map(|i| &row[*i]));
+        // A key is hashed only when a group is looked up.
+        let hash = match self.groups.has_the_one_group(group_by) {
+            true => 0,
+            false => hash_values(group_by.iter().map(|i| &row[*i])),
+        };
         self.groups.update(hash, &row, group_by, aggs)?;
         Ok(None)
     }
@@ -421,7 +441,7 @@ mod tests {
             let or_null = |v: Value| if vals.is_empty() { Value::Null } else { v };
             let extreme = |want: Ordering| {
                 let first = vals.iter().copied();
-                let best = first.reduce(|b, v| if v.partial_cmp(b) == Some(want) { v } else { b });
+                let best = first.reduce(|b, v| if sort_cmp(v, b) == want { v } else { b });
                 best.cloned().unwrap_or(Value::Null)
             };
             out.extend([
@@ -495,7 +515,70 @@ mod tests {
         );
     }
 
+    /// Encoded bytes of rows: NaN payloads and `±0.0` compare by bits.
+    fn bytes(rows: &[Row]) -> Vec<u8> {
+        let mut out = Vec::new();
+        rows.iter().for_each(|r| encode_row(r, &mut out));
+        out
+    }
+
     proptest! {
+        /// One multiset of values easy to misorder — NaNs of both signs,
+        /// `±0.0`, `Int 1` and `Double 1.0`, numbers and strings — gives
+        /// the same MIN and MAX bits in every arrival order, folded in one
+        /// pass or merged from partials in any order, and they are the
+        /// extremes of `Plan::Sort`'s order.
+        #[test]
+        fn min_and_max_do_not_depend_on_row_order(
+            picks in proptest::collection::vec((0usize..11, any::<u32>(), 0usize..3), 1..24),
+            merge_order in any::<u32>(),
+        ) {
+            let pool = [
+                Value::Double(f64::NAN),
+                Value::Double(-f64::NAN),
+                Value::Double(1.0),
+                Value::Int(1),
+                Value::Double(0.0),
+                Value::Double(-0.0),
+                Value::Int(-3),
+                Value::Double(f64::INFINITY),
+                Value::Str("a".into()),
+                Value::Str("".into()),
+                Value::Null,
+            ];
+            let aggs = [AggFunc::Min, AggFunc::Max].map(|func| AggExpr { func, expr: Expr::col(0) });
+            let agg = Some((&[][..], &aggs[..]));
+            let rows: Vec<(Row, u32, usize)> = picks
+                .iter()
+                .map(|(v, order, part)| (vec![pool[*v].clone()], *order, *part))
+                .collect();
+            let mut sorted: Vec<&Value> = rows.iter().map(|(r, ..)| &r[0]).filter(|v| !v.is_null()).collect();
+            sorted.sort_by(|a, b| sort_cmp(a, b));
+            let ends = |end: Option<&&Value>| end.map_or(Value::Null, |v| (*v).clone());
+            let want = bytes(&[vec![ends(sorted.first()), ends(sorted.last())]]);
+
+            let mut shuffled: Vec<&(Row, u32, usize)> = rows.iter().collect();
+            shuffled.sort_by_key(|(_, order, _)| *order);
+            for arrival in [rows.iter().collect(), shuffled] {
+                let mut pipe = Pipeline::new(&None, &None, agg);
+                for (r, ..) in &arrival {
+                    pipe.push(Cow::Borrowed(r)).unwrap();
+                }
+                prop_assert_eq!(bytes(&pipe.finish()), want.clone());
+
+                // Three partitions' partials, merged in a drawn order.
+                let mut merged = Pipeline::new(&None, &None, agg);
+                for p in (0..3).map(|k| (k + merge_order as usize) % 3) {
+                    let mut part = Pipeline::new(&None, &None, agg);
+                    for (r, _, _) in arrival.iter().filter(|(.., q)| *q == p) {
+                        part.push(Cow::Borrowed(r)).unwrap();
+                    }
+                    part.partials().into_iter().for_each(|row| merged.absorb(row));
+                }
+                prop_assert_eq!(bytes(&merged.finish()), want.clone());
+            }
+        }
+
         #[test]
         fn matches_the_naive_reference_and_merges_partials_in_any_order(
             raw in proptest::collection::vec((0i64..4, 0usize..3, -6i64..7, 0i64..10), 0..60),

@@ -392,6 +392,7 @@ pub(super) fn pushdown_scan(
 mod tests {
     use super::*;
     use crate::query::expr::CmpOp;
+    use crate::row::Value;
 
     #[test]
     fn fragment_codec_roundtrip() {
@@ -444,5 +445,31 @@ mod tests {
         encode_fragment(&nothing, &mut buf2);
         assert_eq!(buf2.len(), 4 + 3 + 5);
         assert_eq!(decode_fragment(&buf2).unwrap(), nothing);
+    }
+
+    /// The bytes of a fragment over space 3 filtering on `col 0 = literal`,
+    /// the literal's row built by hand from `vals`.
+    fn filter_on_literal_of(vals: Row) -> Vec<u8> {
+        let mut lit = Vec::new();
+        crate::row::encode_row(&vals, &mut lit);
+        let mut buf = 3u32.to_le_bytes().to_vec();
+        // A filter: `Cmp(Eq, Col 0, Lit ..)`, the literal's length first.
+        buf.extend([1, 2, CmpOp::Eq as u8, 0, 0, 0, 0, 0, 1]);
+        buf.extend((lit.len() as u32).to_le_bytes());
+        buf.extend(lit);
+        // No projection, no aggregation, every column.
+        buf.extend([0, 0, 0]);
+        buf
+    }
+
+    #[test]
+    fn a_literal_is_exactly_one_value() {
+        let one = decode_fragment(&filter_on_literal_of(vec![Value::Int(5)])).unwrap();
+        let want = Expr::eq(Expr::col(0), Expr::int(5));
+        assert_eq!(one.filter, Some(want));
+        for vals in [vec![], vec![Value::Int(5), Value::Int(6)]] {
+            let got = decode_fragment(&filter_on_literal_of(vals));
+            assert!(matches!(got, Err(EngineError::Codec(_))), "{got:?}");
+        }
     }
 }

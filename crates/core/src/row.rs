@@ -260,7 +260,7 @@ pub fn decode_row(buf: &[u8]) -> Result<Row> {
 /// Decode the one row in `buf` into the caller's `row`, building only the
 /// columns in `need`: the row keeps its width and every other column is a
 /// placeholder [`Value::Null`] that, by the demanded-columns contract, nobody
-/// reads. The whole buffer is validated whatever `need` is — tags, lengths,
+/// reads (a slot already holding one is not written). The whole buffer is validated whatever `need` is — tags, lengths,
 /// UTF-8 and the absence of a tail — so the outcome (`Ok` or
 /// [`EngineError::Codec`]) never depends on it. `row`'s buffers are reused.
 pub fn decode_cols(buf: &[u8], need: &ColSet, row: &mut Row) -> Result<()> {
@@ -317,7 +317,12 @@ fn decode_with(buf: &[u8], row: &mut Row, need: impl Fn(usize) -> bool) -> Resul
             }
             t => return Err(EngineError::Codec(format!("bad value tag {t}"))),
         };
-        *slot = if wanted { value } else { Value::Null };
+        if wanted {
+            *slot = value;
+        } else if !slot.is_null() {
+            // An undemanded slot is left alone once it holds the placeholder.
+            *slot = Value::Null;
+        }
     }
     if pos != buf.len() {
         return Err(EngineError::Codec("bytes after the row".into()));

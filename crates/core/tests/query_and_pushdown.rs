@@ -546,3 +546,67 @@ fn edge_keys_join_and_group_as_their_encodings_do() {
         }
     }
 }
+
+/// MIN and MAX over values that tie or do not compare — a NaN against a
+/// number, `Int 1` against `Double 1.0`, `0.0` against `-0.0`, a number
+/// against a string — take the extremes of `Plan::Sort`'s order whichever
+/// order the rows arrive in, with and without push-down.
+#[test]
+fn min_and_max_do_not_depend_on_row_order() {
+    let f = fabric();
+    let mut ctx = SimCtx::new(1, 7);
+    let db = Db::open(&mut ctx, &f, DbConfig::builder().build().unwrap()).unwrap();
+    db.define_schema(|cat| {
+        for name in ["fwd", "rev"] {
+            cat.define(name)
+                .col("id", ColumnType::Int)
+                .col("g", ColumnType::Int)
+                .col("v", ColumnType::Double)
+                .pk(&["id"])
+                .build();
+        }
+    });
+    db.create_tables(&mut ctx).unwrap();
+    let dbl = Value::Double;
+    let groups = [
+        [dbl(f64::NAN), dbl(1.0)],
+        [Value::Int(1), dbl(1.0)],
+        [dbl(0.0), dbl(-0.0)],
+        [Value::Int(5), Value::Str("a".into())],
+    ];
+    let mut txn = db.begin();
+    let mut id = 0;
+    for (g, vals) in groups.iter().enumerate() {
+        for (table, order) in [("fwd", [0, 1]), ("rev", [1, 0])] {
+            for k in order {
+                let row = vec![Value::Int(id), Value::Int(g as i64), vals[k].clone()];
+                db.insert(&mut ctx, &mut txn, table, row).unwrap();
+                id += 1;
+            }
+        }
+    }
+    db.commit(&mut ctx, &mut txn).unwrap();
+    db.checkpoint(&mut ctx).unwrap();
+
+    let expect = [
+        "Int(0) Double(1.0) NaN(0x7ff8000000000000)",
+        "Int(1) Int(1) Double(1.0)",
+        "Int(2) Double(-0.0) Double(0.0)",
+        "Int(3) Int(5) Str(\"a\")",
+    ];
+    let pushed = QuerySession {
+        pushdown: true,
+        pushdown_min_pages: 0,
+    };
+    for table in ["fwd", "rev"] {
+        let plan = Plan::scan(table).agg(
+            vec![1],
+            vec![AggExpr::min(Expr::col(2)), AggExpr::max(Expr::col(2))],
+        );
+        for session in [&QuerySession::default(), &pushed] {
+            let rows = execute(&mut ctx, &db, session, &plan).unwrap();
+            let where_ = if session.pushdown { "pushed" } else { "local" };
+            assert_eq!(show(&rows), expect, "{table}, {where_}");
+        }
+    }
+}
