@@ -46,6 +46,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use vedb_rdma::{RdmaEndpoint, RemoteMr};
+use vedb_sim::bytes::Reader;
 use vedb_sim::fault::NodeId;
 use vedb_sim::trace::TraceLog;
 use vedb_sim::{
@@ -786,7 +787,7 @@ impl AStoreClient {
             };
             let abs = server.io_meta_offset(loc.offset);
             if let Ok(bytes) = self.ep.read(ctx, &mr, abs, 8) {
-                let len = u64::from_le_bytes(bytes.try_into().unwrap());
+                let len = Reader::new(&bytes, "io-meta").u64()?;
                 best = Some(best.map_or(len, |b| b.max(len)));
             }
         }
@@ -860,6 +861,7 @@ pub(crate) mod tests {
             Arc::clone(&env.faults),
             VTime::from_secs(30),
             VTime::from_secs(1),
+            MetricsRegistry::detached(),
         );
         let servers: Vec<Arc<AStoreServer>> = env
             .astore_nodes

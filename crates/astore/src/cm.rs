@@ -72,8 +72,7 @@ struct CmState {
     next_epoch: u64,
 }
 
-/// Control-plane metric handles (component `"astore"`), re-resolved whenever
-/// a deployment registry is attached.
+/// Control-plane metric handles (component `"astore"`).
 struct CmMetrics {
     registry: Arc<MetricsRegistry>,
     lease_acquires: Arc<Counter>,
@@ -104,16 +103,23 @@ pub struct ClusterManager {
     lease_ttl: VTime,
     heartbeat_timeout: VTime,
     state: Mutex<CmState>,
-    /// Deployment metric registry; detached until the assembler attaches the
-    /// cluster-wide one.
-    metrics: Mutex<CmMetrics>,
+    /// Deployment metric registry and the CM's counters in it.
+    metrics: CmMetrics,
 }
 
 impl ClusterManager {
     /// Create a CM. `lease_ttl` bounds how long a silent client keeps
     /// ownership; `heartbeat_timeout` is how long a silent server is
-    /// trusted.
-    pub fn new(faults: Arc<FaultPlan>, lease_ttl: VTime, heartbeat_timeout: VTime) -> Arc<Self> {
+    /// trusted. Control-plane counters (`astore.lease_*`, `astore.cm_*`) go
+    /// into `metrics`, and clients connecting through this CM publish their
+    /// data-path metrics there too — so component constructors keep their
+    /// signatures.
+    pub fn new(
+        faults: Arc<FaultPlan>,
+        lease_ttl: VTime,
+        heartbeat_timeout: VTime,
+        metrics: Arc<MetricsRegistry>,
+    ) -> Arc<Self> {
         Arc::new(ClusterManager {
             faults,
             lease_ttl,
@@ -125,21 +131,13 @@ impl ClusterManager {
                 leases: HashMap::new(),
                 next_epoch: 1,
             }),
-            metrics: Mutex::new(CmMetrics::register(MetricsRegistry::detached())),
+            metrics: CmMetrics::register(metrics),
         })
-    }
-
-    /// Attach the deployment-wide [`MetricsRegistry`]. Control-plane
-    /// counters (`astore.lease_*`, `astore.cm_*`) are re-registered there,
-    /// and clients connecting through this CM inherit the registry for their
-    /// data-path metrics — so component constructors keep their signatures.
-    pub fn attach_metrics(&self, registry: Arc<MetricsRegistry>) {
-        *self.metrics.lock() = CmMetrics::register(registry);
     }
 
     /// The registry this CM (and clients connected through it) publish into.
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.metrics.lock().registry)
+        Arc::clone(&self.metrics.registry)
     }
 
     /// Register a storage node.
@@ -182,7 +180,7 @@ impl ClusterManager {
     /// for the same client is superseded.
     pub fn acquire_lease(&self, ctx: &mut SimCtx, client_id: u64) -> Lease {
         ctx.advance(CM_PROC);
-        self.metrics.lock().lease_acquires.inc();
+        self.metrics.lease_acquires.inc();
         let mut st = self.state.lock();
         let epoch = st.next_epoch;
         st.next_epoch += 1;
@@ -202,7 +200,7 @@ impl ClusterManager {
     /// client's own in-flight operations).
     pub fn renew_lease(&self, ctx: &mut SimCtx, lease: Lease) -> Result<()> {
         ctx.advance(CM_PROC);
-        self.metrics.lock().lease_renewals.inc();
+        self.metrics.lease_renewals.inc();
         let mut st = self.state.lock();
         match st.leases.get(&lease.client_id) {
             Some((epoch, _)) if *epoch != lease.epoch => {
@@ -291,7 +289,7 @@ impl ClusterManager {
         replication: usize,
     ) -> Result<(SegmentId, Route)> {
         ctx.advance(CM_PROC);
-        self.metrics.lock().segment_creates.inc();
+        self.metrics.segment_creates.inc();
         self.reclaim_due(ctx.now());
         let (seg, targets) = {
             let mut st = self.state.lock();
@@ -357,7 +355,7 @@ impl ClusterManager {
     /// clean the slots up (delayed on the server side, §IV-C).
     pub fn delete_segment(&self, ctx: &mut SimCtx, lease: Lease, seg: SegmentId) -> Result<()> {
         ctx.advance(CM_PROC);
-        self.metrics.lock().segment_deletes.inc();
+        self.metrics.segment_deletes.inc();
         let route = {
             let mut st = self.state.lock();
             self.validate_locked(&st, lease, ctx.now())?;
@@ -383,7 +381,7 @@ impl ClusterManager {
     /// period; cost is one CM round trip).
     pub fn get_route(&self, ctx: &mut SimCtx, seg: SegmentId) -> Result<Route> {
         ctx.advance(CM_PROC);
-        self.metrics.lock().route_lookups.inc();
+        self.metrics.route_lookups.inc();
         self.state
             .lock()
             .routes
@@ -560,7 +558,7 @@ impl ClusterManager {
                         n.free_slots = n.free_slots.saturating_sub(1);
                     }
                     drop(st);
-                    self.metrics.lock().repairs.inc();
+                    self.metrics.repairs.inc();
                 }
             }
         }
@@ -627,6 +625,7 @@ mod tests {
             Arc::clone(&env.faults),
             VTime::from_secs(10),
             VTime::from_secs(1),
+            MetricsRegistry::detached(),
         );
         let servers: Vec<Arc<AStoreServer>> = env
             .astore_nodes

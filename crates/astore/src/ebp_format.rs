@@ -10,6 +10,8 @@
 //! *after* each record as a terminator, so a scan walks records until the
 //! first invalid header.
 
+use vedb_sim::bytes::Reader;
+
 use crate::{Lsn, PageId};
 
 /// Magic marking a valid EBP page record.
@@ -54,25 +56,17 @@ pub fn encode_header(h: &EbpRecordHeader) -> [u8; RECORD_HDR_SIZE] {
 /// Decode and validate a record header; `None` for anything that is not a
 /// well-formed record (including the all-zero terminator).
 pub fn decode_header(buf: &[u8]) -> Option<EbpRecordHeader> {
-    if buf.len() < RECORD_HDR_SIZE {
+    let mut r = Reader::new(buf, "ebp header");
+    let body = r.take(RECORD_HDR_SIZE - 8).ok()?;
+    let ck_stored = r.u64().ok()?;
+    let mut r = Reader::new(body, "ebp header");
+    if r.u32().ok()? != EBP_MAGIC || fnv1a(body) != ck_stored {
         return None;
     }
-    let magic = u32::from_le_bytes(buf[0..4].try_into().unwrap());
-    if magic != EBP_MAGIC {
-        return None;
-    }
-    let ck_stored = u64::from_le_bytes(buf[24..32].try_into().unwrap());
-    if fnv1a(&buf[0..24]) != ck_stored {
-        return None;
-    }
-    Some(EbpRecordHeader {
-        page: PageId::new(
-            u32::from_le_bytes(buf[4..8].try_into().unwrap()),
-            u32::from_le_bytes(buf[8..12].try_into().unwrap()),
-        ),
-        len: u32::from_le_bytes(buf[12..16].try_into().unwrap()),
-        lsn: u64::from_le_bytes(buf[16..24].try_into().unwrap()),
-    })
+    let page = PageId::new(r.u32().ok()?, r.u32().ok()?);
+    let len = r.u32().ok()?;
+    let lsn = r.u64().ok()?;
+    Some(EbpRecordHeader { page, lsn, len })
 }
 
 /// Total on-media size of a record with `payload_len` bytes of page image.

@@ -18,6 +18,8 @@
 //! allocate/release so a restarted server can rebuild its allocator from
 //! PMem (the paper's fast-recovery property).
 
+use vedb_sim::bytes::Reader;
+
 use crate::SegmentId;
 
 /// Size of the superblock area.
@@ -240,12 +242,13 @@ pub fn encode_slot_meta(
 
 /// Decode a slot's persisted meta record.
 pub fn decode_slot_meta(buf: &[u8]) -> Option<(SlotState, SegmentClass, SegmentId)> {
-    if buf.len() < SLOT_META_SIZE as usize {
-        return None;
-    }
-    let state = SlotState::from_byte(buf[0])?;
-    let class = SegmentClass::from_byte(buf[1])?;
-    let id = u64::from_le_bytes(buf[8..16].try_into().unwrap());
+    let mut r = Reader::new(buf, "slot meta");
+    let state = SlotState::from_byte(r.u8().ok()?)?;
+    let class = SegmentClass::from_byte(r.u8().ok()?)?;
+    r.take(6).ok()?;
+    let id = r.u64().ok()?;
+    // A record shorter than its slot is torn, whatever its reserved tail holds.
+    r.take(SLOT_META_SIZE as usize - 16).ok()?;
     Some((state, class, id))
 }
 

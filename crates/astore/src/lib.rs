@@ -170,6 +170,12 @@ impl From<RdmaError> for AStoreError {
     }
 }
 
+impl From<vedb_sim::bytes::Truncated> for AStoreError {
+    fn from(e: vedb_sim::bytes::Truncated) -> Self {
+        AStoreError::Corrupt(e.to_string())
+    }
+}
+
 impl std::fmt::Display for AStoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -21,6 +21,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use vedb_sim::bytes::Reader;
 use vedb_sim::SimCtx;
 
 use crate::client::{AStoreClient, SegmentHandle};
@@ -63,10 +64,11 @@ fn encode_ring_header(status: SlotStatus, start_lsn: Lsn) -> [u8; RING_HDR_SIZE 
     h
 }
 
-fn decode_ring_header(buf: &[u8]) -> (SlotStatus, Lsn) {
-    let status = SlotStatus::from_byte(buf[0]);
-    let lsn = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-    (status, lsn)
+fn decode_ring_header(buf: &[u8]) -> Result<(SlotStatus, Lsn)> {
+    let mut r = Reader::new(buf, "ring header");
+    let status = SlotStatus::from_byte(r.u8()?);
+    r.take(7)?;
+    Ok((status, r.u64()?))
 }
 
 /// Find the slot with the greatest `start_lsn` by binary search.
@@ -455,7 +457,7 @@ impl SegmentRing {
             let used = client.segment_len(handle);
             let (status, start_lsn) = if used >= RING_HDR_SIZE {
                 let hdr = client.read(ctx, handle, 0, RING_HDR_SIZE as usize)?;
-                decode_ring_header(&hdr)
+                decode_ring_header(&hdr)?
             } else {
                 (SlotStatus::Empty, 0)
             };
@@ -526,12 +528,50 @@ mod tests {
     use super::*;
     use crate::client::tests::{astore_count, test_cluster};
     use crate::client::ROUTE_REFRESH;
+    use crate::ebp_format::{decode_header, encode_header, EbpRecordHeader};
+    use crate::layout::{decode_slot_meta, encode_slot_meta, SlotState};
 
     #[test]
     fn header_roundtrip() {
         let h = encode_ring_header(SlotStatus::Full, 987654);
-        assert_eq!(decode_ring_header(&h), (SlotStatus::Full, 987654));
-        assert_eq!(decode_ring_header(&[0u8; 16]), (SlotStatus::Empty, 0));
+        assert_eq!(decode_ring_header(&h), Ok((SlotStatus::Full, 987654)));
+        assert_eq!(decode_ring_header(&[0u8; 16]), Ok((SlotStatus::Empty, 0)));
+    }
+
+    /// What a server or a recovering ring reads back after a crash — an EBP
+    /// record header, a slot's meta record, a ring slot's header — may be
+    /// torn anywhere: the whole encoding decodes to what was encoded, and
+    /// every strict prefix is rejected, never a panic.
+    #[test]
+    fn every_prefix_of_an_on_media_header_is_rejected() {
+        let ebp = EbpRecordHeader {
+            page: crate::PageId::new(3, 77),
+            lsn: 123_456,
+            len: 16 * 1024,
+        };
+        let meta = (SlotState::Allocated, SegmentClass::Ebp, 0xDEAD_BEEF);
+        type Decode = dyn Fn(&[u8]) -> Option<String>;
+        let cases: [(Vec<u8>, String, &Decode); 3] = [
+            (encode_header(&ebp).to_vec(), format!("{ebp:?}"), &|b| {
+                decode_header(b).map(|h| format!("{h:?}"))
+            }),
+            (
+                encode_slot_meta(meta.0, meta.1, meta.2).to_vec(),
+                format!("{meta:?}"),
+                &|b| decode_slot_meta(b).map(|m| format!("{m:?}")),
+            ),
+            (
+                encode_ring_header(SlotStatus::Full, 987_654).to_vec(),
+                format!("{:?}", (SlotStatus::Full, 987_654u64)),
+                &|b| decode_ring_header(b).ok().map(|h| format!("{h:?}")),
+            ),
+        ];
+        for (whole, want, decode) in cases {
+            assert_eq!(decode(&whole).as_ref(), Some(&want));
+            for cut in 0..whole.len() {
+                assert_eq!(decode(&whole[..cut]), None, "{want}: {cut} bytes");
+            }
+        }
     }
 
     #[test]

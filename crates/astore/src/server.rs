@@ -26,6 +26,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use vedb_pmem::PmemDevice;
 use vedb_rdma::RemoteMr;
+use vedb_sim::bytes::Reader;
 use vedb_sim::cluster::NodeRes;
 use vedb_sim::fault::NodeId;
 use vedb_sim::{Counter, Gauge, LatencyModel, MetricsRegistry, SimCtx, VTime};
@@ -404,12 +405,7 @@ impl AStoreServer {
             .device
             .peek(0, 16)
             .map_err(|e| AStoreError::Corrupt(format!("superblock unreadable: {e}")))?;
-        let magic = sb
-            .get(0..8)
-            .and_then(|b| <[u8; 8]>::try_from(b).ok())
-            .map(u64::from_le_bytes)
-            .ok_or_else(|| AStoreError::Corrupt("superblock truncated".into()))?;
-        if magic != SUPERBLOCK_MAGIC {
+        if Reader::new(&sb, "superblock").u64()? != SUPERBLOCK_MAGIC {
             return Err(AStoreError::Corrupt("bad superblock magic".into()));
         }
         let meta_len = self.geo.slots * SLOT_META_SIZE as usize;
@@ -421,8 +417,9 @@ impl AStoreServer {
         let mut st = self.state.lock();
         st.bitmap = SlotBitmap::new(self.geo.slots);
         st.segments.clear();
+        let mut r = Reader::new(&meta, "slot metadata");
         for slot in 0..self.geo.slots {
-            let rec = &meta[slot * SLOT_META_SIZE as usize..(slot + 1) * SLOT_META_SIZE as usize];
+            let rec = r.take(SLOT_META_SIZE as usize)?;
             if let Some((SlotState::Allocated, class, id)) = decode_slot_meta(rec) {
                 st.bitmap.set_allocated(slot);
                 st.segments.insert(id, (slot, class));

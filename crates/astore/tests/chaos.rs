@@ -23,7 +23,7 @@ use vedb_astore::retry::MAX_RETRIES;
 use vedb_astore::{AStoreServer, AppendOpts, SegmentOpts, SegmentRing, ROUTE_REFRESH};
 use vedb_rdma::RdmaEndpoint;
 use vedb_sim::fault::NodeId;
-use vedb_sim::{ClusterSpec, RunReport, SimCtx, SimEnv, VTime};
+use vedb_sim::{ClusterSpec, MetricsRegistry, RunReport, SimCtx, SimEnv, VTime};
 
 struct Cluster {
     env: Arc<SimEnv>,
@@ -31,9 +31,24 @@ struct Cluster {
     servers: Vec<Arc<AStoreServer>>,
 }
 
+/// A cluster whose CM and clients publish into a detached registry.
 fn cluster(lease_ttl: VTime) -> Cluster {
+    cluster_with(lease_ttl, false)
+}
+
+/// A cluster whose CM and clients publish into `env.metrics` if `report`.
+fn cluster_with(lease_ttl: VTime, report: bool) -> Cluster {
     let env = ClusterSpec::paper_default().build();
-    let cm = ClusterManager::new(Arc::clone(&env.faults), lease_ttl, VTime::from_secs(1));
+    let metrics = match report {
+        true => Arc::clone(&env.metrics),
+        false => MetricsRegistry::detached(),
+    };
+    let cm = ClusterManager::new(
+        Arc::clone(&env.faults),
+        lease_ttl,
+        VTime::from_secs(1),
+        metrics,
+    );
     let servers: Vec<Arc<AStoreServer>> = env
         .astore_nodes
         .iter()
@@ -165,8 +180,7 @@ fn recovery_counts_reach_the_report_once() {
     /// Runs the scenario; returns the report and how many segments the CM
     /// re-replicated, read off its routes.
     fn run(faults: bool, second_drives: bool) -> (RunReport, u64) {
-        let c = cluster(VTime::from_secs(3600));
-        c.cm.attach_metrics(Arc::clone(&c.env.metrics));
+        let c = cluster_with(VTime::from_secs(3600), true);
         let mut ctx = SimCtx::new(1, 0xC0FFEE);
         let first = connect(&c, &mut ctx, 1);
         let second = connect(&c, &mut ctx, 2);
@@ -565,8 +579,7 @@ fn repair_copies_io_meta_so_recovery_sees_full_length() {
 /// nothing is dropped or retried.
 #[test]
 fn fault_free_rdma_counts_match_ground_truth() {
-    let c = cluster(VTime::from_secs(3600));
-    c.cm.attach_metrics(Arc::clone(&c.env.metrics));
+    let c = cluster_with(VTime::from_secs(3600), true);
     let mut ctx = SimCtx::new(9, 0xFEED);
     let ep = RdmaEndpoint::with_metrics(
         c.env.model.clone(),

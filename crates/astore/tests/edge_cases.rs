@@ -12,7 +12,7 @@ use vedb_astore::{
 };
 use vedb_rdma::RdmaEndpoint;
 use vedb_sim::fault::NodeId;
-use vedb_sim::{ClusterSpec, SimCtx, SimEnv, VTime};
+use vedb_sim::{ClusterSpec, MetricsRegistry, SimCtx, SimEnv, VTime};
 
 struct Cluster {
     env: Arc<SimEnv>,
@@ -26,6 +26,7 @@ fn cluster() -> Cluster {
         Arc::clone(&env.faults),
         VTime::from_secs(600),
         VTime::from_secs(30),
+        MetricsRegistry::detached(),
     );
     let servers: Vec<Arc<AStoreServer>> = env
         .astore_nodes

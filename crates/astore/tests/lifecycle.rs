@@ -14,7 +14,7 @@ use vedb_astore::layout::{SegmentClass, SLOT_META_SIZE, SUPERBLOCK_SIZE};
 use vedb_astore::{AStoreError, AStoreServer, SegmentOpts, CLEANUP_DELAY, ROUTE_REFRESH};
 use vedb_rdma::RdmaEndpoint;
 use vedb_sim::fault::NodeId;
-use vedb_sim::{ClusterSpec, SimCtx, SimEnv, VTime};
+use vedb_sim::{ClusterSpec, MetricsRegistry, SimCtx, SimEnv, VTime};
 
 const SLOT: u64 = 64 * 1024;
 
@@ -31,6 +31,7 @@ fn cluster(slots: u64) -> Cluster {
         Arc::clone(&env.faults),
         VTime::from_secs(3600),
         VTime::from_secs(60),
+        MetricsRegistry::detached(),
     );
     let capacity = SUPERBLOCK_SIZE + slots * (SLOT + SLOT_META_SIZE);
     let servers: Vec<Arc<AStoreServer>> = env

@@ -11,7 +11,7 @@ use vedb_core::ebp::EbpConfig;
 use vedb_core::{FlushPolicy, Value};
 use vedb_pagestore::page::PageType;
 use vedb_pagestore::redo::{PageOp, RedoRecord};
-use vedb_pagestore::{PageStore, PageStoreConfig, PageStoreServer, CHECKPOINT_EVERY_RECORDS};
+use vedb_pagestore::{PageStore, PageStoreServer, CHECKPOINT_EVERY_RECORDS};
 use vedb_rdma::RpcFabric;
 use vedb_sim::{ClusterSpec, RunReport, SimCtx, SimEnv, Trial, VTime};
 use vedb_workloads::driver::OpOutcome;
@@ -241,7 +241,7 @@ fn restart_after(n: usize) -> (Arc<SimEnv>, Trial) {
         .map(|(i, node)| PageStoreServer::new(200 + i as u32, Arc::clone(node), env.model.clone()))
         .collect();
     let rpc = Arc::new(RpcFabric::new(env.model.clone(), Arc::clone(&env.faults)));
-    let ps = PageStore::new(PageStoreConfig::default(), rpc, servers);
+    let ps = PageStore::new(rpc, servers);
     let mut ctx = SimCtx::new(1, 2024);
     for chunk in make_log(n).chunks(SHIP_BATCH) {
         ps.ship(&mut ctx, chunk).expect("ship");

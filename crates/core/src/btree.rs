@@ -182,7 +182,7 @@ impl BTree {
         txn: u64,
         key: &[u8],
         payload: &[u8],
-        undo: Option<UndoInfo>,
+        undo: Option<&UndoInfo>,
     ) -> Result<()> {
         let latch = access.space_latch(self.space);
         let _g = latch.write();
@@ -457,7 +457,7 @@ impl BTree {
         txn: u64,
         key: &[u8],
         payload: &[u8],
-        undo: Option<UndoInfo>,
+        undo: Option<&UndoInfo>,
     ) -> Result<()> {
         let latch = access.space_latch(self.space);
         let _g = latch.write();
@@ -511,7 +511,7 @@ impl BTree {
         access: &Db,
         txn: u64,
         key: &[u8],
-        undo: Option<UndoInfo>,
+        undo: Option<&UndoInfo>,
     ) -> Result<()> {
         let latch = access.space_latch(self.space);
         let _g = latch.write();

@@ -28,8 +28,9 @@ use vedb_astore::{AStoreServer, Lsn, PageId, SegmentId, SegmentRing, ROUTE_REFRE
 use vedb_blobstore::{BlobGroup, BlobGroupConfig, BlobServer};
 use vedb_pagestore::page::{Page, PageType};
 use vedb_pagestore::redo::{PageOp, RedoRecord};
-use vedb_pagestore::{PageStore, PageStoreConfig, PageStoreServer};
+use vedb_pagestore::{PageStore, PageStoreServer};
 use vedb_rdma::{RdmaEndpoint, RpcFabric};
+use vedb_sim::bytes::Reader;
 use vedb_sim::fault::NodeId;
 use vedb_sim::metrics::{Counter, LatencyRecorder};
 use vedb_sim::trace::TraceLog;
@@ -229,8 +230,8 @@ impl StorageFabric {
             Arc::clone(&env.faults),
             VTime::from_secs(3600),
             VTime::from_secs(60),
+            Arc::clone(&env.metrics),
         );
-        cm.attach_metrics(Arc::clone(&env.metrics));
         let astore_servers: Vec<Arc<AStoreServer>> = env
             .astore_nodes
             .iter()
@@ -272,7 +273,7 @@ impl StorageFabric {
             .enumerate()
             .map(|(i, n)| PageStoreServer::new(200 + i as NodeId, Arc::clone(n), env.model.clone()))
             .collect();
-        let pagestore = PageStore::new(PageStoreConfig::default(), Arc::clone(&rpc), ps_servers);
+        let pagestore = PageStore::new(Arc::clone(&rpc), ps_servers);
         StorageFabric {
             env,
             cm,
@@ -323,34 +324,19 @@ fn encode_meta(m: &MetaState) -> Vec<u8> {
     out
 }
 
-/// Bounds-checked little-endian u32 read; truncation is a codec error, not
-/// a panic — meta pages come off the wire / storage and may be damaged.
-fn meta_u32(buf: &[u8], pos: usize) -> Result<u32> {
-    buf.get(pos..pos + 4)
-        .and_then(|b| <[u8; 4]>::try_from(b).ok())
-        .map(u32::from_le_bytes)
-        .ok_or_else(|| EngineError::Codec("meta truncated".into()))
-}
-
+/// Inverse of [`encode_meta`]. Meta pages come off the wire / storage and
+/// may be damaged: truncation is a codec error, not a panic.
 fn decode_meta(buf: &[u8]) -> Result<MetaState> {
-    let err = || EngineError::Codec("meta truncated".into());
+    let mut r = Reader::new(buf, "meta");
     let mut m = MetaState::default();
-    let n = meta_u32(buf, 0)? as usize;
-    let mut pos = 4;
-    for _ in 0..n {
-        let s = meta_u32(buf, pos)?;
-        let v = meta_u32(buf, pos + 4)?;
-        m.next_page.insert(s, v);
-        pos += 8;
+    for _ in 0..r.u32()? {
+        let s = r.u32()?;
+        m.next_page.insert(s, r.u32()?);
     }
-    let r = meta_u32(buf, pos)? as usize;
-    pos += 4;
-    for _ in 0..r {
-        let s = meta_u32(buf, pos)?;
-        let root = meta_u32(buf, pos + 4)?;
-        let level = *buf.get(pos + 8).ok_or_else(err)?;
-        m.roots.insert(s, (root, level));
-        pos += 9;
+    for _ in 0..r.u32()? {
+        let s = r.u32()?;
+        let root = r.u32()?;
+        m.roots.insert(s, (root, r.u8()?));
     }
     Ok(m)
 }
@@ -681,7 +667,7 @@ impl Db {
             op: UndoOp::Remove { key: key.clone() },
         };
         BTree::new(t.space_no)
-            .insert(ctx, self, txn.id, &key, &payload, Some(undo.clone()))
+            .insert(ctx, self, txn.id, &key, &payload, Some(&undo))
             .map_err(|e| match e {
                 EngineError::DuplicateKey { .. } => EngineError::DuplicateKey {
                     table: t.name.clone(),
@@ -695,7 +681,7 @@ impl Db {
                 index_space: ix.space_no,
                 op: UndoOp::Remove { key: skey.clone() },
             };
-            BTree::new(ix.space_no).insert(ctx, self, txn.id, &skey, &key, Some(undo.clone()))?;
+            BTree::new(ix.space_no).insert(ctx, self, txn.id, &skey, &key, Some(&undo))?;
             txn.undo.push(undo);
         }
         sp.finish(ctx);
@@ -757,7 +743,7 @@ impl Db {
                 old_cell: old_payload.clone(),
             },
         };
-        tree.update(ctx, self, txn.id, &key, &new_payload, Some(undo.clone()))?;
+        tree.update(ctx, self, txn.id, &key, &new_payload, Some(&undo))?;
         txn.undo.push(undo);
         // Maintain secondary indexes whose keys changed.
         for ix in &t.secondary {
@@ -771,20 +757,13 @@ impl Db {
                         old_cell: key.clone(),
                     },
                 };
-                BTree::new(ix.space_no).delete(ctx, self, txn.id, &old_k, Some(u1.clone()))?;
+                BTree::new(ix.space_no).delete(ctx, self, txn.id, &old_k, Some(&u1))?;
                 txn.undo.push(u1);
                 let u2 = UndoInfo {
                     index_space: ix.space_no,
                     op: UndoOp::Remove { key: new_k.clone() },
                 };
-                BTree::new(ix.space_no).insert(
-                    ctx,
-                    self,
-                    txn.id,
-                    &new_k,
-                    &key,
-                    Some(u2.clone()),
-                )?;
+                BTree::new(ix.space_no).insert(ctx, self, txn.id, &new_k, &key, Some(&u2))?;
                 txn.undo.push(u2);
             }
         }
@@ -818,7 +797,7 @@ impl Db {
                 old_cell: old_payload.clone(),
             },
         };
-        tree.delete(ctx, self, txn.id, &key, Some(undo.clone()))?;
+        tree.delete(ctx, self, txn.id, &key, Some(&undo))?;
         txn.undo.push(undo);
         for ix in &t.secondary {
             let skey = Self::sec_key(&t, ix, &old_row);
@@ -829,7 +808,7 @@ impl Db {
                     old_cell: key.clone(),
                 },
             };
-            BTree::new(ix.space_no).delete(ctx, self, txn.id, &skey, Some(u.clone()))?;
+            BTree::new(ix.space_no).delete(ctx, self, txn.id, &skey, Some(&u))?;
             txn.undo.push(u);
         }
         sp.finish(ctx);
@@ -1140,5 +1119,66 @@ impl Db {
         )?;
         frame.mark_dirty();
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wal::{decode_wal_record, encode_wal_record};
+
+    /// `decode(whole)` gives `want`, and every strict prefix of `whole` is a
+    /// codec error, never a panic.
+    fn check_prefixes<T: PartialEq + std::fmt::Debug>(
+        whole: &[u8],
+        want: &T,
+        decode: impl Fn(&[u8]) -> Result<T>,
+    ) {
+        assert_eq!(&decode(whole).unwrap(), want);
+        for cut in 0..whole.len() {
+            let got = decode(&whole[..cut]);
+            assert!(matches!(got, Err(EngineError::Codec(_))), "{cut}: {got:?}");
+        }
+    }
+
+    /// What the engine reads back after a crash — WAL records and the meta
+    /// page — may be torn anywhere.
+    #[test]
+    fn every_prefix_of_a_wal_record_or_the_meta_blob_is_a_codec_error() {
+        let redo = RedoRecord {
+            lsn: 5,
+            prev_same_segment: 2,
+            txn_id: 1,
+            page: PageId::new(1, 2),
+            op: PageOp::InsertAt {
+                slot: 3,
+                cell: b"cell".to_vec(),
+            },
+        };
+        let undo = UndoInfo {
+            index_space: 1,
+            op: UndoOp::Revert {
+                key: b"k1".to_vec(),
+                old_cell: b"old".to_vec(),
+            },
+        };
+        for rec in [
+            WalRecord::Page {
+                redo: redo.clone(),
+                undo: Some(undo),
+            },
+            WalRecord::Page { redo, undo: None },
+            WalRecord::Commit { txn_id: 99 },
+            WalRecord::Abort { txn_id: 100 },
+        ] {
+            let mut buf = Vec::new();
+            encode_wal_record(&rec, &mut buf);
+            check_prefixes(&buf, &rec, decode_wal_record);
+        }
+        let meta = MetaState {
+            next_page: BTreeMap::from([(0, 2), (7, 40)]),
+            roots: BTreeMap::from([(7, (3, 1)), (8, (9, 0))]),
+        };
+        check_prefixes(&encode_meta(&meta), &meta, decode_meta);
     }
 }

@@ -112,7 +112,7 @@ impl Db {
         txn: u64,
         pid: PageId,
         op: PageOp,
-        undo: Option<UndoInfo>,
+        undo: Option<&UndoInfo>,
         page: &mut Page,
     ) -> Result<Lsn> {
         let proto = RedoRecord {

@@ -604,6 +604,7 @@ mod tests {
             Arc::clone(&env.faults),
             VTime::from_secs(3600),
             VTime::from_secs(60),
+            vedb_sim::MetricsRegistry::detached(),
         );
         for (i, n) in env.astore_nodes.iter().enumerate() {
             let s = vedb_astore::AStoreServer::new(

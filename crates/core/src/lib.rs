@@ -120,6 +120,12 @@ impl From<vedb_rdma::RdmaError> for EngineError {
     }
 }
 
+impl From<vedb_sim::bytes::Truncated> for EngineError {
+    fn from(e: vedb_sim::bytes::Truncated) -> Self {
+        EngineError::Codec(e.to_string())
+    }
+}
+
 impl From<vedb_blobstore::BlobError> for EngineError {
     fn from(e: vedb_blobstore::BlobError) -> Self {
         EngineError::Blob(e)

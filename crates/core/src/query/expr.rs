@@ -8,6 +8,8 @@
 
 use std::borrow::Cow;
 
+use vedb_sim::bytes::Reader;
+
 use crate::row::{ColSet, Row, Value};
 use crate::{EngineError, Result};
 
@@ -275,31 +277,11 @@ fn encode_literal(v: &Value, out: &mut Vec<u8>) {
     out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Bounds-checked read of the next byte of a fragment's wire bytes.
-pub(super) fn take_u8(buf: &[u8], pos: &mut usize) -> Result<u8> {
-    Ok(take(buf, pos, 1)?[0])
-}
-
-/// Bounds-checked read of the next little-endian `u32`.
-pub(super) fn take_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
-    let b = take(buf, pos, 4)?;
-    Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
-}
-
-/// Bounds-checked read of the next `len` bytes.
-pub(super) fn take<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8]> {
-    let end = pos.checked_add(len).filter(|end| *end <= buf.len());
-    let end = end.ok_or_else(|| EngineError::Codec("fragment truncated".into()))?;
-    let bytes = &buf[*pos..end];
-    *pos = end;
-    Ok(bytes)
-}
-
 /// Inverse of [`encode_literal`]: a row of other than one value is a codec
 /// error.
-fn decode_literal(buf: &[u8], pos: &mut usize) -> Result<Value> {
-    let len = take_u32(buf, pos)? as usize;
-    let row = crate::row::decode_row(take(buf, pos, len)?)?;
+fn decode_literal(r: &mut Reader<'_>) -> Result<Value> {
+    let len = r.u32()? as usize;
+    let row = crate::row::decode_row(r.take(len)?)?;
     let [v] = <[Value; 1]>::try_from(row)
         .map_err(|row| EngineError::Codec(format!("a literal of {} values, not one", row.len())))?;
     Ok(v)
@@ -352,13 +334,13 @@ pub fn encode_expr(e: &Expr, out: &mut Vec<u8>) {
 }
 
 /// Decode an expression.
-pub fn decode_expr(buf: &[u8], pos: &mut usize) -> Result<Expr> {
-    let operand = |pos: &mut usize| decode_expr(buf, pos).map(Box::new);
-    Ok(match take_u8(buf, pos)? {
-        0 => Expr::Col(take_u32(buf, pos)? as usize),
-        1 => Expr::Lit(decode_literal(buf, pos)?),
+pub fn decode_expr(r: &mut Reader<'_>) -> Result<Expr> {
+    let operand = |r: &mut Reader<'_>| decode_expr(r).map(Box::new);
+    Ok(match r.u8()? {
+        0 => Expr::Col(r.u32()? as usize),
+        1 => Expr::Lit(decode_literal(r)?),
         2 => {
-            let op = match take_u8(buf, pos)? {
+            let op = match r.u8()? {
                 0 => CmpOp::Eq,
                 1 => CmpOp::Ne,
                 2 => CmpOp::Lt,
@@ -367,25 +349,25 @@ pub fn decode_expr(buf: &[u8], pos: &mut usize) -> Result<Expr> {
                 5 => CmpOp::Ge,
                 t => return Err(EngineError::Codec(format!("bad cmp op {t}"))),
             };
-            Expr::Cmp(op, operand(pos)?, operand(pos)?)
+            Expr::Cmp(op, operand(r)?, operand(r)?)
         }
-        3 => Expr::And(operand(pos)?, operand(pos)?),
-        4 => Expr::Or(operand(pos)?, operand(pos)?),
-        5 => Expr::Not(operand(pos)?),
+        3 => Expr::And(operand(r)?, operand(r)?),
+        4 => Expr::Or(operand(r)?, operand(r)?),
+        5 => Expr::Not(operand(r)?),
         6 => {
-            let op = match take_u8(buf, pos)? {
+            let op = match r.u8()? {
                 0 => ArithOp::Add,
                 1 => ArithOp::Sub,
                 2 => ArithOp::Mul,
                 3 => ArithOp::Div,
                 t => return Err(EngineError::Codec(format!("bad arith op {t}"))),
             };
-            Expr::Arith(op, operand(pos)?, operand(pos)?)
+            Expr::Arith(op, operand(r)?, operand(r)?)
         }
         7 => {
-            let a = operand(pos)?;
-            let len = take_u32(buf, pos)? as usize;
-            let p = String::from_utf8(take(buf, pos, len)?.to_vec())
+            let a = operand(r)?;
+            let len = r.u32()? as usize;
+            let p = String::from_utf8(r.take(len)?.to_vec())
                 .map_err(|_| EngineError::Codec("bad utf8 in LIKE".into()))?;
             Expr::Like(a, p)
         }
@@ -810,9 +792,9 @@ mod tests {
         for e in exprs {
             let mut buf = Vec::new();
             encode_expr(&e, &mut buf);
-            let mut pos = 0;
-            let dec = decode_expr(&buf, &mut pos).unwrap();
-            assert_eq!(pos, buf.len());
+            let mut r = Reader::new(&buf, "fragment");
+            let dec = decode_expr(&mut r).unwrap();
+            assert_eq!(r.pos(), buf.len());
             assert_eq!(dec, e);
         }
     }
@@ -821,7 +803,7 @@ mod tests {
     fn truncated_expr_rejected() {
         let mut buf = Vec::new();
         encode_expr(&Expr::and(Expr::col(1), Expr::col(2)), &mut buf);
-        let mut pos = 0;
-        assert!(decode_expr(&buf[..buf.len() - 2], &mut pos).is_err());
+        let mut r = Reader::new(&buf[..buf.len() - 2], "fragment");
+        assert!(decode_expr(&mut r).is_err());
     }
 }

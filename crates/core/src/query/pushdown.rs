@@ -22,7 +22,8 @@ use std::sync::Arc;
 
 use vedb_astore::{AStoreServer, Lsn, PageId};
 use vedb_pagestore::page::{Page, PageType};
-use vedb_pagestore::{PageStoreError, PageStoreServer};
+use vedb_pagestore::{PageStoreError, PageStoreServer, PsSegmentKey};
+use vedb_sim::bytes::Reader;
 use vedb_sim::fault::NodeId;
 use vedb_sim::{SimCtx, VTime};
 
@@ -30,7 +31,7 @@ use crate::btree::parse_leaf_cell;
 use crate::db::Db;
 use crate::ebp::EbpLoc;
 use crate::query::exec::{QuerySession, Sink};
-use crate::query::expr::{decode_expr, encode_expr, take, take_u32, take_u8, Expr};
+use crate::query::expr::{decode_expr, encode_expr, Expr};
 use crate::query::pipeline::Pipeline;
 use crate::query::plan::{AggExpr, AggFunc};
 use crate::row::{decode_cols, ColSet, Row};
@@ -131,28 +132,28 @@ pub fn encode_fragment(f: &Fragment, out: &mut Vec<u8>) {
 /// Decode a fragment. Truncated or malformed bytes are a codec error, not
 /// a panic: the storage-side task runs what it decodes from the request.
 pub fn decode_fragment(buf: &[u8]) -> Result<Fragment> {
-    let mut pos = 0;
-    let space = take_u32(buf, &mut pos)?;
-    let filter = match take_u8(buf, &mut pos)? {
-        1 => Some(decode_expr(buf, &mut pos)?),
+    let mut r = Reader::new(buf, "fragment");
+    let space = r.u32()?;
+    let filter = match r.u8()? {
+        1 => Some(decode_expr(&mut r)?),
         _ => None,
     };
-    let project = match take_u8(buf, &mut pos)? {
+    let project = match r.u8()? {
         1 => {
-            let n = take_u32(buf, &mut pos)?;
-            let exprs = (0..n).map(|_| decode_expr(buf, &mut pos));
+            let n = r.u32()?;
+            let exprs = (0..n).map(|_| decode_expr(&mut r));
             Some(exprs.collect::<Result<_>>()?)
         }
         _ => None,
     };
-    let agg = match take_u8(buf, &mut pos)? {
+    let agg = match r.u8()? {
         1 => {
-            let n = take_u32(buf, &mut pos)?;
-            let group_by = (0..n).map(|_| take_u32(buf, &mut pos).map(|g| g as usize));
-            let group_by = group_by.collect::<Result<_>>()?;
-            let m = take_u32(buf, &mut pos)?;
+            let n = r.u32()?;
+            let group_by = (0..n).map(|_| r.u32().map(|g| g as usize));
+            let group_by = group_by.collect::<std::result::Result<_, _>>()?;
+            let m = r.u32()?;
             let aggs = (0..m).map(|_| {
-                let func = match take_u8(buf, &mut pos)? {
+                let func = match r.u8()? {
                     0 => AggFunc::CountStar,
                     1 => AggFunc::Count,
                     2 => AggFunc::Sum,
@@ -161,17 +162,17 @@ pub fn decode_fragment(buf: &[u8]) -> Result<Fragment> {
                     5 => AggFunc::Max,
                     t => return Err(EngineError::Codec(format!("bad agg func {t}"))),
                 };
-                let expr = decode_expr(buf, &mut pos)?;
+                let expr = decode_expr(&mut r)?;
                 Ok(AggExpr { func, expr })
             });
             Some((group_by, aggs.collect::<Result<_>>()?))
         }
         _ => None,
     };
-    let need = match take_u8(buf, &mut pos)? {
+    let need = match r.u8()? {
         1 => {
-            let len = take_u32(buf, &mut pos)? as usize;
-            ColSet::from_mask(take(buf, &mut pos, len)?)
+            let len = r.u32()? as usize;
+            ColSet::from_mask(r.take(len)?)
         }
         _ => ColSet::all(),
     };
@@ -223,7 +224,7 @@ fn split_tasks(db: &Db, space: u32) -> Result<Vec<Task>> {
         match ebp_hit {
             Some(loc) => ebp_groups.entry(loc.node).or_default().push(loc),
             None => {
-                let key = db.pagestore().cfg().segment_of(pid);
+                let key = PsSegmentKey::of(pid);
                 let server = db.pagestore().replicas_of(key).swap_remove(0);
                 let node = server.node();
                 let (_, pages) = ps_groups.entry(node).or_insert((server, Vec::new()));
@@ -269,7 +270,7 @@ impl Task {
             }
             Task::PageStore(server, pages) => {
                 let (pid, min_lsn) = pages[i];
-                match server.local_page(c, db.pagestore().cfg(), pid, min_lsn) {
+                match server.local_page(c, pid, min_lsn) {
                     Ok(page) => Ok((c.now(), Some(page))),
                     Err(PageStoreError::UnknownPage(_)) => Ok((c.now(), None)),
                     Err(e) => Err(e.into()),

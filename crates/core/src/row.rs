@@ -12,6 +12,8 @@
 
 use std::hash::Hasher;
 
+use vedb_sim::bytes::Reader;
+
 use crate::{EngineError, Result};
 
 /// A single column value.
@@ -272,36 +274,19 @@ pub fn decode_cols(buf: &[u8], need: &ColSet, row: &mut Row) -> Result<()> {
 
 #[inline]
 fn decode_with(buf: &[u8], row: &mut Row, need: impl Fn(usize) -> bool) -> Result<()> {
-    let err = || EngineError::Codec("row truncated".into());
-    if buf.len() < 2 {
-        return Err(err());
-    }
-    let n = u16::from_le_bytes([buf[0], buf[1]]) as usize;
-    let mut pos = 2;
+    let mut r = Reader::new(buf, "row");
+    let n = r.u16()? as usize;
     row.reserve_exact(n.saturating_sub(row.len()));
     row.resize(n, Value::Null);
     for (i, slot) in row.iter_mut().enumerate() {
         let wanted = need(i);
-        let tag = *buf.get(pos).ok_or_else(err)?;
-        pos += 1;
-        let value = match tag {
+        let value = match r.u8()? {
             0 => Value::Null,
-            1 => {
-                let b = buf.get(pos..pos + 8).ok_or_else(err)?;
-                pos += 8;
-                Value::Int(i64::from_le_bytes(b.try_into().unwrap()))
-            }
-            2 => {
-                let b = buf.get(pos..pos + 8).ok_or_else(err)?;
-                pos += 8;
-                Value::Double(f64::from_le_bytes(b.try_into().unwrap()))
-            }
+            1 => Value::Int(i64::from_le_bytes(*r.array()?)),
+            2 => Value::Double(f64::from_le_bytes(*r.array()?)),
             3 => {
-                let b = buf.get(pos..pos + 4).ok_or_else(err)?;
-                let len = u32::from_le_bytes(b.try_into().unwrap()) as usize;
-                pos += 4;
-                let s = buf.get(pos..pos + len).ok_or_else(err)?;
-                pos += len;
+                let len = r.u32()? as usize;
+                let s = r.take(len)?;
                 let s =
                     std::str::from_utf8(s).map_err(|_| EngineError::Codec("bad utf8".into()))?;
                 match slot {
@@ -324,7 +309,7 @@ fn decode_with(buf: &[u8], row: &mut Row, need: impl Fn(usize) -> bool) -> Resul
             *slot = Value::Null;
         }
     }
-    if pos != buf.len() {
+    if !r.rest().is_empty() {
         return Err(EngineError::Codec("bytes after the row".into()));
     }
     Ok(())

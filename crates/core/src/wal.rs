@@ -25,6 +25,7 @@ use parking_lot::Mutex;
 use vedb_astore::{Lsn, SegmentRing};
 use vedb_blobstore::BlobGroup;
 use vedb_pagestore::redo::{decode_record, encode_record, RedoRecord};
+use vedb_sim::bytes::Reader;
 use vedb_sim::metrics::{Counter, LatencyRecorder};
 use vedb_sim::trace::TraceLog;
 use vedb_sim::{LatencyModel, MetricsRegistry, Resource, SimCtx, VTime, Waker};
@@ -101,34 +102,13 @@ fn encode_undo(undo: &UndoInfo, out: &mut Vec<u8>) {
     out.extend_from_slice(cell);
 }
 
-/// Bounds-checked little-endian reads: WAL bytes come back from storage
-/// after a crash and may be torn — truncation must surface as a codec
-/// error on the recovery path, never as a panic.
-fn wal_u32(buf: &[u8], pos: usize, what: &str) -> Result<u32> {
-    buf.get(pos..pos + 4)
-        .and_then(|b| <[u8; 4]>::try_from(b).ok())
-        .map(u32::from_le_bytes)
-        .ok_or_else(|| EngineError::Codec(format!("{what} truncated")))
-}
-
-fn wal_u64(buf: &[u8], pos: usize, what: &str) -> Result<u64> {
-    buf.get(pos..pos + 8)
-        .and_then(|b| <[u8; 8]>::try_from(b).ok())
-        .map(u64::from_le_bytes)
-        .ok_or_else(|| EngineError::Codec(format!("{what} truncated")))
-}
-
-fn decode_undo(buf: &[u8]) -> Result<(UndoInfo, usize)> {
-    let err = || EngineError::Codec("undo truncated".into());
-    let space = wal_u32(buf, 0, "undo")?;
-    let tag = *buf.get(4).ok_or_else(err)?;
-    let klen = wal_u32(buf, 5, "undo")? as usize;
-    let key = buf.get(9..9 + klen).ok_or_else(err)?.to_vec();
-    let mut pos = 9 + klen;
-    let clen = wal_u32(buf, pos, "undo")? as usize;
-    pos += 4;
-    let cell = buf.get(pos..pos + clen).ok_or_else(err)?.to_vec();
-    pos += clen;
+fn decode_undo(r: &mut Reader<'_>) -> Result<UndoInfo> {
+    let index_space = r.u32()?;
+    let tag = r.u8()?;
+    let klen = r.u32()? as usize;
+    let key = r.take(klen)?.to_vec();
+    let clen = r.u32()? as usize;
+    let cell = r.take(clen)?.to_vec();
     let op = match tag {
         0 => UndoOp::Remove { key },
         1 => UndoOp::Revert {
@@ -141,13 +121,7 @@ fn decode_undo(buf: &[u8]) -> Result<(UndoInfo, usize)> {
         },
         t => return Err(EngineError::Codec(format!("bad undo tag {t}"))),
     };
-    Ok((
-        UndoInfo {
-            index_space: space,
-            op,
-        },
-        pos,
-    ))
+    Ok(UndoInfo { index_space, op })
 }
 
 /// Encode a [`WalRecord::Page`] body from its borrowed halves.
@@ -178,30 +152,22 @@ pub fn encode_wal_record(rec: &WalRecord, out: &mut Vec<u8>) {
     }
 }
 
-/// Decode a record body.
+/// Decode a record body. WAL bytes come back from storage after a crash
+/// and may be torn: truncation is a codec error, never a panic.
 pub fn decode_wal_record(buf: &[u8]) -> Result<WalRecord> {
-    let err = || EngineError::Codec("wal record truncated".into());
-    match *buf.first().ok_or_else(err)? {
+    let mut r = Reader::new(buf, "wal record");
+    match r.u8()? {
         0 => {
-            let has_undo = *buf.get(1).ok_or_else(err)?;
-            let mut pos = 2;
-            let undo = if has_undo == 1 {
-                let (u, n) = decode_undo(&buf[pos..])?;
-                pos += n;
-                Some(u)
-            } else {
-                None
+            let undo = match r.u8()? {
+                1 => Some(decode_undo(&mut r)?),
+                _ => None,
             };
             let (redo, _) =
-                decode_record(&buf[pos..]).map_err(|e| EngineError::Codec(format!("redo: {e}")))?;
+                decode_record(r.rest()).map_err(|e| EngineError::Codec(format!("redo: {e}")))?;
             Ok(WalRecord::Page { redo, undo })
         }
-        1 => Ok(WalRecord::Commit {
-            txn_id: wal_u64(buf, 1, "commit record")?,
-        }),
-        2 => Ok(WalRecord::Abort {
-            txn_id: wal_u64(buf, 1, "abort record")?,
-        }),
+        1 => Ok(WalRecord::Commit { txn_id: r.u64()? }),
+        2 => Ok(WalRecord::Abort { txn_id: r.u64()? }),
         t => Err(EngineError::Codec(format!("bad wal tag {t}"))),
     }
 }
@@ -210,20 +176,20 @@ pub fn decode_wal_record(buf: &[u8]) -> Result<WalRecord> {
 /// truncated tail (torn final write after a crash).
 pub fn iter_frames(start_lsn: Lsn, bytes: &[u8]) -> Vec<(Lsn, WalRecord)> {
     let mut out = Vec::new();
-    let mut pos = 0usize;
-    while pos + 4 <= bytes.len() {
-        let Ok(len) = wal_u32(bytes, pos, "frame header") else {
+    let mut r = Reader::new(bytes, "frame");
+    loop {
+        let at = r.pos();
+        let Ok(len) = r.u32() else { break };
+        let Ok(body) = r.take(len as usize) else {
             break;
         };
-        let len = len as usize;
-        if len == 0 || pos + 4 + len > bytes.len() {
+        if len == 0 {
             break;
         }
-        match decode_wal_record(&bytes[pos + 4..pos + 4 + len]) {
-            Ok(rec) => out.push((start_lsn + pos as u64, rec)),
+        match decode_wal_record(body) {
+            Ok(rec) => out.push((start_lsn + at as u64, rec)),
             Err(_) => break,
         }
-        pos += 4 + len;
     }
     out
 }
@@ -569,11 +535,11 @@ impl Wal {
         &self,
         ctx: &mut SimCtx,
         mut redo: RedoRecord,
-        undo: Option<UndoInfo>,
+        undo: Option<&UndoInfo>,
     ) -> Result<(Lsn, RedoRecord)> {
         let lsn = self.write_frame(ctx, |lsn, out| {
             redo.lsn = lsn;
-            encode_page_record(&redo, undo.as_ref(), out);
+            encode_page_record(&redo, undo, out);
         });
         Ok((lsn, redo))
     }
@@ -920,9 +886,9 @@ mod tests {
             let u = UndoInfo { index_space: 9, op };
             let mut buf = Vec::new();
             encode_undo(&u, &mut buf);
-            let (dec, used) = decode_undo(&buf).unwrap();
-            assert_eq!(dec, u);
-            assert_eq!(used, buf.len());
+            let mut r = Reader::new(&buf, "undo");
+            assert_eq!(decode_undo(&mut r).unwrap(), u);
+            assert_eq!(r.pos(), buf.len());
         }
     }
 

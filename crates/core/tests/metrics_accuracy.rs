@@ -256,7 +256,7 @@ fn redo_lag_books_balance_fault_free() {
     // Quiesce: everything applies, the lag gauges drain to zero.
     db.checkpoint(&mut ctx).unwrap();
     for server in f.pagestore.servers() {
-        let key = f.pagestore.cfg().segment_of(vedb_core::db::META_PAGE);
+        let key = vedb_pagestore::PsSegmentKey::of(vedb_core::db::META_PAGE);
         server.apply_pending(&mut ctx, key).unwrap();
     }
     db.buffer_pool().clear();

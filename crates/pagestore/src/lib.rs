@@ -60,6 +60,7 @@ pub use page::{Page, PageType, PAGE_SIZE};
 pub use redo::{PageOp, RedoRecord};
 pub use server::{
     PageStore, PageStoreConfig, PageStoreServer, PsSegmentKey, CHECKPOINT_EVERY_RECORDS,
+    PAGES_PER_SEGMENT, QUORUM, REPLICATION,
 };
 
 /// Errors from page/REDO/PageStore operations.
@@ -131,6 +132,12 @@ impl PageStoreError {
 impl From<vedb_rdma::RdmaError> for PageStoreError {
     fn from(e: vedb_rdma::RdmaError) -> Self {
         PageStoreError::Network(e)
+    }
+}
+
+impl From<vedb_sim::bytes::Truncated> for PageStoreError {
+    fn from(e: vedb_sim::bytes::Truncated) -> Self {
+        PageStoreError::Codec(e.to_string())
     }
 }
 

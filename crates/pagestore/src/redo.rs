@@ -13,10 +13,12 @@
 //! (§III "PageStore").
 //!
 //! Encoding is a hand-rolled little-endian format (no serde data format is
-//! available offline); [`encode_record`]/[`decode_record`] round-trip and
-//! are also reused by the engine's WAL framing.
+//! available offline), read back through the workspace's one byte reader
+//! ([`vedb_sim::bytes::Reader`]); [`encode_record`]/[`decode_record`]
+//! round-trip and are also reused by the engine's WAL framing.
 
 use vedb_astore::{Lsn, PageId};
+use vedb_sim::bytes::Reader;
 
 use crate::page::{Page, PageType};
 use crate::{PageStoreError, Result};
@@ -112,37 +114,6 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(PageStoreError::Codec("record truncated".into()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16> {
-        // vedb-lint: allow(no-panic-in-runtime, "take(2) yields exactly 2 bytes; the array conversion is infallible")
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32> {
-        // vedb-lint: allow(no-panic-in-runtime, "take(4) yields exactly 4 bytes; the array conversion is infallible")
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        // vedb-lint: allow(no-panic-in-runtime, "take(8) yields exactly 8 bytes; the array conversion is infallible")
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
 /// Encode a record (appends to `out`, returns encoded length).
 pub fn encode_record(rec: &RedoRecord, out: &mut Vec<u8>) -> usize {
     let start = out.len();
@@ -183,7 +154,7 @@ pub fn encode_record(rec: &RedoRecord, out: &mut Vec<u8>) -> usize {
 
 /// Decode one record from `buf`; returns the record and bytes consumed.
 pub fn decode_record(buf: &[u8]) -> Result<(RedoRecord, usize)> {
-    let mut r = Reader { buf, pos: 0 };
+    let mut r = Reader::new(buf, "record");
     let lsn = r.u64()?;
     let prev = r.u64()?;
     let txn_id = r.u64()?;
@@ -222,7 +193,7 @@ pub fn decode_record(buf: &[u8]) -> Result<(RedoRecord, usize)> {
             page: PageId::new(space_no, page_no),
             op,
         },
-        r.pos,
+        r.pos(),
     ))
 }
 
@@ -308,12 +279,19 @@ mod tests {
         assert_eq!(out, recs);
     }
 
+    /// Redo comes back from storage after a crash and may be torn: for
+    /// every `PageOp`, every strict prefix of a record is an error.
     #[test]
     fn truncated_record_rejected() {
-        let mut buf = Vec::new();
-        encode_record(&sample_records()[1], &mut buf);
-        assert!(decode_record(&buf[..buf.len() - 1]).is_err());
-        assert!(decode_record(&buf[..10]).is_err());
+        for rec in sample_records() {
+            let mut buf = Vec::new();
+            encode_record(&rec, &mut buf);
+            assert_eq!(decode_record(&buf).unwrap(), (rec.clone(), buf.len()));
+            for cut in 0..buf.len() {
+                let got = decode_record(&buf[..cut]);
+                assert_eq!(got, Err(PageStoreError::Codec("record truncated".into())));
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! PageStore servers and the client-side facade.
 //!
-//! Pages are grouped into PageStore *segments* of `pages_per_segment`
+//! Pages are grouped into PageStore *segments* of [`PAGES_PER_SEGMENT`]
 //! consecutive page numbers per tablespace; each segment is replicated on
-//! `replication` servers and a ship is durable once `quorum` replicas
+//! [`REPLICATION`] servers and a ship is durable once [`QUORUM`] replicas
 //! acknowledge it (§III: "we choose to implement a quorum replication, and
 //! use a gossip protocol for filling in missing records").
 //!
@@ -35,34 +35,35 @@ pub struct PsSegmentKey {
     pub index: u32,
 }
 
-/// PageStore deployment configuration.
-#[derive(Debug, Clone)]
-pub struct PageStoreConfig {
-    /// Replicas per segment (paper: three or six).
-    pub replication: usize,
-    /// Acks required before a ship is durable.
-    pub quorum: usize,
-    /// Pages per segment.
-    pub pages_per_segment: u32,
-}
-
-impl Default for PageStoreConfig {
-    fn default() -> Self {
-        PageStoreConfig {
-            replication: 3,
-            quorum: 2,
-            pages_per_segment: 256,
+impl PsSegmentKey {
+    /// The segment a page belongs to.
+    pub fn of(page: PageId) -> Self {
+        PsSegmentKey {
+            space_no: page.space_no,
+            index: page.page_no / PAGES_PER_SEGMENT,
         }
     }
 }
 
+/// Replicas per segment (paper: three or six).
+pub const REPLICATION: usize = 3;
+/// Acks required before a ship is durable.
+pub const QUORUM: usize = 2;
+/// Pages per segment.
+pub const PAGES_PER_SEGMENT: u32 = 256;
+
+const _: () = assert!(QUORUM >= 1 && QUORUM <= REPLICATION);
+
+/// The segment mapping as [`PageStore::cfg`] hands it out. It holds no
+/// settings (the layout is the constants above); it stays because the host
+/// benchmark (`benchmark/src/probes.rs`) finds a segment through it.
+#[derive(Debug, Clone, Copy)]
+pub struct PageStoreConfig;
+
 impl PageStoreConfig {
-    /// The segment a page belongs to.
+    /// The segment a page belongs to: [`PsSegmentKey::of`].
     pub fn segment_of(&self, page: PageId) -> PsSegmentKey {
-        PsSegmentKey {
-            space_no: page.space_no,
-            index: page.page_no / self.pages_per_segment,
-        }
+        PsSegmentKey::of(page)
     }
 }
 
@@ -75,7 +76,7 @@ mod testutil {
     use vedb_sim::fault::NodeId;
     use vedb_sim::ClusterSpec;
 
-    use super::{PageStore, PageStoreConfig, PageStoreServer};
+    use super::{PageStore, PageStoreServer};
     use crate::page::PageType;
     use crate::redo::{PageOp, RedoRecord};
 
@@ -92,7 +93,7 @@ mod testutil {
             Arc::clone(&env.faults),
             &env.metrics,
         ));
-        let ps = PageStore::new(PageStoreConfig::default(), rpc, servers);
+        let ps = PageStore::new(rpc, servers);
         (env, ps)
     }
 
@@ -150,12 +151,11 @@ mod tests {
 
     #[test]
     fn segment_mapping_is_stable() {
-        let cfg = PageStoreConfig::default();
-        let a = cfg.segment_of(PageId::new(1, 0));
-        let b = cfg.segment_of(PageId::new(1, 255));
-        let c = cfg.segment_of(PageId::new(1, 256));
+        let a = PsSegmentKey::of(PageId::new(1, 0));
+        let b = PsSegmentKey::of(PageId::new(1, 255));
+        let c = PsSegmentKey::of(PageId::new(1, 256));
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_ne!(cfg.segment_of(PageId::new(2, 0)), a);
+        assert_ne!(PsSegmentKey::of(PageId::new(2, 0)), a);
     }
 }

@@ -399,7 +399,7 @@ mod tests {
         let (_env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let page = PageId::new(1, 64);
-        let key = ps.cfg().segment_of(page);
+        let key = PsSegmentKey::of(page);
         let (first, second) = (round(0), round(1));
         assert_eq!(first.len() as u64, CHECKPOINT_EVERY_RECORDS);
         let tail = |recs: &[RedoRecord]| recs.last().unwrap().lsn;
@@ -440,7 +440,7 @@ mod tests {
         let (_env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let page = PageId::new(1, 23);
-        let key = ps.cfg().segment_of(page);
+        let key = PsSegmentKey::of(page);
         let recs = make_records(page, 100, 5);
         let tail = recs.last().unwrap().lsn;
         ps.ship(&mut ctx, &recs).unwrap();
@@ -459,7 +459,7 @@ mod tests {
         let (_env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let page = PageId::new(1, 25);
-        let key = ps.cfg().segment_of(page);
+        let key = PsSegmentKey::of(page);
         // Format @100, inserts @110..150.
         ps.ship(&mut ctx, &make_records(page, 100, 5)).unwrap();
         ps.restore_to_lsn(&mut ctx, 120).unwrap();
@@ -480,7 +480,7 @@ mod tests {
         let (_env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let page = PageId::new(1, 27);
-        let key = ps.cfg().segment_of(page);
+        let key = PsSegmentKey::of(page);
         ps.ship(&mut ctx, &make_records(page, 100, 9)).unwrap();
         checkpoint_on(&mut ctx, &ps, key, &[0, 1, 2]);
         ps.ship(&mut ctx, &more_inserts(page, 300, 9, 9)).unwrap();
@@ -503,7 +503,7 @@ mod tests {
         let (env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let page = PageId::new(1, 31);
-        let key = ps.cfg().segment_of(page);
+        let key = PsSegmentKey::of(page);
         let replicas = ps.replicas_of(key);
 
         ps.ship(&mut ctx, &make_records(page, 100, 4)).unwrap();
@@ -533,9 +533,7 @@ mod tests {
         );
         replicas[0].apply_pending(&mut ctx, key).unwrap();
         assert_eq!(replicas[0].applied_lsn(key), 700);
-        let p = replicas[0]
-            .local_page(&mut ctx, ps.cfg(), page, 700)
-            .unwrap();
+        let p = replicas[0].local_page(&mut ctx, page, 700).unwrap();
         assert_eq!(p.n_slots(), 15);
     }
 
@@ -556,8 +554,8 @@ mod tests {
         let (_env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let (hot, cold) = (PageId::new(1, 40), PageId::new(1, 41));
-        let key = ps.cfg().segment_of(hot);
-        assert_eq!(key, ps.cfg().segment_of(cold));
+        let key = PsSegmentKey::of(hot);
+        assert_eq!(key, PsSegmentKey::of(cold));
         ps.ship(&mut ctx, &make_records(hot, 100, 3)).unwrap();
         ps.ship(&mut ctx, &make_records(cold, 200, 3)).unwrap();
         let at = 230; // checkpoint LSN: the tail of the second ship
@@ -587,13 +585,7 @@ mod tests {
             vec![(40, false), (41, true)],
             "only the touched page gets an image of its own"
         );
-        assert_eq!(
-            server
-                .local_page(&mut ctx, ps.cfg(), hot, 330)
-                .unwrap()
-                .n_slots(),
-            7
-        );
+        assert_eq!(server.local_page(&mut ctx, hot, 330).unwrap().n_slots(), 7);
         assert_eq!(
             images_at(server),
             snapshot,
@@ -605,7 +597,7 @@ mod tests {
         assert_eq!(server.applied_lsn(key), at);
         for (no, bytes) in &snapshot {
             let live = server
-                .local_page(&mut ctx, ps.cfg(), PageId::new(1, *no), at)
+                .local_page(&mut ctx, PageId::new(1, *no), at)
                 .unwrap();
             assert_eq!(live.as_bytes(), &bytes[..], "page {no} restored to {at}");
         }
@@ -616,7 +608,7 @@ mod tests {
         let (env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let pages = [PageId::new(1, 50), PageId::new(1, 51), PageId::new(1, 52)];
-        let key = ps.cfg().segment_of(pages[0]);
+        let key = PsSegmentKey::of(pages[0]);
         for (i, page) in pages.iter().enumerate() {
             ps.ship(&mut ctx, &make_records(*page, 100 * (i as u64 + 1), 2))
                 .unwrap();
@@ -633,8 +625,8 @@ mod tests {
             vec![(50, true), (51, true), (52, true)]
         );
         for page in pages {
-            let theirs = donor.local_page(&mut ctx, ps.cfg(), page, lsn).unwrap();
-            let ours = fresh.local_page(&mut ctx, ps.cfg(), page, lsn).unwrap();
+            let theirs = donor.local_page(&mut ctx, page, lsn).unwrap();
+            let ours = fresh.local_page(&mut ctx, page, lsn).unwrap();
             assert!(Arc::ptr_eq(&theirs, &ours), "install copies no image");
         }
     }

@@ -11,7 +11,7 @@ use vedb_sim::trace::TraceLog;
 use vedb_sim::SimCtx;
 
 use super::replica::{FleetImages, PageStoreServer};
-use super::{PageStoreConfig, PsSegmentKey};
+use super::{PageStoreConfig, PsSegmentKey, QUORUM, REPLICATION};
 use crate::page::PAGE_SIZE;
 use crate::redo::RedoRecord;
 use crate::{PageStoreError, Result};
@@ -20,7 +20,6 @@ use crate::{PageStoreError, Result};
 /// with replica fail-over. This is the part of the storage SDK that talks
 /// to PageStore (§III).
 pub struct PageStore {
-    cfg: PageStoreConfig,
     rpc: Arc<RpcFabric>,
     servers: Vec<Arc<PageStoreServer>>,
     /// Last LSN shipped per segment — the source of each record's back-link.
@@ -34,24 +33,17 @@ pub struct PageStore {
 impl PageStore {
     /// Create the facade over a set of servers, which from here on share
     /// every page image the log forces to be identical.
-    pub fn new(
-        cfg: PageStoreConfig,
-        rpc: Arc<RpcFabric>,
-        servers: Vec<Arc<PageStoreServer>>,
-    ) -> Arc<Self> {
+    pub fn new(rpc: Arc<RpcFabric>, servers: Vec<Arc<PageStoreServer>>) -> Arc<Self> {
         assert!(
-            servers.len() >= cfg.replication,
-            "need >= {} PageStore servers",
-            cfg.replication
+            servers.len() >= REPLICATION,
+            "need >= {REPLICATION} PageStore servers"
         );
-        assert!(cfg.quorum <= cfg.replication && cfg.quorum >= 1);
         let images = Arc::new(Mutex::new(FleetImages::default()));
         for server in &servers {
             server.join_fleet(&images);
         }
         let trace = Arc::clone(servers[0].res().metrics.trace());
         Arc::new(PageStore {
-            cfg,
             rpc,
             servers,
             ship_state: Mutex::new(BTreeMap::new()),
@@ -59,9 +51,9 @@ impl PageStore {
         })
     }
 
-    /// Configuration (segment mapping).
-    pub fn cfg(&self) -> &PageStoreConfig {
-        &self.cfg
+    /// The segment mapping.
+    pub fn cfg(&self) -> PageStoreConfig {
+        PageStoreConfig
     }
 
     /// The replica servers of a segment.
@@ -70,7 +62,7 @@ impl PageStore {
         let h = (key.space_no as usize)
             .wrapping_mul(31)
             .wrapping_add(key.index as usize);
-        (0..self.cfg.replication)
+        (0..REPLICATION)
             .map(|i| Arc::clone(&self.servers[(h + i) % n]))
             .collect()
     }
@@ -100,7 +92,7 @@ impl PageStore {
         let mut ship_state = self.ship_state.lock();
         let mut groups: Vec<(PsSegmentKey, Vec<Arc<RedoRecord>>)> = Vec::new();
         for rec in records {
-            let key = self.cfg.segment_of(rec.page);
+            let key = PsSegmentKey::of(rec.page);
             let tail = match groups.iter().rev().find(|(k, _)| *k == key) {
                 Some((_, v)) => v.last().map(|r| r.lsn).unwrap_or(0),
                 None => ship_state.get(&key).copied().unwrap_or(0),
@@ -135,10 +127,10 @@ impl PageStore {
                     group_done = group_done.max(rep_ctx.now());
                 }
             }
-            if acked < self.cfg.quorum {
+            if acked < QUORUM {
                 return Err(PageStoreError::QuorumFailed {
                     acked,
-                    quorum: self.cfg.quorum,
+                    quorum: QUORUM,
                 });
             }
             // Quorum reached: this segment's chain tail is now durable.
@@ -199,7 +191,7 @@ impl PageStore {
             }
             acks.sort_unstable();
             acks.reverse();
-            let quorum_wm = acks.get(self.cfg.quorum - 1).copied().unwrap_or(0);
+            let quorum_wm = acks.get(QUORUM - 1).copied().unwrap_or(0);
             if quorum_wm < tail {
                 wm = wm.min(quorum_wm);
             }
@@ -216,7 +208,7 @@ impl PageStore {
     pub fn read_page(&self, ctx: &mut SimCtx, page: PageId, min_lsn: Lsn) -> Result<Vec<u8>> {
         // All-replicas-failed paths drop the guard → abandoned span.
         let sp = self.trace.span(ctx, "pagestore", "read");
-        let key = self.cfg.segment_of(page);
+        let key = PsSegmentKey::of(page);
         let replicas = self.replicas_of(key);
         let mut last_err = PageStoreError::UnknownPage(page);
         for server in &replicas {
@@ -251,7 +243,7 @@ mod tests {
     use vedb_sim::SimCtx;
 
     use super::super::testutil::{make_records, more_inserts, setup};
-    use super::PageStore;
+    use super::{PageStore, PsSegmentKey};
     use crate::page::Page;
     use crate::redo::RedoRecord;
     use crate::PageStoreError;
@@ -276,7 +268,7 @@ mod tests {
         let (_env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let page = PageId::new(1, 43);
-        let key = ps.cfg().segment_of(page);
+        let key = PsSegmentKey::of(page);
         ps.ship(&mut ctx, &make_records(page, 100, 3)).unwrap();
         let replicas = ps.replicas_of(key);
         let retained = |i: usize| -> Vec<Arc<RedoRecord>> {
@@ -303,7 +295,7 @@ mod tests {
 
     /// Every replica's live image of `page`, without applying anything.
     fn live_images(ps: &PageStore, page: PageId) -> Vec<Arc<Page>> {
-        let key = ps.cfg().segment_of(page);
+        let key = PsSegmentKey::of(page);
         ps.replicas_of(key)
             .iter()
             .map(|r| Arc::clone(&r.segs.lock()[&key].pages[&page.page_no]))
@@ -311,7 +303,7 @@ mod tests {
     }
 
     fn apply_on(ctx: &mut SimCtx, ps: &PageStore, page: PageId, replicas: &[usize]) {
-        let key = ps.cfg().segment_of(page);
+        let key = PsSegmentKey::of(page);
         for &i in replicas {
             ps.replicas_of(key)[i].apply_pending(ctx, key).unwrap();
         }
@@ -367,13 +359,13 @@ mod tests {
         let (_env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let page = PageId::new(1, 45);
-        let key = ps.cfg().segment_of(page);
+        let key = PsSegmentKey::of(page);
         let first = make_records(page, 100, 5); // @100..150
         ps.ship(&mut ctx, &first).unwrap();
         apply_on(&mut ctx, &ps, page, &[0, 1, 2]);
         // A reader still holds the image at 150 across the restore.
         let stale = ps.replicas_of(key)[0]
-            .local_page(&mut ctx, ps.cfg(), page, 150)
+            .local_page(&mut ctx, page, 150)
             .unwrap();
         assert_eq!(stale.lsn(), 150);
 
@@ -417,7 +409,7 @@ mod tests {
         let (env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let page = PageId::new(1, 7);
-        let key = ps.cfg().segment_of(page);
+        let key = PsSegmentKey::of(page);
         let replicas = ps.replicas_of(key);
         env.faults.crash(replicas[0].node());
         let recs = make_records(page, 100, 3);
@@ -435,7 +427,7 @@ mod tests {
         let (env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let page = PageId::new(1, 8);
-        let replicas = ps.replicas_of(ps.cfg().segment_of(page));
+        let replicas = ps.replicas_of(PsSegmentKey::of(page));
         let recs = make_records(page, 100, 3);
         ps.ship(&mut ctx, &recs).unwrap();
         env.faults.crash(replicas[0].node());
@@ -455,7 +447,7 @@ mod tests {
         let (env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let page = PageId::new(1, 10);
-        let replicas = ps.replicas_of(ps.cfg().segment_of(page));
+        let replicas = ps.replicas_of(PsSegmentKey::of(page));
         // Replica 0 is down while the page's records ship to a quorum.
         env.faults.crash(replicas[0].node());
         ps.ship(&mut ctx, &make_records(page, 100, 3)).unwrap();
@@ -475,8 +467,8 @@ mod tests {
         let (env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let (page, other) = (PageId::new(1, 12), PageId::new(1, 13));
-        let key = ps.cfg().segment_of(page);
-        assert_eq!(key, ps.cfg().segment_of(other));
+        let key = PsSegmentKey::of(page);
+        assert_eq!(key, PsSegmentKey::of(other));
         let replicas = ps.replicas_of(key);
         ps.ship(&mut ctx, &make_records(page, 100, 1)).unwrap(); // version 1 @110
         apply_on(&mut ctx, &ps, page, &[0]);
@@ -500,7 +492,7 @@ mod tests {
         let (env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let page = PageId::new(1, 9);
-        let key = ps.cfg().segment_of(page);
+        let key = PsSegmentKey::of(page);
         let replicas = ps.replicas_of(key);
         env.faults.crash(replicas[0].node());
         env.faults.crash(replicas[1].node());
@@ -518,7 +510,7 @@ mod tests {
         let (env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let page = PageId::new(1, 29);
-        let key = ps.cfg().segment_of(page);
+        let key = PsSegmentKey::of(page);
         let replicas = ps.replicas_of(key);
         ps.ship(&mut ctx, &make_records(page, 100, 2)).unwrap(); // tail 120
         env.faults.crash(replicas[0].node());

@@ -18,7 +18,7 @@ use vedb_sim::{
 };
 
 use super::checkpoint::SegCheckpoint;
-use super::{PageStoreConfig, PsSegmentKey};
+use super::PsSegmentKey;
 use crate::page::{Page, PAGE_SIZE};
 use crate::redo::RedoRecord;
 use crate::{PageStoreError, Result};
@@ -774,14 +774,8 @@ impl PageStoreServer {
 
     /// Local (no-RPC) page access for push-down execution on this server;
     /// charges the SSD read but no network. Replays pending records first.
-    pub fn local_page(
-        &self,
-        ctx: &mut SimCtx,
-        cfg: &PageStoreConfig,
-        page: PageId,
-        min_lsn: Lsn,
-    ) -> Result<Arc<Page>> {
-        self.materialize(ctx, cfg.segment_of(page), page, min_lsn)
+    pub fn local_page(&self, ctx: &mut SimCtx, page: PageId, min_lsn: Lsn) -> Result<Arc<Page>> {
+        self.materialize(ctx, PsSegmentKey::of(page), page, min_lsn)
     }
 
     /// Records parked out-of-order for a segment (tests / monitoring).
@@ -803,6 +797,7 @@ mod tests {
     use vedb_sim::SimCtx;
 
     use super::super::testutil::{make_records, setup};
+    use super::PsSegmentKey;
     use crate::redo::{PageOp, RedoRecord};
     use crate::PageStoreError;
 
@@ -811,7 +806,7 @@ mod tests {
         let (env, ps) = setup();
         let mut ctx = SimCtx::new(1, 7);
         let page = PageId::new(1, 11);
-        let key = ps.cfg().segment_of(page);
+        let key = PsSegmentKey::of(page);
         let replicas = ps.replicas_of(key);
 
         // First batch reaches everyone.

@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use vedb_astore::PageId;
 use vedb_pagestore::page::{Page, PageType};
 use vedb_pagestore::redo::{PageOp, RedoRecord};
-use vedb_pagestore::{PageStore, PageStoreConfig, PageStoreError, PageStoreServer, PsSegmentKey};
+use vedb_pagestore::{PageStore, PageStoreError, PageStoreServer, PsSegmentKey};
 use vedb_rdma::RpcFabric;
 use vedb_sim::{ClusterSpec, SimCtx};
 
@@ -199,7 +199,7 @@ fn store() -> (Arc<vedb_sim::SimEnv>, Arc<PageStore>) {
         .map(|(i, n)| PageStoreServer::new(200 + i as u32, Arc::clone(n), env.model.clone()))
         .collect();
     let rpc = Arc::new(RpcFabric::new(env.model.clone(), Arc::clone(&env.faults)));
-    let ps = PageStore::new(PageStoreConfig::default(), rpc, servers);
+    let ps = PageStore::new(rpc, servers);
     (env, ps)
 }
 
@@ -207,11 +207,11 @@ fn store() -> (Arc<vedb_sim::SimEnv>, Arc<PageStore>) {
 fn all_images(ctx: &mut SimCtx, ps: &PageStore, touched: &[PageId]) -> Vec<(PageId, usize, Page)> {
     let mut out = Vec::new();
     for page in touched {
-        let key = ps.cfg().segment_of(*page);
+        let key = PsSegmentKey::of(*page);
         for (ri, server) in ps.replicas_of(key).iter().enumerate() {
             server.apply_pending(ctx, key).unwrap();
             let img = server
-                .local_page(ctx, ps.cfg(), *page, 0)
+                .local_page(ctx, *page, 0)
                 .unwrap_or_else(|e| panic!("replica {ri} lost page {page}: {e}"));
             out.push((*page, ri, Page::clone(&img)));
         }
@@ -274,7 +274,7 @@ proptest! {
 
         // Watermarks agree too: nothing beyond the cut survives.
         for page in &touched {
-            let key = restored.cfg().segment_of(*page);
+            let key = PsSegmentKey::of(*page);
             for (r, f) in restored
                 .replicas_of(key)
                 .iter()
@@ -300,7 +300,7 @@ proptest! {
         let (_env, ps) = store();
         let mut ctx = SimCtx::new(1, 5);
         let page_of = |sel: u8| PAGES[sel as usize % PAGES.len()];
-        let mut keys: Vec<PsSegmentKey> = PAGES.iter().map(|p| ps.cfg().segment_of(*p)).collect();
+        let mut keys: Vec<PsSegmentKey> = PAGES.iter().map(|p| PsSegmentKey::of(*p)).collect();
         keys.sort_unstable();
         keys.dedup();
         let replica = |key: PsSegmentKey, sel: u8| {
@@ -323,20 +323,20 @@ proptest! {
                     history.extend(batch);
                 }
                 Step::Apply(p, r) => {
-                    let key = ps.cfg().segment_of(page_of(p));
+                    let key = PsSegmentKey::of(page_of(p));
                     replica(key, r).apply_pending(&mut ctx, key).unwrap();
                 }
                 Step::Checkpoint(p, r) => {
-                    let key = ps.cfg().segment_of(page_of(p));
+                    let key = PsSegmentKey::of(page_of(p));
                     let server = replica(key, r);
                     server.checkpoint_segment(&mut ctx, key).unwrap();
                     // The snapshot served is the live map, pointer for pointer.
                     if let Some((_, snapshot)) = server.handle_get_checkpoint(key, 0) {
                         let mut live: Vec<(u32, Arc<Page>)> = PAGES
                             .iter()
-                            .filter(|page| ps.cfg().segment_of(**page) == key)
+                            .filter(|page| PsSegmentKey::of(**page) == key)
                             .filter_map(|page| {
-                                let img = server.local_page(&mut ctx, ps.cfg(), *page, 0).ok()?;
+                                let img = server.local_page(&mut ctx, *page, 0).ok()?;
                                 Some((page.page_no, img))
                             })
                             .collect();
@@ -349,7 +349,7 @@ proptest! {
                     }
                 }
                 Step::Gossip(p, r, from) => {
-                    let key = ps.cfg().segment_of(page_of(p));
+                    let key = PsSegmentKey::of(page_of(p));
                     let server = replica(key, r);
                     let from = u64::from(from) % (realizer.lsn + 20);
                     let reply = server.handle_get_records(key, from, 8);
@@ -365,8 +365,8 @@ proptest! {
                 }
                 Step::Read(p, r) => {
                     let page = page_of(p);
-                    let server = replica(ps.cfg().segment_of(page), r);
-                    if let Ok(img) = server.local_page(&mut ctx, ps.cfg(), page, 0) {
+                    let server = replica(PsSegmentKey::of(page), r);
+                    if let Ok(img) = server.local_page(&mut ctx, page, 0) {
                         readers.push(img);
                     }
                 }
@@ -399,11 +399,11 @@ proptest! {
         }
         let models = Realizer::after(&history).models;
         for page in PAGES {
-            let key = ps.cfg().segment_of(page);
+            let key = PsSegmentKey::of(page);
             let images: Vec<_> = ps
                 .replicas_of(key)
                 .iter()
-                .map(|s| s.local_page(&mut ctx, ps.cfg(), page, 0))
+                .map(|s| s.local_page(&mut ctx, page, 0))
                 .collect();
             let Some(model) = models.get(&page) else {
                 for img in images {

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use vedb_astore::PageId;
 use vedb_pagestore::page::{Page, PageType};
 use vedb_pagestore::redo::{PageOp, RedoRecord};
-use vedb_pagestore::{PageStore, PageStoreConfig, PageStoreServer};
+use vedb_pagestore::{PageStore, PageStoreServer, PsSegmentKey};
 use vedb_rdma::RpcFabric;
 use vedb_sim::{ClusterSpec, SimCtx};
 
@@ -100,7 +100,7 @@ fn store() -> (Arc<vedb_sim::SimEnv>, Arc<PageStore>) {
         .map(|(i, n)| PageStoreServer::new(200 + i as u32, Arc::clone(n), env.model.clone()))
         .collect();
     let rpc = Arc::new(RpcFabric::new(env.model.clone(), Arc::clone(&env.faults)));
-    let ps = PageStore::new(PageStoreConfig::default(), rpc, servers);
+    let ps = PageStore::new(rpc, servers);
     (env, ps)
 }
 
@@ -128,7 +128,7 @@ proptest! {
         let (records, model) = realize(&ops, page);
         let (env, ps) = store();
         let mut ctx = SimCtx::new(1, 5);
-        let replicas = ps.replicas_of(ps.cfg().segment_of(page));
+        let replicas = ps.replicas_of(PsSegmentKey::of(page));
 
         // Ship records one at a time, each time crashing one pseudo-random
         // replica (never two — quorum must hold).

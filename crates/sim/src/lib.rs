@@ -25,8 +25,11 @@
 //! * [`MetricsRegistry`] — per-subsystem counters/gauges/histograms plus the
 //!   causal [`TraceLog`] of [`span!`]-recorded operations,
 //! * [`RunReport`] — deterministic JSON snapshots written by the bench
-//!   harness as `BENCH_<figure>.json`, through the one JSON codec ([`json`]).
+//!   harness as `BENCH_<figure>.json`, through the one JSON codec ([`json`]),
+//! * [`bytes::Reader`] — the one little-endian reader for every format read
+//!   back from storage or the wire.
 
+pub mod bytes;
 pub mod cluster;
 pub mod contention;
 pub mod fault;
