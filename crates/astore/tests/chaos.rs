@@ -39,9 +39,10 @@ fn cluster(lease_ttl: VTime) -> Cluster {
 /// A cluster whose CM and clients publish into `env.metrics` if `report`.
 fn cluster_with(lease_ttl: VTime, report: bool) -> Cluster {
     let env = ClusterSpec::paper_default().build();
-    let metrics = match report {
-        true => Arc::clone(&env.metrics),
-        false => MetricsRegistry::detached(),
+    let metrics = if report {
+        Arc::clone(&env.metrics)
+    } else {
+        MetricsRegistry::detached()
     };
     let cm = ClusterManager::new(
         Arc::clone(&env.faults),
