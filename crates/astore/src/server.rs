@@ -414,17 +414,25 @@ impl AStoreServer {
             .read(ctx.now(), SUPERBLOCK_SIZE, meta_len)
             .map_err(|e| AStoreError::Corrupt(format!("slot metadata unreadable: {e}")))?;
         ctx.wait_until(done);
-        let mut st = self.state.lock();
-        st.bitmap = SlotBitmap::new(self.geo.slots);
-        st.segments.clear();
+        // Decode the whole area before touching the live state: a corrupt
+        // area fails the restart and leaves the allocator as it was.
+        let mut bitmap = SlotBitmap::new(self.geo.slots);
+        let mut segments = HashMap::new();
         let mut r = Reader::new(&meta, "slot metadata");
         for slot in 0..self.geo.slots {
             let rec = r.take(SLOT_META_SIZE as usize)?;
             if let Some((SlotState::Allocated, class, id)) = decode_slot_meta(rec) {
-                st.bitmap.set_allocated(slot);
-                st.segments.insert(id, (slot, class));
+                if let Some((other, _)) = segments.insert(id, (slot, class)) {
+                    return Err(AStoreError::Corrupt(format!(
+                        "segment {id} allocated in slots {other} and {slot}"
+                    )));
+                }
+                bitmap.set_allocated(slot);
             }
         }
+        let mut st = self.state.lock();
+        st.bitmap = bitmap;
+        st.segments = segments;
         self.publish_gauges(&mut st);
         Ok(())
     }
@@ -593,6 +601,27 @@ mod tests {
         // New allocations don't collide with recovered ones.
         let off_c = s.handle_alloc(&mut ctx, 102, SegmentClass::Log).unwrap();
         assert_ne!(off_c, off_a);
+    }
+
+    /// Slot metadata naming one segment twice fails the restart, and the
+    /// allocator keeps the state it had: none of the slots decoded before
+    /// the fault is installed.
+    #[test]
+    fn corrupt_slot_metadata_fails_restart_and_leaves_state() {
+        let (_env, s) = server();
+        let mut ctx = SimCtx::new(1, 7);
+        let off = s.handle_alloc(&mut ctx, 100, SegmentClass::Log).unwrap();
+        s.handle_alloc(&mut ctx, 101, SegmentClass::Ebp).unwrap();
+        let free = s.free_slots();
+        // Segment 101's slot now claims to hold segment 100.
+        let slot = s.state.lock().segments[&101].0;
+        s.persist_slot_meta(&mut ctx, slot, SlotState::Allocated, SegmentClass::Log, 100)
+            .unwrap();
+        assert!(matches!(s.restart(&mut ctx), Err(AStoreError::Corrupt(_))));
+        assert_eq!(s.free_slots(), free);
+        assert_eq!(s.segment_offset(100), Some(off));
+        assert!(s.hosts_segment(101));
+        assert!(s.state.lock().bitmap.is_allocated(slot));
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! primary key to the index key before reaching this layer.
 //!
 //! Every mutation is logged through `Db::log_and_apply` *before*
-//! the page change becomes visible (the WAL rule), and splits decompose
-//! into plain page-level REDO ops (`Format`, `InsertAt`, `Delete`,
-//! `SetNextPage`), so PageStore replays structure changes with the same
-//! code path as row changes.
+//! the page change becomes visible (the WAL rule). A split logs each half
+//! as one page-level REDO op — `Build` for the new page (and a new root),
+//! `Truncate` for the old — so PageStore replays structure changes with
+//! the same code path as row changes, at one record per page touched.
 //!
 //! Concurrency: a per-space `RwLock` (`Db::space_latch`)
 //! serializes structural writers against readers in *real* time; virtual
@@ -22,7 +22,7 @@
 
 use vedb_astore::PageId;
 use vedb_pagestore::page::{Page, PageType};
-use vedb_pagestore::redo::PageOp;
+use vedb_pagestore::redo::{CellList, PageOp};
 use vedb_sim::SimCtx;
 
 use crate::db::Db;
@@ -248,80 +248,48 @@ impl BTree {
         assert!(n >= 2, "cannot split a page with {n} cells");
         let mid = n / 2;
 
-        // Format the right sibling.
+        // One record builds the right sibling from the upper half, one cuts
+        // the upper half off this page (InnoDB's list-copy and list-truncate
+        // records). Only leaves are chained.
+        let (cells, sep_key) = {
+            let p = frame.page.read();
+            let cells = CellList::from_cells(p.iter().skip(mid));
+            (cells, parse_leaf_cell(p.get(mid)?).0.to_vec())
+        };
         {
             let mut np = new_frame.page.write();
             access.log_and_apply(
                 ctx,
                 txn,
                 new_pid,
-                PageOp::Format {
+                PageOp::Build {
                     ty: if is_leaf {
                         PageType::BTreeLeaf
                     } else {
                         PageType::BTreeInternal
                     },
                     level,
+                    next_page: if is_leaf { next_link } else { 0 },
+                    cells,
                 },
                 None,
                 &mut np,
             )?;
-            if is_leaf {
-                access.log_and_apply(
-                    ctx,
-                    txn,
-                    new_pid,
-                    PageOp::SetNextPage { page_no: next_link },
-                    None,
-                    &mut np,
-                )?;
-            }
-        }
-        // Move the upper half.
-        let moved: Vec<Vec<u8>> = {
-            let p = frame.page.read();
-            (mid..n).map(|i| p.get(i).expect("cell").to_vec()).collect()
-        };
-        let sep_key = parse_leaf_cell(&moved[0]).0.to_vec();
-        {
-            let mut np = new_frame.page.write();
-            for (i, cell) in moved.into_iter().enumerate() {
-                access.log_and_apply(
-                    ctx,
-                    txn,
-                    new_pid,
-                    PageOp::InsertAt {
-                        slot: i as u16,
-                        cell,
-                    },
-                    None,
-                    &mut np,
-                )?;
-            }
             new_frame.mark_dirty();
         }
         {
             let mut p = frame.page.write();
-            for i in (mid..n).rev() {
-                access.log_and_apply(
-                    ctx,
-                    txn,
-                    target_pid,
-                    PageOp::Delete { slot: i as u16 },
-                    None,
-                    &mut p,
-                )?;
-            }
-            if is_leaf {
-                access.log_and_apply(
-                    ctx,
-                    txn,
-                    target_pid,
-                    PageOp::SetNextPage { page_no: new_no },
-                    None,
-                    &mut p,
-                )?;
-            }
+            access.log_and_apply(
+                ctx,
+                txn,
+                target_pid,
+                PageOp::Truncate {
+                    from: mid as u16,
+                    next_page: if is_leaf { new_no } else { next_link },
+                },
+                None,
+                &mut p,
+            )?;
             frame.mark_dirty();
         }
 
@@ -364,35 +332,16 @@ impl BTree {
                 let (new_root_no, rframe) = access.alloc_page(ctx, txn, self.space)?;
                 let root_pid = self.pid(new_root_no);
                 let mut rp = rframe.page.write();
+                let low = internal_cell(&[], target_no);
                 access.log_and_apply(
                     ctx,
                     txn,
                     root_pid,
-                    PageOp::Format {
+                    PageOp::Build {
                         ty: PageType::BTreeInternal,
                         level: level + 1,
-                    },
-                    None,
-                    &mut rp,
-                )?;
-                access.log_and_apply(
-                    ctx,
-                    txn,
-                    root_pid,
-                    PageOp::InsertAt {
-                        slot: 0,
-                        cell: internal_cell(&[], target_no),
-                    },
-                    None,
-                    &mut rp,
-                )?;
-                access.log_and_apply(
-                    ctx,
-                    txn,
-                    root_pid,
-                    PageOp::InsertAt {
-                        slot: 1,
-                        cell: parent_cell,
+                        next_page: 0,
+                        cells: CellList::from_cells([low.as_slice(), &parent_cell]),
                     },
                     None,
                     &mut rp,

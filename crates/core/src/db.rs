@@ -1126,6 +1126,7 @@ impl Db {
 mod tests {
     use super::*;
     use crate::wal::{decode_wal_record, encode_wal_record};
+    use vedb_pagestore::redo::CellList;
 
     /// `decode(whole)` gives `want`, and every strict prefix of `whole` is a
     /// codec error, never a panic.
@@ -1180,5 +1181,62 @@ mod tests {
             roots: BTreeMap::from([(7, (3, 1)), (8, (9, 0))]),
         };
         check_prefixes(&encode_meta(&meta), &meta, decode_meta);
+    }
+
+    /// A WAL frame holds exactly one record: a byte after it is a codec
+    /// error, for every record kind and every redo op.
+    #[test]
+    fn bytes_after_a_wal_record_rejected() {
+        let page = PageId::new(1, 2);
+        let ops = [
+            PageOp::Format {
+                ty: PageType::BTreeLeaf,
+                level: 0,
+            },
+            PageOp::InsertAt {
+                slot: 0,
+                cell: b"cell".to_vec(),
+            },
+            PageOp::Update {
+                slot: 0,
+                cell: b"new".to_vec(),
+            },
+            PageOp::Delete { slot: 0 },
+            PageOp::SetNextPage { page_no: 3 },
+            PageOp::Build {
+                ty: PageType::BTreeInternal,
+                level: 1,
+                next_page: 0,
+                cells: CellList::from_cells([b"ab".as_slice(), b"cde"]),
+            },
+            PageOp::Truncate {
+                from: 1,
+                next_page: 4,
+            },
+        ];
+        let pages = ops.into_iter().map(|op| WalRecord::Page {
+            redo: RedoRecord {
+                lsn: 5,
+                prev_same_segment: 2,
+                txn_id: 1,
+                page,
+                op,
+            },
+            undo: None,
+        });
+        for rec in pages.chain([
+            WalRecord::Commit { txn_id: 9 },
+            WalRecord::Abort { txn_id: 9 },
+        ]) {
+            let mut buf = Vec::new();
+            encode_wal_record(&rec, &mut buf);
+            assert_eq!(decode_wal_record(&buf).unwrap(), rec);
+            buf.push(0);
+            assert_eq!(
+                decode_wal_record(&buf),
+                Err(EngineError::Codec("bytes after the wal record".into())),
+                "{rec:?}"
+            );
+        }
     }
 }

@@ -176,6 +176,9 @@ pub fn decode_fragment(buf: &[u8]) -> Result<Fragment> {
         }
         _ => ColSet::all(),
     };
+    if !r.rest().is_empty() {
+        return Err(EngineError::Codec("bytes after the fragment".into()));
+    }
     Ok(Fragment {
         space,
         filter,
@@ -446,6 +449,26 @@ mod tests {
         encode_fragment(&nothing, &mut buf2);
         assert_eq!(buf2.len(), 4 + 3 + 5);
         assert_eq!(decode_fragment(&buf2).unwrap(), nothing);
+    }
+
+    /// A request with a byte after its fragment is malformed, not a
+    /// fragment with padding.
+    #[test]
+    fn bytes_after_a_fragment_rejected() {
+        let frag = Fragment {
+            space: 2,
+            filter: Some(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::int(9))),
+            project: None,
+            agg: None,
+            need: ColSet::none().with([0]),
+        };
+        let mut buf = Vec::new();
+        encode_fragment(&frag, &mut buf);
+        buf.push(0);
+        assert_eq!(
+            decode_fragment(&buf),
+            Err(EngineError::Codec("bytes after the fragment".into()))
+        );
     }
 
     /// The bytes of a fragment over space 3 filtering on `col 0 = literal`,

@@ -153,23 +153,29 @@ pub fn encode_wal_record(rec: &WalRecord, out: &mut Vec<u8>) {
 }
 
 /// Decode a record body. WAL bytes come back from storage after a crash
-/// and may be torn: truncation is a codec error, never a panic.
+/// and may be torn: truncation is a codec error, never a panic, and so is
+/// a byte after the record.
 pub fn decode_wal_record(buf: &[u8]) -> Result<WalRecord> {
     let mut r = Reader::new(buf, "wal record");
-    match r.u8()? {
+    let rec = match r.u8()? {
         0 => {
             let undo = match r.u8()? {
                 1 => Some(decode_undo(&mut r)?),
                 _ => None,
             };
-            let (redo, _) =
+            let (redo, used) =
                 decode_record(r.rest()).map_err(|e| EngineError::Codec(format!("redo: {e}")))?;
-            Ok(WalRecord::Page { redo, undo })
+            r.take(used)?;
+            WalRecord::Page { redo, undo }
         }
-        1 => Ok(WalRecord::Commit { txn_id: r.u64()? }),
-        2 => Ok(WalRecord::Abort { txn_id: r.u64()? }),
-        t => Err(EngineError::Codec(format!("bad wal tag {t}"))),
+        1 => WalRecord::Commit { txn_id: r.u64()? },
+        2 => WalRecord::Abort { txn_id: r.u64()? },
+        t => return Err(EngineError::Codec(format!("bad wal tag {t}"))),
+    };
+    if !r.rest().is_empty() {
+        return Err(EngineError::Codec("bytes after the wal record".into()));
     }
+    Ok(rec)
 }
 
 /// Iterate `[len u32][body]` frames from a raw log byte stream. Stops at a

@@ -23,11 +23,12 @@
 //! through a per-node pool of four workers: records partition by page id,
 //! so one page's records stay on one worker in LSN order while distinct
 //! pages apply concurrently on the node's CPU lanes. After every
-//! [`CHECKPOINT_EVERY_RECORDS`] accepted records of a segment a background
-//! checkpointer snapshots the segment's images durably and truncates
-//! replayed redo below the previous checkpoint, which bounds what a
-//! restart replays; gossip peers that fell behind the truncation horizon
-//! install the snapshot itself.
+//! [`CHECKPOINT_EVERY_RECORDS`] accepted records or
+//! [`CHECKPOINT_EVERY_BYTES`] accepted redo bytes of a segment, whichever
+//! comes first, a background checkpointer writes the segment's changed
+//! images durably and truncates replayed redo below the previous
+//! checkpoint, which bounds what a restart replays; gossip peers that fell
+//! behind the truncation horizon install the snapshot itself.
 //! Page images are `Arc<Page>` shared by the live map, the checkpoint and
 //! readers and copied only when replay touches a shared one, so a
 //! checkpoint costs memory in proportion to the pages dirtied since it was
@@ -57,10 +58,10 @@ pub mod redo;
 pub mod server;
 
 pub use page::{Page, PageType, PAGE_SIZE};
-pub use redo::{PageOp, RedoRecord};
+pub use redo::{CellList, PageOp, RedoRecord};
 pub use server::{
-    PageStore, PageStoreConfig, PageStoreServer, PsSegmentKey, CHECKPOINT_EVERY_RECORDS,
-    PAGES_PER_SEGMENT, QUORUM, REPLICATION,
+    PageStore, PageStoreConfig, PageStoreServer, PsSegmentKey, CHECKPOINT_EVERY_BYTES,
+    CHECKPOINT_EVERY_RECORDS, PAGES_PER_SEGMENT, QUORUM, REPLICATION,
 };
 
 /// Errors from page/REDO/PageStore operations.

@@ -309,6 +309,22 @@ impl Page {
         Ok(())
     }
 
+    /// Delete the cells at `from..`, leaving the bytes that deleting each
+    /// of them with [`delete`](Self::delete), last first, would leave.
+    pub fn truncate(&mut self, from: usize) -> Result<()> {
+        let n = self.n_slots();
+        if from > n {
+            return Err(PageStoreError::SlotOutOfRange {
+                idx: from,
+                n_slots: n,
+            });
+        }
+        let dead: usize = (from..n).map(|i| self.dir_entry(i).1).sum();
+        self.add_garbage(dead);
+        self.put_u16(OFF_NSLOTS, from as u16);
+        Ok(())
+    }
+
     /// Rewrite all live cells tightly against the end of the page.
     pub fn compact(&mut self) {
         let n = self.n_slots();
@@ -329,7 +345,7 @@ impl Page {
     }
 
     /// Iterate over all cells.
-    pub fn iter(&self) -> impl Iterator<Item = &[u8]> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> + Clone + '_ {
         (0..self.n_slots()).map(move |i| {
             let (off, len) = self.dir_entry(i);
             &self.buf[off..off + len]

@@ -24,7 +24,7 @@ mod replica;
 
 pub use checkpoint::PageImages;
 pub use fleet::PageStore;
-pub use replica::{PageStoreServer, CHECKPOINT_EVERY_RECORDS};
+pub use replica::{PageStoreServer, CHECKPOINT_EVERY_BYTES, CHECKPOINT_EVERY_RECORDS};
 
 /// Identifies a PageStore segment: a run of consecutive pages in one space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -33,7 +33,9 @@ pub(super) struct SegCheckpoint {
 impl PageStoreServer {
     /// Background checkpoint of one segment: materialize its pages (apply
     /// everything pending — this is what keeps hot pages ahead of reads),
-    /// snapshot the page images durably, and truncate retained redo below
+    /// snapshot the page images durably — writing, and counting in
+    /// `checkpoint_pages`, only the pages changed since the previous
+    /// snapshot (every page on the first) — and truncate retained redo below
     /// the **previous** checkpoint. The previous checkpoint's window stays
     /// served so gossip peers lagging between the two checkpoints can
     /// still pull records; peers behind the truncation horizon install the
@@ -50,24 +52,29 @@ impl PageStoreServer {
                 None
             } else {
                 // Only the pages whose image changed since the previous
-                // snapshot move; every other entry already points at the
-                // live image.
+                // snapshot move, and only they are written; every other
+                // entry already points at the live image. A segment's first
+                // snapshot writes every page.
                 let lsn = seg.applied_lsn;
-                match &mut seg.checkpoint {
+                let written = match &mut seg.checkpoint {
                     Some(ckpt) => {
                         ckpt.lsn = lsn;
+                        let mut written = 0;
                         for no in &seg.changed {
                             if let Some(img) = seg.pages.get(no) {
                                 ckpt.pages.insert(*no, Arc::clone(img));
+                                written += 1;
                             }
                         }
+                        written
                     }
                     None => {
                         let pages: BTreeMap<u32, Arc<Page>> =
                             seg.pages.iter().map(|(k, v)| (*k, Arc::clone(v))).collect();
                         seg.checkpoint = Some(SegCheckpoint { lsn, pages });
+                        seg.pages.len()
                     }
-                }
+                };
                 seg.changed.clear();
                 if cfg!(debug_assertions) {
                     let ckpt = seg.checkpoint.as_ref().map(|c| &c.pages);
@@ -80,27 +87,27 @@ impl PageStoreServer {
                         "snapshot of {key:?} at {lsn} is not the live map"
                     );
                 }
-                let n_pages = seg.pages.len();
                 seg.accepted_since_ckpt = 0;
+                seg.accepted_bytes_since_ckpt = 0;
                 // Redo at or below the previous checkpoint leaves the front.
                 let truncated = seg.retained_after(prev_lsn);
                 seg.retained.drain(..truncated);
-                Some((n_pages, truncated))
+                Some((written, truncated))
             }
         };
-        let Some((n_pages, truncated)) = snap else {
+        let Some((written, truncated)) = snap else {
             return Ok(());
         };
         let sp = self.stats.trace.span(ctx, "pagestore", "checkpoint");
         self.stats.checkpoints.inc();
-        self.stats.checkpoint_pages.add(n_pages as u64);
+        self.stats.checkpoint_pages.add(written as u64);
         self.stats.log_truncated_records.add(truncated as u64);
         if let Some(ssd) = &self.res.ssd {
             // Sequential snapshot stream, same amortization as apply's
             // page flush.
             let done = ssd.acquire(
                 ctx.now(),
-                self.model.ssd_write_svc(n_pages.max(1) * PAGE_SIZE) / 4,
+                self.model.ssd_write_svc(written.max(1) * PAGE_SIZE) / 4,
             );
             ctx.wait_until(done);
         }
@@ -165,6 +172,7 @@ impl PageStoreServer {
         seg.applied_lsn = lsn;
         seg.last_lsn = lsn;
         seg.accepted_since_ckpt = 0;
+        seg.accepted_bytes_since_ckpt = 0;
         let covered: Vec<Lsn> = seg.out_of_order.range(..=lsn).map(|(l, _)| *l).collect();
         for l in &covered {
             seg.out_of_order.remove(l);
@@ -366,9 +374,11 @@ mod tests {
     use vedb_sim::SimCtx;
 
     use super::super::testutil::{make_records, more_inserts, setup};
-    use super::super::{PageStore, PageStoreServer, PsSegmentKey, CHECKPOINT_EVERY_RECORDS};
-    use crate::page::Page;
-    use crate::redo::RedoRecord;
+    use super::super::{
+        PageStore, PageStoreServer, PsSegmentKey, CHECKPOINT_EVERY_BYTES, CHECKPOINT_EVERY_RECORDS,
+    };
+    use crate::page::{Page, PageType};
+    use crate::redo::{CellList, PageOp, RedoRecord};
     use crate::PageStoreError;
 
     /// Round `r` of a stream over 16 pages of one segment, 64 records a
@@ -535,6 +545,63 @@ mod tests {
         assert_eq!(replicas[0].applied_lsn(key), 700);
         let p = replicas[0].local_page(&mut ctx, page, 700).unwrap();
         assert_eq!(p.n_slots(), 15);
+    }
+
+    /// A checkpoint writes, and counts, the pages changed since the
+    /// previous one; the first writes every page.
+    #[test]
+    fn checkpoint_writes_only_changed_pages() {
+        let (env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let pages = [PageId::new(1, 90), PageId::new(1, 91), PageId::new(1, 92)];
+        let key = PsSegmentKey::of(pages[0]);
+        for (i, page) in pages.iter().enumerate() {
+            ps.ship(&mut ctx, &make_records(*page, 100 * (i as u64 + 1), 2))
+                .unwrap();
+        }
+        let written = env.metrics.counter("pagestore", "checkpoint_pages");
+        checkpoint_on(&mut ctx, &ps, key, &[0]);
+        assert_eq!(written.get(), 3, "the first checkpoint writes every page");
+        ps.ship(&mut ctx, &more_inserts(pages[1], 500, 2, 2))
+            .unwrap();
+        checkpoint_on(&mut ctx, &ps, key, &[0]);
+        assert_eq!(written.get(), 3 + 1, "then only the page that changed");
+    }
+
+    /// A segment fed few but large records (a split's `Build`s) checkpoints
+    /// once their bytes reach [`CHECKPOINT_EVERY_BYTES`], long before their
+    /// count would reach [`CHECKPOINT_EVERY_RECORDS`].
+    #[test]
+    fn few_large_records_checkpoint_on_bytes() {
+        let (_env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let cell = vec![7u8; 3_000];
+        let build = |i: u64| RedoRecord {
+            lsn: 100 * (i + 1),
+            prev_same_segment: 0, // facade fills it in
+            txn_id: 1,
+            page: PageId::new(1, 80 + i as u32 % 8),
+            op: PageOp::Build {
+                ty: PageType::BTreeLeaf,
+                level: 0,
+                next_page: 0,
+                cells: CellList::from_cells([cell.as_slice(); 5]),
+            },
+        };
+        let per_record = build(0).encoded_len() as u64;
+        let due = CHECKPOINT_EVERY_BYTES.div_ceil(per_record);
+        assert!(due < 200, "{due} records are a few");
+        let key = PsSegmentKey::of(build(0).page);
+        let recs: Vec<RedoRecord> = (0..due).map(build).collect();
+        ps.ship(&mut ctx, &recs[..due as usize - 1]).unwrap();
+        for r in ps.replicas_of(key) {
+            assert_eq!(r.checkpoint_lsn(key), 0, "one record short of the bound");
+        }
+        ps.ship(&mut ctx, &recs[due as usize - 1..]).unwrap();
+        let tail = recs.last().unwrap().lsn;
+        for r in ps.replicas_of(key) {
+            assert_eq!(r.checkpoint_lsn(key), tail, "the bound is reached");
+        }
     }
 
     /// Which pages the live map and the checkpoint share (same allocation).

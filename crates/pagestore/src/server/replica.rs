@@ -64,6 +64,8 @@ pub(super) struct ReplicaSeg {
     pub(super) checkpoint: Option<SegCheckpoint>,
     /// Accepted records since the last checkpoint (trigger counter).
     pub(super) accepted_since_ckpt: u64,
+    /// Encoded bytes of those records (the other trigger counter).
+    pub(super) accepted_bytes_since_ckpt: u64,
 }
 
 impl ReplicaSeg {
@@ -101,6 +103,13 @@ const APPLY_WORKERS: usize = 4;
 /// *previous* snapshot, so a restart replays at most about this many
 /// records on top of the last snapshot, however long the log.
 pub const CHECKPOINT_EVERY_RECORDS: u64 = 1024;
+
+/// Newly accepted redo bytes (as encoded) of a segment after which the
+/// replica checkpoints, whichever of this and [`CHECKPOINT_EVERY_RECORDS`]
+/// comes first: a segment fed few large records (a split's
+/// [`PageOp::Build`](crate::redo::PageOp::Build)) would otherwise retain
+/// its redo for a long time before the record count trips.
+pub const CHECKPOINT_EVERY_BYTES: u64 = 512 * 1024;
 
 /// The page images one fleet's replicas share: one per page version.
 ///
@@ -302,7 +311,8 @@ pub struct PageStoreServer {
 
 impl PageStoreServer {
     /// Create a server on a storage node: four apply workers and a
-    /// background checkpoint every [`CHECKPOINT_EVERY_RECORDS`] records.
+    /// background checkpoint every [`CHECKPOINT_EVERY_RECORDS`] records or
+    /// [`CHECKPOINT_EVERY_BYTES`] bytes.
     pub fn new(node: NodeId, res: Arc<NodeRes>, model: LatencyModel) -> Arc<Self> {
         let stats = PsStats::register(&res);
         let pool = WorkerPool::with_metrics(
@@ -344,8 +354,8 @@ impl PageStoreServer {
     /// back-link matches extend the in-order stream; the rest wait in the
     /// out-of-order buffer. Charges per-record CPU, and kicks the
     /// background checkpointer once [`CHECKPOINT_EVERY_RECORDS`] new
-    /// records accumulated, or else background replay once `REPLAY_BATCH`
-    /// records queue up.
+    /// records or [`CHECKPOINT_EVERY_BYTES`] new bytes accumulated, or
+    /// else background replay once `REPLAY_BATCH` records queue up.
     pub fn handle_ship(&self, ctx: &mut SimCtx, key: PsSegmentKey, records: &[Arc<RedoRecord>]) {
         let sp = self.stats.trace.span(ctx, "pagestore", "redo_accept");
         let cpu = self.res.cpu.acquire(
@@ -358,7 +368,7 @@ impl PageStoreServer {
             let mut segs = self.segs.lock();
             let seg = segs.entry(key).or_default();
             // Accepts of this ship, booked once after the loop.
-            let (mut in_order, mut parked) = (0, 0);
+            let (mut in_order, mut parked, mut bytes) = (0, 0, 0);
             for rec in records {
                 if rec.lsn <= seg.last_lsn {
                     continue; // duplicate delivery
@@ -372,7 +382,10 @@ impl PageStoreServer {
                     // same hole pulled from two gossip peers) must not be
                     // double-counted as accepted.
                     parked += 1;
+                } else {
+                    continue;
                 }
+                bytes += rec.encoded_len() as u64;
             }
             let accepted = in_order + parked;
             if accepted > 0 {
@@ -382,8 +395,10 @@ impl PageStoreServer {
                 self.stats.apply_lag.add(accepted as i64);
             }
             seg.accepted_since_ckpt += accepted;
+            seg.accepted_bytes_since_ckpt += bytes;
             (
-                seg.accepted_since_ckpt >= CHECKPOINT_EVERY_RECORDS,
+                seg.accepted_since_ckpt >= CHECKPOINT_EVERY_RECORDS
+                    || seg.accepted_bytes_since_ckpt >= CHECKPOINT_EVERY_BYTES,
                 seg.queue.len() >= REPLAY_BATCH,
             )
         };

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use vedb_astore::PageId;
 use vedb_pagestore::page::{Page, PageType};
-use vedb_pagestore::redo::{PageOp, RedoRecord};
+use vedb_pagestore::redo::{CellList, PageOp, RedoRecord};
 use vedb_pagestore::{PageStore, PageStoreError, PageStoreServer, PsSegmentKey};
 use vedb_rdma::RpcFabric;
 use vedb_sim::{ClusterSpec, SimCtx};
@@ -34,6 +34,8 @@ enum GenOp {
     Update(u8, Vec<u8>),
     Delete(u8),
     SetNext(u32),
+    Build(bool, u32, Vec<Vec<u8>>),
+    Truncate(u8, u32),
 }
 
 fn gen_op() -> impl Strategy<Value = GenOp> {
@@ -44,6 +46,13 @@ fn gen_op() -> impl Strategy<Value = GenOp> {
             .prop_map(|(s, c)| GenOp::Update(s, c)),
         2 => any::<u8>().prop_map(GenOp::Delete),
         1 => any::<u32>().prop_map(GenOp::SetNext),
+        1 => (
+            any::<bool>(),
+            any::<u32>(),
+            proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..48), 0..24),
+        )
+            .prop_map(|(leaf, next, cells)| GenOp::Build(leaf, next, cells)),
+        1 => (any::<u8>(), any::<u32>()).prop_map(|(f, next)| GenOp::Truncate(f, next)),
     ]
 }
 
@@ -133,6 +142,20 @@ impl Realizer {
                 slot: (*slot as usize % n) as u16,
             },
             GenOp::SetNext(p) => PageOp::SetNextPage { page_no: *p },
+            GenOp::Build(leaf, next, cells) => PageOp::Build {
+                ty: if *leaf {
+                    PageType::BTreeLeaf
+                } else {
+                    PageType::BTreeInternal
+                },
+                level: u8::from(!*leaf),
+                next_page: *next,
+                cells: CellList::from_cells(cells.iter().map(Vec::as_slice)),
+            },
+            GenOp::Truncate(from, next) => PageOp::Truncate {
+                from: (*from as usize % (n + 1)) as u16,
+                next_page: *next,
+            },
             _ => return,
         };
         self.lsn += 10;
