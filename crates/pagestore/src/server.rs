@@ -81,7 +81,16 @@ mod testutil {
     use crate::redo::{PageOp, RedoRecord};
 
     pub(super) fn setup() -> (Arc<vedb_sim::SimEnv>, Arc<PageStore>) {
-        let env = ClusterSpec::paper_default().build();
+        setup_with(3)
+    }
+
+    /// A fleet of `servers` PageStore servers, one per storage node.
+    pub(super) fn setup_with(servers: usize) -> (Arc<vedb_sim::SimEnv>, Arc<PageStore>) {
+        let env = ClusterSpec {
+            storage_servers: servers,
+            ..ClusterSpec::paper_default()
+        }
+        .build();
         let servers: Vec<Arc<PageStoreServer>> = env
             .storage_nodes
             .iter()

@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 use vedb_astore::{Lsn, PageId};
 use vedb_rdma::RpcFabric;
 use vedb_sim::trace::TraceLog;
-use vedb_sim::SimCtx;
+use vedb_sim::{SimCtx, VTime};
 
 use super::replica::{FleetImages, PageStoreServer};
 use super::{PageStoreConfig, PsSegmentKey, QUORUM, REPLICATION};
@@ -28,6 +28,18 @@ pub struct PageStore {
     ship_state: Mutex<BTreeMap<PsSegmentKey, Lsn>>,
     /// Shared deployment trace (all servers register into one registry).
     trace: Arc<TraceLog>,
+}
+
+/// One segment's share of a ship: its records with back-links attached,
+/// its replica set and what those replicas answered.
+struct ShipGroup {
+    key: PsSegmentKey,
+    replicas: [usize; REPLICATION],
+    records: Vec<Arc<RedoRecord>>,
+    /// Replicas whose ship RPC returned.
+    acked: usize,
+    /// When the slowest of them returned.
+    done: VTime,
 }
 
 impl PageStore {
@@ -58,13 +70,19 @@ impl PageStore {
 
     /// The replica servers of a segment.
     pub fn replicas_of(&self, key: PsSegmentKey) -> Vec<Arc<PageStoreServer>> {
+        self.replica_indices(key)
+            .iter()
+            .map(|&i| Arc::clone(&self.servers[i]))
+            .collect()
+    }
+
+    /// Indices into `servers` of a segment's replicas, in read order.
+    fn replica_indices(&self, key: PsSegmentKey) -> [usize; REPLICATION] {
         let n = self.servers.len();
         let h = (key.space_no as usize)
             .wrapping_mul(31)
             .wrapping_add(key.index as usize);
-        (0..REPLICATION)
-            .map(|i| Arc::clone(&self.servers[(h + i) % n]))
-            .collect()
+        std::array::from_fn(|i| (h + i) % n)
     }
 
     /// All servers (push-down task dispatch).
@@ -73,8 +91,11 @@ impl PageStore {
     }
 
     /// Ship records (in LSN order, possibly spanning pages/segments):
-    /// grouped per segment, back-links attached, delivered to all replicas,
-    /// durable at quorum.
+    /// grouped per segment, back-links attached, and sent to every server
+    /// that replicates at least one group in one RPC carrying all of that
+    /// server's groups. Each segment needs a quorum of its own replicas;
+    /// if one misses it the ship fails with [`PageStoreError::QuorumFailed`]
+    /// and no segment's chain advances, so the caller re-ships the batch.
     pub fn ship(&self, ctx: &mut SimCtx, records: &[RedoRecord]) -> Result<()> {
         if records.is_empty() {
             return Ok(());
@@ -85,59 +106,83 @@ impl PageStore {
         // The `ship_state` lock is held across the whole send: back-link
         // assignment and delivery must be one atomic step, or two
         // concurrent ships could chain from the same tail / arrive in
-        // inverted LSN order. Crucially, a segment's tail only *commits*
-        // after its group reaches quorum — a failed batch must not advance
-        // the chain, or the re-shipped records would carry a dangling
-        // `prev_same_segment` and park on the replicas forever.
+        // inverted LSN order. Crucially, the tails only *commit* once every
+        // group reached its quorum. A failed batch advances no chain, not
+        // even of a segment that made its quorum: the caller re-ships the
+        // whole batch, and a record shipped again behind a tail that moved
+        // past it would carry a back-link at or above its own LSN, which
+        // the replica that missed it can never chain.
         let mut ship_state = self.ship_state.lock();
-        let mut groups: Vec<(PsSegmentKey, Vec<Arc<RedoRecord>>)> = Vec::new();
+        let mut groups: Vec<ShipGroup> = Vec::new();
         for rec in records {
             let key = PsSegmentKey::of(rec.page);
-            let tail = match groups.iter().rev().find(|(k, _)| *k == key) {
-                Some((_, v)) => v.last().map(|r| r.lsn).unwrap_or(0),
+            let at = match groups.iter().rposition(|g| g.key == key) {
+                Some(at) => at,
+                None => {
+                    groups.push(ShipGroup {
+                        key,
+                        replicas: self.replica_indices(key),
+                        records: Vec::new(),
+                        acked: 0,
+                        done: ctx.now(),
+                    });
+                    groups.len() - 1
+                }
+            };
+            let group = &mut groups[at];
+            let tail = match group.records.last() {
+                Some(r) => r.lsn,
                 None => ship_state.get(&key).copied().unwrap_or(0),
             };
             // The one deep copy a shipped record takes: from here on the
             // replicas' queues, retained logs and gossip replies all hold
             // this allocation.
-            let rec = Arc::new(RedoRecord {
+            group.records.push(Arc::new(RedoRecord {
                 prev_same_segment: tail,
                 ..rec.clone()
-            });
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, v)) => v.push(rec),
-                None => groups.push((key, vec![rec])),
-            }
+            }));
         }
-        let bytes: usize = records.len() * 64;
-        let mut max_done = ctx.now();
-        for (key, group) in &groups {
-            let mut acked = 0;
-            let mut group_done = ctx.now();
-            for server in self.replicas_of(*key) {
-                let mut rep_ctx = ctx.fork();
-                let ok = self
-                    .rpc
-                    .call(&mut rep_ctx, server.node(), server.res(), bytes, 16, |c| {
-                        server.handle_ship(c, *key, group);
-                    })
-                    .is_ok();
-                if ok {
-                    acked += 1;
-                    group_done = group_done.max(rep_ctx.now());
+        // One RPC per server, carrying the groups it replicates and
+        // charged for their encoded bytes. The RPCs run side by side on
+        // forked clocks; a group is done when its slowest acking replica is.
+        for (i, server) in self.servers.iter().enumerate() {
+            let mine = |g: &&ShipGroup| g.replicas.contains(&i);
+            let bytes: usize = groups
+                .iter()
+                .filter(mine)
+                .flat_map(|g| &g.records)
+                .map(|r| r.encoded_len())
+                .sum();
+            if bytes == 0 {
+                continue; // replicates none of this ship's segments
+            }
+            let mut rep_ctx = ctx.fork();
+            let sent = self
+                .rpc
+                .call(&mut rep_ctx, server.node(), server.res(), bytes, 16, |c| {
+                    let payload = groups.iter().filter(mine);
+                    server.handle_ship(c, payload.map(|g| (g.key, g.records.as_slice())));
+                });
+            if sent.is_ok() {
+                for g in groups.iter_mut().filter(|g| g.replicas.contains(&i)) {
+                    g.acked += 1;
+                    g.done = g.done.max(rep_ctx.now());
                 }
             }
-            if acked < QUORUM {
-                return Err(PageStoreError::QuorumFailed {
-                    acked,
-                    quorum: QUORUM,
-                });
+        }
+        if let Some(acked) = groups.iter().map(|g| g.acked).find(|&a| a < QUORUM) {
+            return Err(PageStoreError::QuorumFailed {
+                acked,
+                quorum: QUORUM,
+            });
+        }
+        // Every segment reached its quorum: the chain tails are durable.
+        let mut max_done = ctx.now();
+        for g in &groups {
+            if let Some(last) = g.records.last() {
+                ship_state.insert(g.key, last.lsn);
             }
-            // Quorum reached: this segment's chain tail is now durable.
-            if let Some(last) = group.last() {
-                ship_state.insert(*key, last.lsn);
-            }
-            max_done = max_done.max(group_done);
+            max_done = max_done.max(g.done);
         }
         ctx.wait_until(max_done);
         sp.finish(ctx);
@@ -242,8 +287,8 @@ mod tests {
     use vedb_astore::{Lsn, PageId};
     use vedb_sim::SimCtx;
 
-    use super::super::testutil::{make_records, more_inserts, setup};
-    use super::{PageStore, PsSegmentKey};
+    use super::super::testutil::{make_records, more_inserts, setup, setup_with};
+    use super::{PageStore, PsSegmentKey, REPLICATION};
     use crate::page::Page;
     use crate::redo::RedoRecord;
     use crate::PageStoreError;
@@ -523,5 +568,216 @@ mod tests {
         env.faults.crash(replicas[1].node());
         assert_eq!(ps.truncation_watermark(&mut ctx), 120);
         env.faults.restore(replicas[1].node());
+    }
+
+    /// One flush over `pages`, `n` inserts each after a format, every LSN
+    /// above `base` and in order across the flush.
+    fn flush_over(pages: &[PageId], base: Lsn, n: usize) -> Vec<RedoRecord> {
+        pages
+            .iter()
+            .enumerate()
+            .flat_map(|(i, page)| make_records(*page, base + 1_000 * i as Lsn, n))
+            .collect()
+    }
+
+    /// One flush of `n` inserts per page from `slot_base` on, after
+    /// [`flush_over`] formatted the pages.
+    fn inserts_over(pages: &[PageId], base: Lsn, n: usize, slot_base: u16) -> Vec<RedoRecord> {
+        pages
+            .iter()
+            .enumerate()
+            .flat_map(|(i, page)| more_inserts(*page, base + 1_000 * i as Lsn, n, slot_base))
+            .collect()
+    }
+
+    /// The chain tail the facade will back-link a segment's next record to.
+    fn tail(ps: &PageStore, key: PsSegmentKey) -> Lsn {
+        ps.ship_state.lock().get(&key).copied().unwrap_or(0)
+    }
+
+    #[test]
+    fn a_flush_over_three_segments_is_one_rpc_per_replica() {
+        let (env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let pages = [PageId::new(1, 5), PageId::new(1, 300), PageId::new(1, 600)];
+        let keys = pages.map(PsSegmentKey::of);
+        assert!(keys[0] != keys[1] && keys[1] != keys[2]);
+        let count = |name| env.metrics.counter_values()[name];
+        let (calls, ships) = (count("rdma.rpc_calls"), count("pagestore.ships"));
+        ps.ship(&mut ctx, &flush_over(&pages, 100, 4)).unwrap();
+        assert_eq!(count("rdma.rpc_calls") - calls, REPLICATION as u64);
+        assert_eq!(count("pagestore.ships") - ships, REPLICATION as u64);
+        for key in keys {
+            for r in ps.replicas_of(key) {
+                assert_eq!(r.retained_count(key), 5, "every replica holds {key:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_two_segment_flush_charges_each_replica_its_bytes_once() {
+        let (env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let records = flush_over(&[PageId::new(1, 5), PageId::new(1, 300)], 100, 6);
+        let encoded: usize = records.iter().map(RedoRecord::encoded_len).sum();
+        let bytes = env.metrics.counter("rdma", "rpc_req_bytes");
+        let before = bytes.get();
+        ps.ship(&mut ctx, &records).unwrap();
+        // All three servers replicate both segments: each takes one RPC
+        // carrying the whole flush, as encoded.
+        assert_eq!(bytes.get() - before, (REPLICATION * encoded) as u64);
+    }
+
+    #[test]
+    fn a_server_takes_only_the_groups_it_replicates_and_each_needs_its_quorum() {
+        let (env, ps) = setup_with(4);
+        let mut ctx = SimCtx::new(1, 7);
+        let pages = [PageId::new(1, 5), PageId::new(1, 300)];
+        let keys = pages.map(PsSegmentKey::of);
+        let sets = keys.map(|k| ps.replica_indices(k));
+        // Each segment leaves out a different server.
+        let left_out = sets.map(|set| (0..4).find(|i| !set.contains(i)).unwrap());
+        assert_ne!(left_out[0], left_out[1]);
+        let calls = env.metrics.counter("rdma", "rpc_calls");
+        let before = calls.get();
+        ps.ship(&mut ctx, &flush_over(&pages, 100, 2)).unwrap();
+        assert_eq!(calls.get() - before, 4, "every server replicates a group");
+        for (i, server) in ps.servers().iter().enumerate() {
+            let held: Vec<PsSegmentKey> = {
+                let mut held: Vec<_> = server.segs.lock().keys().copied().collect();
+                held.sort();
+                held
+            };
+            let want: Vec<PsSegmentKey> = (0..2)
+                .filter(|&g| sets[g].contains(&i))
+                .map(|g| keys[g])
+                .collect();
+            assert_eq!(held, want, "server {i}");
+        }
+        // A one-segment flush leaves the fourth server out of the ship.
+        let before = calls.get();
+        ps.ship(&mut ctx, &more_inserts(pages[0], 3_000, 1, 2))
+            .unwrap();
+        assert_eq!(calls.get() - before, REPLICATION as u64);
+
+        // Crash a server both segments share and the one segment 0 leaves
+        // out: segment 0 keeps a quorum, segment 1 does not, and the ship
+        // fails on segment 1 alone.
+        let shared = (0..4)
+            .find(|i| sets[0].contains(i) && sets[1].contains(i))
+            .unwrap();
+        let down = [shared, left_out[0]].map(|i| ps.servers()[i].node());
+        for node in down {
+            env.faults.crash(node);
+        }
+        let tails = keys.map(|k| tail(&ps, k));
+        let flush = inserts_over(&pages, 5_000, 1, 3);
+        assert!(matches!(
+            ps.ship(&mut ctx, &flush),
+            Err(PageStoreError::QuorumFailed {
+                acked: 1,
+                quorum: 2
+            })
+        ));
+        let holders = sets[0]
+            .iter()
+            .filter(|&&i| ps.servers()[i].segment_watermark(keys[0]) == flush[0].lsn)
+            .count();
+        assert_eq!(holders, 2, "segment 0's quorum holds its record");
+        assert_eq!(keys.map(|k| tail(&ps, k)), tails, "no chain advanced");
+        // The batch ships again once the servers are back: the replica
+        // that missed segment 0's record chains it on, no hole parked.
+        for node in down {
+            env.faults.restore(node);
+        }
+        ps.ship(&mut ctx, &flush).unwrap();
+        for (g, key) in keys.iter().enumerate() {
+            for &i in &sets[g] {
+                let server = &ps.servers()[i];
+                assert_eq!(server.segment_watermark(*key), flush[g].lsn, "server {i}");
+                assert_eq!(server.gap_count(*key), 0, "server {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_dead_replica_acks_a_multi_segment_flush_and_two_fail_every_segment() {
+        let (env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let pages = [PageId::new(1, 5), PageId::new(1, 300), PageId::new(1, 600)];
+        let keys = pages.map(PsSegmentKey::of);
+        let servers = ps.servers().to_vec();
+        env.faults.crash(servers[0].node());
+        let (calls, ships) = (
+            env.metrics.counter("rdma", "rpc_calls"),
+            env.metrics.counter("pagestore", "ships"),
+        );
+        let (c0, s0) = (calls.get(), ships.get());
+        ps.ship(&mut ctx, &flush_over(&pages, 100, 2)).unwrap();
+        assert_eq!((calls.get() - c0, ships.get() - s0), (2, 2));
+        let tails = keys.map(|k| tail(&ps, k));
+        assert_eq!(tails, [120, 1_120, 2_120]);
+
+        env.faults.crash(servers[1].node());
+        let later = inserts_over(&pages, 10_000, 1, 2);
+        assert!(matches!(
+            ps.ship(&mut ctx, &later),
+            Err(PageStoreError::QuorumFailed {
+                acked: 1,
+                quorum: 2
+            })
+        ));
+        assert_eq!(keys.map(|k| tail(&ps, k)), tails, "no segment advanced");
+        // Back up, the same flush re-ships onto the unchanged chains.
+        env.faults.restore(servers[0].node());
+        env.faults.restore(servers[1].node());
+        ps.ship(&mut ctx, &later).unwrap();
+        for (i, page) in pages.iter().enumerate() {
+            let img = ps.read_page(&mut ctx, *page, later[i].lsn).unwrap();
+            assert_eq!(Page::from_bytes(&img).unwrap().n_slots(), 3);
+        }
+    }
+
+    #[test]
+    fn accepted_splits_into_applied_queued_and_parked_after_multi_segment_ships() {
+        let (env, ps) = setup_with(4);
+        let mut ctx = SimCtx::new(1, 7);
+        let pages = [PageId::new(1, 5), PageId::new(1, 300), PageId::new(1, 600)];
+        // Enough records per segment that background replay runs on some
+        // replicas, and a server that misses a flush parks the next one.
+        ps.ship(&mut ctx, &flush_over(&pages, 100, 40)).unwrap();
+        env.faults.crash(ps.servers()[1].node());
+        ps.ship(&mut ctx, &inserts_over(&pages, 10_000, 30, 40))
+            .unwrap();
+        env.faults.restore(ps.servers()[1].node());
+        ps.ship(&mut ctx, &inserts_over(&pages, 20_000, 5, 70))
+            .unwrap();
+
+        let counters = env.metrics.counter_values();
+        let gauges = env.metrics.gauge_values();
+        let (mut accepted, mut applied, mut queued, mut parked) = (0, 0, 0, 0);
+        for server in ps.servers() {
+            for seg in server.segs.lock().values() {
+                // No checkpoint ran: the retained log is every in-order accept.
+                assert!(seg.checkpoint.is_none());
+                accepted += seg.retained.len() + seg.out_of_order.len();
+                applied += seg.retained.len() - seg.queue.len();
+                queued += seg.queue.len();
+                parked += seg.out_of_order.len();
+            }
+        }
+        assert!(
+            applied > 0 && parked > 0,
+            "{applied} applied, {parked} parked"
+        );
+        assert_eq!(accepted, applied + queued + parked);
+        assert_eq!(counters["pagestore.records_accepted"], accepted as u64);
+        assert_eq!(counters["pagestore.records_applied"], applied as u64);
+        assert_eq!(gauges["pagestore.queued_records"], queued as i64);
+        assert_eq!(gauges["pagestore.parked_records"], parked as i64);
+        assert_eq!(
+            gauges["pagestore.apply_lag_records"],
+            (queued + parked) as i64
+        );
     }
 }

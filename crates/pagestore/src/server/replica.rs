@@ -350,24 +350,40 @@ impl PageStoreServer {
         &self.res
     }
 
-    /// Handler: ingest a batch of records for `key`. Records whose
-    /// back-link matches extend the in-order stream; the rest wait in the
-    /// out-of-order buffer. Charges per-record CPU, and kicks the
+    /// Handler: ingest one ship RPC, a batch of records for each of one
+    /// or more segments. The RPC's records are charged their accept CPU
+    /// in one step and count as one ship; then each group is accepted in
+    /// turn: records whose back-link matches extend the segment's in-order
+    /// stream, the rest wait in its out-of-order buffer. A segment kicks the
     /// background checkpointer once [`CHECKPOINT_EVERY_RECORDS`] new
-    /// records or [`CHECKPOINT_EVERY_BYTES`] new bytes accumulated, or
-    /// else background replay once `REPLAY_BATCH` records queue up.
-    pub fn handle_ship(&self, ctx: &mut SimCtx, key: PsSegmentKey, records: &[Arc<RedoRecord>]) {
+    /// records or [`CHECKPOINT_EVERY_BYTES`] new bytes accumulated, or else
+    /// background replay once `REPLAY_BATCH` records queue up.
+    pub fn handle_ship<'a>(
+        &self,
+        ctx: &mut SimCtx,
+        groups: impl Iterator<Item = (PsSegmentKey, &'a [Arc<RedoRecord>])> + Clone,
+    ) {
         let sp = self.stats.trace.span(ctx, "pagestore", "redo_accept");
+        let n: usize = groups.clone().map(|(_, records)| records.len()).sum();
         let cpu = self.res.cpu.acquire(
             ctx.now(),
-            VTime::from_nanos(records.len() as u64 * self.model.cpu_redo_accept_ns),
+            VTime::from_nanos(n as u64 * self.model.cpu_redo_accept_ns),
         );
         ctx.wait_until(cpu);
         self.stats.ships.inc();
+        for (key, records) in groups {
+            self.accept(ctx, key, records);
+        }
+        sp.finish(ctx);
+    }
+
+    /// Accept one segment's records of a ship, then start the background
+    /// checkpoint or replay they made due.
+    fn accept(&self, ctx: &mut SimCtx, key: PsSegmentKey, records: &[Arc<RedoRecord>]) {
         let (ckpt_due, replay_due) = {
             let mut segs = self.segs.lock();
             let seg = segs.entry(key).or_default();
-            // Accepts of this ship, booked once after the loop.
+            // Accepts of this group, booked once after the loop.
             let (mut in_order, mut parked, mut bytes) = (0, 0, 0);
             for rec in records {
                 if rec.lsn <= seg.last_lsn {
@@ -412,7 +428,6 @@ impl PageStoreServer {
             let mut bg = ctx.fork();
             let _ = self.apply_pending(&mut bg, key);
         }
-        sp.finish(ctx);
     }
 
     /// Handler: serve records after `from_lsn` (gossip peer side). Serves
@@ -492,7 +507,7 @@ impl PageStoreServer {
                 if let Ok(records) = got {
                     if !records.is_empty() {
                         let before = self.segs.lock().get(&key).map(|s| s.last_lsn).unwrap_or(0);
-                        self.handle_ship(ctx, key, &records);
+                        self.handle_ship(ctx, std::iter::once((key, &records[..])));
                         let after = self.segs.lock().get(&key).map(|s| s.last_lsn).unwrap_or(0);
                         if after > before {
                             recovered += 1;
@@ -597,8 +612,9 @@ impl PageStoreServer {
         let mut first_err: Option<PageStoreError> = None;
         {
             let mut segs = self.segs.lock();
-            // vedb-lint: allow(no-panic-in-runtime, "apply_batch only runs for keys handle_ship inserted under this same lock")
-            let seg = segs.get_mut(&key).expect("created by ship");
+            let Some(seg) = segs.get_mut(&key) else {
+                return Ok(0); // no segment to apply into: nothing was accepted
+            };
             let mut fleet = self.fleet.get().map(|images| images.lock());
             if let Some(images) = fleet.as_deref_mut() {
                 images.plan(&parts);

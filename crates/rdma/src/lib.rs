@@ -379,6 +379,7 @@ pub struct RpcFabric {
     model: LatencyModel,
     faults: Arc<FaultPlan>,
     calls: Arc<Counter>,
+    req_bytes: Arc<Counter>,
     drops: Arc<Counter>,
     call_lat: Arc<LatencyRecorder>,
     trace: Arc<TraceLog>,
@@ -392,6 +393,7 @@ impl RpcFabric {
     }
 
     /// Like [`new`](Self::new), but publishing `rdma.rpc_calls`,
+    /// `rdma.rpc_req_bytes` (the request bytes of those calls),
     /// `rdma.rpc_drops` and the `rdma.rpc` latency histogram into `registry`.
     pub fn with_metrics(
         model: LatencyModel,
@@ -402,6 +404,7 @@ impl RpcFabric {
             model,
             faults,
             calls: registry.counter("rdma", "rpc_calls"),
+            req_bytes: registry.counter("rdma", "rpc_req_bytes"),
             drops: registry.counter("rdma", "rpc_drops"),
             call_lat: registry.latency("rdma", "rpc"),
             trace: Arc::clone(registry.trace()),
@@ -466,6 +469,7 @@ impl RpcFabric {
         let nic_done = target_res.nic.acquire(ctx.now(), resp_stream);
         ctx.wait_until(nic_done + self.model.rpc_rtt() / 2);
         self.calls.inc();
+        self.req_bytes.add(req_bytes as u64);
         self.call_lat.record(ctx.now() - t0);
         sp.finish(ctx);
         Ok(result)
@@ -815,6 +819,7 @@ mod tests {
         let rpc = RpcFabric::with_metrics(env.model.clone(), Arc::clone(&env.faults), &env.metrics);
         rpc.call(&mut ctx, 0, node, 64, 64, |_| ()).unwrap();
         assert_eq!(env.metrics.counter("rdma", "rpc_calls").get(), 1);
+        assert_eq!(env.metrics.counter("rdma", "rpc_req_bytes").get(), 64);
         env.faults.partition(0);
         assert!(rpc.call(&mut ctx, 0, node, 64, 64, |_| ()).is_err());
         assert_eq!(env.metrics.counter("rdma", "rpc_drops").get(), 1);
