@@ -74,15 +74,38 @@ pub struct SegmentHandle {
     pub class: SegmentClass,
 }
 
-struct CachedRoute {
-    route: Route,
+/// What the client knows of one segment it created or adopted.
+struct Seg {
+    /// The cached route; `None` once the CM has dropped it (the segment was
+    /// deleted or lost). The entry stays until this client deletes it.
+    route: Option<Arc<Route>>,
+    /// When `route` was fetched from the CM.
     fetched_at: VTime,
+    /// Bytes appended so far.
+    len: u64,
+    /// The smallest slot among the replicas.
+    capacity: u64,
+    /// Set by a write that exhausted its retries.
+    frozen: bool,
 }
 
-struct SegMeta {
-    len: u64,
-    capacity: u64,
-    frozen: bool,
+impl Seg {
+    /// The cached route, unless it is gone or older than `period` at `now`.
+    fn fresh_route(&self, now: VTime, period: VTime) -> Option<Arc<Route>> {
+        let fresh = now.saturating_sub(self.fetched_at) <= period;
+        self.route.as_ref().filter(|_| fresh).cloned()
+    }
+
+    /// Whether `len` bytes at `offset` fit inside the segment.
+    fn check_range(&self, offset: u64, len: u64) -> Result<()> {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.capacity => Ok(()),
+            _ => Err(AStoreError::SegmentFull {
+                used: offset,
+                capacity: self.capacity,
+            }),
+        }
+    }
 }
 
 /// Data-path and fault-recovery metric handles (component `"astore"`),
@@ -145,8 +168,8 @@ pub struct AStoreClient {
     lease: Mutex<Lease>,
     /// Per-node connection state: registered MR + server reference.
     nodes: Mutex<FxHashMap<NodeId, (RemoteMr, Arc<AStoreServer>)>>,
-    routes: Mutex<FxHashMap<SegmentId, CachedRoute>>,
-    segs: Mutex<FxHashMap<SegmentId, SegMeta>>,
+    /// Every segment this client created or adopted.
+    segments: Mutex<FxHashMap<SegmentId, Seg>>,
 }
 
 impl AStoreClient {
@@ -179,8 +202,7 @@ impl AStoreClient {
             stats,
             lease: Mutex::new(lease),
             nodes: Mutex::new(nodes),
-            routes: Mutex::new(FxHashMap::default()),
-            segs: Mutex::new(FxHashMap::default()),
+            segments: Mutex::new(FxHashMap::default()),
         })
     }
 
@@ -272,6 +294,42 @@ impl AStoreClient {
         }
     }
 
+    /// `f` applied to `seg`'s entry, if this client created or adopted it.
+    fn with_seg<T>(&self, seg: SegmentId, f: impl FnOnce(&mut Seg) -> T) -> Option<T> {
+        self.segments.lock().get_mut(&seg).map(f)
+    }
+
+    /// Cache `route`, fetched from the CM at `fetched_at`, as `seg`'s route
+    /// and return it. A segment without an entry caches nothing.
+    fn cache_route(&self, seg: SegmentId, route: Route, fetched_at: VTime) -> Arc<Route> {
+        let route = Arc::new(route);
+        self.with_seg(seg, |s| {
+            (s.route, s.fetched_at) = (Some(Arc::clone(&route)), fetched_at)
+        });
+        route
+    }
+
+    /// Start the entry of a segment this client just created or adopted,
+    /// `len` bytes long. It holds no more than its smallest replica's slot.
+    fn open(&self, seg: SegmentId, route: Route, fetched_at: VTime, len: u64) {
+        let capacity = route
+            .replicas
+            .iter()
+            .filter_map(|loc| self.node_conn(loc.node).ok())
+            .map(|(_, s)| s.slot_size())
+            .min()
+            .unwrap_or(0);
+        let entry = Seg {
+            route: None,
+            fetched_at,
+            len,
+            capacity,
+            frozen: false,
+        };
+        self.segments.lock().insert(seg, entry);
+        self.cache_route(seg, route, fetched_at);
+    }
+
     /// Create a segment described by `opts` — class plus optional explicit
     /// replication factor. Control-plane cost: milliseconds (§IV-B
     /// "Create").
@@ -286,28 +344,7 @@ impl AStoreClient {
         let (id, route) = self.cm_op(ctx, |ctx, lease| {
             self.cm.create_segment(ctx, lease, class, replication)
         })?;
-        let capacity = route
-            .replicas
-            .iter()
-            .filter_map(|loc| self.node_conn(loc.node).ok())
-            .map(|(_, s)| s.slot_size())
-            .min()
-            .unwrap_or(0);
-        self.routes.lock().insert(
-            id,
-            CachedRoute {
-                route,
-                fetched_at: ctx.now(),
-            },
-        );
-        self.segs.lock().insert(
-            id,
-            SegMeta {
-                len: 0,
-                capacity,
-                frozen: false,
-            },
-        );
+        self.open(id, route, ctx.now(), 0);
         Ok(SegmentHandle { id, class })
     }
 
@@ -317,71 +354,59 @@ impl AStoreClient {
         self.cm_op(ctx, |ctx, lease| {
             self.cm.delete_segment(ctx, lease, handle.id)
         })?;
-        self.routes.lock().remove(&handle.id);
-        self.segs.lock().remove(&handle.id);
+        self.segments.lock().remove(&handle.id);
         Ok(())
     }
 
-    /// Refresh the cached route for `seg` if it is older than the refresh
-    /// period (§IV-C: "the AStore Client regularly checks with the CM to
-    /// see if the segment's route has changed").
-    fn maybe_refresh_route(&self, ctx: &mut SimCtx, seg: SegmentId) -> Result<Route> {
-        let stale = {
-            let routes = self.routes.lock();
-            match routes.get(&seg) {
-                Some(c) => ctx.now().saturating_sub(c.fetched_at) > self.refresh_period,
-                None => true,
-            }
-        };
-        if stale {
-            let route = self.cm.get_route(ctx, seg)?;
-            self.routes.lock().insert(
-                seg,
-                CachedRoute {
-                    route: route.clone(),
-                    fetched_at: ctx.now(),
-                },
-            );
-            Ok(route)
-        } else {
-            Ok(self.routes.lock().get(&seg).expect("cached").route.clone())
+    /// `cached`, the route the caller found fresh, or else `seg`'s route
+    /// fetched from the CM (§IV-C: "the AStore Client regularly checks with
+    /// the CM to see if the segment's route has changed").
+    fn maybe_refresh_route(
+        &self,
+        ctx: &mut SimCtx,
+        seg: SegmentId,
+        cached: Option<Arc<Route>>,
+    ) -> Result<Arc<Route>> {
+        if let Some(route) = cached {
+            return Ok(route);
         }
+        let route = self.cm.get_route(ctx, seg)?;
+        Ok(self.cache_route(seg, route, ctx.now()))
+    }
+
+    /// `seg`'s route: the cached one while it is fresh, else the CM's.
+    fn route(&self, ctx: &mut SimCtx, seg: SegmentId) -> Result<Arc<Route>> {
+        let now = ctx.now();
+        let cached = self.with_seg(seg, |s| s.fresh_route(now, self.refresh_period));
+        self.maybe_refresh_route(ctx, seg, cached.flatten())
     }
 
     /// Re-resolve a route from the CM unconditionally (recovery path).
-    fn force_refresh_route(&self, ctx: &mut SimCtx, seg: SegmentId) -> Result<Route> {
+    fn force_refresh_route(&self, ctx: &mut SimCtx, seg: SegmentId) -> Result<Arc<Route>> {
         let route = self.cm.get_route(ctx, seg)?;
-        self.routes.lock().insert(
-            seg,
-            CachedRoute {
-                route: route.clone(),
-                fetched_at: ctx.now(),
-            },
-        );
         self.stats.route_refreshes.inc();
-        Ok(route)
+        Ok(self.cache_route(seg, route, ctx.now()))
     }
 
-    /// Force-refresh all cached routes (background task).
+    /// Force-refresh all cached routes (background task). A segment whose
+    /// route the CM no longer has keeps its entry, with the route marked
+    /// absent.
     pub fn refresh_all_routes(&self, ctx: &mut SimCtx) {
         // One CM RPC per id: ascending, not hash, order.
-        let mut ids: Vec<SegmentId> = self.routes.lock().keys().copied().collect();
+        let mut ids: Vec<SegmentId> = self
+            .segments
+            .lock()
+            .iter()
+            .filter(|(_, s)| s.route.is_some())
+            .map(|(id, _)| *id)
+            .collect();
         ids.sort_unstable();
         for seg in ids {
-            match self.cm.get_route(ctx, seg) {
-                Ok(route) => {
-                    self.routes.lock().insert(
-                        seg,
-                        CachedRoute {
-                            route,
-                            fetched_at: ctx.now(),
-                        },
-                    );
-                }
-                Err(_) => {
-                    // Route is gone: the segment was deleted or fully lost.
-                    self.routes.lock().remove(&seg);
-                }
+            if let Ok(route) = self.cm.get_route(ctx, seg) {
+                self.cache_route(seg, route, ctx.now());
+            } else {
+                // Route is gone: the segment was deleted or fully lost.
+                self.with_seg(seg, |s| s.route = None);
             }
         }
     }
@@ -394,25 +419,17 @@ impl AStoreClient {
 
     /// Bytes appended so far.
     pub fn segment_len(&self, handle: SegmentHandle) -> u64 {
-        self.segs.lock().get(&handle.id).map(|m| m.len).unwrap_or(0)
+        self.with_seg(handle.id, |s| s.len).unwrap_or(0)
     }
 
     /// Segment capacity in bytes.
     pub fn segment_capacity(&self, handle: SegmentHandle) -> u64 {
-        self.segs
-            .lock()
-            .get(&handle.id)
-            .map(|m| m.capacity)
-            .unwrap_or(0)
+        self.with_seg(handle.id, |s| s.capacity).unwrap_or(0)
     }
 
     /// Whether the segment was frozen by a failed write.
     pub fn is_frozen(&self, handle: SegmentHandle) -> bool {
-        self.segs
-            .lock()
-            .get(&handle.id)
-            .map(|m| m.frozen)
-            .unwrap_or(true)
+        self.with_seg(handle.id, |s| s.frozen).unwrap_or(true)
     }
 
     /// Count one ring segment rolled to a replacement (`ring` layer).
@@ -422,9 +439,7 @@ impl AStoreClient {
 
     /// Mark a segment frozen (also done automatically on replica failure).
     pub fn freeze(&self, handle: SegmentHandle) {
-        if let Some(m) = self.segs.lock().get_mut(&handle.id) {
-            m.frozen = true;
-        }
+        self.with_seg(handle.id, |s| s.frozen = true);
     }
 
     /// Attempt to un-freeze a segment frozen by a failed write: force a
@@ -452,9 +467,7 @@ impl AStoreClient {
                 return Ok(false);
             }
         }
-        if let Some(m) = self.segs.lock().get_mut(&handle.id) {
-            m.frozen = false;
-        }
+        self.with_seg(handle.id, |s| s.frozen = false);
         Ok(true)
     }
 
@@ -522,7 +535,7 @@ impl AStoreClient {
 
     /// The replicated write with the full recovery ladder (§IV-B + §V-E):
     ///
-    /// 1. fan the chained WRITE out to every replica;
+    /// 1. fan the chained WRITE out to every replica of `route`;
     /// 2. on shortfall, report unreachable replicas to the CM (verified
     ///    failure detection → re-replication or route shrink), force a
     ///    route re-resolution, back off, retry — the chain is idempotent;
@@ -532,9 +545,9 @@ impl AStoreClient {
         &self,
         ctx: &mut SimCtx,
         handle: SegmentHandle,
+        mut route: Arc<Route>,
         writes: &[(u64, &[u8])],
     ) -> Result<()> {
-        let mut route = self.maybe_refresh_route(ctx, handle.id)?;
         let mut unreachable = Vec::new();
         let mut retry = 0u32;
         loop {
@@ -554,10 +567,7 @@ impl AStoreClient {
                     retry += 1;
                     if !unreachable.is_empty() {
                         // The replica set may have been repaired or shrunk.
-                        match self.force_refresh_route(ctx, handle.id) {
-                            Ok(r) => route = r,
-                            Err(e2) => return Err(e2),
-                        }
+                        route = self.force_refresh_route(ctx, handle.id)?;
                     }
                 }
                 Err(e) => return Err(e),
@@ -607,29 +617,29 @@ impl AStoreClient {
         let t0 = ctx.now();
         let sp = self.stats.trace.span(ctx, "astore", "append");
         self.charge_sdk(ctx);
-        // A frozen segment gets one shot at un-freezing — the CM may have
-        // repaired the replica set since the failed write that froze it.
-        if self.is_frozen(handle) && !self.try_unfreeze(ctx, handle)? {
-            return Err(AStoreError::SegmentFrozen(handle.id));
-        }
         let data_len: u64 = records.iter().map(|r| r.len() as u64).sum();
-        let (base, new_len) = {
-            let segs = self.segs.lock();
-            let meta = segs
-                .get(&handle.id)
-                .ok_or(AStoreError::UnknownSegment(handle.id))?;
-            if meta.frozen {
+        // Frozen check, bounds check, reservation and route in one look. A
+        // frozen segment (or one without an entry) gets one shot at
+        // un-freezing — the CM may have repaired the replica set since the
+        // failed write that froze it.
+        let mut unfreeze_tried = false;
+        let (base, cached) = loop {
+            match self.segments.lock().get(&handle.id) {
+                Some(s) if !s.frozen => {
+                    s.check_range(s.len, data_len + tail.len() as u64)?;
+                    break (s.len, s.fresh_route(ctx.now(), self.refresh_period));
+                }
+                Some(_) if unfreeze_tried => return Err(AStoreError::SegmentFrozen(handle.id)),
+                None if unfreeze_tried => return Err(AStoreError::UnknownSegment(handle.id)),
+                _ => {}
+            }
+            if !self.try_unfreeze(ctx, handle)? {
                 return Err(AStoreError::SegmentFrozen(handle.id));
             }
-            let end = meta.len + data_len + tail.len() as u64;
-            if end > meta.capacity {
-                return Err(AStoreError::SegmentFull {
-                    used: meta.len,
-                    capacity: meta.capacity,
-                });
-            }
-            (meta.len, meta.len + data_len)
+            unfreeze_tried = true;
         };
+        let route = self.maybe_refresh_route(ctx, handle.id, cached)?;
+        let new_len = base + data_len;
         let len_bytes = new_len.to_le_bytes();
         let mut writes: Vec<(u64, &[u8])> = Vec::with_capacity(records.len() + 2);
         let mut offsets = Vec::with_capacity(records.len());
@@ -643,10 +653,8 @@ impl AStoreClient {
             writes.push((off, tail));
         }
         writes.push((u64::MAX, &len_bytes)); // io-meta, chained (final WRITE)
-        self.fanout_write(ctx, handle, &writes)?;
-        if let Some(m) = self.segs.lock().get_mut(&handle.id) {
-            m.len = new_len;
-        }
+        self.fanout_write(ctx, handle, route, &writes)?;
+        self.with_seg(handle.id, |s| s.len = new_len);
         self.stats.appends.inc();
         self.stats.batch_records.add(records.len() as u64);
         self.stats.append_bytes.add(data_len);
@@ -684,31 +692,25 @@ impl AStoreClient {
         data: &[u8],
     ) -> Result<()> {
         self.charge_sdk(ctx);
-        {
-            let segs = self.segs.lock();
-            let meta = segs
+        let cached = {
+            let segments = self.segments.lock();
+            let s = segments
                 .get(&handle.id)
                 .ok_or(AStoreError::UnknownSegment(handle.id))?;
-            let end = offset.checked_add(data.len() as u64);
-            if end.filter(|&end| end <= meta.capacity).is_none() {
-                return Err(AStoreError::SegmentFull {
-                    used: offset,
-                    capacity: meta.capacity,
-                });
-            }
-        }
-        self.fanout_write(ctx, handle, &[(offset, data)])
+            s.check_range(offset, data.len() as u64)?;
+            s.fresh_route(ctx.now(), self.refresh_period)
+        };
+        let route = self.maybe_refresh_route(ctx, handle.id, cached)?;
+        self.fanout_write(ctx, handle, route, &[(offset, data)])
     }
 
     /// Reset the segment's logical length to zero (ring-slot recycling).
     pub fn reset_len(&self, ctx: &mut SimCtx, handle: SegmentHandle) -> Result<()> {
         self.charge_sdk(ctx);
         let zero = 0u64.to_le_bytes();
-        self.fanout_write(ctx, handle, &[(u64::MAX, &zero)])?;
-        if let Some(m) = self.segs.lock().get_mut(&handle.id) {
-            m.len = 0;
-            m.frozen = false;
-        }
+        let route = self.route(ctx, handle.id)?;
+        self.fanout_write(ctx, handle, route, &[(u64::MAX, &zero)])?;
+        self.with_seg(handle.id, |s| (s.len, s.frozen) = (0, false));
         Ok(())
     }
 
@@ -725,21 +727,17 @@ impl AStoreClient {
     ) -> Result<Vec<u8>> {
         let t0 = ctx.now();
         let sp = self.stats.trace.span(ctx, "astore", "read");
+        let now = ctx.now();
+        let looked_up = self.with_seg(handle.id, |s| {
+            let fresh = s.fresh_route(now, self.refresh_period);
+            (s.check_range(offset, len as u64), fresh)
+        });
+        // A segment without an entry has no bounds to check.
+        let (in_range, cached) = looked_up.unwrap_or((Ok(()), None));
+        let mut route = self.maybe_refresh_route(ctx, handle.id, cached)?;
+        in_range?;
         let mut retry = 0u32;
         loop {
-            let route = self.maybe_refresh_route(ctx, handle.id)?;
-            {
-                let segs = self.segs.lock();
-                if let Some(meta) = segs.get(&handle.id) {
-                    let end = offset.checked_add(len as u64);
-                    if end.filter(|&end| end <= meta.capacity).is_none() {
-                        return Err(AStoreError::SegmentFull {
-                            used: offset,
-                            capacity: meta.capacity,
-                        });
-                    }
-                }
-            }
             let mut last_err = AStoreError::UnknownSegment(handle.id);
             for (i, loc) in route.replicas.iter().enumerate() {
                 let (mr, _) = match self.node_conn(loc.node) {
@@ -769,16 +767,24 @@ impl AStoreClient {
             }
             self.sleep_backoff(ctx, retry);
             retry += 1;
-            let _ = self.force_refresh_route(ctx, handle.id);
+            route = match self.force_refresh_route(ctx, handle.id) {
+                Ok(route) => route,
+                Err(_) => self.route(ctx, handle.id)?,
+            };
         }
     }
 
     /// Recover a segment's effective data length from the on-media io-meta
-    /// (used after a client crash, when the DRAM `segs` table is gone).
+    /// (used after a client crash, when the DRAM segment table is gone).
     /// Reads every reachable replica and takes the maximum — a replica
     /// re-replicated mid-history may hold an older io-meta.
     pub fn recover_used_len(&self, ctx: &mut SimCtx, seg: SegmentId) -> Result<u64> {
-        let route = self.maybe_refresh_route(ctx, seg)?;
+        let route = self.route(ctx, seg)?;
+        self.used_len_on(ctx, &route)
+    }
+
+    /// The largest io-meta length among the reachable replicas of `route`.
+    fn used_len_on(&self, ctx: &mut SimCtx, route: &Route) -> Result<u64> {
         let mut best: Option<u64> = None;
         for loc in &route.replicas {
             let (mr, server) = match self.node_conn(loc.node) {
@@ -803,37 +809,17 @@ impl AStoreClient {
         class: SegmentClass,
     ) -> Result<SegmentHandle> {
         let route = self.cm.get_route(ctx, seg)?;
-        let capacity = route
-            .replicas
-            .iter()
-            .filter_map(|loc| self.node_conn(loc.node).ok())
-            .map(|(_, s)| s.slot_size())
-            .min()
-            .unwrap_or(0);
-        self.routes.lock().insert(
-            seg,
-            CachedRoute {
-                route,
-                fetched_at: ctx.now(),
-            },
-        );
-        let handle = SegmentHandle { id: seg, class };
-        let len = self.recover_used_len(ctx, seg)?;
-        self.segs.lock().insert(
-            seg,
-            SegMeta {
-                len,
-                capacity,
-                frozen: false,
-            },
-        );
-        Ok(handle)
+        let fetched_at = ctx.now();
+        let len = self.used_len_on(ctx, &route)?;
+        self.open(seg, route, fetched_at, len);
+        Ok(SegmentHandle { id: seg, class })
     }
 
     /// The current route of a segment, if cached (engine push-down uses the
     /// node ids to dispatch fragments to EBP hosts).
     pub fn cached_route(&self, seg: SegmentId) -> Option<Route> {
-        self.routes.lock().get(&seg).map(|c| c.route.clone())
+        self.with_seg(seg, |s| s.route.as_deref().cloned())
+            .flatten()
     }
 
     /// Server handle for a node (push-down execution against local PMem).
@@ -871,6 +857,7 @@ pub(crate) mod tests {
                 AStoreServer::new(
                     i as NodeId,
                     Arc::clone(n),
+                    n.pmem.clone().unwrap(),
                     4 << 20,
                     64 * 1024,
                     env.model.clone(),

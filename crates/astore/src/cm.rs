@@ -635,6 +635,7 @@ mod tests {
                 AStoreServer::new(
                     i as NodeId,
                     Arc::clone(n),
+                    n.pmem.clone().unwrap(),
                     1 << 20,
                     64 * 1024,
                     env.model.clone(),

@@ -29,7 +29,7 @@ use vedb_rdma::RemoteMr;
 use vedb_sim::bytes::Reader;
 use vedb_sim::cluster::NodeRes;
 use vedb_sim::fault::NodeId;
-use vedb_sim::{Counter, Gauge, LatencyModel, MetricsRegistry, SimCtx, VTime};
+use vedb_sim::{Counter, Gauge, LatencyModel, MetricsRegistry, Resource, SimCtx, VTime};
 
 use crate::client::ROUTE_REFRESH;
 use crate::ebp_format::{decode_header, RECORD_HDR_SIZE};
@@ -128,11 +128,12 @@ pub struct AStoreServer {
 
 impl AStoreServer {
     /// Create and format a server over a fresh PMem device of
-    /// `capacity` bytes divided into `slot_size`-byte segment slots, with
-    /// DDIO disabled.
+    /// `capacity` bytes, timed by the node's `pmem` resource and divided
+    /// into `slot_size`-byte segment slots, with DDIO disabled.
     pub fn new(
         node: NodeId,
         res: Arc<NodeRes>,
+        pmem: Arc<Resource>,
         capacity: usize,
         slot_size: u64,
         model: LatencyModel,
@@ -141,10 +142,7 @@ impl AStoreServer {
             format!("pmem-node-{node}"),
             capacity,
             DDIO_ENABLED,
-            res.pmem
-                .clone()
-                // vedb-lint: allow(no-panic-in-runtime, "deployment wiring: AStore nodes are built with a PMem resource; fails at fabric construction, not mid-request")
-                .expect("AStore node must have a PMem resource"),
+            pmem,
             model.clone(),
             &res.metrics,
         ));
@@ -513,11 +511,8 @@ impl AStoreServer {
         }
         // Charge the media time of the sequential scan in one go.
         let done = self
-            .res
-            .pmem
-            .as_ref()
-            // vedb-lint: allow(no-panic-in-runtime, "deployment wiring: AStore nodes are built with a PMem resource; fails at fabric construction, not mid-request")
-            .expect("astore node has pmem")
+            .device
+            .resource()
             .acquire(ctx.now(), self.model.pmem_read_svc(scanned_bytes.max(64)));
         ctx.wait_until(done);
         // `best` is a `RandomState` map and the order of this list becomes
@@ -540,6 +535,7 @@ mod tests {
         let s = AStoreServer::new(
             0,
             Arc::clone(&env.astore_nodes[0]),
+            env.astore_nodes[0].pmem.clone().unwrap(),
             1 << 20,
             64 * 1024,
             env.model.clone(),

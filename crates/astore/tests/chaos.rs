@@ -58,6 +58,7 @@ fn cluster_with(lease_ttl: VTime, report: bool) -> Cluster {
             AStoreServer::new(
                 i as NodeId,
                 Arc::clone(n),
+                n.pmem.clone().unwrap(),
                 8 << 20,
                 256 * 1024,
                 env.model.clone(),

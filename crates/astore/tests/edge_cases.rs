@@ -8,7 +8,7 @@ use vedb_astore::client::AStoreClient;
 use vedb_astore::cm::ClusterManager;
 use vedb_astore::layout::SegmentClass;
 use vedb_astore::{
-    AStoreServer, AppendOpts, SegmentOpts, SegmentRing, CLEANUP_DELAY, ROUTE_REFRESH,
+    AStoreError, AStoreServer, AppendOpts, SegmentOpts, SegmentRing, CLEANUP_DELAY, ROUTE_REFRESH,
 };
 use vedb_rdma::RdmaEndpoint;
 use vedb_sim::fault::NodeId;
@@ -36,6 +36,7 @@ fn cluster() -> Cluster {
             AStoreServer::new(
                 i as NodeId,
                 Arc::clone(n),
+                n.pmem.clone().unwrap(),
                 8 << 20,
                 256 * 1024,
                 env.model.clone(),
@@ -159,6 +160,62 @@ fn recover_empty_and_single_segment_rings() {
     let (start, bytes) = rec2.read_from(&mut ctx, 0).unwrap();
     assert_eq!(start, 0);
     assert_eq!(&bytes, b"first-bytes");
+}
+
+/// A segment whose route the CM dropped under a client keeps that client's
+/// entry: its length, capacity and frozen flag answer as before, a refresh
+/// asks the CM nothing more about it, and the data path reports the
+/// segment unknown instead of panicking.
+#[test]
+fn a_segment_whose_route_the_cm_dropped_keeps_its_entry() {
+    let c = cluster();
+    let mut ctx = SimCtx::new(1, 7);
+    let owner = connect(&c, &mut ctx, 1, ROUTE_REFRESH);
+    let seg = owner
+        .create_segment_with(&mut ctx, SegmentOpts::new(SegmentClass::Log))
+        .unwrap();
+    owner
+        .append_with(&mut ctx, seg, b"live-data", AppendOpts::new())
+        .unwrap();
+    let other = connect(&c, &mut ctx, 2, ROUTE_REFRESH);
+    let adopted = other
+        .adopt_segment(&mut ctx, seg.id, SegmentClass::Log)
+        .unwrap();
+    let before = (
+        other.segment_len(adopted),
+        other.segment_capacity(adopted),
+        other.is_frozen(adopted),
+    );
+    assert_eq!(before, (9, 256 * 1024, false));
+
+    owner.delete_segment(&mut ctx, seg).unwrap();
+    other.refresh_all_routes(&mut ctx);
+    assert!(other.cached_route(seg.id).is_none());
+    let after = (
+        other.segment_len(adopted),
+        other.segment_capacity(adopted),
+        other.is_frozen(adopted),
+    );
+    assert_eq!(after, before);
+    // The dropped route is not asked for again.
+    let t = ctx.now();
+    other.refresh_all_routes(&mut ctx);
+    assert_eq!(ctx.now(), t);
+
+    let unknown = |e: AStoreError| {
+        assert!(
+            matches!(e, AStoreError::UnknownSegment(id) if id == seg.id),
+            "{e:?}"
+        );
+    };
+    unknown(
+        other
+            .append_with(&mut ctx, adopted, b"more", AppendOpts::new())
+            .unwrap_err(),
+    );
+    unknown(other.read(&mut ctx, adopted, 0, 9).unwrap_err());
+    assert_eq!(other.segment_len(adopted), 9);
+    assert!(!other.is_frozen(adopted));
 }
 
 /// Route repair after node death followed by reintegration cleans exactly

@@ -42,6 +42,7 @@ fn cluster(slots: u64) -> Cluster {
             AStoreServer::new(
                 i as NodeId,
                 Arc::clone(n),
+                n.pmem.clone().unwrap(),
                 capacity as usize,
                 SLOT,
                 env.model.clone(),

@@ -7,7 +7,7 @@ use vedb_astore::layout::SegmentClass;
 use vedb_astore::{AStoreClient, AppendOpts, SegmentOpts, ROUTE_REFRESH};
 use vedb_blobstore::{BlobGroup, BlobGroupConfig};
 use vedb_core::db::StorageFabric;
-use vedb_core::ebp::{Ebp, EbpConfig, EbpPolicy};
+use vedb_core::ebp::{Ebp, EbpConfig};
 use vedb_pagestore::page::{Page, PageType};
 use vedb_rdma::RdmaEndpoint;
 use vedb_sim::{ClusterSpec, RunReport, SimCtx, Trial, VTime};
@@ -238,16 +238,17 @@ fn ring_vs_blob_group(f: &StorageFabric) -> Vec<Trial> {
 fn ebp_policy(f: &StorageFabric) -> Vec<Trial> {
     let mut trials = Vec::new();
     let mut survival = Vec::new();
-    for (name, policy) in [("flat", EbpPolicy::Flat), ("priority", EbpPolicy::Priority)] {
+    for (name, client_id) in [("flat", 920), ("priority", 921)] {
         let mut ctx = SimCtx::new(3, 3);
-        let client = astore_client(f, &mut ctx, 920 + (policy == EbpPolicy::Priority) as u64);
+        let client = astore_client(f, &mut ctx, client_id);
         let mut cfg = EbpConfig {
             capacity_bytes: 64 * 16 * 1024, // 64 pages
-            policy,
             shards: 1,
             ..Default::default()
         };
-        cfg.space_priority.insert(7, 10); // space 7 = the push-down table
+        if name == "priority" {
+            cfg.space_priority.insert(7, 10); // space 7 = the push-down table
+        }
         let ebp = Ebp::new(client, cfg);
         let mut page = Page::new();
         page.format(PageType::BTreeLeaf, 0);

@@ -238,7 +238,15 @@ fn restart_after(n: usize) -> (Arc<SimEnv>, Trial) {
         .storage_nodes
         .iter()
         .enumerate()
-        .map(|(i, node)| PageStoreServer::new(200 + i as u32, Arc::clone(node), env.model.clone()))
+        .filter_map(|(i, node)| {
+            let ssd = node.ssd.clone()?;
+            Some(PageStoreServer::new(
+                200 + i as u32,
+                Arc::clone(node),
+                ssd,
+                env.model.clone(),
+            ))
+        })
         .collect();
     let rpc = Arc::new(RpcFabric::new(env.model.clone(), Arc::clone(&env.faults)));
     let ps = PageStore::new(rpc, servers);

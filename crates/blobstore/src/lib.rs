@@ -26,7 +26,7 @@ use vedb_sim::cluster::NodeRes;
 use vedb_sim::fault::NodeId;
 use vedb_sim::metrics::Counter;
 use vedb_sim::trace::TraceLog;
-use vedb_sim::{LatencyModel, SimCtx};
+use vedb_sim::{LatencyModel, Resource, SimCtx};
 
 /// Identifier of a blob within one server.
 pub type BlobId = u64;
@@ -100,6 +100,7 @@ pub const IO_SIZE: usize = 8192;
 pub struct BlobServer {
     node: NodeId,
     res: Arc<NodeRes>,
+    ssd: Arc<Resource>,
     model: LatencyModel,
     blobs: Mutex<HashMap<BlobId, Vec<u8>>>,
     next_id: AtomicU64,
@@ -110,8 +111,8 @@ pub struct BlobServer {
 }
 
 impl BlobServer {
-    /// Create a server on `node`.
-    pub fn new(node: NodeId, res: Arc<NodeRes>, model: LatencyModel) -> Self {
+    /// Create a server on `node`, whose blobs live on its `ssd`.
+    pub fn new(node: NodeId, res: Arc<NodeRes>, ssd: Arc<Resource>, model: LatencyModel) -> Self {
         let reg = &res.metrics;
         BlobServer {
             node,
@@ -120,6 +121,7 @@ impl BlobServer {
             reads: reg.counter("blobstore", "reads"),
             read_bytes: reg.counter("blobstore", "read_bytes"),
             res,
+            ssd,
             model,
             blobs: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
@@ -147,12 +149,12 @@ impl BlobServer {
     /// SSD write per started [`IO_SIZE`] unit. Returns the offset the data
     /// landed at.
     pub fn handle_append(&self, ctx: &mut SimCtx, blob: BlobId, data: &[u8]) -> Result<u64> {
-        // vedb-lint: allow(no-panic-in-runtime, "deployment wiring: blob server nodes are built with an SSD resource; fails at fabric construction")
-        let ssd = self.res.ssd.as_ref().expect("blob server node has an SSD");
         // Physical I/Os are fixed-size: a 4KB logical append still writes
         // one full IO_SIZE unit (the write amplification the paper accepts).
         let physical = data.len().div_ceil(IO_SIZE).max(1) * IO_SIZE;
-        let done = ssd.acquire(ctx.now(), self.model.ssd_write_svc(physical));
+        let done = self
+            .ssd
+            .acquire(ctx.now(), self.model.ssd_write_svc(physical));
         ctx.wait_until(done);
         let mut blobs = self.blobs.lock();
         let b = blobs.get_mut(&blob).ok_or(BlobError::UnknownBlob(blob))?;
@@ -171,9 +173,7 @@ impl BlobServer {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>> {
-        // vedb-lint: allow(no-panic-in-runtime, "deployment wiring: blob server nodes are built with an SSD resource; fails at fabric construction")
-        let ssd = self.res.ssd.as_ref().expect("blob server node has an SSD");
-        let done = ssd.acquire(ctx.now(), self.model.ssd_read_svc(len));
+        let done = self.ssd.acquire(ctx.now(), self.model.ssd_read_svc(len));
         ctx.wait_until(done);
         let blobs = self.blobs.lock();
         let b = blobs.get(&blob).ok_or(BlobError::UnknownBlob(blob))?;
@@ -434,6 +434,7 @@ mod tests {
                 Arc::new(BlobServer::new(
                     100 + i as NodeId,
                     Arc::clone(n),
+                    n.ssd.clone().unwrap(),
                     env.model.clone(),
                 ))
             })

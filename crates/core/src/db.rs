@@ -236,43 +236,44 @@ impl StorageFabric {
             .astore_nodes
             .iter()
             .enumerate()
-            .map(|(i, n)| {
-                AStoreServer::new(
+            .filter_map(|(i, n)| {
+                Some(AStoreServer::new(
                     i as NodeId,
                     Arc::clone(n),
+                    n.pmem.clone()?,
                     astore_capacity,
                     astore_slot_bytes,
                     env.model.clone(),
-                )
+                ))
             })
             .collect();
         for s in &astore_servers {
             cm.register_server(Arc::clone(s));
             cm.heartbeat(VTime::ZERO, s.node(), s.free_slots());
         }
-        let blob_servers: Vec<Arc<BlobServer>> = env
+        // The blob store and PageStore share the storage nodes and their SSDs.
+        let (blob_servers, ps_servers): (Vec<_>, Vec<_>) = env
             .storage_nodes
             .iter()
             .enumerate()
-            .map(|(i, n)| {
-                Arc::new(BlobServer::new(
+            .filter_map(|(i, n)| {
+                let ssd = n.ssd.clone()?;
+                let blob = BlobServer::new(
                     100 + i as NodeId,
                     Arc::clone(n),
+                    Arc::clone(&ssd),
                     env.model.clone(),
-                ))
+                );
+                let ps =
+                    PageStoreServer::new(200 + i as NodeId, Arc::clone(n), ssd, env.model.clone());
+                Some((Arc::new(blob), ps))
             })
-            .collect();
+            .unzip();
         let rpc = Arc::new(RpcFabric::with_metrics(
             env.model.clone(),
             Arc::clone(&env.faults),
             &env.metrics,
         ));
-        let ps_servers: Vec<Arc<PageStoreServer>> = env
-            .storage_nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| PageStoreServer::new(200 + i as NodeId, Arc::clone(n), env.model.clone()))
-            .collect();
         let pagestore = PageStore::new(Arc::clone(&rpc), ps_servers);
         StorageFabric {
             env,

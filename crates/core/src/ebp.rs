@@ -14,10 +14,9 @@
 //! to the active segment) or, if compaction is disabled, released outright
 //! — dropping some live pages with them, exactly as the paper describes.
 //!
-//! Capacity policies (§V-C): `Flat` — one LRU space for everyone;
-//! `Priority` — spaces carry priorities, and a page may only evict pages of
-//! its own priority or lower, so hot push-down tables can be pinned by
-//! giving their space a high priority (§VI-B).
+//! Capacity (§V-C): a page may only evict pages of its space's priority or
+//! lower, so hot push-down tables can be pinned by giving their space a high
+//! priority (§VI-B). With no priorities set, all pages share one LRU space.
 //!
 //! Recovery (§V-E): the engine periodically ships `(page, latest LSN)`
 //! batches to the AStore servers; after a DBEngine crash the servers scan
@@ -41,28 +40,16 @@ use vedb_sim::{MetricsRegistry, SimCtx, VTime};
 use crate::lru::LruShard;
 use crate::Result;
 
-/// EBP capacity management policy (§V-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EbpPolicy {
-    /// No partitioning: all pages compete in one LRU space.
-    Flat,
-    /// Spaces carry priorities; a page can only displace pages of equal or
-    /// lower priority.
-    Priority,
-}
-
 /// EBP configuration.
 #[derive(Clone)]
 pub struct EbpConfig {
     /// Total live-page capacity in bytes.
     pub capacity_bytes: u64,
-    /// Capacity policy.
-    pub policy: EbpPolicy,
     /// Index/LRU shards.
     pub shards: usize,
     /// Whether background compaction is enabled.
     pub compaction: bool,
-    /// Per-space priority (Priority policy; default 0).
+    /// Per-space priority, 0 for a space not listed (empty: one flat LRU).
     pub space_priority: HashMap<u32, u8>,
 }
 
@@ -77,7 +64,6 @@ impl Default for EbpConfig {
     fn default() -> Self {
         EbpConfig {
             capacity_bytes: 64 << 20,
-            policy: EbpPolicy::Flat,
             shards: 8,
             compaction: true,
             space_priority: HashMap::new(),
@@ -192,10 +178,7 @@ impl Ebp {
     }
 
     fn prio_of(&self, pid: PageId) -> u8 {
-        match self.cfg.policy {
-            EbpPolicy::Flat => 0,
-            EbpPolicy::Priority => *self.cfg.space_priority.get(&pid.space_no).unwrap_or(&0),
-        }
+        *self.cfg.space_priority.get(&pid.space_no).unwrap_or(&0)
     }
 
     /// EBP hits so far (`core.ebp_hits` in the client's registry).
@@ -283,7 +266,7 @@ impl Ebp {
 
     /// Cache a page image. Applies the admission/eviction policy; may
     /// trigger segment roll-over and compaction. A page that cannot be
-    /// admitted (Priority policy, nothing evictable) is silently skipped —
+    /// admitted (only higher-priority pages to evict) is silently skipped —
     /// the EBP is a cache, not a store.
     pub fn write_page(&self, ctx: &mut SimCtx, pid: PageId, page: &Page, lsn: Lsn) -> Result<()> {
         // Eviction of an unmodified page whose image the cache already holds
@@ -317,7 +300,7 @@ impl Ebp {
                         self.note_garbage(&victim);
                         self.stats.evictions.inc();
                     }
-                    // Priority policy: nothing evictable — skip caching.
+                    // Only higher-priority pages: skip caching.
                     None => return Ok(()),
                 }
             }
@@ -610,6 +593,7 @@ mod tests {
             let s = vedb_astore::AStoreServer::new(
                 i as NodeId,
                 Arc::clone(n),
+                n.pmem.clone().unwrap(),
                 8 << 20,
                 slot_kb * 1024,
                 env.model.clone(),
@@ -745,7 +729,6 @@ mod tests {
         let mut ctx = SimCtx::new(1, 7);
         let (_env, client) = harness(&mut ctx, 1024);
         let mut cfg = small_cfg();
-        cfg.policy = EbpPolicy::Priority;
         cfg.space_priority.insert(7, 10);
         let ebp = Ebp::new(client, cfg);
         let precious = PageId::new(7, 0);
@@ -773,7 +756,6 @@ mod tests {
         let mut ctx = SimCtx::new(1, 7);
         let (_env, client) = harness(&mut ctx, 1024);
         let mut cfg = small_cfg();
-        cfg.policy = EbpPolicy::Priority;
         cfg.space_priority.insert(7, 10); // space 7 is precious
         let ebp = Ebp::new(client, cfg);
         // Fill with high-priority pages.

@@ -265,8 +265,10 @@ impl Task {
                 // an EBP task's final wait, so every read is booked at the
                 // task's issue time: they stream across the PMem lanes and
                 // the device queue models the parallelism.
-                let pmem = server.res().pmem.as_ref().expect("astore node pmem");
-                let done = pmem.acquire(c.now(), db.env().model.pmem_read_svc(loc.len as usize));
+                let done = server
+                    .device()
+                    .resource()
+                    .acquire(c.now(), db.env().model.pmem_read_svc(loc.len as usize));
                 let image = server.device().peek(seg_off + loc.offset, loc.len as usize);
                 let page = image.ok().and_then(|bytes| Page::from_vec(bytes).ok());
                 Ok((done, page.map(Arc::new)))

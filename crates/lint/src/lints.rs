@@ -209,8 +209,16 @@ pub fn ordered_serialization(s: &Scanned, out: &mut Vec<Diagnostic>) {
         ".drain(",
         ".into_iter()",
     ];
+    // A lock guard between a collection and its iteration hides nothing:
+    // `map.lock().iter()` reads as `map.iter()`, and a line holding only a
+    // guard as a blank one.
+    const GUARDS: [&str; 3] = [".lock()", ".read()", ".write()"];
     let hash_vars = collect_hash_idents(&s.code);
-    let lines: Vec<&str> = s.code.lines().collect();
+    let lines: Vec<String> = s
+        .code
+        .lines()
+        .map(|l| GUARDS.iter().fold(l.to_string(), |l, g| l.replace(g, "")))
+        .collect();
     for (i, line_text) in lines.iter().enumerate() {
         let is_for = line_text.contains("for ") && line_text.contains(" in ");
         // The nearest code above (comments are blank lines by now).
@@ -236,7 +244,6 @@ pub fn ordered_serialization(s: &Scanned, out: &mut Vec<Diagnostic>) {
                         let rhs = rhs.strip_prefix("mut ").unwrap_or(rhs);
                         rhs == **var
                             || rhs.starts_with(&format!("{var} "))
-                            || rhs.starts_with(&format!("{var} {{"))
                             || rhs.starts_with(&format!("{var}."))
                             || rhs.starts_with(&format!("self.{var}"))
                     })
@@ -284,14 +291,29 @@ fn ends_with_ident(text: &str, ident: &str) -> bool {
 }
 
 /// Identifiers declared (let-binding, struct field, or fn param) with a
-/// `HashMap`/`HashSet` type in this file. Also catches
-/// `= HashMap::new()` / `with_capacity` initializers.
+/// `HashMap`/`HashSet` type in this file, or with a `type` alias of one.
+/// Also catches `= HashMap::new()` / `with_capacity` initializers.
 fn collect_hash_idents(code: &str) -> Vec<String> {
+    let is_hash = |text: &str| text.contains("HashMap") || text.contains("HashSet");
+    // `[pub] type Name[<..>] = ..HashMap..;`
+    let aliases: Vec<&str> = code
+        .lines()
+        .filter_map(|line| {
+            let (lhs, rhs) = line.split_once("type ")?.1.split_once('=')?;
+            let name = lhs.split('<').next()?.trim();
+            (is_hash(rhs) && !name.is_empty()).then_some(name)
+        })
+        .collect();
+    let is_hash_type = |text: &str| {
+        is_hash(text)
+            || text
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .any(|w| aliases.contains(&w))
+    };
     let mut vars = Vec::new();
     for line in code.lines() {
         let t = line.trim();
-        let mentions_hash = t.contains("HashMap") || t.contains("HashSet");
-        if !mentions_hash {
+        if !is_hash_type(t) {
             continue;
         }
         // `let [mut] name: Hash... =` / `let [mut] name = Hash...`
@@ -316,7 +338,7 @@ fn collect_hash_idents(code: &str) -> Vec<String> {
             .collect();
         for (n, &colon) in colons.iter().enumerate() {
             let ty = &t[colon..colons.get(n + 1).copied().unwrap_or(t.len())];
-            if ty.contains("HashMap") || ty.contains("HashSet") {
+            if is_hash_type(ty) {
                 let head = t[..colon].trim_end();
                 let name = head
                     .rfind(|c: char| !(c.is_alphanumeric() || c == '_'))
@@ -381,6 +403,10 @@ mod tests {
                     let plain = 3;\n";
         let vars = collect_hash_idents(code);
         assert_eq!(vars, ["dur_of", "groups", "open", "tails"]);
+        let aliased = "pub(crate) type Index<V> = FxHashMap<u64, V>;\n\
+                       struct T { by_page: Mutex<Index<u8>>, pages: Vec<Indexed> }\n\
+                       let mut fresh = Index::default();\n";
+        assert_eq!(collect_hash_idents(aliased), ["by_page", "fresh"]);
     }
 
     #[test]

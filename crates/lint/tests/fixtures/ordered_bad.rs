@@ -31,3 +31,28 @@ fn dispatch(groups: HashMap<u64, Vec<u64>>, mut tails: HashMap<u64, u64>) {
     let rows: Vec<u64> = partials.into_values().collect();
     let _ = (nodes, tasks, rows);
 }
+
+// Iteration through a lock guard, on one line or with the receiver on the
+// lines above, and over a field whose type is an alias of a hash map.
+type Index = FxHashMap<u64, u64>;
+struct Table {
+    routes: Mutex<FxHashMap<u64, u64>>,
+    index: RwLock<Index>,
+}
+fn walk(t: &Table) {
+    let ids: Vec<u64> = t.routes.lock().keys().copied().collect();
+    let pages: Vec<u64> = t
+        .index
+        .read()
+        .values()
+        .copied()
+        .collect();
+    for (_, v) in t.index.write().iter_mut() {
+        *v += 1;
+    }
+    let lens: Vec<u64> = t.routes.lock()
+        .values()
+        .copied()
+        .collect();
+    let _ = (ids, pages, lens);
+}

@@ -39,3 +39,22 @@ fn dispatch(groups: HashMap<u64, Vec<u64>>, mut tails: HashMap<u64, u64>) {
     rows.sort_unstable();
     let _ = (nodes, tasks, rows);
 }
+
+// Through a lock guard and over an alias of a hash map, each with its
+// ordering step.
+type Index = FxHashMap<u64, u64>;
+struct Table {
+    routes: Mutex<FxHashMap<u64, u64>>,
+    index: RwLock<Index>,
+}
+fn walk(t: &Table) {
+    let mut ids: Vec<u64> = t.routes.lock().keys().copied().collect();
+    ids.sort_unstable();
+    let pages = t
+        .index
+        .read()
+        .iter()
+        .map(|(k, v)| (*k, *v))
+        .collect::<BTreeMap<u64, u64>>();
+    let _ = (ids, pages);
+}

@@ -74,12 +74,14 @@ fn rng_quiet_on_seeded_ctx_rng() {
 fn ordered_serialization_fires_on_every_hash_iteration_form() {
     // Lines 17-31: `.values_mut()`, `.iter_mut()`, `.into_keys()`, a
     // receiver on the previous line (`groups⏎.into_iter()`) whose chain
-    // runs past the old three-line window, and `.into_values()`.
+    // runs past the old three-line window, and `.into_values()`. Lines
+    // 43-54: through a `.lock()`/`.read()`/`.write()` guard, on the line or
+    // with the receiver above, and over a `type` alias of a hash map.
     for path in [REPORT, RUNTIME, "crates/core/src/query/pushdown.rs"] {
         let diags = analyze_source(path, ORDERED_BAD);
         assert_eq!(
             lines_of(&diags, "ordered-serialization"),
-            vec![6, 9, 10, 17, 20, 23, 25, 31],
+            vec![6, 9, 10, 17, 20, 23, 25, 31, 43, 47, 50, 54],
             "{path}"
         );
     }

@@ -95,7 +95,14 @@ mod testutil {
             .storage_nodes
             .iter()
             .enumerate()
-            .map(|(i, n)| PageStoreServer::new(200 + i as NodeId, Arc::clone(n), env.model.clone()))
+            .map(|(i, n)| {
+                PageStoreServer::new(
+                    200 + i as NodeId,
+                    Arc::clone(n),
+                    n.ssd.clone().unwrap(),
+                    env.model.clone(),
+                )
+            })
             .collect();
         let rpc = Arc::new(RpcFabric::with_metrics(
             env.model.clone(),

@@ -102,15 +102,12 @@ impl PageStoreServer {
         self.stats.checkpoints.inc();
         self.stats.checkpoint_pages.add(written as u64);
         self.stats.log_truncated_records.add(truncated as u64);
-        if let Some(ssd) = &self.res.ssd {
-            // Sequential snapshot stream, same amortization as apply's
-            // page flush.
-            let done = ssd.acquire(
-                ctx.now(),
-                self.model.ssd_write_svc(written.max(1) * PAGE_SIZE) / 4,
-            );
-            ctx.wait_until(done);
-        }
+        // Sequential snapshot stream, same amortization as apply's page
+        // flush.
+        self.charge_ssd(
+            ctx,
+            self.model.ssd_write_svc(written.max(1) * PAGE_SIZE) / 4,
+        );
         sp.finish(ctx);
         Ok(())
     }
@@ -333,14 +330,8 @@ impl PageStoreServer {
             (seg.pages.len(), n_replay)
         };
         if base_pages > 0 {
-            if let Some(ssd) = &self.res.ssd {
-                // Stream the checkpoint image back in (sequential read).
-                let done = ssd.acquire(
-                    ctx.now(),
-                    self.model.ssd_read_svc(base_pages * PAGE_SIZE) / 4,
-                );
-                ctx.wait_until(done);
-            }
+            // Stream the checkpoint image back in (sequential read).
+            self.charge_ssd(ctx, self.model.ssd_read_svc(base_pages * PAGE_SIZE) / 4);
         }
         let to_apply: Vec<Arc<RedoRecord>> = {
             let mut segs = self.segs.lock();
@@ -684,7 +675,12 @@ mod tests {
         donor.checkpoint_segment(&mut ctx, key).unwrap();
         let (lsn, images) = donor.handle_get_checkpoint(key, 0).unwrap();
 
-        let fresh = PageStoreServer::new(999, Arc::clone(&env.storage_nodes[0]), env.model.clone());
+        let fresh = PageStoreServer::new(
+            999,
+            Arc::clone(&env.storage_nodes[0]),
+            env.storage_nodes[0].ssd.clone().unwrap(),
+            env.model.clone(),
+        );
         assert!(fresh.install_checkpoint(key, lsn, images));
         assert_eq!(fresh.applied_lsn(key), lsn);
         assert_eq!(

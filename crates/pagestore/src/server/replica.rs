@@ -14,7 +14,7 @@ use vedb_sim::cluster::NodeRes;
 use vedb_sim::fault::NodeId;
 use vedb_sim::trace::TraceLog;
 use vedb_sim::{
-    Counter, FxHashMap, Gauge, LatencyModel, LatencyRecorder, SimCtx, VTime, WorkerPool,
+    Counter, FxHashMap, Gauge, LatencyModel, LatencyRecorder, Resource, SimCtx, VTime, WorkerPool,
 };
 
 use super::checkpoint::SegCheckpoint;
@@ -296,6 +296,8 @@ pub(super) fn absorb_parked(seg: &mut ReplicaSeg, stats: &PsStats, floor: Lsn) {
 pub struct PageStoreServer {
     node: NodeId,
     pub(super) res: Arc<NodeRes>,
+    /// The node's SSD: redo apply, checkpoints and page reads charge it.
+    ssd: Arc<Resource>,
     pub(super) model: LatencyModel,
     /// Apply workers over this node's CPU — parallel redo apply and
     /// restore replay both price their CPU through the pool.
@@ -312,8 +314,13 @@ pub struct PageStoreServer {
 impl PageStoreServer {
     /// Create a server on a storage node: four apply workers and a
     /// background checkpoint every [`CHECKPOINT_EVERY_RECORDS`] records or
-    /// [`CHECKPOINT_EVERY_BYTES`] bytes.
-    pub fn new(node: NodeId, res: Arc<NodeRes>, model: LatencyModel) -> Arc<Self> {
+    /// [`CHECKPOINT_EVERY_BYTES`] bytes, its pages kept on `ssd`.
+    pub fn new(
+        node: NodeId,
+        res: Arc<NodeRes>,
+        ssd: Arc<Resource>,
+        model: LatencyModel,
+    ) -> Arc<Self> {
         let stats = PsStats::register(&res);
         let pool = WorkerPool::with_metrics(
             &format!("{}.apply", res.name),
@@ -324,6 +331,7 @@ impl PageStoreServer {
         Arc::new(PageStoreServer {
             node,
             res,
+            ssd,
             model,
             pool,
             ckpt_inflight: AtomicBool::new(false),
@@ -348,6 +356,12 @@ impl PageStoreServer {
     /// Node resources (RPC dispatch + push-down CPU accounting).
     pub fn res(&self) -> &Arc<NodeRes> {
         &self.res
+    }
+
+    /// Hold the node's SSD for `svc`, from now.
+    pub(super) fn charge_ssd(&self, ctx: &mut SimCtx, svc: VTime) {
+        let done = self.ssd.acquire(ctx.now(), svc);
+        ctx.wait_until(done);
     }
 
     /// Handler: ingest one ship RPC, a batch of records for each of one
@@ -701,12 +715,8 @@ impl PageStoreServer {
         self.stats.queued.sub(touched as i64);
         self.stats.apply_lag.sub(touched as i64);
         if touched > 0 {
-            if let Some(ssd) = &self.res.ssd {
-                let batches = touched.div_ceil(16).max(1);
-                let done =
-                    ssd.acquire(ctx.now(), self.model.ssd_write_svc(batches * PAGE_SIZE) / 4);
-                ctx.wait_until(done);
-            }
+            let batches = touched.div_ceil(16).max(1);
+            self.charge_ssd(ctx, self.model.ssd_write_svc(batches * PAGE_SIZE) / 4);
         }
         match first_err {
             None => Ok(touched),
@@ -756,10 +766,7 @@ impl PageStoreServer {
                 applied,
             });
         }
-        if let Some(ssd) = &self.res.ssd {
-            let done = ssd.acquire(ctx.now(), self.model.ssd_read_svc(PAGE_SIZE));
-            ctx.wait_until(done);
-        }
+        self.charge_ssd(ctx, self.model.ssd_read_svc(PAGE_SIZE));
         let segs = self.segs.lock();
         let seg = segs.get(&key).ok_or(PageStoreError::UnknownPage(page))?;
         seg.pages

@@ -219,7 +219,14 @@ fn store() -> (Arc<vedb_sim::SimEnv>, Arc<PageStore>) {
         .storage_nodes
         .iter()
         .enumerate()
-        .map(|(i, n)| PageStoreServer::new(200 + i as u32, Arc::clone(n), env.model.clone()))
+        .map(|(i, n)| {
+            PageStoreServer::new(
+                200 + i as u32,
+                Arc::clone(n),
+                n.ssd.clone().unwrap(),
+                env.model.clone(),
+            )
+        })
         .collect();
     let rpc = Arc::new(RpcFabric::new(env.model.clone(), Arc::clone(&env.faults)));
     let ps = PageStore::new(rpc, servers);

@@ -44,7 +44,7 @@ pub use vedb_workloads as workloads;
 pub mod prelude {
     pub use vedb_astore::{AppendOpts, SegmentOpts};
     pub use vedb_core::db::{Db, DbConfig, DbConfigBuilder, LogBackendKind, StorageFabric};
-    pub use vedb_core::ebp::{EbpConfig, EbpPolicy};
+    pub use vedb_core::ebp::EbpConfig;
     pub use vedb_core::query::{execute, AggExpr, AggFunc, CmpOp, Expr, Plan, QuerySession};
     pub use vedb_core::{Catalog, ColumnType, EngineError, FlushPolicy, Row, TxnHandle, Value};
     pub use vedb_sim::{ClusterSpec, LatencyModel, SimCtx, VTime};
