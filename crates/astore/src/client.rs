@@ -619,19 +619,19 @@ impl AStoreClient {
         self.charge_sdk(ctx);
         let data_len: u64 = records.iter().map(|r| r.len() as u64).sum();
         // Frozen check, bounds check, reservation and route in one look. A
-        // frozen segment (or one without an entry) gets one shot at
-        // un-freezing — the CM may have repaired the replica set since the
-        // failed write that froze it.
+        // segment without an entry (deleted, or never this client's) is
+        // unknown. A frozen one gets one shot at un-freezing — the CM may
+        // have repaired the replica set since the failed write that froze it.
         let mut unfreeze_tried = false;
         let (base, cached) = loop {
             match self.segments.lock().get(&handle.id) {
+                None => return Err(AStoreError::UnknownSegment(handle.id)),
                 Some(s) if !s.frozen => {
                     s.check_range(s.len, data_len + tail.len() as u64)?;
                     break (s.len, s.fresh_route(ctx.now(), self.refresh_period));
                 }
                 Some(_) if unfreeze_tried => return Err(AStoreError::SegmentFrozen(handle.id)),
-                None if unfreeze_tried => return Err(AStoreError::UnknownSegment(handle.id)),
-                _ => {}
+                Some(_) => {}
             }
             if !self.try_unfreeze(ctx, handle)? {
                 return Err(AStoreError::SegmentFrozen(handle.id));

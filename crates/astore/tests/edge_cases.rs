@@ -218,6 +218,34 @@ fn a_segment_whose_route_the_cm_dropped_keeps_its_entry() {
     assert!(!other.is_frozen(adopted));
 }
 
+/// A client that deleted its own segment has no entry for it: an append
+/// fails at once as an unknown segment, and asks the CM nothing (a frozen
+/// segment's un-freeze would look its route up).
+#[test]
+fn an_append_to_a_deleted_segment_is_unknown_and_asks_the_cm_nothing() {
+    let c = cluster();
+    let mut ctx = SimCtx::new(1, 7);
+    let client = connect(&c, &mut ctx, 1, ROUTE_REFRESH);
+    let seg = client
+        .create_segment_with(&mut ctx, SegmentOpts::new(SegmentClass::Log))
+        .unwrap();
+    client
+        .append_with(&mut ctx, seg, b"data", AppendOpts::new())
+        .unwrap();
+    client.delete_segment(&mut ctx, seg).unwrap();
+
+    let lookups = client.metrics().counter("astore", "cm_route_lookups");
+    let before = lookups.get();
+    let err = client
+        .append_with(&mut ctx, seg, b"more", AppendOpts::new())
+        .unwrap_err();
+    assert!(
+        matches!(err, AStoreError::UnknownSegment(id) if id == seg.id),
+        "{err:?}"
+    );
+    assert_eq!(lookups.get(), before);
+}
+
 /// Route repair after node death followed by reintegration cleans exactly
 /// the stale copy and leaves live replicas alone.
 #[test]

@@ -14,7 +14,7 @@ use vedb_pagestore::redo::{PageOp, RedoRecord};
 use vedb_pagestore::{PageStore, PageStoreServer, CHECKPOINT_EVERY_RECORDS};
 use vedb_rdma::RpcFabric;
 use vedb_sim::{ClusterSpec, RunReport, SimCtx, SimEnv, Trial, VTime};
-use vedb_workloads::driver::OpOutcome;
+use vedb_workloads::driver::{self, OpOutcome};
 use vedb_workloads::tpcc::{self, TpccScale};
 
 use super::check;
@@ -25,23 +25,11 @@ use crate::Deployment;
 fn commit_op(ctx: &mut SimCtx, db: &Arc<Db>, client: usize, seqs: &[AtomicU64]) -> OpOutcome {
     let seq = seqs[client].fetch_add(1, Ordering::Relaxed);
     let id = (client as i64) * 10_000_000 + seq as i64;
-    let mut txn = db.begin();
-    let r = db.insert(
-        ctx,
-        &mut txn,
-        "commits",
-        vec![Value::Int(id), Value::Str(format!("payload-{id}"))],
-    );
-    match r {
-        Ok(()) => match db.commit(ctx, &mut txn) {
-            Ok(()) => OpOutcome::Committed,
-            Err(_) => OpOutcome::Aborted,
-        },
-        Err(_) => {
-            let _ = db.abort(ctx, &mut txn);
-            OpOutcome::Aborted
-        }
-    }
+    driver::outcome(db.transact(ctx, |ctx, txn| {
+        let row = vec![Value::Int(id), Value::Str(format!("payload-{id}"))];
+        db.insert(ctx, txn, "commits", row)?;
+        Ok(true)
+    }))
 }
 
 /// One deployment under `policy`, one trial per client count, on the

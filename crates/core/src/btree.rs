@@ -142,14 +142,14 @@ impl BTree {
         let mut path = Vec::new();
         let mut current = root;
         while level > 0 {
-            access.charge_cpu(ctx, 400);
+            access.charge_cpu(ctx, access.env().model.cpu_btree_level_ns);
             let frame = access.get_frame(ctx, self.pid(current))?;
             let page = frame.page.read();
             path.push(current);
             current = child_for(&page, key);
             level -= 1;
         }
-        access.charge_cpu(ctx, 400);
+        access.charge_cpu(ctx, access.env().model.cpu_btree_level_ns);
         Ok((path, current))
     }
 
@@ -212,7 +212,7 @@ impl BTree {
                     &mut page,
                 )?;
                 frame.mark_dirty();
-                access.charge_cpu(ctx, 1_000);
+                access.charge_cpu(ctx, access.env().model.cpu_row_write_ns);
                 return Ok(());
             }
             drop(page);
@@ -434,7 +434,7 @@ impl BTree {
                 &mut page,
             )?;
             frame.mark_dirty();
-            access.charge_cpu(ctx, 1_000);
+            access.charge_cpu(ctx, access.env().model.cpu_row_write_ns);
             return Ok(());
         }
         // Grow beyond the page: delete + re-insert (REDO-wise two ops; the
@@ -480,7 +480,7 @@ impl BTree {
             &mut page,
         )?;
         frame.mark_dirty();
-        access.charge_cpu(ctx, 1_000);
+        access.charge_cpu(ctx, access.env().model.cpu_row_write_ns);
         Ok(())
     }
 
@@ -520,7 +520,7 @@ impl BTree {
                         return Ok(());
                     }
                 }
-                access.charge_cpu(ctx, 150);
+                access.charge_cpu(ctx, access.env().model.cpu_row_scan_ns);
                 if !f(k, v) {
                     return Ok(());
                 }
@@ -573,7 +573,7 @@ impl BTree {
                         return Ok(());
                     }
                 }
-                access.charge_cpu(ctx, 150);
+                access.charge_cpu(ctx, access.env().model.cpu_row_scan_ns);
                 if !f(k, v) {
                     return Ok(());
                 }

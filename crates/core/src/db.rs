@@ -49,6 +49,7 @@ use crate::wal::{
 use crate::{EngineError, Result};
 
 mod pages;
+mod rows;
 
 /// Which log backend the engine uses — the paper's central switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -624,198 +625,6 @@ impl Db {
         Ok(f(cat.table(name)?))
     }
 
-    /// Begin a transaction.
-    pub fn begin(&self) -> TxnHandle {
-        TxnHandle::new(self.next_txn.fetch_add(1, Ordering::Relaxed))
-    }
-
-    fn pk_key(table: &TableDef, row: &Row) -> Vec<u8> {
-        let vals: Vec<Value> = table.pk_cols.iter().map(|i| row[*i].clone()).collect();
-        encode_key(&vals)
-    }
-
-    fn sec_key(table: &TableDef, ix: &crate::catalog::IndexDef, row: &Row) -> Vec<u8> {
-        let vals: Vec<Value> = ix
-            .key_cols
-            .iter()
-            .chain(&table.pk_cols)
-            .map(|i| row[*i].clone())
-            .collect();
-        encode_key(&vals)
-    }
-
-    /// Insert a row.
-    pub fn insert(
-        &self,
-        ctx: &mut SimCtx,
-        txn: &mut TxnHandle,
-        table: &str,
-        row: Row,
-    ) -> Result<()> {
-        if !txn.is_active() {
-            return Err(EngineError::TxnFinished);
-        }
-        // Error paths drop the guard → the span records as abandoned.
-        let sp = self.stats.trace.span(ctx, "core", "insert");
-        let t = Arc::clone(self.catalog.read().table(table)?);
-        let lk = (t.space_no, Self::pk_key(&t, &row));
-        self.lock_row(ctx, txn, &lk, LockMode::Exclusive)?;
-        let key = lk.1;
-        let mut payload = Vec::with_capacity(64);
-        encode_row(&row, &mut payload);
-        let undo = UndoInfo {
-            index_space: t.space_no,
-            op: UndoOp::Remove { key: key.clone() },
-        };
-        BTree::new(t.space_no)
-            .insert(ctx, self, txn.id, &key, &payload, Some(&undo))
-            .map_err(|e| match e {
-                EngineError::DuplicateKey { .. } => EngineError::DuplicateKey {
-                    table: t.name.clone(),
-                },
-                e => e,
-            })?;
-        txn.undo.push(undo);
-        for ix in &t.secondary {
-            let skey = Self::sec_key(&t, ix, &row);
-            let undo = UndoInfo {
-                index_space: ix.space_no,
-                op: UndoOp::Remove { key: skey.clone() },
-            };
-            BTree::new(ix.space_no).insert(ctx, self, txn.id, &skey, &key, Some(&undo))?;
-            txn.undo.push(undo);
-        }
-        sp.finish(ctx);
-        Ok(())
-    }
-
-    /// Point read by primary key. With a transaction, takes a shared row
-    /// lock; without, reads at read-committed (page latch only).
-    pub fn get_by_pk(
-        &self,
-        ctx: &mut SimCtx,
-        txn: Option<&mut TxnHandle>,
-        table: &str,
-        key_vals: &[Value],
-    ) -> Result<Option<Row>> {
-        let sp = self.stats.trace.span(ctx, "core", "get");
-        let t = Arc::clone(self.catalog.read().table(table)?);
-        let lk = (t.space_no, encode_key(key_vals));
-        if let Some(txn) = txn {
-            self.lock_row(ctx, txn, &lk, LockMode::Shared)?;
-        }
-        let key = lk.1;
-        let row = match BTree::new(t.space_no).get(ctx, self, &key)? {
-            Some(payload) => Some(decode_row(&payload)?),
-            None => None,
-        };
-        sp.finish(ctx);
-        Ok(row)
-    }
-
-    /// Update a row by primary key through a mutator closure.
-    pub fn update_by_pk(
-        &self,
-        ctx: &mut SimCtx,
-        txn: &mut TxnHandle,
-        table: &str,
-        key_vals: &[Value],
-        mutate: impl FnOnce(&mut Row),
-    ) -> Result<()> {
-        if !txn.is_active() {
-            return Err(EngineError::TxnFinished);
-        }
-        let sp = self.stats.trace.span(ctx, "core", "update");
-        let t = Arc::clone(self.catalog.read().table(table)?);
-        let lk = (t.space_no, encode_key(key_vals));
-        self.lock_row(ctx, txn, &lk, LockMode::Exclusive)?;
-        let key = lk.1;
-        let tree = BTree::new(t.space_no);
-        let old_payload = tree.get(ctx, self, &key)?.ok_or(EngineError::NotFound)?;
-        let old_row = decode_row(&old_payload)?;
-        let mut new_row = old_row.clone();
-        mutate(&mut new_row);
-        let mut new_payload = Vec::with_capacity(old_payload.len());
-        encode_row(&new_row, &mut new_payload);
-        let undo = UndoInfo {
-            index_space: t.space_no,
-            op: UndoOp::Revert {
-                key: key.clone(),
-                old_cell: old_payload.clone(),
-            },
-        };
-        tree.update(ctx, self, txn.id, &key, &new_payload, Some(&undo))?;
-        txn.undo.push(undo);
-        // Maintain secondary indexes whose keys changed.
-        for ix in &t.secondary {
-            let old_k = Self::sec_key(&t, ix, &old_row);
-            let new_k = Self::sec_key(&t, ix, &new_row);
-            if old_k != new_k {
-                let u1 = UndoInfo {
-                    index_space: ix.space_no,
-                    op: UndoOp::ReInsert {
-                        key: old_k.clone(),
-                        old_cell: key.clone(),
-                    },
-                };
-                BTree::new(ix.space_no).delete(ctx, self, txn.id, &old_k, Some(&u1))?;
-                txn.undo.push(u1);
-                let u2 = UndoInfo {
-                    index_space: ix.space_no,
-                    op: UndoOp::Remove { key: new_k.clone() },
-                };
-                BTree::new(ix.space_no).insert(ctx, self, txn.id, &new_k, &key, Some(&u2))?;
-                txn.undo.push(u2);
-            }
-        }
-        sp.finish(ctx);
-        Ok(())
-    }
-
-    /// Delete a row by primary key.
-    pub fn delete_by_pk(
-        &self,
-        ctx: &mut SimCtx,
-        txn: &mut TxnHandle,
-        table: &str,
-        key_vals: &[Value],
-    ) -> Result<()> {
-        if !txn.is_active() {
-            return Err(EngineError::TxnFinished);
-        }
-        let sp = self.stats.trace.span(ctx, "core", "delete");
-        let t = Arc::clone(self.catalog.read().table(table)?);
-        let lk = (t.space_no, encode_key(key_vals));
-        self.lock_row(ctx, txn, &lk, LockMode::Exclusive)?;
-        let key = lk.1;
-        let tree = BTree::new(t.space_no);
-        let old_payload = tree.get(ctx, self, &key)?.ok_or(EngineError::NotFound)?;
-        let old_row = decode_row(&old_payload)?;
-        let undo = UndoInfo {
-            index_space: t.space_no,
-            op: UndoOp::ReInsert {
-                key: key.clone(),
-                old_cell: old_payload.clone(),
-            },
-        };
-        tree.delete(ctx, self, txn.id, &key, Some(&undo))?;
-        txn.undo.push(undo);
-        for ix in &t.secondary {
-            let skey = Self::sec_key(&t, ix, &old_row);
-            let u = UndoInfo {
-                index_space: ix.space_no,
-                op: UndoOp::ReInsert {
-                    key: skey.clone(),
-                    old_cell: key.clone(),
-                },
-            };
-            BTree::new(ix.space_no).delete(ctx, self, txn.id, &skey, Some(&u))?;
-            txn.undo.push(u);
-        }
-        sp.finish(ctx);
-        Ok(())
-    }
-
     /// Look up rows through a secondary index by key prefix.
     pub fn index_lookup(
         &self,
@@ -887,98 +696,6 @@ impl Db {
         match err {
             Some(e) => Err(e),
             None => Ok(()),
-        }
-    }
-
-    /// Lock `lk` for `txn`; the transaction's list takes a copy of the key
-    /// the first time it holds it.
-    fn lock_row(
-        &self,
-        ctx: &mut SimCtx,
-        txn: &mut TxnHandle,
-        lk: &LockKey,
-        mode: LockMode,
-    ) -> Result<()> {
-        if !self.locks.acquire(ctx, txn.id, lk, mode)? {
-            txn.locks.push(lk.clone());
-        }
-        Ok(())
-    }
-
-    /// Commit: persist the commit record (the commit latency), release
-    /// locks, ship REDO off the critical path.
-    pub fn commit(&self, ctx: &mut SimCtx, txn: &mut TxnHandle) -> Result<()> {
-        if !txn.is_active() {
-            return Err(EngineError::TxnFinished);
-        }
-        let t0 = ctx.now();
-        let sp = self.stats.trace.span(ctx, "core", "commit");
-        let done = self.env.engine_cpu.acquire(
-            ctx.now(),
-            VTime::from_nanos(self.env.model.cpu_txn_overhead_ns),
-        );
-        ctx.wait_until(done);
-        let commit_lsn = self.wal.log(ctx, &WalRecord::Commit { txn_id: txn.id })?;
-        // The commit latency: flush the global log buffer (group commit).
-        self.wal.flush(ctx, commit_lsn)?;
-        self.flush_ship(ctx, false);
-        self.maybe_auto_checkpoint(ctx)?;
-        self.locks.release_all(ctx.now(), txn.id, &txn.locks);
-        txn.locks.clear();
-        txn.undo.clear();
-        txn.status = TxnStatus::Committed;
-        self.stats.commits.inc();
-        self.stats.commit_lat.record(ctx.now() - t0);
-        sp.finish(ctx);
-        Ok(())
-    }
-
-    /// Abort: apply logical undo in reverse, log the abort, release locks.
-    pub fn abort(&self, ctx: &mut SimCtx, txn: &mut TxnHandle) -> Result<()> {
-        if !txn.is_active() {
-            return Err(EngineError::TxnFinished);
-        }
-        let sp = self.stats.trace.span(ctx, "core", "abort");
-        let undo: Vec<UndoInfo> = txn.undo.drain(..).collect();
-        for u in undo.iter().rev() {
-            self.apply_undo(ctx, txn.id, u)?;
-        }
-        self.wal.log(ctx, &WalRecord::Abort { txn_id: txn.id })?;
-        self.flush_ship(ctx, false);
-        self.locks.release_all(ctx.now(), txn.id, &txn.locks);
-        txn.locks.clear();
-        txn.status = TxnStatus::Aborted;
-        self.stats.aborts.inc();
-        sp.finish(ctx);
-        Ok(())
-    }
-
-    /// Apply one logical undo operation (abort and crash recovery paths).
-    /// Idempotent: a missing key on Remove, or an existing key on
-    /// ReInsert, are tolerated (the compensation may already be in place).
-    pub(crate) fn apply_undo(&self, ctx: &mut SimCtx, txn_id: u64, u: &UndoInfo) -> Result<()> {
-        let tree = BTree::new(u.index_space);
-        match &u.op {
-            UndoOp::Remove { key } => match tree.delete(ctx, self, txn_id, key, None) {
-                Ok(()) | Err(EngineError::NotFound) => Ok(()),
-                Err(e) => Err(e),
-            },
-            UndoOp::Revert { key, old_cell } => {
-                match tree.update(ctx, self, txn_id, key, old_cell, None) {
-                    Ok(()) => Ok(()),
-                    Err(EngineError::NotFound) => {
-                        tree.insert(ctx, self, txn_id, key, old_cell, None)
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-            UndoOp::ReInsert { key, old_cell } => {
-                match tree.insert(ctx, self, txn_id, key, old_cell, None) {
-                    Ok(()) => Ok(()),
-                    Err(EngineError::DuplicateKey { .. }) => Ok(()),
-                    Err(e) => Err(e),
-                }
-            }
         }
     }
 

@@ -291,7 +291,7 @@ fn run(
                 pushed.is_ok()
             })?;
             pushed?;
-            charge_rows(ctx, db, pipe.seen(), 50);
+            charge_rows(ctx, db, pipe.seen(), db.env().model.cpu_row_eval_ns);
         }
         Plan::IndexLookup {
             table,
@@ -380,7 +380,7 @@ fn run(
                 Ok(())
             })?;
             charge_rows(ctx, db, build.rows + n_right, 100);
-            charge_rows(ctx, db, pipe.seen(), 50);
+            charge_rows(ctx, db, pipe.seen(), db.env().model.cpu_row_eval_ns);
         }
         Plan::NestLoopJoin {
             left,
@@ -441,7 +441,7 @@ fn run(
             run(ctx, db, session, input, &reads, &mut |row| {
                 emit(&mut pipe, row, sink)
             })?;
-            charge_rows(ctx, db, pipe.seen(), 50);
+            charge_rows(ctx, db, pipe.seen(), db.env().model.cpu_row_eval_ns);
         }
     }
     Ok(())

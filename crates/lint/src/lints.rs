@@ -254,16 +254,23 @@ pub fn ordered_serialization(s: &Scanned, out: &mut Vec<Diagnostic>) {
         let Some(var) = iterated else {
             continue;
         };
-        // Statement context: everything up to the statement's `;` (a `for`
-        // header is its own statement) plus the two lines after it, so both
-        // `.iter()\n.map(..)\n.sorted..` chains and collect-then-`sort()`
-        // are seen together.
+        // Statement context: from the statement's head (the receiver line
+        // above a `.method()` chain, whose `let` may name an ordered type)
+        // up to its `;` (a `for` header is its own statement) plus the two
+        // lines after it, so both `.iter()\n.map(..)\n.sorted..` chains and
+        // collect-then-`sort()` are seen together.
+        let head = i - lines[..=i]
+            .iter()
+            .rev()
+            .take_while(|l| l.trim().is_empty() || l.trim_start().starts_with('.'))
+            .count()
+            .min(i);
         let stmt_len = lines[i..]
             .iter()
             .position(|l| l.contains(';'))
             .filter(|_| !is_for)
             .unwrap_or(0);
-        let stmt: String = lines[i..(i + stmt_len + 3).min(lines.len())].join(" ");
+        let stmt: String = lines[head..(i + stmt_len + 3).min(lines.len())].join(" ");
         let ordered = stmt.contains(".sort")
             || stmt.contains("BTreeMap")
             || stmt.contains("BTreeSet")

@@ -41,7 +41,8 @@ fn dispatch(groups: HashMap<u64, Vec<u64>>, mut tails: HashMap<u64, u64>) {
 }
 
 // Through a lock guard and over an alias of a hash map, each with its
-// ordering step.
+// ordering step: a `BTreeMap` collect, or a `BTreeMap` binding on the
+// chain's `let` line.
 type Index = FxHashMap<u64, u64>;
 struct Table {
     routes: Mutex<FxHashMap<u64, u64>>,
@@ -56,5 +57,12 @@ fn walk(t: &Table) {
         .iter()
         .map(|(k, v)| (*k, *v))
         .collect::<BTreeMap<u64, u64>>();
-    let _ = (ids, pages);
+    // The ordered type written on the statement's `let` line counts too.
+    let by_page: BTreeMap<u64, u64> = t
+        .index
+        .read()
+        .iter()
+        .map(|(k, v)| (*k, *v))
+        .collect();
+    let _ = (ids, pages, by_page);
 }

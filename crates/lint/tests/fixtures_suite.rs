@@ -89,6 +89,9 @@ fn ordered_serialization_fires_on_every_hash_iteration_form() {
 
 #[test]
 fn ordered_serialization_quiet_when_sorted_or_btree() {
+    // Among the forms: a chain whose receiver sits below a `let` that
+    // binds a `BTreeMap` (`let by_page: BTreeMap<..> = t⏎.index⏎.read()⏎
+    // .iter()…`): the statement is read from its `let` line.
     assert!(analyze_source(REPORT, ORDERED_OK).is_empty());
     assert!(analyze_source(RUNTIME, ORDERED_OK).is_empty());
 }

@@ -1,7 +1,13 @@
 //! The calibrated latency model.
 //!
-//! Every device/network constant used anywhere in the reproduction lives in
-//! [`LatencyModel`], so the whole simulation is calibrated in one place.
+//! The device, network and engine-CPU constants of the reproduction live in
+//! [`LatencyModel`], so the simulation is calibrated in one place. A few
+//! costs are literals at their call sites instead: the query executor's
+//! index-lookup, aggregate, join and sort charges (`core/src/query/exec.rs`),
+//! the push-down tasks' per-row costs (`core/src/query/pushdown.rs`), the
+//! WAL's log-buffer memcpy (`core/src/wal.rs`), the EBP's 120 µs page-LSN
+//! RPC (`core/src/ebp.rs`) and the CM's request processing (`CM_PROC`,
+//! `astore/src/cm.rs`).
 //! [`LatencyModel::paper_default`] is tuned to the paper's anchor numbers:
 //!
 //! * AStore small read ≈ 10 µs, small append ≈ 20 µs (§IV),

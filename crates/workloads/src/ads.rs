@@ -11,10 +11,10 @@ use std::sync::Arc;
 
 use vedb_core::catalog::{Catalog, ColumnType};
 use vedb_core::db::Db;
-use vedb_core::{EngineError, Value};
+use vedb_core::Value;
 use vedb_sim::SimCtx;
 
-use crate::driver::OpOutcome;
+use crate::driver::{self, OpOutcome};
 
 /// Campaigns in the library.
 pub const CAMPAIGNS: i64 = 2000;
@@ -67,22 +67,13 @@ pub fn ad_op(ctx: &mut SimCtx, db: &Arc<Db>) -> OpOutcome {
             Err(_) => OpOutcome::Aborted,
         }
     } else {
-        let mut txn = db.begin();
-        let cost = ctx.rng().gen_range(1..50) as f64 / 100.0;
-        let r = db.update_by_pk(ctx, &mut txn, "campaign", &[Value::Int(a)], |row| {
-            row[2] = Value::Double(row[2].as_f64() + cost);
-            row[3] = Value::Int(row[3].as_int() + 1);
-        });
-        match r {
-            Ok(()) => match db.commit(ctx, &mut txn) {
-                Ok(()) => OpOutcome::Committed,
-                Err(_) => OpOutcome::Aborted,
-            },
-            Err(EngineError::LockTimeout { .. }) => {
-                let _ = db.abort(ctx, &mut txn);
-                OpOutcome::Aborted
-            }
-            Err(e) => panic!("ad workload failed: {e}"),
-        }
+        driver::outcome(db.transact(ctx, |ctx, txn| {
+            let cost = ctx.rng().gen_range(1..50) as f64 / 100.0;
+            db.update_by_pk(ctx, txn, "campaign", &[Value::Int(a)], |row| {
+                row[2] = Value::Double(row[2].as_f64() + cost);
+                row[3] = Value::Int(row[3].as_int() + 1);
+            })?;
+            Ok(true)
+        }))
     }
 }

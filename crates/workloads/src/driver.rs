@@ -11,6 +11,7 @@
 //! contention are shared across clients, so throughput saturates and
 //! collapses exactly where the simulated hardware says it should.
 
+use vedb_core::EngineError;
 use vedb_sim::{run_clients, LatencyRecorder, SimCtx, TrialResult, VTime};
 
 /// Trial shape.
@@ -58,6 +59,22 @@ pub enum OpOutcome {
     Aborted,
     /// Bookkeeping that should not count as an operation (e.g. think time).
     Skip,
+}
+
+/// The outcome of one transaction, from what
+/// [`Db::transact`](vedb_core::db::Db::transact) answered: committed, or
+/// rolled back (the workload's own rollback, or a retryable error: a lock
+/// timeout — a deadlock victim — or a duplicate key two clients raced
+/// for). Any other error is a fault in the workload or the engine, and
+/// panics.
+pub fn outcome(r: vedb_core::Result<bool>) -> OpOutcome {
+    match r {
+        Ok(true) => OpOutcome::Committed,
+        Ok(false)
+        | Err(EngineError::LockTimeout { .. })
+        | Err(EngineError::DuplicateKey { .. }) => OpOutcome::Aborted,
+        Err(e) => panic!("transaction failed: {e}"),
+    }
 }
 
 /// Run a trial: `op` is invoked repeatedly per client until its clock

@@ -17,10 +17,10 @@ use std::sync::Arc;
 
 use vedb_core::catalog::{Catalog, ColumnType};
 use vedb_core::db::Db;
-use vedb_core::{EngineError, Value};
+use vedb_core::Value;
 use vedb_sim::SimCtx;
 
-use crate::driver::OpOutcome;
+use crate::driver::{self, OpOutcome};
 
 /// Width of the order-flow payload (paper: "about 2KB").
 pub const ROW_PAYLOAD: usize = 2048;
@@ -75,19 +75,20 @@ fn flow_id() -> i64 {
 pub fn single_insert(ctx: &mut SimCtx, db: &Arc<Db>) -> OpOutcome {
     let vendor = ctx.rng().skewed_index(VENDORS as u64, 0.5) as i64 + 1;
     let payload = "p".repeat(ROW_PAYLOAD);
-    let mut txn = db.begin();
-    let r = db.insert(
-        ctx,
-        &mut txn,
-        "order_flow",
-        vec![
-            Value::Int(flow_id()),
-            Value::Int(vendor),
-            Value::Double(0.0),
-            Value::Str(payload),
-        ],
-    );
-    finish(ctx, db, txn, r)
+    driver::outcome(db.transact(ctx, |ctx, txn| {
+        db.insert(
+            ctx,
+            txn,
+            "order_flow",
+            vec![
+                Value::Int(flow_id()),
+                Value::Int(vendor),
+                Value::Double(0.0),
+                Value::Str(payload),
+            ],
+        )?;
+        Ok(true)
+    }))
 }
 
 /// The full batched order transaction — hot-row vendor update + wide
@@ -97,25 +98,18 @@ pub fn order_batch(ctx: &mut SimCtx, db: &Arc<Db>) -> OpOutcome {
     // concurrent updates for the same merchant").
     let vendor = ctx.rng().skewed_index(VENDORS as u64, 0.6) as i64 + 1;
     let payload = "p".repeat(ROW_PAYLOAD);
-    let mut txn = db.begin();
-    let r = (|| -> vedb_core::Result<()> {
+    driver::outcome(db.transact(ctx, |ctx, txn| {
         for _ in 0..BATCH {
             let amount = ctx.rng().gen_range(1..1000) as f64 / 10.0;
             let mut new_balance = 0.0;
-            db.update_by_pk(
-                ctx,
-                &mut txn,
-                "vendor_account",
-                &[Value::Int(vendor)],
-                |row| {
-                    new_balance = row[1].as_f64() + amount;
-                    row[1] = Value::Double(new_balance);
-                    row[2] = Value::Int(row[2].as_int() + 1);
-                },
-            )?;
+            db.update_by_pk(ctx, txn, "vendor_account", &[Value::Int(vendor)], |row| {
+                new_balance = row[1].as_f64() + amount;
+                row[1] = Value::Double(new_balance);
+                row[2] = Value::Int(row[2].as_int() + 1);
+            })?;
             db.insert(
                 ctx,
-                &mut txn,
+                txn,
                 "order_flow",
                 vec![
                     Value::Int(flow_id()),
@@ -125,26 +119,6 @@ pub fn order_batch(ctx: &mut SimCtx, db: &Arc<Db>) -> OpOutcome {
                 ],
             )?;
         }
-        Ok(())
-    })();
-    finish(ctx, db, txn, r.map(|_| ()))
-}
-
-fn finish(
-    ctx: &mut SimCtx,
-    db: &Arc<Db>,
-    mut txn: vedb_core::TxnHandle,
-    r: vedb_core::Result<()>,
-) -> OpOutcome {
-    match r {
-        Ok(()) => match db.commit(ctx, &mut txn) {
-            Ok(()) => OpOutcome::Committed,
-            Err(_) => OpOutcome::Aborted,
-        },
-        Err(EngineError::LockTimeout { .. }) | Err(EngineError::DuplicateKey { .. }) => {
-            let _ = db.abort(ctx, &mut txn);
-            OpOutcome::Aborted
-        }
-        Err(e) => panic!("order workload failed: {e}"),
-    }
+        Ok(true)
+    }))
 }

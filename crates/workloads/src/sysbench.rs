@@ -13,7 +13,7 @@ use vedb_core::db::Db;
 use vedb_core::{EngineError, Value};
 use vedb_sim::SimCtx;
 
-use crate::driver::OpOutcome;
+use crate::driver::{self, OpOutcome};
 
 /// Rows in `sbtest`.
 #[derive(Debug, Clone, Copy)]
@@ -74,33 +74,32 @@ pub fn load(ctx: &mut SimCtx, db: &Arc<Db>, scale: SysbenchScale) -> vedb_core::
 
 /// One `oltp_read_write` transaction.
 pub fn transaction(ctx: &mut SimCtx, db: &Arc<Db>, scale: SysbenchScale) -> OpOutcome {
-    let mut txn = db.begin();
-    let r = (|| -> vedb_core::Result<()> {
+    let r = db.transact(ctx, |ctx, txn| {
         // 10 point selects.
         for _ in 0..10 {
             let id = ctx.rng().gen_range(1..=scale.rows);
-            db.get_by_pk(ctx, Some(&mut txn), "sbtest", &[Value::Int(id)])?;
+            db.get_by_pk(ctx, Some(&mut *txn), "sbtest", &[Value::Int(id)])?;
         }
         // 1 short secondary-index range.
         let k = ctx.rng().gen_range(0..500i64);
         db.index_lookup(ctx, "sbtest", "k_idx", &[Value::Int(k)], 20)?;
         // 1 indexed-column update (touches the secondary index).
         let id = ctx.rng().gen_range(1..=scale.rows);
-        db.update_by_pk(ctx, &mut txn, "sbtest", &[Value::Int(id)], |row| {
+        db.update_by_pk(ctx, txn, "sbtest", &[Value::Int(id)], |row| {
             row[1] = Value::Int((row[1].as_int() + 1) % 500);
         })?;
         // 1 non-indexed update.
         let id = ctx.rng().gen_range(1..=scale.rows);
-        db.update_by_pk(ctx, &mut txn, "sbtest", &[Value::Int(id)], |row| {
+        db.update_by_pk(ctx, txn, "sbtest", &[Value::Int(id)], |row| {
             row[2] = Value::Str(format!("{:0>120}", row[0].as_int() + 1));
         })?;
         // delete + insert of the same id (keeps the table size stable).
         let id = ctx.rng().gen_range(1..=scale.rows);
-        match db.delete_by_pk(ctx, &mut txn, "sbtest", &[Value::Int(id)]) {
+        match db.delete_by_pk(ctx, txn, "sbtest", &[Value::Int(id)]) {
             Ok(()) => {
                 db.insert(
                     ctx,
-                    &mut txn,
+                    txn,
                     "sbtest",
                     vec![
                         Value::Int(id),
@@ -113,19 +112,11 @@ pub fn transaction(ctx: &mut SimCtx, db: &Arc<Db>, scale: SysbenchScale) -> OpOu
             Err(EngineError::NotFound) => {} // raced with another delete
             Err(e) => return Err(e),
         }
-        Ok(())
-    })();
+        Ok(true)
+    });
     match r {
-        Ok(()) => match db.commit(ctx, &mut txn) {
-            Ok(()) => OpOutcome::Committed,
-            Err(_) => OpOutcome::Aborted,
-        },
-        Err(EngineError::LockTimeout { .. })
-        | Err(EngineError::DuplicateKey { .. })
-        | Err(EngineError::NotFound) => {
-            let _ = db.abort(ctx, &mut txn);
-            OpOutcome::Aborted
-        }
-        Err(e) => panic!("sysbench transaction failed: {e}"),
+        // An update raced with another client's delete of its row.
+        Err(EngineError::NotFound) => OpOutcome::Aborted,
+        r => driver::outcome(r),
     }
 }

@@ -15,7 +15,7 @@ use vedb_core::db::Db;
 use vedb_core::{EngineError, Value};
 use vedb_sim::SimCtx;
 
-use crate::driver::OpOutcome;
+use crate::driver::{self, OpOutcome};
 
 /// Scaled cardinalities.
 #[derive(Debug, Clone)]
@@ -283,13 +283,6 @@ pub fn load(ctx: &mut SimCtx, db: &Arc<Db>, scale: &TpccScale) -> vedb_core::Res
     Ok(())
 }
 
-fn retryable(e: &EngineError) -> bool {
-    matches!(
-        e,
-        EngineError::LockTimeout { .. } | EngineError::DuplicateKey { .. }
-    )
-}
-
 /// One TPC-C transaction according to the standard mix. Returns the
 /// driver outcome (aborts on lock timeouts and the spec's 1% rollback).
 pub fn run_transaction(ctx: &mut SimCtx, db: &Arc<Db>, scale: &TpccScale) -> OpOutcome {
@@ -305,12 +298,7 @@ pub fn run_transaction(ctx: &mut SimCtx, db: &Arc<Db>, scale: &TpccScale) -> OpO
     } else {
         stock_level(ctx, db, scale)
     };
-    match r {
-        Ok(true) => OpOutcome::Committed,
-        Ok(false) => OpOutcome::Aborted,
-        Err(e) if retryable(&e) => OpOutcome::Aborted,
-        Err(e) => panic!("TPC-C transaction failed: {e}"),
-    }
+    driver::outcome(r)
 }
 
 fn pick_wd(ctx: &mut SimCtx, scale: &TpccScale) -> (i64, i64) {
@@ -326,120 +314,89 @@ pub fn new_order(ctx: &mut SimCtx, db: &Arc<Db>, scale: &TpccScale) -> vedb_core
     let ol_cnt = ctx.rng().gen_range(5..=15i64);
     let rollback = ctx.rng().gen_bool(0.01);
 
-    let mut txn = db.begin();
-    let fail = |db: &Arc<Db>, ctx: &mut SimCtx, mut txn: vedb_core::TxnHandle, e: EngineError| {
-        let _ = db.abort(ctx, &mut txn);
-        Err(e)
-    };
-
-    // Reads: warehouse, customer; district read+bump of d_next_o_id.
-    // Lock order warehouse -> district -> customer, matching Payment, so
-    // the two profiles cannot deadlock on row locks.
-    if let Err(e) = db.get_by_pk(ctx, Some(&mut txn), "warehouse", &[Value::Int(w)]) {
-        return fail(db, ctx, txn, e);
-    }
-    let mut o_id = 0i64;
-    if let Err(e) = db.update_by_pk(
-        ctx,
-        &mut txn,
-        "district",
-        &[Value::Int(w), Value::Int(d)],
-        |r| {
+    db.transact(ctx, |ctx, txn| {
+        // Reads: warehouse, customer; district read+bump of d_next_o_id.
+        // Lock order warehouse -> district -> customer, matching Payment, so
+        // the two profiles cannot deadlock on row locks.
+        db.get_by_pk(ctx, Some(&mut *txn), "warehouse", &[Value::Int(w)])?;
+        let mut o_id = 0i64;
+        db.update_by_pk(ctx, txn, "district", &[Value::Int(w), Value::Int(d)], |r| {
             o_id = r[4].as_int();
             r[4] = Value::Int(o_id + 1);
-        },
-    ) {
-        return fail(db, ctx, txn, e);
-    }
-    if let Err(e) = db.get_by_pk(
-        ctx,
-        Some(&mut txn),
-        "customer",
-        &[Value::Int(w), Value::Int(d), Value::Int(c)],
-    ) {
-        return fail(db, ctx, txn, e);
-    }
-    if let Err(e) = db.insert(
-        ctx,
-        &mut txn,
-        "orders",
-        vec![
-            Value::Int(w),
-            Value::Int(d),
-            Value::Int(o_id),
-            Value::Int(c),
-            Value::Int(ol_cnt),
-            Value::Int(0),
-            Value::Int(o_id),
-        ],
-    ) {
-        return fail(db, ctx, txn, e);
-    }
-    if let Err(e) = db.insert(
-        ctx,
-        &mut txn,
-        "new_order",
-        vec![Value::Int(w), Value::Int(d), Value::Int(o_id)],
-    ) {
-        return fail(db, ctx, txn, e);
-    }
-    for ol in 1..=ol_cnt {
-        let i_id = ctx.rng().nurand(8191, 1, scale.items as u64) as i64;
-        let supply_w = if ctx.rng().gen_bool(0.99) || scale.warehouses == 1 {
-            w
-        } else {
-            // Remote warehouse (1%).
-            let mut other = ctx.rng().gen_range(1..=scale.warehouses);
-            if other == w {
-                other = (other % scale.warehouses) + 1;
-            }
-            other
-        };
-        let qty = ctx.rng().gen_range(1..=10i64);
-        let price = match db.get_by_pk(ctx, Some(&mut txn), "item", &[Value::Int(i_id)]) {
-            Ok(Some(item)) => item[2].as_f64(),
-            Ok(None) => 1.0,
-            Err(e) => return fail(db, ctx, txn, e),
-        };
-        if let Err(e) = db.update_by_pk(
+        })?;
+        db.get_by_pk(
             ctx,
-            &mut txn,
-            "stock",
-            &[Value::Int(supply_w), Value::Int(i_id)],
-            |r| {
-                let q = r[2].as_int();
-                r[2] = Value::Int(if q >= qty + 10 { q - qty } else { q - qty + 91 });
-                r[3] = Value::Int(r[3].as_int() + qty);
-                r[4] = Value::Int(r[4].as_int() + 1);
-            },
-        ) {
-            return fail(db, ctx, txn, e);
-        }
-        if let Err(e) = db.insert(
+            Some(&mut *txn),
+            "customer",
+            &[Value::Int(w), Value::Int(d), Value::Int(c)],
+        )?;
+        db.insert(
             ctx,
-            &mut txn,
-            "order_line",
+            txn,
+            "orders",
             vec![
                 Value::Int(w),
                 Value::Int(d),
                 Value::Int(o_id),
-                Value::Int(ol),
-                Value::Int(i_id),
-                Value::Int(supply_w),
-                Value::Int(qty),
-                Value::Double(price * qty as f64),
+                Value::Int(c),
+                Value::Int(ol_cnt),
                 Value::Int(0),
+                Value::Int(o_id),
             ],
-        ) {
-            return fail(db, ctx, txn, e);
+        )?;
+        db.insert(
+            ctx,
+            txn,
+            "new_order",
+            vec![Value::Int(w), Value::Int(d), Value::Int(o_id)],
+        )?;
+        for ol in 1..=ol_cnt {
+            let i_id = ctx.rng().nurand(8191, 1, scale.items as u64) as i64;
+            let supply_w = if ctx.rng().gen_bool(0.99) || scale.warehouses == 1 {
+                w
+            } else {
+                // Remote warehouse (1%).
+                let mut other = ctx.rng().gen_range(1..=scale.warehouses);
+                if other == w {
+                    other = (other % scale.warehouses) + 1;
+                }
+                other
+            };
+            let qty = ctx.rng().gen_range(1..=10i64);
+            let price = db
+                .get_by_pk(ctx, Some(&mut *txn), "item", &[Value::Int(i_id)])?
+                .map_or(1.0, |item| item[2].as_f64());
+            db.update_by_pk(
+                ctx,
+                txn,
+                "stock",
+                &[Value::Int(supply_w), Value::Int(i_id)],
+                |r| {
+                    let q = r[2].as_int();
+                    r[2] = Value::Int(if q >= qty + 10 { q - qty } else { q - qty + 91 });
+                    r[3] = Value::Int(r[3].as_int() + qty);
+                    r[4] = Value::Int(r[4].as_int() + 1);
+                },
+            )?;
+            db.insert(
+                ctx,
+                txn,
+                "order_line",
+                vec![
+                    Value::Int(w),
+                    Value::Int(d),
+                    Value::Int(o_id),
+                    Value::Int(ol),
+                    Value::Int(i_id),
+                    Value::Int(supply_w),
+                    Value::Int(qty),
+                    Value::Double(price * qty as f64),
+                    Value::Int(0),
+                ],
+            )?;
         }
-    }
-    if rollback {
-        db.abort(ctx, &mut txn)?;
-        return Ok(false);
-    }
-    db.commit(ctx, &mut txn)?;
-    Ok(true)
+        Ok(!rollback)
+    })
 }
 
 /// The Payment transaction.
@@ -449,23 +406,16 @@ pub fn payment(ctx: &mut SimCtx, db: &Arc<Db>, scale: &TpccScale) -> vedb_core::
     let amount = ctx.rng().gen_range(1..=5000) as f64 / 100.0;
     let h_id = (ctx.rng().next_u64() >> 1) as i64;
 
-    let mut txn = db.begin();
-    let r = (|| -> vedb_core::Result<()> {
-        db.update_by_pk(ctx, &mut txn, "warehouse", &[Value::Int(w)], |r| {
+    db.transact(ctx, |ctx, txn| {
+        db.update_by_pk(ctx, txn, "warehouse", &[Value::Int(w)], |r| {
             r[2] = Value::Double(r[2].as_f64() + amount);
+        })?;
+        db.update_by_pk(ctx, txn, "district", &[Value::Int(w), Value::Int(d)], |r| {
+            r[3] = Value::Double(r[3].as_f64() + amount);
         })?;
         db.update_by_pk(
             ctx,
-            &mut txn,
-            "district",
-            &[Value::Int(w), Value::Int(d)],
-            |r| {
-                r[3] = Value::Double(r[3].as_f64() + amount);
-            },
-        )?;
-        db.update_by_pk(
-            ctx,
-            &mut txn,
+            txn,
             "customer",
             &[Value::Int(w), Value::Int(d), Value::Int(c)],
             |r| {
@@ -476,7 +426,7 @@ pub fn payment(ctx: &mut SimCtx, db: &Arc<Db>, scale: &TpccScale) -> vedb_core::
         )?;
         db.insert(
             ctx,
-            &mut txn,
+            txn,
             "history",
             vec![
                 Value::Int(h_id),
@@ -486,18 +436,8 @@ pub fn payment(ctx: &mut SimCtx, db: &Arc<Db>, scale: &TpccScale) -> vedb_core::
                 Value::Double(amount),
             ],
         )?;
-        Ok(())
-    })();
-    match r {
-        Ok(()) => {
-            db.commit(ctx, &mut txn)?;
-            Ok(true)
-        }
-        Err(e) => {
-            let _ = db.abort(ctx, &mut txn);
-            Err(e)
-        }
-    }
+        Ok(true)
+    })
 }
 
 /// The OrderStatus transaction (read-only).
@@ -542,8 +482,7 @@ pub fn order_status(ctx: &mut SimCtx, db: &Arc<Db>, scale: &TpccScale) -> vedb_c
 /// keeps transactions short at small scale).
 pub fn delivery(ctx: &mut SimCtx, db: &Arc<Db>, scale: &TpccScale) -> vedb_core::Result<bool> {
     let (w, d) = pick_wd(ctx, scale);
-    let mut txn = db.begin();
-    let r = (|| -> vedb_core::Result<()> {
+    let r = db.transact(ctx, |ctx, txn| {
         // Oldest new_order for (w, d): scan the PK prefix.
         let mut oldest: Option<i64> = None;
         db.scan_table(ctx, "new_order", |row| {
@@ -554,10 +493,10 @@ pub fn delivery(ctx: &mut SimCtx, db: &Arc<Db>, scale: &TpccScale) -> vedb_core:
                 true
             }
         })?;
-        let Some(o_id) = oldest else { return Ok(()) };
+        let Some(o_id) = oldest else { return Ok(true) };
         db.delete_by_pk(
             ctx,
-            &mut txn,
+            txn,
             "new_order",
             &[Value::Int(w), Value::Int(d), Value::Int(o_id)],
         )?;
@@ -565,7 +504,7 @@ pub fn delivery(ctx: &mut SimCtx, db: &Arc<Db>, scale: &TpccScale) -> vedb_core:
         let mut ol_cnt = 0;
         db.update_by_pk(
             ctx,
-            &mut txn,
+            txn,
             "orders",
             &[Value::Int(w), Value::Int(d), Value::Int(o_id)],
             |r| {
@@ -582,16 +521,16 @@ pub fn delivery(ctx: &mut SimCtx, db: &Arc<Db>, scale: &TpccScale) -> vedb_core:
                 Value::Int(o_id),
                 Value::Int(ol),
             ];
-            if let Some(line) = db.get_by_pk(ctx, Some(&mut txn), "order_line", &key)? {
+            if let Some(line) = db.get_by_pk(ctx, Some(&mut *txn), "order_line", &key)? {
                 total += line[7].as_f64();
-                db.update_by_pk(ctx, &mut txn, "order_line", &key, |r| {
+                db.update_by_pk(ctx, txn, "order_line", &key, |r| {
                     r[8] = Value::Int(1);
                 })?;
             }
         }
         db.update_by_pk(
             ctx,
-            &mut txn,
+            txn,
             "customer",
             &[Value::Int(w), Value::Int(d), Value::Int(c_id)],
             |r| {
@@ -599,23 +538,13 @@ pub fn delivery(ctx: &mut SimCtx, db: &Arc<Db>, scale: &TpccScale) -> vedb_core:
                 r[7] = Value::Int(r[7].as_int() + 1);
             },
         )?;
-        Ok(())
-    })();
+        Ok(true)
+    });
     match r {
-        Ok(()) => {
-            db.commit(ctx, &mut txn)?;
-            Ok(true)
-        }
         // Two deliveries may race for the same oldest order; the loser
         // finds it already gone and retries.
-        Err(EngineError::NotFound) => {
-            let _ = db.abort(ctx, &mut txn);
-            Ok(false)
-        }
-        Err(e) => {
-            let _ = db.abort(ctx, &mut txn);
-            Err(e)
-        }
+        Err(EngineError::NotFound) => Ok(false),
+        r => r,
     }
 }
 

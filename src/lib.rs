@@ -25,10 +25,14 @@
 //!         .build();
 //! });
 //! db.create_tables(&mut ctx).unwrap();
-//! let mut txn = db.begin();
-//! db.insert(&mut ctx, &mut txn, "users", vec![Value::Int(1), Value::Str("ada".into())])
+//! // One transaction: `Ok(true)` commits, `Ok(false)` or an error rolls back.
+//! let committed = db
+//!     .transact(&mut ctx, |ctx, txn| {
+//!         db.insert(ctx, txn, "users", vec![Value::Int(1), Value::Str("ada".into())])?;
+//!         Ok(true)
+//!     })
 //!     .unwrap();
-//! db.commit(&mut ctx, &mut txn).unwrap();
+//! assert!(committed);
 //! ```
 
 pub use vedb_astore as astore;
