@@ -13,6 +13,9 @@
 //! as one page-level REDO op — `Build` for the new page (and a new root),
 //! `Truncate` for the old — so PageStore replays structure changes with
 //! the same code path as row changes, at one record per page touched.
+//! An insert past a full leaf's last cell splits at the insert point (the
+//! `Build` carries no cell), so an ascending stream fills its pages; every
+//! other split cuts at the middle.
 //!
 //! Concurrency: a per-space `RwLock` (`Db::space_latch`)
 //! serializes structural writers against readers in *real* time; virtual
@@ -215,14 +218,19 @@ impl BTree {
                 access.charge_cpu(ctx, access.env().model.cpu_row_write_ns);
                 return Ok(());
             }
+            // Split and retry: at the insert point when the key sorts
+            // last, as InnoDB splits a sequential insert.
+            let append = (slot == page.n_slots()).then_some(key);
             drop(page);
-            // Split and retry.
-            self.split(ctx, access, txn, &path, leaf_no)?;
+            self.split(ctx, access, txn, &path, leaf_no, append)?;
         }
     }
 
     /// Split page `target_no` (leaf or internal), pushing a separator into
-    /// its parent (splitting upward as needed).
+    /// its parent (splitting upward as needed). With `append`, the key of
+    /// an insert past the leaf's last cell, the split moves no cell: the
+    /// right sibling starts empty and `append` is its separator. Any other
+    /// split cuts at the middle cell.
     fn split(
         &self,
         ctx: &mut SimCtx,
@@ -230,6 +238,7 @@ impl BTree {
         txn: u64,
         path: &[u32],
         target_no: u32,
+        append: Option<&[u8]>,
     ) -> Result<()> {
         let target_pid = self.pid(target_no);
         let frame = access.get_frame(ctx, target_pid)?;
@@ -245,8 +254,11 @@ impl BTree {
                 p.next_page(),
             )
         };
-        assert!(n >= 2, "cannot split a page with {n} cells");
-        let mid = n / 2;
+        let mid = if append.is_some() { n } else { n / 2 };
+        assert!(
+            append.is_some() || n >= 2,
+            "cannot split a page with {n} cells"
+        );
 
         // One record builds the right sibling from the upper half, one cuts
         // the upper half off this page (InnoDB's list-copy and list-truncate
@@ -254,7 +266,11 @@ impl BTree {
         let (cells, sep_key) = {
             let p = frame.page.read();
             let cells = CellList::from_cells(p.iter().skip(mid));
-            (cells, parse_leaf_cell(p.get(mid)?).0.to_vec())
+            let sep_key = match append {
+                Some(key) => key.to_vec(),
+                None => parse_leaf_cell(p.get(mid)?).0.to_vec(),
+            };
+            (cells, sep_key)
         };
         {
             let mut np = new_frame.page.write();
@@ -304,7 +320,7 @@ impl BTree {
                     pp.can_insert(parent_cell.len())
                 };
                 if !fits {
-                    self.split(ctx, access, txn, &path[..path.len() - 1], parent_no)?;
+                    self.split(ctx, access, txn, &path[..path.len() - 1], parent_no, None)?;
                     // The separator's home may have moved: re-descend to the
                     // internal node now covering sep_key at this level.
                     return self.insert_separator(ctx, access, txn, &sep_key, new_no, level + 1);
@@ -584,5 +600,94 @@ impl BTree {
             }
             leaf_no = next;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::db::{DbConfig, StorageFabric};
+    use std::sync::Arc;
+    use vedb_sim::ClusterSpec;
+
+    const SPACE: u32 = 900;
+    const TXN: u64 = 1;
+
+    fn open(ctx: &mut SimCtx) -> (StorageFabric, Arc<Db>, BTree) {
+        let fabric = StorageFabric::build(ClusterSpec::paper_default(), 16 << 20, 256 * 1024);
+        let db = Db::open(ctx, &fabric, DbConfig::builder().build().unwrap()).unwrap();
+        let tree = BTree::new(SPACE);
+        tree.create(ctx, &db, TXN).unwrap();
+        (fabric, db, tree)
+    }
+
+    fn key(k: u64) -> [u8; 8] {
+        k.to_be_bytes()
+    }
+
+    /// The leaf pages, left to right.
+    fn leaves(ctx: &mut SimCtx, db: &Db, tree: &BTree) -> Vec<Page> {
+        let (_, mut leaf_no) = tree.descend(ctx, db, &[]).unwrap();
+        let mut out = Vec::new();
+        while leaf_no != 0 {
+            let page = db
+                .get_frame(ctx, tree.pid(leaf_no))
+                .unwrap()
+                .page
+                .read()
+                .clone();
+            leaf_no = page.next_page();
+            out.push(page);
+        }
+        out
+    }
+
+    /// Fixed-size ascending inserts split at the insert point: every leaf
+    /// but the last is full, and the keys read back in order.
+    #[test]
+    fn ascending_inserts_fill_every_leaf_but_the_last() {
+        let mut ctx = SimCtx::new(1, 7);
+        let (_fabric, db, tree) = open(&mut ctx);
+        let payload = [0xAB; 100];
+        let cell_len = leaf_cell(&key(0), &payload).len();
+        for k in 0..2000 {
+            tree.insert(&mut ctx, &db, TXN, &key(k), &payload, None)
+                .unwrap();
+        }
+        let leaves = leaves(&mut ctx, &db, &tree);
+        assert!(leaves.len() > 10, "{} leaves", leaves.len());
+        for (i, leaf) in leaves[..leaves.len() - 1].iter().enumerate() {
+            assert!(!leaf.can_insert(cell_len), "leaf {i} has room");
+        }
+        let keys = leaves
+            .iter()
+            .flat_map(|p| p.iter().map(|c| parse_leaf_cell(c).0));
+        assert!(keys.eq((0..2000).map(key).collect::<Vec<_>>().iter()));
+    }
+
+    /// An insert into the middle of a full leaf still cuts it at `n / 2`.
+    #[test]
+    fn a_middle_insert_into_a_full_leaf_splits_at_the_middle() {
+        let mut ctx = SimCtx::new(1, 7);
+        let (_fabric, db, tree) = open(&mut ctx);
+        let payload = [0xCD; 100];
+        // Even keys until the first (append) split leaves a full leaf.
+        let mut k = 0;
+        while leaves(&mut ctx, &db, &tree).len() < 2 {
+            tree.insert(&mut ctx, &db, TXN, &key(k), &payload, None)
+                .unwrap();
+            k += 2;
+        }
+        let full = leaves(&mut ctx, &db, &tree).remove(0);
+        let n = full.n_slots();
+        tree.insert(&mut ctx, &db, TXN, &key(1), &payload, None)
+            .unwrap();
+        let after = leaves(&mut ctx, &db, &tree);
+        assert_eq!(after.len(), 3);
+        // The lower half took the new key; the upper half starts at the
+        // old middle cell.
+        assert_eq!(after[0].n_slots(), n / 2 + 1);
+        assert_eq!(parse_leaf_cell(after[0].get(1).unwrap()).0, key(1));
+        assert!(after[1].iter().eq(full.iter().skip(n / 2)));
     }
 }

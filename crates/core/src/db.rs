@@ -901,6 +901,35 @@ mod tests {
         check_prefixes(&encode_meta(&meta), &meta, decode_meta);
     }
 
+    /// A point read through a finished transaction is refused before it
+    /// takes a lock: nothing would ever release one.
+    #[test]
+    fn a_read_through_a_committed_handle_is_txn_finished_and_locks_nothing() {
+        let fabric = StorageFabric::build(ClusterSpec::paper_default(), 32 << 20, 256 * 1024);
+        let mut ctx = SimCtx::new(1, 42);
+        let db = Db::open(&mut ctx, &fabric, DbConfig::builder().build().unwrap()).unwrap();
+        db.define_schema(|cat| {
+            cat.define("t")
+                .col("id", crate::catalog::ColumnType::Int)
+                .pk(&["id"])
+                .build();
+        });
+        db.create_tables(&mut ctx).unwrap();
+        let mut txn = db.begin();
+        db.insert(&mut ctx, &mut txn, "t", vec![Value::Int(1)])
+            .unwrap();
+        db.commit(&mut ctx, &mut txn).unwrap();
+        assert_eq!(db.locks.held_keys(), 0);
+
+        let got = db.get_by_pk(&mut ctx, Some(&mut txn), "t", &[Value::Int(1)]);
+        assert_eq!(got, Err(EngineError::TxnFinished));
+        assert_eq!(db.locks.held_keys(), 0);
+        assert!(txn.locks.is_empty());
+        // Without a transaction the row reads as committed.
+        let got = db.get_by_pk(&mut ctx, None, "t", &[Value::Int(1)]);
+        assert_eq!(got, Ok(Some(vec![Value::Int(1)])));
+    }
+
     /// A WAL frame holds exactly one record: a byte after it is a codec
     /// error, for every record kind and every redo op.
     #[test]

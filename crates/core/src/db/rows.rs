@@ -44,18 +44,11 @@ impl Db {
     }
 
     fn pk_key(table: &TableDef, row: &Row) -> Vec<u8> {
-        let vals: Vec<Value> = table.pk_cols.iter().map(|i| row[*i].clone()).collect();
-        encode_key(&vals)
+        encode_key(table.pk_cols.iter().map(|i| &row[*i]))
     }
 
     fn sec_key(table: &TableDef, ix: &crate::catalog::IndexDef, row: &Row) -> Vec<u8> {
-        let vals: Vec<Value> = ix
-            .key_cols
-            .iter()
-            .chain(&table.pk_cols)
-            .map(|i| row[*i].clone())
-            .collect();
-        encode_key(&vals)
+        encode_key(ix.key_cols.iter().chain(&table.pk_cols).map(|i| &row[*i]))
     }
 
     /// Insert a row.
@@ -90,6 +83,9 @@ impl Db {
         table: &str,
         key_vals: &[Value],
     ) -> Result<Option<Row>> {
+        if txn.as_ref().is_some_and(|txn| !txn.is_active()) {
+            return Err(EngineError::TxnFinished);
+        }
         let sp = self.stats.trace.span(ctx, "core", "get");
         let t = Arc::clone(self.catalog.read().table(table)?);
         let lk = (t.space_no, encode_key(key_vals));

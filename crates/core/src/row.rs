@@ -315,13 +315,27 @@ fn decode_with(buf: &[u8], row: &mut Row, need: impl Fn(usize) -> bool) -> Resul
     Ok(())
 }
 
-/// Memcomparable encoding of a (composite) key.
+/// Memcomparable encoding of a (composite) key, read in place from its
+/// parts (a slice of values, or a row's key columns), into one buffer of
+/// the exact size.
 ///
 /// # Panics
 /// Panics on NULL or Double key parts (neither appears in any key of the
 /// evaluated schemas; Doubles lack a total order).
-pub fn encode_key(parts: &[Value]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(parts.len() * 9);
+pub fn encode_key<'a, I>(parts: I) -> Vec<u8>
+where
+    I: IntoIterator<Item = &'a Value>,
+    I::IntoIter: Clone,
+{
+    let parts = parts.into_iter();
+    let len = parts
+        .clone()
+        .map(|v| match v {
+            Value::Str(s) => 3 + s.len() + s.bytes().filter(|&b| b == 0).count(),
+            _ => 9,
+        })
+        .sum();
+    let mut out = Vec::with_capacity(len);
     for v in parts {
         match v {
             Value::Int(i) => {
@@ -345,6 +359,7 @@ pub fn encode_key(parts: &[Value]) -> Vec<u8> {
             other => panic!("unsupported key part: {other:?}"),
         }
     }
+    debug_assert_eq!(out.len(), len, "key size");
     out
 }
 

@@ -65,11 +65,11 @@ fn open_big(ctx: &mut SimCtx, f: &StorageFabric, rows: i64) -> Arc<Db> {
 fn astore_server_restart_reattaches_ebp_pages() {
     let f = fabric();
     let mut ctx = SimCtx::new(0, 7);
-    let db = open_big(&mut ctx, &f, 3000);
+    let db = open_big(&mut ctx, &f, 6000);
     db.scan_table(&mut ctx, "facts", |_| true).unwrap();
     let ebp = db.ebp().unwrap();
     let before = ebp.len();
-    assert!(before > 10);
+    assert!(before > 10, "{before} EBP pages");
 
     // Find a server hosting EBP pages, power-cycle it.
     let victim = f

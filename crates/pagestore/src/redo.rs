@@ -540,13 +540,20 @@ mod tests {
     /// The reference for split logging: the per-cell sequence a split used
     /// to log, and the `Build`/`Truncate` pair it logs now, leave the same
     /// bytes on both pages at the same page LSN — for a leaf split, an
-    /// internal split and a root split.
+    /// append split (a leaf cut at its end: a `Build` of no cell and a
+    /// `Truncate` that cuts nothing), an internal split and a root split.
     #[test]
     fn build_and_truncate_equal_the_per_cell_sequence() {
-        for (ty, level) in [(PageType::BTreeLeaf, 0), (PageType::BTreeInternal, 1)] {
+        for (ty, level, append) in [
+            (PageType::BTreeLeaf, 0, false),
+            (PageType::BTreeLeaf, 0, true),
+            (PageType::BTreeInternal, 1, false),
+        ] {
             let is_leaf = ty == PageType::BTreeLeaf;
             let target = full_page(ty, level);
-            let (n, mid, next_link, new_no) = (target.n_slots(), target.n_slots() / 2, 77, 8);
+            let n = target.n_slots();
+            let mid = if append { n } else { n / 2 };
+            let (next_link, new_no) = (77, 8);
             let moved: Vec<Vec<u8>> = (mid..n).map(|i| target.get(i).unwrap().to_vec()).collect();
 
             // The old log: format the sibling, chain it if a leaf, insert
@@ -599,14 +606,20 @@ mod tests {
             assert_eq!(
                 new_built.as_bytes(),
                 new_per_cell.as_bytes(),
-                "{ty:?} sibling"
+                "{ty:?} sibling, append {append}"
             );
-            assert_eq!(old_cut.as_bytes(), old_per_cell.as_bytes(), "{ty:?} target");
+            assert_eq!(
+                old_cut.as_bytes(),
+                old_per_cell.as_bytes(),
+                "{ty:?} target, append {append}"
+            );
             assert_eq!(new_built.n_slots(), n - mid);
+            assert_eq!(old_cut.n_slots(), mid);
 
             // A root split over this page: a new internal root holding
             // the −∞ cell and the separator.
-            let cells = [b"\0\0\x05\0\0\0".to_vec(), moved[0].clone()];
+            let sep = target.get(n / 2).unwrap().to_vec();
+            let cells = [b"\0\0\x05\0\0\0".to_vec(), sep];
             let mut root_ops = vec![PageOp::Format {
                 ty: PageType::BTreeInternal,
                 level: level + 1,

@@ -119,6 +119,8 @@ fn all_22_ch_queries_execute_and_agree_with_pushdown() {
 /// a small pool over an EBP, so fragments split into EBP and PageStore
 /// tasks — return the same rows in the same order with the same `f64` bits,
 /// end at the same virtual time and leave every counter at the same value.
+/// The data is twice the bench scale's, so the tables outgrow the pool
+/// even with the full pages ascending loads leave.
 #[test]
 fn all_22_ch_queries_repeat_bit_for_bit_across_deployments() {
     let run = || {
@@ -139,7 +141,14 @@ fn all_22_ch_queries_repeat_bit_for_bit_across_deployments() {
             chbench::extend_schema(cat);
         });
         db.create_tables(&mut ctx).unwrap();
-        tpcc::load(&mut ctx, &db, &tpcc::TpccScale::bench()).unwrap();
+        let bench = tpcc::TpccScale::bench();
+        let scale = tpcc::TpccScale {
+            customers: 2 * bench.customers,
+            items: 2 * bench.items,
+            initial_orders: 2 * bench.initial_orders,
+            ..bench
+        };
+        tpcc::load(&mut ctx, &db, &scale).unwrap();
         chbench::load_extra(&mut ctx, &db).unwrap();
         let pq = QuerySession::with_pushdown();
         let rpcs = db.env().metrics.counter("rdma", "rpc_calls");
