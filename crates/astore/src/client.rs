@@ -471,26 +471,27 @@ impl AStoreClient {
         Ok(true)
     }
 
-    fn replica_write(
+    /// `writes` as one chained WRITE to the replica at `loc`, translated
+    /// into `abs` (the caller's buffer, refilled here).
+    fn replica_write<'a>(
         &self,
         ctx: &mut SimCtx,
         loc: &SegmentLoc,
-        writes: &[(u64, &[u8])],
+        writes: &[(u64, &'a [u8])],
+        abs: &mut Vec<(u64, &'a [u8])>,
     ) -> Result<()> {
         let (mr, server) = self.node_conn(loc.node)?;
         // Translate segment-relative offsets to absolute device offsets;
         // the io-meta sentinel offset u64::MAX maps to the slot's io-meta.
-        let abs: Vec<(u64, &[u8])> = writes
-            .iter()
-            .map(|(off, data)| {
-                if *off == u64::MAX {
-                    (server.io_meta_offset(loc.offset), *data)
-                } else {
-                    (loc.offset + off, *data)
-                }
-            })
-            .collect();
-        self.ep.write_chain(ctx, &mr, &abs)?;
+        abs.clear();
+        abs.extend(writes.iter().map(|&(off, data)| {
+            if off == u64::MAX {
+                (server.io_meta_offset(loc.offset), data)
+            } else {
+                (loc.offset + off, data)
+            }
+        }));
+        self.ep.write_chain(ctx, &mr, abs)?;
         Ok(())
     }
 
@@ -509,9 +510,10 @@ impl AStoreClient {
         let mut done = ctx.now();
         let mut acked = 0;
         unreachable.clear();
+        let mut abs = Vec::with_capacity(writes.len());
         for loc in &route.replicas {
             let mut rep_ctx = ctx.fork();
-            match self.replica_write(&mut rep_ctx, loc, writes) {
+            match self.replica_write(&mut rep_ctx, loc, writes, &mut abs) {
                 Ok(()) => {
                     acked += 1;
                     done = done.max(rep_ctx.now());

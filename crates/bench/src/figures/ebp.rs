@@ -5,18 +5,18 @@ use std::sync::Arc;
 use vedb_core::db::{Db, DbConfig, LogBackendKind};
 use vedb_core::ebp::EbpConfig;
 use vedb_core::query::{execute, AggExpr, CmpOp, Expr, Plan, QuerySession};
-use vedb_core::Value;
+use vedb_core::{Catalog, Value};
 use vedb_sim::{ClusterSpec, RunReport, SimCtx, Trial, VTime};
 use vedb_workloads::driver::OpOutcome;
 use vedb_workloads::lookup::{self, LookupScale};
 use vedb_workloads::{chbench, tpcc};
 
-use super::check;
+use super::{check, find, loaded, point, report};
 use crate::Deployment;
 
 /// An AStore-logged deployment with a `bp_pages` buffer pool and, when
 /// `ebp_bytes` is set, an EBP of that capacity.
-fn config(bp_pages: usize, ebp_bytes: Option<u64>) -> DbConfig {
+pub(super) fn config(bp_pages: usize, ebp_bytes: Option<u64>) -> DbConfig {
     DbConfig::builder()
         .bp_pages(bp_pages)
         .bp_shards(8)
@@ -33,15 +33,15 @@ fn config(bp_pages: usize, ebp_bytes: Option<u64>) -> DbConfig {
 /// `config(bp_pages, ebp_bytes)` with TPC-C at `scale` plus the
 /// CH-benCHmark tables loaded.
 fn ch_deployment(bp_pages: usize, ebp_bytes: Option<u64>, scale: &tpcc::TpccScale) -> Deployment {
-    let mut dep = Deployment::open(config(bp_pages, ebp_bytes));
-    dep.db.define_schema(|cat| {
+    let schema = |cat: &mut Catalog| {
         tpcc::define_schema(cat);
         chbench::extend_schema(cat);
-    });
-    dep.db.create_tables(&mut dep.ctx).unwrap();
-    tpcc::load(&mut dep.ctx, &dep.db, scale).unwrap();
-    chbench::load_extra(&mut dep.ctx, &dep.db).unwrap();
-    dep
+    };
+    let dep = Deployment::open(config(bp_pages, ebp_bytes));
+    loaded(dep, schema, |ctx, db| {
+        tpcc::load(ctx, db, scale)?;
+        chbench::load_extra(ctx, db)
+    })
 }
 
 /// Run each CH query of `queries` once, so evictions push pages into the
@@ -84,62 +84,55 @@ const CH_SCALE: tpcc::TpccScale = tpcc::TpccScale {
 /// (buffer-pool contention); with the EBP, TP throughput improves
 /// consistently at every AP level. Trials are `params {ap_streams, ebp}`
 /// (`ebp` 0 or 1) with the driver's numbers for the TP clients; the
-/// registry sections describe the last deployment (8 streams, EBP on).
+/// registry sections describe `{ap_streams: 8, ebp: 1}`.
 pub fn fig10() -> RunReport {
     const TP_CLIENTS: usize = 32;
     /// AP queries cheap enough to loop as a stream.
     const AP_SET: [usize; 5] = [1, 4, 6, 12, 22];
     let scale = tpcc::TpccScale::bench();
-    let mut trials = Vec::new();
-    let mut report = None;
-    for ap_streams in [0usize, 1, 8] {
-        for ebp in [false, true] {
-            // bp_pages small on purpose: AP scans thrash it (the Fig 10 story).
-            let mut dep = ch_deployment(96, ebp.then_some(256 << 20), &scale);
-            let db = Arc::clone(&dep.db);
-            let session = QuerySession::default();
-            // Clients 0..TP_CLIENTS run TPC-C; the rest run AP query streams,
-            // whose completions are not TP throughput.
-            let r = dep.trial(
+    let session = QuerySession::default();
+    let key = |ap_streams: usize, ebp: bool| {
+        Trial::default()
+            .with_param("ap_streams", ap_streams as f64)
+            .with_param("ebp", ebp as u64)
+    };
+    let points: (Vec<Trial>, Vec<RunReport>) = [0usize, 1, 8]
+        .into_iter()
+        .flat_map(|ap_streams| [false, true].map(|ebp| (ap_streams, ebp)))
+        .map(|(ap_streams, ebp)| {
+            point(
+                key(ap_streams, ebp),
                 TP_CLIENTS + ap_streams,
-                VTime::from_millis(30),
-                VTime::from_millis(200),
-                |ctx, client| {
+                (30, 200),
+                // bp_pages small on purpose: AP scans thrash it (the Fig 10 story).
+                || ch_deployment(96, ebp.then_some(256 << 20), &scale),
+                // Clients 0..TP_CLIENTS run TPC-C; the rest run AP query
+                // streams, whose completions are not TP throughput.
+                |ctx, db, client| {
                     if client < TP_CLIENTS {
-                        tpcc::run_transaction(ctx, &db, &scale)
-                    } else {
-                        let q = AP_SET[ctx.rng().gen_range(0..AP_SET.len())];
-                        let _ = execute(ctx, &db, &session, &chbench::query(q));
-                        OpOutcome::Skip
+                        return tpcc::run_transaction(ctx, db, &scale);
                     }
+                    let q = AP_SET[ctx.rng().gen_range(0..AP_SET.len())];
+                    let _ = execute(ctx, db, &session, &chbench::query(q));
+                    OpOutcome::Skip
                 },
-            );
-            trials.push(
-                Trial::measured(&r)
-                    .with_param("ap_streams", ap_streams as f64)
-                    .with_param("ebp", ebp as u64),
-            );
-            report = Some(dep.report("fig10", None));
-        }
-    }
+            )
+        })
+        .unzip();
 
-    // Rows: (ap_streams, ebp) = (0, off), (0, on), (1, off), (1, on), (8, off), (8, on).
-    let tps = |i: usize| trials[i].result["throughput_per_s"];
-    let cost = |i: usize| (1.0 - tps(i) / tps(0).max(1.0)) * 100.0;
+    let tps = |ap_streams, ebp| find(&points.0, &key(ap_streams, ebp)).result["throughput_per_s"];
+    let (alone, one, off, on) = (tps(0, false), tps(1, false), tps(8, false), tps(8, true));
     let checks = [
-        check("eight_ap_streams_depress_tp_5pct", tps(4) < tps(0) * 0.95)
-            .with_result("cost_1_stream_pct", cost(2))
-            .with_result("cost_8_streams_pct", cost(4))
+        check("eight_ap_streams_depress_tp_5pct", off < alone * 0.95)
+            .with_result("cost_1_stream_pct", (1.0 - one / alone.max(1.0)) * 100.0)
+            .with_result("cost_8_streams_pct", (1.0 - off / alone.max(1.0)) * 100.0)
             .with_paper("cost_1_stream_pct", 5.0)
             .with_paper("cost_8_streams_pct", 30.0),
-        check("ebp_improves_tp_under_8_streams", tps(5) > tps(4))
-            .with_result("no_ebp_tps", tps(4))
-            .with_result("ebp_tps", tps(5)),
+        check("ebp_improves_tp_under_8_streams", on > off)
+            .with_result("no_ebp_tps", off)
+            .with_result("ebp_tps", on),
     ];
-    trials.extend(checks);
-    let mut report = report.expect("fig10 ran a deployment");
-    report.trials = trials;
-    report
+    report("fig10", points, &key(8, true), checks)
 }
 
 /// **Figure 11** — EBP speedup on CH-benCHmark analytical queries, for two
@@ -170,21 +163,20 @@ pub fn fig11() -> RunReport {
             .iter()
             .map(|&q| timed(&mut dep.ctx, &dep.db, &session, &chbench::query(q), 3))
             .collect();
-        (dep, elapsed)
+        (elapsed, dep.report("fig11", None))
+    };
+    let [(off_64, _), (on_64, mut report), (off_128, _), (on_128, _)] =
+        [(64, false), (64, true), (128, false), (128, true)].map(|(bp, ebp)| run(bp, ebp));
+    let key = |q: usize, bp: usize| {
+        Trial::default()
+            .with_param("query", q as f64)
+            .with_param("bp_pages", bp as f64)
     };
     let mut trials = Vec::new();
-    let mut report = None;
-    for bp in [64usize, 128] {
-        let (_, off) = run(bp, false);
-        let (dep, on) = run(bp, true);
-        if bp == 64 {
-            report = Some(dep.report("fig11", None));
-        }
+    for (bp, off, on) in [(64, off_64, on_64), (128, off_128, on_128)] {
         for ((&q, off), on) in QUERIES.iter().zip(off).zip(on) {
             trials.push(
-                Trial::default()
-                    .with_param("query", q as f64)
-                    .with_param("bp_pages", bp as f64)
+                key(q, bp)
                     .with_param("ebp", EBP_BYTES as f64)
                     .with_result("elapsed_ns", on.as_nanos() as f64)
                     .with_result(
@@ -195,8 +187,8 @@ pub fn fig11() -> RunReport {
         }
     }
 
-    // The 64-page trials, in QUERIES order: Q7 is the fourth, Q16 the sixth.
-    let (q7, q16) = (trials[3].result["speedup"], trials[5].result["speedup"]);
+    let speedup = |q| find(&trials, &key(q, 64)).result["speedup"];
+    let (q7, q16) = (speedup(7), speedup(16));
     let checks = [
         check("q7_gains_over_1_5x", q7 > 1.5).with_result("q7_speedup", q7),
         check("q16_gains_less_than_q7", q16 < q7)
@@ -204,7 +196,6 @@ pub fn fig11() -> RunReport {
             .with_result("q16_speedup", q16),
     ];
     trials.extend(checks);
-    let mut report = report.expect("the 64-page EBP-on deployment ran");
     report.trials = trials;
     report
 }
@@ -216,70 +207,59 @@ pub fn fig11() -> RunReport {
 /// Paper: even the smallest EBP cuts average response time by ~45% and
 /// P99 by >50%, with diminishing returns as the EBP doubles (only so much
 /// data is eligible for caching). Trials are `params {ebp_mb, clients}`
-/// (`ebp_mb` 0: no EBP); the registry sections describe the 64 MB
-/// deployment.
+/// (`ebp_mb` 0: no EBP); the registry sections describe `{ebp_mb: 64,
+/// clients: 16}`.
 pub fn fig12() -> RunReport {
     let scale = LookupScale {
         rows: 20_000,
         hot_fraction: 0.95,
         hot_region: 0.06,
     };
-    let mut trials = Vec::new();
-    let mut report = None;
-    for ebp_mb in [0u64, 8, 16, 32, 64] {
-        let mut dep = Deployment::open_with(
-            config(128, (ebp_mb > 0).then_some(ebp_mb << 20)),
-            ClusterSpec::paper_default(),
-            1 << 30,
-            2 << 20,
-        );
-        dep.db.define_schema(lookup::define_schema);
-        dep.db.create_tables(&mut dep.ctx).unwrap();
-        lookup::load(&mut dep.ctx, &dep.db, scale).unwrap();
+    let key = |ebp_mb: u64| {
+        Trial::default()
+            .with_param("ebp_mb", ebp_mb)
+            .with_param("clients", 16.0)
+    };
+    let open = |ebp_mb: u64| {
+        let cfg = config(128, (ebp_mb > 0).then_some(ebp_mb << 20));
+        let dep = Deployment::open_with(cfg, ClusterSpec::paper_default(), 1 << 30, 2 << 20);
+        let mut dep = loaded(dep, lookup::define_schema, |ctx, db| {
+            lookup::load(ctx, db, scale)
+        });
         // Warm pass: stream the cold region through the BP so evictions
         // populate the EBP.
-        let db = Arc::clone(&dep.db);
-        let mut warm_ctx = dep.ctx.fork();
+        let (db, mut warm_ctx) = (&dep.db, dep.ctx.fork());
         for i in (1..=scale.rows).step_by(3) {
             let _ = db.get_by_pk(&mut warm_ctx, None, "operations", &[Value::Int(i)]);
         }
         dep.ctx.wait_until(warm_ctx.now());
-        let r = dep.trial(
-            16,
-            VTime::from_millis(30),
-            VTime::from_millis(200),
-            |ctx, _| lookup::lookup_op(ctx, &db, scale),
-        );
-        trials.push(
-            Trial::measured(&r)
-                .with_param("ebp_mb", ebp_mb)
-                .with_param("clients", 16.0),
-        );
-        report = Some(dep.report("fig12", None));
-    }
+        dep
+    };
+    let op = |ctx: &mut SimCtx, db: &Arc<Db>, _| lookup::lookup_op(ctx, db, scale);
+    let points: (Vec<Trial>, Vec<RunReport>) = [0u64, 8, 16, 32, 64]
+        .into_iter()
+        .map(|ebp_mb| point(key(ebp_mb), 16, (30, 200), || open(ebp_mb), op))
+        .unzip();
 
-    let v = |i: usize, k: &str| trials[i].result[k];
-    let cut = |k: &str| (1.0 - v(1, k) / v(0, k).max(1.0)) * 100.0;
-    let first_gain = (v(0, "mean_ns") - v(1, "mean_ns")).max(0.0);
-    let later_gain = (v(1, "mean_ns") - v(4, "mean_ns")).max(0.0);
+    let v = |ebp_mb, k: &str| find(&points.0, &key(ebp_mb)).result[k];
+    let cut = |k: &str| (1.0 - v(8, k) / v(0, k).max(1.0)) * 100.0;
+    let first_gain = (v(0, "mean_ns") - v(8, "mean_ns")).max(0.0);
+    let later_gain = (v(8, "mean_ns") - v(64, "mean_ns")).max(0.0);
     let checks = [
         check(
             "smallest_ebp_cuts_mean_25pct",
-            v(1, "mean_ns") <= v(0, "mean_ns") * 0.75,
+            v(8, "mean_ns") <= v(0, "mean_ns") * 0.75,
         )
         .with_result("mean_cut_pct", cut("mean_ns"))
         .with_paper("mean_cut_pct", 45.0),
-        check("smallest_ebp_cuts_p99", v(1, "p99_ns") < v(0, "p99_ns"))
+        check("smallest_ebp_cuts_p99", v(8, "p99_ns") < v(0, "p99_ns"))
             .with_result("p99_cut_pct", cut("p99_ns"))
             .with_paper("p99_cut_pct", 50.0),
         check("doubling_the_ebp_diminishes", later_gain < first_gain)
             .with_result("first_gain_ns", first_gain)
             .with_result("later_gain_ns", later_gain),
     ];
-    trials.extend(checks);
-    let mut report = report.expect("fig12 ran a deployment");
-    report.trials = trials;
-    report
+    report("fig12", points, &key(64), checks)
 }
 
 /// The optimizer's default plan for CH query `q`: a nested-loop join where
@@ -356,7 +336,9 @@ pub fn fig14() -> RunReport {
     let g_beyond_plan = geomean(&|t| t.result["pq_speedup"] / t.result["plan_speedup"]);
     let winners: Vec<f64> = chbench::PUSHDOWN_WINNERS
         .iter()
-        .map(|&q| trials[q - 1].result["pq_speedup"])
+        .map(|&q| {
+            find(&trials, &Trial::default().with_param("query", q as f64)).result["pq_speedup"]
+        })
         .collect();
     let winners_2x = winners.iter().filter(|s| **s > 2.0).count();
     let checks = [

@@ -7,17 +7,17 @@ use std::sync::Arc;
 use vedb_astore::PageId;
 use vedb_core::catalog::ColumnType;
 use vedb_core::db::{Db, DbConfig, LogBackendKind};
-use vedb_core::ebp::EbpConfig;
-use vedb_core::{FlushPolicy, Value};
+use vedb_core::{Catalog, FlushPolicy, Value};
 use vedb_pagestore::page::PageType;
 use vedb_pagestore::redo::{PageOp, RedoRecord};
 use vedb_pagestore::{PageStore, PageStoreServer, CHECKPOINT_EVERY_RECORDS};
 use vedb_rdma::RpcFabric;
-use vedb_sim::{ClusterSpec, RunReport, SimCtx, SimEnv, Trial, VTime};
+use vedb_sim::{ClusterSpec, RunReport, SimCtx, Trial, VTime};
 use vedb_workloads::driver::{self, OpOutcome};
 use vedb_workloads::tpcc::{self, TpccScale};
 
-use super::check;
+use super::ebp::config;
+use super::{check, find, loaded, point, position, report};
 use crate::Deployment;
 
 /// One commit-sized transaction: insert a row in the client's private key
@@ -32,64 +32,57 @@ fn commit_op(ctx: &mut SimCtx, db: &Arc<Db>, client: usize, seqs: &[AtomicU64]) 
     }))
 }
 
-/// One deployment under `policy`, one trial per client count, on the
-/// Table I cluster except that each AStore server's PMem is one log DIMM
-/// lane — flushes serialize at the device, as on a real WAL device.
-fn commit_sweep(policy: FlushPolicy, clients: &[usize]) -> (Deployment, Vec<Trial>) {
+/// `params {policy, clients}`.
+fn key(policy: &str, clients: usize) -> Trial {
+    Trial::default()
+        .with_param("policy", policy)
+        .with_param("clients", clients as f64)
+}
+
+/// One [`point`] per client count under `policy`, each on a deployment of
+/// the Table I cluster except that each AStore server's PMem is one log
+/// DIMM lane — flushes serialize at the device, as on a real WAL device.
+/// Each trial carries its deployment's `wal_flushes` and `txn_commits`,
+/// the two flushes of its `create_tables` included.
+fn commit_sweep(policy: FlushPolicy, clients: &[usize]) -> Vec<(Trial, RunReport)> {
     let policy_name = match policy {
         FlushPolicy::PerCommit => "percommit",
         FlushPolicy::Group { .. } => "group",
     };
-    let mut spec = ClusterSpec::paper_default();
-    spec.model.pmem_lanes = 1;
-    let mut dep = Deployment::open_with(
-        DbConfig::builder()
+    let open = || {
+        let mut spec = ClusterSpec::paper_default();
+        spec.model.pmem_lanes = 1;
+        let cfg = DbConfig::builder()
             .bp_pages(4096)
             .bp_shards(16)
             .log(LogBackendKind::AStore)
             .ring_segments(12)
-            .flush_policy(policy)
-            .build()
-            .unwrap(),
-        spec,
-        192 << 20,
-        1 << 20,
-    );
-    dep.db.define_schema(|cat| {
-        cat.define("commits")
-            .col("id", ColumnType::Int)
-            .col("payload", ColumnType::Str)
-            .pk(&["id"])
-            .build();
-    });
-    dep.db.create_tables(&mut dep.ctx).unwrap();
-
-    let flushes = dep.metrics().counter("core", "wal_flushes");
-    let commits = dep.metrics().counter("core", "txn_commits");
-    let seqs: Vec<AtomicU64> = (0..clients.iter().max().copied().unwrap_or(1))
-        .map(|_| AtomicU64::new(0))
-        .collect();
-
-    let mut trials = Vec::new();
-    for &n in clients {
-        let db = Arc::clone(&dep.db);
-        let seqs = &seqs;
-        let (f0, c0) = (flushes.get(), commits.get());
-        let r = dep.trial(
-            n,
-            VTime::from_millis(5),
-            VTime::from_millis(60),
-            |ctx, client| commit_op(ctx, &db, client, seqs),
-        );
-        trials.push(
-            Trial::measured(&r)
-                .with_param("policy", policy_name)
-                .with_param("clients", n as f64)
-                .with_result("wal_flushes", (flushes.get() - f0) as f64)
-                .with_result("txn_commits", (commits.get() - c0) as f64),
-        );
-    }
-    (dep, trials)
+            .flush_policy(policy);
+        let dep = Deployment::open_with(cfg.build().unwrap(), spec, 192 << 20, 1 << 20);
+        let schema = |cat: &mut Catalog| {
+            cat.define("commits")
+                .col("id", ColumnType::Int)
+                .col("payload", ColumnType::Str)
+                .pk(&["id"])
+                .build();
+        };
+        loaded(dep, schema, |_, _| Ok(()))
+    };
+    clients
+        .iter()
+        .map(|&n| {
+            let seqs: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            let (trial, registry) =
+                point(key(policy_name, n), n, (5, 60), open, |ctx, db, client| {
+                    commit_op(ctx, db, client, &seqs)
+                });
+            let count = |k| registry.counter(k) as f64;
+            let trial = trial
+                .with_result("wal_flushes", count("core.wal_flushes"))
+                .with_result("txn_commits", count("core.txn_commits"));
+            (trial, registry)
+        })
+        .collect()
 }
 
 /// **Group-commit consolidation** — flushes per commit and commit latency
@@ -101,54 +94,51 @@ fn commit_sweep(policy: FlushPolicy, clients: &[usize]) -> (Deployment, Vec<Tria
 /// (the classic group-commit regime). Expected shape: under `PerCommit`,
 /// `core.wal_flushes` ≈ `core.txn_commits` and p50 grows with concurrency;
 /// under `Group` the ratio falls well below 1 and carried committers pay
-/// only the bounded dwell + one batched append. Trials are the 2 policies
-/// × 7 client counts, each with its own `wal_flushes` / `txn_commits`
-/// deltas; the registry sections describe the Group deployment over its
-/// whole sweep.
+/// only the bounded dwell + one batched append. Trials are `params {policy,
+/// clients}`, 2 policies × 7 client counts, each with its deployment's
+/// `wal_flushes` / `txn_commits`; the registry sections describe
+/// `{policy: group, clients: 64}`.
 pub fn group_commit() -> RunReport {
     let clients = [1usize, 2, 4, 8, 16, 32, 64];
     let group_policy = FlushPolicy::Group {
         max_batch_bytes: 64 * 1024,
         max_wait: VTime::from_micros(100),
     };
-    let (_, pc) = commit_sweep(FlushPolicy::PerCommit, &clients);
-    let (gr_dep, gr) = commit_sweep(group_policy, &clients);
+    let mut points: (Vec<Trial>, Vec<RunReport>) = commit_sweep(FlushPolicy::PerCommit, &clients)
+        .into_iter()
+        .unzip();
+    points.extend(commit_sweep(group_policy, &clients));
 
-    let mut report = gr_dep.report("group_commit", None);
-    let flushes = report.counter("core.wal_flushes");
-    let commits = report.counter("core.txn_commits");
-    let doorbells = report.counter("rdma.doorbells");
-    let wrs = report.counter("rdma.wrs");
+    let at = |policy: &str, n: usize| &find(&points.0, &key(policy, n)).result;
+    let group_sum = |k: &str| clients.iter().map(|&n| at("group", n)[k]).sum::<f64>();
+    let (flushes, commits) = (group_sum("wal_flushes"), group_sum("txn_commits"));
+    let peak = &points.1[position(&points.0, &key("group", 64))];
+    let (doorbells, wrs) = (peak.counter("rdma.doorbells"), peak.counter("rdma.wrs"));
     let mut checks = vec![
-        check(
-            "group_sweep_consolidates",
-            (flushes as f64) < commits as f64 * 0.5,
-        )
-        .with_result("wal_flushes", flushes as f64)
-        .with_result("txn_commits", commits as f64),
+        check("group_sweep_consolidates", flushes < commits * 0.5)
+            .with_result("wal_flushes", flushes)
+            .with_result("txn_commits", commits),
         check("doorbells_batch_wrs", doorbells > 0 && doorbells < wrs)
             .with_result("doorbells", doorbells as f64)
             .with_result("wrs", wrs as f64),
     ];
     // From 8 clients up, per client count.
-    let from_8 = || pc.iter().zip(&gr).zip(clients).filter(|(_, n)| *n >= 8);
-    checks.extend(from_8().map(|((p, g), n)| {
-        check(
-            "group_p50_below_percommit",
-            g.result["p50_ns"] < p.result["p50_ns"],
-        )
-        .with_param("clients", n as f64)
-        .with_result("percommit_p50_ns", p.result["p50_ns"])
-        .with_result("group_p50_ns", g.result["p50_ns"])
+    let from_8 = clients.into_iter().filter(|&n| n >= 8);
+    checks.extend(from_8.clone().map(|n| {
+        let (p, g) = (at("percommit", n), at("group", n));
+        check("group_p50_below_percommit", g["p50_ns"] < p["p50_ns"])
+            .with_param("clients", n as f64)
+            .with_result("percommit_p50_ns", p["p50_ns"])
+            .with_result("group_p50_ns", g["p50_ns"])
     }));
-    checks.extend(from_8().map(|((_, g), n)| {
-        let per_commit = g.result["wal_flushes"] / g.result["txn_commits"].max(1.0);
+    checks.extend(from_8.map(|n| {
+        let g = at("group", n);
+        let per_commit = g["wal_flushes"] / g["txn_commits"].max(1.0);
         check("group_flushes_per_commit_below_half", per_commit < 0.5)
             .with_param("clients", n as f64)
             .with_result("flushes_per_commit", per_commit)
     }));
-    report.trials = pc.into_iter().chain(gr).chain(checks).collect();
-    report
+    report("group_commit", points, &key("group", 64), checks)
 }
 
 /// Pages the synthetic log touches: 32 pages of one segment, so the
@@ -159,57 +149,38 @@ const LOG_PAGES: u32 = 32;
 /// pages: each page is formatted, seeded with one cell, then updated in
 /// place (updates never grow, so the stream is valid at any length).
 fn make_log(n: usize) -> Vec<RedoRecord> {
-    let mut records = Vec::with_capacity(n);
-    let mut seeded = [false; LOG_PAGES as usize];
-    let mut lsn = 0u64;
-    let rec = |lsn: u64, page_no: u32, op: PageOp| RedoRecord {
-        lsn,
-        prev_same_segment: 0,
-        txn_id: 1,
-        page: PageId {
-            space_no: 1,
-            page_no,
-        },
-        op,
-    };
-    let mut i = 0usize;
-    while records.len() < n {
-        let p = (i % LOG_PAGES as usize) as u32;
-        i += 1;
-        if !seeded[p as usize] {
-            seeded[p as usize] = true;
-            lsn += 1;
-            records.push(rec(
-                lsn,
-                p,
-                PageOp::Format {
-                    ty: PageType::BTreeLeaf,
-                    level: 0,
-                },
-            ));
-            lsn += 1;
-            records.push(rec(
-                lsn,
-                p,
+    let pages = LOG_PAGES as usize;
+    let records = (0..n).map(|i| {
+        let lsn = i as u64 + 1;
+        // The first two records of each page, page by page, then updates.
+        let (page_no, op) = match i {
+            i if i >= 2 * pages => {
+                let cell = vec![(lsn & 0xFF) as u8; 64];
+                ((i - 2 * pages) % pages, PageOp::Update { slot: 0, cell })
+            }
+            i if i % 2 == 0 => {
+                let (ty, level) = (PageType::BTreeLeaf, 0);
+                (i / 2, PageOp::Format { ty, level })
+            }
+            i => (
+                i / 2,
                 PageOp::InsertAt {
                     slot: 0,
                     cell: vec![0xA5; 64],
                 },
-            ));
-            continue;
-        }
-        lsn += 1;
-        records.push(rec(
+            ),
+        };
+        let page = PageId::new(1, page_no as u32);
+        let (prev_same_segment, txn_id) = (0, 1);
+        RedoRecord {
             lsn,
-            p,
-            PageOp::Update {
-                slot: 0,
-                cell: vec![(lsn & 0xFF) as u8; 64],
-            },
-        ));
-    }
-    records.truncate(n);
-    records
+            prev_same_segment,
+            txn_id,
+            page,
+            op,
+        }
+    });
+    records.collect()
 }
 
 /// Records per ship in [`restart_after`]: one commit-sized batch.
@@ -218,9 +189,9 @@ const SHIP_BATCH: usize = 128;
 /// Ship an `n`-record log to a raw PageStore cluster (no engine) in
 /// [`SHIP_BATCH`]-record ships, so the background checkpointer trips
 /// repeatedly, then crash-restart one replica and measure the rebuild: its
-/// virtual latency and the records it replayed. Returns the cluster with
-/// the trial.
-fn restart_after(n: usize) -> (Arc<SimEnv>, Trial) {
+/// virtual latency and the records it replayed. Returns the trial with
+/// the cluster's registry.
+fn restart_after(n: usize) -> (Trial, RunReport) {
     let env = ClusterSpec::paper_default().build();
     let servers: Vec<Arc<PageStoreServer>> = env
         .storage_nodes
@@ -253,7 +224,7 @@ fn restart_after(n: usize) -> (Arc<SimEnv>, Trial) {
         .with_param("log_records", n as f64)
         .with_result("restart_ns", ctx.now().saturating_sub(t0).as_nanos() as f64)
         .with_result("replayed_records", replayed as f64);
-    (env, trial)
+    (trial, RunReport::collect("", None, &env.metrics))
 }
 
 /// **Recovery** — what a crash-restart of the shipped apply pipeline
@@ -271,30 +242,27 @@ fn restart_after(n: usize) -> (Arc<SimEnv>, Trial) {
 /// 24 000-record cluster.
 pub fn recovery() -> RunReport {
     let sweep = [2_000usize, 8_000, 24_000];
-    let runs: Vec<(Arc<SimEnv>, Trial)> = sweep.iter().map(|&n| restart_after(n)).collect();
+    let points: (Vec<Trial>, Vec<RunReport>) = sweep.iter().map(|&n| restart_after(n)).unzip();
+    let key = |n: usize| Trial::default().with_param("log_records", n as f64);
+    let at = |n: usize| &find(&points.0, &key(n)).result;
     let bound = (CHECKPOINT_EVERY_RECORDS as usize + SHIP_BATCH) as f64;
-    let mut checks: Vec<Trial> = runs
+    let mut checks: Vec<Trial> = sweep
         .iter()
-        .zip(sweep)
-        .map(|((_, t), n)| {
-            let replayed = t.result["replayed_records"];
+        .map(|&n| {
+            let replayed = at(n)["replayed_records"];
             check("checkpoints_bound_replay", replayed <= bound)
                 .with_param("log_records", n as f64)
                 .with_result("replayed_records", replayed)
                 .with_result("bound_records", bound)
         })
         .collect();
-    let restart_ns = |i: usize| runs[i].1.result["restart_ns"];
-    let (short, long) = (restart_ns(0), restart_ns(sweep.len() - 1));
+    let (short, long) = (at(2_000)["restart_ns"], at(24_000)["restart_ns"]);
     checks.push(
         check("restart_flat_in_log_length", long <= 1.5 * short)
             .with_result("restart_ns_2000", short)
             .with_result("restart_ns_24000", long),
     );
-
-    let mut report = RunReport::collect("recovery", None, &runs[sweep.len() - 1].0.metrics);
-    report.trials = runs.into_iter().map(|(_, t)| t).chain(checks).collect();
-    report
+    report("recovery", points, &key(24_000), checks)
 }
 
 /// **TPC-C smoke** — one traced single-client TPC-C trial on the full
@@ -307,39 +275,23 @@ pub fn recovery() -> RunReport {
 /// EBP-under-concurrent-writers races.
 pub fn tpcc_smoke() -> RunReport {
     let scale = TpccScale::bench();
-    // A buffer pool smaller than the loaded tables (same shape as Fig 10),
-    // so evictions spill into the EBP and the ebp_* counters exercise both
-    // the write and the hit path.
-    let mut dep = Deployment::open(
-        DbConfig::builder()
-            .bp_pages(96)
-            .bp_shards(8)
-            .log(LogBackendKind::AStore)
-            .ring_segments(12)
-            .ebp(EbpConfig {
-                capacity_bytes: 256 << 20,
-                ..Default::default()
-            })
-            .build()
-            .unwrap(),
-    );
-    dep.db.define_schema(tpcc::define_schema);
-    dep.db.create_tables(&mut dep.ctx).unwrap();
-    tpcc::load(&mut dep.ctx, &dep.db, &scale).unwrap();
-
-    // Trace the trial (not the load) so the report's `profile` section
-    // carries commit-phase attribution. The ring must hold the whole
-    // measurement window: ~1K commits x ~50 spans fits in 2^18.
-    dep.metrics().trace().set_capacity(1 << 18);
-    dep.metrics().trace().enable();
-    let db = Arc::clone(&dep.db);
-    let r = dep.trial(
-        1,
-        VTime::from_millis(5),
-        VTime::from_millis(200),
-        |ctx, _| tpcc::run_transaction(ctx, &db, &scale),
-    );
-    let report = dep.report("tpcc_smoke", Some(&r));
+    let open = || {
+        // A buffer pool smaller than the loaded tables (same shape as Fig
+        // 10), so evictions spill into the EBP and the ebp_* counters
+        // exercise both the write and the hit path.
+        let dep = Deployment::open(config(96, Some(256 << 20)));
+        let dep = loaded(dep, tpcc::define_schema, |c, db| tpcc::load(c, db, &scale));
+        // Trace the trial (not the load) so the report's `profile` section
+        // carries commit-phase attribution. The ring must hold the whole
+        // measurement window: ~1K commits x ~50 spans fits in 2^18.
+        dep.metrics().trace().set_capacity(1 << 18);
+        dep.metrics().trace().enable();
+        dep
+    };
+    let op = |ctx: &mut SimCtx, db: &Arc<Db>, _| tpcc::run_transaction(ctx, db, &scale);
+    let (trial, mut report) = point(Trial::default(), 1, (5, 200), open, op);
+    report.name = "tpcc_smoke".into();
+    report.trials = vec![trial];
 
     for key in [
         "pmem.flushes",

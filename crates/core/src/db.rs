@@ -930,6 +930,48 @@ mod tests {
         assert_eq!(got, Ok(Some(vec![Value::Int(1)])));
     }
 
+    /// A commit whose flush fails still ends its transaction: the error
+    /// comes back, the row locks are released, a later abort is refused,
+    /// and the next writer of the row takes its lock without waiting.
+    #[test]
+    fn a_commit_whose_flush_fails_releases_its_locks() {
+        let fabric = StorageFabric::build(ClusterSpec::paper_default(), 32 << 20, 256 * 1024);
+        let mut ctx = SimCtx::new(1, 42);
+        let db = Db::open(&mut ctx, &fabric, DbConfig::builder().build().unwrap()).unwrap();
+        db.define_schema(|cat| {
+            cat.define("t")
+                .col("id", crate::catalog::ColumnType::Int)
+                .col("v", crate::catalog::ColumnType::Int)
+                .pk(&["id"])
+                .build();
+        });
+        db.create_tables(&mut ctx).unwrap();
+        let row = vec![Value::Int(1), Value::Int(0)];
+        db.transact(&mut ctx, |ctx, txn| {
+            db.insert(ctx, txn, "t", row).map(|()| true)
+        })
+        .unwrap();
+
+        let bump = |row: &mut Row| row[1] = Value::Int(1);
+        let mut txn = db.begin();
+        db.update_by_pk(&mut ctx, &mut txn, "t", &[Value::Int(1)], bump)
+            .unwrap();
+        for s in &fabric.astore_servers {
+            fabric.env.faults.crash(s.node());
+        }
+        assert!(db.commit(&mut ctx, &mut txn).is_err());
+        assert_eq!(db.locks.held_keys(), 0);
+        assert!(txn.locks.is_empty());
+        assert_eq!(db.abort(&mut ctx, &mut txn), Err(EngineError::TxnFinished));
+
+        let waits = fabric.env.metrics.counter("core", "lock_waits");
+        let before = waits.get();
+        let mut next = db.begin();
+        db.update_by_pk(&mut ctx, &mut next, "t", &[Value::Int(1)], bump)
+            .unwrap();
+        assert_eq!(waits.get(), before);
+    }
+
     /// A WAL frame holds exactly one record: a byte after it is a codec
     /// error, for every record kind and every redo op.
     #[test]

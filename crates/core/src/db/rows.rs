@@ -301,13 +301,19 @@ impl Db {
         ctx.wait_until(done);
         let commit_lsn = self.wal.log(ctx, &WalRecord::Commit { txn_id: txn.id })?;
         // The commit latency: flush the global log buffer (group commit).
-        self.wal.flush(ctx, commit_lsn)?;
-        self.flush_ship(ctx, false);
-        self.maybe_auto_checkpoint(ctx)?;
+        let durable = self.wal.flush(ctx, commit_lsn).and_then(|()| {
+            self.flush_ship(ctx, false);
+            self.maybe_auto_checkpoint(ctx)
+        });
+        // Once its Commit record is logged the transaction is over, whether
+        // or not the flush went through: a failed flush keeps the record
+        // queued ahead of every later one, so no transaction that takes
+        // these locks next can become durable before it.
         self.locks.release_all(ctx.now(), txn.id, &txn.locks);
         txn.locks.clear();
         txn.undo.clear();
         txn.status = TxnStatus::Committed;
+        durable?;
         self.stats.commits.inc();
         self.stats.commit_lat.record(ctx.now() - t0);
         sp.finish(ctx);

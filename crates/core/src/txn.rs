@@ -13,7 +13,7 @@ use crate::wal::UndoInfo;
 pub enum TxnStatus {
     /// Running.
     Active,
-    /// Durably committed.
+    /// Its Commit record is logged; durable once `commit` returned `Ok`.
     Committed,
     /// Rolled back.
     Aborted,
