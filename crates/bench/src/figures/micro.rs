@@ -295,6 +295,7 @@ fn replication(f: &StorageFabric) -> Vec<Trial> {
             )
             .unwrap();
         let t0 = ctx.now();
+        let mut appends = 0;
         for _ in 0..N {
             if client.segment_len(seg) + payload.len() as u64 > client.segment_capacity(seg) {
                 break;
@@ -302,8 +303,10 @@ fn replication(f: &StorageFabric) -> Vec<Trial> {
             client
                 .append_with(&mut ctx, seg, &payload, AppendOpts::new())
                 .unwrap();
+            appends += 1;
         }
-        let avg_lat = (ctx.now() - t0) / N as u64;
+        assert_eq!(appends, N, "a {replication}-replica segment filled up");
+        let avg_lat = (ctx.now() - t0) / appends as u64;
         lat.push(avg_lat);
         trials.push(avg(
             "replication",

@@ -141,8 +141,8 @@ pub fn group_commit() -> RunReport {
     report("group_commit", points, &key("group", 64), checks)
 }
 
-/// Pages the synthetic log touches: 32 pages of one segment, so the
-/// partitioner has independent work for every worker.
+/// Pages the synthetic log touches: 32 pages of one segment, so the four
+/// apply partitions all have independent work.
 const LOG_PAGES: u32 = 32;
 
 /// An `n`-record redo stream interleaved round-robin across [`LOG_PAGES`]

@@ -19,10 +19,10 @@
 //! ## The apply pipeline, checkpoints, and point-in-time restore
 //!
 //! Every server runs one apply pipeline, with no knobs. It replays a
-//! segment's queued redo in the background once 64 records queue up,
-//! through a per-node pool of four workers: records partition by page id,
-//! so one page's records stay on one worker in LSN order while distinct
-//! pages apply concurrently on the node's CPU lanes. After every
+//! segment's queued redo in the background once 64 records queue up, in
+//! four page partitions each booked on the node's CPU: one page's records
+//! stay in one partition in LSN order while distinct pages apply
+//! concurrently on the CPU's lanes. After every
 //! [`CHECKPOINT_EVERY_RECORDS`] accepted records or
 //! [`CHECKPOINT_EVERY_BYTES`] accepted redo bytes of a segment, whichever
 //! comes first, a background checkpointer writes the segment's changed

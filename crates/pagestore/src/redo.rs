@@ -157,14 +157,6 @@ pub struct RedoRecord {
 }
 
 impl RedoRecord {
-    /// Apply-worker partition for this record under a pool of `workers`:
-    /// page-id affinity keeps every record of one page on the same worker,
-    /// which is what lets the parallel applier preserve per-page LSN order
-    /// while applying independent pages concurrently.
-    pub fn apply_partition(&self, workers: usize) -> usize {
-        self.page.page_no as usize % workers.max(1)
-    }
-
     /// Apply to `page` if not already applied (LSN test makes replay
     /// idempotent).
     pub fn apply(&self, page: &mut Page) -> Result<()> {

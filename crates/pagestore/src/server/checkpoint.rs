@@ -157,8 +157,6 @@ impl PageStoreServer {
         // Every queued record has lsn <= last_lsn < lsn: superseded.
         let stale_q = seg.queue.len();
         seg.queue.clear();
-        self.stats.queued.sub(stale_q as i64);
-        self.stats.apply_lag.sub(stale_q as i64);
         // Live map and checkpoint (and the serving peer) share every image.
         seg.pages = pages.iter().cloned().collect();
         seg.changed.clear();
@@ -174,8 +172,7 @@ impl PageStoreServer {
         for l in &covered {
             seg.out_of_order.remove(l);
         }
-        self.stats.parked.sub(covered.len() as i64);
-        self.stats.apply_lag.sub(covered.len() as i64);
+        self.stats.lag(-(stale_q as i64), -(covered.len() as i64));
         self.stats
             .records_superseded
             .add((stale_q + covered.len()) as u64);
@@ -186,7 +183,7 @@ impl PageStoreServer {
     /// Crash-restart this server: volatile state (page images, apply
     /// queue, apply watermark) is lost; the durable redo log, parked
     /// records and checkpoints survive. Every segment is rebuilt from
-    /// checkpoint + log replay through the worker pool. Returns the number
+    /// checkpoint + log replay on the node's CPU. Returns the number
     /// of records replayed; the caller's virtual-time delta across this
     /// call is the node's recovery time.
     pub fn restart(&self, ctx: &mut SimCtx) -> Result<usize> {
@@ -292,8 +289,7 @@ impl PageStoreServer {
                 for l in &dropped_p {
                     seg.out_of_order.remove(l);
                 }
-                self.stats.parked.sub(dropped_p.len() as i64);
-                self.stats.apply_lag.sub(dropped_p.len() as i64);
+                self.stats.lag(0, -(dropped_p.len() as i64));
                 self.stats
                     .records_superseded
                     .add((dropped_r + dropped_p.len()) as u64);
@@ -304,8 +300,7 @@ impl PageStoreServer {
             // Volatile state dies with the old incarnation.
             let stale_q = seg.queue.len();
             seg.queue.clear();
-            self.stats.queued.sub(stale_q as i64);
-            self.stats.apply_lag.sub(stale_q as i64);
+            self.stats.lag(-(stale_q as i64), 0);
             // The base install shares the checkpoint's images, and those the
             // other replicas hold of the same page versions; replay copies
             // the ones it touches.
@@ -323,27 +318,18 @@ impl PageStoreServer {
             seg.changed.clear();
             seg.applied_lsn = base_lsn;
             seg.last_lsn = replay.last().map(|r| r.lsn).unwrap_or(base_lsn);
-            let n_replay = replay.len();
-            self.stats.queued.add(n_replay as i64);
-            self.stats.apply_lag.add(n_replay as i64);
-            seg.queue = replay;
-            (seg.pages.len(), n_replay)
+            self.stats.lag(replay.len() as i64, 0);
+            (seg.pages.len(), replay)
         };
         if base_pages > 0 {
             // Stream the checkpoint image back in (sequential read).
             self.charge_ssd(ctx, self.model.ssd_read_svc(base_pages * PAGE_SIZE) / 4);
         }
-        let to_apply: Vec<Arc<RedoRecord>> = {
-            let mut segs = self.segs.lock();
-            match segs.get_mut(&key) {
-                Some(seg) => std::mem::take(&mut seg.queue),
-                None => Vec::new(),
-            }
-        };
-        if !to_apply.is_empty() {
-            self.apply_batch(ctx, key, to_apply, true)?;
+        let n_replay = replay.len();
+        if n_replay > 0 {
+            self.apply_batch(ctx, key, replay, true)?;
         }
-        Ok(replay)
+        Ok(n_replay)
     }
 
     /// LSN of this segment's checkpoint, 0 if none (tests / monitoring).

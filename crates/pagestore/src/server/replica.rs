@@ -1,6 +1,6 @@
 //! One replica's state machine: accept shipped redo (in order or parked
-//! behind a back-link gap), gossip holes closed, apply through the worker
-//! pool, and serve page reads.
+//! behind a back-link gap), gossip holes closed, apply on the node's CPU,
+//! and serve page reads.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -13,9 +13,7 @@ use vedb_rdma::RpcFabric;
 use vedb_sim::cluster::NodeRes;
 use vedb_sim::fault::NodeId;
 use vedb_sim::trace::TraceLog;
-use vedb_sim::{
-    Counter, FxHashMap, Gauge, LatencyModel, LatencyRecorder, Resource, SimCtx, VTime, WorkerPool,
-};
+use vedb_sim::{Counter, FxHashMap, Gauge, LatencyModel, LatencyRecorder, Resource, SimCtx, VTime};
 
 use super::checkpoint::SegCheckpoint;
 use super::PsSegmentKey;
@@ -93,9 +91,9 @@ impl ReplicaSeg {
 /// little left to apply.
 const REPLAY_BATCH: usize = 64;
 
-/// Apply workers per server. Redo partitions by page id across the pool
-/// ([`RedoRecord::apply_partition`]), so independent pages apply
-/// concurrently on the node's CPU lanes while each page keeps LSN order.
+/// Apply partitions per batch. Redo partitions by `page_no % APPLY_WORKERS`
+/// and each partition books its CPU on its own lane of the node, so
+/// independent pages apply concurrently while each page keeps LSN order.
 const APPLY_WORKERS: usize = 4;
 
 /// Newly accepted records of a segment after which the replica snapshots
@@ -215,10 +213,11 @@ impl FleetImages {
 /// → same instance), so each reads cluster-wide.
 ///
 /// Lag accounting distinguishes *where* an accepted record waits:
-/// `queued_records` counts records queued behind an apply worker (in-order,
-/// waiting for CPU), `parked_records` counts records parked out-of-order
-/// behind a back-link gap. `apply_lag_records` is their sum. In fault-free
-/// runs the books balance exactly:
+/// `queued_records` counts records queued for replay (in-order, waiting for
+/// CPU), `parked_records` counts records parked out-of-order behind a
+/// back-link gap. `apply_lag_records` is their sum: the three move together
+/// through [`PsStats::lag`] and nowhere else. In fault-free runs the books
+/// balance exactly:
 /// `records_accepted == records_applied + queued_records + parked_records`
 /// (asserted by `metrics_accuracy`); crashes and checkpoint installs retire
 /// records without applying them, counted by `records_superseded` /
@@ -236,9 +235,9 @@ pub(super) struct PsStats {
     pub(super) restores: Arc<Counter>,
     pub(super) restore_replayed: Arc<Counter>,
     pub(super) records_superseded: Arc<Counter>,
-    pub(super) apply_lag: Arc<Gauge>,
-    pub(super) queued: Arc<Gauge>,
-    pub(super) parked: Arc<Gauge>,
+    apply_lag: Arc<Gauge>,
+    queued: Arc<Gauge>,
+    parked: Arc<Gauge>,
     pub(super) read_lat: Arc<LatencyRecorder>,
     pub(super) trace: Arc<TraceLog>,
 }
@@ -266,6 +265,14 @@ impl PsStats {
             trace: Arc::clone(reg.trace()),
         }
     }
+
+    /// Move accepted records into (positive) or out of (negative) the
+    /// queued and parked books; the apply lag moves by their sum.
+    pub(super) fn lag(&self, queued: i64, parked: i64) {
+        self.queued.add(queued);
+        self.parked.add(parked);
+        self.apply_lag.add(queued + parked);
+    }
 }
 
 /// Absorb parked records that now chain onto the in-order stream: either
@@ -287,8 +294,7 @@ pub(super) fn absorb_parked(seg: &mut ReplicaSeg, stats: &PsStats, floor: Lsn) {
         absorbed += 1;
     }
     if absorbed > 0 {
-        stats.parked.sub(absorbed);
-        stats.queued.add(absorbed);
+        stats.lag(absorbed, -absorbed);
     }
 }
 
@@ -299,9 +305,6 @@ pub struct PageStoreServer {
     /// The node's SSD: redo apply, checkpoints and page reads charge it.
     ssd: Arc<Resource>,
     pub(super) model: LatencyModel,
-    /// Apply workers over this node's CPU — parallel redo apply and
-    /// restore replay both price their CPU through the pool.
-    pool: WorkerPool,
     /// At most one background checkpoint in flight per server.
     ckpt_inflight: AtomicBool,
     pub(super) segs: Mutex<FxHashMap<PsSegmentKey, ReplicaSeg>>,
@@ -312,7 +315,7 @@ pub struct PageStoreServer {
 }
 
 impl PageStoreServer {
-    /// Create a server on a storage node: four apply workers and a
+    /// Create a server on a storage node: four apply partitions and a
     /// background checkpoint every [`CHECKPOINT_EVERY_RECORDS`] records or
     /// [`CHECKPOINT_EVERY_BYTES`] bytes, its pages kept on `ssd`.
     pub fn new(
@@ -322,18 +325,11 @@ impl PageStoreServer {
         model: LatencyModel,
     ) -> Arc<Self> {
         let stats = PsStats::register(&res);
-        let pool = WorkerPool::with_metrics(
-            &format!("{}.apply", res.name),
-            APPLY_WORKERS,
-            Arc::clone(&res.cpu),
-            &res.metrics,
-        );
         Arc::new(PageStoreServer {
             node,
             res,
             ssd,
             model,
-            pool,
             ckpt_inflight: AtomicBool::new(false),
             segs: Mutex::new(FxHashMap::default()),
             fleet: OnceLock::new(),
@@ -420,9 +416,7 @@ impl PageStoreServer {
             let accepted = in_order + parked;
             if accepted > 0 {
                 self.stats.records_accepted.add(accepted);
-                self.stats.queued.add(in_order as i64);
-                self.stats.parked.add(parked as i64);
-                self.stats.apply_lag.add(accepted as i64);
+                self.stats.lag(in_order as i64, parked as i64);
             }
             seg.accepted_since_ckpt += accepted;
             seg.accepted_bytes_since_ckpt += bytes;
@@ -571,8 +565,7 @@ impl PageStoreServer {
     }
 
     /// Apply all in-order records (the "constantly replays" background
-    /// work, charged to this node's CPU — through the worker pool — and
-    /// SSD).
+    /// work, charged to this node's CPU and SSD).
     pub fn apply_pending(&self, ctx: &mut SimCtx, key: PsSegmentKey) -> Result<()> {
         let to_apply: Vec<Arc<RedoRecord>> = {
             let mut segs = self.segs.lock();
@@ -591,11 +584,13 @@ impl PageStoreServer {
         Ok(())
     }
 
-    /// Apply a drained batch through the worker pool. Records partition by
-    /// page id ([`RedoRecord::apply_partition`]) so a page's records stay
-    /// on one worker in LSN order while distinct pages apply concurrently;
-    /// page mutation itself happens under the segment lock in worker-index
-    /// order, so the resulting images are identical to a serial apply.
+    /// Apply a drained batch. Records partition by `page_no %
+    /// APPLY_WORKERS`, so a page's records stay in one partition in LSN
+    /// order; every partition books its CPU on the node at the batch's
+    /// start, so distinct pages apply concurrently on the node's lanes and
+    /// the caller waits for the slowest. Page mutation itself happens under
+    /// the segment lock in partition order, so the resulting images are
+    /// identical to a serial apply.
     /// With `recovery` set, applied records count as
     /// `restore_replayed_records` instead of `records_applied`.
     ///
@@ -611,17 +606,18 @@ impl PageStoreServer {
         to_apply: Vec<Arc<RedoRecord>>,
         recovery: bool,
     ) -> Result<usize> {
-        let nparts = self.pool.workers();
-        let mut parts: Vec<Vec<Arc<RedoRecord>>> = vec![Vec::new(); nparts];
+        let mut parts: Vec<Vec<Arc<RedoRecord>>> = vec![Vec::new(); APPLY_WORKERS];
         for rec in to_apply {
-            let p = rec.apply_partition(nparts);
-            parts[p].push(rec);
+            parts[rec.page.page_no as usize % APPLY_WORKERS].push(rec);
         }
-        let demands: Vec<VTime> = parts
-            .iter()
-            .map(|p| VTime::from_nanos(p.len() as u64 * self.model.cpu_redo_apply_ns))
-            .collect();
-        self.pool.dispatch(ctx, &demands);
+        // Every partition bids for the CPU at the same instant; the node's
+        // calendar puts them on however many lanes are free. An empty
+        // partition's zero demand books nothing.
+        let t0 = ctx.now();
+        for part in &parts {
+            let demand = VTime::from_nanos(part.len() as u64 * self.model.cpu_redo_apply_ns);
+            ctx.wait_until(self.res.cpu.acquire(t0, demand));
+        }
         let mut touched = 0usize;
         let mut first_err: Option<PageStoreError> = None;
         {
@@ -671,8 +667,8 @@ impl PageStoreServer {
                             seg.changed.insert(no);
                         }
                         if let Err(e) = applied {
-                            // Keep this worker's unapplied tail; other
-                            // workers' pages are independent and keep
+                            // Keep this partition's unapplied tail; other
+                            // partitions' pages are independent and keep
                             // applying. Dropping the tail would freeze
                             // `applied_lsn` below these records forever
                             // (permanent `NotYetApplied` on later reads).
@@ -694,8 +690,8 @@ impl PageStoreServer {
                 }
             }
             // The apply watermark promises "everything at or below is
-            // applied": with a stuck record at LSN s, records beyond s on
-            // *other* workers may be applied but cannot be advertised.
+            // applied": with a stuck record at LSN s, records beyond s in
+            // *other* partitions may be applied but cannot be advertised.
             let watermark = match stuck_min {
                 None => applied_max,
                 Some(s) => applied_max.min(s.saturating_sub(1)),
@@ -712,8 +708,7 @@ impl PageStoreServer {
         } else {
             self.stats.records_applied.add(touched as u64);
         }
-        self.stats.queued.sub(touched as i64);
-        self.stats.apply_lag.sub(touched as i64);
+        self.stats.lag(-(touched as i64), 0);
         if touched > 0 {
             let batches = touched.div_ceil(16).max(1);
             self.charge_ssd(ctx, self.model.ssd_write_svc(batches * PAGE_SIZE) / 4);
@@ -832,12 +827,80 @@ mod tests {
 
     use vedb_astore::PageId;
     use vedb_rdma::RpcFabric;
-    use vedb_sim::SimCtx;
+    use vedb_sim::{ClusterSpec, LatencyModel, SimCtx, VTime};
 
     use super::super::testutil::{make_records, setup};
-    use super::PsSegmentKey;
+    use super::{PageStoreServer, PsSegmentKey};
+    use crate::page::PageType;
     use crate::redo::{PageOp, RedoRecord};
     use crate::PageStoreError;
+
+    /// One apply batch over three page partitions books three acquires on
+    /// the node's CPU, all at the batch's start (the fourth partition is
+    /// empty and books nothing). On one lane they run back to back and the
+    /// batch returns at their summed completion; on three lanes or more
+    /// they run side by side and it returns when the slowest is done.
+    #[test]
+    fn apply_batch_books_each_partition_on_the_node_cpu_at_its_start() {
+        for lanes in [1, 3, 64] {
+            // A free SSD, so the clock shows the CPU alone.
+            let model = LatencyModel {
+                ssd_write_base_ns: 0,
+                ssd_write_per_kb_ns: 0,
+                ..LatencyModel::paper_default()
+            };
+            let env = ClusterSpec {
+                storage_servers: 1,
+                storage_cores: lanes,
+                model,
+                ..ClusterSpec::paper_default()
+            }
+            .build();
+            let node = &env.storage_nodes[0];
+            let ssd = node.ssd.clone().unwrap();
+            let server = PageStoreServer::new(200, Arc::clone(node), ssd, env.model.clone());
+            // Page p (partition p) gets p + 1 records: a format, then inserts.
+            let mut records = Vec::new();
+            let mut prev = 0;
+            for page_no in 0..3u32 {
+                for i in 0..=page_no {
+                    let op = match i {
+                        0 => PageOp::Format {
+                            ty: PageType::BTreeLeaf,
+                            level: 0,
+                        },
+                        _ => PageOp::InsertAt {
+                            slot: i as u16 - 1,
+                            cell: b"cell".to_vec(),
+                        },
+                    };
+                    let lsn = prev + 10;
+                    records.push(Arc::new(RedoRecord {
+                        lsn,
+                        prev_same_segment: prev,
+                        txn_id: 1,
+                        page: PageId::new(1, page_no),
+                        op,
+                    }));
+                    prev = lsn;
+                }
+            }
+            let key = PsSegmentKey::of(PageId::new(1, 0));
+            let mut ctx = SimCtx::new(1, 7);
+            server.handle_ship(&mut ctx, std::iter::once((key, &records[..])));
+            let ops = env.metrics.counter("storage-0.cpu", "ops");
+            let (ops_before, t0) = (ops.get(), ctx.now());
+            server.apply_pending(&mut ctx, key).unwrap();
+            assert_eq!(ops.get() - ops_before, 3, "{lanes} lanes");
+            assert_eq!(server.applied_lsn(key), prev);
+            let per_record = env.model.cpu_redo_apply_ns;
+            let expect = match lanes {
+                1 => (1 + 2 + 3) * per_record,
+                _ => 3 * per_record,
+            };
+            assert_eq!(ctx.now() - t0, VTime::from_nanos(expect), "{lanes} lanes");
+        }
+    }
 
     #[test]
     fn backlink_gap_detected_and_gossip_fills() {

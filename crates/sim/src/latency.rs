@@ -106,8 +106,8 @@ pub struct LatencyModel {
     /// Per-record cost of accepting shipped redo (back-link check, durable
     /// log append bookkeeping).
     pub cpu_redo_accept_ns: u64,
-    /// Per-record cost of applying redo to a page image, charged on the
-    /// apply worker that owns the page.
+    /// Per-record cost of applying redo to a page image, charged to the
+    /// node's CPU within the page's apply partition.
     pub cpu_redo_apply_ns: u64,
 }
 

@@ -44,7 +44,6 @@ pub mod rng;
 pub mod sched;
 pub mod time;
 pub mod trace;
-pub mod workers;
 
 pub use cluster::{ClusterSpec, SimEnv};
 pub use contention::{HotKeyStat, LockContention, LockProfile, TableLockStat};
@@ -59,4 +58,3 @@ pub use rng::SimRng;
 pub use sched::{run_clients, Waker};
 pub use time::{SimCtx, VTime};
 pub use trace::{SpanGuard, TraceEvent, TraceLog};
-pub use workers::WorkerPool;
