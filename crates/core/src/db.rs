@@ -410,6 +410,8 @@ pub struct Db {
     ship_order: Mutex<()>,
     shipped_lsn: AtomicU64,
     next_txn: AtomicU64,
+    /// Each table's next id for [`Db::next_id`], by space number.
+    next_ids: Mutex<FxHashMap<u32, i64>>,
     space_latches: Mutex<FxHashMap<u32, Arc<RwLock<()>>>>,
     env: Arc<SimEnv>,
     log_segments: Vec<SegmentId>,
@@ -502,6 +504,7 @@ impl Db {
             ship_order: Mutex::new(()),
             shipped_lsn: AtomicU64::new(0),
             next_txn: AtomicU64::new(1),
+            next_ids: Mutex::new(FxHashMap::default()),
             space_latches: Mutex::new(FxHashMap::default()),
             env: Arc::clone(&fabric.env),
             log_segments,
@@ -899,6 +902,33 @@ mod tests {
             roots: BTreeMap::from([(7, (3, 1)), (8, (9, 0))]),
         };
         check_prefixes(&encode_meta(&meta), &meta, decode_meta);
+    }
+
+    /// Each table counts its own ids from 1, and so does each `Db`; an
+    /// unknown table has no counter.
+    #[test]
+    fn next_id_counts_per_table_and_per_db() {
+        let fabric = StorageFabric::build(ClusterSpec::paper_default(), 32 << 20, 256 * 1024);
+        let mut ctx = SimCtx::new(1, 42);
+        let open = |ctx: &mut SimCtx| {
+            let db = Db::open(ctx, &fabric, DbConfig::builder().build().unwrap()).unwrap();
+            db.define_schema(|cat| {
+                for name in ["a", "b"] {
+                    cat.define(name)
+                        .col("id", crate::catalog::ColumnType::Int)
+                        .pk(&["id"])
+                        .build();
+                }
+            });
+            db
+        };
+        let (one, two) = (open(&mut ctx), open(&mut ctx));
+        let ids = |db: &Db, table| [(); 3].map(|()| db.next_id(table).unwrap());
+        assert_eq!(ids(&one, "a"), [1, 2, 3]);
+        assert_eq!(ids(&one, "b"), [1, 2, 3]);
+        assert_eq!(ids(&two, "a"), [1, 2, 3]);
+        assert_eq!(one.next_id("a"), Ok(4));
+        assert_eq!(one.next_id("c"), Err(EngineError::UnknownTable("c".into())));
     }
 
     /// A point read through a finished transaction is refused before it

@@ -21,6 +21,20 @@ impl Db {
         TxnHandle::new(self.next_txn.fetch_add(1, Ordering::Relaxed))
     }
 
+    /// The next id from `table`'s own counter: 1, 2, 3, … in each `Db`,
+    /// like InnoDB's AUTO_INCREMENT. An id is used up whether or not the
+    /// transaction that took it commits. The counter lives in memory only:
+    /// a `Db` that `recovery::recover` returns starts every table at 1
+    /// again, so a caller that inserts after a recovery brings its own ids.
+    pub fn next_id(&self, table: &str) -> Result<i64> {
+        let space = self.catalog.read().table(table)?.space_no;
+        let mut ids = self.next_ids.lock();
+        let next = ids.entry(space).or_insert(1);
+        let id = *next;
+        *next += 1;
+        Ok(id)
+    }
+
     /// Run `body` in a fresh transaction, the one shape of a workload
     /// transaction. The body's `Ok(true)` commits and `Ok(false)` rolls
     /// back; the answer says which. A body error rolls back and is returned

@@ -11,8 +11,9 @@
 //!   window; a second identical pass finds every page in BP or EBP, so its
 //!   EBP miss delta is zero.
 //! * **Redo lag books** — in a fault-free run every accepted record is
-//!   either applied, queued behind an apply worker, or parked out of
-//!   order: `records_accepted == records_applied + queued_records +
+//!   either applied, queued for the next `apply_batch` (whose four page
+//!   partitions are booked on the node's CPU), or parked out of order:
+//!   `records_accepted == records_applied + queued_records +
 //!   parked_records`, and `apply_lag_records == queued + parked`.
 
 use std::sync::Arc;

@@ -87,7 +87,8 @@ fn restart_mid_apply_loses_no_acked_commit() {
         .expect("meta page present before crash");
 
     // Crash-restart every replica: volatile page images and apply queues
-    // vanish; the retained redo replays through the worker pool.
+    // vanish; the retained redo replays through `apply_batch`, its four
+    // page partitions booked on the node's CPU.
     for server in f.pagestore.servers() {
         let replayed = server.restart(&mut ctx).unwrap();
         assert!(replayed > 0, "restart must replay the retained log");

@@ -15,6 +15,7 @@
 //! | `ordered-serialization` | hash iteration in `crates/*/src` is order-stable |
 //! | `no-panic-in-runtime` | server request paths return typed errors |
 //! | `lock-order` | the lock-acquisition graph is acyclic and reviewed |
+//! | `no-global-state` | no mutable `static` or `thread_local!` in `crates/*/src` |
 //!
 //! Findings are suppressed site-by-site with
 //! `// vedb-lint: allow(<lint>, "<reason>")`; the reason is mandatory and
@@ -94,7 +95,7 @@ impl Default for RunOptions {
     }
 }
 
-/// Run the four token lints (plus suppression-syntax checking) over one
+/// Run the five token lints (plus suppression-syntax checking) over one
 /// already-scanned file. Lock-order edges are extracted separately because
 /// they need the whole tree. This is the entry point the fixture tests use.
 pub fn analyze_scanned(s: &scan::Scanned, out: &mut Vec<Diagnostic>) {
@@ -103,6 +104,7 @@ pub fn analyze_scanned(s: &scan::Scanned, out: &mut Vec<Diagnostic>) {
     lints::no_unseeded_rng(s, out);
     lints::ordered_serialization(s, out);
     lints::no_panic_in_runtime(s, out);
+    lints::no_global_state(s, out);
 }
 
 /// Convenience wrapper for tests: scan + analyze one source string.
@@ -257,6 +259,7 @@ fn diags_would_hit(s: &scan::Scanned, sup: &scan::Suppression) -> bool {
             lints::ordered_serialization(&bare, &mut out)
         }
         lint if lint == lints::NO_PANIC_IN_RUNTIME => lints::no_panic_in_runtime(&bare, &mut out),
+        lint if lint == lints::NO_GLOBAL_STATE => lints::no_global_state(&bare, &mut out),
         _ => return true, // unknown lint names are caught elsewhere; don't double-report
     }
     out.iter()

@@ -1,4 +1,4 @@
-//! The four token-scan lints (the fifth, lock-order, lives in
+//! The token-scan lints, 1–4 and 6 (the fifth, lock-order, lives in
 //! [`crate::lockgraph`]).
 //!
 //! Each lint is a named pass over a [`Scanned`] file. Scoping is by path:
@@ -18,6 +18,8 @@ pub const NO_UNSEEDED_RNG: &str = "no-unseeded-rng";
 pub const ORDERED_SERIALIZATION: &str = "ordered-serialization";
 /// See [`NO_WALL_CLOCK`].
 pub const NO_PANIC_IN_RUNTIME: &str = "no-panic-in-runtime";
+/// See [`NO_WALL_CLOCK`].
+pub const NO_GLOBAL_STATE: &str = "no-global-state";
 /// See [`NO_WALL_CLOCK`].
 pub const LOCK_ORDER: &str = "lock-order";
 /// Emitted for malformed / reason-less suppression comments.
@@ -394,6 +396,80 @@ pub fn no_panic_in_runtime(s: &Scanned, out: &mut Vec<Diagnostic>) {
                 out,
             );
         }
+    }
+}
+
+/// Type names whose `static` is state one process shares: every atomic
+/// (`Atomic*`) and these.
+const SHARED_STATE_TYPES: [&str; 10] = [
+    "Mutex",
+    "RwLock",
+    "Cell",
+    "RefCell",
+    "UnsafeCell",
+    "OnceLock",
+    "OnceCell",
+    "Lazy",
+    "LazyLock",
+    "LazyCell",
+];
+
+/// Lint 6 — **no-global-state**: in every non-test module under
+/// `crates/*/src`, a `static` of an atomic, lock, cell, once-cell or lazy
+/// type, any `static mut`, and `thread_local!` are flagged. Every piece of
+/// state has one owner (a `Db`, a registry, a deployment): a process-global
+/// leaks between two deployments in one process, so two figures or two
+/// tests run side by side would see each other's writes. A `static` of a
+/// plain value, a `const`, and a `OnceLock` *field* are fine. The type is
+/// read from the declaration, so a `static` of a user type that wraps a
+/// lock is not seen.
+pub fn no_global_state(s: &Scanned, out: &mut Vec<Diagnostic>) {
+    if !is_product_path(&s.path) {
+        return;
+    }
+    let mut hits = Vec::new();
+    for at in find_ident(&s.code, "static") {
+        // `'static` is a lifetime, not an item.
+        if s.code[..at].ends_with('\'') {
+            continue;
+        }
+        let rest = s.code[at + "static".len()..].trim_start();
+        if rest.starts_with("mut ") {
+            hits.push((at, "`static mut`".to_string()));
+            continue;
+        }
+        // The declared type: from the colon after the name to the `=`.
+        let Some(ty) = rest
+            .split_once(':')
+            .and_then(|(_, tail)| tail.split([';', '=']).next())
+        else {
+            continue;
+        };
+        let shared = ty
+            .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .find(|w| w.starts_with("Atomic") || SHARED_STATE_TYPES.contains(w));
+        if let Some(word) = shared {
+            hits.push((at, format!("a `static` of `{word}`")));
+        }
+    }
+    for at in find_ident(&s.code, "thread_local") {
+        if s.code[at + "thread_local".len()..].starts_with('!') {
+            hits.push((at, "`thread_local!`".to_string()));
+        }
+    }
+    hits.sort();
+    for (at, what) in hits {
+        let line = crate::scan::line_of(&s.code, at);
+        diag(
+            s,
+            NO_GLOBAL_STATE,
+            line,
+            format!(
+                "{what} is process-global state; give it an owner (a field \
+                 of the `Db`, registry or deployment that uses it)"
+            ),
+            out,
+        );
     }
 }
 

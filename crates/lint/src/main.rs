@@ -32,7 +32,7 @@ fn main() -> ExitCode {
                     "usage: vedb-lint [--golden <file>] [--write-golden] <paths>...\n\
                      \n\
                      Lints: no-wall-clock, no-unseeded-rng, ordered-serialization,\n\
-                     no-panic-in-runtime, lock-order.\n\
+                     no-panic-in-runtime, no-global-state, lock-order.\n\
                      Suppress a finding with: // vedb-lint: allow(<lint>, \"<reason>\")"
                 );
                 return ExitCode::SUCCESS;

@@ -17,6 +17,8 @@ const ORDERED_BAD: &str = include_str!("fixtures/ordered_bad.rs");
 const ORDERED_OK: &str = include_str!("fixtures/ordered_ok.rs");
 const PANIC_BAD: &str = include_str!("fixtures/panic_bad.rs");
 const PANIC_OK: &str = include_str!("fixtures/panic_ok.rs");
+const GLOBAL_STATE_BAD: &str = include_str!("fixtures/global_state_bad.rs");
+const GLOBAL_STATE_OK: &str = include_str!("fixtures/global_state_ok.rs");
 const SUPPRESSED: &str = include_str!("fixtures/suppressed.rs");
 const BAD_SUPPRESSION: &str = include_str!("fixtures/bad_suppression.rs");
 const LOCK_OK: &str = include_str!("fixtures/lock_order_ok.rs");
@@ -125,6 +127,39 @@ fn panic_lint_quiet_on_typed_errors_and_cfg_test() {
 #[test]
 fn panic_lint_scoped_to_runtime_paths_only() {
     assert!(analyze_source("crates/sim/src/metrics.rs", PANIC_BAD).is_empty());
+}
+
+// ---------------------------------------------------------------- lint 6
+
+#[test]
+fn global_state_fires_on_every_process_global_form() {
+    // An atomic, a `Mutex`, a path-qualified `RwLock`, a `Cell`, a
+    // `RefCell`, a `OnceLock`, a `OnceCell`, a `Lazy`, a `static mut`, a
+    // `thread_local!` and an array of atomics.
+    for path in [REPORT, RUNTIME, "crates/workloads/src/orders.rs"] {
+        let diags = analyze_source(path, GLOBAL_STATE_BAD);
+        assert_eq!(
+            lines_of(&diags, "no-global-state"),
+            vec![2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14],
+            "{path}"
+        );
+        assert_eq!(diags.len(), 11, "{path}");
+    }
+}
+
+#[test]
+fn global_state_quiet_on_fields_consts_and_plain_statics() {
+    // A `OnceLock` or atomic field, a `const`, a `static` of a `&str` or
+    // an array of plain values, and `'static` lifetimes.
+    assert!(analyze_source(RUNTIME, GLOBAL_STATE_OK).is_empty());
+}
+
+#[test]
+fn global_state_scoped_to_product_modules() {
+    assert!(analyze_source("examples/quickstart.rs", GLOBAL_STATE_BAD).is_empty());
+    assert!(analyze_source("src/lib.rs", GLOBAL_STATE_BAD).is_empty());
+    let in_tests = format!("#[cfg(test)]\nmod tests {{\n{GLOBAL_STATE_BAD}}}\n");
+    assert!(analyze_source(RUNTIME, &in_tests).is_empty());
 }
 
 // ---------------------------------------------------------- suppressions

@@ -1,7 +1,8 @@
 //! Property tests for the parallel apply pipeline and point-in-time
 //! restore:
 //!
-//! 1. The worker pool produces page images **byte-identical** to a serial
+//! 1. `apply_batch`'s four page partitions (`page_no % 4`, each booked on
+//!    the node's CPU) produce page images **byte-identical** to a serial
 //!    fold of the same multi-page stream — partitioning by page id must
 //!    not reorder any page's records.
 //! 2. `restore_to_lsn(l)` reproduces exactly the state of a fresh store

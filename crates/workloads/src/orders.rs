@@ -11,8 +11,12 @@
 //! transaction) and `order_batch` (the full scenario: a batch of orders in
 //! one transaction block — each order updates the vendor balance and
 //! inserts the returned balance into the order-flow table).
+//!
+//! Order-flow ids come from the `Db`'s own counter for `order_flow`
+//! ([`Db::next_id`]), 1, 2, 3, … per deployment. It is not persisted:
+//! nothing inserts through this module after `recovery::recover`, and the
+//! host benchmark's `commit_wide` keeps its own id.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vedb_core::catalog::{Catalog, ColumnType};
@@ -30,8 +34,6 @@ pub const VENDORS: i64 = 8;
 
 /// Orders batched into one transaction.
 pub const BATCH: usize = 5;
-
-static NEXT_FLOW_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Register the schema.
 pub fn define_schema(cat: &mut Catalog) {
@@ -53,7 +55,6 @@ pub fn define_schema(cat: &mut Catalog) {
 
 /// Load the vendors.
 pub fn load(ctx: &mut SimCtx, db: &Arc<Db>) -> vedb_core::Result<()> {
-    NEXT_FLOW_ID.store(1, Ordering::Relaxed);
     let mut txn = db.begin();
     for v in 1..=VENDORS {
         db.insert(
@@ -67,10 +68,6 @@ pub fn load(ctx: &mut SimCtx, db: &Arc<Db>) -> vedb_core::Result<()> {
     Ok(())
 }
 
-fn flow_id() -> i64 {
-    NEXT_FLOW_ID.fetch_add(1, Ordering::Relaxed) as i64
-}
-
 /// One wide (2 KB) insert per transaction — the first half of Figure 8.
 pub fn single_insert(ctx: &mut SimCtx, db: &Arc<Db>) -> OpOutcome {
     let vendor = ctx.rng().skewed_index(VENDORS as u64, 0.5) as i64 + 1;
@@ -81,7 +78,7 @@ pub fn single_insert(ctx: &mut SimCtx, db: &Arc<Db>) -> OpOutcome {
             txn,
             "order_flow",
             vec![
-                Value::Int(flow_id()),
+                Value::Int(db.next_id("order_flow")?),
                 Value::Int(vendor),
                 Value::Double(0.0),
                 Value::Str(payload),
@@ -112,7 +109,7 @@ pub fn order_batch(ctx: &mut SimCtx, db: &Arc<Db>) -> OpOutcome {
                 txn,
                 "order_flow",
                 vec![
-                    Value::Int(flow_id()),
+                    Value::Int(db.next_id("order_flow")?),
                     Value::Int(vendor),
                     Value::Double(new_balance),
                     Value::Str(payload.clone()),

@@ -8,7 +8,7 @@ use vedb_core::db::{Db, DbConfig, LogBackendKind, StorageFabric};
 use vedb_core::ebp::EbpConfig;
 use vedb_core::query::{execute, QuerySession};
 use vedb_sim::{ClusterSpec, SimCtx, VTime};
-use vedb_workloads::driver::{run_trial, DriverConfig, OpOutcome};
+use vedb_workloads::driver::{run_trial, DriverConfig};
 use vedb_workloads::{ads, chbench, lookup, orders, sysbench, tpcc};
 
 fn fabric() -> StorageFabric {
@@ -280,7 +280,6 @@ fn driver_latency_under_contention_grows_with_clients() {
         cursor = cursor + cfg.warmup + cfg.measure;
         let r = run_trial(&cfg, |ctx, _| orders::order_batch(ctx, &db));
         p95s.push(r.latency.p95());
-        if let OpOutcome::Committed = OpOutcome::Committed {} // keep import used
     }
     assert!(
         p95s[1] > p95s[0],
