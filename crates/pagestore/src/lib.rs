@@ -18,11 +18,13 @@
 //!
 //! ## The apply pipeline, checkpoints, and point-in-time restore
 //!
-//! Every server runs one apply pipeline, with no knobs. It replays a
-//! segment's queued redo in the background once 64 records queue up, in
-//! four page partitions each booked on the node's CPU: one page's records
-//! stay in one partition in LSN order while distinct pages apply
-//! concurrently on the CPU's lanes. After every
+//! Every server runs one apply pipeline, with no knobs. A segment's redo
+//! log is one LSN-ordered deque per replica, and an apply watermark marks
+//! how far replay has reached. The replica replays the tail above it in
+//! the background once that tail holds 64 records, in four page
+//! partitions each booked on the node's CPU: one page's records stay in
+//! one partition in LSN order while distinct pages apply concurrently on
+//! the CPU's lanes. After every
 //! [`CHECKPOINT_EVERY_RECORDS`] accepted records or
 //! [`CHECKPOINT_EVERY_BYTES`] accepted redo bytes of a segment, whichever
 //! comes first, a background checkpointer writes the segment's changed
@@ -45,8 +47,8 @@
 //! equal.
 //!
 //! Recovery is first-class: [`PageStoreServer::restart`] rebuilds a
-//! crashed node from checkpoint + log replay (volatile page images, apply
-//! queue and watermark are lost; retained redo, parked records and
+//! crashed node from checkpoint + log replay (volatile page images and the
+//! apply watermark are lost; retained redo, parked records and
 //! checkpoints are durable), and [`PageStore::restore_to_lsn`] /
 //! [`PageStoreServer::restore_to_lsn`] perform a **point-in-time
 //! restore**: replay to an exact LSN, durably discarding everything

@@ -10,7 +10,6 @@ use vedb_sim::{FxHashMap, SimCtx};
 use super::replica::{absorb_parked, PageStoreServer};
 use super::PsSegmentKey;
 use crate::page::{Page, PAGE_SIZE};
-use crate::redo::RedoRecord;
 use crate::{PageStoreError, Result};
 
 /// A snapshot's page images by page number, as served to and installed from
@@ -143,20 +142,20 @@ impl PageStoreServer {
     }
 
     /// Install a peer's checkpoint over this replica's segment state: the
-    /// snapshot supersedes local page images, the queued tail, and parked
-    /// records at or below its LSN (they were accepted but never applied
-    /// here — counted as `records_superseded`). Parked records just beyond
-    /// the snapshot chain back on. Returns `false` when the snapshot is
-    /// not newer than the local stream tail.
+    /// snapshot supersedes local page images, the unapplied tail (the
+    /// watermark moves past it) and parked records at or below its LSN
+    /// (they were accepted but never applied here — counted as
+    /// `records_superseded`). Parked records just beyond the snapshot chain
+    /// back on. Returns `false` when the snapshot is not newer than the
+    /// local stream tail.
     pub fn install_checkpoint(&self, key: PsSegmentKey, lsn: Lsn, pages: PageImages) -> bool {
         let mut segs = self.segs.lock();
         let seg = segs.entry(key).or_default();
         if lsn <= seg.last_lsn {
             return false;
         }
-        // Every queued record has lsn <= last_lsn < lsn: superseded.
-        let stale_q = seg.queue.len();
-        seg.queue.clear();
+        // Every unapplied record has lsn <= last_lsn < lsn: superseded.
+        let stale = seg.unapplied().len();
         // Live map and checkpoint (and the serving peer) share every image.
         seg.pages = pages.iter().cloned().collect();
         seg.changed.clear();
@@ -172,18 +171,18 @@ impl PageStoreServer {
         for l in &covered {
             seg.out_of_order.remove(l);
         }
-        self.stats.lag(-(stale_q as i64), -(covered.len() as i64));
+        self.stats.lag(-(stale as i64), -(covered.len() as i64));
         self.stats
             .records_superseded
-            .add((stale_q + covered.len()) as u64);
+            .add((stale + covered.len()) as u64);
         absorb_parked(seg, &self.stats, lsn);
         true
     }
 
     /// Crash-restart this server: volatile state (page images, apply
-    /// queue, apply watermark) is lost; the durable redo log, parked
-    /// records and checkpoints survive. Every segment is rebuilt from
-    /// checkpoint + log replay on the node's CPU. Returns the number
+    /// watermark) is lost; the durable redo log, parked records and
+    /// checkpoints survive. Every segment is rebuilt from checkpoint + log
+    /// replay on the node's CPU. Returns the number
     /// of records replayed; the caller's virtual-time delta across this
     /// call is the node's recovery time.
     pub fn restart(&self, ctx: &mut SimCtx) -> Result<usize> {
@@ -239,7 +238,6 @@ impl PageStoreServer {
             // broken chain (e.g. redo truncated below the restore point)
             // fails the restore and leaves the segment untouched.
             let mut prev = base_lsn;
-            let mut replay: Vec<Arc<RedoRecord>> = Vec::new();
             let (from, beyond) = (seg.retained_after(base_lsn), seg.retained_after(target));
             for r in seg.retained.range(from..beyond) {
                 let chains = r.prev_same_segment == prev
@@ -250,7 +248,6 @@ impl PageStoreServer {
                         applied: prev,
                     });
                 }
-                replay.push(Arc::clone(r));
                 prev = r.lsn;
             }
             // The walk stopping at `target` proves nothing by itself: if
@@ -271,14 +268,16 @@ impl PageStoreServer {
                     }
                 }
             }
-            let mut fleet = self.fleet.get().map(|images| images.lock());
+            // The old incarnation's unapplied tail goes with its watermark;
+            // the walked range is the new one.
+            let stale = seg.unapplied().len();
+            let images = self.fleet();
+            let mut fleet = images.lock();
             // PITR: the future beyond `target` is discarded durably.
             if target < Lsn::MAX {
                 // Its LSNs may be issued again for other records: no image
                 // built past `target` may be adopted from here on.
-                if let Some(images) = fleet.as_deref_mut() {
-                    images.forget_beyond(target);
-                }
+                fleet.forget_beyond(target);
                 let dropped_r = seg.retained.len() - beyond;
                 seg.retained.truncate(beyond);
                 let dropped_p: Vec<Lsn> = seg
@@ -297,19 +296,13 @@ impl PageStoreServer {
                     seg.checkpoint = None;
                 }
             }
-            // Volatile state dies with the old incarnation.
-            let stale_q = seg.queue.len();
-            seg.queue.clear();
-            self.stats.lag(-(stale_q as i64), 0);
             // The base install shares the checkpoint's images, and those the
             // other replicas hold of the same page versions; replay copies
             // the ones it touches.
             seg.pages = match &mut seg.checkpoint {
                 Some(c) => {
-                    if let Some(images) = fleet.as_deref_mut() {
-                        for (no, img) in c.pages.iter_mut() {
-                            images.share(PageId::new(key.space_no, *no), img);
-                        }
+                    for (no, img) in c.pages.iter_mut() {
+                        fleet.share(PageId::new(key.space_no, *no), img);
                     }
                     c.pages.iter().map(|(k, v)| (*k, Arc::clone(v))).collect()
                 }
@@ -317,19 +310,17 @@ impl PageStoreServer {
             };
             seg.changed.clear();
             seg.applied_lsn = base_lsn;
-            seg.last_lsn = replay.last().map(|r| r.lsn).unwrap_or(base_lsn);
-            self.stats.lag(replay.len() as i64, 0);
+            seg.last_lsn = prev;
+            let replay = beyond - from;
+            self.stats.lag(replay as i64 - stale as i64, 0);
             (seg.pages.len(), replay)
         };
         if base_pages > 0 {
             // Stream the checkpoint image back in (sequential read).
             self.charge_ssd(ctx, self.model.ssd_read_svc(base_pages * PAGE_SIZE) / 4);
         }
-        let n_replay = replay.len();
-        if n_replay > 0 {
-            self.apply_batch(ctx, key, replay, true)?;
-        }
-        Ok(n_replay)
+        self.apply_batch(ctx, key, true)?;
+        Ok(replay)
     }
 
     /// LSN of this segment's checkpoint, 0 if none (tests / monitoring).

@@ -135,8 +135,8 @@ impl PageStore {
                 None => ship_state.get(&key).copied().unwrap_or(0),
             };
             // The one deep copy a shipped record takes: from here on the
-            // replicas' queues, retained logs and gossip replies all hold
-            // this allocation.
+            // replicas' retained logs and gossip replies all hold this
+            // allocation.
             group.records.push(Arc::new(RedoRecord {
                 prev_same_segment: tail,
                 ..rec.clone()
@@ -330,8 +330,10 @@ mod tests {
                 assert!(Arc::ptr_eq(a, &b), "replica {i} holds a private copy");
             }
         }
-        // Queue and gossip replies hand out the same allocation too.
-        let queued = replicas[0].segs.lock()[&key].queue.clone();
+        // The unapplied tail and gossip replies hand out the same
+        // allocation too.
+        let queued: Vec<_> = replicas[0].segs.lock()[&key].unapplied().cloned().collect();
+        assert_eq!(queued.len(), 4, "nothing applied yet");
         let served = replicas[1].handle_get_records(key, 0, 64);
         for ((a, q), g) in first.iter().zip(&queued).zip(&served) {
             assert!(Arc::ptr_eq(a, q) && Arc::ptr_eq(a, g));
@@ -761,8 +763,8 @@ mod tests {
                 // No checkpoint ran: the retained log is every in-order accept.
                 assert!(seg.checkpoint.is_none());
                 accepted += seg.retained.len() + seg.out_of_order.len();
-                applied += seg.retained.len() - seg.queue.len();
-                queued += seg.queue.len();
+                applied += seg.retained.len() - seg.unapplied().len();
+                queued += seg.unapplied().len();
                 parked += seg.out_of_order.len();
             }
         }

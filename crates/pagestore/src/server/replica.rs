@@ -3,7 +3,7 @@
 //! and serve page reads.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{vec_deque, BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -25,16 +25,18 @@ use crate::{PageStoreError, Result};
 ///
 /// Durability model: `retained`, `out_of_order` and `checkpoint` are this
 /// replica's **durable** per-segment redo log and snapshot (a quorum ack
-/// means durable append); `pages`, `applied_lsn` and `queue` are volatile
-/// and rebuilt on [`PageStoreServer::restart`].
+/// means durable append); `pages` and `applied_lsn` are volatile and
+/// rebuilt on [`PageStoreServer::restart`]. The records of `retained`
+/// above `applied_lsn` are the unapplied tail, what the next apply replays
+/// ([`ReplicaSeg::unapplied`]).
 ///
 /// Ownership: a page image is an `Arc<Page>` that the live map, the
 /// checkpoint, any reader holding it and — through [`FleetImages`] — the
 /// other replicas of the fleet share until replay next touches the page:
 /// [`PageStoreServer::apply_batch`] mutates through `Arc::make_mut`, which
 /// copies the 16 KiB only when someone else still holds the old image.
-/// Records are `Arc<RedoRecord>`, immutable once shipped, so the queue, the
-/// retained log and every replica of the segment hold the same allocation.
+/// Records are `Arc<RedoRecord>`, immutable once shipped, so the retained
+/// log of every replica of the segment holds the same allocation.
 ///
 /// Host work follows what changed: accepting a record is a push onto
 /// `retained`, truncating it is a drain of its front, and a checkpoint
@@ -50,8 +52,6 @@ pub(super) struct ReplicaSeg {
     pub(super) applied_lsn: Lsn,
     /// LSN of the last record received *in order*.
     pub(super) last_lsn: Lsn,
-    /// In-order records not yet applied.
-    pub(super) queue: Vec<Arc<RedoRecord>>,
     /// Records whose back-link did not match (a gap precedes them).
     pub(super) out_of_order: BTreeMap<Lsn, Arc<RedoRecord>>,
     /// Everything received in order, in strictly increasing LSN order (all
@@ -75,20 +75,24 @@ impl ReplicaSeg {
             rec.lsn
         );
         self.last_lsn = rec.lsn;
-        self.retained.push_back(Arc::clone(&rec));
-        self.queue.push(rec);
+        self.retained.push_back(rec);
     }
 
     /// Index of the first retained record above `lsn`.
     pub(super) fn retained_after(&self, lsn: Lsn) -> usize {
         self.retained.partition_point(|r| r.lsn <= lsn)
     }
+
+    /// The unapplied tail: the retained records above `applied_lsn`.
+    pub(super) fn unapplied(&self) -> vec_deque::Iter<'_, Arc<RedoRecord>> {
+        self.retained.range(self.retained_after(self.applied_lsn)..)
+    }
 }
 
-/// In-order records a segment queues before the replica replays them in
-/// the background. PageStore replays constantly (§III), so the queue stays
-/// short whether or not anyone reads the segment, and a checkpoint finds
-/// little left to apply.
+/// Unapplied in-order records a segment holds before the replica replays
+/// them in the background. PageStore replays constantly (§III), so the
+/// unapplied tail stays short whether or not anyone reads the segment, and
+/// a checkpoint finds little left to apply.
 const REPLAY_BATCH: usize = 64;
 
 /// Apply partitions per batch. Redo partitions by `page_no % APPLY_WORKERS`
@@ -129,9 +133,9 @@ pub(super) struct FleetImages {
 
 impl FleetImages {
     /// Note each page's first and last record in the batch about to apply.
-    fn plan(&mut self, parts: &[Vec<Arc<RedoRecord>>]) {
+    fn plan<'a>(&mut self, records: impl Iterator<Item = &'a Arc<RedoRecord>>) {
         self.batch.clear();
-        for rec in parts.iter().flatten() {
+        for rec in records {
             self.batch
                 .entry(rec.page.page_no)
                 .and_modify(|span| span.1 = rec.lsn)
@@ -151,22 +155,25 @@ impl FleetImages {
     /// another replica's, at `last`, the batch's last LSN for the page.
     /// `have` is the replica's image, `rest` the batch's records from the
     /// page's first one on.
-    fn adoptable(
+    fn adoptable<'a>(
         &self,
         page: PageId,
         last: Lsn,
         have: Option<&Arc<Page>>,
-        rest: &[Arc<RedoRecord>],
+        rest: impl Iterator<Item = &'a Arc<RedoRecord>>,
     ) -> Option<Arc<Page>> {
         if have.is_some_and(|img| img.lsn() >= last) {
             return None;
         }
         let shared = self.live(page, last)?;
         if cfg!(debug_assertions) {
-            // Equal page LSN ⇒ equal bytes, checked: replay anyway.
+            // Equal page LSN ⇒ equal bytes, checked: replay anyway, skipping
+            // what the page already has, as apply does.
             let mut own = have.map_or_else(Page::new, |img| Page::clone(img));
-            for rec in rest.iter().filter(|r| r.page == page) {
-                assert!(rec.apply(&mut own).is_ok(), "{page}: replay failed");
+            for rec in rest.filter(|r| r.page == page) {
+                if rec.lsn > own.lsn() {
+                    assert!(rec.apply(&mut own).is_ok(), "{page}: replay failed");
+                }
             }
             assert_eq!(own, *shared, "{page} at lsn {last}: adopted != replayed");
         }
@@ -213,10 +220,10 @@ impl FleetImages {
 /// → same instance), so each reads cluster-wide.
 ///
 /// Lag accounting distinguishes *where* an accepted record waits:
-/// `queued_records` counts records queued for replay (in-order, waiting for
-/// CPU), `parked_records` counts records parked out-of-order behind a
-/// back-link gap. `apply_lag_records` is their sum: the three move together
-/// through [`PsStats::lag`] and nowhere else. In fault-free runs the books
+/// `queued_records` counts in-order records the apply watermark has not
+/// passed (the unapplied tails), `parked_records` counts records parked
+/// out-of-order behind a back-link gap. `apply_lag_records` is their sum:
+/// the three move together through [`PsStats::lag`] and nowhere else. In fault-free runs the books
 /// balance exactly:
 /// `records_accepted == records_applied + queued_records + parked_records`
 /// (asserted by `metrics_accuracy`); crashes and checkpoint installs retire
@@ -308,9 +315,9 @@ pub struct PageStoreServer {
     /// At most one background checkpoint in flight per server.
     ckpt_inflight: AtomicBool,
     pub(super) segs: Mutex<FxHashMap<PsSegmentKey, ReplicaSeg>>,
-    /// The image index of the fleet this server serves in; unset outside a
-    /// fleet, where a server shares nothing.
-    pub(super) fleet: OnceLock<Arc<Mutex<FleetImages>>>,
+    /// The image index of the fleet this server serves in; see
+    /// [`Self::fleet`].
+    fleet: OnceLock<Arc<Mutex<FleetImages>>>,
     pub(super) stats: PsStats,
 }
 
@@ -338,10 +345,17 @@ impl PageStoreServer {
     }
 
     /// Share page images with the other servers of one fleet
-    /// ([`PageStore::new`](super::PageStore::new)). A server joins the
-    /// first fleet built over it.
+    /// ([`PageStore::new`](super::PageStore::new)). A server keeps the
+    /// first index it gets: that of the first fleet built over it, or its
+    /// own if it applied before any fleet was.
     pub(super) fn join_fleet(&self, images: &Arc<Mutex<FleetImages>>) {
         let _ = self.fleet.set(Arc::clone(images));
+    }
+
+    /// The image index this server applies through: its fleet's, or, for a
+    /// server outside a fleet, one of its own that shares with nobody.
+    pub(super) fn fleet(&self) -> &Mutex<FleetImages> {
+        self.fleet.get_or_init(Default::default)
     }
 
     /// Node id.
@@ -367,7 +381,8 @@ impl PageStoreServer {
     /// stream, the rest wait in its out-of-order buffer. A segment kicks the
     /// background checkpointer once [`CHECKPOINT_EVERY_RECORDS`] new
     /// records or [`CHECKPOINT_EVERY_BYTES`] new bytes accumulated, or else
-    /// background replay once `REPLAY_BATCH` records queue up.
+    /// background replay once its unapplied tail holds `REPLAY_BATCH`
+    /// records.
     pub fn handle_ship<'a>(
         &self,
         ctx: &mut SimCtx,
@@ -423,7 +438,7 @@ impl PageStoreServer {
             (
                 seg.accepted_since_ckpt >= CHECKPOINT_EVERY_RECORDS
                     || seg.accepted_bytes_since_ckpt >= CHECKPOINT_EVERY_BYTES,
-                seg.queue.len() >= REPLAY_BATCH,
+                seg.unapplied().len() >= REPLAY_BATCH,
             )
         };
         if ckpt_due && !self.ckpt_inflight.swap(true, Ordering::AcqRel) {
@@ -564,83 +579,87 @@ impl PageStoreServer {
         recovered
     }
 
-    /// Apply all in-order records (the "constantly replays" background
-    /// work, charged to this node's CPU and SSD).
+    /// Apply the segment's unapplied tail (the "constantly replays"
+    /// background work, charged to this node's CPU and SSD).
     pub fn apply_pending(&self, ctx: &mut SimCtx, key: PsSegmentKey) -> Result<()> {
-        let to_apply: Vec<Arc<RedoRecord>> = {
-            let mut segs = self.segs.lock();
-            match segs.get_mut(&key) {
-                Some(seg) => std::mem::take(&mut seg.queue),
-                None => return Ok(()),
-            }
-        };
-        if to_apply.is_empty() {
+        let pending = self
+            .segs
+            .lock()
+            .get(&key)
+            .is_some_and(|seg| seg.unapplied().next().is_some());
+        if !pending {
             return Ok(());
         }
         // Span opens only when there is work: an idle replay poll is free.
         let sp = self.stats.trace.span(ctx, "pagestore", "apply");
-        self.apply_batch(ctx, key, to_apply, false)?;
+        self.apply_batch(ctx, key, false)?;
         sp.finish(ctx);
         Ok(())
     }
 
-    /// Apply a drained batch. Records partition by `page_no %
-    /// APPLY_WORKERS`, so a page's records stay in one partition in LSN
-    /// order; every partition books its CPU on the node at the batch's
-    /// start, so distinct pages apply concurrently on the node's lanes and
-    /// the caller waits for the slowest. Page mutation itself happens under
-    /// the segment lock in partition order, so the resulting images are
-    /// identical to a serial apply.
-    /// With `recovery` set, applied records count as
-    /// `restore_replayed_records` instead of `records_applied`.
+    /// Replay the segment's unapplied tail, under the segment lock. Records
+    /// partition by `page_no % APPLY_WORKERS`, so a page's records stay in
+    /// one partition in LSN order; every partition books its CPU on the
+    /// node at the batch's start, so distinct pages apply concurrently on
+    /// the node's lanes and the caller waits for the slowest. Page mutation
+    /// itself runs one partition after another, so the resulting images
+    /// are identical to a serial apply.
     ///
-    /// In a fleet, a page whose batch ends at an LSN another replica's
-    /// image already has adopts that image ([`FleetImages`]): its records
-    /// count as applied without running, and everything charged or counted
-    /// is the same as if they had run. A page this replica builds itself is
+    /// Records count as applied when the watermark passes them. A record
+    /// that fails to apply holds the watermark below it and stops its
+    /// partition; other partitions' pages are independent and keep
+    /// applying. The tail above the watermark is what the next apply
+    /// replays, where a page already past a record skips it. With
+    /// `recovery` set, applied records count as `restore_replayed_records`
+    /// instead of `records_applied`.
+    ///
+    /// A page whose batch ends at an LSN another replica's image already
+    /// has adopts that image ([`FleetImages`]): its records count as
+    /// applied without running, and everything charged or counted is the
+    /// same as if they had run. A page this replica builds itself is
     /// published for the others.
     pub(super) fn apply_batch(
         &self,
         ctx: &mut SimCtx,
         key: PsSegmentKey,
-        to_apply: Vec<Arc<RedoRecord>>,
         recovery: bool,
-    ) -> Result<usize> {
-        let mut parts: Vec<Vec<Arc<RedoRecord>>> = vec![Vec::new(); APPLY_WORKERS];
-        for rec in to_apply {
-            parts[rec.page.page_no as usize % APPLY_WORKERS].push(rec);
-        }
-        // Every partition bids for the CPU at the same instant; the node's
-        // calendar puts them on however many lanes are free. An empty
-        // partition's zero demand books nothing.
-        let t0 = ctx.now();
-        for part in &parts {
-            let demand = VTime::from_nanos(part.len() as u64 * self.model.cpu_redo_apply_ns);
-            ctx.wait_until(self.res.cpu.acquire(t0, demand));
-        }
-        let mut touched = 0usize;
-        let mut first_err: Option<PageStoreError> = None;
-        {
+    ) -> Result<()> {
+        let partition = |rec: &RedoRecord| rec.page.page_no as usize % APPLY_WORKERS;
+        let (applied, first_err) = {
             let mut segs = self.segs.lock();
             let Some(seg) = segs.get_mut(&key) else {
-                return Ok(0); // no segment to apply into: nothing was accepted
+                return Ok(()); // no segment to apply into: nothing was accepted
             };
-            let mut fleet = self.fleet.get().map(|images| images.lock());
-            if let Some(images) = fleet.as_deref_mut() {
-                images.plan(&parts);
+            let from = seg.retained_after(seg.applied_lsn);
+            // Every partition bids for the CPU at the same instant; the
+            // node's calendar puts them on however many lanes are free. An
+            // empty partition's zero demand books nothing.
+            let mut demand = [0u64; APPLY_WORKERS];
+            for rec in seg.retained.range(from..) {
+                demand[partition(rec)] += self.model.cpu_redo_apply_ns;
             }
-            let mut applied_max: Lsn = 0;
-            let mut stuck_min: Option<Lsn> = None;
-            let mut requeue: Vec<Arc<RedoRecord>> = Vec::new();
-            for part in &parts {
-                for (i, rec) in part.iter().enumerate() {
+            let t0 = ctx.now();
+            for ns in demand {
+                ctx.wait_until(self.res.cpu.acquire(t0, VTime::from_nanos(ns)));
+            }
+            let images = self.fleet();
+            let mut fleet = images.lock();
+            fleet.plan(seg.retained.range(from..));
+            // Tail records the watermark passes: those before the first
+            // record that fails.
+            let mut applied = seg.retained.len() - from;
+            let mut first_err: Option<PageStoreError> = None;
+            for part in 0..APPLY_WORKERS {
+                let tail = seg.retained.range(from..).enumerate();
+                for (i, rec) in tail.filter(|(_, rec)| partition(rec) == part) {
                     let no = rec.page.page_no;
-                    let span = fleet.as_ref().and_then(|f| f.batch.get(&no).copied());
-                    let adopted = match (&fleet, span) {
-                        (Some(images), Some((first, last))) if rec.lsn == first => {
-                            images.adoptable(rec.page, last, seg.pages.get(&no), &part[i..])
-                        }
-                        _ => None,
+                    // The plan spans every page of the tail.
+                    let (first, last) = fleet.batch[&no];
+                    let adopted = if rec.lsn == first {
+                        let rest = seg.retained.range(from + i..);
+                        fleet.adoptable(rec.page, last, seg.pages.get(&no), rest)
+                    } else {
+                        None
                     };
                     let page = match seg.pages.entry(no) {
                         Entry::Occupied(e) => {
@@ -662,61 +681,43 @@ impl PageStoreServer {
                         // checkpoint, a reader or another replica still
                         // shares it.
                         let held = Arc::as_ptr(page);
-                        let applied = rec.apply(Arc::make_mut(page));
+                        let result = rec.apply(Arc::make_mut(page));
                         if !std::ptr::eq(held, Arc::as_ptr(page)) {
                             seg.changed.insert(no);
                         }
-                        if let Err(e) = applied {
-                            // Keep this partition's unapplied tail; other
-                            // partitions' pages are independent and keep
-                            // applying. Dropping the tail would freeze
-                            // `applied_lsn` below these records forever
-                            // (permanent `NotYetApplied` on later reads).
-                            stuck_min = Some(stuck_min.map_or(rec.lsn, |s: Lsn| s.min(rec.lsn)));
+                        if let Err(e) = result {
+                            // The rest of this partition waits behind it,
+                            // and so does the watermark.
+                            applied = applied.min(i);
                             if first_err.is_none() {
                                 first_err = Some(e);
                             }
-                            requeue.extend_from_slice(&part[i..]);
                             break;
                         }
-                        if let (Some(images), Some((_, last))) = (fleet.as_deref_mut(), span) {
-                            if rec.lsn == last {
-                                images.publish(rec.page, page);
-                            }
+                        if rec.lsn == last {
+                            fleet.publish(rec.page, page);
                         }
                     }
-                    applied_max = applied_max.max(rec.lsn);
-                    touched += 1;
                 }
             }
             // The apply watermark promises "everything at or below is
-            // applied": with a stuck record at LSN s, records beyond s in
-            // *other* partitions may be applied but cannot be advertised.
-            let watermark = match stuck_min {
-                None => applied_max,
-                Some(s) => applied_max.min(s.saturating_sub(1)),
-            };
-            seg.applied_lsn = seg.applied_lsn.max(watermark);
-            if !requeue.is_empty() {
-                requeue.sort_by_key(|r| r.lsn);
-                requeue.extend(std::mem::take(&mut seg.queue));
-                seg.queue = requeue;
+            // applied".
+            if applied > 0 {
+                seg.applied_lsn = seg.retained[from + applied - 1].lsn;
             }
-        }
+            (applied, first_err)
+        };
         if recovery {
-            self.stats.restore_replayed.add(touched as u64);
+            self.stats.restore_replayed.add(applied as u64);
         } else {
-            self.stats.records_applied.add(touched as u64);
+            self.stats.records_applied.add(applied as u64);
         }
-        self.stats.lag(-(touched as i64), 0);
-        if touched > 0 {
-            let batches = touched.div_ceil(16).max(1);
+        self.stats.lag(-(applied as i64), 0);
+        if applied > 0 {
+            let batches = applied.div_ceil(16).max(1);
             self.charge_ssd(ctx, self.model.ssd_write_svc(batches * PAGE_SIZE) / 4);
         }
-        match first_err {
-            None => Ok(touched),
-            Some(e) => Err(e),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Durable watermark of one segment (the log-truncation RPC handler):
@@ -900,6 +901,77 @@ mod tests {
             };
             assert_eq!(ctx.now() - t0, VTime::from_nanos(expect), "{lanes} lanes");
         }
+    }
+
+    /// A record that fails to apply holds the watermark below it: page 0's
+    /// `Update` of a slot it does not have stops partition 0 at LSN 30,
+    /// while partition 1 applies page 1's insert at 40. Only the records
+    /// at or below the watermark count as applied, the rest stay queued,
+    /// and a second apply, which fails the same way, counts none twice.
+    #[test]
+    fn failed_record_holds_the_watermark_and_counts_nothing_beyond_it() {
+        let (env, ps) = setup();
+        let mut ctx = SimCtx::new(1, 7);
+        let (p0, p1) = (PageId::new(1, 0), PageId::new(1, 1));
+        let key = PsSegmentKey::of(p0);
+        let format = PageOp::Format {
+            ty: PageType::BTreeLeaf,
+            level: 0,
+        };
+        let insert = PageOp::InsertAt {
+            slot: 0,
+            cell: b"cell".to_vec(),
+        };
+        let records: Vec<RedoRecord> = [
+            (10, p0, format.clone()),
+            (20, p1, format),
+            (
+                30,
+                p0,
+                PageOp::Update {
+                    slot: 5,
+                    cell: b"none".to_vec(),
+                },
+            ),
+            (40, p1, insert.clone()),
+            (50, p0, insert),
+        ]
+        .into_iter()
+        .map(|(lsn, page, op)| RedoRecord {
+            lsn,
+            prev_same_segment: 0, // facade fills it in
+            txn_id: 1,
+            page,
+            op,
+        })
+        .collect();
+        ps.ship(&mut ctx, &records).unwrap();
+        let server = &ps.replicas_of(key)[0];
+        let applied = env.metrics.counter("pagestore", "records_applied");
+        let queued = env.metrics.gauge("pagestore", "queued_records");
+        let books = |server: &PageStoreServer| {
+            let segs = server.segs.lock();
+            let seg = &segs[&key];
+            let at_or_below = seg.retained_after(seg.applied_lsn) as u64;
+            (seg.applied_lsn, at_or_below, seg.pages[&1].lsn())
+        };
+        for round in 0..2 {
+            assert!(matches!(
+                server.apply_pending(&mut ctx, key),
+                Err(PageStoreError::SlotOutOfRange { .. })
+            ));
+            let (watermark, at_or_below, p1_lsn) = books(server);
+            assert_eq!(applied.get(), at_or_below, "round {round}");
+            assert!(
+                watermark < 30,
+                "round {round}: {watermark} passed the failed record"
+            );
+            assert_eq!(applied.get(), 2, "round {round}");
+            assert_eq!(p1_lsn, 40, "round {round}: partition 1 applied on");
+        }
+        // The three records above the watermark wait on this replica, all
+        // five on the two that never applied.
+        assert_eq!(queued.get(), 3 + 2 * 5);
     }
 
     #[test]
